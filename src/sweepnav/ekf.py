@@ -7,11 +7,17 @@ exogenous input, so the transition Jacobian is the identity:
     update:   K = P H' / (H P H' + R),  x <- x + K (z - d_pred)
               P <- (I - K H) P
 
-Measurements are ranges to landmarks (recent smoothed fixes re-used as
-reference points), with the 1x2 Jacobian H = [(x - xl)/d, (y - yl)/d].
-Multiple landmarks are folded in as sequential scalar updates, oldest
-landmark first. P is re-symmetrized after every step to keep float drift
-from accumulating.
+Measurements are ranges to landmarks, with the 1x2 Jacobian
+H = [(x - xl)/d, (y - yl)/d]. The pipeline's landmarks are its anchor
+frame, shifted into the relative frame; :func:`track` instead re-uses a
+fix sequence's own recent fixes. Multiple landmarks are folded in as
+sequential scalar updates, in the order given.
+
+Both steps run as one closed-form float kernel over (x, y, p00, p01, p11),
+the position and the independent terms of the symmetric covariance, so P
+stays exactly symmetric. Covariances are checked for symmetry where they
+enter (tracker start, the TrackState adapters) and for positive
+semi-definiteness before every step.
 """
 
 from __future__ import annotations
@@ -79,32 +85,89 @@ class TrackStep:
 
 Monitor = Callable[[str, np.ndarray], None]
 
+# (x, y, p00, p01, p11): the kernel's state
+Terms = tuple[float, float, float, float, float]
 
-def min_eig_2x2(matrix: np.ndarray) -> float:
-    """Closed-form smallest eigenvalue of a symmetric 2x2 matrix."""
-    a = matrix[0, 0]
-    b = (matrix[0, 1] + matrix[1, 0]) / 2.0
-    c = matrix[1, 1]
+
+def _min_eig(a: float, b: float, c: float) -> float:
     return (a + c) / 2.0 - math.hypot((a - c) / 2.0, b)
 
 
-def _require_valid_covariance(p: np.ndarray) -> None:
-    if abs(p[0, 1] - p[1, 0]) > SYMMETRY_TOL:
+def min_eig_2x2(matrix: np.ndarray) -> float:
+    """Closed-form smallest eigenvalue of a symmetric 2x2 matrix."""
+    return _min_eig(matrix[0, 0], (matrix[0, 1] + matrix[1, 0]) / 2.0, matrix[1, 1])
+
+
+def _upper(matrix: np.ndarray) -> tuple[float, float, float]:
+    """(m00, m01, m11) of a 2x2 matrix, the off-diagonal averaged."""
+    return float(matrix[0, 0]), float(matrix[0, 1] + matrix[1, 0]) / 2.0, float(matrix[1, 1])
+
+
+def _covariance_terms(covariance: np.ndarray) -> tuple[float, float, float]:
+    """(p00, p01, p11) of a covariance entering the filter."""
+    if abs(covariance[0, 1] - covariance[1, 0]) > SYMMETRY_TOL:
         raise ValueError("covariance must be symmetric")
-    if min_eig_2x2(p) < PSD_TOL:
+    return _upper(covariance)
+
+
+def _matrix(p00: float, p01: float, p11: float) -> np.ndarray:
+    return np.array([[p00, p01], [p01, p11]])
+
+
+def _require_psd(p00: float, p01: float, p11: float) -> None:
+    if _min_eig(p00, p01, p11) < PSD_TOL:
         raise ValueError("covariance must be positive semi-definite")
+
+
+def _predict(terms: Terms, dt: float, ux: float, uy: float, q: tuple[float, float, float]) -> Terms:
+    if dt <= 0:
+        raise ValueError("timestep must be positive")
+    x, y, p00, p01, p11 = terms
+    _require_psd(p00, p01, p11)
+    return (x + dt * ux, y + dt * uy, p00 + q[0], p01 + q[1], p11 + q[2])
+
+
+def _update(
+    terms: Terms, z: float, lx: float, ly: float, r: float, min_range: float
+) -> tuple[Terms, float]:
+    """Scalar range update; returns the new terms and the innovation."""
+    x, y, p00, p01, p11 = terms
+    _require_psd(p00, p01, p11)
+    if z < 0:
+        raise ValueError("range measurement must be non-negative")
+    dx = x - lx
+    dy = y - ly
+    distance = math.hypot(dx, dy)
+    if distance <= min_range:
+        raise SingularGeometryError(
+            f"state within {min_range} m of landmark, range direction undefined"
+        )
+    h0 = dx / distance
+    h1 = dy / distance
+    ph0 = p00 * h0 + p01 * h1  # P H'
+    ph1 = p01 * h0 + p11 * h1
+    innovation_var = h0 * ph0 + h1 * ph1 + r
+    k0 = ph0 / innovation_var
+    k1 = ph1 / innovation_var
+    innovation = z - distance
+    updated = (x + k0 * innovation, y + k1 * innovation, p00 - k0 * ph0, p01 - k0 * ph1, p11 - k1 * ph1)
+    return updated, innovation
+
+
+def _state_terms(state: TrackState) -> Terms:
+    return (float(state.position[0]), float(state.position[1]), *_covariance_terms(state.covariance))
+
+
+def _track_state(terms: Terms, timestep: float) -> TrackState:
+    x, y, p00, p01, p11 = terms
+    return TrackState(position=(x, y), covariance=_matrix(p00, p01, p11), timestep=timestep)
 
 
 def predict(state: TrackState, u: Sequence[float], noise: NoiseConfig) -> TrackState:
     """Constant-velocity prediction over one timestep."""
-    if state.timestep <= 0:
-        raise ValueError("timestep must be positive")
-    _require_valid_covariance(state.covariance)
-    velocity = np.asarray(u, dtype=float).reshape(2)
-    position = state.position + state.timestep * velocity
-    covariance = state.covariance + noise.q
-    covariance = (covariance + covariance.T) / 2.0
-    return TrackState(position=position, covariance=covariance, timestep=state.timestep)
+    ux, uy = np.asarray(u, dtype=float).reshape(2)
+    terms = _predict(_state_terms(state), state.timestep, float(ux), float(uy), _upper(noise.q))
+    return _track_state(terms, state.timestep)
 
 
 def range_measurement(state: TrackState, landmark: Landmark) -> float:
@@ -134,18 +197,8 @@ def update(
     min_range: float = DEFAULT_MIN_RANGE,
 ) -> TrackState:
     """Fold one range measurement into the state."""
-    _require_valid_covariance(state.covariance)
-    if z < 0:
-        raise ValueError("range measurement must be non-negative")
-    h = range_jacobian(state, landmark, min_range)
-    p = state.covariance
-    innovation_var = float(h @ p @ h) + noise.r
-    gain = (p @ h) / innovation_var
-    predicted = range_measurement(state, landmark)
-    position = state.position + gain * (z - predicted)
-    covariance = (np.eye(2) - np.outer(gain, h)) @ p
-    covariance = (covariance + covariance.T) / 2.0
-    return TrackState(position=position, covariance=covariance, timestep=state.timestep)
+    terms, _ = _update(_state_terms(state), z, landmark.x, landmark.y, float(noise.r), min_range)
+    return _track_state(terms, state.timestep)
 
 
 class EkfTracker:
@@ -164,17 +217,21 @@ class EkfTracker:
         monitor: Monitor | None = None,
         min_range: float = DEFAULT_MIN_RANGE,
     ):
-        self._state = TrackState(position=np.asarray(x0, dtype=float), covariance=np.asarray(p0, dtype=float))
-        _require_valid_covariance(self._state.covariance)
-        self._noise = noise
+        x, y = np.asarray(x0, dtype=float).reshape(2)
+        covariance = _covariance_terms(np.asarray(p0, dtype=float).reshape(2, 2))
+        _require_psd(*covariance)
+        self._terms: Terms = (float(x), float(y), *covariance)
+        self._timestep = 1.0
+        self._q = _upper(noise.q)
+        self._r = float(noise.r)
         self._monitor = monitor
         self._min_range = min_range
         if monitor is not None:
-            monitor("init", self._state.covariance.copy())
+            monitor("init", _matrix(*covariance))
 
     @property
     def state(self) -> TrackState:
-        return self._state
+        return _track_state(self._terms, self._timestep)
 
     def step(
         self,
@@ -189,32 +246,32 @@ class EkfTracker:
         measurement could be applied (but some were offered) is flagged and
         keeps the prediction.
         """
-        state = TrackState(
-            position=self._state.position, covariance=self._state.covariance, timestep=dt
-        )
-        state = predict(state, u, self._noise)
-        if self._monitor is not None:
-            self._monitor("predict", state.covariance.copy())
+        ux, uy = u
+        terms = _predict(self._terms, float(dt), float(ux), float(uy), self._q)
+        monitor = self._monitor
+        if monitor is not None:
+            monitor("predict", _matrix(*terms[2:]))
 
         innovations: list[tuple[int, float]] = []
         flags: list[str] = []
         for landmark, z in measurements:
             try:
-                predicted = range_measurement(state, landmark)
-                state = update(state, z, landmark, self._noise, self._min_range)
+                terms, innovation = _update(terms, z, landmark.x, landmark.y, self._r, self._min_range)
             except SingularGeometryError:
                 flags.append("skipped_landmark")
                 continue
-            innovations.append((landmark.source_index, z - predicted))
-            if self._monitor is not None:
-                self._monitor("update", state.covariance.copy())
+            innovations.append((landmark.source_index, innovation))
+            if monitor is not None:
+                monitor("update", _matrix(*terms[2:]))
         if measurements and not innovations:
             flags.append("no_update")
 
-        self._state = state
+        self._terms = terms
+        self._timestep = dt
+        x, y, p00, p01, p11 = terms
         return TrackStep(
-            position=(float(state.position[0]), float(state.position[1])),
-            covariance=state.covariance.copy(),
+            position=(float(x), float(y)),
+            covariance=_matrix(p00, p01, p11),
             innovations=tuple(innovations),
             flags=tuple(flags),
             timestamp=timestamp,

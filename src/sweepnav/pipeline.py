@@ -28,7 +28,7 @@ from .multilateration import DEFAULT_CONDITION_CAP, Anchor, fix_position
 from .pathloss import PathLossParams, rss_to_distance
 from .placement import Bbox, place_in_box, validate_bbox
 from .smoothing import Smoother, SmootherConfig
-from .sweeps import BandPlan, SweepRecord, SweepWindow, band_mean, select_transmit_bands
+from .sweeps import BandPlan, SweepRecord, SweepWindow, select_transmit_bands
 
 log = logging.getLogger(__name__)
 
@@ -265,11 +265,10 @@ class TrackingPipeline:
 
     def _solve_fix(self, timestamp: float):
         cfg = self._cfg
-        records = self._window.records
         distances = []
         try:
             for band_id, center in zip(self._selected, self._centers):
-                stats = band_mean(records, band_id)
+                stats = self._window.stats(band_id)
                 distances.append(rss_to_distance(stats.mean_dbm, center, cfg.pathloss))
             fix = fix_position(self._anchors, distances, timestamp, cfg.condition_cap)
         except MissingBandError:

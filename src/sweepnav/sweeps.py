@@ -182,12 +182,12 @@ def parse_sweep_lines(lines: Iterable[str], plan: BandPlan) -> Iterator[SweepRec
     """Yield one SweepRecord per group of rows sharing a timestamp.
 
     Raises SweepParseError (with the offending line number) on malformed
-    rows or a decreasing timestamp. An empty input yields nothing.
+    rows or on a sweep whose timestamp is not later than the previous
+    sweep's. An empty input yields nothing.
     """
     pending_key: tuple[str, str] | None = None
     pending_ts = 0.0
     pending_bins: dict[int, list[float]] = {}
-    last_emitted_ts: float | None = None
 
     def finish() -> SweepRecord:
         bands = tuple(
@@ -217,23 +217,21 @@ def parse_sweep_lines(lines: Iterable[str], plan: BandPlan) -> Iterator[SweepRec
             raise SweepParseError(line_no, "invalid frequency slice bounds")
         if any(not math.isfinite(v) for v in rss_values):
             raise SweepParseError(line_no, "non-finite dB value")
-        try:
-            timestamp = parse_timestamp(parts[0], parts[1])
-        except ValueError as exc:
-            raise SweepParseError(line_no, str(exc)) from None
 
+        # rows of one sweep share the timestamp text, so it is parsed once per sweep
         key = (parts[0], parts[1])
-        if pending_key is not None and key != pending_key:
-            record = finish()
-            if last_emitted_ts is not None and record.timestamp < last_emitted_ts:
-                raise SweepParseError(line_no, "timestamp decreased across sweeps")
-            last_emitted_ts = record.timestamp
-            if timestamp < last_emitted_ts:
-                raise SweepParseError(line_no, "timestamp decreased across sweeps")
-            yield record
-            pending_bins = {}
-        pending_key = key
-        pending_ts = timestamp
+        if key != pending_key:
+            try:
+                timestamp = parse_timestamp(parts[0], parts[1])
+            except ValueError as exc:
+                raise SweepParseError(line_no, str(exc)) from None
+            if pending_key is not None:
+                if timestamp <= pending_ts:
+                    raise SweepParseError(line_no, "timestamp decreased or repeated across sweeps")
+                yield finish()
+                pending_bins = {}
+            pending_key = key
+            pending_ts = timestamp
 
         for i, rss in enumerate(rss_values):
             center_mhz = (hz_low + hz_width * i + hz_width / 2.0) / 1e6
@@ -243,10 +241,7 @@ def parse_sweep_lines(lines: Iterable[str], plan: BandPlan) -> Iterator[SweepRec
             pending_bins.setdefault(band[0], []).append(rss)
 
     if pending_key is not None:
-        record = finish()
-        if last_emitted_ts is not None and record.timestamp < last_emitted_ts:
-            raise SweepParseError(0, "timestamp decreased across sweeps")
-        yield record
+        yield finish()
 
 
 def parse_sweep_file(path, plan: BandPlan) -> Iterator[SweepRecord]:
@@ -288,23 +283,41 @@ def _hz(mhz: float) -> str:
     return repr(hz)
 
 
+def _ordered_sum(values: Iterable[float]) -> float:
+    """Left-to-right float sum.
+
+    ``sum()`` switched to compensated summation in Python 3.12; a running
+    total (``SweepWindow`` over a growing window) adds one value per push,
+    so batch and running means agree exactly only with this plain order.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def _band_stats(band_id: int, total: float, count: int, low: float, high: float) -> BandStats:
+    # summation rounding can spill the mean an ulp outside the sample range
+    mean = min(max(total / count, low), high)
+    return BandStats(band_id=band_id, mean_dbm=mean, sample_count=count, min_dbm=low, max_dbm=high)
+
+
+def _missing_band(band_id: int, sweeps: int) -> MissingBandError:
+    return MissingBandError(f"band {band_id} absent from all {sweeps} sweeps in window")
+
+
 def band_mean(window: Sequence[SweepRecord], band_id: int) -> BandStats:
-    """Arithmetic mean (dB domain) of one band's power over a sweep window."""
+    """Arithmetic mean (dB domain) of one band's power over a sweep window.
+
+    The batch reference for :meth:`SweepWindow.stats`, which returns the
+    same statistics from incrementally kept state.
+    """
     if not window:
         raise ValueError("window must be non-empty")
     values = [rss for record in window if (rss := record.rss(band_id)) is not None]
     if not values:
-        raise MissingBandError(f"band {band_id} absent from all {len(window)} sweeps in window")
-    low, high = min(values), max(values)
-    # summation rounding can spill the mean an ulp outside the sample range
-    mean = min(max(sum(values) / len(values), low), high)
-    return BandStats(
-        band_id=band_id,
-        mean_dbm=mean,
-        sample_count=len(values),
-        min_dbm=low,
-        max_dbm=high,
-    )
+        raise _missing_band(band_id, len(window))
+    return _band_stats(band_id, _ordered_sum(values), len(values), min(values), max(values))
 
 
 def select_transmit_bands(stats: Iterable[BandStats], count: int) -> list[int]:
@@ -323,17 +336,52 @@ def select_transmit_bands(stats: Iterable[BandStats], count: int) -> list[int]:
 
 
 class SweepWindow:
-    """Rolling window over the most recent sweeps.
+    """Rolling window over the most recent sweeps, with per-band statistics.
 
-    ``length`` of None keeps every sweep (growing window).
+    ``length`` of None keeps every sweep (growing window). Per-band state is
+    updated as sweeps are pushed and evicted: a bounded window keeps each
+    band's values in arrival order, a growing one a running sum, count,
+    minimum and maximum. Per sweep, ``push`` costs O(K) in the sweep's band
+    count; ``stats`` costs O(1) for a growing window and O(length) for a
+    bounded one; ``persistent_band_ids`` costs O(B) in the bands seen in the
+    window. None of them depends on how many sweeps a growing window holds.
     """
 
     def __init__(self, length: int | None = 10):
         if length is not None and length < 1:
             raise ValueError("window length must be positive or None")
-        self._records: deque[SweepRecord] = deque(maxlen=length)
+        self._length = length
+        self._records: deque[SweepRecord] = deque()
+        # band id -> deque of values (bounded) or [sum, count, min, max] (growing);
+        # either way a band's sample count is the number of sweeps holding it
+        self._bands: dict[int, deque[float] | list] = {}
 
     def push(self, record: SweepRecord) -> None:
+        bands = self._bands
+        if self._length is None:
+            for band_id, _, rss in record.bands:
+                acc = bands.get(band_id)
+                if acc is None:
+                    acc = bands[band_id] = [0.0, 0, rss, rss]
+                acc[0] += rss
+                acc[1] += 1
+                if rss < acc[2]:
+                    acc[2] = rss
+                elif rss > acc[3]:
+                    acc[3] = rss
+        else:
+            if len(self._records) == self._length:
+                for band_id, _, _ in self._records.popleft().bands:
+                    values = bands[band_id]
+                    values.popleft()
+                    if not values:
+                        del bands[band_id]
+            for band_id, _, rss in record.bands:
+                values = bands.get(band_id)
+                if values is None:
+                    bands[band_id] = deque((rss,))
+                else:
+                    values.append(rss)
         self._records.append(record)
 
     def __len__(self) -> int:
@@ -344,13 +392,19 @@ class SweepWindow:
         return tuple(self._records)
 
     def stats(self, band_id: int) -> BandStats:
-        return band_mean(self._records, band_id)
+        """Equal to ``band_mean(self.records, band_id)``, without the rescan."""
+        if not self._records:
+            raise ValueError("window must be non-empty")
+        entry = self._bands.get(band_id)
+        if entry is None:
+            raise _missing_band(band_id, len(self._records))
+        if self._length is None:
+            return _band_stats(band_id, *entry)
+        return _band_stats(band_id, _ordered_sum(entry), len(entry), min(entry), max(entry))
 
     def persistent_band_ids(self) -> list[int]:
         """Bands present in every sweep of the window."""
-        if not self._records:
-            return []
-        common = set(self._records[0].band_ids)
-        for record in list(self._records)[1:]:
-            common &= set(record.band_ids)
-        return sorted(common)
+        held = len(self._records)
+        if self._length is None:
+            return sorted(band_id for band_id, acc in self._bands.items() if acc[1] == held)
+        return sorted(band_id for band_id, values in self._bands.items() if len(values) == held)

@@ -31,6 +31,14 @@ tx.power_dbm = 43
 """
 
 
+# two sweeps whose timestamps are equal in different spellings
+REPEATED_TIMESTAMP_SWEEPS = "".join(
+    f"2023-01-01, {clock}, {band * 1000000}, {(band + 1) * 1000000}, 1000000, 1, -60.0\n"
+    for clock in ("12:00:00", "12:00:00.000000")
+    for band in (700, 800, 900, 1800, 2100, 2600)
+)
+
+
 class TestSimulate:
     def test_writes_artifacts(self, runner, route_scenario_file, tmp_path):
         out = tmp_path / "out"
@@ -122,6 +130,14 @@ class TestRun:
         assert "line 1" in result.output
 
 
+    def test_repeated_timestamp_is_exit_2(self, runner, tmp_path):
+        bad = tmp_path / "repeated.csv"
+        bad.write_text(REPEATED_TIMESTAMP_SWEEPS, encoding="ascii")
+        result = runner.invoke(main, ["run", str(bad), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2
+        assert "line 7" in result.output
+
+
 class TestEval:
     @pytest.fixture
     def artifacts(self, runner, route_scenario_file, tmp_path):
@@ -175,6 +191,21 @@ class TestEval:
             ],
         )
         assert result.exit_code == 3
+
+    def test_grid_repeated_timestamp_is_exit_2(self, runner, artifacts, tmp_path):
+        sim, run_dir = artifacts
+        bad = tmp_path / "repeated.csv"
+        bad.write_text(REPEATED_TIMESTAMP_SWEEPS, encoding="ascii")
+        result = runner.invoke(
+            main,
+            [
+                "eval", str(sim / "truth.csv"), str(run_dir / "trajectory.csv"),
+                "--waypoints", str(sim / "waypoints.csv"), "--out", str(tmp_path / "g"),
+                "--sweeps", str(bad), "--npl-list", "2.8,2.9",
+            ],
+        )
+        assert result.exit_code == 2
+        assert "line 7" in result.output
 
     def test_misaligned_lengths_exit_4(self, runner, artifacts, tmp_path):
         sim, run_dir = artifacts
@@ -268,6 +299,13 @@ class TestConvergence:
         result = runner.invoke(main, ["convergence", str(sim / "sweeps.csv"), "--out", str(out)])
         assert result.exit_code == 0, result.output
         assert (out / "convergence_time.csv").exists()
+
+    def test_repeated_timestamp_is_exit_2(self, runner, tmp_path):
+        bad = tmp_path / "repeated.csv"
+        bad.write_text(REPEATED_TIMESTAMP_SWEEPS, encoding="ascii")
+        result = runner.invoke(main, ["convergence", str(bad), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2
+        assert "line 7" in result.output
 
     def test_debug_logging_env(self, runner, static_scenario_file, tmp_path):
         result = runner.invoke(

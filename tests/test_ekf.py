@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -9,13 +10,17 @@ from sweepnav import (
     NoiseConfig,
     SingularGeometryError,
     TrackState,
+    matched_config,
     predict,
     range_jacobian,
     range_measurement,
+    run_pipeline,
     track,
     update,
 )
-from sweepnav.ekf import min_eig_2x2
+from sweepnav import ekf, pipeline
+from sweepnav.ekf import DEFAULT_MIN_RANGE, min_eig_2x2
+from test_acceptance import BENCH_NOISE, CovarianceAudit, benchmark_run
 
 
 def state(x, y, p, ts=1.0):
@@ -221,3 +226,198 @@ class TestNoiseConfig:
     def test_rejects_indefinite_q(self):
         with pytest.raises(ValueError):
             NoiseConfig(q=np.array([[1.0, 0.0], [0.0, -0.5]]))
+
+
+# Reference: the matrix form of the filter equations, as numpy evaluates
+# them. The float kernel must agree with it to rounding; numpy's BLAS may
+# fuse multiply-adds, so bitwise equality is not expected.
+REL_TOL = 1e-12
+
+
+def reference_predict(state, u, noise):
+    if state.timestep <= 0:
+        raise ValueError("timestep must be positive")
+    position = state.position + state.timestep * np.asarray(u, dtype=float).reshape(2)
+    covariance = state.covariance + noise.q
+    covariance = (covariance + covariance.T) / 2.0
+    return TrackState(position=position, covariance=covariance, timestep=state.timestep)
+
+
+def reference_update(state, z, landmark, noise, min_range=DEFAULT_MIN_RANGE):
+    if z < 0:
+        raise ValueError("range measurement must be non-negative")
+    h = range_jacobian(state, landmark, min_range)
+    p = state.covariance
+    innovation_var = float(h @ p @ h) + noise.r
+    gain = (p @ h) / innovation_var
+    predicted = range_measurement(state, landmark)
+    position = state.position + gain * (z - predicted)
+    covariance = (np.eye(2) - np.outer(gain, h)) @ p
+    covariance = (covariance + covariance.T) / 2.0
+    return TrackState(position=position, covariance=covariance, timestep=state.timestep)
+
+
+class ReferenceTracker:
+    """EkfTracker's step logic over the reference equations."""
+
+    def __init__(self, x0, p0, noise, monitor=None, min_range=DEFAULT_MIN_RANGE):
+        self.state = TrackState(position=x0, covariance=p0)
+        self.noise, self.monitor, self.min_range = noise, monitor, min_range
+        if monitor is not None:
+            monitor("init", self.state.covariance.copy())
+
+    def step(self, dt, u, measurements, timestamp=0.0):
+        state = reference_predict(
+            TrackState(position=self.state.position, covariance=self.state.covariance, timestep=dt),
+            u,
+            self.noise,
+        )
+        if self.monitor is not None:
+            self.monitor("predict", state.covariance.copy())
+        innovations, flags = [], []
+        for landmark, z in measurements:
+            try:
+                predicted = range_measurement(state, landmark)
+                state = reference_update(state, z, landmark, self.noise, self.min_range)
+            except SingularGeometryError:
+                flags.append("skipped_landmark")
+                continue
+            innovations.append((landmark.source_index, z - predicted))
+            if self.monitor is not None:
+                self.monitor("update", state.covariance.copy())
+        if measurements and not innovations:
+            flags.append("no_update")
+        self.state = state
+        return state, innovations, flags
+
+
+def assert_close(actual, expected):
+    actual, expected = np.asarray(actual, dtype=float), np.asarray(expected, dtype=float)
+    scale = max(float(np.max(np.abs(expected))), 1.0)
+    assert float(np.max(np.abs(actual - expected))) <= REL_TOL * scale, (actual, expected)
+
+
+def random_state(rng):
+    a = rng.normal(0.0, rng.uniform(0.1, 30.0), (2, 2))
+    covariance = a @ a.T + np.eye(2) * rng.uniform(0.0, 1.0)
+    return TrackState(
+        position=rng.uniform(-500.0, 500.0, 2),
+        covariance=covariance,
+        timestep=rng.uniform(0.1, 5.0),
+    )
+
+
+class TestKernelAgainstReference:
+    def test_predict(self):
+        rng = np.random.default_rng(11)
+        for _ in range(2000):
+            state = random_state(rng)
+            noise = NoiseConfig(q=np.diag(rng.uniform(0.0, 5.0, 2)), r=1.0)
+            u = rng.uniform(-20.0, 20.0, 2)
+            out, ref = predict(state, u, noise), reference_predict(state, u, noise)
+            assert_close(out.position, ref.position)
+            assert_close(out.covariance, ref.covariance)
+            assert out.timestep == ref.timestep
+
+    def test_update(self):
+        rng = np.random.default_rng(12)
+        for _ in range(2000):
+            state = random_state(rng)
+            noise = NoiseConfig(r=rng.uniform(0.01, 300.0))
+            landmark = Landmark(*rng.uniform(-500.0, 500.0, 2))
+            z = max(0.0, range_measurement(state, landmark) + rng.normal(0.0, 50.0))
+            out, ref = update(state, z, landmark, noise), reference_update(state, z, landmark, noise)
+            assert_close(out.position, ref.position)
+            assert_close(out.covariance, ref.covariance)
+
+    def test_tracker_sequence(self):
+        rng = np.random.default_rng(13)
+        noise = NoiseConfig(q=np.eye(2) * 0.1, r=200.0)
+        landmarks = [Landmark(*rng.uniform(-500.0, 500.0, 2), i) for i in range(6)]
+        tracker = EkfTracker(x0=(0.0, 0.0), p0=np.eye(2) * 10.0, noise=noise)
+        reference = ReferenceTracker((0.0, 0.0), np.eye(2) * 10.0, noise)
+        truth = np.zeros(2)
+        for _ in range(300):
+            u = rng.uniform(-10.0, 10.0, 2)
+            truth = truth + u
+            measurements = [
+                (lm, max(0.0, math.hypot(truth[0] - lm.x, truth[1] - lm.y) + rng.normal(0.0, 15.0)))
+                for lm in landmarks
+            ]
+            step = tracker.step(1.0, u, measurements)
+            ref_state, ref_innovations, ref_flags = reference.step(1.0, u, measurements)
+            assert_close(step.position, ref_state.position)
+            assert_close(step.covariance, ref_state.covariance)
+            assert [i for i, _ in step.innovations] == [i for i, _ in ref_innovations]
+            assert_close([v for _, v in step.innovations], [v for _, v in ref_innovations])
+            assert list(step.flags) == ref_flags
+
+    def test_coincident_landmark_flags_match(self):
+        noise = NoiseConfig()
+        coincident = Landmark(2.0, 2.0, 0)  # where the prediction lands
+        far = Landmark(50.0, -20.0, 1)
+        for measurements, expected in (
+            ([(coincident, 0.0)], ["skipped_landmark", "no_update"]),
+            ([(coincident, 0.0), (far, 40.0)], ["skipped_landmark"]),
+        ):
+            tracker = EkfTracker(x0=(1.0, 2.0), p0=np.eye(2), noise=noise)
+            reference = ReferenceTracker((1.0, 2.0), np.eye(2), noise)
+            step = tracker.step(1.0, (1.0, 0.0), measurements)
+            ref_state, ref_innovations, ref_flags = reference.step(1.0, (1.0, 0.0), measurements)
+            assert list(step.flags) == ref_flags == expected
+            assert [i for i, _ in step.innovations] == [i for i, _ in ref_innovations]
+            assert_close(step.position, ref_state.position)
+
+    def test_negative_range_rejected_in_step(self):
+        tracker = EkfTracker(x0=(0.0, 0.0), p0=np.eye(2), noise=NoiseConfig())
+        with pytest.raises(ValueError):
+            tracker.step(1.0, (0.0, 0.0), [(Landmark(5.0, 0.0, 0), -1.0)])
+        assert tracker.state.position.tolist() == [0.0, 0.0]
+
+
+class TwinTracker:
+    """Steps the real tracker and the reference side by side, recording both monitors."""
+
+    def __init__(self, x0, p0, noise, monitor=None, min_range=DEFAULT_MIN_RANGE, *, registry):
+        self.events, self.ref_events = [], []
+        self.real = EkfTracker(x0, p0, noise, monitor=self._recorder(self.events), min_range=min_range)
+        self.ref = ReferenceTracker(x0, p0, noise, monitor=self._recorder(self.ref_events), min_range=min_range)
+        registry.append(self)
+
+    @staticmethod
+    def _recorder(events):
+        return lambda phase, cov: events.append((phase, cov))
+
+    @property
+    def state(self):
+        return self.real.state
+
+    def step(self, dt, u, measurements, timestamp=0.0):
+        self.ref.step(dt, u, measurements, timestamp)
+        return self.real.step(dt, u, measurements, timestamp)
+
+
+def test_covariance_audit_sees_reference_events(monkeypatch):
+    """On criterion 5's inputs the audit gets the matrix form's event sequence."""
+    twins = []
+    monkeypatch.setattr(pipeline, "EkfTracker", functools.partial(TwinTracker, registry=twins))
+    monkeypatch.setattr(ekf, "EkfTracker", functools.partial(TwinTracker, registry=twins))
+    for seed in range(5):
+        scenario, run = benchmark_run(seed)
+        run_pipeline(run.sweeps, matched_config(scenario, noise=BENCH_NOISE))
+    rng = np.random.default_rng(55)
+    for _ in range(20):
+        steps = np.cumsum(rng.normal(0.0, 3.0, (40, 2)), axis=0)
+        measured = [tuple(p + rng.normal(0, 1.0, 2)) for p in steps]
+        track([tuple(p) for p in steps], [float(t) for t in range(40)], NoiseConfig(), measured=measured)
+
+    audit, ref_audit = CovarianceAudit(), CovarianceAudit()
+    assert len(twins) == 25
+    for twin in twins:
+        assert [phase for phase, _ in twin.events] == [phase for phase, _ in twin.ref_events]
+        for (phase, cov), (_, ref_cov) in zip(twin.events, twin.ref_events):
+            assert_close(cov, ref_cov)
+            audit(phase, cov)
+            ref_audit(phase, ref_cov)
+    assert audit.update_events == ref_audit.update_events > 1000
+    audit.assert_clean()

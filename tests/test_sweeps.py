@@ -69,6 +69,14 @@ class TestParsing:
         with pytest.raises(SweepParseError, match="decreased"):
             parse_all(lines, small_plan)
 
+    def test_repeated_timestamp_in_other_spelling_rejected(self, small_plan):
+        lines = [
+            "2023-01-01, 12:00:00, 0, 1000000, 1000000, 1, -60.0",
+            "2023-01-01, 12:00:00.000000, 0, 1000000, 1000000, 1, -61.0",
+        ]
+        with pytest.raises(SweepParseError, match="line 2: .*repeated"):
+            parse_all(lines, small_plan)
+
     def test_empty_input_yields_nothing(self, small_plan):
         assert parse_all([], small_plan) == []
         assert parse_all(["", "# comment"], small_plan) == []
@@ -262,3 +270,47 @@ class TestSweepWindow:
         window.push(record(0.0, {1: -50.0, 2: -60.0}))
         window.push(record(1.0, {1: -51.0}))
         assert window.persistent_band_ids() == [1]
+
+
+WINDOW_SWEEPS = st.lists(
+    st.dictionaries(
+        st.integers(min_value=0, max_value=5),
+        st.floats(min_value=-200.0, max_value=50.0, allow_nan=False),
+        max_size=6,
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+class TestIncrementalWindow:
+    """SweepWindow's kept per-band state against the batch reference."""
+
+    @pytest.mark.parametrize("length", [1, 3, 10, None])
+    @settings(max_examples=80, deadline=None)
+    @given(sweeps=WINDOW_SWEEPS)
+    def test_matches_batch_statistics(self, length, sweeps):
+        window = SweepWindow(length)
+        last_seen: dict[int, int] = {}
+        for k, values in enumerate(sweeps):
+            window.push(record(float(k), values))
+            last_seen.update((bid, k) for bid in values)
+            records = window.records
+            for bid in range(6):
+                evicted = bid not in last_seen or (length is not None and k - last_seen[bid] >= length)
+                if evicted:
+                    with pytest.raises(MissingBandError):
+                        band_mean(records, bid)
+                    with pytest.raises(MissingBandError):
+                        window.stats(bid)
+                else:
+                    # repr compares floats bit for bit (including the sign of zero)
+                    assert repr(window.stats(bid)) == repr(band_mean(records, bid))
+            common = set.intersection(*(set(r.band_ids) for r in records))
+            assert window.persistent_band_ids() == sorted(common)
+
+    def test_empty_window(self):
+        window = SweepWindow(None)
+        assert window.persistent_band_ids() == []
+        with pytest.raises(ValueError):
+            window.stats(0)
