@@ -88,6 +88,8 @@ def read_truth_csv(path) -> tuple[np.ndarray, np.ndarray]:
         if header != ["k", "timestamp", "x", "y"]:
             raise ValueError(f"{path}: unexpected truth header {header}")
         for row in reader:
+            if len(row) != 4:
+                raise ValueError(f"{path}: malformed truth row {row}")
             timestamps.append(float(row[1]))
             positions.append((float(row[2]), float(row[3])))
     return np.asarray(timestamps), np.asarray(positions).reshape(len(positions), 2)
@@ -110,6 +112,8 @@ def read_waypoints_csv(path) -> list[int]:
         if header != ["k", "x", "y"]:
             raise ValueError(f"{path}: unexpected waypoints header {header}")
         for row in reader:
+            if len(row) != 3:
+                raise ValueError(f"{path}: malformed waypoints row {row}")
             indices.append(int(row[0]))
     return indices
 

@@ -147,11 +147,16 @@ def eval_cmd(truth, trajectory, waypoints_path, out_dir, config_path, sweeps_pat
             err=True,
         )
         sys.exit(EXIT_SHAPE)
-    if not indices or indices[-1] >= len(truth_xy) or indices != sorted(indices):
-        click.echo("shape error: waypoint indices out of range or unordered", err=True)
+    increasing = all(a < b for a, b in zip(indices, indices[1:]))
+    if not indices or indices[0] < 0 or indices[-1] >= len(truth_xy) or not increasing:
+        click.echo("shape error: waypoint indices out of range or not increasing", err=True)
         sys.exit(EXIT_SHAPE)
 
-    truth_lengths, rows = _segment_table(truth_xy, track, indices)
+    try:
+        truth_lengths, rows = _segment_table(truth_xy, track, indices)
+    except ValueError as exc:  # two waypoints at one true position
+        click.echo(f"shape error: {exc}", err=True)
+        sys.exit(EXIT_SHAPE)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

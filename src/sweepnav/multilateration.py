@@ -9,6 +9,12 @@ system A x = b with
 
 solved in the least-squares sense. The first anchor should be the most
 trusted one since it appears in every equation.
+
+Solved by Givens QR: the rows fold one at a time into a 2x2 triangular R
+and Q^T b, then R x = Q^T b is back-substituted. A and R share singular
+values, taken from R in closed form (LAPACK dlas2); the condition estimate
+is sigma_max / sigma_min. The normal equations A^T A x = A^T b would square
+the condition number, and with it the error of the solution.
 """
 
 from __future__ import annotations
@@ -62,30 +68,82 @@ class PositionFix:
         return (self.x, self.y)
 
 
-def build_linear_system(
-    anchors: Sequence[Anchor], distances: Sequence[float]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Linearize the circle-intersection system against the first anchor."""
+def _linear_rows(anchors: Sequence[Anchor], distances: Sequence[float]) -> list[tuple]:
+    """Rows (A_j0, A_j1, b_j) of the linearized system, after checking the inputs."""
     n = len(anchors)
     if n < MIN_ANCHORS:
         raise InsufficientAnchorsError(f"need at least {MIN_ANCHORS} anchors, have {n}")
     if len(distances) != n:
         raise ValueError(f"{n} anchors but {len(distances)} distances")
-    if any(d < 0 for d in distances):
+    d = [float(v) for v in distances]
+    if any(v < 0 for v in d):
         raise ValueError("distances must be non-negative")
-    ids = [a.band_id for a in anchors]
-    if len(set(ids)) != n:
+    if len({a.band_id for a in anchors}) != n:
         raise ValueError("anchor ids must be unique")
 
-    x1, y1, d1 = anchors[0].x, anchors[0].y, distances[0]
-    a_rows = np.empty((n - 1, 2), dtype=float)
-    b = np.empty(n - 1, dtype=float)
+    x1, y1, d1 = float(anchors[0].x), float(anchors[0].y), d[0]
+    rows = []
     for j in range(1, n):
-        xj, yj, dj = anchors[j].x, anchors[j].y, distances[j]
-        a_rows[j - 1, 0] = 2.0 * (x1 - xj)
-        a_rows[j - 1, 1] = 2.0 * (y1 - yj)
-        b[j - 1] = x1 * x1 - xj * xj + y1 * y1 - yj * yj + dj * dj - d1 * d1
-    return a_rows, b
+        xj, yj, dj = float(anchors[j].x), float(anchors[j].y), d[j]
+        b = x1 * x1 - xj * xj + y1 * y1 - yj * yj + dj * dj - d1 * d1
+        rows.append((2.0 * (x1 - xj), 2.0 * (y1 - yj), b))
+    return rows
+
+
+def _triangular_singular_values(f: float, g: float, h: float) -> tuple[float, float]:
+    """(sigma_max, sigma_min) of [[f, g], [0, h]] by LAPACK dlas2 (Demmel &
+    Kahan, 1990): sigma_min keeps relative accuracy even when it is tiny."""
+    fa, ga, ha = abs(f), abs(g), abs(h)
+    fhmn, fhmx = min(fa, ha), max(fa, ha)
+    if fhmn == 0.0:
+        return math.hypot(fhmx, ga), 0.0
+    as_ = 1.0 + fhmn / fhmx
+    at = (fhmx - fhmn) / fhmx
+    if ga < fhmx:
+        au = (ga / fhmx) ** 2
+        c = 2.0 / (math.sqrt(as_ * as_ + au) + math.sqrt(at * at + au))
+        return fhmx / c, fhmn * c
+    au = fhmx / ga  # if this underflows, sigma_min reads 0: rank deficient
+    c = 1.0 / (math.sqrt(1.0 + (as_ * au) ** 2) + math.sqrt(1.0 + (at * au) ** 2))
+    return ga / (c + c), 2.0 * (fhmn * c) * au
+
+
+def _solve_rows(rows: Sequence[tuple], condition_cap: float) -> tuple[float, float, float, float]:
+    """(x, y, residual_norm, condition_estimate) over rows (A_j0, A_j1, b_j)."""
+    r00 = r01 = r11 = qb0 = qb1 = 0.0
+    for a0, a1, b in rows:
+        if a0 != 0.0:
+            r = math.hypot(r00, a0)
+            c, s = r00 / r, a0 / r
+            r00, r01, a1 = r, c * r01 + s * a1, c * a1 - s * r01
+            qb0, b = c * qb0 + s * b, c * b - s * qb0
+        if a1 != 0.0:
+            r = math.hypot(r11, a1)
+            c, s = r11 / r, a1 / r
+            r11, qb1 = r, c * qb1 + s * b
+    sigma_max, sigma_min = _triangular_singular_values(r00, r01, r11)
+    if sigma_min <= 0.0:
+        raise DegenerateGeometryError("anchor geometry is rank deficient")
+    condition = sigma_max / sigma_min
+    if condition > condition_cap:
+        raise DegenerateGeometryError(
+            f"condition estimate {condition:.3g} exceeds cap {condition_cap:.3g}"
+        )
+    y = qb1 / r11
+    x = (qb0 - r01 * y) / r00
+    squares = 0.0
+    for a0, a1, b in rows:
+        e = a0 * x + a1 * y - b
+        squares += e * e
+    return x, y, math.sqrt(squares), condition
+
+
+def build_linear_system(
+    anchors: Sequence[Anchor], distances: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Linearize the circle-intersection system against the first anchor."""
+    table = np.array(_linear_rows(anchors, distances), dtype=float)
+    return table[:, :2], table[:, 2]
 
 
 def solve_lsq(
@@ -103,18 +161,11 @@ def solve_lsq(
         raise ValueError("A must have shape (m, 2) with m >= 2")
     if b.shape != (a.shape[0],):
         raise ValueError("b length must match the rows of A")
-
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    if s[-1] <= 0.0:
-        raise DegenerateGeometryError("anchor geometry is rank deficient")
-    condition = float(s[0] / s[-1])
-    if condition > condition_cap:
-        raise DegenerateGeometryError(
-            f"condition estimate {condition:.3g} exceeds cap {condition_cap:.3g}"
-        )
-    position = vt.T @ ((u.T @ b) / s)
-    residual_norm = float(np.linalg.norm(a @ position - b))
-    return position, residual_norm, condition
+    if not np.isfinite(a).all():
+        raise ValueError("A must be finite")
+    rows = list(zip(a[:, 0].tolist(), a[:, 1].tolist(), b.tolist()))
+    x, y, residual_norm, condition = _solve_rows(rows, condition_cap)
+    return np.array([x, y]), residual_norm, condition
 
 
 def fix_position(
@@ -124,11 +175,11 @@ def fix_position(
     condition_cap: float = DEFAULT_CONDITION_CAP,
 ) -> PositionFix:
     """Range-based position fix from at least four anchors."""
-    a, b = build_linear_system(anchors, distances)
-    position, residual_norm, condition = solve_lsq(a, b, condition_cap)
+    rows = _linear_rows(anchors, distances)
+    x, y, residual_norm, condition = _solve_rows(rows, condition_cap)
     return PositionFix(
-        x=float(position[0]),
-        y=float(position[1]),
+        x=x,
+        y=y,
         residual_norm=residual_norm,
         condition_estimate=condition,
         anchor_count=len(anchors),

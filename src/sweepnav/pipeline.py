@@ -174,7 +174,7 @@ class TrackingPipeline:
         self._anchors: list[Anchor] | None = None
         self._landmarks: list[Landmark] = []
         self._centers: list[float] = []
-        self._origin: np.ndarray | None = None
+        self._origin: tuple[float, float] | None = None
         self._smoother = Smoother(config.smoother)
         self._smoothed: list[tuple[float, tuple[float, float]]] = []
         self._tracker: EkfTracker | None = None
@@ -207,7 +207,7 @@ class TrackingPipeline:
         self._prev_raw_abs = raw_abs
 
         if self._origin is None:
-            self._origin = np.asarray(raw_abs, dtype=float)
+            self._origin = raw_abs
             self._landmarks = [
                 Landmark(a.x - self._origin[0], a.y - self._origin[1], i)
                 for i, a in enumerate(self._anchors)

@@ -1,10 +1,15 @@
-"""Moving-average smoothing of position fixes."""
+"""Moving-average smoothing of position fixes.
+
+``wma``, ``sma`` and ``Smoother`` share one float kernel that sums left to
+right in plain loops (``sum()`` compensates from Python 3.12 on).
+"""
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -33,8 +38,8 @@ class SmootherConfig:
             object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
             if len(self.weights) != self.window:
                 raise ConfigError("weights length must equal the window")
-            if any(w <= 0 for w in self.weights):
-                raise ConfigError("weights must be positive")
+            if not all(w > 0 and math.isfinite(w) for w in self.weights):
+                raise ConfigError("weights must be positive and finite")
             if self.kind == "sma" and len(set(self.weights)) > 1:
                 raise ConfigError("sma requires equal weights")
 
@@ -44,6 +49,26 @@ class SmootherConfig:
         if self.weights is not None:
             return self.weights
         return tuple(float(i) for i in range(1, self.window + 1))
+
+
+def _normalized(weights: Sequence[float]) -> tuple[float, ...]:
+    # Dividing by the first weight sends any equal-weight call down the
+    # exact float path of sma().
+    return tuple(w / weights[0] for w in weights)
+
+
+def _weighted_mean(points: Iterable[Point], weights: Sequence[float]) -> Point:
+    """Weighted mean of (x, y) floats, clamped to their per-axis range."""
+    sx = sy = total = 0.0
+    lo_x = lo_y = math.inf
+    hi_x = hi_y = -math.inf
+    for (x, y), w in zip(points, weights):
+        sx += w * x
+        sy += w * y
+        total += w
+        lo_x, hi_x = min(lo_x, x), max(hi_x, x)
+        lo_y, hi_y = min(lo_y, y), max(hi_y, y)
+    return min(max(sx / total, lo_x), hi_x), min(max(sy / total, lo_y), hi_y)
 
 
 def wma(points: Sequence[Point], weights: Sequence[float]) -> Point:
@@ -62,17 +87,12 @@ def wma(points: Sequence[Point], weights: Sequence[float]) -> Point:
         raise ValueError("points must be (x, y) pairs")
     if np.any(w <= 0) or not np.all(np.isfinite(w)):
         raise ValueError("weights must be positive and finite")
-    # Normalizing by the first weight makes any equal-weight call take the
-    # exact same float path as sma().
-    w = w / w[0]
-    out = (w @ pts) / w.sum()
-    out = np.clip(out, pts.min(axis=0), pts.max(axis=0))
-    return float(out[0]), float(out[1])
+    return _weighted_mean(pts.tolist(), _normalized(w.tolist()))
 
 
 def sma(points: Sequence[Point]) -> Point:
     """Unweighted mean of positions."""
-    return wma(points, np.ones(len(points)))
+    return wma(points, [1.0] * len(points))
 
 
 class Smoother:
@@ -83,16 +103,13 @@ class Smoother:
     """
 
     def __init__(self, config: SmootherConfig):
-        self._config = config
-        self._weights = config.effective_weights()
+        weights = config.effective_weights()
+        self._levels = [_normalized(weights[-n:]) for n in range(1, config.window + 1)]
         self._points: deque[Point] = deque(maxlen=config.window)
 
     def push(self, point: Point) -> Point:
         self._points.append((float(point[0]), float(point[1])))
-        pts = list(self._points)
-        if self._config.kind == "sma":
-            return sma(pts)
-        return wma(pts, self._weights[-len(pts):])
+        return _weighted_mean(self._points, self._levels[len(self._points) - 1])
 
     def __len__(self) -> int:
         return len(self._points)

@@ -234,6 +234,70 @@ class TestEval:
         )
         assert result.exit_code == 4
 
+    @pytest.mark.parametrize("indices", [(-1, 10), (10, 10)], ids=["negative", "repeated"])
+    def test_waypoint_indices_must_increase_from_zero_exit_4(self, runner, artifacts, tmp_path, indices):
+        sim, run_dir = artifacts
+        bad = tmp_path / "wp.csv"
+        bad.write_text("k,x,y\n" + "".join(f"{k},0.0,0.0\n" for k in indices), encoding="ascii")
+        result = runner.invoke(
+            main,
+            [
+                "eval", str(sim / "truth.csv"), str(run_dir / "trajectory.csv"),
+                "--waypoints", str(bad), "--out", str(tmp_path / "e"),
+            ],
+        )
+        assert result.exit_code == 4
+        assert "shape error" in result.output
+
+    def test_zero_length_truth_segment_exit_4(self, runner, artifacts, tmp_path):
+        sim, run_dir = artifacts
+        bad = tmp_path / "wp.csv"
+        bad.write_text("k,x,y\n3,0.0,0.0\n4,0.0,0.0\n", encoding="ascii")
+        truth = tmp_path / "truth.csv"
+        lines = (sim / "truth.csv").read_text().splitlines()
+        k, t, _, _ = lines[5].split(",")
+        lines[5] = ",".join([k, t] + lines[4].split(",")[2:])
+        truth.write_text("\n".join(lines) + "\n", encoding="ascii")
+        result = runner.invoke(
+            main,
+            [
+                "eval", str(truth), str(run_dir / "trajectory.csv"),
+                "--waypoints", str(bad), "--out", str(tmp_path / "e"),
+            ],
+        )
+        assert result.exit_code == 4
+        assert "truth lengths must be positive" in result.output
+
+    def test_short_truth_row_exit_2(self, runner, artifacts, tmp_path):
+        sim, run_dir = artifacts
+        bad = tmp_path / "truth.csv"
+        lines = (sim / "truth.csv").read_text().splitlines()
+        lines[6] = "5,1.0"
+        bad.write_text("\n".join(lines) + "\n", encoding="ascii")
+        result = runner.invoke(
+            main,
+            [
+                "eval", str(bad), str(run_dir / "trajectory.csv"),
+                "--waypoints", str(sim / "waypoints.csv"), "--out", str(tmp_path / "e"),
+            ],
+        )
+        assert result.exit_code == 2
+        assert "malformed truth row" in result.output
+
+    def test_short_waypoints_row_exit_2(self, runner, artifacts, tmp_path):
+        sim, run_dir = artifacts
+        bad = tmp_path / "wp.csv"
+        bad.write_text("k,x,y\n0,0.0,0.0\n10\n", encoding="ascii")
+        result = runner.invoke(
+            main,
+            [
+                "eval", str(sim / "truth.csv"), str(run_dir / "trajectory.csv"),
+                "--waypoints", str(bad), "--out", str(tmp_path / "e"),
+            ],
+        )
+        assert result.exit_code == 2
+        assert "malformed waypoints row" in result.output
+
     def test_garbled_truth_exit_2(self, runner, artifacts, tmp_path):
         sim, run_dir = artifacts
         bad = tmp_path / "truth.csv"

@@ -11,6 +11,13 @@ from sweepnav import (
     fix_position,
     solve_lsq,
 )
+from sweepnav.multilateration import _triangular_singular_values
+
+
+def svd_reference(a, b):
+    """The SVD equations the solver used before Givens QR: (position, condition)."""
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    return vt.T @ ((u.T @ b) / s), s[0] / s[-1]
 
 
 def square_anchors():
@@ -199,3 +206,86 @@ class TestProperties:
             f2.residual_norm,
             f2.condition_estimate,
         )
+
+
+class TestGivensKernel:
+    def test_agrees_with_svd_reference(self):
+        rng = np.random.default_rng(51)
+        checked = near_collinear = 0
+        for i in range(600):
+            m = int(rng.integers(3, 9))
+            a = rng.normal(size=(m, 2)) * 10 ** rng.uniform(-2, 3)
+            if i % 2:
+                a[:, 1] = a[:, 0] * rng.normal() + a[:, 1] * 10 ** rng.uniform(-6, -2)
+            b = rng.normal(size=m) * 100
+            ref_position, ref_condition = svd_reference(a, b)
+            if ref_condition > 1e6:
+                continue
+            position, residual, condition = solve_lsq(a, b)
+            assert abs(condition - ref_condition) <= 1e-9 * ref_condition
+            error = np.linalg.norm(position - ref_position)
+            assert error <= 1e-12 * ref_condition * np.linalg.norm(ref_position)
+            assert residual == pytest.approx(np.linalg.norm(a @ ref_position - b), rel=1e-9)
+            checked += 1
+            near_collinear += ref_condition > 1e3
+        assert checked >= 500 and near_collinear >= 150
+
+    @pytest.mark.parametrize(
+        "f, g, h",
+        [
+            (1.0, 5.0, 0.5),  # |g| >= max(|f|, |h|)
+            (-2.0, 2.0, 1e-7),
+            (0.5, -3.0, -2.0),
+            (4.0, 1.0, 2.0),  # |g| < max(|f|, |h|)
+            (1e-3, 0.7, 1.0),
+            (3.0, 0.0, 2.0),  # g = 0
+            (-2.0, 0.0, 3.0),
+            (0.0, 2.0, 3.0),  # f = 0
+            (3.0, 2.0, 0.0),  # h = 0
+            (0.0, -2.0, 0.0),
+            (0.0, 0.0, 0.0),
+        ],
+    )
+    def test_dlas2_branches_match_svd(self, f, g, h):
+        sigma_max, sigma_min = _triangular_singular_values(f, g, h)
+        ref_max, ref_min = np.linalg.svd(np.array([[f, g], [0.0, h]]), compute_uv=False)
+        assert sigma_max == pytest.approx(ref_max, rel=1e-14, abs=0.0)
+        if f == 0.0 or h == 0.0:
+            assert sigma_min == 0.0
+            assert ref_min <= 1e-15 * ref_max
+        else:
+            # the closed form keeps a tiny sigma_min to relative precision
+            assert sigma_min == pytest.approx(abs(f * h) / ref_max, rel=1e-14)
+            assert sigma_min == pytest.approx(ref_min, rel=1e-8)
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [(10.0, 0.0), (20.0, 0.0), (30.0, 0.0), (40.0, 0.0)],  # collinear
+            [(5.0, 5.0)] * 4,  # coincident
+            [(0.0, 0.0), (3.0, 4.0), (6.0, 8.0), (-3.0, -4.0), (9.0, 12.0)],  # collinear, diagonal
+        ],
+    )
+    def test_degenerate_anchors_raise(self, points):
+        anchors = [Anchor(i, x, y) for i, (x, y) in enumerate(points, 1)]
+        with pytest.raises(DegenerateGeometryError):
+            fix_position(anchors, [5.0] * len(anchors), 0.0)
+
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_zero_column_raises(self, column):
+        a = np.arange(1.0, 9.0).reshape(4, 2)
+        a[:, column] = 0.0
+        with pytest.raises(DegenerateGeometryError):
+            solve_lsq(a, np.ones(4))
+
+    def test_zero_rhs_gives_exact_zeros(self):
+        rng = np.random.default_rng(52)
+        for _ in range(50):
+            a = rng.normal(size=(int(rng.integers(2, 9)), 2)) * 100
+            position, residual, _ = solve_lsq(a, np.zeros(a.shape[0]))
+            assert position.tolist() == [0.0, 0.0]
+            assert residual == 0.0
+
+    def test_non_finite_matrix_rejected(self):
+        with pytest.raises(ValueError):
+            solve_lsq(np.array([[1.0, 0.0], [0.0, np.nan], [1.0, 1.0]]), np.ones(3))

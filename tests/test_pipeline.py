@@ -135,6 +135,13 @@ class TestPipelineRuns:
         trajectory = run_pipeline(run.sweeps, matched_config(scenario, ekf_enabled=False))
         np.testing.assert_array_equal(trajectory.positions("ekf"), trajectory.positions("wma"))
 
+    def test_position_fields_are_floats(self):
+        scenario = route_scenario(seed=5)
+        run = simulate_run(scenario)
+        trajectory = run_pipeline(run.sweeps, matched_config(scenario))
+        fields = ("x_raw", "y_raw", "x_wma", "y_wma", "x_ekf", "y_ekf")
+        assert {type(getattr(s, f)) for s in trajectory.steps for f in fields} == {float}
+
 
 def strip_band(record, band_id):
     return SweepRecord(

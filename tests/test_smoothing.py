@@ -5,12 +5,26 @@ from sweepnav import Smoother, SmootherConfig, sma, wma
 from sweepnav.errors import ConfigError
 
 
+def numpy_wma(points, weights):
+    """The numpy equations wma used before the float kernel."""
+    pts = np.asarray(points, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    w = w / w[0]
+    out = (w @ pts) / w.sum()
+    out = np.clip(out, pts.min(axis=0), pts.max(axis=0))
+    return float(out[0]), float(out[1])
+
+
 class TestWma:
     def test_linear_ramp_example(self):
         assert wma([(0.0, 0.0), (3.0, 0.0), (6.0, 0.0)], [1.0, 2.0, 3.0]) == (4.0, 0.0)
 
     def test_constant_positions(self):
         assert wma([(2.0, 7.0)] * 3, [0.3, 5.0, 1.7]) == (2.0, 7.0)
+
+    def test_rounding_spill_is_clamped(self):
+        # unclamped, these weights round the mean of 99.262 to 99.26200000000001
+        assert wma([(99.262, -99.262)] * 3, [2.6, 4.1, 5.6]) == (99.262, -99.262)
 
     def test_equal_weights_match_sma(self):
         points = [(0.0, 0.0), (3.0, 0.0), (6.0, 0.0)]
@@ -67,6 +81,21 @@ class TestProperties:
         assert shifted[1] == pytest.approx(base[1] + shift[1], abs=1e-9)
 
 
+    def test_agrees_with_numpy_reference(self):
+        # numpy's ``w @ pts`` rounds differently from a left-to-right sum,
+        # so the two differ by an ulp in some draws: compare at 1e-12.
+        rng = np.random.default_rng(44)
+        for _ in range(500):
+            n = int(rng.integers(1, 13))
+            points = rng.uniform(-1e3, 1e3, (n, 2)) * 10 ** rng.uniform(-3, 3)
+            weights = rng.uniform(0.05, 5.0, n)
+            got = wma([tuple(p) for p in points], weights)
+            ref = numpy_wma(points, weights)
+            scale = np.abs(points).max(axis=0)
+            assert abs(got[0] - ref[0]) <= 1e-12 * scale[0]
+            assert abs(got[1] - ref[1]) <= 1e-12 * scale[1]
+
+
 class TestSmoother:
     def test_warmup_uses_trailing_weights(self):
         smoother = Smoother(SmootherConfig(kind="wma", window=3))
@@ -94,6 +123,26 @@ class TestSmoother:
         assert smoother.push((10.0, 0.0)) == (9.0, 0.0)
 
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            SmootherConfig(),
+            SmootherConfig(kind="wma", window=4, weights=(0.3, 1.7, 2.2, 5.0)),
+            SmootherConfig(kind="sma", window=4),
+        ],
+    )
+    def test_push_equals_wma_at_every_fill_level(self, config):
+        rng = np.random.default_rng(45)
+        weights = config.effective_weights()
+        smoother = Smoother(config)
+        pushed = []
+        for _ in range(3 * config.window):
+            point = tuple(rng.uniform(-500.0, 500.0, 2).tolist())
+            pushed.append(point)
+            window = pushed[-config.window:]
+            assert smoother.push(point) == wma(window, weights[-len(window):])
+
+
 class TestConfigValidation:
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
@@ -110,3 +159,8 @@ class TestConfigValidation:
     def test_sma_requires_equal_weights(self):
         with pytest.raises(ConfigError):
             SmootherConfig(kind="sma", window=2, weights=(1.0, 2.0))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_weights(self, bad):
+        with pytest.raises(ConfigError):
+            SmootherConfig(window=3, weights=(1.0, bad, 2.0))
