@@ -4,11 +4,16 @@ Reads sweep CSV files in the hackrf_sweep layout (one row per frequency
 slice, rows sharing a timestamp form one sweep), bins the slices onto a
 band plan, and maintains a rolling window of sweeps from which per-band
 mean power and the transmitter band set are derived.
+
+Each row is split once, its timestamp parsed by strptime's grammar only
+when its text changes, and each bin placed by arithmetic on a uniform plan.
+Records and window statistics built from checked values are not re-checked.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
@@ -56,6 +61,13 @@ class SweepRecord:
                 raise ValueError(f"band {band.band_id}: rss must be finite")
         object.__setattr__(self, "_rss_by_id", {b.band_id: b.rss_dbm for b in self.bands})
 
+    @classmethod
+    def _unchecked(cls, timestamp: float, bands: tuple[BandSample, ...], rss_by_id: dict):
+        """A record from values the parser has already checked."""
+        record = object.__new__(cls)
+        record.__dict__.update(timestamp=timestamp, bands=bands, _rss_by_id=rss_by_id)
+        return record
+
     def rss(self, band_id: int) -> float | None:
         return self._rss_by_id.get(band_id)
 
@@ -64,21 +76,18 @@ class SweepRecord:
         return tuple(b.band_id for b in self.bands)
 
 
-@dataclass(frozen=True)
-class BandStats:
-    """Windowed statistics of one band's received power."""
+class BandStats(NamedTuple):
+    """Windowed statistics of one band's received power.
+
+    Built by :func:`band_mean` and :meth:`SweepWindow.stats`, which hold at
+    least one sample and clamp the mean into ``[min_dbm, max_dbm]``.
+    """
 
     band_id: int
     mean_dbm: float
     sample_count: int
     min_dbm: float
     max_dbm: float
-
-    def __post_init__(self):
-        if self.sample_count < 1:
-            raise ValueError("sample_count must be at least 1")
-        if not self.min_dbm <= self.mean_dbm <= self.max_dbm:
-            raise ValueError("mean must lie between min and max")
 
 
 @dataclass(frozen=True)
@@ -111,6 +120,8 @@ class BandPlan:
             seen.add(band_id)
             if high <= low:
                 raise ConfigError(f"band {band_id}: empty frequency range")
+            if not (low >= 0.0 and (low + high) / 2.0 > 0.0):
+                raise ConfigError(f"band {band_id}: plan must lie above 0 MHz")
             if prev_high is not None and low < prev_high:
                 raise ConfigError(f"band {band_id}: overlapping frequency range")
             prev_high = high
@@ -157,18 +168,30 @@ class BandPlan:
         return band[1], band[2]
 
 
+# strptime's pattern for "%Y-%m-%d %H:%M:%S.%f" with the fraction optional; a
+# space in a strptime format matches any run of whitespace
+_TIMESTAMP = re.compile(
+    r"(\d\d\d\d)-(1[0-2]|0[1-9]|[1-9])-(3[0-1]|[1-2]\d|0[1-9]|[1-9]| [1-9])"
+    r"\s+(2[0-3]|[0-1]\d|\d):([0-5]\d|\d):(6[0-1]|[0-5]\d|\d)(?:\.([0-9]{1,6}))?"
+)
+
+
 def parse_timestamp(date_text: str, time_text: str) -> float:
-    """Epoch seconds (UTC) from the two leading CSV fields."""
+    """Epoch seconds (UTC) from the two leading CSV fields.
+
+    Accepts what ``datetime.strptime`` accepts for ``%Y-%m-%d %H:%M:%S.%f``
+    or ``%Y-%m-%d %H:%M:%S``, and returns the same value.
+    """
     text = f"{date_text} {time_text}"
-    for fmt in ("%Y-%m-%d %H:%M:%S.%f", "%Y-%m-%d %H:%M:%S"):
-        try:
-            stamp = datetime.strptime(text, fmt)
-            break
-        except ValueError:
-            continue
-    else:
-        raise ValueError(f"unrecognised timestamp {text!r}")
-    return (stamp.replace(tzinfo=timezone.utc) - _EPOCH).total_seconds()
+    match = _TIMESTAMP.match(text)
+    try:
+        if match is None or match.end() != len(text):
+            raise ValueError
+        *fields, fraction = match.groups("0")
+        stamp = datetime(*map(int, fields), int(fraction.ljust(6, "0")), timezone.utc)
+    except ValueError:
+        raise ValueError(f"unrecognised timestamp {text!r}") from None
+    return (stamp - _EPOCH).total_seconds()
 
 
 def format_timestamp(timestamp: float) -> tuple[str, str]:
@@ -182,26 +205,35 @@ def parse_sweep_lines(lines: Iterable[str], plan: BandPlan) -> Iterator[SweepRec
     """Yield one SweepRecord per group of rows sharing a timestamp.
 
     Raises SweepParseError (with the offending line number) on malformed
-    rows or on a sweep whose timestamp is not later than the previous
-    sweep's. An empty input yields nothing.
+    rows, on a sweep whose timestamp is not later than the previous
+    sweep's, and on a band mean that overflows (naming the sweep's first
+    line). An empty input yields nothing.
     """
+    bands, by_id, band_for, isfinite = plan.bands, plan._by_id, plan.band_for, math.isfinite
+    # a bin's band index on a uniform plan; checked against the band's edges below
+    low_mhz, band_count = bands[0][1], len(bands)
+    bands_per_mhz = band_count / (bands[-1][2] - low_mhz)
     pending_key: tuple[str, str] | None = None
     pending_ts = 0.0
+    pending_line = 0
     pending_bins: dict[int, list[float]] = {}
 
     def finish() -> SweepRecord:
-        bands = tuple(
-            BandSample(band_id, plan.center_mhz(band_id), sum(values) / len(values))
-            for band_id, values in sorted(pending_bins.items())
-        )
-        return SweepRecord(timestamp=pending_ts, bands=bands)
+        samples, rss_by_id = [], {}
+        for band_id, values in sorted(pending_bins.items()):
+            rss_by_id[band_id] = rss = _ordered_sum(values) / len(values)
+            if not isfinite(rss):
+                raise SweepParseError(pending_line, f"band {band_id}: mean dB value overflows")
+            _, low, high = by_id[band_id]  # centre as center_mhz computes it
+            samples.append(BandSample(band_id, (low + high) / 2.0, rss))
+        return SweepRecord._unchecked(pending_ts, tuple(samples), rss_by_id)
 
     for line_no, raw_line in enumerate(lines, start=1):
         line = raw_line.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
-        parts = [p.strip() for p in line.split(",")]
-        if parts and parts[-1] == "":
+        parts = line.split(",")  # float() ignores the whitespace around a field
+        if line[-1] == ",":
             parts.pop()
         if len(parts) < _MIN_FIELDS:
             raise SweepParseError(line_no, f"expected at least {_MIN_FIELDS} fields, got {len(parts)}")
@@ -210,19 +242,20 @@ def parse_sweep_lines(lines: Iterable[str], plan: BandPlan) -> Iterator[SweepRec
             hz_high = float(parts[3])
             hz_width = float(parts[4])
             float(parts[5])  # num_samples, unused
-            rss_values = [float(p) for p in parts[6:]]
+            rss_values = list(map(float, parts[6:]))
         except ValueError:
             raise SweepParseError(line_no, f"bad numeric field in {line!r}") from None
         if hz_width <= 0 or hz_high <= hz_low:
             raise SweepParseError(line_no, "invalid frequency slice bounds")
-        if any(not math.isfinite(v) for v in rss_values):
-            raise SweepParseError(line_no, "non-finite dB value")
+        for rss in rss_values:
+            if not isfinite(rss):
+                raise SweepParseError(line_no, "non-finite dB value")
 
         # rows of one sweep share the timestamp text, so it is parsed once per sweep
-        key = (parts[0], parts[1])
+        key = (parts[0].strip(), parts[1].strip())
         if key != pending_key:
             try:
-                timestamp = parse_timestamp(parts[0], parts[1])
+                timestamp = parse_timestamp(*key)
             except ValueError as exc:
                 raise SweepParseError(line_no, str(exc)) from None
             if pending_key is not None:
@@ -232,12 +265,17 @@ def parse_sweep_lines(lines: Iterable[str], plan: BandPlan) -> Iterator[SweepRec
                 pending_bins = {}
             pending_key = key
             pending_ts = timestamp
+            pending_line = line_no
 
         for i, rss in enumerate(rss_values):
             center_mhz = (hz_low + hz_width * i + hz_width / 2.0) / 1e6
-            band = plan.band_for(center_mhz)
-            if band is None:
-                continue
+            # a band that holds the frequency is band_for's; NaN and inf fail before int()
+            position = (center_mhz - low_mhz) * bands_per_mhz
+            band = bands[int(position)] if 0.0 <= position < band_count else None
+            if band is None or not band[1] <= center_mhz < band[2]:
+                band = band_for(center_mhz)
+                if band is None:
+                    continue
             pending_bins.setdefault(band[0], []).append(rss)
 
     if pending_key is not None:
@@ -246,7 +284,8 @@ def parse_sweep_lines(lines: Iterable[str], plan: BandPlan) -> Iterator[SweepRec
 
 def parse_sweep_file(path, plan: BandPlan) -> Iterator[SweepRecord]:
     """Stream SweepRecords from a sweep CSV file."""
-    with open(path, "r", encoding="ascii") as handle:
+    # a non-ASCII byte decodes to a lone surrogate, which no field accepts
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as handle:
         yield from parse_sweep_lines(handle, plan)
 
 
@@ -298,8 +337,9 @@ def _ordered_sum(values: Iterable[float]) -> float:
 
 def _band_stats(band_id: int, total: float, count: int, low: float, high: float) -> BandStats:
     # summation rounding can spill the mean an ulp outside the sample range
-    mean = min(max(total / count, low), high)
-    return BandStats(band_id=band_id, mean_dbm=mean, sample_count=count, min_dbm=low, max_dbm=high)
+    mean = total / count
+    mean = low if mean < low else high if mean > high else mean
+    return BandStats(band_id, mean, count, low, high)
 
 
 def _missing_band(band_id: int, sweeps: int) -> MissingBandError:

@@ -38,6 +38,12 @@ REPEATED_TIMESTAMP_SWEEPS = "".join(
     for band in (700, 800, 900, 1800, 2100, 2600)
 )
 
+# a valid first row, then a row holding a byte that is not ASCII
+NON_ASCII_SWEEPS = (
+    b"2023-01-01, 12:00:00.000000, 700000000, 701000000, 1000000, 1, -60.0\n"
+    b"2023-01-01, 12:00:00.000000, 800000000, 801000000, 1000000, 1, -6\xc3.0\n"
+)
+
 
 class TestSimulate:
     def test_writes_artifacts(self, runner, route_scenario_file, tmp_path):
@@ -136,6 +142,22 @@ class TestRun:
         result = runner.invoke(main, ["run", str(bad), "--out", str(tmp_path / "o")])
         assert result.exit_code == 2
         assert "line 7" in result.output
+
+    def test_non_ascii_byte_is_exit_2(self, runner, tmp_path):
+        bad = tmp_path / "non_ascii.csv"
+        bad.write_bytes(NON_ASCII_SWEEPS)
+        result = runner.invoke(main, ["run", str(bad), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2, result.output
+        assert "line 2" in result.output
+
+    def test_plan_below_zero_mhz_is_exit_3(self, runner, sweeps_csv, tmp_path):
+        config = tmp_path / "negative.cfg"
+        config.write_text("band.low_mhz = -100\n", encoding="ascii")
+        result = runner.invoke(
+            main, ["run", str(sweeps_csv), "--config", str(config), "--out", str(tmp_path / "o")]
+        )
+        assert result.exit_code == 3, result.output
+        assert "above 0 MHz" in result.output
 
 
 class TestEval:
@@ -370,6 +392,13 @@ class TestConvergence:
         result = runner.invoke(main, ["convergence", str(bad), "--out", str(tmp_path / "o")])
         assert result.exit_code == 2
         assert "line 7" in result.output
+
+    def test_non_ascii_byte_is_exit_2(self, runner, tmp_path):
+        bad = tmp_path / "non_ascii.csv"
+        bad.write_bytes(NON_ASCII_SWEEPS)
+        result = runner.invoke(main, ["convergence", str(bad), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2, result.output
+        assert "line 2" in result.output
 
     def test_debug_logging_env(self, runner, static_scenario_file, tmp_path):
         result = runner.invoke(

@@ -1,4 +1,6 @@
 import math
+from bisect import bisect_right
+from datetime import datetime, timezone
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from sweepnav import (
     select_transmit_bands,
 )
 from sweepnav.errors import ConfigError
-from sweepnav.sweeps import format_sweep_lines, parse_sweep_lines, parse_timestamp
+from sweepnav.sweeps import format_sweep_lines, parse_sweep_file, parse_sweep_lines, parse_timestamp
 
 
 def parse_all(lines, plan):
@@ -314,3 +316,301 @@ class TestIncrementalWindow:
         assert window.persistent_band_ids() == []
         with pytest.raises(ValueError):
             window.stats(0)
+
+
+# The parser as it was before the strptime-free rewrite, kept as the reference
+# the rewrite must equal. Its band means sum left to right, as the parser
+# does, so the comparison holds on every interpreter.
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+
+
+def reference_parse_timestamp(date_text, time_text):
+    text = f"{date_text} {time_text}"
+    for fmt in ("%Y-%m-%d %H:%M:%S.%f", "%Y-%m-%d %H:%M:%S"):
+        try:
+            stamp = datetime.strptime(text, fmt)
+            break
+        except ValueError:
+            continue
+    else:
+        raise ValueError(f"unrecognised timestamp {text!r}")
+    return (stamp.replace(tzinfo=timezone.utc) - _EPOCH).total_seconds()
+
+
+def reference_parse_sweep_lines(lines, plan):
+    pending_key = None
+    pending_ts = 0.0
+    pending_bins = {}
+
+    def finish():
+        bands = []
+        for band_id, values in sorted(pending_bins.items()):
+            total = 0.0
+            for value in values:
+                total += value
+            low, high = plan.edges_mhz(band_id)
+            bands.append(BandSample(band_id, (low + high) / 2.0, total / len(values)))
+        return SweepRecord(timestamp=pending_ts, bands=tuple(bands))
+
+    for line_no, raw_line in enumerate(lines, start=1):
+        line = raw_line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = [p.strip() for p in line.split(",")]
+        if parts and parts[-1] == "":
+            parts.pop()
+        if len(parts) < 7:
+            raise SweepParseError(line_no, "too few fields")
+        try:
+            hz_low = float(parts[2])
+            hz_high = float(parts[3])
+            hz_width = float(parts[4])
+            float(parts[5])
+            rss_values = [float(p) for p in parts[6:]]
+        except ValueError:
+            raise SweepParseError(line_no, "bad numeric field") from None
+        if hz_width <= 0 or hz_high <= hz_low:
+            raise SweepParseError(line_no, "invalid frequency slice bounds")
+        if any(not math.isfinite(v) for v in rss_values):
+            raise SweepParseError(line_no, "non-finite dB value")
+        key = (parts[0], parts[1])
+        if key != pending_key:
+            try:
+                timestamp = reference_parse_timestamp(parts[0], parts[1])
+            except ValueError as exc:
+                raise SweepParseError(line_no, str(exc)) from None
+            if pending_key is not None:
+                if timestamp <= pending_ts:
+                    raise SweepParseError(line_no, "timestamp decreased or repeated")
+                yield finish()
+                pending_bins = {}
+            pending_key = key
+            pending_ts = timestamp
+        for i, rss in enumerate(rss_values):
+            band = reference_band_for(plan, (hz_low + hz_width * i + hz_width / 2.0) / 1e6)
+            if band is not None:
+                pending_bins.setdefault(band[0], []).append(rss)
+
+    if pending_key is not None:
+        yield finish()
+
+
+def reference_band_for(plan, freq_mhz):
+    lows = [band[1] for band in plan.bands]
+    idx = bisect_right(lows, freq_mhz) - 1
+    if idx >= 0 and plan.bands[idx][1] <= freq_mhz < plan.bands[idx][2]:
+        return plan.bands[idx]
+    return None
+
+
+def outcome(parse, lines, plan):
+    """Records yielded and the line of the SweepParseError that ended the parse, if any."""
+    records = []
+    try:
+        for record in parse(lines, plan):
+            records.append(record)
+    except SweepParseError as exc:
+        return repr(records), exc.line_no
+    return repr(records), None
+
+
+DIGITS = "0123456789"
+# strptime's \d matches any Unicode digit; \s any Unicode whitespace
+TIMESTAMP_CHARS = DIGITS + " -:.\t٣　a+"
+
+
+def digit_field(max_size):
+    return st.text(alphabet=DIGITS, min_size=0, max_size=max_size) | st.text(
+        alphabet=TIMESTAMP_CHARS, max_size=max_size
+    )
+
+
+@st.composite
+def timestamp_texts(draw):
+    """Date and time texts near the grammar: field widths, separators and values vary."""
+    sep = st.sampled_from(["-", ":", ".", " ", "", "/"])
+    date_text = (
+        draw(digit_field(5)) + draw(sep) + draw(digit_field(3)) + draw(sep) + draw(digit_field(3))
+    )
+    time_text = (
+        draw(st.sampled_from(["", " ", "\t"]))
+        + draw(digit_field(3)) + draw(sep) + draw(digit_field(3)) + draw(sep) + draw(digit_field(3))
+        + draw(st.sampled_from(["", ".", ":"])) + draw(st.text(alphabet=DIGITS, max_size=8))
+    )
+    return date_text, time_text
+
+
+class TestStrptimeFreeTimestamp:
+    @pytest.mark.parametrize(
+        "date_text, time_text",
+        [
+            ("2023-01-01", "12:00:00.000000"),
+            ("2023-1-5", "1:2:3"),
+            ("2023-01- 5", "9:05:07"),
+            ("2023-01-01", "12:00:00.5"),
+            ("2023-01-01", "12:00:00.123456"),
+            ("2023-01-01", "12:00:00.1234567"),
+            ("2023-01-01", "12:00:00.0000001"),
+            ("2023-01-01", "12:00:00."),
+            ("2024-02-29", "00:00:00"),
+            ("2023-02-29", "00:00:00"),
+            ("2024-02-30", "00:00:00"),
+            ("2023-01-01", "23:59:60"),
+            ("2023-01-01", "23:59:61"),
+            ("2023-01-01", "24:00:00"),
+            ("0000-01-01", "00:00:00"),
+            ("9999-12-31", "23:59:59.999999"),
+            ("٢٠٢٣-01-01", "12:00:00"),
+            ("2023-01-01\t", "12:00:00"),
+            ("2023-01-01", "12:00:00 "),
+            ("23-01-01", "12:00:00"),
+        ],
+    )
+    def test_known_spellings_match_strptime(self, date_text, time_text):
+        try:
+            expected = reference_parse_timestamp(date_text, time_text).hex()
+        except ValueError:
+            expected = None
+        try:
+            actual = parse_timestamp(date_text, time_text).hex()
+        except ValueError:
+            actual = None
+        assert actual == expected
+
+    @settings(max_examples=400, deadline=None)
+    @given(texts=timestamp_texts() | st.tuples(st.text(max_size=12), st.text(max_size=18)))
+    def test_same_epoch_bits_or_both_reject(self, texts):
+        try:
+            expected = reference_parse_timestamp(*texts).hex()
+        except ValueError:
+            expected = None
+        try:
+            actual = parse_timestamp(*texts).hex()
+        except ValueError:
+            actual = None
+        assert actual == expected
+
+
+DB_TEXT = st.floats(min_value=-200.0, max_value=50.0).map(repr) | st.sampled_from(
+    [" -60.5 ", "-0.0", "1e-320", "-1_0.5", "1e16", "-1e16"]
+)
+# tokens that damage a row: not numbers, not finite, out of order, or not a timestamp
+BAD_TOKENS = ["", "abc", "nan", "inf", "-inf", "1e400", "-1000000", "0", "2023-02-30",
+              "12:00:61", "11:59:59", "-6\udcc3.0", "2023-01-01, 12:00:00"]
+
+
+@st.composite
+def sweep_files(draw):
+    """Lines of a sweep file: well-formed sweeps in several spellings, then
+    with some probability one field of one row replaced by a damaging token."""
+    lines = []
+    for k in range(draw(st.integers(min_value=1, max_value=4))):
+        date_text = draw(st.sampled_from(["2023-01-01", " 2023-1-1", "2023-01-01\t"]))
+        clock = draw(st.sampled_from([f"12:00:{2 * k:02d}", f"12:0:{2 * k}", f"12:00:{2 * k:02d}.000000",
+                                      f"12:00:{2 * k}.5"]))
+        for _ in range(draw(st.integers(min_value=1, max_value=4))):
+            low_hz = draw(st.integers(min_value=-2, max_value=12)) * 500_000
+            width_hz = draw(st.sampled_from([250_000, 500_000, 1_000_000, 3_000_000]))
+            values = draw(st.lists(DB_TEXT, min_size=1, max_size=5))
+            fields = [date_text, draw(st.sampled_from([clock, f" {clock} "])), str(low_hz),
+                      str(low_hz + width_hz * len(values)), str(width_hz), "1", *values]
+            lines.append(",".join(fields) + draw(st.sampled_from(["", ",", " ,", "\n", "\r\n"])))
+        if draw(st.booleans()):
+            lines.append(draw(st.sampled_from(["", "   ", "# comment", "  # indented \udcc3"])))
+    if draw(st.integers(min_value=0, max_value=2)) == 0:
+        row = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+        fields = lines[row].split(",")
+        fields[draw(st.integers(min_value=0, max_value=len(fields) - 1))] = draw(st.sampled_from(BAD_TOKENS))
+        lines[row] = ",".join(fields)
+    return lines
+
+
+PLANS = [
+    BandPlan.uniform(low_mhz=0.0, high_mhz=10.0, width_mhz=1.0, selection_count=4),
+    BandPlan.uniform(low_mhz=0.0, high_mhz=30.0, width_mhz=3.0, selection_count=4),
+    BandPlan.uniform(low_mhz=0.1, high_mhz=10.0, width_mhz=0.3, selection_count=4),
+    # not uniform: gaps and unequal widths
+    BandPlan(bands=((7, 0.0, 0.7), (3, 1.0, 1.5), (9, 1.5, 4.0), (1, 6.0, 9.99)), selection_count=4),
+]
+
+
+class TestParserAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(rows=sweep_files(), plan=st.sampled_from(PLANS))
+    def test_same_records_or_same_error_line(self, rows, plan):
+        expected = outcome(reference_parse_sweep_lines, rows, plan)
+        assert outcome(parse_sweep_lines, rows, plan) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        freqs=st.lists(
+            st.floats(min_value=-1.0, max_value=40.0)
+            | st.sampled_from([0.0, 0.7, 1.0, 1.5, 4.0, 6.0, 9.99, 10.0, 30.0, math.nan, math.inf]),
+            min_size=1,
+            max_size=8,
+        ),
+        plan=st.sampled_from(PLANS),
+    )
+    def test_arithmetic_binning_equals_band_for(self, freqs, plan):
+        # one row per frequency: a slice 2 Hz wide whose single bin sits at freq
+        lines = [
+            f"2023-01-01, 12:00:00, {freq * 1e6 - 1.0!r}, {freq * 1e6 + 1.0!r}, 2, 1, {-50.0 - k}"
+            for k, freq in enumerate(freqs)
+        ]
+        assert outcome(parse_sweep_lines, lines, plan) == outcome(reference_parse_sweep_lines, lines, plan)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lines=st.lists(
+            st.text(max_size=60) | st.text(alphabet="0123456789,.:- e\t#nafi\udcc3", max_size=80),
+            max_size=8,
+        ),
+        plan=st.sampled_from(PLANS),
+    )
+    def test_arbitrary_text_raises_only_parse_errors(self, lines, plan):
+        try:
+            list(parse_sweep_lines(lines, plan))
+        except SweepParseError:
+            pass
+
+
+class TestParserEdgeCases:
+    def test_band_mean_sums_left_to_right(self):
+        # a compensated sum (sum() from Python 3.12 on) would give 1.0 / 3
+        plan = BandPlan.uniform(low_mhz=0.0, high_mhz=30.0, width_mhz=3.0, selection_count=4)
+        line = "2023-01-01, 12:00:00, 0, 3000000, 1000000, 1, 1e16, 1.0, -1e16"
+        (record,) = parse_all([line], plan)
+        assert record.bands == (BandSample(0, 1.5, 0.0),)
+
+    def test_overflowing_band_mean_names_first_line_of_sweep(self, small_plan):
+        lines = [
+            "2023-01-01, 12:00:00, 0, 1000000, 1000000, 1, -60.0",
+            "2023-01-01, 12:00:00, 1000000, 2000000, 500000, 1, 1.7e308, 1.7e308",
+            "2023-01-01, 12:00:01, 0, 1000000, 1000000, 1, -60.0",
+        ]
+        with pytest.raises(SweepParseError, match="line 1: band 1: mean dB value overflows"):
+            parse_all(lines, small_plan)
+
+    def test_non_ascii_byte_names_its_line(self, small_plan, tmp_path):
+        path = tmp_path / "sweeps.csv"
+        path.write_bytes(
+            b"# r\xc3\xa9sum\xc3\xa9 of a capture\n"
+            b"2023-01-01, 12:00:00, 0, 1000000, 1000000, 1, -60.0\n"
+            b"2023-01-01, 12:00:01, 0, 1000000, 1000000, 1, -6\xc3.0\n"
+        )
+        with pytest.raises(SweepParseError, match="line 3"):
+            list(parse_sweep_file(path, small_plan))
+
+    def test_parser_records_equal_checked_records(self, small_plan):
+        line = "2023-01-01, 12:00:00, 0, 3000000, 1000000, 1, -60.0, -50.0, -40.0"
+        (record,) = parse_all([line], small_plan)
+        checked = SweepRecord(timestamp=record.timestamp, bands=record.bands)
+        assert record == checked
+        assert [record.rss(b) for b in range(4)] == [checked.rss(b) for b in range(4)]
+
+    @pytest.mark.parametrize("low", [-100.0, -0.5, math.nan])
+    def test_plan_below_zero_mhz_rejected(self, low):
+        with pytest.raises(ConfigError, match="above 0 MHz"):
+            BandPlan(bands=((0, low, 1.0), (1, 1.0, 2.0), (2, 2.0, 3.0), (3, 3.0, 4.0)), selection_count=4)
+        with pytest.raises(ConfigError, match="above 0 MHz"):
+            BandPlan.uniform(low_mhz=-100.0, high_mhz=100.0, width_mhz=1.0)
