@@ -19,8 +19,8 @@ import numpy as np
 from . import artifacts
 from .config import default_config, load_config, load_scenario, scenario_with_seed
 from .errors import ConfigError, SweepNavError, SweepParseError
-from .pipeline import PipelineConfig, run_pipeline, segment_error_report
-from .simulator import rolling_spread, simulate_run, spread
+from .pipeline import PipelineConfig, run_pipeline
+from .simulator import rolling_spread, segment_errors, simulate_run, spread
 from .sweeps import BandPlan, parse_sweep_file, write_sweep_csv
 
 EXIT_INPUT = 2
@@ -109,17 +109,6 @@ def simulate(scenario, seed, out_dir):
     )
 
 
-def _segment_table(truth_xy, trajectory, indices):
-    rows = {}
-    truth_pts = truth_xy[indices]
-    truth_lengths = np.hypot(*(np.diff(truth_pts, axis=0).T))
-    for estimator in ("raw", "wma", "ekf"):
-        rows[estimator] = segment_error_report(
-            trajectory.positions(estimator), indices, truth_lengths
-        )
-    return truth_lengths, rows
-
-
 @main.command("eval")
 @click.argument("truth", type=click.Path(exists=True, dir_okay=False))
 @click.argument("trajectory", type=click.Path(exists=True, dir_okay=False))
@@ -153,7 +142,7 @@ def eval_cmd(truth, trajectory, waypoints_path, out_dir, config_path, sweeps_pat
         sys.exit(EXIT_SHAPE)
 
     try:
-        truth_lengths, rows = _segment_table(truth_xy, track, indices)
+        truth_lengths, rows = segment_errors(truth_xy, track, indices)
     except ValueError as exc:  # two waypoints at one true position
         click.echo(f"shape error: {exc}", err=True)
         sys.exit(EXIT_SHAPE)
@@ -178,8 +167,7 @@ def eval_cmd(truth, trajectory, waypoints_path, out_dir, config_path, sweeps_pat
 
     if npl_list or txcount_list or window_list:
         _eval_grid(
-            truth_xy, indices, truth_lengths, out, config_path, sweeps_path,
-            npl_list, txcount_list, window_list,
+            truth_xy, indices, out, config_path, sweeps_path, npl_list, txcount_list, window_list
         )
 
 
@@ -193,7 +181,7 @@ def _parse_list(text, cast, default):
         sys.exit(EXIT_CONFIG)
 
 
-def _eval_grid(truth_xy, indices, truth_lengths, out, config_path, sweeps_path,
+def _eval_grid(truth_xy, indices, out, config_path, sweeps_path,
                npl_list, txcount_list, window_list):
     if sweeps_path is None:
         click.echo("config error: grid evaluation needs --sweeps", err=True)
@@ -222,11 +210,9 @@ def _eval_grid(truth_xy, indices, truth_lengths, out, config_path, sweeps_path,
                 if len(trajectory.steps) != len(truth_xy):
                     click.echo("shape error: grid run length mismatch", err=True)
                     sys.exit(EXIT_SHAPE)
+                _, segments = segment_errors(truth_xy, trajectory, indices)
                 for estimator in ("wma", "ekf"):
-                    segments = segment_error_report(
-                        trajectory.positions(estimator), indices, truth_lengths
-                    )
-                    for i, seg in enumerate(segments):
+                    for i, seg in enumerate(segments[estimator]):
                         grid_rows.append(
                             (npl, window, count, estimator, i + 1,
                              seg.estimated_m, seg.percent_diff)

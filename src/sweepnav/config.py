@@ -4,10 +4,15 @@ Both file kinds use ``key = value`` lines, ``#`` comments, and blank lines.
 Pipeline config keys are documented in the README; scenario files describe
 a simulated world (waypoints, transmitters or an auto-placement recipe,
 propagation parameters).
+
+Each key names one constructor keyword (CONFIG_FIELDS, SCENARIO_FIELDS) and
+only the keys present in a file are passed on, so every default is written
+once, in the constructor that owns it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -48,100 +53,116 @@ def parse_kv_file(path) -> dict[str, str]:
     return values
 
 
-def _get_float(values: dict, key: str, default: float) -> float:
-    if key not in values:
-        return default
+def _float(key: str, text: str) -> float:
     try:
-        return float(values[key])
+        value = float(text)
     except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {values[key]!r}") from None
+        raise ConfigError(f"{key}: expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: expected a finite number, got {text!r}")
+    return value
 
 
-def _get_int(values: dict, key: str, default: int) -> int:
-    if key not in values:
-        return default
+def _int(key: str, text: str) -> int:
     try:
-        return int(values[key])
+        return int(text)
     except ValueError:
-        raise ConfigError(f"{key}: expected an integer, got {values[key]!r}") from None
+        raise ConfigError(f"{key}: expected an integer, got {text!r}") from None
 
 
-def _get_bool(values: dict, key: str, default: bool) -> bool:
-    if key not in values:
-        return default
-    text = values[key].lower()
-    if text in _TRUE:
+def _bool(key: str, text: str) -> bool:
+    if text.lower() in _TRUE:
         return True
-    if text in _FALSE:
+    if text.lower() in _FALSE:
         return False
-    raise ConfigError(f"{key}: expected a boolean, got {values[key]!r}")
+    raise ConfigError(f"{key}: expected a boolean, got {text!r}")
 
 
-def _get_floats(values: dict, key: str) -> list[float] | None:
-    if key not in values or not values[key]:
-        return None
-    try:
-        return [float(part) for part in values[key].split(",")]
-    except ValueError:
-        raise ConfigError(f"{key}: expected comma-separated numbers") from None
+def _numbers(key: str, text: str, count: int | None) -> list[float]:
+    values = [_float(key, part) for part in text.split(",")]
+    if count is not None and len(values) != count:
+        raise ConfigError(f"{key}: expected {count} comma-separated numbers, got {text.strip()!r}")
+    return values
 
 
-_CONFIG_KEYS = {
-    "band.low_mhz", "band.high_mhz", "band.width_mhz", "band.count",
-    "sweep.window",
-    "n_pl", "d0_m", "tx_power_dbm", "shadowing_sigma_db",
-    "smoother.kind", "smoother.window", "smoother.weights",
-    "ekf.enabled", "ekf.q_diag", "ekf.r", "ekf.p0",
-    "anchor.seed", "anchor.bbox",
-    "lsq.condition_cap",
+# a reader's result that leaves the constructor's default in place
+_DEFAULT = object()
+
+
+def _list(count: int | None = None, convert=tuple):
+    """Reader of one comma-separated list; an empty value keeps the default."""
+    return lambda key, text: convert(_numbers(key, text, count)) if text else _DEFAULT
+
+
+def _points(count: int, convert=tuple):
+    """Reader of ';'-separated lists of ``count`` numbers each."""
+    return lambda key, text: tuple(convert(_numbers(key, chunk, count)) for chunk in text.split(";"))
+
+
+# key -> (object, constructor keyword, reader)
+CONFIG_FIELDS = {
+    "band.low_mhz": ("plan", "low_mhz", _float),
+    "band.high_mhz": ("plan", "high_mhz", _float),
+    "band.width_mhz": ("plan", "width_mhz", _float),
+    "band.count": ("plan", "selection_count", _int),
+    "sweep.window": ("pipeline", "sweep_window", lambda key, text: _int(key, text) or None),
+    "n_pl": ("pathloss", "exponent", _float),
+    "d0_m": ("pathloss", "ref_distance_m", _float),
+    "tx_power_dbm": ("pathloss", "tx_power_dbm", _float),
+    "shadowing_sigma_db": ("pathloss", "shadowing_sigma_db", _float),
+    "smoother.kind": ("smoother", "kind", lambda key, text: text),
+    "smoother.window": ("smoother", "window", _int),
+    "smoother.weights": ("smoother", "weights", _list()),
+    "ekf.enabled": ("pipeline", "ekf_enabled", _bool),
+    "ekf.q_diag": ("noise", "q", _list(2, np.diag)),
+    "ekf.r": ("noise", "r", _float),
+    "ekf.p0": ("pipeline", "p0_var", _float),
+    "anchor.seed": ("pipeline", "anchor_seed", _int),
+    "anchor.bbox": ("pipeline", "anchor_bbox", _list(4)),
+    "lsq.condition_cap": ("pipeline", "condition_cap", _float),
+}
+
+SCENARIO_FIELDS = {
+    "seed": ("scenario", "seed", _int),
+    "speed_mps": ("scenario", "speed_mps", _float),
+    "cadence_s": ("scenario", "cadence_s", _float),
+    "hold_s": ("scenario", "hold_s", _float),
+    "lead_in_m": ("scenario", "lead_in_m", _float),
+    "start_time": ("scenario", "start_time", _float),
+    "n_pl": ("pathloss", "exponent", _float),
+    "d0_m": ("pathloss", "ref_distance_m", _float),
+    "shadowing_sigma_db": ("pathloss", "shadowing_sigma_db", _float),
+    "waypoints": ("scenario", "waypoints", _points(2)),
+    "transmitters": ("scenario", "transmitters", _points(4, Transmitter._make)),
+    "tx.bbox": ("tx", "bbox", _list(4)),
+    "tx.freqs_mhz": ("tx", "freqs_mhz", _list()),
+    "tx.power_dbm": ("tx", "power_dbm", _float),
 }
 
 
-def config_from_values(values: dict[str, str]) -> PipelineConfig:
-    unknown = set(values) - _CONFIG_KEYS
+def _keywords(values: dict[str, str], table: dict, kind: str) -> dict[str, dict]:
+    """Constructor keywords of the keys present, grouped by the object they build."""
+    unknown = set(values) - set(table)
     if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
+        raise ConfigError(f"unknown {kind} keys: {', '.join(sorted(unknown))}")
+    groups: dict[str, dict] = {target: {} for target, _, _ in table.values()}
+    for key, text in values.items():
+        target, keyword, read = table[key]
+        value = read(key, text)
+        if value is not _DEFAULT:
+            groups[target][keyword] = value
+    return groups
 
-    plan = BandPlan.uniform(
-        low_mhz=_get_float(values, "band.low_mhz", 0.0),
-        high_mhz=_get_float(values, "band.high_mhz", 3500.0),
-        width_mhz=_get_float(values, "band.width_mhz", 1.0),
-        selection_count=_get_int(values, "band.count", 6),
-    )
-    pathloss = PathLossParams(
-        exponent=_get_float(values, "n_pl", 2.8),
-        ref_distance_m=_get_float(values, "d0_m", 1.0),
-        tx_power_dbm=_get_float(values, "tx_power_dbm", 43.0),
-        shadowing_sigma_db=_get_float(values, "shadowing_sigma_db", 4.0),
-    )
-    weights = _get_floats(values, "smoother.weights")
-    smoother = SmootherConfig(
-        kind=values.get("smoother.kind", "wma"),
-        window=_get_int(values, "smoother.window", 3),
-        weights=tuple(weights) if weights else None,
-    )
-    q_diag = _get_floats(values, "ekf.q_diag") or [0.1, 0.1]
-    if len(q_diag) != 2:
-        raise ConfigError("ekf.q_diag: expected two numbers")
-    noise = NoiseConfig(q=np.diag(q_diag), r=_get_float(values, "ekf.r", 0.01))
 
-    window = _get_int(values, "sweep.window", 10)
-    bbox_values = _get_floats(values, "anchor.bbox") or [-500.0, -500.0, 500.0, 500.0]
-    if len(bbox_values) != 4:
-        raise ConfigError("anchor.bbox: expected xmin,ymin,xmax,ymax")
-
+def config_from_values(values: dict[str, str]) -> PipelineConfig:
     try:
+        groups = _keywords(values, CONFIG_FIELDS, "config")
         return PipelineConfig(
-            plan=plan,
-            pathloss=pathloss,
-            smoother=smoother,
-            noise=noise,
-            sweep_window=None if window == 0 else window,
-            anchor_seed=_get_int(values, "anchor.seed", 1),
-            anchor_bbox=tuple(bbox_values),
-            ekf_enabled=_get_bool(values, "ekf.enabled", True),
-            p0_var=_get_float(values, "ekf.p0", 10.0),
-            condition_cap=_get_float(values, "lsq.condition_cap", 1e8),
+            plan=BandPlan.uniform(**groups["plan"]),
+            pathloss=PathLossParams(**groups["pathloss"]),
+            smoother=SmootherConfig(**groups["smoother"]),
+            noise=NoiseConfig(**groups["noise"]),
+            **groups["pipeline"],
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -155,77 +176,21 @@ def default_config() -> PipelineConfig:
     return config_from_values({})
 
 
-_SCENARIO_KEYS = {
-    "seed", "speed_mps", "cadence_s", "hold_s", "lead_in_m", "start_time",
-    "n_pl", "d0_m", "shadowing_sigma_db",
-    "waypoints", "transmitters",
-    "tx.bbox", "tx.freqs_mhz", "tx.power_dbm",
-}
-
-
 def scenario_from_values(values: dict[str, str]) -> Scenario:
-    unknown = set(values) - _SCENARIO_KEYS
-    if unknown:
-        raise ConfigError(f"unknown scenario keys: {', '.join(sorted(unknown))}")
-    if "waypoints" not in values:
-        raise ConfigError("scenario needs a 'waypoints' entry")
-
-    waypoints = []
-    for chunk in values["waypoints"].split(";"):
-        parts = chunk.split(",")
-        if len(parts) != 2:
-            raise ConfigError(f"waypoints: bad point {chunk.strip()!r}")
-        try:
-            waypoints.append((float(parts[0]), float(parts[1])))
-        except ValueError:
-            raise ConfigError(f"waypoints: bad point {chunk.strip()!r}") from None
-
-    pathloss = PathLossParams(
-        exponent=_get_float(values, "n_pl", 2.8),
-        ref_distance_m=_get_float(values, "d0_m", 1.0),
-        shadowing_sigma_db=_get_float(values, "shadowing_sigma_db", 4.0),
-    )
-    seed = _get_int(values, "seed", 0)
-    tx_bbox = None
-
-    if "transmitters" in values:
-        transmitters = []
-        for chunk in values["transmitters"].split(";"):
-            parts = [p.strip() for p in chunk.split(",")]
-            if len(parts) != 4:
-                raise ConfigError(f"transmitters: bad entry {chunk.strip()!r}")
-            try:
-                transmitters.append(
-                    Transmitter(float(parts[0]), float(parts[1]), float(parts[2]), float(parts[3]))
-                )
-            except ValueError:
-                raise ConfigError(f"transmitters: bad entry {chunk.strip()!r}") from None
-        transmitters = tuple(transmitters)
-    else:
-        freqs = _get_floats(values, "tx.freqs_mhz")
-        if not freqs:
-            raise ConfigError("scenario needs 'transmitters' or 'tx.freqs_mhz'")
-        bbox_values = _get_floats(values, "tx.bbox")
-        if not bbox_values or len(bbox_values) != 4:
-            raise ConfigError("tx.bbox: expected xmin,ymin,xmax,ymax")
-        tx_bbox = tuple(bbox_values)
-        transmitters = auto_transmitters(
-            freqs, seed, tx_bbox, _get_float(values, "tx.power_dbm", 43.0)
-        )
-
     try:
-        return Scenario(
-            transmitters=transmitters,
-            waypoints=tuple(waypoints),
-            speed_mps=_get_float(values, "speed_mps", 10.0),
-            cadence_s=_get_float(values, "cadence_s", 1.0),
-            pathloss=pathloss,
-            seed=seed,
-            hold_s=_get_float(values, "hold_s", 0.0),
-            lead_in_m=_get_float(values, "lead_in_m", 0.0),
-            start_time=_get_float(values, "start_time", 0.0),
-            tx_bbox=tx_bbox,
-        )
+        groups = _keywords(values, SCENARIO_FIELDS, "scenario")
+        fields, tx = groups["scenario"], groups["tx"]
+        if "waypoints" not in fields:
+            raise ConfigError("scenario needs a 'waypoints' entry")
+        if "transmitters" not in fields:
+            if "freqs_mhz" not in tx:
+                raise ConfigError("scenario needs 'transmitters' or 'tx.freqs_mhz'")
+            if "bbox" not in tx:
+                raise ConfigError("tx.bbox: expected xmin,ymin,xmax,ymax")
+            # Scenario.seed is the dataclass's own default
+            fields["transmitters"] = auto_transmitters(seed=fields.get("seed", Scenario.seed), **tx)
+            fields["tx_bbox"] = tx["bbox"]
+        return Scenario(pathloss=PathLossParams(**groups["pathloss"]), **fields)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -8,16 +8,17 @@ exogenous input, so the transition Jacobian is the identity:
               P <- (I - K H) P
 
 Measurements are ranges to landmarks, with the 1x2 Jacobian
-H = [(x - xl)/d, (y - yl)/d]. The pipeline's landmarks are its anchor
-frame, shifted into the relative frame; :func:`track` instead re-uses a
-fix sequence's own recent fixes. Multiple landmarks are folded in as
-sequential scalar updates, in the order given.
+H = [(x - xl)/d, (y - yl)/d]. The landmarks are the pipeline's anchor
+frame, shifted into the relative frame. Multiple landmarks are folded in as
+sequential scalar updates, in the order given; a landmark within
+DEFAULT_MIN_RANGE of the state is skipped.
 
 Both steps run as one closed-form float kernel over (x, y, p00, p01, p11),
 the position and the independent terms of the symmetric covariance, so P
 stays exactly symmetric. Covariances are checked for symmetry where they
 enter (tracker start, the TrackState adapters) and for positive
-semi-definiteness before every step.
+semi-definiteness once per step: at tracker start, in every prediction and
+in the public update adapter.
 """
 
 from __future__ import annotations
@@ -43,11 +44,10 @@ class Landmark(NamedTuple):
 
 @dataclass(frozen=True)
 class TrackState:
-    """Filter state: planar position, covariance, and step length."""
+    """Filter state: planar position and covariance."""
 
     position: np.ndarray
     covariance: np.ndarray
-    timestep: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "position", np.asarray(self.position, dtype=float).reshape(2))
@@ -68,8 +68,14 @@ class NoiseConfig:
             raise ValueError("Q must be symmetric")
         if min_eig_2x2(q) < PSD_TOL:
             raise ValueError("Q must be positive semi-definite")
-        if self.r <= 0:
+        if not self.r > 0:
             raise ValueError("R must be positive")
+
+    def __eq__(self, other):
+        # Q is an array, whose elementwise == has no single truth value
+        if not isinstance(other, NoiseConfig):
+            return NotImplemented
+        return self.r == other.r and np.array_equal(self.q, other.q)
 
 
 @dataclass(frozen=True)
@@ -127,21 +133,14 @@ def _predict(terms: Terms, dt: float, ux: float, uy: float, q: tuple[float, floa
     return (x + dt * ux, y + dt * uy, p00 + q[0], p01 + q[1], p11 + q[2])
 
 
-def _update(
-    terms: Terms, z: float, lx: float, ly: float, r: float, min_range: float
-) -> tuple[Terms, float]:
+def _update(terms: Terms, z: float, lx: float, ly: float, r: float) -> tuple[Terms, float]:
     """Scalar range update; returns the new terms and the innovation."""
     x, y, p00, p01, p11 = terms
-    _require_psd(p00, p01, p11)
     if z < 0:
         raise ValueError("range measurement must be non-negative")
     dx = x - lx
     dy = y - ly
-    distance = math.hypot(dx, dy)
-    if distance <= min_range:
-        raise SingularGeometryError(
-            f"state within {min_range} m of landmark, range direction undefined"
-        )
+    distance = _landmark_distance(dx, dy)
     h0 = dx / distance
     h1 = dy / distance
     ph0 = p00 * h0 + p01 * h1  # P H'
@@ -154,20 +153,28 @@ def _update(
     return updated, innovation
 
 
+def _landmark_distance(dx: float, dy: float) -> float:
+    distance = math.hypot(dx, dy)
+    if distance <= DEFAULT_MIN_RANGE:
+        raise SingularGeometryError(
+            f"state within {DEFAULT_MIN_RANGE} m of landmark, range direction undefined"
+        )
+    return distance
+
+
 def _state_terms(state: TrackState) -> Terms:
     return (float(state.position[0]), float(state.position[1]), *_covariance_terms(state.covariance))
 
 
-def _track_state(terms: Terms, timestep: float) -> TrackState:
+def _track_state(terms: Terms) -> TrackState:
     x, y, p00, p01, p11 = terms
-    return TrackState(position=(x, y), covariance=_matrix(p00, p01, p11), timestep=timestep)
+    return TrackState(position=(x, y), covariance=_matrix(p00, p01, p11))
 
 
-def predict(state: TrackState, u: Sequence[float], noise: NoiseConfig) -> TrackState:
-    """Constant-velocity prediction over one timestep."""
+def predict(state: TrackState, dt: float, u: Sequence[float], noise: NoiseConfig) -> TrackState:
+    """Constant-velocity prediction over ``dt``."""
     ux, uy = np.asarray(u, dtype=float).reshape(2)
-    terms = _predict(_state_terms(state), state.timestep, float(ux), float(uy), _upper(noise.q))
-    return _track_state(terms, state.timestep)
+    return _track_state(_predict(_state_terms(state), float(dt), float(ux), float(uy), _upper(noise.q)))
 
 
 def range_measurement(state: TrackState, landmark: Landmark) -> float:
@@ -175,30 +182,19 @@ def range_measurement(state: TrackState, landmark: Landmark) -> float:
     return math.hypot(state.position[0] - landmark.x, state.position[1] - landmark.y)
 
 
-def range_jacobian(
-    state: TrackState, landmark: Landmark, min_range: float = DEFAULT_MIN_RANGE
-) -> np.ndarray:
+def range_jacobian(state: TrackState, landmark: Landmark) -> np.ndarray:
     """Gradient of the range with respect to the position, as a length-2 row."""
     dx = state.position[0] - landmark.x
     dy = state.position[1] - landmark.y
-    distance = math.hypot(dx, dy)
-    if distance <= min_range:
-        raise SingularGeometryError(
-            f"state within {min_range} m of landmark, range direction undefined"
-        )
+    distance = _landmark_distance(dx, dy)
     return np.array([dx / distance, dy / distance])
 
 
-def update(
-    state: TrackState,
-    z: float,
-    landmark: Landmark,
-    noise: NoiseConfig,
-    min_range: float = DEFAULT_MIN_RANGE,
-) -> TrackState:
+def update(state: TrackState, z: float, landmark: Landmark, noise: NoiseConfig) -> TrackState:
     """Fold one range measurement into the state."""
-    terms, _ = _update(_state_terms(state), z, landmark.x, landmark.y, float(noise.r), min_range)
-    return _track_state(terms, state.timestep)
+    terms = _state_terms(state)
+    _require_psd(*terms[2:])
+    return _track_state(_update(terms, z, landmark.x, landmark.y, float(noise.r))[0])
 
 
 class EkfTracker:
@@ -215,23 +211,20 @@ class EkfTracker:
         p0: np.ndarray,
         noise: NoiseConfig,
         monitor: Monitor | None = None,
-        min_range: float = DEFAULT_MIN_RANGE,
     ):
         x, y = np.asarray(x0, dtype=float).reshape(2)
         covariance = _covariance_terms(np.asarray(p0, dtype=float).reshape(2, 2))
         _require_psd(*covariance)
         self._terms: Terms = (float(x), float(y), *covariance)
-        self._timestep = 1.0
         self._q = _upper(noise.q)
         self._r = float(noise.r)
         self._monitor = monitor
-        self._min_range = min_range
         if monitor is not None:
             monitor("init", _matrix(*covariance))
 
     @property
     def state(self) -> TrackState:
-        return _track_state(self._terms, self._timestep)
+        return _track_state(self._terms)
 
     def step(
         self,
@@ -256,7 +249,7 @@ class EkfTracker:
         flags: list[str] = []
         for landmark, z in measurements:
             try:
-                terms, innovation = _update(terms, z, landmark.x, landmark.y, self._r, self._min_range)
+                terms, innovation = _update(terms, z, landmark.x, landmark.y, self._r)
             except SingularGeometryError:
                 flags.append("skipped_landmark")
                 continue
@@ -267,7 +260,6 @@ class EkfTracker:
             flags.append("no_update")
 
         self._terms = terms
-        self._timestep = dt
         x, y, p00, p01, p11 = terms
         return TrackStep(
             position=(float(x), float(y)),
@@ -276,57 +268,3 @@ class EkfTracker:
             flags=tuple(flags),
             timestamp=timestamp,
         )
-
-
-def track(
-    fixes: Sequence[tuple[float, float]],
-    timestamps: Sequence[float],
-    noise: NoiseConfig,
-    *,
-    landmark_window: int = 3,
-    measured: Sequence[tuple[float, float]] | None = None,
-    p0_var: float = 10.0,
-    monitor: Monitor | None = None,
-    min_range: float = DEFAULT_MIN_RANGE,
-) -> list[TrackStep]:
-    """Batch-filter a fix sequence against its own recent trail.
-
-    At step k the landmarks are the previous ``landmark_window`` fixes and
-    the measured ranges are distances from ``measured[k]`` (defaults to
-    ``fixes`` itself) to those landmarks. Velocity input is the finite
-    difference of consecutive fixes. Output length equals the input fix
-    count.
-    """
-    if len(fixes) < 2:
-        raise ValueError("need at least two fixes to track")
-    if len(timestamps) != len(fixes):
-        raise ValueError("timestamps length must match fixes")
-    if measured is None:
-        measured = fixes
-    if len(measured) != len(fixes):
-        raise ValueError("measured length must match fixes")
-
-    tracker = EkfTracker(
-        x0=fixes[0], p0=np.eye(2) * p0_var, noise=noise, monitor=monitor, min_range=min_range
-    )
-    steps = [
-        TrackStep(
-            position=(float(fixes[0][0]), float(fixes[0][1])),
-            covariance=tracker.state.covariance.copy(),
-            innovations=(),
-            flags=(),
-            timestamp=float(timestamps[0]),
-        )
-    ]
-    for k in range(1, len(fixes)):
-        dt = float(timestamps[k]) - float(timestamps[k - 1])
-        if dt <= 0:
-            raise ValueError("timestamps must be strictly increasing")
-        u = ((fixes[k][0] - fixes[k - 1][0]) / dt, (fixes[k][1] - fixes[k - 1][1]) / dt)
-        start = max(0, k - landmark_window)
-        landmarks = [Landmark(fixes[i][0], fixes[i][1], i) for i in range(start, k)]
-        measurements = [
-            (lm, math.hypot(measured[k][0] - lm.x, measured[k][1] - lm.y)) for lm in landmarks
-        ]
-        steps.append(tracker.step(dt, u, measurements, timestamp=float(timestamps[k])))
-    return steps

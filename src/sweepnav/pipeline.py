@@ -18,7 +18,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -40,7 +40,6 @@ class PipelineConfig:
     """Everything a run needs; immutable once the pipeline starts.
 
     ``sweep_window`` of None (or 0 in config files) keeps a growing window.
-    ``ekf_monitor`` is a test hook receiving covariance snapshots.
     """
 
     plan: BandPlan = field(default_factory=BandPlan.uniform)
@@ -54,16 +53,14 @@ class PipelineConfig:
     ekf_enabled: bool = True
     p0_var: float = 10.0
     condition_cap: float = DEFAULT_CONDITION_CAP
-    min_range: float = 1e-6
-    ekf_monitor: Callable | None = None
 
     def __post_init__(self):
         validate_bbox(self.anchor_bbox)
         if self.sweep_window is not None and self.sweep_window < 1:
             raise ValueError("sweep_window must be positive or None")
-        if self.p0_var <= 0:
+        if not self.p0_var > 0:
             raise ValueError("p0_var must be positive")
-        if self.condition_cap < 1:
+        if not self.condition_cap >= 1:
             raise ValueError("condition_cap must be at least 1")
 
 
@@ -144,15 +141,11 @@ def assign_anchor_frame(band_ids: Sequence[int], seed: int, bbox: Bbox) -> list[
 
 
 def derive_velocity(
-    fixes: Sequence[tuple[float, tuple[float, float]]],
+    previous: tuple[float, tuple[float, float]],
+    current: tuple[float, tuple[float, float]],
 ) -> tuple[float, float]:
-    """Finite-difference velocity from the last two (timestamp, fix) pairs.
-
-    Returns (0, 0) until two fixes exist.
-    """
-    if len(fixes) < 2:
-        return (0.0, 0.0)
-    (t0, p0), (t1, p1) = fixes[-2], fixes[-1]
+    """Finite-difference velocity between two (timestamp, fix) pairs."""
+    (t0, p0), (t1, p1) = previous, current
     dt = t1 - t0
     if dt <= 0:
         raise ValueError("fix timestamps must strictly increase")
@@ -176,7 +169,7 @@ class TrackingPipeline:
         self._centers: list[float] = []
         self._origin: tuple[float, float] | None = None
         self._smoother = Smoother(config.smoother)
-        self._smoothed: list[tuple[float, tuple[float, float]]] = []
+        self._prev_smoothed: tuple[float, tuple[float, float]] | None = None
         self._tracker: EkfTracker | None = None
         self._steps: list[TrajectoryStep] = []
         self._prev_raw_abs: tuple[float, float] | None = None
@@ -215,8 +208,6 @@ class TrackingPipeline:
         raw_rel = (raw_abs[0] - self._origin[0], raw_abs[1] - self._origin[1])
 
         smoothed = self._smoother.push(raw_rel)
-        self._smoothed.append((sweep.timestamp, smoothed))
-
         ekf_pos, ekf_flags = self._ekf_step(sweep.timestamp, smoothed, distances)
         step = TrajectoryStep(
             index=len(self._steps),
@@ -291,24 +282,17 @@ class TrackingPipeline:
         cfg = self._cfg
         if not cfg.ekf_enabled:
             return smoothed, ()
+        previous, self._prev_smoothed = self._prev_smoothed, (timestamp, smoothed)
         if self._tracker is None:
-            self._tracker = EkfTracker(
-                x0=smoothed,
-                p0=np.eye(2) * cfg.p0_var,
-                noise=cfg.noise,
-                monitor=cfg.ekf_monitor,
-                min_range=cfg.min_range,
-            )
+            self._tracker = EkfTracker(x0=smoothed, p0=np.eye(2) * cfg.p0_var, noise=cfg.noise)
             return smoothed, ()
 
-        prev_ts = self._smoothed[-2][0]
-        dt = timestamp - prev_ts
-        u = derive_velocity(self._smoothed)
+        u = derive_velocity(previous, self._prev_smoothed)
         if distances is None:
             measurements = []
         else:
             measurements = list(zip(self._landmarks, distances))
-        step = self._tracker.step(dt, u, measurements, timestamp=timestamp)
+        step = self._tracker.step(timestamp - previous[0], u, measurements, timestamp=timestamp)
         return step.position, step.flags
 
 

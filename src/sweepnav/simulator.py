@@ -265,22 +265,30 @@ def score_run(
         raise ValueError(
             f"trajectory has {len(trajectory.steps)} steps but truth has {len(truth.samples)}"
         )
-    indices = list(waypoint_indices if waypoint_indices is not None else truth.waypoint_indices)
     truth_xy = truth.positions()
-    truth_pts = truth_xy[indices]
-    truth_lengths = np.hypot(*(np.diff(truth_pts, axis=0).T))
-
-    segments = {}
-    rmse = {}
-    for estimator in ("raw", "wma", "ekf"):
-        est_xy = trajectory.positions(estimator)
-        segments[estimator] = segment_error_report(est_xy, indices, truth_lengths)
-        rmse[estimator] = aligned_rmse(est_xy, truth_xy)
+    _, segments = segment_errors(
+        truth_xy, trajectory, truth.waypoint_indices if waypoint_indices is None else waypoint_indices
+    )
     return RunScore(
         segments=segments,
-        rmse_m=rmse,
+        rmse_m={e: aligned_rmse(trajectory.positions(e), truth_xy) for e in segments},
         spread_series=rolling_spread(trajectory.positions("raw"), spread_window),
     )
+
+
+def segment_errors(
+    truth_xy: np.ndarray, trajectory: Trajectory, waypoint_indices: Sequence[int]
+) -> tuple[np.ndarray, dict[str, list[SegmentError]]]:
+    """True lengths of the segments between waypoints, and each estimator's errors.
+
+    The errors are keyed "raw", "wma" and "ekf", in that order.
+    """
+    indices = list(waypoint_indices)
+    truth_lengths = np.hypot(*(np.diff(truth_xy[indices], axis=0).T))
+    return truth_lengths, {
+        estimator: segment_error_report(trajectory.positions(estimator), indices, truth_lengths)
+        for estimator in ("raw", "wma", "ekf")
+    }
 
 
 def aligned_rmse(estimated: np.ndarray, truth: np.ndarray) -> float:
@@ -346,67 +354,46 @@ def auto_transmitters(
 
 
 def route_scenario(
-    seed: int,
-    *,
-    tx_count: int = 6,
-    shadowing_sigma_db: float = 4.0,
-    exponent: float = 2.8,
-    speed_mps: float = 10.0,
-    cadence_s: float = 1.0,
-    tx_bbox: Bbox = DEFAULT_TX_BBOX,
-    tx_power_dbm: float = 43.0,
-    lead_in_m: float = 200.0,
-    high_band: bool = False,
+    seed: int, *, tx_count: int = 6, lead_in_m: float = 200.0, high_band: bool = False, **pathloss
 ) -> Scenario:
-    """Benchmark drive scenario over the four-leg route."""
+    """Benchmark drive scenario over the four-leg route.
+
+    Further keywords (such as ``shadowing_sigma_db``) go to the scenario's
+    PathLossParams; the transmitters radiate its ``tx_power_dbm``.
+    """
     pool = HIGH_BAND_TX_FREQS_MHZ if high_band else EXTENDED_TX_FREQS_MHZ
     if tx_count > len(pool):
         raise ConfigError(f"at most {len(pool)} transmitters available, asked for {tx_count}")
-    freqs = pool[:tx_count]
     plan = BandPlan.uniform(high_mhz=4200.0) if high_band else None
-    params = PathLossParams(
-        exponent=exponent, tx_power_dbm=tx_power_dbm, shadowing_sigma_db=shadowing_sigma_db
-    )
+    params = PathLossParams(**pathloss)
     return Scenario(
-        transmitters=auto_transmitters(freqs, seed, tx_bbox, tx_power_dbm, plan),
+        transmitters=auto_transmitters(pool[:tx_count], seed, DEFAULT_TX_BBOX, params.tx_power_dbm, plan),
         waypoints=ROUTE_WAYPOINTS,
-        speed_mps=speed_mps,
-        cadence_s=cadence_s,
         pathloss=params,
         seed=seed,
         lead_in_m=lead_in_m,
-        tx_bbox=tx_bbox,
+        tx_bbox=DEFAULT_TX_BBOX,
     )
 
 
-def static_scenario(
-    seed: int,
-    *,
-    duration_s: float = 60.0,
-    position: tuple[float, float] = (0.0, 0.0),
-    tx_count: int = 6,
-    shadowing_sigma_db: float = 4.0,
-    exponent: float = 2.8,
-    cadence_s: float = 1.0,
-    tx_bbox: Bbox = STATIC_TX_BBOX,
-    tx_power_dbm: float = 43.0,
-) -> Scenario:
-    """Stationary receiver accumulating sweeps at one spot."""
+def static_scenario(seed: int, *, duration_s: float = 60.0, tx_count: int = 6, **pathloss) -> Scenario:
+    """Stationary receiver accumulating sweeps at the origin.
+
+    Further keywords go to PathLossParams, as for :func:`route_scenario`.
+    """
     if duration_s <= 0:
         raise ConfigError("duration must be positive")
-    freqs = EXTENDED_TX_FREQS_MHZ[:tx_count]
-    params = PathLossParams(
-        exponent=exponent, tx_power_dbm=tx_power_dbm, shadowing_sigma_db=shadowing_sigma_db
-    )
+    params = PathLossParams(**pathloss)
     return Scenario(
-        transmitters=auto_transmitters(freqs, seed, tx_bbox, tx_power_dbm),
-        waypoints=(position, position),
+        transmitters=auto_transmitters(
+            EXTENDED_TX_FREQS_MHZ[:tx_count], seed, STATIC_TX_BBOX, params.tx_power_dbm
+        ),
+        waypoints=((0.0, 0.0), (0.0, 0.0)),
         speed_mps=1.0,
-        cadence_s=cadence_s,
         pathloss=params,
         seed=seed,
         hold_s=duration_s,
-        tx_bbox=tx_bbox,
+        tx_bbox=STATIC_TX_BBOX,
     )
 
 

@@ -99,7 +99,7 @@ class BandPlan:
     """
 
     bands: tuple[tuple[int, float, float], ...]
-    selection_count: int = 6
+    selection_count: int
     _lows: tuple[float, ...] = field(init=False, repr=False, compare=False)
     _by_id: dict = field(init=False, repr=False, compare=False)
 
@@ -137,7 +137,7 @@ class BandPlan:
         width_mhz: float = 1.0,
         selection_count: int = 6,
     ) -> "BandPlan":
-        if width_mhz <= 0 or high_mhz <= low_mhz:
+        if not (width_mhz > 0 and low_mhz < high_mhz < math.inf):
             raise ConfigError("invalid uniform plan bounds")
         count = int(round((high_mhz - low_mhz) / width_mhz))
         bands = tuple(
@@ -387,7 +387,7 @@ class SweepWindow:
     window. None of them depends on how many sweeps a growing window holds.
     """
 
-    def __init__(self, length: int | None = 10):
+    def __init__(self, length: int | None):
         if length is not None and length < 1:
             raise ValueError("window length must be positive or None")
         self._length = length

@@ -3,6 +3,7 @@ one PASS/FAIL line. The statistical desk-scale benchmark is fully seeded, so
 each criterion is deterministic.
 """
 
+import functools
 import math
 import time
 from contextlib import contextmanager
@@ -11,6 +12,7 @@ import numpy as np
 
 from sweepnav import (
     Anchor,
+    EkfTracker,
     NoiseConfig,
     TrackingPipeline,
     fix_position,
@@ -22,12 +24,12 @@ from sweepnav import (
     simulate_run,
     sma,
     static_scenario,
-    track,
     wma,
 )
 from sweepnav.artifacts import write_trajectory_csv
 from sweepnav.ekf import Landmark, TrackState, min_eig_2x2, range_jacobian, range_measurement
 from sweepnav.pathloss import PathLossParams, rss_at_distance, rss_to_distance
+from sweepnav.pipeline import DEFAULT_ANCHOR_BBOX, assign_anchor_frame
 from sweepnav.simulator import spread
 from sweepnav.sweeps import write_sweep_csv
 
@@ -53,6 +55,26 @@ def benchmark_run(seed):
     scenario = route_scenario(seed=seed)
     run = simulate_run(scenario)
     return scenario, run
+
+
+def random_walk_tracks(make_tracker):
+    """Criterion 5's random walks, each tracked against six fixed anchor landmarks.
+
+    Twenty 40-step walks of 3 m steps. ``make_tracker`` is called like
+    EkfTracker once per walk; each step predicts with the walk's own
+    velocity and updates with the ranges from a position measured with
+    1 m noise to every landmark.
+    """
+    anchors = assign_anchor_frame([700, 800, 900, 1800, 2100, 2600], 55, DEFAULT_ANCHOR_BBOX)
+    landmarks = [Landmark(a.x, a.y, i) for i, a in enumerate(anchors)]
+    rng = np.random.default_rng(55)
+    for _ in range(20):
+        walk = np.cumsum(rng.normal(0.0, 3.0, (40, 2)), axis=0)
+        tracker = make_tracker(x0=walk[0], p0=np.eye(2) * 10.0, noise=NoiseConfig())
+        for k in range(1, 40):
+            mx, my = walk[k] + rng.normal(0.0, 1.0, 2)
+            ranges = [(lm, math.hypot(mx - lm.x, my - lm.y)) for lm in landmarks]
+            tracker.step(1.0, walk[k] - walk[k - 1], ranges)
 
 
 def test_criterion_1_multilateration_exactness():
@@ -132,15 +154,15 @@ class CovarianceAudit:
         assert self.trace_violations == 0
 
 
-def test_criterion_4_benchmark_route_statistics():
+def test_criterion_4_benchmark_route_statistics(monkeypatch):
     with criterion("4 benchmark route statistics"):
         started = time.monotonic()
         audit = CovarianceAudit()
+        monkeypatch.setattr("sweepnav.pipeline.EkfTracker", functools.partial(EkfTracker, monitor=audit))
         wma_err, ekf_err = [], []
         for seed in BENCH_SEEDS:
             scenario, run = benchmark_run(seed)
-            config = matched_config(scenario, noise=BENCH_NOISE, ekf_monitor=audit)
-            trajectory = run_pipeline(run.sweeps, config)
+            trajectory = run_pipeline(run.sweeps, matched_config(scenario, noise=BENCH_NOISE))
             result = score_run(run.truth, trajectory)
             wma_err.append([s.percent_diff for s in result.segments["wma"]])
             ekf_err.append([s.percent_diff for s in result.segments["ekf"]])
@@ -162,27 +184,16 @@ def test_criterion_4_benchmark_route_statistics():
         audit.assert_clean()
 
 
-def test_criterion_5_ekf_invariant_suite():
+def test_criterion_5_ekf_invariant_suite(monkeypatch):
     with criterion("5 EKF invariant suite"):
         audit = CovarianceAudit()
+        audited = functools.partial(EkfTracker, monitor=audit)
+        monkeypatch.setattr("sweepnav.pipeline.EkfTracker", audited)
 
         for seed in range(5):
             scenario, run = benchmark_run(seed)
-            config = matched_config(scenario, noise=BENCH_NOISE, ekf_monitor=audit)
-            run_pipeline(run.sweeps, config)
-
-        rng = np.random.default_rng(55)
-        for _ in range(20):
-            steps = np.cumsum(rng.normal(0.0, 3.0, (40, 2)), axis=0)
-            fixes = [tuple(p) for p in steps]
-            measured = [tuple(p + rng.normal(0, 1.0, 2)) for p in steps]
-            track(
-                fixes,
-                [float(t) for t in range(40)],
-                NoiseConfig(),
-                measured=measured,
-                monitor=audit,
-            )
+            run_pipeline(run.sweeps, matched_config(scenario, noise=BENCH_NOISE))
+        random_walk_tracks(audited)
 
         assert audit.update_events > 1000
         audit.assert_clean()

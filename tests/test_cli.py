@@ -91,6 +91,40 @@ class TestSimulate:
         assert total == pytest.approx(1860.0, abs=1e-3)
 
 
+# each of these made `run` or `simulate` exit 1 with a traceback, or exit 0
+# with all-NaN EKF columns, an uncapped condition number or no lead-in
+BAD_CONFIG_LINES = [
+    "ekf.r = 0", "ekf.q_diag = -1,0.1", "band.high_mhz = nan", "band.high_mhz = inf",
+    "band.width_mhz = nan", "ekf.r = nan", "ekf.p0 = nan", "tx_power_dbm = nan",
+    "lsq.condition_cap = nan", "lsq.condition_cap = inf",
+]
+BAD_SCENARIO_LINES = [
+    "speed_mps = nan", "cadence_s = nan", "hold_s = nan", "start_time = nan",
+    "tx.power_dbm = nan", "lead_in_m = nan",
+]
+
+
+@pytest.mark.parametrize(
+    "command, line",
+    [("run", line) for line in BAD_CONFIG_LINES] + [("simulate", line) for line in BAD_SCENARIO_LINES],
+)
+def test_bad_setting_is_exit_3(runner, tmp_path, command, line):
+    settings = tmp_path / "settings.txt"
+    if command == "run":
+        settings.write_text(line + "\n", encoding="ascii")
+        sweeps = tmp_path / "sweeps.csv"
+        sweeps.write_text("", encoding="ascii")
+        args = ["run", str(sweeps), "--config", str(settings)]
+    else:
+        key = line.split(" ")[0]
+        kept = [row for row in BENCHMARK_SCENARIO.splitlines() if row.split(" ")[0] != key]
+        settings.write_text("\n".join(kept + [line]) + "\n", encoding="ascii")
+        args = ["simulate", str(settings)]
+    result = runner.invoke(main, args + ["--out", str(tmp_path / "out")])
+    assert result.exit_code == 3, (result.output, result.exception)
+    assert "config error" in result.output
+
+
 class TestRun:
     @pytest.fixture
     def sweeps_csv(self, runner, route_scenario_file, tmp_path):

@@ -1,8 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from sweepnav import ConfigError
 from sweepnav.config import (
+    CONFIG_FIELDS,
     config_from_values,
     default_config,
     load_config,
@@ -36,7 +39,28 @@ lsq.condition_cap = 1e7
 """
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_config_values():
+    """The README's pipeline-config block, each line's trailing comment dropped."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("Pipeline config keys", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
+    values = {}
+    for line in block.splitlines():
+        line = line.split("#", 1)[0].strip()
+        if line:
+            key, _, value = line.partition("=")
+            values[key.strip()] = value.strip()
+    return values
+
+
 class TestPipelineConfigFile:
+    def test_readme_block_is_the_default_config(self):
+        values = readme_config_values()
+        assert set(values) == set(CONFIG_FIELDS)
+        assert config_from_values(values) == default_config()
+
     def test_defaults(self):
         config = default_config()
         assert config.sweep_window == 10

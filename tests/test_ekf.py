@@ -15,47 +15,46 @@ from sweepnav import (
     range_jacobian,
     range_measurement,
     run_pipeline,
-    track,
     update,
 )
-from sweepnav import ekf, pipeline
-from sweepnav.ekf import DEFAULT_MIN_RANGE, min_eig_2x2
-from test_acceptance import BENCH_NOISE, CovarianceAudit, benchmark_run
+from sweepnav import pipeline
+from sweepnav.ekf import min_eig_2x2
+from test_acceptance import BENCH_NOISE, CovarianceAudit, benchmark_run, random_walk_tracks
 
 
-def state(x, y, p, ts=1.0):
-    return TrackState(position=(x, y), covariance=np.eye(2) * p, timestep=ts)
+def state(x, y, p):
+    return TrackState(position=(x, y), covariance=np.eye(2) * p)
 
 
 class TestPredict:
     def test_zero_input_adds_process_noise_only(self):
         noise = NoiseConfig()
-        out = predict(state(1.0, 2.0, 1.0), (0.0, 0.0), noise)
+        out = predict(state(1.0, 2.0, 1.0), 1.0, (0.0, 0.0), noise)
         np.testing.assert_array_equal(out.position, [1.0, 2.0])
         np.testing.assert_allclose(out.covariance, np.eye(2) * 1.1, atol=1e-15)
 
     def test_velocity_integration(self):
-        out = predict(state(0.0, 0.0, 1.0, ts=1.0), (2.0, 1.0), NoiseConfig())
+        out = predict(state(0.0, 0.0, 1.0), 1.0, (2.0, 1.0), NoiseConfig())
         np.testing.assert_array_equal(out.position, [2.0, 1.0])
 
     def test_zero_covariance_becomes_q(self):
         noise = NoiseConfig()
-        start = TrackState(position=(0.0, 0.0), covariance=np.zeros((2, 2)), timestep=1.0)
-        out = predict(start, (0.0, 0.0), noise)
+        start = TrackState(position=(0.0, 0.0), covariance=np.zeros((2, 2)))
+        out = predict(start, 1.0, (0.0, 0.0), noise)
         np.testing.assert_allclose(out.covariance, np.eye(2) * 0.1, atol=1e-15)
 
     def test_fractional_timestep(self):
-        out = predict(state(0.0, 0.0, 1.0, ts=0.5), (2.0, 4.0), NoiseConfig())
+        out = predict(state(0.0, 0.0, 1.0), 0.5, (2.0, 4.0), NoiseConfig())
         np.testing.assert_allclose(out.position, [1.0, 2.0], atol=1e-15)
 
     def test_rejects_non_psd_covariance(self):
-        bad = TrackState(position=(0.0, 0.0), covariance=np.array([[1.0, 0.0], [0.0, -1.0]]), timestep=1.0)
+        bad = TrackState(position=(0.0, 0.0), covariance=np.array([[1.0, 0.0], [0.0, -1.0]]))
         with pytest.raises(ValueError):
-            predict(bad, (0.0, 0.0), NoiseConfig())
+            predict(bad, 1.0, (0.0, 0.0), NoiseConfig())
 
     def test_rejects_nonpositive_timestep(self):
         with pytest.raises(ValueError):
-            predict(state(0.0, 0.0, 1.0, ts=0.0), (0.0, 0.0), NoiseConfig())
+            predict(state(0.0, 0.0, 1.0), 0.0, (0.0, 0.0), NoiseConfig())
 
 
 class TestRangeModel:
@@ -116,7 +115,7 @@ class TestUpdate:
 
     def test_zero_covariance_ignores_measurement(self):
         noise = NoiseConfig()
-        start = TrackState(position=(2.0, 3.0), covariance=np.zeros((2, 2)), timestep=1.0)
+        start = TrackState(position=(2.0, 3.0), covariance=np.zeros((2, 2)))
         out = update(start, 99.0, Landmark(10.0, 3.0), noise)
         np.testing.assert_array_equal(out.position, [2.0, 3.0])
 
@@ -132,12 +131,17 @@ class TestUpdate:
         with pytest.raises(ValueError):
             update(state(0.0, 0.0, 1.0), -1.0, Landmark(5.0, 0.0), NoiseConfig())
 
+    def test_rejects_non_psd_covariance(self):
+        bad = TrackState(position=(0.0, 0.0), covariance=np.array([[1.0, 0.0], [0.0, -1.0]]))
+        with pytest.raises(ValueError):
+            update(bad, 5.0, Landmark(5.0, 0.0), NoiseConfig())
+
     def test_covariance_stays_symmetric_psd(self):
         rng = np.random.default_rng(9)
         noise = NoiseConfig(q=np.eye(2) * 0.1, r=0.5)
         current = state(0.0, 0.0, 5.0)
         for _ in range(200):
-            current = predict(current, rng.uniform(-2, 2, 2), noise)
+            current = predict(current, 1.0, rng.uniform(-2, 2, 2), noise)
             landmark = Landmark(*rng.uniform(-50, 50, 2))
             z = max(0.0, range_measurement(current, landmark) + rng.normal(0, 0.5))
             before = np.trace(current.covariance)
@@ -185,29 +189,6 @@ class TestTrack:
         assert traces[1] < traces[0]
         assert all(b <= a + 1e-12 for a, b in zip(traces, traces[1:]))
 
-    def test_straight_line_exact_ranges(self):
-        fixes = [(2.0 * k, 0.0) for k in range(15)]
-        timestamps = [float(k) for k in range(15)]
-        steps = track(fixes, timestamps, NoiseConfig(q=np.eye(2) * 0.1, r=0.01), landmark_window=3)
-        errors = [
-            math.hypot(s.position[0] - f[0], s.position[1] - f[1])
-            for s, f in zip(steps, fixes)
-        ]
-        assert max(errors[10:]) < 0.5
-
-    def test_output_length_matches_input(self):
-        fixes = [(float(k), float(k % 3)) for k in range(8)]
-        steps = track(fixes, [float(k) for k in range(8)], NoiseConfig())
-        assert len(steps) == len(fixes)
-
-    def test_requires_two_fixes(self):
-        with pytest.raises(ValueError):
-            track([(0.0, 0.0)], [0.0], NoiseConfig())
-
-    def test_requires_increasing_timestamps(self):
-        with pytest.raises(ValueError):
-            track([(0.0, 0.0), (1.0, 0.0)], [1.0, 1.0], NoiseConfig())
-
 
 class TestNoiseConfig:
     def test_default_values(self):
@@ -234,19 +215,19 @@ class TestNoiseConfig:
 REL_TOL = 1e-12
 
 
-def reference_predict(state, u, noise):
-    if state.timestep <= 0:
+def reference_predict(state, dt, u, noise):
+    if dt <= 0:
         raise ValueError("timestep must be positive")
-    position = state.position + state.timestep * np.asarray(u, dtype=float).reshape(2)
+    position = state.position + dt * np.asarray(u, dtype=float).reshape(2)
     covariance = state.covariance + noise.q
     covariance = (covariance + covariance.T) / 2.0
-    return TrackState(position=position, covariance=covariance, timestep=state.timestep)
+    return TrackState(position=position, covariance=covariance)
 
 
-def reference_update(state, z, landmark, noise, min_range=DEFAULT_MIN_RANGE):
+def reference_update(state, z, landmark, noise):
     if z < 0:
         raise ValueError("range measurement must be non-negative")
-    h = range_jacobian(state, landmark, min_range)
+    h = range_jacobian(state, landmark)
     p = state.covariance
     innovation_var = float(h @ p @ h) + noise.r
     gain = (p @ h) / innovation_var
@@ -254,31 +235,27 @@ def reference_update(state, z, landmark, noise, min_range=DEFAULT_MIN_RANGE):
     position = state.position + gain * (z - predicted)
     covariance = (np.eye(2) - np.outer(gain, h)) @ p
     covariance = (covariance + covariance.T) / 2.0
-    return TrackState(position=position, covariance=covariance, timestep=state.timestep)
+    return TrackState(position=position, covariance=covariance)
 
 
 class ReferenceTracker:
     """EkfTracker's step logic over the reference equations."""
 
-    def __init__(self, x0, p0, noise, monitor=None, min_range=DEFAULT_MIN_RANGE):
+    def __init__(self, x0, p0, noise, monitor=None):
         self.state = TrackState(position=x0, covariance=p0)
-        self.noise, self.monitor, self.min_range = noise, monitor, min_range
+        self.noise, self.monitor = noise, monitor
         if monitor is not None:
             monitor("init", self.state.covariance.copy())
 
     def step(self, dt, u, measurements, timestamp=0.0):
-        state = reference_predict(
-            TrackState(position=self.state.position, covariance=self.state.covariance, timestep=dt),
-            u,
-            self.noise,
-        )
+        state = reference_predict(self.state, dt, u, self.noise)
         if self.monitor is not None:
             self.monitor("predict", state.covariance.copy())
         innovations, flags = [], []
         for landmark, z in measurements:
             try:
                 predicted = range_measurement(state, landmark)
-                state = reference_update(state, z, landmark, self.noise, self.min_range)
+                state = reference_update(state, z, landmark, self.noise)
             except SingularGeometryError:
                 flags.append("skipped_landmark")
                 continue
@@ -300,24 +277,19 @@ def assert_close(actual, expected):
 def random_state(rng):
     a = rng.normal(0.0, rng.uniform(0.1, 30.0), (2, 2))
     covariance = a @ a.T + np.eye(2) * rng.uniform(0.0, 1.0)
-    return TrackState(
-        position=rng.uniform(-500.0, 500.0, 2),
-        covariance=covariance,
-        timestep=rng.uniform(0.1, 5.0),
-    )
+    return TrackState(position=rng.uniform(-500.0, 500.0, 2), covariance=covariance)
 
 
 class TestKernelAgainstReference:
     def test_predict(self):
         rng = np.random.default_rng(11)
         for _ in range(2000):
-            state = random_state(rng)
+            state, dt = random_state(rng), rng.uniform(0.1, 5.0)
             noise = NoiseConfig(q=np.diag(rng.uniform(0.0, 5.0, 2)), r=1.0)
             u = rng.uniform(-20.0, 20.0, 2)
-            out, ref = predict(state, u, noise), reference_predict(state, u, noise)
+            out, ref = predict(state, dt, u, noise), reference_predict(state, dt, u, noise)
             assert_close(out.position, ref.position)
             assert_close(out.covariance, ref.covariance)
-            assert out.timestep == ref.timestep
 
     def test_update(self):
         rng = np.random.default_rng(12)
@@ -378,10 +350,10 @@ class TestKernelAgainstReference:
 class TwinTracker:
     """Steps the real tracker and the reference side by side, recording both monitors."""
 
-    def __init__(self, x0, p0, noise, monitor=None, min_range=DEFAULT_MIN_RANGE, *, registry):
+    def __init__(self, x0, p0, noise, monitor=None, *, registry):
         self.events, self.ref_events = [], []
-        self.real = EkfTracker(x0, p0, noise, monitor=self._recorder(self.events), min_range=min_range)
-        self.ref = ReferenceTracker(x0, p0, noise, monitor=self._recorder(self.ref_events), min_range=min_range)
+        self.real = EkfTracker(x0, p0, noise, monitor=self._recorder(self.events))
+        self.ref = ReferenceTracker(x0, p0, noise, monitor=self._recorder(self.ref_events))
         registry.append(self)
 
     @staticmethod
@@ -400,16 +372,12 @@ class TwinTracker:
 def test_covariance_audit_sees_reference_events(monkeypatch):
     """On criterion 5's inputs the audit gets the matrix form's event sequence."""
     twins = []
-    monkeypatch.setattr(pipeline, "EkfTracker", functools.partial(TwinTracker, registry=twins))
-    monkeypatch.setattr(ekf, "EkfTracker", functools.partial(TwinTracker, registry=twins))
+    make_twin = functools.partial(TwinTracker, registry=twins)
+    monkeypatch.setattr(pipeline, "EkfTracker", make_twin)
     for seed in range(5):
         scenario, run = benchmark_run(seed)
         run_pipeline(run.sweeps, matched_config(scenario, noise=BENCH_NOISE))
-    rng = np.random.default_rng(55)
-    for _ in range(20):
-        steps = np.cumsum(rng.normal(0.0, 3.0, (40, 2)), axis=0)
-        measured = [tuple(p + rng.normal(0, 1.0, 2)) for p in steps]
-        track([tuple(p) for p in steps], [float(t) for t in range(40)], NoiseConfig(), measured=measured)
+    random_walk_tracks(make_twin)
 
     audit, ref_audit = CovarianceAudit(), CovarianceAudit()
     assert len(twins) == 25

@@ -23,18 +23,14 @@ from sweepnav.sweeps import SweepRecord
 
 class TestDeriveVelocity:
     def test_finite_difference(self):
-        assert derive_velocity([(0.0, (0.0, 0.0)), (1.0, (2.0, 0.0))]) == (2.0, 0.0)
+        assert derive_velocity((0.0, (0.0, 0.0)), (1.0, (2.0, 0.0))) == (2.0, 0.0)
 
     def test_identical_fixes(self):
-        assert derive_velocity([(0.0, (3.0, 3.0)), (2.0, (3.0, 3.0))]) == (0.0, 0.0)
-
-    def test_warmup_returns_zero(self):
-        assert derive_velocity([]) == (0.0, 0.0)
-        assert derive_velocity([(0.0, (1.0, 1.0))]) == (0.0, 0.0)
+        assert derive_velocity((0.0, (3.0, 3.0)), (2.0, (3.0, 3.0))) == (0.0, 0.0)
 
     def test_nonincreasing_timestamps_rejected(self):
         with pytest.raises(ValueError):
-            derive_velocity([(1.0, (0.0, 0.0)), (1.0, (2.0, 0.0))])
+            derive_velocity((1.0, (0.0, 0.0)), (1.0, (2.0, 0.0)))
 
 
 class TestAnchorFrame:
