@@ -19,7 +19,7 @@ from .errors import (
     SweepNavError,
     SweepParseError,
 )
-from .multilateration import Anchor, PositionFix, build_linear_system, fix_position, solve_lsq
+from .multilateration import Anchor, AnchorFrame, PositionFix, build_linear_system, fix_position, solve_lsq
 from .pathloss import PathLossParams, free_space_pl0, invert_distance, path_loss, rss_at_distance, rss_to_distance
 from .pipeline import (
     PipelineConfig,

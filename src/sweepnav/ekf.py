@@ -80,13 +80,18 @@ class NoiseConfig:
 
 @dataclass(frozen=True)
 class TrackStep:
-    """One filter step: resulting state plus the innovation log."""
+    """One filter step: resulting state plus the innovation log; the
+    ``covariance`` matrix is built from (p00, p01, p11) on access."""
 
     position: tuple[float, float]
-    covariance: np.ndarray
+    covariance_terms: tuple[float, float, float]
     innovations: tuple[tuple[int, float], ...]
     flags: tuple[str, ...]
     timestamp: float = 0.0
+
+    @property
+    def covariance(self) -> np.ndarray:
+        return _matrix(*self.covariance_terms)
 
 
 Monitor = Callable[[str, np.ndarray], None]
@@ -263,7 +268,7 @@ class EkfTracker:
         x, y, p00, p01, p11 = terms
         return TrackStep(
             position=(float(x), float(y)),
-            covariance=_matrix(p00, p01, p11),
+            covariance_terms=(p00, p01, p11),
             innovations=tuple(innovations),
             flags=tuple(flags),
             timestamp=timestamp,

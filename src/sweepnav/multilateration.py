@@ -15,6 +15,10 @@ and Q^T b, then R x = Q^T b is back-substituted. A and R share singular
 values, taken from R in closed form (LAPACK dlas2); the condition estimate
 is sigma_max / sigma_min. The normal equations A^T A x = A^T b would square
 the condition number, and with it the error of the solution.
+
+A depends on the anchors alone, so an AnchorFrame factors it once; each set
+of distances then costs only b, its rotation, the back-substitution and the
+residual (Golub & Van Loan, Matrix Computations, section 5.3).
 """
 
 from __future__ import annotations
@@ -68,28 +72,6 @@ class PositionFix:
         return (self.x, self.y)
 
 
-def _linear_rows(anchors: Sequence[Anchor], distances: Sequence[float]) -> list[tuple]:
-    """Rows (A_j0, A_j1, b_j) of the linearized system, after checking the inputs."""
-    n = len(anchors)
-    if n < MIN_ANCHORS:
-        raise InsufficientAnchorsError(f"need at least {MIN_ANCHORS} anchors, have {n}")
-    if len(distances) != n:
-        raise ValueError(f"{n} anchors but {len(distances)} distances")
-    d = [float(v) for v in distances]
-    if any(v < 0 for v in d):
-        raise ValueError("distances must be non-negative")
-    if len({a.band_id for a in anchors}) != n:
-        raise ValueError("anchor ids must be unique")
-
-    x1, y1, d1 = float(anchors[0].x), float(anchors[0].y), d[0]
-    rows = []
-    for j in range(1, n):
-        xj, yj, dj = float(anchors[j].x), float(anchors[j].y), d[j]
-        b = x1 * x1 - xj * xj + y1 * y1 - yj * yj + dj * dj - d1 * d1
-        rows.append((2.0 * (x1 - xj), 2.0 * (y1 - yj), b))
-    return rows
-
-
 def _triangular_singular_values(f: float, g: float, h: float) -> tuple[float, float]:
     """(sigma_max, sigma_min) of [[f, g], [0, h]] by LAPACK dlas2 (Demmel &
     Kahan, 1990): sigma_min keeps relative accuracy even when it is tiny."""
@@ -108,42 +90,98 @@ def _triangular_singular_values(f: float, g: float, h: float) -> tuple[float, fl
     return ga / (c + c), 2.0 * (fhmn * c) * au
 
 
-def _solve_rows(rows: Sequence[tuple], condition_cap: float) -> tuple[float, float, float, float]:
-    """(x, y, residual_norm, condition_estimate) over rows (A_j0, A_j1, b_j)."""
-    r00 = r01 = r11 = qb0 = qb1 = 0.0
-    for a0, a1, b in rows:
-        if a0 != 0.0:
-            r = math.hypot(r00, a0)
-            c, s = r00 / r, a0 / r
-            r00, r01, a1 = r, c * r01 + s * a1, c * a1 - s * r01
-            qb0, b = c * qb0 + s * b, c * b - s * qb0
-        if a1 != 0.0:
-            r = math.hypot(r11, a1)
-            c, s = r11 / r, a1 / r
-            r11, qb1 = r, c * qb1 + s * b
-    sigma_max, sigma_min = _triangular_singular_values(r00, r01, r11)
-    if sigma_min <= 0.0:
-        raise DegenerateGeometryError("anchor geometry is rank deficient")
-    condition = sigma_max / sigma_min
-    if condition > condition_cap:
-        raise DegenerateGeometryError(
-            f"condition estimate {condition:.3g} exceeds cap {condition_cap:.3g}"
-        )
-    y = qb1 / r11
-    x = (qb0 - r01 * y) / r00
-    squares = 0.0
-    for a0, a1, b in rows:
-        e = a0 * x + a1 * y - b
-        squares += e * e
-    return x, y, math.sqrt(squares), condition
+class _GivensQR:
+    """The solver's factor phase, on A's rows (A_j0, A_j1) alone: each row
+    folds into the 2x2 triangular R by at most two Givens rotations, kept
+    as (c, s), or None where the entry is already 0. ``solve`` applies them."""
+
+    def __init__(self, rows: Sequence[tuple[float, float]], condition_cap: float):
+        r00 = r01 = r11 = 0.0
+        self.rows, self._rotations = tuple(rows), []
+        for a0, a1 in self.rows:
+            first = second = None
+            if a0 != 0.0:
+                r = math.hypot(r00, a0)
+                c, s = r00 / r, a0 / r
+                r00, r01, a1 = r, c * r01 + s * a1, c * a1 - s * r01
+                first = (c, s)
+            if a1 != 0.0:
+                r = math.hypot(r11, a1)
+                r11, second = r, (r11 / r, a1 / r)
+            self._rotations.append((first, second))
+        self._r = (r00, r01, r11)
+        sigma_max, sigma_min = _triangular_singular_values(r00, r01, r11)
+        self._degenerate = "anchor geometry is rank deficient" if sigma_min <= 0.0 else None
+        if self._degenerate is None:
+            self._condition = sigma_max / sigma_min
+            if self._condition > condition_cap:
+                self._degenerate = f"condition estimate {self._condition:.3g} exceeds cap {condition_cap:.3g}"
+
+    def solve(self, b: Sequence[float]) -> tuple[float, float, float, float]:
+        """(x, y, residual_norm, condition_estimate) for one right-hand side."""
+        if self._degenerate is not None:
+            raise DegenerateGeometryError(self._degenerate)
+        qb0 = qb1 = 0.0
+        for (first, second), bj in zip(self._rotations, b):
+            if first is not None:
+                c, s = first
+                qb0, bj = c * qb0 + s * bj, c * bj - s * qb0
+            if second is not None:
+                c, s = second
+                qb1 = c * qb1 + s * bj
+        r00, r01, r11 = self._r
+        y = qb1 / r11
+        x = (qb0 - r01 * y) / r00
+        squares = 0.0
+        for (a0, a1), bj in zip(self.rows, b):
+            e = a0 * x + a1 * y - bj
+            squares += e * e
+        return x, y, math.sqrt(squares), self._condition
+
+
+class AnchorFrame:
+    """Fixed anchors (count and unique ids checked once) with A factored and
+    the anchor part of b, c_j = x1^2 - xj^2 + y1^2 - yj^2, kept: per set of
+    distances, b_j = c_j + dj^2 - d1^2 (the same bits, left to right)."""
+
+    def __init__(self, anchors: Sequence[Anchor], condition_cap: float = DEFAULT_CONDITION_CAP):
+        n = len(anchors)
+        if n < MIN_ANCHORS:
+            raise InsufficientAnchorsError(f"need at least {MIN_ANCHORS} anchors, have {n}")
+        if len({a.band_id for a in anchors}) != n:
+            raise ValueError("anchor ids must be unique")
+        self.anchors = tuple(anchors)
+        x1, y1 = float(anchors[0].x), float(anchors[0].y)
+        rows, self._c = [], []
+        for anchor in anchors[1:]:
+            xj, yj = float(anchor.x), float(anchor.y)
+            rows.append((2.0 * (x1 - xj), 2.0 * (y1 - yj)))
+            self._c.append(x1 * x1 - xj * xj + y1 * y1 - yj * yj)
+        self.qr = _GivensQR(rows, condition_cap)
+
+    def rhs(self, distances: Sequence[float]) -> list[float]:
+        """b for one set of distances, after checking them."""
+        if len(distances) != len(self.anchors):
+            raise ValueError(f"{len(self.anchors)} anchors but {len(distances)} distances")
+        d = [float(v) for v in distances]
+        for v in d:
+            if v < 0:
+                raise ValueError("distances must be non-negative")
+        d1 = d[0] * d[0]
+        return [c + dj * dj - d1 for c, dj in zip(self._c, d[1:])]
+
+    def solve(self, distances: Sequence[float]) -> tuple[float, float, float, float]:
+        """(x, y, residual_norm, condition_estimate) for one set of distances."""
+        return self.qr.solve(self.rhs(distances))
 
 
 def build_linear_system(
     anchors: Sequence[Anchor], distances: Sequence[float]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Linearize the circle-intersection system against the first anchor."""
-    table = np.array(_linear_rows(anchors, distances), dtype=float)
-    return table[:, :2], table[:, 2]
+    frame = AnchorFrame(anchors)
+    b = frame.rhs(distances)
+    return np.array(frame.qr.rows, dtype=float).reshape(len(b), 2), np.array(b, dtype=float)
 
 
 def solve_lsq(
@@ -163,8 +201,8 @@ def solve_lsq(
         raise ValueError("b length must match the rows of A")
     if not np.isfinite(a).all():
         raise ValueError("A must be finite")
-    rows = list(zip(a[:, 0].tolist(), a[:, 1].tolist(), b.tolist()))
-    x, y, residual_norm, condition = _solve_rows(rows, condition_cap)
+    qr = _GivensQR(list(zip(a[:, 0].tolist(), a[:, 1].tolist())), condition_cap)
+    x, y, residual_norm, condition = qr.solve(b.tolist())
     return np.array([x, y]), residual_norm, condition
 
 
@@ -175,8 +213,7 @@ def fix_position(
     condition_cap: float = DEFAULT_CONDITION_CAP,
 ) -> PositionFix:
     """Range-based position fix from at least four anchors."""
-    rows = _linear_rows(anchors, distances)
-    x, y, residual_norm, condition = _solve_rows(rows, condition_cap)
+    x, y, residual_norm, condition = AnchorFrame(anchors, condition_cap).solve(distances)
     return PositionFix(
         x=x,
         y=y,

@@ -3,7 +3,8 @@
 Received power is mapped to a transmitter distance through the standard
 log-distance model with a free-space reference at one meter. The forward
 direction (distance to expected RSS) lives here too so the simulator and
-the inverter share one set of constants.
+the inverter share one set of constants. The pipeline computes each
+selected band's reference loss once, then inverts per sweep.
 """
 
 from __future__ import annotations
@@ -65,7 +66,8 @@ def invert_distance(pl_db: float, pl0_db: float, params: PathLossParams) -> floa
     """Distance whose modeled loss equals ``pl_db``.
 
     d = d0 * 10^((PL - PL0) / (10 * exponent)), strictly increasing in the
-    loss so that weaker signals always map to larger distances.
+    loss so that weaker signals always map to larger distances. Raises
+    OverflowError when the distance is beyond the float range.
     """
     return params.ref_distance_m * 10.0 ** ((pl_db - pl0_db) / (10.0 * params.exponent))
 

@@ -10,7 +10,10 @@ relative frame; every output position is reported relative to it.
 
 Transmitter bands are selected once, at the first sweep where enough
 persistent bands exist, and the anchor frame stays fixed for the whole run
-so the relative frame is consistent.
+so the relative frame is consistent; what depends on the selection alone
+(kept bands, reference losses, the factored anchor frame) is built there.
+A fix that cannot be taken holds the previous one, flagged ``held`` and
+``missing_band``, ``degenerate`` or ``range_overflow``.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ import numpy as np
 
 from .ekf import EkfTracker, Landmark, NoiseConfig
 from .errors import DegenerateGeometryError, InsufficientAnchorsError, MissingBandError
-from .multilateration import DEFAULT_CONDITION_CAP, Anchor, fix_position
-from .pathloss import PathLossParams, rss_to_distance
+from .multilateration import DEFAULT_CONDITION_CAP, Anchor, AnchorFrame
+from .pathloss import PathLossParams, free_space_pl0, invert_distance
 from .placement import Bbox, place_in_box, validate_bbox
 from .smoothing import Smoother, SmootherConfig
 from .sweeps import BandPlan, SweepRecord, SweepWindow, select_transmit_bands
@@ -164,9 +167,9 @@ class TrackingPipeline:
         self._cfg = config
         self._window = SweepWindow(config.sweep_window)
         self._selected: list[int] | None = None
-        self._anchors: list[Anchor] | None = None
+        self._frame: AnchorFrame | None = None
         self._landmarks: list[Landmark] = []
-        self._centers: list[float] = []
+        self._pl0: list[float] = []
         self._origin: tuple[float, float] | None = None
         self._smoother = Smoother(config.smoother)
         self._prev_smoothed: tuple[float, tuple[float, float]] | None = None
@@ -187,7 +190,7 @@ class TrackingPipeline:
             self._skipped += 1
             return None
 
-        raw_abs, residual, distances, fail_reason = self._solve_fix(sweep.timestamp)
+        raw_abs, residual, distances, fail_reason = self._solve_fix()
         flags: tuple[str, ...] = ()
         if raw_abs is None:
             if self._prev_raw_abs is None:
@@ -203,7 +206,7 @@ class TrackingPipeline:
             self._origin = raw_abs
             self._landmarks = [
                 Landmark(a.x - self._origin[0], a.y - self._origin[1], i)
-                for i, a in enumerate(self._anchors)
+                for i, a in enumerate(self._frame.anchors)
             ]
         raw_rel = (raw_abs[0] - self._origin[0], raw_abs[1] - self._origin[1])
 
@@ -228,7 +231,7 @@ class TrackingPipeline:
         return Trajectory(
             steps=tuple(self._steps),
             selected_bands=tuple(self._selected or ()),
-            anchors=tuple(self._anchors or ()),
+            anchors=self._frame.anchors if self._frame else (),
             skipped_sweeps=self._skipped,
             held_steps=self._held,
         )
@@ -247,26 +250,32 @@ class TrackingPipeline:
             missing = [bid for bid in selected if bid not in by_band]
             if missing:
                 raise ValueError(f"anchor_override lacks positions for bands {missing}")
-            self._anchors = [by_band[bid] for bid in selected]
+            anchors = [by_band[bid] for bid in selected]
         else:
-            self._anchors = assign_anchor_frame(selected, cfg.anchor_seed, cfg.anchor_bbox)
-        self._centers = [cfg.plan.center_mhz(bid) for bid in selected]
-        log.debug("selected bands %s with anchors %s", selected, self._anchors)
+            anchors = assign_anchor_frame(selected, cfg.anchor_seed, cfg.anchor_bbox)
+        self._frame = AnchorFrame(anchors, cfg.condition_cap)
+        self._window.keep_only(selected)
+        self._pl0 = [free_space_pl0(cfg.plan.center_mhz(b), cfg.pathloss.ref_distance_m) for b in selected]
+        log.debug("selected bands %s with anchors %s", selected, anchors)
         return True
 
-    def _solve_fix(self, timestamp: float):
-        cfg = self._cfg
-        distances = []
+    def _solve_fix(self):
+        params = self._cfg.pathloss
+        tx, mean_dbm = params.tx_power_dbm, self._window.mean_dbm
         try:
-            for band_id, center in zip(self._selected, self._centers):
-                stats = self._window.stats(band_id)
-                distances.append(rss_to_distance(stats.mean_dbm, center, cfg.pathloss))
-            fix = fix_position(self._anchors, distances, timestamp, cfg.condition_cap)
+            # tx - mean is path_loss's expression; the window's means are finite
+            distances = [
+                invert_distance(tx - mean_dbm(band_id), pl0, params)
+                for band_id, pl0 in zip(self._selected, self._pl0)
+            ]
+            x, y, residual, _ = self._frame.solve(distances)
         except MissingBandError:
             return None, math.nan, None, "missing_band"
+        except OverflowError:
+            return None, math.nan, None, "range_overflow"
         except DegenerateGeometryError:
             return None, math.nan, None, "degenerate"
-        return (fix.x, fix.y), fix.residual_norm, distances, ""
+        return (x, y), residual, distances, ""
 
     def _ekf_step(
         self,

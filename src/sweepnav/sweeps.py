@@ -26,6 +26,8 @@ _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
 # Row layout: date, time, hz_low, hz_high, hz_bin_width, num_samples, dB, dB, ...
 _MIN_FIELDS = 7
+# Largest uniform plan: hackrf_sweep's finest bins over 6 GHz come to ~2.5e6
+MAX_PLAN_BANDS = 1_000_000
 
 
 class BandSample(NamedTuple):
@@ -139,7 +141,10 @@ class BandPlan:
     ) -> "BandPlan":
         if not (width_mhz > 0 and low_mhz < high_mhz < math.inf):
             raise ConfigError("invalid uniform plan bounds")
-        count = int(round((high_mhz - low_mhz) / width_mhz))
+        # checked before any band is built; the min keeps round() off inf
+        count = int(round(min((high_mhz - low_mhz) / width_mhz, MAX_PLAN_BANDS + 1)))
+        if count > MAX_PLAN_BANDS:
+            raise ConfigError(f"uniform plan asks for more than {MAX_PLAN_BANDS} bands")
         bands = tuple(
             (i, low_mhz + i * width_mhz, low_mhz + (i + 1) * width_mhz) for i in range(count)
         )
@@ -335,11 +340,27 @@ def _ordered_sum(values: Iterable[float]) -> float:
     return total
 
 
-def _band_stats(band_id: int, total: float, count: int, low: float, high: float) -> BandStats:
+def _totals(values: Sequence[float]) -> tuple[float, int, float, float]:
+    """(sum, count, min, max) of values in one pass, summed as _ordered_sum does."""
+    total = 0.0
+    low = high = values[0]
+    for value in values:
+        total += value
+        if value < low:
+            low = value
+        elif value > high:
+            high = value
+    return total, len(values), low, high
+
+
+def _clamped_mean(total: float, count: int, low: float, high: float) -> float:
     # summation rounding can spill the mean an ulp outside the sample range
     mean = total / count
-    mean = low if mean < low else high if mean > high else mean
-    return BandStats(band_id, mean, count, low, high)
+    return low if mean < low else high if mean > high else mean
+
+
+def _band_stats(band_id: int, total: float, count: int, low: float, high: float) -> BandStats:
+    return BandStats(band_id, _clamped_mean(total, count, low, high), count, low, high)
 
 
 def _missing_band(band_id: int, sweeps: int) -> MissingBandError:
@@ -357,7 +378,7 @@ def band_mean(window: Sequence[SweepRecord], band_id: int) -> BandStats:
     values = [rss for record in window if (rss := record.rss(band_id)) is not None]
     if not values:
         raise _missing_band(band_id, len(window))
-    return _band_stats(band_id, _ordered_sum(values), len(values), min(values), max(values))
+    return _band_stats(band_id, *_totals(values))
 
 
 def select_transmit_bands(stats: Iterable[BandStats], count: int) -> list[int]:
@@ -385,6 +406,7 @@ class SweepWindow:
     count; ``stats`` costs O(1) for a growing window and O(length) for a
     bounded one; ``persistent_band_ids`` costs O(B) in the bands seen in the
     window. None of them depends on how many sweeps a growing window holds.
+    After :meth:`keep_only`, every query sees the kept bands alone.
     """
 
     def __init__(self, length: int | None):
@@ -395,11 +417,23 @@ class SweepWindow:
         # band id -> deque of values (bounded) or [sum, count, min, max] (growing);
         # either way a band's sample count is the number of sweeps holding it
         self._bands: dict[int, deque[float] | list] = {}
+        self._kept: frozenset[int] | None = None
+
+    def keep_only(self, band_ids: Iterable[int]) -> None:
+        """Keep state for ``band_ids`` alone from now on (called once): the
+        others' is dropped and ``push`` skips them, so it costs O(len(band_ids)).
+        A kept band that leaves a bounded window is tracked again on return."""
+        self._kept = frozenset(band_ids)
+        self._bands = {band_id: v for band_id, v in self._bands.items() if band_id in self._kept}
+
+    def _held(self, rss_by_id: dict) -> Iterable[int]:
+        return rss_by_id.keys() if self._kept is None else rss_by_id.keys() & self._kept
 
     def push(self, record: SweepRecord) -> None:
-        bands = self._bands
+        bands, rss_by_id = self._bands, record._rss_by_id
         if self._length is None:
-            for band_id, _, rss in record.bands:
+            for band_id in self._held(rss_by_id):
+                rss = rss_by_id[band_id]
                 acc = bands.get(band_id)
                 if acc is None:
                     acc = bands[band_id] = [0.0, 0, rss, rss]
@@ -411,12 +445,13 @@ class SweepWindow:
                     acc[3] = rss
         else:
             if len(self._records) == self._length:
-                for band_id, _, _ in self._records.popleft().bands:
+                for band_id in self._held(self._records.popleft()._rss_by_id):
                     values = bands[band_id]
                     values.popleft()
                     if not values:
                         del bands[band_id]
-            for band_id, _, rss in record.bands:
+            for band_id in self._held(rss_by_id):
+                rss = rss_by_id[band_id]
                 values = bands.get(band_id)
                 if values is None:
                     bands[band_id] = deque((rss,))
@@ -431,16 +466,21 @@ class SweepWindow:
     def records(self) -> tuple[SweepRecord, ...]:
         return tuple(self._records)
 
-    def stats(self, band_id: int) -> BandStats:
-        """Equal to ``band_mean(self.records, band_id)``, without the rescan."""
+    def _band_totals(self, band_id: int) -> Sequence:
         if not self._records:
             raise ValueError("window must be non-empty")
         entry = self._bands.get(band_id)
         if entry is None:
             raise _missing_band(band_id, len(self._records))
-        if self._length is None:
-            return _band_stats(band_id, *entry)
-        return _band_stats(band_id, _ordered_sum(entry), len(entry), min(entry), max(entry))
+        return entry if self._length is None else _totals(entry)
+
+    def stats(self, band_id: int) -> BandStats:
+        """Equal to ``band_mean(self.records, band_id)``, without the rescan."""
+        return _band_stats(band_id, *self._band_totals(band_id))
+
+    def mean_dbm(self, band_id: int) -> float:
+        """Equal to ``self.stats(band_id).mean_dbm``, without building the stats."""
+        return _clamped_mean(*self._band_totals(band_id))
 
     def persistent_band_ids(self) -> list[int]:
         """Bands present in every sweep of the window."""

@@ -184,6 +184,33 @@ class TestRun:
         assert result.exit_code == 2, result.output
         assert "line 2" in result.output
 
+    def test_overflowing_range_holds_the_fix(self, runner, sweeps_csv, tmp_path):
+        # one -1e300 dB cell in sweep 12: its band's window mean ranges to
+        # past the float limit until the cell leaves the 10-sweep window
+        lines = sweeps_csv.read_text(encoding="ascii").splitlines()
+        fields = lines[12 * 6].split(", ")
+        lines[12 * 6] = ", ".join(fields[:-1] + ["-1e300"])
+        hostile = tmp_path / "hostile.csv"
+        hostile.write_text("\n".join(lines) + "\n", encoding="ascii")
+        result = runner.invoke(main, ["run", str(hostile), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 0, (result.output, result.exception)
+        rows = read_rows(tmp_path / "o" / "trajectory.csv")[1:]
+        assert [int(row[0]) for row in rows] == list(range(21))
+        assert all(row[9] == "" for row in rows[:12])
+        for row in rows[12:]:
+            assert row[9].split(";")[:2] == ["held", "range_overflow"]
+            assert row[2:4] == rows[11][2:4] and row[8] == "nan"
+        assert "held_steps: 9" in (tmp_path / "o" / "summary.txt").read_text()
+
+    def test_oversized_plan_is_exit_3(self, runner, sweeps_csv, tmp_path):
+        config = tmp_path / "fine.cfg"
+        config.write_text("band.width_mhz = 1e-6\n", encoding="ascii")
+        result = runner.invoke(
+            main, ["run", str(sweeps_csv), "--config", str(config), "--out", str(tmp_path / "o")]
+        )
+        assert result.exit_code == 3, result.output
+        assert "more than 1000000 bands" in result.output
+
     def test_plan_below_zero_mhz_is_exit_3(self, runner, sweeps_csv, tmp_path):
         config = tmp_path / "negative.cfg"
         config.write_text("band.low_mhz = -100\n", encoding="ascii")

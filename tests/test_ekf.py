@@ -318,6 +318,9 @@ class TestKernelAgainstReference:
             ]
             step = tracker.step(1.0, u, measurements)
             ref_state, ref_innovations, ref_flags = reference.step(1.0, u, measurements)
+            # the step keeps plain floats; the matrix is built on access
+            assert len(step.covariance_terms) == 3 and all(isinstance(v, float) for v in step.covariance_terms)
+            assert step.covariance.tolist() == [list(step.covariance_terms[:2]), list(step.covariance_terms[1:])]
             assert_close(step.position, ref_state.position)
             assert_close(step.covariance, ref_state.covariance)
             assert [i for i, _ in step.innovations] == [i for i, _ in ref_innovations]

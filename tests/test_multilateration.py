@@ -11,13 +11,72 @@ from sweepnav import (
     fix_position,
     solve_lsq,
 )
-from sweepnav.multilateration import _triangular_singular_values
+from sweepnav.multilateration import AnchorFrame, _triangular_singular_values
 
 
 def svd_reference(a, b):
     """The SVD equations the solver used before Givens QR: (position, condition)."""
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     return vt.T @ ((u.T @ b) / s), s[0] / s[-1]
+
+
+# The solver before the anchor frame was factored once, kept as the
+# reference AnchorFrame.solve must equal bit for bit.
+def reference_linear_rows(anchors, distances):
+    n = len(anchors)
+    if n < 4:
+        raise InsufficientAnchorsError(f"need at least 4 anchors, have {n}")
+    if len(distances) != n:
+        raise ValueError(f"{n} anchors but {len(distances)} distances")
+    d = [float(v) for v in distances]
+    if any(v < 0 for v in d):
+        raise ValueError("distances must be non-negative")
+    if len({a.band_id for a in anchors}) != n:
+        raise ValueError("anchor ids must be unique")
+    x1, y1, d1 = float(anchors[0].x), float(anchors[0].y), d[0]
+    rows = []
+    for j in range(1, n):
+        xj, yj, dj = float(anchors[j].x), float(anchors[j].y), d[j]
+        b = x1 * x1 - xj * xj + y1 * y1 - yj * yj + dj * dj - d1 * d1
+        rows.append((2.0 * (x1 - xj), 2.0 * (y1 - yj), b))
+    return rows
+
+
+def reference_solve_rows(rows, condition_cap):
+    r00 = r01 = r11 = qb0 = qb1 = 0.0
+    for a0, a1, b in rows:
+        if a0 != 0.0:
+            r = math.hypot(r00, a0)
+            c, s = r00 / r, a0 / r
+            r00, r01, a1 = r, c * r01 + s * a1, c * a1 - s * r01
+            qb0, b = c * qb0 + s * b, c * b - s * qb0
+        if a1 != 0.0:
+            r = math.hypot(r11, a1)
+            c, s = r11 / r, a1 / r
+            r11, qb1 = r, c * qb1 + s * b
+    sigma_max, sigma_min = _triangular_singular_values(r00, r01, r11)
+    if sigma_min <= 0.0:
+        raise DegenerateGeometryError("anchor geometry is rank deficient")
+    condition = sigma_max / sigma_min
+    if condition > condition_cap:
+        raise DegenerateGeometryError(
+            f"condition estimate {condition:.3g} exceeds cap {condition_cap:.3g}"
+        )
+    y = qb1 / r11
+    x = (qb0 - r01 * y) / r00
+    squares = 0.0
+    for a0, a1, b in rows:
+        e = a0 * x + a1 * y - b
+        squares += e * e
+    return x, y, math.sqrt(squares), condition
+
+
+def outcome(solve):
+    """A solver's result, or the type and message of what it raised."""
+    try:
+        return solve()
+    except (ValueError, DegenerateGeometryError) as exc:
+        return type(exc), str(exc)
 
 
 def square_anchors():
@@ -289,3 +348,59 @@ class TestGivensKernel:
     def test_non_finite_matrix_rejected(self):
         with pytest.raises(ValueError):
             solve_lsq(np.array([[1.0, 0.0], [0.0, np.nan], [1.0, 1.0]]), np.ones(3))
+
+
+class TestAnchorFrameReference:
+    def random_case(self, rng, i):
+        m = int(rng.integers(4, 9))
+        points = rng.uniform(-500, 500, size=(m, 2)) * 10 ** rng.uniform(-3, 2)
+        kind = i % 5
+        if kind == 1:  # coincident anchors: a zero row, or two equal rows
+            j = int(rng.integers(1, m))
+            points[j] = points[0] if rng.random() < 0.5 else points[int(rng.integers(1, m))]
+        elif kind == 2:  # collinear, exactly or up to rounding
+            t = rng.uniform(-1, 1, size=m)
+            points = np.outer(t, rng.normal(size=2)) * 300 + rng.normal(size=2) * 100
+        elif kind == 3:  # near-collinear, around the cap
+            t = rng.uniform(-1, 1, size=m)
+            points = np.outer(t, rng.normal(size=2)) * 300 + rng.normal(size=(m, 2)) * 10 ** rng.uniform(-7, -1)
+        elif kind == 4 and i % 2:  # exactly rank deficient: one coordinate shared
+            points[:, int(rng.integers(0, 2))] = points[0, 0]
+        anchors = [Anchor(k, float(x), float(y)) for k, (x, y) in enumerate(points)]
+        distances = (rng.uniform(0, 800, size=m) * 10 ** rng.uniform(-3, 1)).tolist()
+        if i % 7 == 0:
+            distances[int(rng.integers(0, m))] = 0.0
+        cap = float(10 ** rng.uniform(1, 9))
+        return anchors, distances, cap
+
+    def test_solve_equals_reference_bit_for_bit(self):
+        rng = np.random.default_rng(71)
+        seen = {"solved": 0, "rank deficient": 0, "exceeds cap": 0, "zero row": 0}
+        for i in range(800):
+            anchors, distances, cap = self.random_case(rng, i)
+            expected = outcome(lambda: reference_solve_rows(reference_linear_rows(anchors, distances), cap))
+            frame = AnchorFrame(anchors, cap)
+            got = outcome(lambda: frame.solve(distances))
+            # repr compares floats bit for bit, and exception types and messages
+            assert repr(got) == repr(expected), (i, anchors, distances, cap)
+            assert repr(outcome(lambda: frame.solve(distances))) == repr(expected)  # stateless
+            if isinstance(expected[0], type):
+                seen["rank deficient" if "rank" in expected[1] else "exceeds cap"] += 1
+            else:
+                seen["solved"] += 1
+            seen["zero row"] += any(a.x == anchors[0].x and a.y == anchors[0].y for a in anchors[1:])
+        assert seen["solved"] >= 300 and min(seen.values()) >= 40, seen
+
+    def test_distance_checks_match_reference(self):
+        frame = AnchorFrame(square_anchors())
+        for distances in ([1.0, 2.0, 3.0], [1.0, 2.0, 3.0, -0.5], [1.0] * 5):
+            expected = outcome(lambda: reference_linear_rows(square_anchors(), distances))
+            assert repr(outcome(lambda: frame.solve(distances))) == repr(expected)
+
+    def test_anchor_checks_at_construction(self):
+        with pytest.raises(InsufficientAnchorsError):
+            AnchorFrame(square_anchors()[:3])
+        anchors = square_anchors()
+        anchors[3] = Anchor(1, 10.0, 10.0)
+        with pytest.raises(ValueError, match="unique"):
+            AnchorFrame(anchors)

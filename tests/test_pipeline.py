@@ -18,7 +18,7 @@ from sweepnav import (
     static_scenario,
 )
 from sweepnav.placement import place_in_box
-from sweepnav.sweeps import SweepRecord
+from sweepnav.sweeps import SweepRecord, SweepWindow
 
 
 class TestDeriveVelocity:
@@ -170,6 +170,43 @@ class TestHeldFixes:
         wma_jump = math.hypot(step.x_wma - prev.x_wma, step.y_wma - prev.y_wma)
         assert ekf_jump <= wma_jump + 1e-9
         assert trajectory.held_steps == 1
+
+
+class TestKeptBands:
+    """After selection the window keeps the selected bands alone; no output moves."""
+
+    @staticmethod
+    def keeping_every_band(monkeypatch, records, config):
+        with monkeypatch.context() as patch:
+            patch.setattr(SweepWindow, "keep_only", lambda self, band_ids: None)
+            return run_pipeline(records, config)
+
+    @pytest.mark.parametrize("window", [3, 10, None])
+    def test_thirteen_transmitters_for_six_bands(self, monkeypatch, window):
+        scenario = route_scenario(seed=4, tx_count=13)
+        records = simulate_run(scenario).sweeps
+        config = matched_config(scenario, sweep_window=window)
+        pipeline = TrackingPipeline(config)
+        for record in records:
+            pipeline.process(record)
+        trajectory = pipeline.finish()
+        assert len(records[0].bands) == 13 and len(trajectory.selected_bands) == 6
+        assert pipeline._window.persistent_band_ids() == sorted(trajectory.selected_bands)
+        # repr compares floats bit for bit, and equal for the nan of held steps
+        assert repr(trajectory.steps) == repr(self.keeping_every_band(monkeypatch, records, config).steps)
+
+    def test_selected_band_leaves_the_window_and_returns(self, monkeypatch):
+        scenario = route_scenario(seed=2, tx_count=13)
+        records = list(simulate_run(scenario).sweeps)
+        config = matched_config(scenario, sweep_window=3)
+        victim = run_pipeline(records[:5], config).selected_bands[0]
+        for k in range(30, 40):
+            records[k] = strip_band(records[k], victim)
+        trajectory = run_pipeline(records, config)
+        missing = [s.index for s in trajectory.steps if "missing_band" in s.flags]
+        assert missing == list(range(32, 40))
+        assert trajectory.steps[40].flags == ()
+        assert repr(trajectory.steps) == repr(self.keeping_every_band(monkeypatch, records, config).steps)
 
 
 class TestFrameRelativity:

@@ -18,7 +18,7 @@ from sweepnav import (
     select_transmit_bands,
 )
 from sweepnav.errors import ConfigError
-from sweepnav.sweeps import format_sweep_lines, parse_sweep_file, parse_sweep_lines, parse_timestamp
+from sweepnav.sweeps import MAX_PLAN_BANDS, format_sweep_lines, parse_sweep_file, parse_sweep_lines, parse_timestamp
 
 
 def parse_all(lines, plan):
@@ -168,6 +168,23 @@ class TestBandPlan:
         with pytest.raises(ConfigError):
             BandPlan.uniform(selection_count=3)
 
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            dict(width_mhz=1e-6),  # ~3.5e9 bands
+            dict(high_mhz=float(MAX_PLAN_BANDS) + 1.0),  # one band over the cap
+            dict(width_mhz=5e-324),  # a count that overflows to inf
+            dict(low_mhz=-math.inf),
+        ],
+    )
+    def test_oversized_uniform_plan_rejected_before_building(self, monkeypatch, bounds):
+        def build(*args, **kwargs):
+            raise AssertionError("plan built")
+
+        monkeypatch.setattr(BandPlan, "__init__", build)
+        with pytest.raises(ConfigError):
+            BandPlan.uniform(**bounds)
+
     def test_band_lookup_edges(self, small_plan):
         assert small_plan.band_for(0.0)[0] == 0
         assert small_plan.band_for(0.999)[0] == 0
@@ -308,8 +325,47 @@ class TestIncrementalWindow:
                 else:
                     # repr compares floats bit for bit (including the sign of zero)
                     assert repr(window.stats(bid)) == repr(band_mean(records, bid))
+                    assert repr(window.mean_dbm(bid)) == repr(window.stats(bid).mean_dbm)
             common = set.intersection(*(set(r.band_ids) for r in records))
             assert window.persistent_band_ids() == sorted(common)
+
+    @pytest.mark.parametrize("length", [1, 3, 10, None])
+    @settings(max_examples=80, deadline=None)
+    @given(sweeps=WINDOW_SWEEPS, cut=st.integers(min_value=0, max_value=30), kept=st.sets(st.integers(0, 5)))
+    def test_kept_bands_match_batch_statistics(self, length, sweeps, cut, kept):
+        """After keep_only, kept bands (leaving and coming back included)
+        equal the batch reference and the others are gone."""
+        window = SweepWindow(length)
+        for k, values in enumerate(sweeps):
+            if k == cut:
+                window.keep_only(sorted(kept))
+            window.push(record(float(k), values))
+            if k < cut:
+                continue
+            records = window.records
+            for bid in range(6):
+                if bid in kept and any(r.rss(bid) is not None for r in records):
+                    assert repr(window.stats(bid)) == repr(band_mean(records, bid))
+                    assert repr(window.mean_dbm(bid)) == repr(window.stats(bid).mean_dbm)
+                else:
+                    with pytest.raises(MissingBandError):
+                        window.mean_dbm(bid)
+            common = set.intersection(*(set(r.band_ids) for r in records)) & kept
+            assert window.persistent_band_ids() == sorted(common)
+
+    def test_kept_band_returns_after_leaving(self):
+        window = SweepWindow(3)
+        window.push(record(0.0, {1: -50.0, 2: -60.0, 3: -70.0}))
+        window.keep_only([1, 2])
+        for k in range(1, 4):
+            window.push(record(float(k), {2: -61.0, 3: -71.0}))
+        with pytest.raises(MissingBandError):
+            window.stats(1)
+        window.push(record(4.0, {1: -52.0, 2: -62.0, 3: -72.0}))
+        assert window.stats(1) == band_mean(window.records, 1)
+        assert window.mean_dbm(1) == -52.0
+        with pytest.raises(MissingBandError):
+            window.stats(3)
 
     def test_empty_window(self):
         window = SweepWindow(None)
