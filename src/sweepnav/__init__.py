@@ -19,8 +19,8 @@ from .errors import (
     SweepNavError,
     SweepParseError,
 )
-from .multilateration import Anchor, AnchorFrame, PositionFix, build_linear_system, fix_position, solve_lsq
-from .pathloss import PathLossParams, free_space_pl0, invert_distance, path_loss, rss_at_distance, rss_to_distance
+from .multilateration import Anchor, AnchorFrame
+from .pathloss import PathLossParams, free_space_pl0, invert_distance, rss_at_distance
 from .pipeline import (
     PipelineConfig,
     TrackingPipeline,
@@ -44,7 +44,7 @@ from .simulator import (
     synth_route,
     synth_sweep,
 )
-from .smoothing import Smoother, SmootherConfig, sma, wma
+from .smoothing import Smoother, SmootherConfig
 from .sweeps import (
     BandPlan,
     BandSample,

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -93,8 +93,6 @@ class TrackStep:
     def covariance(self) -> np.ndarray:
         return _matrix(*self.covariance_terms)
 
-
-Monitor = Callable[[str, np.ndarray], None]
 
 # (x, y, p00, p01, p11): the kernel's state
 Terms = tuple[float, float, float, float, float]
@@ -205,27 +203,17 @@ def update(state: TrackState, z: float, landmark: Landmark, noise: NoiseConfig) 
 class EkfTracker:
     """Stateful wrapper evolving one track step by step.
 
-    ``monitor`` (if given) is called with ("init" | "predict" | "update",
-    covariance copy) after each covariance change; the test harness uses it
-    to audit symmetry, positive semi-definiteness, and trace behavior.
+    ``step`` looks ``_predict`` and ``_update`` up as module globals on each
+    call, so a caller can observe every covariance change by wrapping them.
     """
 
-    def __init__(
-        self,
-        x0: Sequence[float],
-        p0: np.ndarray,
-        noise: NoiseConfig,
-        monitor: Monitor | None = None,
-    ):
+    def __init__(self, x0: Sequence[float], p0: np.ndarray, noise: NoiseConfig):
         x, y = np.asarray(x0, dtype=float).reshape(2)
         covariance = _covariance_terms(np.asarray(p0, dtype=float).reshape(2, 2))
         _require_psd(*covariance)
         self._terms: Terms = (float(x), float(y), *covariance)
         self._q = _upper(noise.q)
         self._r = float(noise.r)
-        self._monitor = monitor
-        if monitor is not None:
-            monitor("init", _matrix(*covariance))
 
     @property
     def state(self) -> TrackState:
@@ -246,9 +234,6 @@ class EkfTracker:
         """
         ux, uy = u
         terms = _predict(self._terms, float(dt), float(ux), float(uy), self._q)
-        monitor = self._monitor
-        if monitor is not None:
-            monitor("predict", _matrix(*terms[2:]))
 
         innovations: list[tuple[int, float]] = []
         flags: list[str] = []
@@ -259,8 +244,6 @@ class EkfTracker:
                 flags.append("skipped_landmark")
                 continue
             innovations.append((landmark.source_index, innovation))
-            if monitor is not None:
-                monitor("update", _matrix(*terms[2:]))
         if measurements and not innovations:
             flags.append("no_update")
 

@@ -16,7 +16,7 @@ values, taken from R in closed form (LAPACK dlas2); the condition estimate
 is sigma_max / sigma_min. The normal equations A^T A x = A^T b would square
 the condition number, and with it the error of the solution.
 
-A depends on the anchors alone, so an AnchorFrame factors it once; each set
+A depends on the anchors alone, so AnchorFrame, the solver, factors it once; each set
 of distances then costs only b, its rotation, the back-substitution and the
 residual (Golub & Van Loan, Matrix Computations, section 5.3).
 """
@@ -26,8 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .errors import DegenerateGeometryError, InsufficientAnchorsError
 
@@ -46,30 +44,6 @@ class Anchor:
     def __post_init__(self):
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError("anchor coordinates must be finite")
-
-
-@dataclass(frozen=True)
-class PositionFix:
-    """A raw least-squares solution with its quality metadata."""
-
-    x: float
-    y: float
-    residual_norm: float
-    condition_estimate: float
-    anchor_count: int
-    timestamp: float
-
-    def __post_init__(self):
-        if self.anchor_count < MIN_ANCHORS:
-            raise ValueError(f"anchor_count must be at least {MIN_ANCHORS}")
-        if self.residual_norm < 0:
-            raise ValueError("residual_norm must be non-negative")
-        if self.condition_estimate < 1:
-            raise ValueError("condition_estimate must be at least 1")
-
-    @property
-    def position(self) -> tuple[float, float]:
-        return (self.x, self.y)
 
 
 def _triangular_singular_values(f: float, g: float, h: float) -> tuple[float, float]:
@@ -174,51 +148,3 @@ class AnchorFrame:
         """(x, y, residual_norm, condition_estimate) for one set of distances."""
         return self.qr.solve(self.rhs(distances))
 
-
-def build_linear_system(
-    anchors: Sequence[Anchor], distances: Sequence[float]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Linearize the circle-intersection system against the first anchor."""
-    frame = AnchorFrame(anchors)
-    b = frame.rhs(distances)
-    return np.array(frame.qr.rows, dtype=float).reshape(len(b), 2), np.array(b, dtype=float)
-
-
-def solve_lsq(
-    a: np.ndarray, b: np.ndarray, condition_cap: float = DEFAULT_CONDITION_CAP
-) -> tuple[np.ndarray, float, float]:
-    """Least-squares solution of A x = b with quality estimates.
-
-    Returns (position, residual_norm, condition_estimate). Raises
-    DegenerateGeometryError when A is rank deficient or its condition
-    number exceeds ``condition_cap``.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 2 or a.shape[1] != 2 or a.shape[0] < 2:
-        raise ValueError("A must have shape (m, 2) with m >= 2")
-    if b.shape != (a.shape[0],):
-        raise ValueError("b length must match the rows of A")
-    if not np.isfinite(a).all():
-        raise ValueError("A must be finite")
-    qr = _GivensQR(list(zip(a[:, 0].tolist(), a[:, 1].tolist())), condition_cap)
-    x, y, residual_norm, condition = qr.solve(b.tolist())
-    return np.array([x, y]), residual_norm, condition
-
-
-def fix_position(
-    anchors: Sequence[Anchor],
-    distances: Sequence[float],
-    timestamp: float,
-    condition_cap: float = DEFAULT_CONDITION_CAP,
-) -> PositionFix:
-    """Range-based position fix from at least four anchors."""
-    x, y, residual_norm, condition = AnchorFrame(anchors, condition_cap).solve(distances)
-    return PositionFix(
-        x=x,
-        y=y,
-        residual_norm=residual_norm,
-        condition_estimate=condition,
-        anchor_count=len(anchors),
-        timestamp=timestamp,
-    )

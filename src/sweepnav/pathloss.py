@@ -4,7 +4,8 @@ Received power is mapped to a transmitter distance through the standard
 log-distance model with a free-space reference at one meter. The forward
 direction (distance to expected RSS) lives here too so the simulator and
 the inverter share one set of constants. The pipeline computes each
-selected band's reference loss once, then inverts per sweep.
+selected band's reference loss once, then inverts per sweep:
+``invert_distance(tx_power_dbm - rss_dbm, free_space_pl0(fc_mhz, d0), params)``.
 """
 
 from __future__ import annotations
@@ -55,13 +56,6 @@ def free_space_pl0(fc_mhz: float, ref_distance_m: float = 1.0) -> float:
     return 20.0 * math.log10(ref_distance_m) + 20.0 * math.log10(fc_mhz) - 27.55
 
 
-def path_loss(prx_dbm: float, params: PathLossParams) -> float:
-    """Total path loss as transmit power minus received power."""
-    if not math.isfinite(prx_dbm):
-        raise ValueError("received power must be finite")
-    return params.tx_power_dbm - prx_dbm
-
-
 def invert_distance(pl_db: float, pl0_db: float, params: PathLossParams) -> float:
     """Distance whose modeled loss equals ``pl_db``.
 
@@ -70,12 +64,6 @@ def invert_distance(pl_db: float, pl0_db: float, params: PathLossParams) -> floa
     OverflowError when the distance is beyond the float range.
     """
     return params.ref_distance_m * 10.0 ** ((pl_db - pl0_db) / (10.0 * params.exponent))
-
-
-def rss_to_distance(rss_dbm: float, fc_mhz: float, params: PathLossParams) -> float:
-    """Estimated transmitter distance for a mean received power."""
-    pl0 = free_space_pl0(fc_mhz, params.ref_distance_m)
-    return invert_distance(path_loss(rss_dbm, params), pl0, params)
 
 
 def rss_at_distance(

@@ -263,7 +263,7 @@ class TrackingPipeline:
         params = self._cfg.pathloss
         tx, mean_dbm = params.tx_power_dbm, self._window.mean_dbm
         try:
-            # tx - mean is path_loss's expression; the window's means are finite
+            # the path loss is tx - mean; the window's means are finite
             distances = [
                 invert_distance(tx - mean_dbm(band_id), pl0, params)
                 for band_id, pl0 in zip(self._selected, self._pl0)

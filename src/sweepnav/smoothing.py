@@ -1,7 +1,7 @@
 """Moving-average smoothing of position fixes.
 
-``wma``, ``sma`` and ``Smoother`` share one float kernel that sums left to
-right in plain loops (``sum()`` compensates from Python 3.12 on).
+``Smoother`` is the one smoother: its float kernel sums left to right in
+plain loops (``sum()`` compensates from Python 3.12 on).
 """
 
 from __future__ import annotations
@@ -10,8 +10,6 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .errors import ConfigError
 
@@ -52,8 +50,8 @@ class SmootherConfig:
 
 
 def _normalized(weights: Sequence[float]) -> tuple[float, ...]:
-    # Dividing by the first weight sends any equal-weight call down the
-    # exact float path of sma().
+    # Dividing by the first weight sends any equal weights down the exact
+    # float path of an sma window.
     return tuple(w / weights[0] for w in weights)
 
 
@@ -69,30 +67,6 @@ def _weighted_mean(points: Iterable[Point], weights: Sequence[float]) -> Point:
         lo_x, hi_x = min(lo_x, x), max(hi_x, x)
         lo_y, hi_y = min(lo_y, y), max(hi_y, y)
     return min(max(sx / total, lo_x), hi_x), min(max(sy / total, lo_y), hi_y)
-
-
-def wma(points: Sequence[Point], weights: Sequence[float]) -> Point:
-    """Weighted mean of positions; weights align with points, oldest first.
-
-    The result is clamped to the per-axis range of the window, which also
-    guards against rounding spilling a hair outside it.
-    """
-    if len(points) == 0:
-        raise ValueError("window must be non-empty")
-    if len(points) != len(weights):
-        raise ValueError(f"{len(points)} points but {len(weights)} weights")
-    pts = np.asarray(points, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError("points must be (x, y) pairs")
-    if np.any(w <= 0) or not np.all(np.isfinite(w)):
-        raise ValueError("weights must be positive and finite")
-    return _weighted_mean(pts.tolist(), _normalized(w.tolist()))
-
-
-def sma(points: Sequence[Point]) -> Point:
-    """Unweighted mean of positions."""
-    return wma(points, [1.0] * len(points))
 
 
 class Smoother:

@@ -28,6 +28,10 @@ _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _MIN_FIELDS = 7
 # Largest uniform plan: hackrf_sweep's finest bins over 6 GHz come to ~2.5e6
 MAX_PLAN_BANDS = 1_000_000
+# Largest |dB| a sweep cell may hold. Received power lies within about
+# -150..+30 dB; a cell outside this bound (or not finite) is corrupt input,
+# not a weak or strong signal. It also keeps every band mean finite.
+MAX_ABS_DB = 200.0
 
 
 class BandSample(NamedTuple):
@@ -38,7 +42,7 @@ class BandSample(NamedTuple):
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """One full pass over the monitored spectrum.
+    """One full pass over the swept spectrum.
 
     ``timestamp`` is UTC epoch seconds at microsecond granularity; ``bands``
     holds per-band received power sorted by band id.
@@ -94,7 +98,7 @@ class BandStats(NamedTuple):
 
 @dataclass(frozen=True)
 class BandPlan:
-    """Partition of the monitored spectrum into non-overlapping bands.
+    """Partition of the swept spectrum into non-overlapping bands.
 
     ``selection_count`` is the number of transmitter bands picked for
     multilateration; at least four are required.
@@ -210,25 +214,21 @@ def parse_sweep_lines(lines: Iterable[str], plan: BandPlan) -> Iterator[SweepRec
     """Yield one SweepRecord per group of rows sharing a timestamp.
 
     Raises SweepParseError (with the offending line number) on malformed
-    rows, on a sweep whose timestamp is not later than the previous
-    sweep's, and on a band mean that overflows (naming the sweep's first
-    line). An empty input yields nothing.
+    rows, on a dB value beyond +-MAX_ABS_DB, and on a sweep whose timestamp
+    is not later than the previous sweep's. An empty input yields nothing.
     """
-    bands, by_id, band_for, isfinite = plan.bands, plan._by_id, plan.band_for, math.isfinite
+    bands, by_id, band_for, limit = plan.bands, plan._by_id, plan.band_for, MAX_ABS_DB
     # a bin's band index on a uniform plan; checked against the band's edges below
     low_mhz, band_count = bands[0][1], len(bands)
     bands_per_mhz = band_count / (bands[-1][2] - low_mhz)
     pending_key: tuple[str, str] | None = None
     pending_ts = 0.0
-    pending_line = 0
     pending_bins: dict[int, list[float]] = {}
 
     def finish() -> SweepRecord:
         samples, rss_by_id = [], {}
         for band_id, values in sorted(pending_bins.items()):
             rss_by_id[band_id] = rss = _ordered_sum(values) / len(values)
-            if not isfinite(rss):
-                raise SweepParseError(pending_line, f"band {band_id}: mean dB value overflows")
             _, low, high = by_id[band_id]  # centre as center_mhz computes it
             samples.append(BandSample(band_id, (low + high) / 2.0, rss))
         return SweepRecord._unchecked(pending_ts, tuple(samples), rss_by_id)
@@ -253,8 +253,8 @@ def parse_sweep_lines(lines: Iterable[str], plan: BandPlan) -> Iterator[SweepRec
         if hz_width <= 0 or hz_high <= hz_low:
             raise SweepParseError(line_no, "invalid frequency slice bounds")
         for rss in rss_values:
-            if not isfinite(rss):
-                raise SweepParseError(line_no, "non-finite dB value")
+            if not -limit <= rss <= limit:  # NaN fails too
+                raise SweepParseError(line_no, f"dB value {rss!r} outside [-{limit:g}, {limit:g}]")
 
         # rows of one sweep share the timestamp text, so it is parsed once per sweep
         key = (parts[0].strip(), parts[1].strip())
@@ -270,7 +270,6 @@ def parse_sweep_lines(lines: Iterable[str], plan: BandPlan) -> Iterator[SweepRec
                 pending_bins = {}
             pending_key = key
             pending_ts = timestamp
-            pending_line = line_no
 
         for i, rss in enumerate(rss_values):
             center_mhz = (hz_low + hz_width * i + hz_width / 2.0) / 1e6
@@ -401,8 +400,9 @@ class SweepWindow:
 
     ``length`` of None keeps every sweep (growing window). Per-band state is
     updated as sweeps are pushed and evicted: a bounded window keeps each
-    band's values in arrival order, a growing one a running sum, count,
-    minimum and maximum. Per sweep, ``push`` costs O(K) in the sweep's band
+    band's values in arrival order (and its last ``length`` records, to
+    evict), a growing one a running sum, count, minimum and maximum and no
+    record at all. Per sweep, ``push`` costs O(K) in the sweep's band
     count; ``stats`` costs O(1) for a growing window and O(length) for a
     bounded one; ``persistent_band_ids`` costs O(B) in the bands seen in the
     window. None of them depends on how many sweeps a growing window holds.
@@ -413,7 +413,8 @@ class SweepWindow:
         if length is not None and length < 1:
             raise ValueError("window length must be positive or None")
         self._length = length
-        self._records: deque[SweepRecord] = deque()
+        self._count = 0  # sweeps in the window
+        self._records: deque[SweepRecord] = deque()  # bounded only: the held sweeps
         # band id -> deque of values (bounded) or [sum, count, min, max] (growing);
         # either way a band's sample count is the number of sweeps holding it
         self._bands: dict[int, deque[float] | list] = {}
@@ -443,6 +444,7 @@ class SweepWindow:
                     acc[2] = rss
                 elif rss > acc[3]:
                     acc[3] = rss
+            self._count += 1
         else:
             if len(self._records) == self._length:
                 for band_id in self._held(self._records.popleft()._rss_by_id):
@@ -457,25 +459,22 @@ class SweepWindow:
                     bands[band_id] = deque((rss,))
                 else:
                     values.append(rss)
-        self._records.append(record)
+            self._records.append(record)
+            self._count = len(self._records)
 
     def __len__(self) -> int:
-        return len(self._records)
-
-    @property
-    def records(self) -> tuple[SweepRecord, ...]:
-        return tuple(self._records)
+        return self._count
 
     def _band_totals(self, band_id: int) -> Sequence:
-        if not self._records:
+        if not self._count:
             raise ValueError("window must be non-empty")
         entry = self._bands.get(band_id)
         if entry is None:
-            raise _missing_band(band_id, len(self._records))
+            raise _missing_band(band_id, self._count)
         return entry if self._length is None else _totals(entry)
 
     def stats(self, band_id: int) -> BandStats:
-        """Equal to ``band_mean(self.records, band_id)``, without the rescan."""
+        """Equal to ``band_mean`` over the window's sweeps, without the rescan."""
         return _band_stats(band_id, *self._band_totals(band_id))
 
     def mean_dbm(self, band_id: int) -> float:
@@ -484,7 +483,7 @@ class SweepWindow:
 
     def persistent_band_ids(self) -> list[int]:
         """Bands present in every sweep of the window."""
-        held = len(self._records)
+        held = self._count
         if self._length is None:
             return sorted(band_id for band_id, acc in self._bands.items() if acc[1] == held)
         return sorted(band_id for band_id, values in self._bands.items() if len(values) == held)

@@ -3,7 +3,6 @@ one PASS/FAIL line. The statistical desk-scale benchmark is fully seeded, so
 each criterion is deterministic.
 """
 
-import functools
 import math
 import time
 from contextlib import contextmanager
@@ -12,23 +11,24 @@ import numpy as np
 
 from sweepnav import (
     Anchor,
+    AnchorFrame,
     EkfTracker,
     NoiseConfig,
+    Smoother,
+    SmootherConfig,
     TrackingPipeline,
-    fix_position,
+    ekf,
     matched_config,
     route_scenario,
     run_pipeline,
     score_run,
     segment_error_report,
     simulate_run,
-    sma,
     static_scenario,
-    wma,
 )
 from sweepnav.artifacts import write_trajectory_csv
 from sweepnav.ekf import Landmark, TrackState, min_eig_2x2, range_jacobian, range_measurement
-from sweepnav.pathloss import PathLossParams, rss_at_distance, rss_to_distance
+from sweepnav.pathloss import PathLossParams, free_space_pl0, invert_distance, rss_at_distance
 from sweepnav.pipeline import DEFAULT_ANCHOR_BBOX, assign_anchor_frame
 from sweepnav.simulator import spread
 from sweepnav.sweeps import write_sweep_csv
@@ -57,7 +57,30 @@ def benchmark_run(seed):
     return scenario, run
 
 
-def random_walk_tracks(make_tracker):
+def monitor_kernels(monkeypatch, sink):
+    """Call ``sink(phase, covariance)`` after each filter kernel call.
+
+    Wraps ``sweepnav.ekf._predict`` and ``_update``, which ``EkfTracker.step``
+    looks up on every call; ``phase`` is "predict" or "update". An update
+    that raises (a skipped landmark) reports nothing.
+    """
+    predict, update = ekf._predict, ekf._update
+
+    def watched_predict(*args):
+        terms = predict(*args)
+        sink("predict", ekf._matrix(*terms[2:]))
+        return terms
+
+    def watched_update(*args):
+        terms, innovation = update(*args)
+        sink("update", ekf._matrix(*terms[2:]))
+        return terms, innovation
+
+    monkeypatch.setattr(ekf, "_predict", watched_predict)
+    monkeypatch.setattr(ekf, "_update", watched_update)
+
+
+def random_walk_tracks(make_tracker=EkfTracker):
     """Criterion 5's random walks, each tracked against six fixed anchor landmarks.
 
     Twenty 40-step walks of 3 m steps. ``make_tracker`` is called like
@@ -93,8 +116,8 @@ def test_criterion_1_multilateration_exactness():
                 continue
             anchors = [Anchor(i + 1, float(x), float(y)) for i, (x, y) in enumerate(coords)]
             distances = [float(np.hypot(x - point[0], y - point[1])) for x, y in coords]
-            fix = fix_position(anchors, distances, timestamp=0.0)
-            worst = max(worst, math.hypot(fix.x - point[0], fix.y - point[1]))
+            x, y, _, _ = AnchorFrame(anchors).solve(distances)
+            worst = max(worst, math.hypot(x - point[0], y - point[1]))
             solved += 1
         elapsed = time.monotonic() - started
         assert worst < 1e-6, f"worst fix error {worst:.3e} m"
@@ -105,9 +128,10 @@ def test_criterion_2_pathloss_round_trip():
     with criterion("2 path-loss round trip"):
         for exponent in (2.7, 2.8, 3.5):
             params = PathLossParams(exponent=exponent, tx_power_dbm=43.0, shadowing_sigma_db=0.0)
+            pl0 = free_space_pl0(900.5, params.ref_distance_m)
             for d in np.logspace(0.0, 5.0, 41):
                 rss = rss_at_distance(float(d), 900.5, params)
-                recovered = rss_to_distance(rss, 900.5, params)
+                recovered = invert_distance(params.tx_power_dbm - rss, pl0, params)
                 assert abs(recovered - d) / d < 1e-9
 
 
@@ -158,7 +182,7 @@ def test_criterion_4_benchmark_route_statistics(monkeypatch):
     with criterion("4 benchmark route statistics"):
         started = time.monotonic()
         audit = CovarianceAudit()
-        monkeypatch.setattr("sweepnav.pipeline.EkfTracker", functools.partial(EkfTracker, monitor=audit))
+        monitor_kernels(monkeypatch, audit)
         wma_err, ekf_err = [], []
         for seed in BENCH_SEEDS:
             scenario, run = benchmark_run(seed)
@@ -181,21 +205,21 @@ def test_criterion_4_benchmark_route_statistics(monkeypatch):
         assert pooled_wma <= 20.0, f"pooled WMA median {pooled_wma:.2f}%"
         assert improved >= 3, f"EKF improves only {improved} of 4 segments"
         assert elapsed < 60.0, f"took {elapsed:.1f} s"
+        assert audit.update_events == 61_800
         audit.assert_clean()
 
 
 def test_criterion_5_ekf_invariant_suite(monkeypatch):
     with criterion("5 EKF invariant suite"):
         audit = CovarianceAudit()
-        audited = functools.partial(EkfTracker, monitor=audit)
-        monkeypatch.setattr("sweepnav.pipeline.EkfTracker", audited)
+        monitor_kernels(monkeypatch, audit)
 
         for seed in range(5):
             scenario, run = benchmark_run(seed)
             run_pipeline(run.sweeps, matched_config(scenario, noise=BENCH_NOISE))
-        random_walk_tracks(audited)
+        random_walk_tracks()
 
-        assert audit.update_events > 1000
+        assert audit.update_events == 10_860
         audit.assert_clean()
 
         rng = np.random.default_rng(7)
@@ -226,14 +250,22 @@ def test_criterion_6_moving_average_contracts():
             n = int(rng.integers(1, 13))
             points = [tuple(p) for p in rng.uniform(-1e3, 1e3, (n, 2))]
             scale = float(rng.uniform(0.1, 10.0))
-            assert wma(points, [scale] * n) == sma(points)
+            assert smoothed(points, "wma", [scale] * n) == smoothed(points, "sma")
 
             weights = rng.uniform(0.05, 5.0, n)
-            x, y = wma(points, weights)
+            x, y = smoothed(points, "wma", weights)
             xs = [p[0] for p in points]
             ys = [p[1] for p in points]
             assert min(xs) <= x <= max(xs)
             assert min(ys) <= y <= max(ys)
+
+
+def smoothed(points, kind="wma", weights=None):
+    """The last output of a Smoother whose window holds exactly ``points``."""
+    smoother = Smoother(SmootherConfig(kind=kind, window=len(points), weights=weights))
+    for point in points:
+        out = smoother.push(point)
+    return out
 
 
 def test_criterion_7_convergence_with_window():

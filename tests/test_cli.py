@@ -184,23 +184,17 @@ class TestRun:
         assert result.exit_code == 2, result.output
         assert "line 2" in result.output
 
-    def test_overflowing_range_holds_the_fix(self, runner, sweeps_csv, tmp_path):
-        # one -1e300 dB cell in sweep 12: its band's window mean ranges to
-        # past the float limit until the cell leaves the 10-sweep window
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-1e300", "-5000"])
+    def test_out_of_range_db_cell_is_exit_2(self, runner, sweeps_csv, tmp_path, cell):
         lines = sweeps_csv.read_text(encoding="ascii").splitlines()
         fields = lines[12 * 6].split(", ")
-        lines[12 * 6] = ", ".join(fields[:-1] + ["-1e300"])
+        lines[12 * 6] = ", ".join(fields[:-1] + [cell])
         hostile = tmp_path / "hostile.csv"
         hostile.write_text("\n".join(lines) + "\n", encoding="ascii")
         result = runner.invoke(main, ["run", str(hostile), "--out", str(tmp_path / "o")])
-        assert result.exit_code == 0, (result.output, result.exception)
-        rows = read_rows(tmp_path / "o" / "trajectory.csv")[1:]
-        assert [int(row[0]) for row in rows] == list(range(21))
-        assert all(row[9] == "" for row in rows[:12])
-        for row in rows[12:]:
-            assert row[9].split(";")[:2] == ["held", "range_overflow"]
-            assert row[2:4] == rows[11][2:4] and row[8] == "nan"
-        assert "held_steps: 9" in (tmp_path / "o" / "summary.txt").read_text()
+        assert result.exit_code == 2, (result.output, result.exception)
+        assert "line 73" in result.output and "outside [-200, 200]" in result.output
+        assert not (tmp_path / "o" / "trajectory.csv").exists()
 
     def test_oversized_plan_is_exit_3(self, runner, sweeps_csv, tmp_path):
         config = tmp_path / "fine.cfg"

@@ -42,24 +42,20 @@ lsq.condition_cap = 1e7
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-def readme_config_values():
-    """The README's pipeline-config block, each line's trailing comment dropped."""
+def readme_config_file(tmp_path):
+    """The README's pipeline-config block, written out as it stands."""
     text = README.read_text(encoding="utf-8")
     block = text.split("Pipeline config keys", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
-    values = {}
-    for line in block.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if line:
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
-    return values
+    path = tmp_path / "readme.cfg"
+    path.write_text(block, encoding="utf-8")
+    return path
 
 
 class TestPipelineConfigFile:
-    def test_readme_block_is_the_default_config(self):
-        values = readme_config_values()
-        assert set(values) == set(CONFIG_FIELDS)
-        assert config_from_values(values) == default_config()
+    def test_readme_block_is_the_default_config(self, tmp_path):
+        path = readme_config_file(tmp_path)
+        assert set(parse_kv_file(path)) == set(CONFIG_FIELDS)
+        assert load_config(path) == default_config()
 
     def test_defaults(self):
         config = default_config()

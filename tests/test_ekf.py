@@ -19,7 +19,7 @@ from sweepnav import (
 )
 from sweepnav import pipeline
 from sweepnav.ekf import min_eig_2x2
-from test_acceptance import BENCH_NOISE, CovarianceAudit, benchmark_run, random_walk_tracks
+from test_acceptance import BENCH_NOISE, CovarianceAudit, benchmark_run, monitor_kernels, random_walk_tracks
 
 
 def state(x, y, p):
@@ -153,17 +153,14 @@ class TestUpdate:
 
 
 class TestTracker:
-    def test_monitor_sees_every_phase(self):
+    def test_monitor_sees_every_phase(self, monkeypatch):
         events = []
-        tracker = EkfTracker(
-            x0=(0.0, 0.0),
-            p0=np.eye(2) * 10.0,
-            noise=NoiseConfig(),
-            monitor=lambda phase, cov: events.append(phase),
-        )
+        monitor_kernels(monkeypatch, lambda phase, cov: events.append(phase))
+        tracker = EkfTracker(x0=(0.0, 0.0), p0=np.eye(2) * 10.0, noise=NoiseConfig())
         lm = Landmark(10.0, 0.0, 0)
-        tracker.step(1.0, (1.0, 0.0), [(lm, 9.0)])
-        assert events == ["init", "predict", "update"]
+        tracker.step(1.0, (1.0, 0.0), [(lm, 9.0), (Landmark(1.0, 0.0, 1), 0.0), (lm, 9.0)])
+        # the second landmark coincides with the prediction and is skipped
+        assert events == ["predict", "update", "update"]
 
     def test_skipped_landmark_flag(self):
         tracker = EkfTracker(x0=(0.0, 0.0), p0=np.eye(2), noise=NoiseConfig())
@@ -239,18 +236,17 @@ def reference_update(state, z, landmark, noise):
 
 
 class ReferenceTracker:
-    """EkfTracker's step logic over the reference equations."""
+    """EkfTracker's step logic over the reference equations; ``sink`` gets
+    the events ``monitor_kernels`` reports for the real tracker."""
 
-    def __init__(self, x0, p0, noise, monitor=None):
+    def __init__(self, x0, p0, noise, sink=None):
         self.state = TrackState(position=x0, covariance=p0)
-        self.noise, self.monitor = noise, monitor
-        if monitor is not None:
-            monitor("init", self.state.covariance.copy())
+        self.noise, self.sink = noise, sink
 
     def step(self, dt, u, measurements, timestamp=0.0):
         state = reference_predict(self.state, dt, u, self.noise)
-        if self.monitor is not None:
-            self.monitor("predict", state.covariance.copy())
+        if self.sink is not None:
+            self.sink("predict", state.covariance.copy())
         innovations, flags = [], []
         for landmark, z in measurements:
             try:
@@ -260,8 +256,8 @@ class ReferenceTracker:
                 flags.append("skipped_landmark")
                 continue
             innovations.append((landmark.source_index, z - predicted))
-            if self.monitor is not None:
-                self.monitor("update", state.covariance.copy())
+            if self.sink is not None:
+                self.sink("update", state.covariance.copy())
         if measurements and not innovations:
             flags.append("no_update")
         self.state = state
@@ -351,17 +347,12 @@ class TestKernelAgainstReference:
 
 
 class TwinTracker:
-    """Steps the real tracker and the reference side by side, recording both monitors."""
+    """Steps the real tracker and the reference side by side."""
 
-    def __init__(self, x0, p0, noise, monitor=None, *, registry):
-        self.events, self.ref_events = [], []
-        self.real = EkfTracker(x0, p0, noise, monitor=self._recorder(self.events))
-        self.ref = ReferenceTracker(x0, p0, noise, monitor=self._recorder(self.ref_events))
+    def __init__(self, x0, p0, noise, *, registry, ref_sink):
+        self.real = EkfTracker(x0, p0, noise)
+        self.ref = ReferenceTracker(x0, p0, noise, ref_sink)
         registry.append(self)
-
-    @staticmethod
-    def _recorder(events):
-        return lambda phase, cov: events.append((phase, cov))
 
     @property
     def state(self):
@@ -374,8 +365,9 @@ class TwinTracker:
 
 def test_covariance_audit_sees_reference_events(monkeypatch):
     """On criterion 5's inputs the audit gets the matrix form's event sequence."""
-    twins = []
-    make_twin = functools.partial(TwinTracker, registry=twins)
+    twins, events, ref_events = [], [], []
+    monitor_kernels(monkeypatch, lambda phase, cov: events.append((phase, cov)))
+    make_twin = functools.partial(TwinTracker, registry=twins, ref_sink=lambda phase, cov: ref_events.append((phase, cov)))
     monkeypatch.setattr(pipeline, "EkfTracker", make_twin)
     for seed in range(5):
         scenario, run = benchmark_run(seed)
@@ -384,11 +376,11 @@ def test_covariance_audit_sees_reference_events(monkeypatch):
 
     audit, ref_audit = CovarianceAudit(), CovarianceAudit()
     assert len(twins) == 25
-    for twin in twins:
-        assert [phase for phase, _ in twin.events] == [phase for phase, _ in twin.ref_events]
-        for (phase, cov), (_, ref_cov) in zip(twin.events, twin.ref_events):
-            assert_close(cov, ref_cov)
-            audit(phase, cov)
-            ref_audit(phase, ref_cov)
-    assert audit.update_events == ref_audit.update_events > 1000
+    # the twins step one after another, so the two streams align event by event
+    assert [phase for phase, _ in events] == [phase for phase, _ in ref_events]
+    for (phase, cov), (_, ref_cov) in zip(events, ref_events):
+        assert_close(cov, ref_cov)
+        audit(phase, cov)
+        ref_audit(phase, ref_cov)
+    assert audit.update_events == ref_audit.update_events == 10_860
     audit.assert_clean()

@@ -3,15 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from sweepnav import (
-    Anchor,
-    DegenerateGeometryError,
-    InsufficientAnchorsError,
-    build_linear_system,
-    fix_position,
-    solve_lsq,
-)
-from sweepnav.multilateration import AnchorFrame, _triangular_singular_values
+from sweepnav import Anchor, AnchorFrame, DegenerateGeometryError, InsufficientAnchorsError
+from sweepnav.multilateration import DEFAULT_CONDITION_CAP, _triangular_singular_values
 
 
 def svd_reference(a, b):
@@ -92,76 +85,77 @@ def ranges_from(anchors, point):
     return [math.hypot(a.x - point[0], a.y - point[1]) for a in anchors]
 
 
+def frame_of_rows(a, condition_cap=DEFAULT_CONDITION_CAP):
+    """The AnchorFrame whose linearised rows are exactly ``a``: the first
+    anchor at the origin, anchor j + 1 at -a_j / 2. Its ``qr`` then solves
+    A x = b for any b."""
+    anchors = [Anchor(0, 0.0, 0.0)] + [Anchor(j, -a0 / 2, -a1 / 2) for j, (a0, a1) in enumerate(a, 1)]
+    return AnchorFrame(anchors, condition_cap)
+
+
 class TestBuildLinearSystem:
     def test_hand_expanded_square(self):
-        a, b = build_linear_system(square_anchors(), [math.sqrt(50)] * 4)
-        np.testing.assert_array_equal(a, [[-20.0, 0.0], [0.0, -20.0], [-20.0, -20.0]])
-        np.testing.assert_allclose(b, [-100.0, -100.0, -200.0], atol=1e-12)
+        frame = AnchorFrame(square_anchors())
+        assert frame.qr.rows == ((-20.0, 0.0), (0.0, -20.0), (-20.0, -20.0))
+        np.testing.assert_allclose(frame.rhs([math.sqrt(50)] * 4), [-100.0, -100.0, -200.0], atol=1e-12)
 
     def test_translation_moves_solution_consistently(self):
-        rng = np.random.default_rng(4)
         anchors = square_anchors()
         point = (3.0, 7.0)
         shift = (123.5, -42.25)
         moved = [Anchor(a.band_id, a.x + shift[0], a.y + shift[1]) for a in anchors]
         distances = ranges_from(anchors, point)
 
-        a1, b1 = build_linear_system(anchors, distances)
-        a2, b2 = build_linear_system(moved, distances)
-        np.testing.assert_array_equal(a1, a2)
-        x1, _, _ = solve_lsq(a1, b1)
-        x2, _, _ = solve_lsq(a2, b2)
-        np.testing.assert_allclose(x2, x1 + np.asarray(shift), atol=1e-9)
+        frame, moved_frame = AnchorFrame(anchors), AnchorFrame(moved)
+        assert frame.qr.rows == moved_frame.qr.rows
+        x1, y1, _, _ = frame.solve(distances)
+        x2, y2, _, _ = moved_frame.solve(distances)
+        np.testing.assert_allclose([x2, y2], [x1 + shift[0], y1 + shift[1]], atol=1e-9)
 
     def test_coincident_anchor_gives_zero_row(self):
         anchors = [Anchor(1, 5.0, 5.0), Anchor(2, 5.0, 5.0), Anchor(3, 0.0, 10.0), Anchor(4, 10.0, 0.0)]
-        a, _ = build_linear_system(anchors, [1.0, 1.0, 8.0, 8.0])
-        np.testing.assert_array_equal(a[0], [0.0, 0.0])
+        assert AnchorFrame(anchors).qr.rows[0] == (0.0, 0.0)
 
     def test_too_few_anchors(self):
         with pytest.raises(InsufficientAnchorsError):
-            build_linear_system(square_anchors()[:3], [1.0, 1.0, 1.0])
+            AnchorFrame(square_anchors()[:3])
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
-            build_linear_system(square_anchors(), [1.0, 2.0, 3.0])
+            AnchorFrame(square_anchors()).solve([1.0, 2.0, 3.0])
 
     def test_negative_distance_rejected(self):
         with pytest.raises(ValueError):
-            build_linear_system(square_anchors(), [1.0, 2.0, 3.0, -0.5])
+            AnchorFrame(square_anchors()).solve([1.0, 2.0, 3.0, -0.5])
 
     def test_duplicate_ids_rejected(self):
         anchors = square_anchors()
         anchors[3] = Anchor(1, 10.0, 10.0)
         with pytest.raises(ValueError):
-            build_linear_system(anchors, [1.0] * 4)
+            AnchorFrame(anchors)
 
 
 class TestSolveLsq:
     def test_exact_square_solution(self):
-        a = np.array([[-20.0, 0.0], [0.0, -20.0], [-20.0, -20.0]])
-        b = np.array([-100.0, -100.0, -200.0])
-        position, residual, condition = solve_lsq(a, b)
-        np.testing.assert_allclose(position, [5.0, 5.0], atol=1e-12)
+        x, y, residual, condition = AnchorFrame(square_anchors()).solve([math.sqrt(50)] * 4)
+        np.testing.assert_allclose([x, y], [5.0, 5.0], atol=1e-12)
         assert residual == pytest.approx(0.0, abs=1e-10)
         assert condition >= 1.0
 
     def test_zero_rhs(self):
-        a = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        position, residual, _ = solve_lsq(a, np.zeros(3))
-        np.testing.assert_array_equal(position, [0.0, 0.0])
+        x, y, residual, _ = frame_of_rows([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]).qr.solve([0.0] * 3)
+        assert [x, y] == [0.0, 0.0]
         assert residual == 0.0
 
     def test_collinear_anchors_raise(self):
         anchors = [Anchor(i, float(i * 10), 0.0) for i in range(1, 5)]
-        a, b = build_linear_system(anchors, [5.0, 6.0, 7.0, 8.0])
         with pytest.raises(DegenerateGeometryError):
-            solve_lsq(a, b)
+            AnchorFrame(anchors).solve([5.0, 6.0, 7.0, 8.0])
 
     def test_condition_cap(self):
-        a = np.array([[1.0, 0.0], [0.0, 1e-9], [1.0, 1e-9]])
+        frame = frame_of_rows([[1.0, 0.0], [0.0, 1e-9], [1.0, 1e-9]], condition_cap=1e6)
         with pytest.raises(DegenerateGeometryError):
-            solve_lsq(a, np.zeros(3), condition_cap=1e6)
+            frame.qr.solve([0.0] * 3)
 
     def test_normal_equations_residual_contract(self):
         rng = np.random.default_rng(8)
@@ -169,10 +163,10 @@ class TestSolveLsq:
             a = rng.normal(size=(rng.integers(3, 8), 2)) * 100
             b = rng.normal(size=a.shape[0]) * 100
             try:
-                position, _, _ = solve_lsq(a, b)
+                x, y, _, _ = frame_of_rows(a.tolist()).qr.solve(b.tolist())
             except DegenerateGeometryError:
                 continue
-            lhs = np.linalg.norm(a.T @ (a @ position - b))
+            lhs = np.linalg.norm(a.T @ (a @ [x, y] - b))
             rhs = np.linalg.norm(a.T @ b)
             assert lhs <= 1e-6 * max(rhs, 1e-30)
 
@@ -183,13 +177,11 @@ class TestFixPosition:
         for _ in range(50):
             anchors = [Anchor(i, *rng.uniform(-500, 500, 2)) for i in range(1, 6)]
             point = rng.uniform(-500, 500, 2)
-            a, _ = build_linear_system(anchors, ranges_from(anchors, point))
-            if np.linalg.cond(a) > 1e6:
+            frame = AnchorFrame(anchors)
+            if np.linalg.cond(np.array(frame.qr.rows)) > 1e6:
                 continue
-            fix = fix_position(anchors, ranges_from(anchors, point), timestamp=1.5)
-            assert math.hypot(fix.x - point[0], fix.y - point[1]) < 1e-6
-            assert fix.anchor_count == 5
-            assert fix.timestamp == 1.5
+            x, y, _, _ = frame.solve(ranges_from(anchors, point))
+            assert math.hypot(x - point[0], y - point[1]) < 1e-6
 
     def test_inflated_range_beats_brute_force_grid(self):
         # independent oracle: evaluate the least-squares objective on a 1 m
@@ -208,9 +200,9 @@ class TestFixPosition:
         a_oracle = np.array(rows)
         b_oracle = np.array(rhs)
 
-        fix = fix_position([Anchor(i, *p) for i, p in enumerate(anchors, 1)], distances, 0.0)
-        assert fix.residual_norm > 0.0
-        assert math.hypot(fix.x - point[0], fix.y - point[1]) > 1e-6
+        x, y, residual, _ = AnchorFrame([Anchor(i, *p) for i, p in enumerate(anchors, 1)]).solve(distances)
+        assert residual > 0.0
+        assert math.hypot(x - point[0], y - point[1]) > 1e-6
 
         gx, gy = np.meshgrid(
             np.arange(point[0] - 50.0, point[0] + 50.0 + 1e-9, 1.0),
@@ -218,13 +210,12 @@ class TestFixPosition:
         )
         lattice = np.stack([gx.ravel(), gy.ravel()], axis=1)
         objective = np.sum((lattice @ a_oracle.T - b_oracle) ** 2, axis=1)
-        fix_objective = np.sum((a_oracle @ np.array([fix.x, fix.y]) - b_oracle) ** 2)
+        fix_objective = np.sum((a_oracle @ np.array([x, y]) - b_oracle) ** 2)
         assert fix_objective <= objective.min() + 1e-9
 
     def test_three_anchors_rejected(self):
-        anchors = square_anchors()[:3]
         with pytest.raises(InsufficientAnchorsError):
-            fix_position(anchors, [1.0, 2.0, 3.0], 0.0)
+            AnchorFrame(square_anchors()[:3]).solve([1.0, 2.0, 3.0])
 
 
 class TestProperties:
@@ -233,8 +224,10 @@ class TestProperties:
         anchors = [Anchor(i, *rng.uniform(-300, 300, 2)) for i in range(1, 7)]
         point = np.array([40.0, -25.0])
         distances = [d * f for d, f in zip(ranges_from(anchors, point), rng.uniform(0.9, 1.1, 6))]
-        a, b = build_linear_system(anchors, distances)
-        solution, _, _ = solve_lsq(a, b)
+        frame = AnchorFrame(anchors)
+        a, b = np.array(frame.qr.rows), np.array(frame.rhs(distances))
+        x, y, _, _ = frame.solve(distances)
+        solution = np.array([x, y])
         base = np.sum((a @ solution - b) ** 2)
         for _ in range(1000):
             delta = rng.normal(size=2)
@@ -249,22 +242,14 @@ class TestProperties:
         theta = 0.7
         rot = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
 
-        fix = fix_position(anchors, distances, 0.0)
+        x, y, _, _ = AnchorFrame(anchors).solve(distances)
         rotated = [Anchor(a.band_id, *(rot @ [a.x, a.y])) for a in anchors]
-        fix_rot = fix_position(rotated, distances, 0.0)
-        np.testing.assert_allclose(rot @ [fix.x, fix.y], [fix_rot.x, fix_rot.y], atol=1e-9)
+        x_rot, y_rot, _, _ = AnchorFrame(rotated).solve(distances)
+        np.testing.assert_allclose(rot @ [x, y], [x_rot, y_rot], atol=1e-9)
 
     def test_bit_identical_repeats(self):
-        anchors = square_anchors()
         distances = [7.2, 8.1, 6.6, 9.9]
-        f1 = fix_position(anchors, distances, 3.0)
-        f2 = fix_position(anchors, distances, 3.0)
-        assert (f1.x, f1.y, f1.residual_norm, f1.condition_estimate) == (
-            f2.x,
-            f2.y,
-            f2.residual_norm,
-            f2.condition_estimate,
-        )
+        assert AnchorFrame(square_anchors()).solve(distances) == AnchorFrame(square_anchors()).solve(distances)
 
 
 class TestGivensKernel:
@@ -280,9 +265,9 @@ class TestGivensKernel:
             ref_position, ref_condition = svd_reference(a, b)
             if ref_condition > 1e6:
                 continue
-            position, residual, condition = solve_lsq(a, b)
+            x, y, residual, condition = frame_of_rows(a.tolist()).qr.solve(b.tolist())
             assert abs(condition - ref_condition) <= 1e-9 * ref_condition
-            error = np.linalg.norm(position - ref_position)
+            error = np.linalg.norm([x, y] - ref_position)
             assert error <= 1e-12 * ref_condition * np.linalg.norm(ref_position)
             assert residual == pytest.approx(np.linalg.norm(a @ ref_position - b), rel=1e-9)
             checked += 1
@@ -328,26 +313,27 @@ class TestGivensKernel:
     def test_degenerate_anchors_raise(self, points):
         anchors = [Anchor(i, x, y) for i, (x, y) in enumerate(points, 1)]
         with pytest.raises(DegenerateGeometryError):
-            fix_position(anchors, [5.0] * len(anchors), 0.0)
+            AnchorFrame(anchors).solve([5.0] * len(anchors))
 
     @pytest.mark.parametrize("column", [0, 1])
     def test_zero_column_raises(self, column):
         a = np.arange(1.0, 9.0).reshape(4, 2)
         a[:, column] = 0.0
         with pytest.raises(DegenerateGeometryError):
-            solve_lsq(a, np.ones(4))
+            frame_of_rows(a.tolist()).qr.solve([1.0] * 4)
 
     def test_zero_rhs_gives_exact_zeros(self):
         rng = np.random.default_rng(52)
         for _ in range(50):
-            a = rng.normal(size=(int(rng.integers(2, 9)), 2)) * 100
-            position, residual, _ = solve_lsq(a, np.zeros(a.shape[0]))
-            assert position.tolist() == [0.0, 0.0]
+            a = rng.normal(size=(int(rng.integers(3, 9)), 2)) * 100
+            x, y, residual, _ = frame_of_rows(a.tolist()).qr.solve([0.0] * len(a))
+            assert [x, y] == [0.0, 0.0]
             assert residual == 0.0
 
     def test_non_finite_matrix_rejected(self):
-        with pytest.raises(ValueError):
-            solve_lsq(np.array([[1.0, 0.0], [0.0, np.nan], [1.0, 1.0]]), np.ones(3))
+        # A is built from anchor coordinates, which are checked where they enter
+        with pytest.raises(ValueError, match="finite"):
+            frame_of_rows([[1.0, 0.0], [0.0, math.nan], [1.0, 1.0]])
 
 
 class TestAnchorFrameReference:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sweepnav import PathLossParams, free_space_pl0, invert_distance, path_loss, rss_at_distance, rss_to_distance
+from sweepnav import BandSample, PathLossParams, SweepRecord, free_space_pl0, invert_distance, rss_at_distance
 from sweepnav.errors import ConfigError
 
 
@@ -25,20 +25,33 @@ class TestFreeSpaceReference:
             free_space_pl0(-10.0)
 
 
+def distance_at_loss(loss_db, fc_mhz, params):
+    """Where the log-distance model's loss is ``loss_db``."""
+    return params.ref_distance_m * 10 ** ((loss_db - free_space_pl0(fc_mhz)) / (10 * params.exponent))
+
+
 class TestPathLoss:
+    """The loss the pipeline inverts, transmit minus received power, as the
+    forward model applies it."""
+
     def test_subtraction(self):
-        params = PathLossParams(tx_power_dbm=43.0)
-        assert path_loss(-68.535, params) == pytest.approx(111.535, rel=1e-12)
+        params = PathLossParams(exponent=2.8, tx_power_dbm=43.0)
+        rss = rss_at_distance(10 ** (80 / 28), 900.0, params)
+        assert params.tx_power_dbm - rss == pytest.approx(free_space_pl0(900.0) + 80.0, rel=1e-12)
+        assert rss == pytest.approx(-68.535, abs=5e-4)
 
     def test_equal_powers(self):
-        assert path_loss(43.0, PathLossParams(tx_power_dbm=43.0)) == 0.0
+        params = PathLossParams(tx_power_dbm=43.0)
+        assert rss_at_distance(distance_at_loss(0.0, 900.0, params), 900.0, params) == pytest.approx(43.0, abs=1e-12)
 
     def test_zero_tx_power(self):
-        assert path_loss(-50.0, PathLossParams(tx_power_dbm=0.0)) == 50.0
+        params = PathLossParams(tx_power_dbm=0.0)
+        assert rss_at_distance(distance_at_loss(50.0, 900.0, params), 900.0, params) == pytest.approx(-50.0, abs=1e-12)
 
     def test_rejects_non_finite(self):
+        # received power is checked where it enters, so every loss is finite
         with pytest.raises(ValueError):
-            path_loss(math.inf, PathLossParams())
+            SweepRecord(0.0, (BandSample(1, 900.0, math.inf),))
 
 
 class TestInvertDistance:
@@ -64,38 +77,44 @@ class TestInvertDistance:
 
 
 class TestRssToDistance:
+    """The pipeline's ranging: invert_distance(tx - rss, free_space_pl0(fc, d0), params)."""
+
     def test_reference_rss_maps_to_one_meter(self):
         params = PathLossParams(exponent=2.8, tx_power_dbm=43.0)
-        rss_at_1m = params.tx_power_dbm - free_space_pl0(900.0)
-        assert rss_to_distance(rss_at_1m, 900.0, params) == pytest.approx(1.0, rel=1e-12)
+        pl0 = free_space_pl0(900.0)
+        rss_at_1m = params.tx_power_dbm - pl0
+        assert invert_distance(params.tx_power_dbm - rss_at_1m, pl0, params) == pytest.approx(1.0, rel=1e-12)
 
     def test_chained_example(self):
         params = PathLossParams(exponent=2.8, tx_power_dbm=43.0)
-        assert rss_to_distance(-68.535, 900.0, params) == pytest.approx(719.69, abs=0.01)
+        assert invert_distance(43.0 - -68.535, free_space_pl0(900.0), params) == pytest.approx(719.69, abs=0.01)
 
     def test_ten_times_distance_per_decade(self):
         params = PathLossParams(exponent=2.8, tx_power_dbm=43.0)
-        d1 = rss_to_distance(-60.0, 900.0, params)
-        d2 = rss_to_distance(-60.0 - 10 * params.exponent, 900.0, params)
+        pl0 = free_space_pl0(900.0)
+        d1 = invert_distance(43.0 - -60.0, pl0, params)
+        d2 = invert_distance(43.0 - (-60.0 - 10 * params.exponent), pl0, params)
         assert d2 / d1 == pytest.approx(10.0, rel=1e-12)
 
     def test_strictly_decreasing_in_rss(self):
         params = PathLossParams(exponent=3.1, tx_power_dbm=30.0)
+        pl0 = free_space_pl0(1800.5)
         rng = np.random.default_rng(3)
         for _ in range(200):
             a, b = sorted(rng.uniform(-140.0, 20.0, size=2))
             if a == b:
                 continue
-            assert rss_to_distance(a, 1800.5, params) > rss_to_distance(b, 1800.5, params)
+            assert invert_distance(30.0 - a, pl0, params) > invert_distance(30.0 - b, pl0, params)
 
 
 class TestRoundTrip:
     @pytest.mark.parametrize("exponent", [2.7, 2.8, 3.5])
     def test_forward_then_invert(self, exponent):
         params = PathLossParams(exponent=exponent, tx_power_dbm=43.0, shadowing_sigma_db=0.0)
+        pl0 = free_space_pl0(900.5, params.ref_distance_m)
         for d in np.logspace(0.0, 5.0, 31):
             rss = rss_at_distance(float(d), 900.5, params)
-            back = rss_to_distance(rss, 900.5, params)
+            back = invert_distance(params.tx_power_dbm - rss, pl0, params)
             assert abs(back - d) / d < 1e-9
 
 

@@ -172,6 +172,25 @@ class TestHeldFixes:
         assert trajectory.held_steps == 1
 
 
+    def test_overflowing_range_holds_the_fix(self):
+        # one -1e300 dB sample in sweep 12: its band's window mean ranges to
+        # past the float limit until the sample leaves the 10-sweep window
+        scenario = route_scenario(seed=2, shadowing_sigma_db=0.0)
+        records = list(simulate_run(scenario).sweeps)
+        victim = records[0].band_ids[0]
+        records[12] = SweepRecord(
+            timestamp=records[12].timestamp,
+            bands=tuple(b._replace(rss_dbm=-1e300) if b.band_id == victim else b for b in records[12].bands),
+        )
+        trajectory = run_pipeline(records, matched_config(scenario, sweep_window=10))
+        steps = trajectory.steps
+        assert all(s.flags == () for s in steps[:12]) and steps[22].flags == ()
+        for step in steps[12:22]:
+            assert step.flags[:2] == ("held", "range_overflow")
+            assert step.raw == steps[11].raw and math.isnan(step.residual_norm)
+        assert trajectory.held_steps == 10
+
+
 class TestKeptBands:
     """After selection the window keeps the selected bands alone; no output moves."""
 

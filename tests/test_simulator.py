@@ -17,7 +17,7 @@ from sweepnav import (
     synth_route,
 )
 from sweepnav.errors import ConfigError
-from sweepnav.pathloss import rss_at_distance, rss_to_distance
+from sweepnav.pathloss import free_space_pl0, invert_distance, rss_at_distance
 from sweepnav.pipeline import Trajectory, TrajectoryStep
 from sweepnav.simulator import aligned_rmse, rolling_spread, spread
 
@@ -115,7 +115,9 @@ class TestSynthSweep:
         for record, pos in zip(run.sweeps, truth):
             for band, tx in zip(record.bands, FOUR_TX):
                 true_d = math.hypot(pos[0] - tx.x, pos[1] - tx.y)
-                est = rss_to_distance(band.rss_dbm, band.center_mhz, scenario.pathloss)
+                params = scenario.pathloss
+                pl0 = free_space_pl0(band.center_mhz, params.ref_distance_m)
+                est = invert_distance(params.tx_power_dbm - band.rss_dbm, pl0, params)
                 assert abs(est - true_d) / true_d < 1e-9
 
     def test_range_clamped_below_reference_distance(self):

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from sweepnav import Smoother, SmootherConfig, sma, wma
+from sweepnav import Smoother, SmootherConfig
 from sweepnav.errors import ConfigError
+from test_acceptance import smoothed
 
 
 def numpy_wma(points, weights):
-    """The numpy equations wma used before the float kernel."""
+    """The numpy equations the weighted mean used before the float kernel."""
     pts = np.asarray(points, dtype=float)
     w = np.asarray(weights, dtype=float)
     w = w / w[0]
@@ -17,38 +18,30 @@ def numpy_wma(points, weights):
 
 class TestWma:
     def test_linear_ramp_example(self):
-        assert wma([(0.0, 0.0), (3.0, 0.0), (6.0, 0.0)], [1.0, 2.0, 3.0]) == (4.0, 0.0)
+        assert smoothed([(0.0, 0.0), (3.0, 0.0), (6.0, 0.0)]) == (4.0, 0.0)
 
     def test_constant_positions(self):
-        assert wma([(2.0, 7.0)] * 3, [0.3, 5.0, 1.7]) == (2.0, 7.0)
+        assert smoothed([(2.0, 7.0)] * 3, weights=[0.3, 5.0, 1.7]) == (2.0, 7.0)
 
     def test_rounding_spill_is_clamped(self):
         # unclamped, these weights round the mean of 99.262 to 99.26200000000001
-        assert wma([(99.262, -99.262)] * 3, [2.6, 4.1, 5.6]) == (99.262, -99.262)
+        assert smoothed([(99.262, -99.262)] * 3, weights=[2.6, 4.1, 5.6]) == (99.262, -99.262)
 
     def test_equal_weights_match_sma(self):
         points = [(0.0, 0.0), (3.0, 0.0), (6.0, 0.0)]
-        assert wma(points, [1.0, 1.0, 1.0]) == sma(points) == (3.0, 0.0)
-
-    def test_empty_window_rejected(self):
-        with pytest.raises(ValueError):
-            wma([], [])
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            wma([(0.0, 0.0)], [1.0, 2.0])
+        assert smoothed(points, weights=[1.0, 1.0, 1.0]) == smoothed(points, "sma") == (3.0, 0.0)
 
     def test_nonpositive_weight_rejected(self):
-        with pytest.raises(ValueError):
-            wma([(0.0, 0.0), (1.0, 1.0)], [1.0, 0.0])
+        with pytest.raises(ConfigError):
+            SmootherConfig(window=2, weights=(1.0, 0.0))
 
 
 class TestSma:
     def test_midpoint(self):
-        assert sma([(0.0, 0.0), (6.0, 0.0)]) == (3.0, 0.0)
+        assert smoothed([(0.0, 0.0), (6.0, 0.0)], "sma") == (3.0, 0.0)
 
     def test_single_fix_identity(self):
-        assert sma([(4.25, -3.5)]) == (4.25, -3.5)
+        assert smoothed([(4.25, -3.5)], "sma") == (4.25, -3.5)
 
 
 class TestProperties:
@@ -58,7 +51,7 @@ class TestProperties:
             n = int(rng.integers(1, 13))
             points = [tuple(p) for p in rng.uniform(-1e3, 1e3, (n, 2))]
             c = float(rng.uniform(0.1, 10.0))
-            assert wma(points, [c] * n) == sma(points)
+            assert smoothed(points, weights=[c] * n) == smoothed(points, "sma")
 
     def test_output_inside_per_axis_range(self):
         rng = np.random.default_rng(42)
@@ -66,7 +59,7 @@ class TestProperties:
             n = int(rng.integers(1, 13))
             points = rng.uniform(-1e3, 1e3, (n, 2))
             weights = rng.uniform(0.05, 5.0, n)
-            x, y = wma([tuple(p) for p in points], weights)
+            x, y = smoothed([tuple(p) for p in points], weights=weights)
             assert points[:, 0].min() <= x <= points[:, 0].max()
             assert points[:, 1].min() <= y <= points[:, 1].max()
 
@@ -75,8 +68,8 @@ class TestProperties:
         points = [tuple(p) for p in rng.uniform(-50, 50, (5, 2))]
         weights = [1.0, 2.0, 3.0, 4.0, 5.0]
         shift = (101.25, -77.5)
-        base = wma(points, weights)
-        shifted = wma([(x + shift[0], y + shift[1]) for x, y in points], weights)
+        base = smoothed(points, weights=weights)
+        shifted = smoothed([(x + shift[0], y + shift[1]) for x, y in points], weights=weights)
         assert shifted[0] == pytest.approx(base[0] + shift[0], abs=1e-9)
         assert shifted[1] == pytest.approx(base[1] + shift[1], abs=1e-9)
 
@@ -89,7 +82,7 @@ class TestProperties:
             n = int(rng.integers(1, 13))
             points = rng.uniform(-1e3, 1e3, (n, 2)) * 10 ** rng.uniform(-3, 3)
             weights = rng.uniform(0.05, 5.0, n)
-            got = wma([tuple(p) for p in points], weights)
+            got = smoothed([tuple(p) for p in points], weights=weights)
             ref = numpy_wma(points, weights)
             scale = np.abs(points).max(axis=0)
             assert abs(got[0] - ref[0]) <= 1e-12 * scale[0]
@@ -100,15 +93,15 @@ class TestSmoother:
     def test_warmup_uses_trailing_weights(self):
         smoother = Smoother(SmootherConfig(kind="wma", window=3))
         p1, p2, p3 = (0.0, 0.0), (3.0, 0.0), (6.0, 0.0)
-        assert smoother.push(p1) == wma([p1], [3.0])
-        assert smoother.push(p2) == wma([p1, p2], [2.0, 3.0])
-        assert smoother.push(p3) == wma([p1, p2, p3], [1.0, 2.0, 3.0])
+        assert smoother.push(p1) == smoothed([p1], weights=[3.0])
+        assert smoother.push(p2) == smoothed([p1, p2], weights=[2.0, 3.0])
+        assert smoother.push(p3) == smoothed([p1, p2, p3], weights=[1.0, 2.0, 3.0])
 
     def test_window_slides(self):
         smoother = Smoother(SmootherConfig(kind="wma", window=2))
         smoother.push((0.0, 0.0))
         smoother.push((1.0, 0.0))
-        assert smoother.push((2.0, 0.0)) == wma([(1.0, 0.0), (2.0, 0.0)], [1.0, 2.0])
+        assert smoother.push((2.0, 0.0)) == smoothed([(1.0, 0.0), (2.0, 0.0)], weights=[1.0, 2.0])
 
     def test_sma_kind(self):
         smoother = Smoother(SmootherConfig(kind="sma", window=3))
@@ -132,6 +125,7 @@ class TestSmoother:
         ],
     )
     def test_push_equals_wma_at_every_fill_level(self, config):
+        # a filling window weighs its points by the trailing weights
         rng = np.random.default_rng(45)
         weights = config.effective_weights()
         smoother = Smoother(config)
@@ -140,7 +134,7 @@ class TestSmoother:
             point = tuple(rng.uniform(-500.0, 500.0, 2).tolist())
             pushed.append(point)
             window = pushed[-config.window:]
-            assert smoother.push(point) == wma(window, weights[-len(window):])
+            assert smoother.push(point) == smoothed(window, weights=weights[-len(window):])
 
 
 class TestConfigValidation:
@@ -149,12 +143,15 @@ class TestConfigValidation:
             SmootherConfig(kind="median")
 
     def test_zero_window(self):
+        # the smoother's window can never be empty
         with pytest.raises(ConfigError):
             SmootherConfig(window=0)
 
     def test_weight_length_mismatch(self):
         with pytest.raises(ConfigError):
             SmootherConfig(window=3, weights=(1.0, 2.0))
+        with pytest.raises(ConfigError):
+            SmootherConfig(window=1, weights=(1.0, 2.0))
 
     def test_sma_requires_equal_weights(self):
         with pytest.raises(ConfigError):

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from bisect import bisect_right
 from datetime import datetime, timezone
 
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from sweepnav import (
     BandPlan,
     BandSample,
+    BandStats,
     MissingBandError,
     InsufficientAnchorsError,
     SweepParseError,
@@ -18,7 +21,7 @@ from sweepnav import (
     select_transmit_bands,
 )
 from sweepnav.errors import ConfigError
-from sweepnav.sweeps import MAX_PLAN_BANDS, format_sweep_lines, parse_sweep_file, parse_sweep_lines, parse_timestamp
+from sweepnav.sweeps import MAX_ABS_DB, MAX_PLAN_BANDS, format_sweep_lines, parse_sweep_file, parse_sweep_lines, parse_timestamp
 
 
 def parse_all(lines, plan):
@@ -311,10 +314,12 @@ class TestIncrementalWindow:
     def test_matches_batch_statistics(self, length, sweeps):
         window = SweepWindow(length)
         last_seen: dict[int, int] = {}
+        pushed = []
         for k, values in enumerate(sweeps):
-            window.push(record(float(k), values))
+            pushed.append(record(float(k), values))
+            window.push(pushed[-1])
             last_seen.update((bid, k) for bid in values)
-            records = window.records
+            records = pushed[-length:] if length else pushed
             for bid in range(6):
                 evicted = bid not in last_seen or (length is not None and k - last_seen[bid] >= length)
                 if evicted:
@@ -336,13 +341,15 @@ class TestIncrementalWindow:
         """After keep_only, kept bands (leaving and coming back included)
         equal the batch reference and the others are gone."""
         window = SweepWindow(length)
+        pushed = []
         for k, values in enumerate(sweeps):
             if k == cut:
                 window.keep_only(sorted(kept))
-            window.push(record(float(k), values))
+            pushed.append(record(float(k), values))
+            window.push(pushed[-1])
             if k < cut:
                 continue
-            records = window.records
+            records = pushed[-length:] if length else pushed
             for bid in range(6):
                 if bid in kept and any(r.rss(bid) is not None for r in records):
                     assert repr(window.stats(bid)) == repr(band_mean(records, bid))
@@ -362,7 +369,7 @@ class TestIncrementalWindow:
         with pytest.raises(MissingBandError):
             window.stats(1)
         window.push(record(4.0, {1: -52.0, 2: -62.0, 3: -72.0}))
-        assert window.stats(1) == band_mean(window.records, 1)
+        assert window.stats(1) == BandStats(1, -52.0, 1, -52.0, -52.0)
         assert window.mean_dbm(1) == -52.0
         with pytest.raises(MissingBandError):
             window.stats(3)
@@ -372,6 +379,16 @@ class TestIncrementalWindow:
         assert window.persistent_band_ids() == []
         with pytest.raises(ValueError):
             window.stats(0)
+
+    def test_growing_window_holds_no_record(self):
+        window = SweepWindow(None)
+        pushed = record(0.0, {1: -50.0, 2: -60.0})
+        held = weakref.ref(pushed)
+        window.push(pushed)
+        del pushed
+        gc.collect()
+        assert held() is None
+        assert len(window) == 1 and window.mean_dbm(2) == -60.0
 
 
 # The parser as it was before the strptime-free rewrite, kept as the reference
@@ -427,8 +444,8 @@ def reference_parse_sweep_lines(lines, plan):
             raise SweepParseError(line_no, "bad numeric field") from None
         if hz_width <= 0 or hz_high <= hz_low:
             raise SweepParseError(line_no, "invalid frequency slice bounds")
-        if any(not math.isfinite(v) for v in rss_values):
-            raise SweepParseError(line_no, "non-finite dB value")
+        if any(not -MAX_ABS_DB <= v <= MAX_ABS_DB for v in rss_values):
+            raise SweepParseError(line_no, "dB value out of range")
         key = (parts[0], parts[1])
         if key != pending_key:
             try:
@@ -548,7 +565,7 @@ class TestStrptimeFreeTimestamp:
 
 
 DB_TEXT = st.floats(min_value=-200.0, max_value=50.0).map(repr) | st.sampled_from(
-    [" -60.5 ", "-0.0", "1e-320", "-1_0.5", "1e16", "-1e16"]
+    [" -60.5 ", "-0.0", "1e-320", "-1_0.5", "-200", "2e2", "200.00000000000003", "-1e16"]
 )
 # tokens that damage a row: not numbers, not finite, out of order, or not a timestamp
 BAD_TOKENS = ["", "abc", "nan", "inf", "-inf", "1e400", "-1000000", "0", "2023-02-30",
@@ -632,20 +649,22 @@ class TestParserAgainstReference:
 
 class TestParserEdgeCases:
     def test_band_mean_sums_left_to_right(self):
-        # a compensated sum (sum() from Python 3.12 on) would give 1.0 / 3
+        # a compensated sum (sum() from Python 3.12 on) would give math.fsum's 0.6 / 3
         plan = BandPlan.uniform(low_mhz=0.0, high_mhz=30.0, width_mhz=3.0, selection_count=4)
-        line = "2023-01-01, 12:00:00, 0, 3000000, 1000000, 1, 1e16, 1.0, -1e16"
+        line = "2023-01-01, 12:00:00, 0, 3000000, 1000000, 1, 0.1, 0.2, 0.3"
         (record,) = parse_all([line], plan)
-        assert record.bands == (BandSample(0, 1.5, 0.0),)
+        assert (0.1 + 0.2 + 0.3) / 3 != math.fsum([0.1, 0.2, 0.3]) / 3
+        assert record.bands == (BandSample(0, 1.5, (0.1 + 0.2 + 0.3) / 3),)
 
-    def test_overflowing_band_mean_names_first_line_of_sweep(self, small_plan):
+    def test_out_of_range_cell_names_its_line(self, small_plan):
         lines = [
-            "2023-01-01, 12:00:00, 0, 1000000, 1000000, 1, -60.0",
-            "2023-01-01, 12:00:00, 1000000, 2000000, 500000, 1, 1.7e308, 1.7e308",
+            "2023-01-01, 12:00:00, 0, 1000000, 1000000, 1, -200.0",
+            "2023-01-01, 12:00:00, 1000000, 2000000, 500000, 1, 200.0, 1.7e308",
             "2023-01-01, 12:00:01, 0, 1000000, 1000000, 1, -60.0",
         ]
-        with pytest.raises(SweepParseError, match="line 1: band 1: mean dB value overflows"):
+        with pytest.raises(SweepParseError, match=r"line 2: dB value 1\.7e\+308 outside \[-200, 200\]"):
             parse_all(lines, small_plan)
+        assert [r.bands for r in parse_all(lines[:1], small_plan)] == [(BandSample(0, 0.5, -200.0),)]
 
     def test_non_ascii_byte_names_its_line(self, small_plan, tmp_path):
         path = tmp_path / "sweeps.csv"
