@@ -16,9 +16,10 @@ values, taken from R in closed form (LAPACK dlas2); the condition estimate
 is sigma_max / sigma_min. The normal equations A^T A x = A^T b would square
 the condition number, and with it the error of the solution.
 
-A depends on the anchors alone, so AnchorFrame, the solver, factors it once; each set
-of distances then costs only b, its rotation, the back-substitution and the
-residual (Golub & Van Loan, Matrix Computations, section 5.3).
+A depends on the anchors alone, so AnchorFrame, the solver, factors it
+once; each set of distances then costs only b, its rotation, the
+back-substitution and the residual (Golub & Van Loan, Matrix Computations,
+section 5.3).
 """
 
 from __future__ import annotations

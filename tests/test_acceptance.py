@@ -100,6 +100,14 @@ def random_walk_tracks(make_tracker=EkfTracker):
             tracker.step(1.0, walk[k] - walk[k - 1], ranges)
 
 
+def smoothed(points, kind="wma", weights=None):
+    """The last output of a Smoother whose window holds exactly ``points``."""
+    smoother = Smoother(SmootherConfig(kind=kind, window=len(points), weights=weights))
+    for point in points:
+        out = smoother.push(point)
+    return out
+
+
 def test_criterion_1_multilateration_exactness():
     with criterion("1 multilateration exactness"):
         rng = np.random.default_rng(2024)
@@ -258,14 +266,6 @@ def test_criterion_6_moving_average_contracts():
             ys = [p[1] for p in points]
             assert min(xs) <= x <= max(xs)
             assert min(ys) <= y <= max(ys)
-
-
-def smoothed(points, kind="wma", weights=None):
-    """The last output of a Smoother whose window holds exactly ``points``."""
-    smoother = Smoother(SmootherConfig(kind=kind, window=len(points), weights=weights))
-    for point in points:
-        out = smoother.push(point)
-    return out
 
 
 def test_criterion_7_convergence_with_window():
