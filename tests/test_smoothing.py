@@ -31,6 +31,14 @@ class TestWma:
         points = [(0.0, 0.0), (3.0, 0.0), (6.0, 0.0)]
         assert smoothed(points, weights=[1.0, 1.0, 1.0]) == smoothed(points, "sma") == (3.0, 0.0)
 
+    def test_empty_window_rejected(self):
+        with pytest.raises(ConfigError):
+            SmootherConfig(window=0, weights=())
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ConfigError):
+            SmootherConfig(window=1, weights=(1.0, 2.0))
+
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(ConfigError):
             SmootherConfig(window=2, weights=(1.0, 0.0))
@@ -150,8 +158,6 @@ class TestConfigValidation:
     def test_weight_length_mismatch(self):
         with pytest.raises(ConfigError):
             SmootherConfig(window=3, weights=(1.0, 2.0))
-        with pytest.raises(ConfigError):
-            SmootherConfig(window=1, weights=(1.0, 2.0))
 
     def test_sma_requires_equal_weights(self):
         with pytest.raises(ConfigError):
