@@ -8,7 +8,7 @@ extended Kalman filter, yielding a trajectory whose shape and segment
 lengths mirror the true drive.
 """
 
-from .ekf import EkfTracker, Landmark, NoiseConfig, TrackState, predict, range_jacobian, range_measurement, update
+from .ekf import EkfTracker, Landmark, NoiseConfig
 from .errors import (
     ConfigError,
     DegenerateGeometryError,

@@ -65,18 +65,21 @@ def run(sweeps, config_path, seed, out_dir):
     config = _load_config_or_exit(config_path)
     if seed is not None:
         config = replace(config, anchor_seed=seed)
-    records = _read_sweeps_or_exit(sweeps, config.plan)
-
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    # the records stream from the file into the pipeline; a late parse error
+    # still exits 2 before any output exists
     try:
-        trajectory = run_pipeline(records, config)
+        trajectory = run_pipeline(parse_sweep_file(sweeps, config.plan), config)
+    except (OSError, SweepParseError) as exc:
+        click.echo(f"input error: {sweeps}: {exc}", err=True)
+        sys.exit(EXIT_INPUT)
     except ValueError as exc:
         click.echo(f"input error: {exc}", err=True)
         sys.exit(EXIT_INPUT)
     except SweepNavError as exc:
         click.echo(f"run failed: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     artifacts.write_trajectory_csv(trajectory, out / "trajectory.csv")
     summary = artifacts.summary_text(trajectory)
     (out / "summary.txt").write_text(summary, encoding="ascii")

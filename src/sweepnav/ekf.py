@@ -13,12 +13,12 @@ frame, shifted into the relative frame. Multiple landmarks are folded in as
 sequential scalar updates, in the order given; a landmark within
 DEFAULT_MIN_RANGE of the state is skipped.
 
-Both steps run as one closed-form float kernel over (x, y, p00, p01, p11),
-the position and the independent terms of the symmetric covariance, so P
-stays exactly symmetric. Covariances are checked for symmetry where they
-enter (tracker start, the TrackState adapters) and for positive
-semi-definiteness once per step: at tracker start, in every prediction and
-in the public update adapter.
+Both steps are closed-form float kernels, ``predict`` and ``update``, over
+the term tuple (x, y, p00, p01, p11): the position and the independent
+terms of the symmetric covariance, so P stays exactly symmetric. The
+covariance is checked for symmetry where it enters (tracker start) and for
+positive semi-definiteness once per step: at tracker start and in every
+prediction.
 """
 
 from __future__ import annotations
@@ -43,18 +43,6 @@ class Landmark(NamedTuple):
 
 
 @dataclass(frozen=True)
-class TrackState:
-    """Filter state: planar position and covariance."""
-
-    position: np.ndarray
-    covariance: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "position", np.asarray(self.position, dtype=float).reshape(2))
-        object.__setattr__(self, "covariance", np.asarray(self.covariance, dtype=float).reshape(2, 2))
-
-
-@dataclass(frozen=True)
 class NoiseConfig:
     """Process covariance Q (2x2) and scalar range variance R."""
 
@@ -66,7 +54,7 @@ class NoiseConfig:
         object.__setattr__(self, "q", q)
         if not np.allclose(q, q.T, atol=SYMMETRY_TOL):
             raise ValueError("Q must be symmetric")
-        if min_eig_2x2(q) < PSD_TOL:
+        if _min_eig(*_upper(q)) < PSD_TOL:
             raise ValueError("Q must be positive semi-definite")
         if not self.r > 0:
             raise ValueError("R must be positive")
@@ -80,18 +68,13 @@ class NoiseConfig:
 
 @dataclass(frozen=True)
 class TrackStep:
-    """One filter step: resulting state plus the innovation log; the
-    ``covariance`` matrix is built from (p00, p01, p11) on access."""
+    """One filter step: resulting state plus the innovation log."""
 
     position: tuple[float, float]
     covariance_terms: tuple[float, float, float]
     innovations: tuple[tuple[int, float], ...]
     flags: tuple[str, ...]
     timestamp: float = 0.0
-
-    @property
-    def covariance(self) -> np.ndarray:
-        return _matrix(*self.covariance_terms)
 
 
 # (x, y, p00, p01, p11): the kernel's state
@@ -102,25 +85,9 @@ def _min_eig(a: float, b: float, c: float) -> float:
     return (a + c) / 2.0 - math.hypot((a - c) / 2.0, b)
 
 
-def min_eig_2x2(matrix: np.ndarray) -> float:
-    """Closed-form smallest eigenvalue of a symmetric 2x2 matrix."""
-    return _min_eig(matrix[0, 0], (matrix[0, 1] + matrix[1, 0]) / 2.0, matrix[1, 1])
-
-
 def _upper(matrix: np.ndarray) -> tuple[float, float, float]:
     """(m00, m01, m11) of a 2x2 matrix, the off-diagonal averaged."""
     return float(matrix[0, 0]), float(matrix[0, 1] + matrix[1, 0]) / 2.0, float(matrix[1, 1])
-
-
-def _covariance_terms(covariance: np.ndarray) -> tuple[float, float, float]:
-    """(p00, p01, p11) of a covariance entering the filter."""
-    if abs(covariance[0, 1] - covariance[1, 0]) > SYMMETRY_TOL:
-        raise ValueError("covariance must be symmetric")
-    return _upper(covariance)
-
-
-def _matrix(p00: float, p01: float, p11: float) -> np.ndarray:
-    return np.array([[p00, p01], [p01, p11]])
 
 
 def _require_psd(p00: float, p01: float, p11: float) -> None:
@@ -128,7 +95,8 @@ def _require_psd(p00: float, p01: float, p11: float) -> None:
         raise ValueError("covariance must be positive semi-definite")
 
 
-def _predict(terms: Terms, dt: float, ux: float, uy: float, q: tuple[float, float, float]) -> Terms:
+def predict(terms: Terms, dt: float, ux: float, uy: float, q: tuple[float, float, float]) -> Terms:
+    """Move the position by ``dt`` times the velocity (ux, uy) and add Q's terms to P's."""
     if dt <= 0:
         raise ValueError("timestep must be positive")
     x, y, p00, p01, p11 = terms
@@ -136,14 +104,22 @@ def _predict(terms: Terms, dt: float, ux: float, uy: float, q: tuple[float, floa
     return (x + dt * ux, y + dt * uy, p00 + q[0], p01 + q[1], p11 + q[2])
 
 
-def _update(terms: Terms, z: float, lx: float, ly: float, r: float) -> tuple[Terms, float]:
-    """Scalar range update; returns the new terms and the innovation."""
+def update(terms: Terms, z: float, lx: float, ly: float, r: float) -> tuple[Terms, float]:
+    """Fold range ``z`` to the landmark at (lx, ly) with variance ``r`` into
+    the terms; returns the new terms and the innovation.
+
+    Raises SingularGeometryError within DEFAULT_MIN_RANGE of the landmark.
+    """
     x, y, p00, p01, p11 = terms
     if z < 0:
         raise ValueError("range measurement must be non-negative")
     dx = x - lx
     dy = y - ly
-    distance = _landmark_distance(dx, dy)
+    distance = math.hypot(dx, dy)
+    if distance <= DEFAULT_MIN_RANGE:
+        raise SingularGeometryError(
+            f"state within {DEFAULT_MIN_RANGE} m of landmark, range direction undefined"
+        )
     h0 = dx / distance
     h1 = dy / distance
     ph0 = p00 * h0 + p01 * h1  # P H'
@@ -156,68 +132,23 @@ def _update(terms: Terms, z: float, lx: float, ly: float, r: float) -> tuple[Ter
     return updated, innovation
 
 
-def _landmark_distance(dx: float, dy: float) -> float:
-    distance = math.hypot(dx, dy)
-    if distance <= DEFAULT_MIN_RANGE:
-        raise SingularGeometryError(
-            f"state within {DEFAULT_MIN_RANGE} m of landmark, range direction undefined"
-        )
-    return distance
-
-
-def _state_terms(state: TrackState) -> Terms:
-    return (float(state.position[0]), float(state.position[1]), *_covariance_terms(state.covariance))
-
-
-def _track_state(terms: Terms) -> TrackState:
-    x, y, p00, p01, p11 = terms
-    return TrackState(position=(x, y), covariance=_matrix(p00, p01, p11))
-
-
-def predict(state: TrackState, dt: float, u: Sequence[float], noise: NoiseConfig) -> TrackState:
-    """Constant-velocity prediction over ``dt``."""
-    ux, uy = np.asarray(u, dtype=float).reshape(2)
-    return _track_state(_predict(_state_terms(state), float(dt), float(ux), float(uy), _upper(noise.q)))
-
-
-def range_measurement(state: TrackState, landmark: Landmark) -> float:
-    """Euclidean distance from the state position to the landmark."""
-    return math.hypot(state.position[0] - landmark.x, state.position[1] - landmark.y)
-
-
-def range_jacobian(state: TrackState, landmark: Landmark) -> np.ndarray:
-    """Gradient of the range with respect to the position, as a length-2 row."""
-    dx = state.position[0] - landmark.x
-    dy = state.position[1] - landmark.y
-    distance = _landmark_distance(dx, dy)
-    return np.array([dx / distance, dy / distance])
-
-
-def update(state: TrackState, z: float, landmark: Landmark, noise: NoiseConfig) -> TrackState:
-    """Fold one range measurement into the state."""
-    terms = _state_terms(state)
-    _require_psd(*terms[2:])
-    return _track_state(_update(terms, z, landmark.x, landmark.y, float(noise.r))[0])
-
-
 class EkfTracker:
     """Stateful wrapper evolving one track step by step.
 
-    ``step`` looks ``_predict`` and ``_update`` up as module globals on each
+    ``step`` looks ``predict`` and ``update`` up as module globals on each
     call, so a caller can observe every covariance change by wrapping them.
     """
 
     def __init__(self, x0: Sequence[float], p0: np.ndarray, noise: NoiseConfig):
         x, y = np.asarray(x0, dtype=float).reshape(2)
-        covariance = _covariance_terms(np.asarray(p0, dtype=float).reshape(2, 2))
+        p0 = np.asarray(p0, dtype=float).reshape(2, 2)
+        if abs(p0[0, 1] - p0[1, 0]) > SYMMETRY_TOL:
+            raise ValueError("covariance must be symmetric")
+        covariance = _upper(p0)
         _require_psd(*covariance)
         self._terms: Terms = (float(x), float(y), *covariance)
         self._q = _upper(noise.q)
         self._r = float(noise.r)
-
-    @property
-    def state(self) -> TrackState:
-        return _track_state(self._terms)
 
     def step(
         self,
@@ -233,13 +164,13 @@ class EkfTracker:
         keeps the prediction.
         """
         ux, uy = u
-        terms = _predict(self._terms, float(dt), float(ux), float(uy), self._q)
+        terms = predict(self._terms, float(dt), float(ux), float(uy), self._q)
 
         innovations: list[tuple[int, float]] = []
         flags: list[str] = []
         for landmark, z in measurements:
             try:
-                terms, innovation = _update(terms, z, landmark.x, landmark.y, self._r)
+                terms, innovation = update(terms, z, landmark.x, landmark.y, self._r)
             except SingularGeometryError:
                 flags.append("skipped_landmark")
                 continue

@@ -19,7 +19,7 @@ from .errors import ConfigError
 from .pathloss import PathLossParams, rss_at_distance
 from .pipeline import PipelineConfig, SegmentError, Trajectory, segment_error_report
 from .placement import Bbox, place_in_box
-from .sweeps import BandPlan, BandSample, SweepRecord
+from .sweeps import MAX_ABS_DB, BandPlan, BandSample, SweepRecord
 
 # Four-leg benchmark route: 270, 490, 260 and 840 m with right-angle turns.
 ROUTE_WAYPOINTS: tuple[tuple[float, float], ...] = (
@@ -199,7 +199,8 @@ def synth_sweep(
     """Forward-model one sweep at the given truth sample.
 
     Returns the record and the number of ranges clamped to the reference
-    distance (receiver closer than d0 to a transmitter).
+    distance (receiver closer than d0 to a transmitter). A received power
+    beyond +-MAX_ABS_DB, which no sweep file may hold, is a ConfigError.
     """
     params = scenario.pathloss
     clamped = 0
@@ -216,6 +217,11 @@ def synth_sweep(
         rss = rss_at_distance(
             distance, tx.freq_mhz, params, tx_power_dbm=tx.power_dbm, shadow_db=shadow
         )
+        if not -MAX_ABS_DB <= rss <= MAX_ABS_DB:
+            raise ConfigError(
+                f"transmitter at {tx.freq_mhz} MHz: received power {rss:.1f} dB at {distance:.0f} m"
+                f" is outside [-{MAX_ABS_DB:g}, {MAX_ABS_DB:g}]"
+            )
         bands.append(BandSample(band[0], (band[1] + band[2]) / 2.0, rss))
     bands.sort(key=lambda b: b.band_id)
     return SweepRecord(timestamp=sample.timestamp, bands=tuple(bands)), clamped
@@ -251,16 +257,14 @@ class RunScore:
 
     segments: dict[str, list[SegmentError]]
     rmse_m: dict[str, float]
-    spread_series: np.ndarray
 
 
 def score_run(
     truth: GroundTruth,
     trajectory: Trajectory,
     waypoint_indices: Sequence[int] | None = None,
-    spread_window: int = 10,
 ) -> RunScore:
-    """Segment errors, aligned RMSE, and the raw-fix spread series."""
+    """Segment errors and aligned RMSE of each estimator."""
     if len(trajectory.steps) != len(truth.samples):
         raise ValueError(
             f"trajectory has {len(trajectory.steps)} steps but truth has {len(truth.samples)}"
@@ -272,7 +276,6 @@ def score_run(
     return RunScore(
         segments=segments,
         rmse_m={e: aligned_rmse(trajectory.positions(e), truth_xy) for e in segments},
-        spread_series=rolling_spread(trajectory.positions("raw"), spread_window),
     )
 
 

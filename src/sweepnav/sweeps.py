@@ -28,9 +28,10 @@ _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _MIN_FIELDS = 7
 # Largest uniform plan: hackrf_sweep's finest bins over 6 GHz come to ~2.5e6
 MAX_PLAN_BANDS = 1_000_000
-# Largest |dB| a sweep cell may hold. Received power lies within about
-# -150..+30 dB; a cell outside this bound (or not finite) is corrupt input,
-# not a weak or strong signal. It also keeps every band mean finite.
+# Largest |dB| a sweep cell or a SweepRecord band may hold. Received power
+# lies within about -150..+30 dB; a value outside this bound (or not finite)
+# is corrupt input, not a weak or strong signal. It also keeps every band
+# mean finite.
 MAX_ABS_DB = 200.0
 
 
@@ -63,8 +64,10 @@ class SweepRecord:
             prev_id = band.band_id
             if band.center_mhz <= 0:
                 raise ValueError(f"band {band.band_id}: center frequency must be positive")
-            if not math.isfinite(band.rss_dbm):
-                raise ValueError(f"band {band.band_id}: rss must be finite")
+            if not -MAX_ABS_DB <= band.rss_dbm <= MAX_ABS_DB:  # NaN fails too
+                raise ValueError(
+                    f"band {band.band_id}: rss {band.rss_dbm!r} outside [-{MAX_ABS_DB:g}, {MAX_ABS_DB:g}]"
+                )
         object.__setattr__(self, "_rss_by_id", {b.band_id: b.rss_dbm for b in self.bands})
 
     @classmethod

@@ -27,7 +27,7 @@ from sweepnav import (
     static_scenario,
 )
 from sweepnav.artifacts import write_trajectory_csv
-from sweepnav.ekf import Landmark, TrackState, min_eig_2x2, range_jacobian, range_measurement
+from sweepnav.ekf import Landmark
 from sweepnav.pathloss import PathLossParams, free_space_pl0, invert_distance, rss_at_distance
 from sweepnav.pipeline import DEFAULT_ANCHOR_BBOX, assign_anchor_frame
 from sweepnav.simulator import spread
@@ -57,27 +57,51 @@ def benchmark_run(seed):
     return scenario, run
 
 
+def covariance_matrix(p00, p01, p11):
+    """The 2x2 covariance of the kernel terms (p00, p01, p11)."""
+    return np.array([[p00, p01], [p01, p11]])
+
+
 def monitor_kernels(monkeypatch, sink):
     """Call ``sink(phase, covariance)`` after each filter kernel call.
 
-    Wraps ``sweepnav.ekf._predict`` and ``_update``, which ``EkfTracker.step``
+    Wraps ``sweepnav.ekf.predict`` and ``update``, which ``EkfTracker.step``
     looks up on every call; ``phase`` is "predict" or "update". An update
     that raises (a skipped landmark) reports nothing.
     """
-    predict, update = ekf._predict, ekf._update
+    predict, update = ekf.predict, ekf.update
 
     def watched_predict(*args):
         terms = predict(*args)
-        sink("predict", ekf._matrix(*terms[2:]))
+        sink("predict", covariance_matrix(*terms[2:]))
         return terms
 
     def watched_update(*args):
         terms, innovation = update(*args)
-        sink("update", ekf._matrix(*terms[2:]))
+        sink("update", covariance_matrix(*terms[2:]))
         return terms, innovation
 
-    monkeypatch.setattr(ekf, "_predict", watched_predict)
-    monkeypatch.setattr(ekf, "_update", watched_update)
+    monkeypatch.setattr(ekf, "predict", watched_predict)
+    monkeypatch.setattr(ekf, "update", watched_update)
+
+
+def kernel_range(x, y, landmark):
+    """Range from (x, y) to the landmark as the update kernel measures it.
+
+    With z = 0 the innovation is minus the range.
+    """
+    _, innovation = ekf.update((x, y, 1.0, 0.0, 1.0), 0.0, landmark.x, landmark.y, 1.0)
+    return -innovation
+
+
+def kernel_jacobian(x, y, landmark):
+    """Range gradient h at (x, y), read back from one update with P = I.
+
+    With P = I the innovation variance is 1 + r, so the step is
+    h * innovation / (1 + r); here r = 1.
+    """
+    (ux, uy, *_), innovation = ekf.update((x, y, 1.0, 0.0, 1.0), 0.0, landmark.x, landmark.y, 1.0)
+    return np.array([ux - x, uy - y]) * 2.0 / innovation
 
 
 def random_walk_tracks(make_tracker=EkfTracker):
@@ -172,7 +196,7 @@ class CovarianceAudit:
 
     def __call__(self, phase, cov):
         self.max_asymmetry = max(self.max_asymmetry, abs(cov[0, 1] - cov[1, 0]))
-        self.min_eigenvalue = min(self.min_eigenvalue, min_eig_2x2(cov))
+        self.min_eigenvalue = min(self.min_eigenvalue, float(np.linalg.eigvalsh(cov)[0]))
         trace = cov[0, 0] + cov[1, 1]
         if phase == "update":
             self.update_events += 1
@@ -236,16 +260,15 @@ def test_criterion_5_ekf_invariant_suite(monkeypatch):
             px, py, lx, ly = rng.uniform(-100.0, 100.0, 4)
             if math.hypot(px - lx, py - ly) <= 0.1:
                 continue
-            state = TrackState(position=(px, py), covariance=np.eye(2))
             landmark = Landmark(lx, ly)
-            h = range_jacobian(state, landmark)
+            h = kernel_jacobian(px, py, landmark)
             eps = 1e-5
             for axis, row in enumerate(h):
                 offset = np.zeros(2)
                 offset[axis] = eps
                 fd = (
-                    range_measurement(TrackState(position=(px, py) + offset, covariance=np.eye(2)), landmark)
-                    - range_measurement(TrackState(position=(px, py) - offset, covariance=np.eye(2)), landmark)
+                    kernel_range(*((px, py) + offset), landmark)
+                    - kernel_range(*((px, py) - offset), landmark)
                 ) / (2 * eps)
                 assert abs(row - fd) < 1e-6
             checked += 1

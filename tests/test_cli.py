@@ -4,6 +4,7 @@ import math
 import pytest
 from click.testing import CliRunner
 
+from sweepnav import TrackingPipeline, cli
 from sweepnav.cli import main
 
 
@@ -28,6 +29,18 @@ waypoints = 0,0; 270,0; 270,490; 10,490; 10,-350
 tx.bbox = -150,-500,420,640
 tx.freqs_mhz = 700.5,800.5,900.5,1800.5,2100.5,2600.5
 tx.power_dbm = 43
+"""
+
+
+# four transmitters 10 km out, seen with path-loss exponent 6
+FAR_SCENARIO = """\
+seed = 5
+speed_mps = 10
+cadence_s = 1
+shadowing_sigma_db = 0
+n_pl = 6
+waypoints = 0,0; 100,0
+transmitters = 10000,0,43,700.5; 0,10000,43,800.5; -10000,0,43,900.5; 0,-10000,43,1800.5
 """
 
 
@@ -68,6 +81,18 @@ class TestSimulate:
         result = runner.invoke(main, ["simulate", str(bad), "--out", str(tmp_path / "out")])
         assert result.exit_code == 3
         assert "config error" in result.output
+
+    @pytest.mark.parametrize("command", ["simulate", "convergence"])
+    def test_power_beyond_the_db_bound_is_exit_3(self, runner, tmp_path, command):
+        # exponent 6 at 10 km forward-models about -226 dB, which no sweep file may hold
+        scenario = tmp_path / "far.txt"
+        scenario.write_text(FAR_SCENARIO, encoding="ascii")
+        out = tmp_path / "out"
+        result = runner.invoke(main, [command, str(scenario), "--out", str(out)])
+        assert result.exit_code == 3, (result.output, result.exception)
+        assert "config error: transmitter at 700.5 MHz" in result.output
+        assert "outside [-200, 200]" in result.output
+        assert not out.exists()
 
     def test_seed_override_changes_nothing_for_explicit_layout(self, runner, route_scenario_file, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -152,6 +177,37 @@ class TestRun:
     def test_missing_input_is_exit_2(self, runner, tmp_path):
         result = runner.invoke(main, ["run", str(tmp_path / "absent.csv"), "--out", str(tmp_path)])
         assert result.exit_code == 2
+
+    def test_records_stream_into_the_pipeline(self, runner, sweeps_csv, tmp_path, monkeypatch):
+        yielded, seen = [], []
+        parse, process = cli.parse_sweep_file, TrackingPipeline.process
+
+        def counted_parse(path, plan):
+            for record in parse(path, plan):
+                yielded.append(record)
+                yield record
+
+        def watched_process(self, record):
+            seen.append(len(yielded))
+            return process(self, record)
+
+        monkeypatch.setattr(cli, "parse_sweep_file", counted_parse)
+        monkeypatch.setattr(TrackingPipeline, "process", watched_process)
+        result = runner.invoke(main, ["run", str(sweeps_csv), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 0, result.output
+        # each sweep is processed as soon as it is parsed, the first after one record
+        assert seen == list(range(1, 22))
+
+    def test_malformed_last_row_is_exit_2_with_no_output(self, runner, sweeps_csv, tmp_path):
+        lines = sweeps_csv.read_text(encoding="ascii").splitlines()
+        lines[-1] = lines[-1].rsplit(", ", 1)[0] + ", abc"
+        bad = tmp_path / "late.csv"
+        bad.write_text("\n".join(lines) + "\n", encoding="ascii")
+        out = tmp_path / "o"
+        result = runner.invoke(main, ["run", str(bad), "--out", str(out)])
+        assert result.exit_code == 2, (result.output, result.exception)
+        assert f"line {len(lines)}" in result.output
+        assert not (out / "trajectory.csv").exists() and not (out / "summary.txt").exists()
 
     def test_bad_config_is_exit_3(self, runner, sweeps_csv, tmp_path):
         config = tmp_path / "bad.cfg"

@@ -1,5 +1,6 @@
 import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -9,72 +10,81 @@ from sweepnav import (
     Landmark,
     NoiseConfig,
     SingularGeometryError,
-    TrackState,
+    ekf,
     matched_config,
-    predict,
-    range_jacobian,
-    range_measurement,
     run_pipeline,
-    update,
 )
 from sweepnav import pipeline
-from sweepnav.ekf import min_eig_2x2
-from test_acceptance import BENCH_NOISE, CovarianceAudit, benchmark_run, monitor_kernels, random_walk_tracks
+from sweepnav.ekf import DEFAULT_MIN_RANGE
+from test_acceptance import (
+    BENCH_NOISE,
+    CovarianceAudit,
+    benchmark_run,
+    covariance_matrix,
+    kernel_jacobian,
+    kernel_range,
+    monitor_kernels,
+    random_walk_tracks,
+)
 
 
-def state(x, y, p):
-    return TrackState(position=(x, y), covariance=np.eye(2) * p)
+def terms(x, y, p):
+    """Kernel terms of a state at (x, y) with covariance p * I."""
+    return (x, y, p, 0.0, p)
+
+
+def q_terms(noise):
+    q = noise.q
+    return (q[0, 0], q[0, 1], q[1, 1])
+
+
+DEFAULT_Q = q_terms(NoiseConfig())
 
 
 class TestPredict:
     def test_zero_input_adds_process_noise_only(self):
-        noise = NoiseConfig()
-        out = predict(state(1.0, 2.0, 1.0), 1.0, (0.0, 0.0), noise)
-        np.testing.assert_array_equal(out.position, [1.0, 2.0])
-        np.testing.assert_allclose(out.covariance, np.eye(2) * 1.1, atol=1e-15)
+        out = ekf.predict(terms(1.0, 2.0, 1.0), 1.0, 0.0, 0.0, DEFAULT_Q)
+        assert out[:2] == (1.0, 2.0)
+        np.testing.assert_allclose(covariance_matrix(*out[2:]), np.eye(2) * 1.1, atol=1e-15)
 
     def test_velocity_integration(self):
-        out = predict(state(0.0, 0.0, 1.0), 1.0, (2.0, 1.0), NoiseConfig())
-        np.testing.assert_array_equal(out.position, [2.0, 1.0])
+        out = ekf.predict(terms(0.0, 0.0, 1.0), 1.0, 2.0, 1.0, DEFAULT_Q)
+        assert out[:2] == (2.0, 1.0)
 
     def test_zero_covariance_becomes_q(self):
-        noise = NoiseConfig()
-        start = TrackState(position=(0.0, 0.0), covariance=np.zeros((2, 2)))
-        out = predict(start, 1.0, (0.0, 0.0), noise)
-        np.testing.assert_allclose(out.covariance, np.eye(2) * 0.1, atol=1e-15)
+        out = ekf.predict(terms(0.0, 0.0, 0.0), 1.0, 0.0, 0.0, DEFAULT_Q)
+        np.testing.assert_allclose(covariance_matrix(*out[2:]), np.eye(2) * 0.1, atol=1e-15)
 
     def test_fractional_timestep(self):
-        out = predict(state(0.0, 0.0, 1.0), 0.5, (2.0, 4.0), NoiseConfig())
-        np.testing.assert_allclose(out.position, [1.0, 2.0], atol=1e-15)
+        out = ekf.predict(terms(0.0, 0.0, 1.0), 0.5, 2.0, 4.0, DEFAULT_Q)
+        np.testing.assert_allclose(out[:2], [1.0, 2.0], atol=1e-15)
 
     def test_rejects_non_psd_covariance(self):
-        bad = TrackState(position=(0.0, 0.0), covariance=np.array([[1.0, 0.0], [0.0, -1.0]]))
         with pytest.raises(ValueError):
-            predict(bad, 1.0, (0.0, 0.0), NoiseConfig())
+            ekf.predict((0.0, 0.0, 1.0, 0.0, -1.0), 1.0, 0.0, 0.0, DEFAULT_Q)
 
     def test_rejects_nonpositive_timestep(self):
         with pytest.raises(ValueError):
-            predict(state(0.0, 0.0, 1.0), 0.0, (0.0, 0.0), NoiseConfig())
+            ekf.predict(terms(0.0, 0.0, 1.0), 0.0, 0.0, 0.0, DEFAULT_Q)
 
 
 class TestRangeModel:
     def test_three_four_five(self):
-        assert range_measurement(state(0.0, 0.0, 1.0), Landmark(3.0, 4.0)) == 5.0
+        assert kernel_range(0.0, 0.0, Landmark(3.0, 4.0)) == 5.0
 
     def test_coincident_is_zero(self):
-        assert range_measurement(state(3.0, 4.0, 1.0), Landmark(3.0, 4.0)) == 0.0
+        # the range falls to zero at the landmark, down to where its direction is undefined
+        assert kernel_range(3.0 + 1e-5, 4.0, Landmark(3.0, 4.0)) == pytest.approx(1e-5, rel=1e-9)
 
     def test_symmetry(self):
-        a = state(1.0, 2.0, 1.0)
-        b = Landmark(-4.0, 7.5)
-        assert range_measurement(a, b) == range_measurement(state(b.x, b.y, 1.0), Landmark(1.0, 2.0))
+        assert kernel_range(1.0, 2.0, Landmark(-4.0, 7.5)) == kernel_range(-4.0, 7.5, Landmark(1.0, 2.0))
 
     def test_jacobian_values(self):
-        h = range_jacobian(state(0.0, 0.0, 1.0), Landmark(3.0, 4.0))
+        h = kernel_jacobian(0.0, 0.0, Landmark(3.0, 4.0))
         np.testing.assert_allclose(h, [-0.6, -0.8], atol=1e-15)
 
     def test_jacobian_axis_aligned(self):
-        h = range_jacobian(state(5.0, 0.0, 1.0), Landmark(0.0, 0.0))
+        h = kernel_jacobian(5.0, 0.0, Landmark(0.0, 0.0))
         np.testing.assert_allclose(h, [1.0, 0.0], atol=1e-15)
 
     def test_jacobian_matches_finite_differences(self):
@@ -85,71 +95,60 @@ class TestRangeModel:
             if math.hypot(px - lx, py - ly) < 0.1:
                 continue
             landmark = Landmark(lx, ly)
-            h = range_jacobian(state(px, py, 1.0), landmark)
+            h = kernel_jacobian(px, py, landmark)
             eps = 1e-5
             fd = [
-                (
-                    range_measurement(state(px + dx, py + dy, 1.0), landmark)
-                    - range_measurement(state(px - dx, py - dy, 1.0), landmark)
-                )
-                / (2 * eps)
+                (kernel_range(px + dx, py + dy, landmark) - kernel_range(px - dx, py - dy, landmark)) / (2 * eps)
                 for dx, dy in ((eps, 0.0), (0.0, eps))
             ]
             np.testing.assert_allclose(h, fd, atol=1e-6)
 
     def test_coincident_jacobian_raises(self):
         with pytest.raises(SingularGeometryError):
-            range_jacobian(state(1.0, 1.0, 1.0), Landmark(1.0, 1.0))
+            ekf.update(terms(1.0, 1.0, 1.0), 0.0, 1.0, 1.0, 0.01)
 
 
 class TestUpdate:
     def test_zero_innovation_keeps_position_bits(self):
-        noise = NoiseConfig()
-        start = state(1.25, -3.75, 2.0)
+        start = terms(1.25, -3.75, 2.0)
         landmark = Landmark(10.0, 5.0)
-        z = range_measurement(start, landmark)
-        out = update(start, z, landmark, noise)
-        assert out.position[0] == start.position[0]
-        assert out.position[1] == start.position[1]
-        assert np.trace(out.covariance) < np.trace(start.covariance)
+        z = kernel_range(1.25, -3.75, landmark)
+        out, innovation = ekf.update(start, z, landmark.x, landmark.y, 0.01)
+        assert innovation == 0.0
+        assert out[:2] == start[:2]
+        assert out[2] + out[4] < start[2] + start[4]
 
     def test_zero_covariance_ignores_measurement(self):
-        noise = NoiseConfig()
-        start = TrackState(position=(2.0, 3.0), covariance=np.zeros((2, 2)))
-        out = update(start, 99.0, Landmark(10.0, 3.0), noise)
-        np.testing.assert_array_equal(out.position, [2.0, 3.0])
+        out, _ = ekf.update(terms(2.0, 3.0, 0.0), 99.0, 10.0, 3.0, 0.01)
+        assert out[:2] == (2.0, 3.0)
 
     def test_hand_computed_gain(self):
         # H = [-1, 0], S = 1.01, K = [-1/1.01, 0]
-        noise = NoiseConfig(q=np.eye(2) * 0.1, r=0.01)
-        start = state(0.0, 0.0, 1.0)
-        out = update(start, 11.0, Landmark(10.0, 0.0), noise)
-        assert out.position[0] == pytest.approx(-1.0 / 1.01, rel=1e-12)
-        assert out.position[1] == pytest.approx(0.0, abs=1e-15)
+        out, _ = ekf.update(terms(0.0, 0.0, 1.0), 11.0, 10.0, 0.0, 0.01)
+        assert out[0] == pytest.approx(-1.0 / 1.01, rel=1e-12)
+        assert out[1] == pytest.approx(0.0, abs=1e-15)
 
     def test_negative_range_rejected(self):
         with pytest.raises(ValueError):
-            update(state(0.0, 0.0, 1.0), -1.0, Landmark(5.0, 0.0), NoiseConfig())
+            ekf.update(terms(0.0, 0.0, 1.0), -1.0, 5.0, 0.0, 0.01)
 
     def test_rejects_non_psd_covariance(self):
-        bad = TrackState(position=(0.0, 0.0), covariance=np.array([[1.0, 0.0], [0.0, -1.0]]))
+        # update trusts its covariance; a non-PSD one is stopped where it enters the filter
         with pytest.raises(ValueError):
-            update(bad, 5.0, Landmark(5.0, 0.0), NoiseConfig())
+            EkfTracker(x0=(0.0, 0.0), p0=np.array([[1.0, 0.0], [0.0, -1.0]]), noise=NoiseConfig())
 
     def test_covariance_stays_symmetric_psd(self):
         rng = np.random.default_rng(9)
-        noise = NoiseConfig(q=np.eye(2) * 0.1, r=0.5)
-        current = state(0.0, 0.0, 5.0)
+        q, r = q_terms(NoiseConfig(q=np.eye(2) * 0.1)), 0.5
+        current = terms(0.0, 0.0, 5.0)
         for _ in range(200):
-            current = predict(current, 1.0, rng.uniform(-2, 2, 2), noise)
+            current = ekf.predict(current, 1.0, *rng.uniform(-2, 2, 2), q)
             landmark = Landmark(*rng.uniform(-50, 50, 2))
-            z = max(0.0, range_measurement(current, landmark) + rng.normal(0, 0.5))
-            before = np.trace(current.covariance)
-            current = update(current, z, landmark, noise)
-            p = current.covariance
-            assert abs(p[0, 1] - p[1, 0]) < 1e-9
-            assert min_eig_2x2(p) > -1e-9
-            assert np.trace(p) <= before + 1e-12
+            z = max(0.0, kernel_range(current[0], current[1], landmark) + rng.normal(0, 0.5))
+            before = current[2] + current[4]
+            current, _ = ekf.update(current, z, landmark.x, landmark.y, r)
+            assert np.linalg.eigvalsh(covariance_matrix(*current[2:]))[0] > -1e-9
+            assert current[2] + current[4] <= before + 1e-12
 
 
 class TestTracker:
@@ -161,6 +160,22 @@ class TestTracker:
         tracker.step(1.0, (1.0, 0.0), [(lm, 9.0), (Landmark(1.0, 0.0, 1), 0.0), (lm, 9.0)])
         # the second landmark coincides with the prediction and is skipped
         assert events == ["predict", "update", "update"]
+
+    def test_step_calls_the_public_kernels(self, monkeypatch):
+        calls = []
+        for name in ("predict", "update"):
+
+            def counted(*args, name=name, kernel=getattr(ekf, name)):
+                calls.append(name)
+                return kernel(*args)
+
+            monkeypatch.setattr(ekf, name, counted)
+        tracker = EkfTracker(x0=(0.0, 0.0), p0=np.eye(2) * 10.0, noise=NoiseConfig())
+        lm = Landmark(10.0, 0.0, 0)
+        step = tracker.step(1.0, (1.0, 0.0), [(lm, 9.0), (Landmark(1.0, 0.0, 1), 0.0), (lm, 9.0)])
+        # one update per offered landmark, the skipped one included
+        assert calls == ["predict", "update", "update", "update"]
+        assert step.flags == ("skipped_landmark",)
 
     def test_skipped_landmark_flag(self):
         tracker = EkfTracker(x0=(0.0, 0.0), p0=np.eye(2), noise=NoiseConfig())
@@ -178,10 +193,10 @@ class TestTrack:
         target = (5.0, 5.0)
         tracker = EkfTracker(x0=(9.0, 8.0), p0=np.eye(2) * 10.0, noise=noise)
         landmark = Landmark(*target, 0)
-        traces = [np.trace(tracker.state.covariance)]
+        traces = [20.0]
         for _ in range(30):
             step = tracker.step(1.0, (0.0, 0.0), [(landmark, 0.0)])
-            traces.append(np.trace(step.covariance))
+            traces.append(step.covariance_terms[0] + step.covariance_terms[2])
         assert math.hypot(step.position[0] - target[0], step.position[1] - target[1]) < 1e-3
         assert traces[1] < traces[0]
         assert all(b <= a + 1e-12 for a, b in zip(traces, traces[1:]))
@@ -207,9 +222,14 @@ class TestNoiseConfig:
 
 
 # Reference: the matrix form of the filter equations, as numpy evaluates
-# them. The float kernel must agree with it to rounding; numpy's BLAS may
+# them. The float kernels must agree with it to rounding; numpy's BLAS may
 # fuse multiply-adds, so bitwise equality is not expected.
 REL_TOL = 1e-12
+
+
+class State(NamedTuple):
+    position: np.ndarray
+    covariance: np.ndarray
 
 
 def reference_predict(state, dt, u, noise):
@@ -218,21 +238,31 @@ def reference_predict(state, dt, u, noise):
     position = state.position + dt * np.asarray(u, dtype=float).reshape(2)
     covariance = state.covariance + noise.q
     covariance = (covariance + covariance.T) / 2.0
-    return TrackState(position=position, covariance=covariance)
+    return State(position, covariance)
 
 
 def reference_update(state, z, landmark, noise):
+    """The updated state and the innovation."""
     if z < 0:
         raise ValueError("range measurement must be non-negative")
-    h = range_jacobian(state, landmark)
+    offset = state.position - (landmark.x, landmark.y)
+    predicted = math.hypot(*offset)
+    if predicted <= DEFAULT_MIN_RANGE:
+        raise SingularGeometryError("range direction undefined")
+    h = offset / predicted
     p = state.covariance
     innovation_var = float(h @ p @ h) + noise.r
     gain = (p @ h) / innovation_var
-    predicted = range_measurement(state, landmark)
     position = state.position + gain * (z - predicted)
     covariance = (np.eye(2) - np.outer(gain, h)) @ p
     covariance = (covariance + covariance.T) / 2.0
-    return TrackState(position=position, covariance=covariance)
+    return State(position, covariance), z - predicted
+
+
+def kernel_terms(state):
+    """The kernel's (x, y, p00, p01, p11) of a reference state."""
+    (x, y), p = state.position, state.covariance
+    return (x, y, p[0, 0], (p[0, 1] + p[1, 0]) / 2.0, p[1, 1])
 
 
 class ReferenceTracker:
@@ -240,7 +270,7 @@ class ReferenceTracker:
     the events ``monitor_kernels`` reports for the real tracker."""
 
     def __init__(self, x0, p0, noise, sink=None):
-        self.state = TrackState(position=x0, covariance=p0)
+        self.state = State(np.asarray(x0, dtype=float).reshape(2), np.asarray(p0, dtype=float).reshape(2, 2))
         self.noise, self.sink = noise, sink
 
     def step(self, dt, u, measurements, timestamp=0.0):
@@ -250,12 +280,11 @@ class ReferenceTracker:
         innovations, flags = [], []
         for landmark, z in measurements:
             try:
-                predicted = range_measurement(state, landmark)
-                state = reference_update(state, z, landmark, self.noise)
+                state, innovation = reference_update(state, z, landmark, self.noise)
             except SingularGeometryError:
                 flags.append("skipped_landmark")
                 continue
-            innovations.append((landmark.source_index, z - predicted))
+            innovations.append((landmark.source_index, innovation))
             if self.sink is not None:
                 self.sink("update", state.covariance.copy())
         if measurements and not innovations:
@@ -273,7 +302,7 @@ def assert_close(actual, expected):
 def random_state(rng):
     a = rng.normal(0.0, rng.uniform(0.1, 30.0), (2, 2))
     covariance = a @ a.T + np.eye(2) * rng.uniform(0.0, 1.0)
-    return TrackState(position=rng.uniform(-500.0, 500.0, 2), covariance=covariance)
+    return State(rng.uniform(-500.0, 500.0, 2), covariance)
 
 
 class TestKernelAgainstReference:
@@ -283,9 +312,10 @@ class TestKernelAgainstReference:
             state, dt = random_state(rng), rng.uniform(0.1, 5.0)
             noise = NoiseConfig(q=np.diag(rng.uniform(0.0, 5.0, 2)), r=1.0)
             u = rng.uniform(-20.0, 20.0, 2)
-            out, ref = predict(state, dt, u, noise), reference_predict(state, dt, u, noise)
-            assert_close(out.position, ref.position)
-            assert_close(out.covariance, ref.covariance)
+            out = ekf.predict(kernel_terms(state), dt, *u, q_terms(noise))
+            ref = reference_predict(state, dt, u, noise)
+            assert_close(out[:2], ref.position)
+            assert_close(covariance_matrix(*out[2:]), ref.covariance)
 
     def test_update(self):
         rng = np.random.default_rng(12)
@@ -293,10 +323,14 @@ class TestKernelAgainstReference:
             state = random_state(rng)
             noise = NoiseConfig(r=rng.uniform(0.01, 300.0))
             landmark = Landmark(*rng.uniform(-500.0, 500.0, 2))
-            z = max(0.0, range_measurement(state, landmark) + rng.normal(0.0, 50.0))
-            out, ref = update(state, z, landmark, noise), reference_update(state, z, landmark, noise)
-            assert_close(out.position, ref.position)
-            assert_close(out.covariance, ref.covariance)
+            z = max(0.0, kernel_range(*state.position, landmark) + rng.normal(0.0, 50.0))
+            (out, innovation), (ref, ref_innovation) = (
+                ekf.update(kernel_terms(state), z, landmark.x, landmark.y, noise.r),
+                reference_update(state, z, landmark, noise),
+            )
+            assert_close(out[:2], ref.position)
+            assert_close(covariance_matrix(*out[2:]), ref.covariance)
+            assert_close(innovation, ref_innovation)
 
     def test_tracker_sequence(self):
         rng = np.random.default_rng(13)
@@ -314,11 +348,10 @@ class TestKernelAgainstReference:
             ]
             step = tracker.step(1.0, u, measurements)
             ref_state, ref_innovations, ref_flags = reference.step(1.0, u, measurements)
-            # the step keeps plain floats; the matrix is built on access
+            # the step keeps plain floats
             assert len(step.covariance_terms) == 3 and all(isinstance(v, float) for v in step.covariance_terms)
-            assert step.covariance.tolist() == [list(step.covariance_terms[:2]), list(step.covariance_terms[1:])]
             assert_close(step.position, ref_state.position)
-            assert_close(step.covariance, ref_state.covariance)
+            assert_close(covariance_matrix(*step.covariance_terms), ref_state.covariance)
             assert [i for i, _ in step.innovations] == [i for i, _ in ref_innovations]
             assert_close([v for _, v in step.innovations], [v for _, v in ref_innovations])
             assert list(step.flags) == ref_flags
@@ -343,7 +376,10 @@ class TestKernelAgainstReference:
         tracker = EkfTracker(x0=(0.0, 0.0), p0=np.eye(2), noise=NoiseConfig())
         with pytest.raises(ValueError):
             tracker.step(1.0, (0.0, 0.0), [(Landmark(5.0, 0.0, 0), -1.0)])
-        assert tracker.state.position.tolist() == [0.0, 0.0]
+        # the failed step committed nothing, not even its prediction
+        step = tracker.step(1.0, (0.0, 0.0), [])
+        assert step.position == (0.0, 0.0)
+        assert step.covariance_terms == pytest.approx((1.1, 0.0, 1.1), abs=1e-15)
 
 
 class TwinTracker:
@@ -353,10 +389,6 @@ class TwinTracker:
         self.real = EkfTracker(x0, p0, noise)
         self.ref = ReferenceTracker(x0, p0, noise, ref_sink)
         registry.append(self)
-
-    @property
-    def state(self):
-        return self.real.state
 
     def step(self, dt, u, measurements, timestamp=0.0):
         self.ref.step(dt, u, measurements, timestamp)

@@ -178,10 +178,9 @@ class TestHeldFixes:
         scenario = route_scenario(seed=2, shadowing_sigma_db=0.0)
         records = list(simulate_run(scenario).sweeps)
         victim = records[0].band_ids[0]
-        records[12] = SweepRecord(
-            timestamp=records[12].timestamp,
-            bands=tuple(b._replace(rss_dbm=-1e300) if b.band_id == victim else b for b in records[12].bands),
-        )
+        bands = tuple(b._replace(rss_dbm=-1e300) if b.band_id == victim else b for b in records[12].bands)
+        # built as the parser builds records: SweepRecord itself rejects |dB| > MAX_ABS_DB
+        records[12] = SweepRecord._unchecked(records[12].timestamp, bands, {b.band_id: b.rss_dbm for b in bands})
         trajectory = run_pipeline(records, matched_config(scenario, sweep_window=10))
         steps = trajectory.steps
         assert all(s.flags == () for s in steps[:12]) and steps[22].flags == ()

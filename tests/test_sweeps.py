@@ -157,6 +157,12 @@ class TestRecordInvariants:
         with pytest.raises(ValueError):
             SweepRecord(timestamp=0.0, bands=(BandSample(0, 0.5, math.nan),))
 
+    @pytest.mark.parametrize("rss", [-5000.0, -200.5, 200.5, -1e300])
+    def test_rss_beyond_the_parser_bound_rejected(self, rss):
+        # the parser's bound: a record built in code cannot hold what a file cannot
+        with pytest.raises(ValueError, match=r"outside \[-200, 200\]"):
+            SweepRecord(timestamp=0.0, bands=(BandSample(0, 0.5, rss),))
+
     def test_center_frequency_positive(self):
         with pytest.raises(ValueError):
             SweepRecord(timestamp=0.0, bands=(BandSample(0, -1.0, -50.0),))
