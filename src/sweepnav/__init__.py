@@ -48,7 +48,6 @@ from .smoothing import Smoother, SmootherConfig
 from .sweeps import (
     BandPlan,
     BandSample,
-    BandStats,
     SweepRecord,
     SweepWindow,
     band_mean,

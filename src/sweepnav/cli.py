@@ -21,7 +21,7 @@ from .config import default_config, load_config, load_scenario, scenario_with_se
 from .errors import ConfigError, SweepNavError, SweepParseError
 from .pipeline import PipelineConfig, run_pipeline
 from .simulator import rolling_spread, segment_errors, simulate_run, spread
-from .sweeps import BandPlan, parse_sweep_file, write_sweep_csv
+from .sweeps import BandPlan, SweepRecord, parse_sweep_file, write_sweep_csv
 
 EXIT_INPUT = 2
 EXIT_CONFIG = 3
@@ -285,16 +285,18 @@ def convergence(source, config_path, seed, out_dir):
 
     # Spread over cumulative low-to-high frequency subsets of the bands
     # seen in the first sweep.
-    bands = sorted(records[0].band_ids, key=config.plan.center_mhz)
+    bands = sorted(records[0].rss_by_id, key=config.plan.center_mhz)
     spectrum_rows = []
     for m in range(4, len(bands) + 1):
-        subset = bands[:m]
+        subset = set(bands[:m])
         sub_config = replace(
             config,
             sweep_window=None,
             plan=replace(config.plan, selection_count=m),
         )
-        sub_records = [_filter_bands(r, set(subset)) for r in records]
+        sub_records = [
+            SweepRecord(r.timestamp, {b: rss for b, rss in r.rss_by_id.items() if b in subset}) for r in records
+        ]
         sub_trajectory = run_pipeline(sub_records, sub_config)
         if len(sub_trajectory.steps) == 0:
             continue
@@ -308,15 +310,6 @@ def convergence(source, config_path, seed, out_dir):
     click.echo(
         f"wrote convergence series ({len(trajectory.steps)} sweeps, "
         f"{len(spectrum_rows)} spectrum points)"
-    )
-
-
-def _filter_bands(record, keep: set):
-    from .sweeps import SweepRecord
-
-    return SweepRecord(
-        timestamp=record.timestamp,
-        bands=tuple(b for b in record.bands if b.band_id in keep),
     )
 
 

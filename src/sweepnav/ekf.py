@@ -74,7 +74,6 @@ class TrackStep:
     covariance_terms: tuple[float, float, float]
     innovations: tuple[tuple[int, float], ...]
     flags: tuple[str, ...]
-    timestamp: float = 0.0
 
 
 # (x, y, p00, p01, p11): the kernel's state
@@ -155,7 +154,6 @@ class EkfTracker:
         dt: float,
         u: Sequence[float],
         measurements: Sequence[tuple[Landmark, float]],
-        timestamp: float = 0.0,
     ) -> TrackStep:
         """Predict with velocity ``u`` over ``dt``, then apply each range.
 
@@ -185,5 +183,4 @@ class EkfTracker:
             covariance_terms=(p00, p01, p11),
             innovations=tuple(innovations),
             flags=tuple(flags),
-            timestamp=timestamp,
         )

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
+from .sweeps import MAX_ABS_DB
 
 _EXPONENT_RANGE = (1.5, 6.0)
 
@@ -24,7 +25,8 @@ class PathLossParams:
 
     ``tx_power_dbm`` is the assumed nominal transmit power; opportunistic
     transmitters never advertise theirs, so a wrong value scales every
-    range by a common factor that the relative frame absorbs.
+    range by a common factor that the relative frame absorbs. Like a sweep
+    cell, it lies within +-MAX_ABS_DB.
     ``shadowing_sigma_db`` is only used by the forward model.
     """
 
@@ -39,6 +41,8 @@ class PathLossParams:
             raise ConfigError(f"path-loss exponent {self.exponent} outside [{lo}, {hi}]")
         if self.ref_distance_m <= 0:
             raise ConfigError("reference distance must be positive")
+        if not abs(self.tx_power_dbm) <= MAX_ABS_DB:
+            raise ConfigError(f"tx_power_dbm {self.tx_power_dbm} outside [-{MAX_ABS_DB:g}, {MAX_ABS_DB:g}]")
         if self.shadowing_sigma_db < 0:
             raise ConfigError("shadowing sigma must be non-negative")
 

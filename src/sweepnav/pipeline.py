@@ -115,9 +115,6 @@ class Trajectory:
             [getattr(s, estimator) for s in self.steps], dtype=float
         ).reshape(len(self.steps), 2)
 
-    def timestamps(self) -> np.ndarray:
-        return np.array([s.timestamp for s in self.steps], dtype=float)
-
 
 @dataclass(frozen=True)
 class SegmentError:
@@ -238,10 +235,9 @@ class TrackingPipeline:
 
     def _select_bands(self) -> bool:
         cfg = self._cfg
-        candidates = self._window.persistent_band_ids()
-        stats = [self._window.stats(bid) for bid in candidates]
+        means = {bid: self._window.mean_dbm(bid) for bid in self._window.persistent_band_ids()}
         try:
-            selected = select_transmit_bands(stats, cfg.plan.selection_count)
+            selected = select_transmit_bands(means, cfg.plan.selection_count)
         except InsufficientAnchorsError:
             return False
         self._selected = selected
@@ -301,7 +297,7 @@ class TrackingPipeline:
             measurements = []
         else:
             measurements = list(zip(self._landmarks, distances))
-        step = self._tracker.step(timestamp - previous[0], u, measurements, timestamp=timestamp)
+        step = self._tracker.step(timestamp - previous[0], u, measurements)
         return step.position, step.flags
 
 

@@ -19,7 +19,7 @@ from .errors import ConfigError
 from .pathloss import PathLossParams, rss_at_distance
 from .pipeline import PipelineConfig, SegmentError, Trajectory, segment_error_report
 from .placement import Bbox, place_in_box
-from .sweeps import MAX_ABS_DB, BandPlan, BandSample, SweepRecord
+from .sweeps import MAX_ABS_DB, BandPlan, SweepRecord
 
 # Four-leg benchmark route: 270, 490, 260 and 840 m with right-angle turns.
 ROUTE_WAYPOINTS: tuple[tuple[float, float], ...] = (
@@ -204,11 +204,13 @@ def synth_sweep(
     """
     params = scenario.pathloss
     clamped = 0
-    bands = []
+    rss_by_id = {}
     for tx in sorted(scenario.transmitters, key=lambda t: t.freq_mhz):
         band = plan.band_for(tx.freq_mhz)
         if band is None:
             raise ConfigError(f"transmitter at {tx.freq_mhz} MHz is outside the band plan")
+        if band[0] in rss_by_id:
+            raise ConfigError(f"two transmitters share band {band[0]}")
         distance = math.hypot(sample.x - tx.x, sample.y - tx.y)
         if distance < params.ref_distance_m:
             distance = params.ref_distance_m
@@ -222,24 +224,14 @@ def synth_sweep(
                 f"transmitter at {tx.freq_mhz} MHz: received power {rss:.1f} dB at {distance:.0f} m"
                 f" is outside [-{MAX_ABS_DB:g}, {MAX_ABS_DB:g}]"
             )
-        bands.append(BandSample(band[0], (band[1] + band[2]) / 2.0, rss))
-    bands.sort(key=lambda b: b.band_id)
-    return SweepRecord(timestamp=sample.timestamp, bands=tuple(bands)), clamped
+        rss_by_id[band[0]] = rss
+    return SweepRecord(sample.timestamp, dict(sorted(rss_by_id.items()))), clamped
 
 
 def simulate_run(scenario: Scenario, plan: BandPlan | None = None) -> SimulatedRun:
     """Deterministic ground truth plus synthetic sweep stream."""
     if plan is None:
         plan = BandPlan.uniform()
-    band_ids = set()
-    for tx in scenario.transmitters:
-        band = plan.band_for(tx.freq_mhz)
-        if band is None:
-            raise ConfigError(f"transmitter at {tx.freq_mhz} MHz is outside the band plan")
-        if band[0] in band_ids:
-            raise ConfigError(f"two transmitters share band {band[0]}")
-        band_ids.add(band[0])
-
     truth = synth_route(scenario)
     rng = np.random.default_rng(scenario.seed)
     sweeps = []

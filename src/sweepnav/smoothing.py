@@ -84,6 +84,3 @@ class Smoother:
     def push(self, point: Point) -> Point:
         self._points.append((float(point[0]), float(point[1])))
         return _weighted_mean(self._points, self._levels[len(self._points) - 1])
-
-    def __len__(self) -> int:
-        return len(self._points)

@@ -7,7 +7,7 @@ mean power and the transmitter band set are derived.
 
 Each row is split once, its timestamp parsed by strptime's grammar only
 when its text changes, and each bin placed by arithmetic on a uniform plan.
-Records and window statistics built from checked values are not re-checked.
+Window statistics built from checked records are not re-checked.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ConfigError, InsufficientAnchorsError, MissingBandError, SweepParseError
 
@@ -37,7 +37,6 @@ MAX_ABS_DB = 200.0
 
 class BandSample(NamedTuple):
     band_id: int
-    center_mhz: float
     rss_dbm: float
 
 
@@ -45,58 +44,27 @@ class BandSample(NamedTuple):
 class SweepRecord:
     """One full pass over the swept spectrum.
 
-    ``timestamp`` is UTC epoch seconds at microsecond granularity; ``bands``
-    holds per-band received power sorted by band id.
+    ``timestamp`` is UTC epoch seconds at microsecond granularity;
+    ``rss_by_id`` maps band id to received power (dB) in ascending id order.
     """
 
     timestamp: float
-    bands: tuple[BandSample, ...]
-    _rss_by_id: dict = field(init=False, repr=False, compare=False)
+    rss_by_id: dict[int, float]
 
     def __post_init__(self):
-        object.__setattr__(self, "bands", tuple(self.bands))
         if not math.isfinite(self.timestamp):
             raise ValueError("timestamp must be finite")
         prev_id = None
-        for band in self.bands:
-            if prev_id is not None and band.band_id <= prev_id:
+        for band_id, rss in self.rss_by_id.items():
+            if prev_id is not None and band_id <= prev_id:
                 raise ValueError("band ids must be strictly increasing")
-            prev_id = band.band_id
-            if band.center_mhz <= 0:
-                raise ValueError(f"band {band.band_id}: center frequency must be positive")
-            if not -MAX_ABS_DB <= band.rss_dbm <= MAX_ABS_DB:  # NaN fails too
-                raise ValueError(
-                    f"band {band.band_id}: rss {band.rss_dbm!r} outside [-{MAX_ABS_DB:g}, {MAX_ABS_DB:g}]"
-                )
-        object.__setattr__(self, "_rss_by_id", {b.band_id: b.rss_dbm for b in self.bands})
-
-    @classmethod
-    def _unchecked(cls, timestamp: float, bands: tuple[BandSample, ...], rss_by_id: dict):
-        """A record from values the parser has already checked."""
-        record = object.__new__(cls)
-        record.__dict__.update(timestamp=timestamp, bands=bands, _rss_by_id=rss_by_id)
-        return record
-
-    def rss(self, band_id: int) -> float | None:
-        return self._rss_by_id.get(band_id)
+            prev_id = band_id
+            if not -MAX_ABS_DB <= rss <= MAX_ABS_DB:  # NaN fails too
+                raise ValueError(f"band {band_id}: rss {rss!r} outside [-{MAX_ABS_DB:g}, {MAX_ABS_DB:g}]")
 
     @property
-    def band_ids(self) -> tuple[int, ...]:
-        return tuple(b.band_id for b in self.bands)
-
-
-class BandStats(NamedTuple):
-    """Windowed statistics of one band's received power.
-
-    Built by :func:`band_mean` and :meth:`SweepWindow.stats`, which hold at
-    least one sample and clamp the mean into ``[min_dbm, max_dbm]``.
-    """
-
-    band_id: int
-    mean_dbm: float
-    sample_count: int
-    min_dbm: float
-    max_dbm: float
+    def bands(self) -> tuple[BandSample, ...]:
+        return tuple(map(BandSample._make, self.rss_by_id.items()))
 
 
 @dataclass(frozen=True)
@@ -220,7 +188,7 @@ def parse_sweep_lines(lines: Iterable[str], plan: BandPlan) -> Iterator[SweepRec
     rows, on a dB value beyond +-MAX_ABS_DB, and on a sweep whose timestamp
     is not later than the previous sweep's. An empty input yields nothing.
     """
-    bands, by_id, band_for, limit = plan.bands, plan._by_id, plan.band_for, MAX_ABS_DB
+    bands, band_for, limit = plan.bands, plan.band_for, MAX_ABS_DB
     # a bin's band index on a uniform plan; checked against the band's edges below
     low_mhz, band_count = bands[0][1], len(bands)
     bands_per_mhz = band_count / (bands[-1][2] - low_mhz)
@@ -229,12 +197,10 @@ def parse_sweep_lines(lines: Iterable[str], plan: BandPlan) -> Iterator[SweepRec
     pending_bins: dict[int, list[float]] = {}
 
     def finish() -> SweepRecord:
-        samples, rss_by_id = [], {}
-        for band_id, values in sorted(pending_bins.items()):
-            rss_by_id[band_id] = rss = _ordered_sum(values) / len(values)
-            _, low, high = by_id[band_id]  # centre as center_mhz computes it
-            samples.append(BandSample(band_id, (low + high) / 2.0, rss))
-        return SweepRecord._unchecked(pending_ts, tuple(samples), rss_by_id)
+        return SweepRecord(
+            pending_ts,
+            {band_id: _ordered_sum(values) / len(values) for band_id, values in sorted(pending_bins.items())},
+        )
 
     for line_no, raw_line in enumerate(lines, start=1):
         line = raw_line.strip()
@@ -304,11 +270,11 @@ def format_sweep_lines(records: Iterable[SweepRecord], plan: BandPlan) -> Iterat
     """
     for record in records:
         date_text, time_text = format_timestamp(record.timestamp)
-        for band in record.bands:
-            low_mhz, high_mhz = plan.edges_mhz(band.band_id)
+        for band_id, rss in record.rss_by_id.items():
+            low_mhz, high_mhz = plan.edges_mhz(band_id)
             yield (
                 f"{date_text}, {time_text}, {_hz(low_mhz)}, {_hz(high_mhz)}, "
-                f"{_hz(high_mhz - low_mhz)}, 1, {band.rss_dbm!r}"
+                f"{_hz(high_mhz - low_mhz)}, 1, {rss!r}"
             )
 
 
@@ -361,41 +327,34 @@ def _clamped_mean(total: float, count: int, low: float, high: float) -> float:
     return low if mean < low else high if mean > high else mean
 
 
-def _band_stats(band_id: int, total: float, count: int, low: float, high: float) -> BandStats:
-    return BandStats(band_id, _clamped_mean(total, count, low, high), count, low, high)
-
-
 def _missing_band(band_id: int, sweeps: int) -> MissingBandError:
     return MissingBandError(f"band {band_id} absent from all {sweeps} sweeps in window")
 
 
-def band_mean(window: Sequence[SweepRecord], band_id: int) -> BandStats:
-    """Arithmetic mean (dB domain) of one band's power over a sweep window.
+def band_mean(window: Sequence[SweepRecord], band_id: int) -> float:
+    """Arithmetic mean (dB domain) of one band's power over a sweep window,
+    clamped into the range of its samples.
 
-    The batch reference for :meth:`SweepWindow.stats`, which returns the
-    same statistics from incrementally kept state.
+    The batch reference for :meth:`SweepWindow.mean_dbm`, which returns the
+    same float from incrementally kept state.
     """
     if not window:
         raise ValueError("window must be non-empty")
-    values = [rss for record in window if (rss := record.rss(band_id)) is not None]
+    values = [record.rss_by_id[band_id] for record in window if band_id in record.rss_by_id]
     if not values:
         raise _missing_band(band_id, len(window))
-    return _band_stats(band_id, *_totals(values))
+    return _clamped_mean(*_totals(values))
 
 
-def select_transmit_bands(stats: Iterable[BandStats], count: int) -> list[int]:
-    """Pick the ``count`` strongest bands by mean power.
+def select_transmit_bands(means: Mapping[int, float], count: int) -> list[int]:
+    """Pick the ``count`` strongest bands of a band id -> mean power map.
 
     Ties break toward the lower band id; output order is strongest first
     and is a deterministic function of the input.
     """
-    usable = [s for s in stats if s.sample_count >= 1]
-    if len(usable) < count:
-        raise InsufficientAnchorsError(
-            f"need {count} usable bands, have {len(usable)}"
-        )
-    ranked = sorted(usable, key=lambda s: (-s.mean_dbm, s.band_id))
-    return [s.band_id for s in ranked[:count]]
+    if len(means) < count:
+        raise InsufficientAnchorsError(f"need {count} usable bands, have {len(means)}")
+    return sorted(means, key=lambda band_id: (-means[band_id], band_id))[:count]
 
 
 class SweepWindow:
@@ -406,7 +365,7 @@ class SweepWindow:
     band's values in arrival order (and its last ``length`` records, to
     evict), a growing one a running sum, count, minimum and maximum and no
     record at all. Per sweep, ``push`` costs O(K) in the sweep's band
-    count; ``stats`` costs O(1) for a growing window and O(length) for a
+    count; ``mean_dbm`` costs O(1) for a growing window and O(length) for a
     bounded one; ``persistent_band_ids`` costs O(B) in the bands seen in the
     window. None of them depends on how many sweeps a growing window holds.
     After :meth:`keep_only`, every query sees the kept bands alone.
@@ -434,7 +393,7 @@ class SweepWindow:
         return rss_by_id.keys() if self._kept is None else rss_by_id.keys() & self._kept
 
     def push(self, record: SweepRecord) -> None:
-        bands, rss_by_id = self._bands, record._rss_by_id
+        bands, rss_by_id = self._bands, record.rss_by_id
         if self._length is None:
             for band_id in self._held(rss_by_id):
                 rss = rss_by_id[band_id]
@@ -450,7 +409,7 @@ class SweepWindow:
             self._count += 1
         else:
             if len(self._records) == self._length:
-                for band_id in self._held(self._records.popleft()._rss_by_id):
+                for band_id in self._held(self._records.popleft().rss_by_id):
                     values = bands[band_id]
                     values.popleft()
                     if not values:
@@ -468,21 +427,14 @@ class SweepWindow:
     def __len__(self) -> int:
         return self._count
 
-    def _band_totals(self, band_id: int) -> Sequence:
+    def mean_dbm(self, band_id: int) -> float:
+        """Equal to ``band_mean`` over the window's sweeps, without the rescan."""
         if not self._count:
             raise ValueError("window must be non-empty")
         entry = self._bands.get(band_id)
         if entry is None:
             raise _missing_band(band_id, self._count)
-        return entry if self._length is None else _totals(entry)
-
-    def stats(self, band_id: int) -> BandStats:
-        """Equal to ``band_mean`` over the window's sweeps, without the rescan."""
-        return _band_stats(band_id, *self._band_totals(band_id))
-
-    def mean_dbm(self, band_id: int) -> float:
-        """Equal to ``self.stats(band_id).mean_dbm``, without building the stats."""
-        return _clamped_mean(*self._band_totals(band_id))
+        return _clamped_mean(*(entry if self._length is None else _totals(entry)))
 
     def persistent_band_ids(self) -> list[int]:
         """Bands present in every sweep of the window."""

@@ -1,16 +1,29 @@
 import csv
 import math
+from dataclasses import replace
 
 import pytest
 from click.testing import CliRunner
 
-from sweepnav import TrackingPipeline, cli
+from sweepnav import SweepRecord, TrackingPipeline, cli, parse_sweep_file, run_pipeline
 from sweepnav.cli import main
+from sweepnav.config import default_config
+from sweepnav.simulator import spread
 
 
 @pytest.fixture
 def runner():
     return CliRunner()
+
+
+@pytest.fixture
+def benchmark_sweeps(runner, tmp_path):
+    """Sweeps of the README's scenario: the four-leg route with 4 dB shadowing."""
+    scenario = tmp_path / "bench.txt"
+    scenario.write_text(BENCHMARK_SCENARIO, encoding="ascii")
+    result = runner.invoke(main, ["simulate", str(scenario), "--out", str(tmp_path / "bench_sim")])
+    assert result.exit_code == 0, result.output
+    return tmp_path / "bench_sim" / "sweeps.csv"
 
 
 def read_rows(path):
@@ -261,6 +274,16 @@ class TestRun:
         assert result.exit_code == 3, result.output
         assert "more than 1000000 bands" in result.output
 
+    def test_transmit_power_beyond_the_db_bound_is_exit_3(self, runner, benchmark_sweeps, tmp_path):
+        # every range of every sweep overflowed a float: exit 0 with a header-only trajectory before
+        config = tmp_path / "loud.cfg"
+        config.write_text("tx_power_dbm = 1e5\n", encoding="ascii")
+        out = tmp_path / "o"
+        result = runner.invoke(main, ["run", str(benchmark_sweeps), "--config", str(config), "--out", str(out)])
+        assert result.exit_code == 3, (result.output, result.exception)
+        assert "config error" in result.output and "outside [-200, 200]" in result.output
+        assert not out.exists()
+
     def test_plan_below_zero_mhz_is_exit_3(self, runner, sweeps_csv, tmp_path):
         config = tmp_path / "negative.cfg"
         config.write_text("band.low_mhz = -100\n", encoding="ascii")
@@ -477,6 +500,24 @@ class TestEval:
 
 
 class TestConvergence:
+    def test_spectrum_rows_equal_runs_on_the_lowest_bands(self, runner, benchmark_sweeps, tmp_path):
+        out = tmp_path / "conv"
+        result = runner.invoke(main, ["convergence", str(benchmark_sweeps), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        config = default_config()
+        records = list(parse_sweep_file(benchmark_sweeps, config.plan))
+        bands = sorted(records[0].rss_by_id)  # ascending id is ascending frequency on a uniform plan
+        expected = []
+        for m in range(4, len(bands) + 1):
+            cut = [SweepRecord(r.timestamp, {b: r.rss_by_id[b] for b in bands[:m]}) for r in records]
+            sub_config = replace(config, sweep_window=None, plan=replace(config.plan, selection_count=m))
+            raw = run_pipeline(cut, sub_config).positions("raw")
+            expected.append([f"{config.plan.center_mhz(bands[m - 1]):.6f}", str(m), f"{spread(raw[-10:]):.6f}"])
+        rows = read_rows(out / "convergence_spectrum.csv")
+        assert rows[1:] == expected and len(expected) == 3
+        # shadowed sweeps scatter the fixes, so the comparison is not of zeros
+        assert all(float(row[2]) > 0.0 for row in expected)
+
     def test_static_zero_noise_spread_is_zero(self, runner, static_scenario_file, tmp_path):
         out = tmp_path / "conv"
         result = runner.invoke(main, ["convergence", str(static_scenario_file), "--out", str(out)])

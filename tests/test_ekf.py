@@ -273,7 +273,7 @@ class ReferenceTracker:
         self.state = State(np.asarray(x0, dtype=float).reshape(2), np.asarray(p0, dtype=float).reshape(2, 2))
         self.noise, self.sink = noise, sink
 
-    def step(self, dt, u, measurements, timestamp=0.0):
+    def step(self, dt, u, measurements):
         state = reference_predict(self.state, dt, u, self.noise)
         if self.sink is not None:
             self.sink("predict", state.covariance.copy())
@@ -390,9 +390,9 @@ class TwinTracker:
         self.ref = ReferenceTracker(x0, p0, noise, ref_sink)
         registry.append(self)
 
-    def step(self, dt, u, measurements, timestamp=0.0):
-        self.ref.step(dt, u, measurements, timestamp)
-        return self.real.step(dt, u, measurements, timestamp)
+    def step(self, dt, u, measurements):
+        self.ref.step(dt, u, measurements)
+        return self.real.step(dt, u, measurements)
 
 
 def test_covariance_audit_sees_reference_events(monkeypatch):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sweepnav import BandSample, PathLossParams, SweepRecord, free_space_pl0, invert_distance, rss_at_distance
+from sweepnav import PathLossParams, SweepRecord, free_space_pl0, invert_distance, rss_at_distance
 from sweepnav.errors import ConfigError
 
 
@@ -51,7 +51,7 @@ class TestPathLoss:
     def test_rejects_non_finite(self):
         # received power is checked where it enters, so every loss is finite
         with pytest.raises(ValueError):
-            SweepRecord(0.0, (BandSample(1, 900.0, math.inf),))
+            SweepRecord(0.0, {1: math.inf})
 
 
 class TestInvertDistance:
@@ -132,3 +132,10 @@ class TestParams:
     def test_shadowing_non_negative(self):
         with pytest.raises(ConfigError):
             PathLossParams(shadowing_sigma_db=-1.0)
+
+    @pytest.mark.parametrize("power", [1e5, -200.5, math.inf, math.nan])
+    def test_transmit_power_within_the_db_bound(self, power):
+        # the bound a sweep cell takes; at 1e5 every range overflowed a float
+        with pytest.raises(ConfigError, match=r"outside \[-200, 200\]"):
+            PathLossParams(tx_power_dbm=power)
+        assert PathLossParams(tx_power_dbm=-200.0).tx_power_dbm == -200.0

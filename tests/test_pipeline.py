@@ -142,7 +142,7 @@ class TestPipelineRuns:
 def strip_band(record, band_id):
     return SweepRecord(
         timestamp=record.timestamp,
-        bands=tuple(b for b in record.bands if b.band_id != band_id),
+        rss_by_id={b: rss for b, rss in record.rss_by_id.items() if b != band_id},
     )
 
 
@@ -151,7 +151,7 @@ class TestHeldFixes:
         scenario = route_scenario(seed=2, shadowing_sigma_db=0.0)
         run = simulate_run(scenario)
         records = list(run.sweeps)
-        victim = records[0].band_ids[0]
+        victim = min(records[0].rss_by_id)
         for k in (30, 31):
             records[k] = strip_band(records[k], victim)
 
@@ -177,10 +177,11 @@ class TestHeldFixes:
         # past the float limit until the sample leaves the 10-sweep window
         scenario = route_scenario(seed=2, shadowing_sigma_db=0.0)
         records = list(simulate_run(scenario).sweeps)
-        victim = records[0].band_ids[0]
-        bands = tuple(b._replace(rss_dbm=-1e300) if b.band_id == victim else b for b in records[12].bands)
-        # built as the parser builds records: SweepRecord itself rejects |dB| > MAX_ABS_DB
-        records[12] = SweepRecord._unchecked(records[12].timestamp, bands, {b.band_id: b.rss_dbm for b in bands})
+        victim = min(records[0].rss_by_id)
+        # SweepRecord rejects |dB| > MAX_ABS_DB, so the sample bypasses its constructor
+        forged = object.__new__(SweepRecord)
+        forged.__dict__.update(timestamp=records[12].timestamp, rss_by_id={**records[12].rss_by_id, victim: -1e300})
+        records[12] = forged
         trajectory = run_pipeline(records, matched_config(scenario, sweep_window=10))
         steps = trajectory.steps
         assert all(s.flags == () for s in steps[:12]) and steps[22].flags == ()

@@ -103,7 +103,7 @@ class TestSynthSweep:
         scenario = simple_scenario(waypoints=((0.0, 0.0), (0.0, 0.0)), hold_s=3.0)
         run = simulate_run(scenario)
         record = run.sweeps[0]
-        assert record.band_ids == (700, 800, 900, 1800)
+        assert list(record.rss_by_id) == [700, 800, 900, 1800]
         for band, tx in zip(record.bands, FOUR_TX):
             expected = rss_at_distance(300.0, tx.freq_mhz, scenario.pathloss, tx_power_dbm=43.0)
             assert band.rss_dbm == pytest.approx(expected, rel=1e-12)
@@ -116,7 +116,7 @@ class TestSynthSweep:
             for band, tx in zip(record.bands, FOUR_TX):
                 true_d = math.hypot(pos[0] - tx.x, pos[1] - tx.y)
                 params = scenario.pathloss
-                pl0 = free_space_pl0(band.center_mhz, params.ref_distance_m)
+                pl0 = free_space_pl0(BandPlan.uniform().center_mhz(band.band_id), params.ref_distance_m)
                 est = invert_distance(params.tx_power_dbm - band.rss_dbm, pl0, params)
                 assert abs(est - true_d) / true_d < 1e-9
 

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from sweepnav import (
     BandPlan,
     BandSample,
-    BandStats,
     MissingBandError,
     InsufficientAnchorsError,
     SweepParseError,
@@ -35,7 +34,8 @@ class TestParsing:
         assert len(records) == 1
         record = records[0]
         assert record.timestamp == parse_timestamp("2023-01-01", "12:00:00.000000")
-        assert record.bands == (BandSample(0, 0.5, -60.0),)
+        assert record.rss_by_id == {0: -60.0}
+        assert record.bands == (BandSample(0, -60.0),)
 
     def test_equal_timestamps_merge_into_one_sweep(self, small_plan):
         lines = [
@@ -44,7 +44,7 @@ class TestParsing:
         ]
         records = parse_all(lines, small_plan)
         assert len(records) == 1
-        assert records[0].bands == (BandSample(0, 0.5, -60.0), BandSample(1, 1.5, -70.0))
+        assert records[0].bands == (BandSample(0, -60.0), BandSample(1, -70.0))
 
     def test_distinct_timestamps_make_two_sweeps(self, small_plan):
         lines = [
@@ -93,16 +93,12 @@ class TestParsing:
             "2023-01-01, 12:00:00.000000, 0, 1000000, 1000000, 1, -60.0",
         ]
         records = parse_all(lines, small_plan)
-        assert records[0].band_ids == (0,)
+        assert list(records[0].rss_by_id) == [0]
 
     def test_multiple_bins_per_row(self, small_plan):
         line = "2023-01-01, 12:00:00.000000, 0, 3000000, 1000000, 1, -60.0, -50.0, -40.0"
         records = parse_all([line], small_plan)
-        assert records[0].bands == (
-            BandSample(0, 0.5, -60.0),
-            BandSample(1, 1.5, -50.0),
-            BandSample(2, 2.5, -40.0),
-        )
+        assert repr(records[0].rss_by_id) == repr({0: -60.0, 1: -50.0, 2: -40.0})
 
 
 ROUND_TRIP_PLAN = BandPlan.uniform(low_mhz=0.0, high_mhz=10.0, width_mhz=1.0, selection_count=4)
@@ -131,10 +127,7 @@ class TestRoundTrip:
         plan = ROUND_TRIP_PLAN
         records = []
         for i, (bands,) in enumerate(data):
-            samples = tuple(
-                BandSample(bid, plan.center_mhz(bid), rss) for bid, rss in sorted(bands)
-            )
-            records.append(SweepRecord(timestamp=1_600_000_000.0 + i, bands=samples))
+            records.append(SweepRecord(timestamp=1_600_000_000.0 + i, rss_by_id=dict(sorted(bands))))
         lines = list(format_sweep_lines(records, plan))
         reparsed = parse_all(lines, plan)
         assert reparsed == records
@@ -142,7 +135,7 @@ class TestRoundTrip:
     def test_microsecond_timestamps_survive(self, small_plan):
         record = SweepRecord(
             timestamp=parse_timestamp("2023-06-15", "08:30:00.123456"),
-            bands=(BandSample(3, 3.5, -55.25),),
+            rss_by_id={3: -55.25},
         )
         lines = list(format_sweep_lines([record], small_plan))
         assert parse_all(lines, small_plan) == [record]
@@ -151,21 +144,21 @@ class TestRoundTrip:
 class TestRecordInvariants:
     def test_band_ids_must_increase(self):
         with pytest.raises(ValueError):
-            SweepRecord(timestamp=0.0, bands=(BandSample(2, 2.5, -50.0), BandSample(1, 1.5, -60.0)))
+            SweepRecord(timestamp=0.0, rss_by_id={2: -50.0, 1: -60.0})
 
     def test_rss_must_be_finite(self):
         with pytest.raises(ValueError):
-            SweepRecord(timestamp=0.0, bands=(BandSample(0, 0.5, math.nan),))
+            SweepRecord(timestamp=0.0, rss_by_id={0: math.nan})
 
     @pytest.mark.parametrize("rss", [-5000.0, -200.5, 200.5, -1e300])
     def test_rss_beyond_the_parser_bound_rejected(self, rss):
         # the parser's bound: a record built in code cannot hold what a file cannot
         with pytest.raises(ValueError, match=r"outside \[-200, 200\]"):
-            SweepRecord(timestamp=0.0, bands=(BandSample(0, 0.5, rss),))
+            SweepRecord(timestamp=0.0, rss_by_id={0: rss})
 
-    def test_center_frequency_positive(self):
-        with pytest.raises(ValueError):
-            SweepRecord(timestamp=0.0, bands=(BandSample(0, -1.0, -50.0),))
+    def test_timestamp_must_be_finite(self):
+        with pytest.raises(ValueError, match="timestamp"):
+            SweepRecord(timestamp=math.inf, rss_by_id={0: -50.0})
 
 
 class TestBandPlan:
@@ -203,30 +196,20 @@ class TestBandPlan:
 
 
 def record(ts, values):
-    return SweepRecord(
-        timestamp=ts,
-        bands=tuple(BandSample(bid, bid + 0.5, rss) for bid, rss in sorted(values.items())),
-    )
+    return SweepRecord(timestamp=ts, rss_by_id=dict(sorted(values.items())))
 
 
 class TestBandMean:
     def test_arithmetic_mean(self):
         window = [record(t, {1: rss}) for t, rss in enumerate([-50.0, -60.0, -70.0])]
-        stats = band_mean(window, 1)
-        assert stats.mean_dbm == -60.0
-        assert stats.sample_count == 3
-        assert stats.min_dbm == -70.0
-        assert stats.max_dbm == -50.0
+        assert band_mean(window, 1) == -60.0
 
     def test_single_record_identity(self):
-        stats = band_mean([record(0.0, {2: -55.0})], 2)
-        assert stats.mean_dbm == -55.0
-        assert stats.sample_count == 1
+        assert band_mean([record(0.0, {2: -55.0})], 2) == -55.0
 
     def test_constant_series(self):
         window = [record(t, {3: -50.0}) for t in range(3)]
-        stats = band_mean(window, 3)
-        assert stats.mean_dbm == stats.min_dbm == stats.max_dbm == -50.0
+        assert band_mean(window, 3) == -50.0
 
     def test_missing_band_raises(self):
         with pytest.raises(MissingBandError):
@@ -243,40 +226,34 @@ class TestBandMean:
         for _ in range(50):
             values = rng.uniform(-120.0, -20.0, size=rng.integers(1, 12))
             window = [record(float(t), {4: float(v)}) for t, v in enumerate(values)]
-            stats = band_mean(window, 4)
-            assert stats.min_dbm <= stats.mean_dbm <= stats.max_dbm
+            assert values.min() <= band_mean(window, 4) <= values.max()
 
     def test_identical_sweeps_equal_single_sweep_value(self):
         one = record(0.0, {5: -63.72})
         window = [record(float(t), {5: -63.72}) for t in range(7)]
-        assert band_mean(window, 5).mean_dbm == band_mean([one], 5).mean_dbm
+        assert band_mean(window, 5) == band_mean([one], 5)
 
 
 class TestSelectTransmitBands:
-    STATS = {1: -50.0, 2: -80.0, 3: -55.0, 4: -60.0, 5: -58.0, 6: -52.0, 7: -90.0}
-
-    def make_stats(self, values):
-        return [band_mean([record(0.0, values)], bid) for bid in values]
+    MEANS = {1: -50.0, 2: -80.0, 3: -55.0, 4: -60.0, 5: -58.0, 6: -52.0, 7: -90.0}
 
     def test_strongest_first(self):
-        assert select_transmit_bands(self.make_stats(self.STATS), 4) == [1, 6, 3, 5]
+        assert select_transmit_bands(self.MEANS, 4) == [1, 6, 3, 5]
 
     def test_all_bands_when_count_equals_size(self):
-        stats = self.make_stats({1: -50.0, 2: -60.0, 3: -70.0, 4: -80.0})
-        assert select_transmit_bands(stats, 4) == [1, 2, 3, 4]
+        assert select_transmit_bands({1: -50.0, 2: -60.0, 3: -70.0, 4: -80.0}, 4) == [1, 2, 3, 4]
 
     def test_tie_breaks_to_lower_band_id(self):
-        stats = self.make_stats({9: -50.0, 2: -50.0, 5: -70.0, 6: -75.0})
-        assert select_transmit_bands(stats, 4) == [2, 9, 5, 6]
+        assert select_transmit_bands({9: -50.0, 2: -50.0, 5: -70.0, 6: -75.0}, 4) == [2, 9, 5, 6]
 
     def test_insufficient_bands(self):
-        stats = self.make_stats({1: -50.0, 2: -60.0})
         with pytest.raises(InsufficientAnchorsError):
-            select_transmit_bands(stats, 4)
+            select_transmit_bands({1: -50.0, 2: -60.0}, 4)
 
     def test_deterministic(self):
-        stats = self.make_stats(self.STATS)
-        assert select_transmit_bands(stats, 5) == select_transmit_bands(list(stats), 5)
+        # the map's insertion order does not matter
+        reversed_means = dict(reversed(self.MEANS.items()))
+        assert select_transmit_bands(self.MEANS, 5) == select_transmit_bands(reversed_means, 5)
 
 
 class TestSweepWindow:
@@ -285,7 +262,7 @@ class TestSweepWindow:
         for t in range(5):
             window.push(record(float(t), {1: -50.0 - t}))
         assert len(window) == 3
-        assert window.stats(1).mean_dbm == pytest.approx(-53.0)
+        assert window.mean_dbm(1) == pytest.approx(-53.0)
 
     def test_unbounded_window(self):
         window = SweepWindow(None)
@@ -332,12 +309,11 @@ class TestIncrementalWindow:
                     with pytest.raises(MissingBandError):
                         band_mean(records, bid)
                     with pytest.raises(MissingBandError):
-                        window.stats(bid)
+                        window.mean_dbm(bid)
                 else:
                     # repr compares floats bit for bit (including the sign of zero)
-                    assert repr(window.stats(bid)) == repr(band_mean(records, bid))
-                    assert repr(window.mean_dbm(bid)) == repr(window.stats(bid).mean_dbm)
-            common = set.intersection(*(set(r.band_ids) for r in records))
+                    assert repr(window.mean_dbm(bid)) == repr(band_mean(records, bid))
+            common = set.intersection(*(set(r.rss_by_id) for r in records))
             assert window.persistent_band_ids() == sorted(common)
 
     @pytest.mark.parametrize("length", [1, 3, 10, None])
@@ -357,13 +333,12 @@ class TestIncrementalWindow:
                 continue
             records = pushed[-length:] if length else pushed
             for bid in range(6):
-                if bid in kept and any(r.rss(bid) is not None for r in records):
-                    assert repr(window.stats(bid)) == repr(band_mean(records, bid))
-                    assert repr(window.mean_dbm(bid)) == repr(window.stats(bid).mean_dbm)
+                if bid in kept and any(bid in r.rss_by_id for r in records):
+                    assert repr(window.mean_dbm(bid)) == repr(band_mean(records, bid))
                 else:
                     with pytest.raises(MissingBandError):
                         window.mean_dbm(bid)
-            common = set.intersection(*(set(r.band_ids) for r in records)) & kept
+            common = set.intersection(*(set(r.rss_by_id) for r in records)) & kept
             assert window.persistent_band_ids() == sorted(common)
 
     def test_kept_band_returns_after_leaving(self):
@@ -373,18 +348,18 @@ class TestIncrementalWindow:
         for k in range(1, 4):
             window.push(record(float(k), {2: -61.0, 3: -71.0}))
         with pytest.raises(MissingBandError):
-            window.stats(1)
+            window.mean_dbm(1)
         window.push(record(4.0, {1: -52.0, 2: -62.0, 3: -72.0}))
-        assert window.stats(1) == BandStats(1, -52.0, 1, -52.0, -52.0)
         assert window.mean_dbm(1) == -52.0
+        assert window.persistent_band_ids() == [2]
         with pytest.raises(MissingBandError):
-            window.stats(3)
+            window.mean_dbm(3)
 
     def test_empty_window(self):
         window = SweepWindow(None)
         assert window.persistent_band_ids() == []
         with pytest.raises(ValueError):
-            window.stats(0)
+            window.mean_dbm(0)
 
     def test_growing_window_holds_no_record(self):
         window = SweepWindow(None)
@@ -422,14 +397,13 @@ def reference_parse_sweep_lines(lines, plan):
     pending_bins = {}
 
     def finish():
-        bands = []
+        rss_by_id = {}
         for band_id, values in sorted(pending_bins.items()):
             total = 0.0
             for value in values:
                 total += value
-            low, high = plan.edges_mhz(band_id)
-            bands.append(BandSample(band_id, (low + high) / 2.0, total / len(values)))
-        return SweepRecord(timestamp=pending_ts, bands=tuple(bands))
+            rss_by_id[band_id] = total / len(values)
+        return SweepRecord(timestamp=pending_ts, rss_by_id=rss_by_id)
 
     for line_no, raw_line in enumerate(lines, start=1):
         line = raw_line.strip()
@@ -660,7 +634,7 @@ class TestParserEdgeCases:
         line = "2023-01-01, 12:00:00, 0, 3000000, 1000000, 1, 0.1, 0.2, 0.3"
         (record,) = parse_all([line], plan)
         assert (0.1 + 0.2 + 0.3) / 3 != math.fsum([0.1, 0.2, 0.3]) / 3
-        assert record.bands == (BandSample(0, 1.5, (0.1 + 0.2 + 0.3) / 3),)
+        assert record.rss_by_id == {0: (0.1 + 0.2 + 0.3) / 3}
 
     def test_out_of_range_cell_names_its_line(self, small_plan):
         lines = [
@@ -670,7 +644,7 @@ class TestParserEdgeCases:
         ]
         with pytest.raises(SweepParseError, match=r"line 2: dB value 1\.7e\+308 outside \[-200, 200\]"):
             parse_all(lines, small_plan)
-        assert [r.bands for r in parse_all(lines[:1], small_plan)] == [(BandSample(0, 0.5, -200.0),)]
+        assert [r.rss_by_id for r in parse_all(lines[:1], small_plan)] == [{0: -200.0}]
 
     def test_non_ascii_byte_names_its_line(self, small_plan, tmp_path):
         path = tmp_path / "sweeps.csv"
@@ -685,9 +659,9 @@ class TestParserEdgeCases:
     def test_parser_records_equal_checked_records(self, small_plan):
         line = "2023-01-01, 12:00:00, 0, 3000000, 1000000, 1, -60.0, -50.0, -40.0"
         (record,) = parse_all([line], small_plan)
-        checked = SweepRecord(timestamp=record.timestamp, bands=record.bands)
-        assert record == checked
-        assert [record.rss(b) for b in range(4)] == [checked.rss(b) for b in range(4)]
+        checked = SweepRecord(timestamp=record.timestamp, rss_by_id=dict(record.bands))
+        assert record == checked and repr(record) == repr(checked)
+        assert list(record.rss_by_id) == [0, 1, 2]
 
     @pytest.mark.parametrize("low", [-100.0, -0.5, math.nan])
     def test_plan_below_zero_mhz_rejected(self, low):
