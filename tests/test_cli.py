@@ -114,12 +114,8 @@ class TestSimulate:
         assert r1.exit_code == 0 and r2.exit_code == 0
         assert (a / "sweeps.csv").read_bytes() == (b / "sweeps.csv").read_bytes()
 
-    def test_benchmark_route_length_in_truth_csv(self, runner, tmp_path):
-        scenario = tmp_path / "bench.txt"
-        scenario.write_text(BENCHMARK_SCENARIO, encoding="ascii")
-        out = tmp_path / "out"
-        result = runner.invoke(main, ["simulate", str(scenario), "--out", str(out)])
-        assert result.exit_code == 0, result.output
+    def test_benchmark_route_length_in_truth_csv(self, benchmark_sweeps):
+        out = benchmark_sweeps.parent
         truth = read_rows(out / "truth.csv")[1:]
         waypoint_ks = [int(row[0]) for row in read_rows(out / "waypoints.csv")[1:]]
         points = [(float(truth[k][2]), float(truth[k][3])) for k in waypoint_ks]
