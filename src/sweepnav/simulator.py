@@ -89,14 +89,17 @@ class Scenario:
             raise ConfigError("need at least 4 transmitters")
         if len(self.waypoints) < 2:
             raise ConfigError("need at least 2 waypoints")
-        if self.speed_mps <= 0:
-            raise ConfigError("speed must be positive")
-        if self.cadence_s <= 0:
-            raise ConfigError("sweep cadence must be positive")
-        if self.hold_s < 0:
-            raise ConfigError("hold time must be non-negative")
-        if self.lead_in_m < 0:
-            raise ConfigError("lead-in length must be non-negative")
+        # written so that NaN fails each check
+        if not 0 < self.speed_mps < math.inf:
+            raise ConfigError("speed must be positive and finite")
+        if not 0 < self.cadence_s < math.inf:
+            raise ConfigError("sweep cadence must be positive and finite")
+        if not 0 <= self.hold_s < math.inf:
+            raise ConfigError("hold time must be finite and non-negative")
+        if not 0 <= self.lead_in_m < math.inf:
+            raise ConfigError("lead-in length must be finite and non-negative")
+        if not math.isfinite(self.start_time):
+            raise ConfigError("start time must be finite")
         if self.lead_in_m > 0:
             dx = self.waypoints[1][0] - self.waypoints[0][0]
             dy = self.waypoints[1][1] - self.waypoints[0][1]

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import re
+import weakref
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
@@ -33,6 +34,10 @@ MAX_PLAN_BANDS = 1_000_000
 # is corrupt input, not a weak or strong signal. It also keeps every band
 # mean finite.
 MAX_ABS_DB = 200.0
+# Live uniform plans by their float arguments. Configs that ask for the same
+# plan share one object, and the plan is freed with the last of them; an LRU
+# would pin a plan of up to MAX_PLAN_BANDS bands after its configs are gone.
+_UNIFORM_PLANS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 class BandSample(NamedTuple):
@@ -114,16 +119,22 @@ class BandPlan:
         width_mhz: float = 1.0,
         selection_count: int = 6,
     ) -> "BandPlan":
+        """Equal-width bands from ``low_mhz``; equal arguments give one shared plan."""
         if not (width_mhz > 0 and low_mhz < high_mhz < math.inf):
             raise ConfigError("invalid uniform plan bounds")
         # checked before any band is built; the min keeps round() off inf
         count = int(round(min((high_mhz - low_mhz) / width_mhz, MAX_PLAN_BANDS + 1)))
         if count > MAX_PLAN_BANDS:
             raise ConfigError(f"uniform plan asks for more than {MAX_PLAN_BANDS} bands")
-        bands = tuple(
-            (i, low_mhz + i * width_mhz, low_mhz + (i + 1) * width_mhz) for i in range(count)
-        )
-        return cls(bands=bands, selection_count=selection_count)
+        low_mhz, high_mhz, width_mhz = float(low_mhz), float(high_mhz), float(width_mhz)
+        key = (cls, low_mhz, high_mhz, width_mhz, selection_count)
+        plan = _UNIFORM_PLANS.get(key)
+        if plan is None:
+            bands = tuple(
+                (i, low_mhz + i * width_mhz, low_mhz + (i + 1) * width_mhz) for i in range(count)
+            )
+            plan = _UNIFORM_PLANS[key] = cls(bands=bands, selection_count=selection_count)
+        return plan
 
     def band_for(self, freq_mhz: float) -> tuple[int, float, float] | None:
         """Band containing ``freq_mhz``, or None if outside the plan."""

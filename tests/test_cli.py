@@ -280,6 +280,16 @@ class TestRun:
         assert "config error" in result.output and "outside [-200, 200]" in result.output
         assert not out.exists()
 
+    def test_reference_distance_outside_its_range_is_exit_3(self, runner, benchmark_sweeps, tmp_path):
+        # every range of every sweep overflowed a float: exit 0 with a header-only trajectory before
+        config = tmp_path / "tiny_d0.cfg"
+        config.write_text("d0_m = 1e-250\nn_pl = 1.5\n", encoding="ascii")
+        out = tmp_path / "o"
+        result = runner.invoke(main, ["run", str(benchmark_sweeps), "--config", str(config), "--out", str(out)])
+        assert result.exit_code == 3, (result.output, result.exception)
+        assert "config error" in result.output and "reference distance" in result.output
+        assert not out.exists()
+
     def test_plan_below_zero_mhz_is_exit_3(self, runner, sweeps_csv, tmp_path):
         config = tmp_path / "negative.cfg"
         config.write_text("band.low_mhz = -100\n", encoding="ascii")

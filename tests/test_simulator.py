@@ -161,6 +161,32 @@ class TestScenarioValidation:
         with pytest.raises(ConfigError):
             simple_scenario(cadence_s=0.0)
 
+    # NaN fails every comparison, so each check must be one that NaN fails; a NaN sigma would
+    # silently disable shadowing in synth_sweep
+    @pytest.mark.parametrize(
+        "build, name, value",
+        [
+            (PathLossParams, "ref_distance_m", math.nan),
+            (PathLossParams, "ref_distance_m", math.inf),
+            (PathLossParams, "ref_distance_m", 1e-250),
+            (PathLossParams, "ref_distance_m", 2e4),
+            (PathLossParams, "shadowing_sigma_db", math.nan),
+            (PathLossParams, "shadowing_sigma_db", math.inf),
+            (simple_scenario, "speed_mps", math.nan),
+            (simple_scenario, "cadence_s", math.nan),
+            (simple_scenario, "hold_s", math.nan),
+            (simple_scenario, "lead_in_m", math.nan),
+            (simple_scenario, "start_time", math.nan),
+        ],
+    )
+    def test_non_finite_or_unphysical_value_rejected(self, build, name, value):
+        with pytest.raises(ConfigError):
+            build(**{name: value})
+
+    def test_reference_distance_bounds_are_inclusive(self):
+        for d0 in (1e-3, 1.0, 1e4):
+            assert PathLossParams(ref_distance_m=d0).ref_distance_m == d0
+
     def test_duplicate_frequencies_rejected(self):
         dupe = FOUR_TX[:3] + (Transmitter(9.0, 9.0, 43.0, 700.5),)
         with pytest.raises(ConfigError):

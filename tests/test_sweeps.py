@@ -2,6 +2,7 @@ import gc
 import math
 import weakref
 from bisect import bisect_right
+from dataclasses import replace
 from datetime import datetime, timezone
 
 import pytest
@@ -19,7 +20,9 @@ from sweepnav import (
     band_mean,
     select_transmit_bands,
 )
+from sweepnav.config import default_config
 from sweepnav.errors import ConfigError
+from sweepnav.pipeline import PipelineConfig
 from sweepnav.sweeps import MAX_ABS_DB, MAX_PLAN_BANDS, format_sweep_lines, parse_sweep_file, parse_sweep_lines, parse_timestamp
 
 
@@ -186,6 +189,43 @@ class TestBandPlan:
         monkeypatch.setattr(BandPlan, "__init__", build)
         with pytest.raises(ConfigError):
             BandPlan.uniform(**bounds)
+
+    def test_equal_uniform_plans_are_one_object(self):
+        plan = BandPlan.uniform()
+        assert BandPlan.uniform(0.0, 3500.0, 1.0, 6) is plan
+        assert BandPlan.uniform(0, 3500) is plan  # keyed on float values, not on how they were passed
+        assert default_config().plan is plan
+        assert PipelineConfig().plan is plan
+
+    def test_other_arguments_give_other_plans(self):
+        plan = BandPlan.uniform()
+        other_count, other_width = BandPlan.uniform(selection_count=7), BandPlan.uniform(width_mhz=2.0)
+        assert other_count is not plan and other_count.selection_count == 7
+        assert other_count.bands == plan.bands
+        assert other_width is not plan and len(other_width.bands) == 1750
+
+    @pytest.mark.parametrize("arguments", [dict(selection_count=3), dict(low_mhz=-100.0), dict(width_mhz=0.0)])
+    def test_invalid_arguments_raise_on_every_call(self, arguments):
+        for _ in range(2):
+            with pytest.raises(ConfigError):
+                BandPlan.uniform(**arguments)
+
+    def test_replace_gives_an_independent_plan(self):
+        plan = BandPlan.uniform()
+        for m in (4, 6):
+            subset = replace(plan, selection_count=m)
+            assert subset is not plan and subset.selection_count == m and subset.bands == plan.bands
+        assert plan.selection_count == 6 and BandPlan.uniform() is plan
+
+    def test_plan_is_freed_with_its_last_reference(self):
+        # bounds no other test or fixture holds a plan for
+        plan = BandPlan.uniform(low_mhz=17.0, high_mhz=29.0, width_mhz=0.5, selection_count=5)
+        held = weakref.ref(plan)
+        del plan
+        gc.collect()
+        assert held() is None
+        fresh = BandPlan.uniform(low_mhz=17.0, high_mhz=29.0, width_mhz=0.5, selection_count=5)
+        assert len(fresh.bands) == 24 and fresh.bands[0] == (0, 17.0, 17.5)
 
     def test_band_lookup_edges(self, small_plan):
         assert small_plan.band_for(0.0)[0] == 0
