@@ -120,9 +120,6 @@ class GroundTruth:
     def positions(self) -> np.ndarray:
         return np.array([(s.x, s.y) for s in self.samples], dtype=float)
 
-    def timestamps(self) -> np.ndarray:
-        return np.array([s.timestamp for s in self.samples], dtype=float)
-
     def segment_lengths(self) -> np.ndarray:
         pts = self.positions()[list(self.waypoint_indices)]
         return np.hypot(*(np.diff(pts, axis=0).T))
@@ -132,7 +129,6 @@ class GroundTruth:
 class SimulatedRun:
     truth: GroundTruth
     sweeps: tuple[SweepRecord, ...]
-    clamped_ranges: int = 0
 
 
 def synth_route(scenario: Scenario) -> GroundTruth:
@@ -198,26 +194,22 @@ def synth_sweep(
     scenario: Scenario,
     plan: BandPlan,
     rng: np.random.Generator,
-) -> tuple[SweepRecord, int]:
+) -> SweepRecord:
     """Forward-model one sweep at the given truth sample.
 
-    Returns the record and the number of ranges clamped to the reference
-    distance (receiver closer than d0 to a transmitter). A received power
-    beyond +-MAX_ABS_DB, which no sweep file may hold, is a ConfigError.
+    A receiver closer than d0 to a transmitter is taken to be at d0. A
+    received power beyond +-MAX_ABS_DB, which no sweep file may hold, is a
+    ConfigError.
     """
     params = scenario.pathloss
-    clamped = 0
     rss_by_id = {}
     for tx in sorted(scenario.transmitters, key=lambda t: t.freq_mhz):
-        band = plan.band_for(tx.freq_mhz)
-        if band is None:
+        band_id = plan.band_at(tx.freq_mhz)
+        if band_id is None:
             raise ConfigError(f"transmitter at {tx.freq_mhz} MHz is outside the band plan")
-        if band[0] in rss_by_id:
-            raise ConfigError(f"two transmitters share band {band[0]}")
-        distance = math.hypot(sample.x - tx.x, sample.y - tx.y)
-        if distance < params.ref_distance_m:
-            distance = params.ref_distance_m
-            clamped += 1
+        if band_id in rss_by_id:
+            raise ConfigError(f"two transmitters share band {band_id}")
+        distance = max(math.hypot(sample.x - tx.x, sample.y - tx.y), params.ref_distance_m)
         shadow = float(rng.normal(0.0, params.shadowing_sigma_db)) if params.shadowing_sigma_db > 0 else 0.0
         rss = rss_at_distance(
             distance, tx.freq_mhz, params, tx_power_dbm=tx.power_dbm, shadow_db=shadow
@@ -227,8 +219,8 @@ def synth_sweep(
                 f"transmitter at {tx.freq_mhz} MHz: received power {rss:.1f} dB at {distance:.0f} m"
                 f" is outside [-{MAX_ABS_DB:g}, {MAX_ABS_DB:g}]"
             )
-        rss_by_id[band[0]] = rss
-    return SweepRecord(sample.timestamp, dict(sorted(rss_by_id.items()))), clamped
+        rss_by_id[band_id] = rss
+    return SweepRecord(sample.timestamp, dict(sorted(rss_by_id.items())))
 
 
 def simulate_run(scenario: Scenario, plan: BandPlan | None = None) -> SimulatedRun:
@@ -237,13 +229,8 @@ def simulate_run(scenario: Scenario, plan: BandPlan | None = None) -> SimulatedR
         plan = BandPlan.uniform()
     truth = synth_route(scenario)
     rng = np.random.default_rng(scenario.seed)
-    sweeps = []
-    clamped_total = 0
-    for sample in truth.samples:
-        record, clamped = synth_sweep(sample, scenario, plan, rng)
-        sweeps.append(record)
-        clamped_total += clamped
-    return SimulatedRun(truth=truth, sweeps=tuple(sweeps), clamped_ranges=clamped_total)
+    sweeps = tuple(synth_sweep(sample, scenario, plan, rng) for sample in truth.samples)
+    return SimulatedRun(truth=truth, sweeps=sweeps)
 
 
 @dataclass(frozen=True)
@@ -338,12 +325,12 @@ def auto_transmitters(
         plan = BandPlan.uniform()
     by_band = {}
     for freq in freqs_mhz:
-        band = plan.band_for(freq)
-        if band is None:
+        band_id = plan.band_at(freq)
+        if band_id is None:
             raise ConfigError(f"carrier {freq} MHz is outside the band plan")
-        if band[0] in by_band:
-            raise ConfigError(f"two carriers share band {band[0]}")
-        by_band[band[0]] = freq
+        if band_id in by_band:
+            raise ConfigError(f"two carriers share band {band_id}")
+        by_band[band_id] = freq
     placed = place_in_box(by_band.keys(), seed, bbox)
     return tuple(
         Transmitter(x=placed[bid][0], y=placed[bid][1], power_dbm=power_dbm, freq_mhz=freq)

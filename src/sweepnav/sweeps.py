@@ -5,17 +5,17 @@ slice, rows sharing a timestamp form one sweep), bins the slices onto a
 band plan, and maintains a rolling window of sweeps from which per-band
 mean power and the transmitter band set are derived.
 
-Each row is split once, its timestamp parsed by strptime's grammar only
-when its text changes, and each bin placed by arithmetic on a uniform plan.
-Window statistics built from checked records are not re-checked.
+A band plan is four numbers (low edge, high edge, band width and the number
+of bands to select); band edges are computed, never stored. Each row is
+split once, its timestamp parsed by strptime's grammar only when its text
+changes, and each bin placed by one arithmetic lookup on the plan. Window
+statistics built from checked records are not re-checked.
 """
 
 from __future__ import annotations
 
 import math
 import re
-import weakref
-from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
@@ -34,10 +34,13 @@ MAX_PLAN_BANDS = 1_000_000
 # is corrupt input, not a weak or strong signal. It also keeps every band
 # mean finite.
 MAX_ABS_DB = 200.0
-# Live uniform plans by their float arguments. Configs that ask for the same
-# plan share one object, and the plan is freed with the last of them; an LRU
-# would pin a plan of up to MAX_PLAN_BANDS bands after its configs are gone.
-_UNIFORM_PLANS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+# Lowest centre a plan's first band may have: 1 kHz, below every receiver's
+# tuning range. A range is d0 * 10**((pl - pl0) / (10 n)) with
+# pl0 = 20 log10(d0) + 20 log10(fc) - 27.55; for pl <= 2 * MAX_ABS_DB,
+# d0 >= 1 mm, n >= 1.5 and fc >= 1e-3 MHz it stays below about 3e33 m. A
+# centre of 1e-300 MHz puts about -6,000 dB into pl0 and overflows every
+# range; any floor above about 1e-200 MHz keeps ranges finite.
+MIN_CENTER_MHZ = 1e-3
 
 
 class BandSample(NamedTuple):
@@ -74,89 +77,68 @@ class SweepRecord:
 
 @dataclass(frozen=True)
 class BandPlan:
-    """Partition of the swept spectrum into non-overlapping bands.
+    """Equal-width bands over the swept spectrum, as four numbers.
 
-    ``selection_count`` is the number of transmitter bands picked for
-    multilateration; at least four are required.
+    Band ``i`` of ``count = round((high_mhz - low_mhz) / width_mhz)`` spans
+    ``[low_mhz + i * width_mhz, low_mhz + (i + 1) * width_mhz)``; edges are
+    computed when asked for, so a plan holds no band. ``selection_count`` is
+    the number of transmitter bands picked for multilateration; at least
+    four are required.
     """
 
-    bands: tuple[tuple[int, float, float], ...]
+    low_mhz: float
+    high_mhz: float
+    width_mhz: float
     selection_count: int
-    _lows: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    _by_id: dict = field(init=False, repr=False, compare=False)
+    count: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "bands", tuple(tuple(b) for b in self.bands))
-        if self.selection_count < 4:
-            raise ConfigError("selection_count must be at least 4")
-        if len(self.bands) < self.selection_count:
-            raise ConfigError(
-                f"plan has {len(self.bands)} bands, fewer than selection_count {self.selection_count}"
-            )
-        ordered = sorted(self.bands, key=lambda b: b[1])
-        prev_high = None
-        seen = set()
-        for band_id, low, high in ordered:
-            if band_id in seen:
-                raise ConfigError(f"duplicate band id {band_id}")
-            seen.add(band_id)
-            if high <= low:
-                raise ConfigError(f"band {band_id}: empty frequency range")
-            if not (low >= 0.0 and (low + high) / 2.0 > 0.0):
-                raise ConfigError(f"band {band_id}: plan must lie above 0 MHz")
-            if prev_high is not None and low < prev_high:
-                raise ConfigError(f"band {band_id}: overlapping frequency range")
-            prev_high = high
-        object.__setattr__(self, "bands", tuple(ordered))
-        object.__setattr__(self, "_lows", tuple(b[1] for b in ordered))
-        object.__setattr__(self, "_by_id", {b[0]: b for b in ordered})
-
-    @classmethod
-    def uniform(
-        cls,
-        low_mhz: float = 0.0,
-        high_mhz: float = 3500.0,
-        width_mhz: float = 1.0,
-        selection_count: int = 6,
-    ) -> "BandPlan":
-        """Equal-width bands from ``low_mhz``; equal arguments give one shared plan."""
-        if not (width_mhz > 0 and low_mhz < high_mhz < math.inf):
+        low, width = self.low_mhz, self.width_mhz
+        if not (width > 0 and low < self.high_mhz < math.inf):
             raise ConfigError("invalid uniform plan bounds")
-        # checked before any band is built; the min keeps round() off inf
-        count = int(round(min((high_mhz - low_mhz) / width_mhz, MAX_PLAN_BANDS + 1)))
+        count = int(round(min((self.high_mhz - low) / width, MAX_PLAN_BANDS + 1)))  # min keeps round() off inf
         if count > MAX_PLAN_BANDS:
             raise ConfigError(f"uniform plan asks for more than {MAX_PLAN_BANDS} bands")
-        low_mhz, high_mhz, width_mhz = float(low_mhz), float(high_mhz), float(width_mhz)
-        key = (cls, low_mhz, high_mhz, width_mhz, selection_count)
-        plan = _UNIFORM_PLANS.get(key)
-        if plan is None:
-            bands = tuple(
-                (i, low_mhz + i * width_mhz, low_mhz + (i + 1) * width_mhz) for i in range(count)
-            )
-            plan = _UNIFORM_PLANS[key] = cls(bands=bands, selection_count=selection_count)
-        return plan
+        if self.selection_count < 4:
+            raise ConfigError("selection_count must be at least 4")
+        if count < self.selection_count:
+            raise ConfigError(f"plan has {count} bands, fewer than selection_count {self.selection_count}")
+        # A computed edge is within one ulp of the top edge of its exact value: at
+        # four ulps no band is empty and band_at's estimate is at most one band off.
+        top = low + count * width
+        if not width >= 4.0 * math.ulp(top):
+            raise ConfigError(f"bands of {width!r} MHz are below the float resolution at {top!r} MHz: empty band")
+        if not (low >= 0.0 and (low + (low + width)) / 2.0 >= MIN_CENTER_MHZ):
+            raise ConfigError(f"plan must lie above 0 MHz, its first band centred at {MIN_CENTER_MHZ:g} MHz or above")
+        object.__setattr__(self, "count", count)
 
-    def band_for(self, freq_mhz: float) -> tuple[int, float, float] | None:
-        """Band containing ``freq_mhz``, or None if outside the plan."""
-        idx = bisect_right(self._lows, freq_mhz) - 1
-        if idx < 0:
+    @classmethod
+    def uniform(cls, low_mhz: float = 0.0, high_mhz: float = 3500.0, width_mhz: float = 1.0,
+                selection_count: int = 6) -> "BandPlan":
+        """The plan from its four numbers; the defaults are 3,500 1-MHz bands from 0 MHz."""
+        return cls(float(low_mhz), float(high_mhz), float(width_mhz), selection_count)
+
+    def band_at(self, freq_mhz: float) -> int | None:
+        """Id of the band holding ``freq_mhz``, or None outside the plan."""
+        low, width = self.low_mhz, self.width_mhz
+        position = (freq_mhz - low) / width
+        if not -1.0 < position < self.count + 1:  # NaN and inf fail before int()
             return None
-        band = self.bands[idx]
-        if band[1] <= freq_mhz < band[2]:
-            return band
-        return None
-
-    def center_mhz(self, band_id: int) -> float:
-        band = self._by_id.get(band_id)
-        if band is None:
-            raise KeyError(f"unknown band id {band_id}")
-        return (band[1] + band[2]) / 2.0
+        band_id = int(position)  # at most one band off (see __post_init__)
+        if freq_mhz < low + band_id * width:
+            band_id -= 1
+        elif freq_mhz >= low + (band_id + 1) * width:
+            band_id += 1
+        return band_id if 0 <= band_id < self.count else None
 
     def edges_mhz(self, band_id: int) -> tuple[float, float]:
-        band = self._by_id.get(band_id)
-        if band is None:
+        if not 0 <= band_id < self.count:
             raise KeyError(f"unknown band id {band_id}")
-        return band[1], band[2]
+        return self.low_mhz + band_id * self.width_mhz, self.low_mhz + (band_id + 1) * self.width_mhz
+
+    def center_mhz(self, band_id: int) -> float:
+        low, high = self.edges_mhz(band_id)
+        return (low + high) / 2.0
 
 
 # strptime's pattern for "%Y-%m-%d %H:%M:%S.%f" with the fraction optional; a
@@ -199,10 +181,7 @@ def parse_sweep_lines(lines: Iterable[str], plan: BandPlan) -> Iterator[SweepRec
     rows, on a dB value beyond +-MAX_ABS_DB, and on a sweep whose timestamp
     is not later than the previous sweep's. An empty input yields nothing.
     """
-    bands, band_for, limit = plan.bands, plan.band_for, MAX_ABS_DB
-    # a bin's band index on a uniform plan; checked against the band's edges below
-    low_mhz, band_count = bands[0][1], len(bands)
-    bands_per_mhz = band_count / (bands[-1][2] - low_mhz)
+    band_at, limit = plan.band_at, MAX_ABS_DB
     pending_key: tuple[str, str] | None = None
     pending_ts = 0.0
     pending_bins: dict[int, list[float]] = {}
@@ -252,15 +231,9 @@ def parse_sweep_lines(lines: Iterable[str], plan: BandPlan) -> Iterator[SweepRec
             pending_ts = timestamp
 
         for i, rss in enumerate(rss_values):
-            center_mhz = (hz_low + hz_width * i + hz_width / 2.0) / 1e6
-            # a band that holds the frequency is band_for's; NaN and inf fail before int()
-            position = (center_mhz - low_mhz) * bands_per_mhz
-            band = bands[int(position)] if 0.0 <= position < band_count else None
-            if band is None or not band[1] <= center_mhz < band[2]:
-                band = band_for(center_mhz)
-                if band is None:
-                    continue
-            pending_bins.setdefault(band[0], []).append(rss)
+            band_id = band_at((hz_low + hz_width * i + hz_width / 2.0) / 1e6)
+            if band_id is not None:
+                pending_bins.setdefault(band_id, []).append(rss)
 
     if pending_key is not None:
         yield finish()

@@ -290,6 +290,18 @@ class TestRun:
         assert "config error" in result.output and "reference distance" in result.output
         assert not out.exists()
 
+    def test_band_centre_below_the_floor_is_exit_3(self, runner, benchmark_sweeps, tmp_path):
+        # bands centred near 1e-300 MHz overflowed every range: exit 0 with "fixes: 0" before
+        config = tmp_path / "tiny_band.cfg"
+        config.write_text(
+            "band.low_mhz = 0\nband.high_mhz = 4e-300\nband.width_mhz = 1e-300\nband.count = 4\n", encoding="ascii"
+        )
+        out = tmp_path / "o"
+        result = runner.invoke(main, ["run", str(benchmark_sweeps), "--config", str(config), "--out", str(out)])
+        assert result.exit_code == 3, (result.output, result.exception)
+        assert "config error" in result.output and "above 0 MHz" in result.output
+        assert not out.exists()
+
     def test_plan_below_zero_mhz_is_exit_3(self, runner, sweeps_csv, tmp_path):
         config = tmp_path / "negative.cfg"
         config.write_text("band.low_mhz = -100\n", encoding="ascii")

@@ -126,8 +126,9 @@ class TestSynthSweep:
             transmitters=close, waypoints=((0.0, 0.0), (0.0, 0.0)), hold_s=4.0
         )
         run = simulate_run(scenario)
-        assert run.clamped_ranges == len(run.sweeps)
-        assert all(math.isfinite(b.rss_dbm) for r in run.sweeps for b in r.bands)
+        # the receiver 0.3 m from the first transmitter is taken to be at d0
+        at_d0 = rss_at_distance(scenario.pathloss.ref_distance_m, 700.5, scenario.pathloss, tx_power_dbm=43.0)
+        assert [r.rss_by_id[700] for r in run.sweeps] == [at_d0] * len(run.sweeps)
 
     def test_transmitter_outside_plan_rejected(self):
         bad = FOUR_TX[:3] + (Transmitter(0.0, 0.0, 43.0, 9999.5),)
@@ -219,7 +220,7 @@ class TestScoring:
     def test_perfect_trajectory_scores_zero(self):
         scenario = simple_scenario()
         run = simulate_run(scenario)
-        trajectory = trajectory_from(run.truth.positions(), run.truth.timestamps())
+        trajectory = trajectory_from(run.truth.positions(), [s.timestamp for s in run.truth.samples])
         result = score_run(run.truth, trajectory)
         for estimator in ("raw", "wma", "ekf"):
             assert all(seg.percent_diff == 0.0 for seg in result.segments[estimator])
@@ -228,7 +229,7 @@ class TestScoring:
     def test_length_mismatch_rejected(self):
         scenario = simple_scenario()
         run = simulate_run(scenario)
-        trajectory = trajectory_from(run.truth.positions()[:-1], run.truth.timestamps()[:-1])
+        trajectory = trajectory_from(run.truth.positions()[:-1], [s.timestamp for s in run.truth.samples[:-1]])
         with pytest.raises(ValueError):
             score_run(run.truth, trajectory)
 

@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 import weakref
 from bisect import bisect_right
 from dataclasses import replace
@@ -23,7 +24,7 @@ from sweepnav import (
 from sweepnav.config import default_config
 from sweepnav.errors import ConfigError
 from sweepnav.pipeline import PipelineConfig
-from sweepnav.sweeps import MAX_ABS_DB, MAX_PLAN_BANDS, format_sweep_lines, parse_sweep_file, parse_sweep_lines, parse_timestamp
+from sweepnav.sweeps import MAX_ABS_DB, MAX_PLAN_BANDS, MIN_CENTER_MHZ, format_sweep_lines, parse_sweep_file, parse_sweep_lines, parse_timestamp
 
 
 def parse_all(lines, plan):
@@ -164,11 +165,27 @@ class TestRecordInvariants:
             SweepRecord(timestamp=math.inf, rss_by_id={0: -50.0})
 
 
-class TestBandPlan:
-    def test_overlapping_ranges_rejected(self):
-        with pytest.raises(ConfigError):
-            BandPlan(bands=((0, 0.0, 2.0), (1, 1.0, 3.0)), selection_count=4)
+PLANS = [
+    BandPlan.uniform(low_mhz=0.0, high_mhz=10.0, width_mhz=1.0, selection_count=4),
+    BandPlan.uniform(low_mhz=0.0, high_mhz=30.0, width_mhz=3.0, selection_count=4),
+    BandPlan.uniform(low_mhz=0.1, high_mhz=10.0, width_mhz=0.3, selection_count=4),
+    # edges that are not sums of exact binary fractions
+    BandPlan.uniform(low_mhz=0.7, high_mhz=9.99, width_mhz=0.01, selection_count=4),
+    BandPlan.uniform(low_mhz=2400.1, high_mhz=2500.0, width_mhz=0.3, selection_count=4),
+]
+# also plans whose bands are only a few ulps of their edges wide
+LOOKUP_PLANS = PLANS + [
+    BandPlan.uniform(low_mhz=1e6, high_mhz=1e6 + 2e-8, width_mhz=5e-10, selection_count=4),
+    BandPlan.uniform(low_mhz=2.0**40, high_mhz=2.0**40 + 2.0**-8, width_mhz=2.0**-10, selection_count=4),
+    BandPlan.uniform(low_mhz=5000.0, high_mhz=5006.0, width_mhz=0.006, selection_count=4),
+]
 
+
+def plan_edges(plan):
+    return [plan.edges_mhz(i) for i in range(plan.count)]
+
+
+class TestBandPlan:
     def test_selection_count_minimum(self):
         with pytest.raises(ConfigError):
             BandPlan.uniform(selection_count=3)
@@ -182,57 +199,110 @@ class TestBandPlan:
             dict(low_mhz=-math.inf),
         ],
     )
-    def test_oversized_uniform_plan_rejected_before_building(self, monkeypatch, bounds):
-        def build(*args, **kwargs):
-            raise AssertionError("plan built")
+    def test_oversized_uniform_plan_rejected_before_building(self, bounds):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError):
+                BandPlan.uniform(**bounds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
-        monkeypatch.setattr(BandPlan, "__init__", build)
-        with pytest.raises(ConfigError):
-            BandPlan.uniform(**bounds)
+    def test_plan_holds_no_band(self):
+        tracemalloc.start()
+        try:
+            plan = BandPlan.uniform(0.0, 100000.0, 1.0)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert plan.count == 100_000 and plan.edges_mhz(99_999) == (99_999.0, 100_000.0)
+        assert held < 64 * 1024
 
-    def test_equal_uniform_plans_are_one_object(self):
+    def test_equal_arguments_give_equal_plans(self):
         plan = BandPlan.uniform()
-        assert BandPlan.uniform(0.0, 3500.0, 1.0, 6) is plan
-        assert BandPlan.uniform(0, 3500) is plan  # keyed on float values, not on how they were passed
-        assert default_config().plan is plan
-        assert PipelineConfig().plan is plan
+        assert BandPlan.uniform(0.0, 3500.0, 1.0, 6) == plan == BandPlan.uniform(0, 3500)
+        assert default_config().plan == plan == PipelineConfig().plan
+        assert plan == BandPlan(0.0, 3500.0, 1.0, 6) and plan.count == 3500
 
     def test_other_arguments_give_other_plans(self):
         plan = BandPlan.uniform()
         other_count, other_width = BandPlan.uniform(selection_count=7), BandPlan.uniform(width_mhz=2.0)
-        assert other_count is not plan and other_count.selection_count == 7
-        assert other_count.bands == plan.bands
-        assert other_width is not plan and len(other_width.bands) == 1750
+        assert other_count != plan and other_count.selection_count == 7
+        assert plan_edges(other_count) == plan_edges(plan)
+        assert other_width != plan and other_width.count == 1750
 
-    @pytest.mark.parametrize("arguments", [dict(selection_count=3), dict(low_mhz=-100.0), dict(width_mhz=0.0)])
+    @pytest.mark.parametrize(
+        "arguments", [dict(selection_count=3), dict(low_mhz=-100.0), dict(width_mhz=0.0), dict(low_mhz=math.nan)]
+    )
     def test_invalid_arguments_raise_on_every_call(self, arguments):
         for _ in range(2):
             with pytest.raises(ConfigError):
                 BandPlan.uniform(**arguments)
 
-    def test_replace_gives_an_independent_plan(self):
-        plan = BandPlan.uniform()
-        for m in (4, 6):
+    @pytest.mark.parametrize("plan", PLANS)
+    def test_replace_gives_an_independent_plan(self, plan):
+        for m in (4, 5):
             subset = replace(plan, selection_count=m)
-            assert subset is not plan and subset.selection_count == m and subset.bands == plan.bands
-        assert plan.selection_count == 6 and BandPlan.uniform() is plan
-
-    def test_plan_is_freed_with_its_last_reference(self):
-        # bounds no other test or fixture holds a plan for
-        plan = BandPlan.uniform(low_mhz=17.0, high_mhz=29.0, width_mhz=0.5, selection_count=5)
-        held = weakref.ref(plan)
-        del plan
-        gc.collect()
-        assert held() is None
-        fresh = BandPlan.uniform(low_mhz=17.0, high_mhz=29.0, width_mhz=0.5, selection_count=5)
-        assert len(fresh.bands) == 24 and fresh.bands[0] == (0, 17.0, 17.5)
+            assert subset.selection_count == m and plan_edges(subset) == plan_edges(plan)
+            assert [subset.band_at(f) for f, _ in plan_edges(plan)] == list(range(plan.count))
+        assert plan.selection_count == 4
+        with pytest.raises(ConfigError):
+            replace(plan, selection_count=plan.count + 1)
 
     def test_band_lookup_edges(self, small_plan):
-        assert small_plan.band_for(0.0)[0] == 0
-        assert small_plan.band_for(0.999)[0] == 0
-        assert small_plan.band_for(1.0)[0] == 1
-        assert small_plan.band_for(10.0) is None
-        assert small_plan.band_for(-0.5) is None
+        assert small_plan.band_at(0.0) == 0
+        assert small_plan.band_at(0.999) == 0
+        assert small_plan.band_at(1.0) == 1
+        assert small_plan.band_at(10.0) is None
+        assert small_plan.band_at(-0.5) is None
+        assert small_plan.center_mhz(9) == 9.5
+        with pytest.raises(KeyError):
+            small_plan.edges_mhz(10)
+
+    @pytest.mark.parametrize("plan", LOOKUP_PLANS)
+    def test_lookup_equals_reference_at_every_edge_and_beside_it(self, plan):
+        bands = reference_bands(plan)
+        edges = [low for _, low, _ in bands] + [bands[-1][2]]
+        for edge in edges:
+            for freq in (math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf)):
+                assert plan.band_at(freq) == reference_band_for(bands, freq), (edge, freq)
+        assert [plan.center_mhz(i) for i, _, _ in bands] == [(low + high) / 2.0 for _, low, high in bands]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        low=st.sampled_from([0.0, 0.7, 2400.1]) | st.floats(min_value=0.0, max_value=1e12),
+        ulps=st.floats(min_value=3.0, max_value=16.0),
+        count=st.integers(min_value=4, max_value=40),
+        data=st.data(),
+    )
+    def test_lookup_equals_reference_near_the_float_resolution(self, low, ulps, count, data):
+        width = ulps * math.ulp(max(low, 1.0))
+        try:
+            plan = BandPlan.uniform(low, low + count * width, width, 4)
+        except ConfigError:
+            return
+        bands = reference_bands(plan)
+        freq = data.draw(st.floats(min_value=bands[0][1] - width, max_value=bands[-1][2] + width))
+        for _ in range(3):
+            freq = math.nextafter(freq, -math.inf)
+        for _ in range(6):
+            assert plan.band_at(freq) == reference_band_for(bands, freq), freq
+            freq = math.nextafter(freq, math.inf)
+
+    def test_empty_band_rejected(self):
+        # a huge low with a width of a quarter ulp: band 0's edges round to one float
+        low = 2.0**40
+        assert low + 2.0**-14 == low
+        with pytest.raises(ConfigError, match="empty band"):
+            BandPlan.uniform(low, low + 2.0**-12, 2.0**-14, 4)
+
+    @pytest.mark.parametrize("bounds", [(0.0, 4e-300, 1e-300), (0.0, 0.0016, 0.0004), (1e-4, 1e-3, 2e-4)])
+    def test_first_band_centre_below_the_floor_rejected(self, bounds):
+        # such a centre drives the reference loss thousands of dB negative, so ranges overflow
+        with pytest.raises(ConfigError, match="above 0 MHz"):
+            BandPlan.uniform(*bounds, 4)
+        assert BandPlan.uniform(0.0, 4 * 2 * MIN_CENTER_MHZ, 2 * MIN_CENTER_MHZ, 4).center_mhz(0) == MIN_CENTER_MHZ
 
 
 def record(ts, values):
@@ -432,6 +502,7 @@ def reference_parse_timestamp(date_text, time_text):
 
 
 def reference_parse_sweep_lines(lines, plan):
+    bands = reference_bands(plan)
     pending_key = None
     pending_ts = 0.0
     pending_bins = {}
@@ -480,19 +551,25 @@ def reference_parse_sweep_lines(lines, plan):
             pending_key = key
             pending_ts = timestamp
         for i, rss in enumerate(rss_values):
-            band = reference_band_for(plan, (hz_low + hz_width * i + hz_width / 2.0) / 1e6)
-            if band is not None:
-                pending_bins.setdefault(band[0], []).append(rss)
+            band_id = reference_band_for(bands, (hz_low + hz_width * i + hz_width / 2.0) / 1e6)
+            if band_id is not None:
+                pending_bins.setdefault(band_id, []).append(rss)
 
     if pending_key is not None:
         yield finish()
 
 
-def reference_band_for(plan, freq_mhz):
-    lows = [band[1] for band in plan.bands]
-    idx = bisect_right(lows, freq_mhz) - 1
-    if idx >= 0 and plan.bands[idx][1] <= freq_mhz < plan.bands[idx][2]:
-        return plan.bands[idx]
+def reference_bands(plan):
+    """(id, low, high) of every band, built from the plan's low edge, width and count."""
+    low, width = plan.low_mhz, plan.width_mhz
+    return [(i, low + i * width, low + (i + 1) * width) for i in range(plan.count)]
+
+
+def reference_band_for(bands, freq_mhz):
+    """Id of the band of ``bands`` (sorted by low edge) holding ``freq_mhz``, by bisection."""
+    idx = bisect_right([band[1] for band in bands], freq_mhz) - 1
+    if idx >= 0 and bands[idx][1] <= freq_mhz < bands[idx][2]:
+        return bands[idx][0]
     return None
 
 
@@ -618,15 +695,6 @@ def sweep_files(draw):
     return lines
 
 
-PLANS = [
-    BandPlan.uniform(low_mhz=0.0, high_mhz=10.0, width_mhz=1.0, selection_count=4),
-    BandPlan.uniform(low_mhz=0.0, high_mhz=30.0, width_mhz=3.0, selection_count=4),
-    BandPlan.uniform(low_mhz=0.1, high_mhz=10.0, width_mhz=0.3, selection_count=4),
-    # not uniform: gaps and unequal widths
-    BandPlan(bands=((7, 0.0, 0.7), (3, 1.0, 1.5), (9, 1.5, 4.0), (1, 6.0, 9.99)), selection_count=4),
-]
-
-
 class TestParserAgainstReference:
     @settings(max_examples=300, deadline=None)
     @given(rows=sweep_files(), plan=st.sampled_from(PLANS))
@@ -638,7 +706,9 @@ class TestParserAgainstReference:
     @given(
         freqs=st.lists(
             st.floats(min_value=-1.0, max_value=40.0)
-            | st.sampled_from([0.0, 0.7, 1.0, 1.5, 4.0, 6.0, 9.99, 10.0, 30.0, math.nan, math.inf]),
+            | st.floats(min_value=2399.0, max_value=2501.0)
+            | st.sampled_from([0.0, 0.7, 0.71, 1.0, 1.5, 4.0, 6.0, 9.99, 10.0, 30.0, 2400.1, 2400.4, 2500.0,
+                               math.nan, math.inf]),
             min_size=1,
             max_size=8,
         ),
@@ -703,9 +773,9 @@ class TestParserEdgeCases:
         assert record == checked and repr(record) == repr(checked)
         assert list(record.rss_by_id) == [0, 1, 2]
 
-    @pytest.mark.parametrize("low", [-100.0, -0.5, math.nan])
+    @pytest.mark.parametrize("low", [-100.0, -0.5, -1e-300])
     def test_plan_below_zero_mhz_rejected(self, low):
         with pytest.raises(ConfigError, match="above 0 MHz"):
-            BandPlan(bands=((0, low, 1.0), (1, 1.0, 2.0), (2, 2.0, 3.0), (3, 3.0, 4.0)), selection_count=4)
+            BandPlan(low, low + 4.0, 1.0, 4)
         with pytest.raises(ConfigError, match="above 0 MHz"):
             BandPlan.uniform(low_mhz=-100.0, high_mhz=100.0, width_mhz=1.0)
