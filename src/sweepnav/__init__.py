@@ -12,9 +12,11 @@ from .ekf import EkfTracker, Landmark, NoiseConfig
 from .errors import (
     ConfigError,
     DegenerateGeometryError,
+    InputError,
     InsufficientAnchorsError,
     MissingBandError,
     PlacementError,
+    ShapeError,
     SingularGeometryError,
     SweepNavError,
     SweepParseError,
@@ -29,7 +31,6 @@ from .pipeline import (
     assign_anchor_frame,
     derive_velocity,
     run_pipeline,
-    segment_error_report,
 )
 from .simulator import (
     GroundTruth,
@@ -39,6 +40,7 @@ from .simulator import (
     matched_config,
     route_scenario,
     score_run,
+    segment_error_report,
     simulate_run,
     static_scenario,
     synth_route,

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from .errors import InputError
 from .pipeline import Trajectory, TrajectoryStep
 from .simulator import GroundTruth
 
@@ -42,31 +43,41 @@ def write_trajectory_csv(trajectory: Trajectory, path) -> None:
             handle.write(",".join(row) + "\n")
 
 
-def read_trajectory_csv(path) -> Trajectory:
-    steps = []
+def _read_rows(path, header: list[str], kind: str, parse) -> list:
+    """Each row of a CSV artifact through ``parse``; a fault names the file and line."""
     with open(path, "r", encoding="ascii", newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != TRAJECTORY_HEADER:
-            raise ValueError(f"{path}: unexpected trajectory header {header}")
-        for row in reader:
-            if len(row) != len(TRAJECTORY_HEADER):
-                raise ValueError(f"{path}: malformed trajectory row {row}")
-            steps.append(
-                TrajectoryStep(
-                    index=int(row[0]),
-                    timestamp=float(row[1]),
-                    x_raw=float(row[2]),
-                    y_raw=float(row[3]),
-                    x_wma=float(row[4]),
-                    y_wma=float(row[5]),
-                    x_ekf=float(row[6]),
-                    y_ekf=float(row[7]),
-                    residual_norm=float(row[8]),
-                    flags=tuple(f for f in row[9].split(";") if f),
-                )
-            )
-    return Trajectory(steps=tuple(steps))
+        try:
+            found = next(reader, None)
+            if found != header:
+                raise ValueError(f"unexpected {kind} header {found}")
+            rows = []
+            for row in reader:
+                if len(row) != len(header):
+                    raise ValueError(f"malformed {kind} row {row}")
+                rows.append(parse(row))
+            return rows
+        except (ValueError, csv.Error) as exc:  # a bad number or a byte that is not ASCII too
+            raise InputError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
+def _trajectory_step(row: list[str]) -> TrajectoryStep:
+    return TrajectoryStep(
+        index=int(row[0]),
+        timestamp=float(row[1]),
+        x_raw=float(row[2]),
+        y_raw=float(row[3]),
+        x_wma=float(row[4]),
+        y_wma=float(row[5]),
+        x_ekf=float(row[6]),
+        y_ekf=float(row[7]),
+        residual_norm=float(row[8]),
+        flags=tuple(f for f in row[9].split(";") if f),
+    )
+
+
+def read_trajectory_csv(path) -> Trajectory:
+    return Trajectory(steps=tuple(_read_rows(path, TRAJECTORY_HEADER, "trajectory", _trajectory_step)))
 
 
 def write_truth_csv(truth: GroundTruth, path) -> None:
@@ -80,19 +91,9 @@ def write_truth_csv(truth: GroundTruth, path) -> None:
 
 def read_truth_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Returns (timestamps, positions) from a truth CSV."""
-    timestamps = []
-    positions = []
-    with open(path, "r", encoding="ascii", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != ["k", "timestamp", "x", "y"]:
-            raise ValueError(f"{path}: unexpected truth header {header}")
-        for row in reader:
-            if len(row) != 4:
-                raise ValueError(f"{path}: malformed truth row {row}")
-            timestamps.append(float(row[1]))
-            positions.append((float(row[2]), float(row[3])))
-    return np.asarray(timestamps), np.asarray(positions).reshape(len(positions), 2)
+    rows = _read_rows(path, ["k", "timestamp", "x", "y"], "truth", lambda row: [float(v) for v in row[1:]])
+    table = np.asarray(rows).reshape(len(rows), 3)
+    return table[:, 0], table[:, 1:]
 
 
 def write_waypoints_csv(truth: GroundTruth, path) -> None:
@@ -105,17 +106,7 @@ def write_waypoints_csv(truth: GroundTruth, path) -> None:
 
 
 def read_waypoints_csv(path) -> list[int]:
-    indices = []
-    with open(path, "r", encoding="ascii", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != ["k", "x", "y"]:
-            raise ValueError(f"{path}: unexpected waypoints header {header}")
-        for row in reader:
-            if len(row) != 3:
-                raise ValueError(f"{path}: malformed waypoints row {row}")
-            indices.append(int(row[0]))
-    return indices
+    return _read_rows(path, ["k", "x", "y"], "waypoints", lambda row: int(row[0]))
 
 
 def write_series_csv(path, header: list[str], rows) -> None:

@@ -1,8 +1,10 @@
 """Command-line interface: run, simulate, eval, convergence.
 
 Exit codes: 0 success, 2 unreadable or malformed input, 3 configuration
-error, 4 mismatched data shapes. The RPS_LOG environment variable sets the
-log level (DEBUG, INFO, WARNING, ...).
+error or failed run, 4 mismatched data shapes. The commands only raise;
+``ERRORS`` maps each exception to its message prefix and exit code, in one
+place around every command. The RPS_LOG environment variable sets the log
+level (DEBUG, INFO, WARNING, ...).
 """
 
 from __future__ import annotations
@@ -17,42 +19,38 @@ import click
 import numpy as np
 
 from . import artifacts
-from .config import default_config, load_config, load_scenario, scenario_with_seed
-from .errors import ConfigError, SweepNavError, SweepParseError
-from .pipeline import PipelineConfig, run_pipeline
+from .config import load_config, load_scenario
+from .errors import ConfigError, InputError, ShapeError, SweepNavError
+from .pipeline import run_pipeline
 from .simulator import rolling_spread, segment_errors, simulate_run, spread
 from .sweeps import BandPlan, SweepRecord, parse_sweep_file, write_sweep_csv
 
-EXIT_INPUT = 2
-EXIT_CONFIG = 3
-EXIT_SHAPE = 4
+# exception -> (message prefix, exit code); the first match wins. A sweep
+# parse error is an InputError, and InputError and ShapeError are ValueErrors.
+ERRORS = (
+    (ShapeError, "shape error", 4),
+    (ConfigError, "config error", 3),
+    (OSError, "input error", 2),
+    (ValueError, "input error", 2),
+    (SweepNavError, "run failed", 3),
+)
 
-log = logging.getLogger(__name__)
+
+class _Cli(click.Group):
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except tuple(kind for kind, _, _ in ERRORS) as exc:
+            prefix, code = next((prefix, code) for kind, prefix, code in ERRORS if isinstance(exc, kind))
+            click.echo(f"{prefix}: {exc}", err=True)
+            sys.exit(code)
 
 
-@click.group()
+@click.group(cls=_Cli)
 def main():
     """Relative positioning from RF spectrum sweeps."""
     level = os.environ.get("RPS_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
-
-
-def _load_config_or_exit(config_path: str | None) -> PipelineConfig:
-    try:
-        if config_path is None:
-            return default_config()
-        return load_config(config_path)
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-
-
-def _read_sweeps_or_exit(path: str, plan: BandPlan):
-    try:
-        return list(parse_sweep_file(path, plan))
-    except (OSError, SweepParseError) as exc:
-        click.echo(f"input error: {path}: {exc}", err=True)
-        sys.exit(EXIT_INPUT)
 
 
 @main.command()
@@ -62,22 +60,12 @@ def _read_sweeps_or_exit(path: str, plan: BandPlan):
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), required=True)
 def run(sweeps, config_path, seed, out_dir):
     """Process a sweep CSV into a relative trajectory."""
-    config = _load_config_or_exit(config_path)
+    config = load_config(config_path)
     if seed is not None:
         config = replace(config, anchor_seed=seed)
     # the records stream from the file into the pipeline; a late parse error
     # still exits 2 before any output exists
-    try:
-        trajectory = run_pipeline(parse_sweep_file(sweeps, config.plan), config)
-    except (OSError, SweepParseError) as exc:
-        click.echo(f"input error: {sweeps}: {exc}", err=True)
-        sys.exit(EXIT_INPUT)
-    except ValueError as exc:
-        click.echo(f"input error: {exc}", err=True)
-        sys.exit(EXIT_INPUT)
-    except SweepNavError as exc:
-        click.echo(f"run failed: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
+    trajectory = run_pipeline(parse_sweep_file(sweeps, config.plan), config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     artifacts.write_trajectory_csv(trajectory, out / "trajectory.csv")
@@ -92,15 +80,7 @@ def run(sweeps, config_path, seed, out_dir):
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), required=True)
 def simulate(scenario, seed, out_dir):
     """Generate sweeps and ground truth for a scenario file."""
-    try:
-        scene = load_scenario(scenario)
-        if seed is not None:
-            scene = scenario_with_seed(scene, seed)
-        result = simulate_run(scene)
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-
+    result = simulate_run(load_scenario(scenario, seed))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_sweep_csv(result.sweeps, out / "sweeps.csv", BandPlan.uniform())
@@ -125,31 +105,10 @@ def simulate(scenario, seed, out_dir):
 def eval_cmd(truth, trajectory, waypoints_path, out_dir, config_path, sweeps_path,
              npl_list, txcount_list, window_list):
     """Score a trajectory against ground truth at waypoints."""
-    try:
-        _, truth_xy = artifacts.read_truth_csv(truth)
-        track = artifacts.read_trajectory_csv(trajectory)
-        indices = artifacts.read_waypoints_csv(waypoints_path)
-    except (OSError, ValueError) as exc:
-        click.echo(f"input error: {exc}", err=True)
-        sys.exit(EXIT_INPUT)
-
-    if len(track.steps) != len(truth_xy):
-        click.echo(
-            f"shape error: trajectory has {len(track.steps)} rows, truth has {len(truth_xy)}",
-            err=True,
-        )
-        sys.exit(EXIT_SHAPE)
-    increasing = all(a < b for a, b in zip(indices, indices[1:]))
-    if not indices or indices[0] < 0 or indices[-1] >= len(truth_xy) or not increasing:
-        click.echo("shape error: waypoint indices out of range or not increasing", err=True)
-        sys.exit(EXIT_SHAPE)
-
-    try:
-        truth_lengths, rows = segment_errors(truth_xy, track, indices)
-    except ValueError as exc:  # two waypoints at one true position
-        click.echo(f"shape error: {exc}", err=True)
-        sys.exit(EXIT_SHAPE)
-
+    _, truth_xy = artifacts.read_truth_csv(truth)
+    track = artifacts.read_trajectory_csv(trajectory)
+    indices = artifacts.read_waypoints_csv(waypoints_path)
+    truth_lengths, rows = segment_errors(truth_xy, track, indices)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     report_rows = []
@@ -180,40 +139,30 @@ def _parse_list(text, cast, default):
     try:
         return [cast(part) for part in text.split(",")]
     except ValueError:
-        click.echo(f"config error: bad list {text!r}", err=True)
-        sys.exit(EXIT_CONFIG)
+        raise ConfigError(f"bad list {text!r}") from None
 
 
 def _eval_grid(truth_xy, indices, out, config_path, sweeps_path,
                npl_list, txcount_list, window_list):
     if sweeps_path is None:
-        click.echo("config error: grid evaluation needs --sweeps", err=True)
-        sys.exit(EXIT_CONFIG)
-    base = _load_config_or_exit(config_path)
+        raise ConfigError("grid evaluation needs --sweeps")
+    base = load_config(config_path)
     npls = _parse_list(npl_list, float, [base.pathloss.exponent])
     counts = _parse_list(txcount_list, int, [base.plan.selection_count])
     windows = _parse_list(window_list, int, [base.smoother.window])
-    records = _read_sweeps_or_exit(sweeps_path, base.plan)
+    records = list(parse_sweep_file(sweeps_path, base.plan))
 
     grid_rows = []
     for npl in npls:
         for window in windows:
             for count in counts:
-                try:
-                    config = replace(
-                        base,
-                        pathloss=replace(base.pathloss, exponent=npl),
-                        smoother=replace(base.smoother, window=window, weights=None),
-                        plan=replace(base.plan, selection_count=count),
-                    )
-                except ConfigError as exc:
-                    click.echo(f"config error: {exc}", err=True)
-                    sys.exit(EXIT_CONFIG)
-                trajectory = run_pipeline(records, config)
-                if len(trajectory.steps) != len(truth_xy):
-                    click.echo("shape error: grid run length mismatch", err=True)
-                    sys.exit(EXIT_SHAPE)
-                _, segments = segment_errors(truth_xy, trajectory, indices)
+                config = replace(
+                    base,
+                    pathloss=replace(base.pathloss, exponent=npl),
+                    smoother=replace(base.smoother, window=window, weights=None),
+                    plan=replace(base.plan, selection_count=count),
+                )
+                _, segments = segment_errors(truth_xy, run_pipeline(records, config), indices)
                 for estimator in ("wma", "ekf"):
                     for i, seg in enumerate(segments[estimator]):
                         grid_rows.append(
@@ -250,21 +199,13 @@ def convergence(source, config_path, seed, out_dir):
 
     SOURCE is a scenario file (simulated on the fly) or a sweep CSV.
     """
-    config = _load_config_or_exit(config_path)
+    config = load_config(config_path)
     if _looks_like_kv_file(source):
-        try:
-            scene = load_scenario(source)
-            if seed is not None:
-                scene = scenario_with_seed(scene, seed)
-            records = list(simulate_run(scene, config.plan).sweeps)
-        except ConfigError as exc:
-            click.echo(f"config error: {exc}", err=True)
-            sys.exit(EXIT_CONFIG)
+        records = list(simulate_run(load_scenario(source, seed), config.plan).sweeps)
     else:
-        records = _read_sweeps_or_exit(source, config.plan)
+        records = list(parse_sweep_file(source, config.plan))
     if not records:
-        click.echo("input error: no sweeps in source", err=True)
-        sys.exit(EXIT_INPUT)
+        raise InputError(f"{source}: no sweeps")
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

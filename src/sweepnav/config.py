@@ -33,11 +33,16 @@ def parse_kv_file(path) -> dict[str, str]:
     """Read ``key = value`` pairs; duplicate keys are an error."""
     values: dict[str, str] = {}
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        # a byte that is not UTF-8 decodes to a lone surrogate, which cannot encode back
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
             lines = handle.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     for line_no, raw in enumerate(lines, start=1):
+        try:
+            raw.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ConfigError(f"{path}:{line_no}: not UTF-8 text") from None
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -168,8 +173,9 @@ def config_from_values(values: dict[str, str]) -> PipelineConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def load_config(path) -> PipelineConfig:
-    return config_from_values(parse_kv_file(path))
+def load_config(path=None) -> PipelineConfig:
+    """The config of a file, or the defaults when ``path`` is None."""
+    return config_from_values({} if path is None else parse_kv_file(path))
 
 
 def default_config() -> PipelineConfig:
@@ -195,15 +201,17 @@ def scenario_from_values(values: dict[str, str]) -> Scenario:
         raise ConfigError(str(exc)) from exc
 
 
-def load_scenario(path) -> Scenario:
-    return scenario_from_values(parse_kv_file(path))
+def load_scenario(path, seed: int | None = None) -> Scenario:
+    """The scenario of a file, re-seeded by ``seed`` unless it is None."""
+    scenario = scenario_from_values(parse_kv_file(path))
+    return scenario if seed is None else scenario_with_seed(scenario, seed)
 
 
 def scenario_with_seed(scenario: Scenario, seed: int) -> Scenario:
     """Re-seed a scenario, re-placing auto-laid transmitters if any."""
-    if scenario.tx_bbox is not None:
-        freqs = [t.freq_mhz for t in scenario.transmitters]
-        power = scenario.transmitters[0].power_dbm
-        transmitters = auto_transmitters(freqs, seed, scenario.tx_bbox, power)
-        return replace(scenario, seed=seed, transmitters=transmitters)
-    return replace(scenario, seed=seed)
+    scenario = replace(scenario, seed=seed)  # rejects a negative seed before placement
+    if scenario.tx_bbox is None:
+        return scenario
+    freqs = [t.freq_mhz for t in scenario.transmitters]
+    power = scenario.transmitters[0].power_dbm
+    return replace(scenario, transmitters=auto_transmitters(freqs, seed, scenario.tx_bbox, power))

@@ -5,12 +5,22 @@ class SweepNavError(Exception):
     """Base class for all sweepnav errors."""
 
 
-class SweepParseError(SweepNavError):
-    """A sweep CSV line could not be parsed."""
+class InputError(SweepNavError, ValueError):
+    """An input file is unreadable or malformed."""
 
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
+
+class SweepParseError(InputError):
+    """A sweep CSV line could not be parsed; ``path`` names the file when known."""
+
+    def __init__(self, line_no: int, message: str, path=None):
+        where = f"line {line_no}" if path is None else f"{path}: line {line_no}"
+        super().__init__(f"{where}: {message}")
         self.line_no = line_no
+        self.message = message
+
+
+class ShapeError(SweepNavError, ValueError):
+    """Trajectory, truth and waypoints do not fit together."""
 
 
 class MissingBandError(SweepNavError):

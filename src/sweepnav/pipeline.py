@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .ekf import EkfTracker, Landmark, NoiseConfig
-from .errors import DegenerateGeometryError, InsufficientAnchorsError, MissingBandError
+from .errors import ConfigError, DegenerateGeometryError, InsufficientAnchorsError, MissingBandError
 from .multilateration import DEFAULT_CONDITION_CAP, Anchor, AnchorFrame
 from .pathloss import PathLossParams, free_space_pl0, invert_distance
 from .placement import Bbox, place_in_box, validate_bbox
@@ -59,6 +59,8 @@ class PipelineConfig:
 
     def __post_init__(self):
         validate_bbox(self.anchor_bbox)
+        if self.anchor_seed < 0:
+            raise ConfigError(f"anchor seed {self.anchor_seed} is negative")
         if self.sweep_window is not None and self.sweep_window < 1:
             raise ValueError("sweep_window must be positive or None")
         if not self.p0_var > 0:
@@ -114,15 +116,6 @@ class Trajectory:
         return np.array(
             [getattr(s, estimator) for s in self.steps], dtype=float
         ).reshape(len(self.steps), 2)
-
-
-@dataclass(frozen=True)
-class SegmentError:
-    """Estimated vs true length of one inter-waypoint segment."""
-
-    estimated_m: float
-    truth_m: float
-    percent_diff: float
 
 
 def assign_anchor_frame(band_ids: Sequence[int], seed: int, bbox: Bbox) -> list[Anchor]:
@@ -307,37 +300,3 @@ def run_pipeline(sweeps: Iterable[SweepRecord], config: PipelineConfig) -> Traje
     for sweep in sweeps:
         pipeline.process(sweep)
     return pipeline.finish()
-
-
-def segment_error_report(
-    positions: Sequence[tuple[float, float]] | np.ndarray,
-    waypoint_indices: Sequence[int],
-    truth_lengths_m: Sequence[float],
-) -> list[SegmentError]:
-    """Per-segment length error against known true lengths.
-
-    ``waypoint_indices`` mark the trajectory samples at which the receiver
-    passed each waypoint; consecutive pairs bound one segment. The percent
-    difference is |est - truth| / truth * 100.
-    """
-    pts = np.asarray(positions, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError("positions must be (x, y) pairs")
-    if len(waypoint_indices) != len(truth_lengths_m) + 1:
-        raise ValueError("need one more waypoint index than truth lengths")
-    if any(t <= 0 for t in truth_lengths_m):
-        raise ValueError("truth lengths must be positive")
-    indices = list(waypoint_indices)
-    if indices != sorted(indices):
-        raise ValueError("waypoint indices must be ordered")
-    if indices[0] < 0 or indices[-1] >= len(pts):
-        raise ValueError("waypoint index out of range")
-
-    report = []
-    for seg, truth in enumerate(truth_lengths_m):
-        a = pts[indices[seg]]
-        b = pts[indices[seg + 1]]
-        estimated = float(np.hypot(b[0] - a[0], b[1] - a[1]))
-        percent = abs(estimated - truth) / truth * 100.0
-        report.append(SegmentError(estimated_m=estimated, truth_m=float(truth), percent_diff=percent))
-    return report

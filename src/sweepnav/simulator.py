@@ -15,9 +15,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ShapeError
 from .pathloss import PathLossParams, rss_at_distance
-from .pipeline import PipelineConfig, SegmentError, Trajectory, segment_error_report
+from .pipeline import PipelineConfig, Trajectory
 from .placement import Bbox, place_in_box
 from .sweeps import MAX_ABS_DB, BandPlan, SweepRecord
 
@@ -89,6 +89,8 @@ class Scenario:
             raise ConfigError("need at least 4 transmitters")
         if len(self.waypoints) < 2:
             raise ConfigError("need at least 2 waypoints")
+        if self.seed < 0:
+            raise ConfigError(f"seed {self.seed} is negative")
         # written so that NaN fails each check
         if not 0 < self.speed_mps < math.inf:
             raise ConfigError("speed must be positive and finite")
@@ -247,10 +249,6 @@ def score_run(
     waypoint_indices: Sequence[int] | None = None,
 ) -> RunScore:
     """Segment errors and aligned RMSE of each estimator."""
-    if len(trajectory.steps) != len(truth.samples):
-        raise ValueError(
-            f"trajectory has {len(trajectory.steps)} steps but truth has {len(truth.samples)}"
-        )
     truth_xy = truth.positions()
     _, segments = segment_errors(
         truth_xy, trajectory, truth.waypoint_indices if waypoint_indices is None else waypoint_indices
@@ -261,19 +259,73 @@ def score_run(
     )
 
 
+@dataclass(frozen=True)
+class SegmentError:
+    """Estimated vs true length of one inter-waypoint segment."""
+
+    estimated_m: float
+    truth_m: float
+    percent_diff: float
+
+
+def _checked_waypoints(waypoint_indices: Sequence[int], count: int) -> list[int]:
+    indices = list(waypoint_indices)
+    if indices != sorted(indices):
+        raise ShapeError("waypoint indices must be ordered")
+    if indices and (indices[0] < 0 or indices[-1] >= count):
+        raise ShapeError("waypoint index out of range")
+    return indices
+
+
 def segment_errors(
     truth_xy: np.ndarray, trajectory: Trajectory, waypoint_indices: Sequence[int]
 ) -> tuple[np.ndarray, dict[str, list[SegmentError]]]:
     """True lengths of the segments between waypoints, and each estimator's errors.
 
-    The errors are keyed "raw", "wma" and "ekf", in that order.
+    The errors are keyed "raw", "wma" and "ekf", in that order. A trajectory
+    without one row per truth sample is a ShapeError, as are the index and
+    length faults ``segment_error_report`` rejects.
     """
-    indices = list(waypoint_indices)
+    if len(trajectory.steps) != len(truth_xy):
+        raise ShapeError(f"trajectory has {len(trajectory.steps)} rows, truth has {len(truth_xy)}")
+    indices = _checked_waypoints(waypoint_indices, len(truth_xy))
     truth_lengths = np.hypot(*(np.diff(truth_xy[indices], axis=0).T))
     return truth_lengths, {
         estimator: segment_error_report(trajectory.positions(estimator), indices, truth_lengths)
         for estimator in ("raw", "wma", "ekf")
     }
+
+
+def segment_error_report(
+    positions: Sequence[tuple[float, float]] | np.ndarray,
+    waypoint_indices: Sequence[int],
+    truth_lengths_m: Sequence[float],
+) -> list[SegmentError]:
+    """Per-segment length error against known true lengths.
+
+    ``waypoint_indices`` mark the trajectory samples at which the receiver
+    passed each waypoint; consecutive pairs bound one segment. The percent
+    difference is |est - truth| / truth * 100. Indices out of order or out
+    of range, a count other than one more than the lengths, and a true
+    length that is not positive are each a ShapeError.
+    """
+    pts = np.asarray(positions, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ShapeError("positions must be (x, y) pairs")
+    indices = _checked_waypoints(waypoint_indices, len(pts))
+    if len(indices) != len(truth_lengths_m) + 1:
+        raise ShapeError("need one more waypoint index than truth lengths")
+    if any(t <= 0 for t in truth_lengths_m):
+        raise ShapeError("truth lengths must be positive")
+
+    report = []
+    for seg, truth in enumerate(truth_lengths_m):
+        a = pts[indices[seg]]
+        b = pts[indices[seg + 1]]
+        estimated = float(np.hypot(b[0] - a[0], b[1] - a[1]))
+        percent = abs(estimated - truth) / truth * 100.0
+        report.append(SegmentError(estimated_m=estimated, truth_m=float(truth), percent_diff=percent))
+    return report
 
 
 def aligned_rmse(estimated: np.ndarray, truth: np.ndarray) -> float:

@@ -15,6 +15,9 @@ from .errors import ConfigError
 
 Point = tuple[float, float]
 
+# a longer window would hold its weights in memory before the first fix
+MAX_WINDOW = 1_000_000
+
 
 @dataclass(frozen=True)
 class SmootherConfig:
@@ -30,8 +33,8 @@ class SmootherConfig:
     def __post_init__(self):
         if self.kind not in ("wma", "sma"):
             raise ConfigError(f"unknown smoother kind {self.kind!r}")
-        if self.window < 1:
-            raise ConfigError("smoother window must be at least 1")
+        if not 1 <= self.window <= MAX_WINDOW:
+            raise ConfigError(f"smoother window must be 1..{MAX_WINDOW}, got {self.window}")
         if self.weights is not None:
             object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
             if len(self.weights) != self.window:
@@ -77,10 +80,14 @@ class Smoother:
     """
 
     def __init__(self, config: SmootherConfig):
-        weights = config.effective_weights()
-        self._levels = [_normalized(weights[-n:]) for n in range(1, config.window + 1)]
+        self._weights = config.effective_weights()
+        self._full = _normalized(self._weights)
         self._points: deque[Point] = deque(maxlen=config.window)
 
     def push(self, point: Point) -> Point:
         self._points.append((float(point[0]), float(point[1])))
-        return _weighted_mean(self._points, self._levels[len(self._points) - 1])
+        filled = len(self._points)
+        if filled == len(self._full):
+            return _weighted_mean(self._points, self._full)
+        # still filling: normalize the trailing weights on the fly, O(window) memory
+        return _weighted_mean(self._points, _normalized(self._weights[-filled:]))

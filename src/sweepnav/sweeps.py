@@ -240,10 +240,13 @@ def parse_sweep_lines(lines: Iterable[str], plan: BandPlan) -> Iterator[SweepRec
 
 
 def parse_sweep_file(path, plan: BandPlan) -> Iterator[SweepRecord]:
-    """Stream SweepRecords from a sweep CSV file."""
+    """Stream SweepRecords from a sweep CSV file; a parse error names the file."""
     # a non-ASCII byte decodes to a lone surrogate, which no field accepts
     with open(path, "r", encoding="ascii", errors="surrogateescape") as handle:
-        yield from parse_sweep_lines(handle, plan)
+        try:
+            yield from parse_sweep_lines(handle, plan)
+        except SweepParseError as exc:
+            raise SweepParseError(exc.line_no, exc.message, path) from None
 
 
 def format_sweep_lines(records: Iterable[SweepRecord], plan: BandPlan) -> Iterator[str]:

@@ -4,11 +4,14 @@ from dataclasses import replace
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sweepnav import SweepRecord, TrackingPipeline, cli, parse_sweep_file, run_pipeline
 from sweepnav.cli import main
-from sweepnav.config import default_config
+from sweepnav.config import CONFIG_FIELDS, default_config
 from sweepnav.simulator import spread
+from conftest import ROUTE_SCENARIO_TEXT
 
 
 @pytest.fixture
@@ -157,6 +160,66 @@ def test_bad_setting_is_exit_3(runner, tmp_path, command, line):
     result = runner.invoke(main, args + ["--out", str(tmp_path / "out")])
     assert result.exit_code == 3, (result.output, result.exception)
     assert "config error" in result.output
+
+
+@pytest.mark.parametrize("command", ["run", "simulate", "convergence"])
+def test_settings_byte_not_utf8_is_exit_3(runner, tmp_path, command):
+    # one byte that is not UTF-8, even in a comment, used to end in a UnicodeDecodeError traceback
+    settings_file = tmp_path / "settings.txt"
+    if command == "run":
+        settings_file.write_bytes(b"# caf\xe9\nn_pl = 2.8\n")
+        sweeps = tmp_path / "sweeps.csv"
+        sweeps.write_text("", encoding="ascii")
+        args = ["run", str(sweeps), "--config", str(settings_file)]
+    else:
+        settings_file.write_bytes(b"# caf\xe9\n" + BENCHMARK_SCENARIO.encode("ascii"))
+        args = [command, str(settings_file)]
+    result = runner.invoke(main, args + ["--out", str(tmp_path / "out")])
+    assert result.exit_code == 3, (result.output, result.exception)
+    assert isinstance(result.exception, SystemExit)
+    assert f"config error: {settings_file}:1: not UTF-8 text" in result.output
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "case", ["config anchor.seed", "run --seed", "simulate --seed", "scenario seed", "convergence --seed"]
+)
+def test_negative_seed_is_exit_3(runner, tmp_path, case):
+    # numpy's default_rng rejects a negative seed; it used to surface as a traceback or as exit 2
+    sweeps = tmp_path / "sweeps.csv"
+    sweeps.write_text("", encoding="ascii")
+    settings_file = tmp_path / "settings.txt"
+    explicit = [row for row in ROUTE_SCENARIO_TEXT.splitlines() if not row.startswith("seed")]
+    if case == "config anchor.seed":
+        settings_file.write_text("anchor.seed = -1\n", encoding="ascii")
+        args = ["run", str(sweeps), "--config", str(settings_file)]
+    elif case == "run --seed":
+        args = ["run", str(sweeps), "--seed", "-1"]
+    elif case == "simulate --seed":
+        settings_file.write_text(BENCHMARK_SCENARIO, encoding="ascii")
+        args = ["simulate", str(settings_file), "--seed", "-3"]
+    elif case == "scenario seed":
+        settings_file.write_text("\n".join(["seed = -1"] + explicit) + "\n", encoding="ascii")
+        args = ["simulate", str(settings_file)]
+    else:
+        settings_file.write_text("\n".join(explicit) + "\n", encoding="ascii")
+        args = ["convergence", str(settings_file), "--seed", "-1"]
+    result = runner.invoke(main, args + ["--out", str(tmp_path / "out")])
+    assert result.exit_code == 3, (result.output, result.exception)
+    assert isinstance(result.exception, SystemExit)
+    assert "config error" in result.output and "is negative" in result.output
+    assert not (tmp_path / "out").exists()
+
+
+def test_long_smoother_window_runs(runner, route_scenario_file, tmp_path):
+    # a window of 100,000 used to ask for ~160 GB of weight tables before the first fix
+    assert runner.invoke(main, ["simulate", str(route_scenario_file), "--out", str(tmp_path / "sim")]).exit_code == 0
+    config = tmp_path / "long.cfg"
+    config.write_text("smoother.window = 100000\n", encoding="ascii")
+    out = tmp_path / "run"
+    result = runner.invoke(main, ["run", str(tmp_path / "sim" / "sweeps.csv"), "--config", str(config), "--out", str(out)])
+    assert result.exit_code == 0, (result.output, result.exception)
+    assert "fixes: 21" in (out / "summary.txt").read_text()
 
 
 class TestRun:
@@ -458,6 +521,22 @@ class TestEval:
         assert result.exit_code == 2
         assert "malformed truth row" in result.output
 
+    def test_bad_number_names_file_and_line_exit_2(self, runner, artifacts, tmp_path):
+        sim, run_dir = artifacts
+        bad = tmp_path / "trajectory.csv"
+        lines = (run_dir / "trajectory.csv").read_text().splitlines()
+        lines[3] = lines[3].replace(",", ",x", 1)
+        bad.write_text("\n".join(lines) + "\n", encoding="ascii")
+        result = runner.invoke(
+            main,
+            [
+                "eval", str(sim / "truth.csv"), str(bad),
+                "--waypoints", str(sim / "waypoints.csv"), "--out", str(tmp_path / "e"),
+            ],
+        )
+        assert result.exit_code == 2, (result.output, result.exception)
+        assert f"input error: {bad}: line 4: could not convert" in result.output
+
     def test_short_waypoints_row_exit_2(self, runner, artifacts, tmp_path):
         sim, run_dir = artifacts
         bad = tmp_path / "wp.csv"
@@ -577,3 +656,39 @@ class TestConvergence:
             env={"RPS_LOG": "DEBUG"},
         )
         assert result.exit_code == 0
+
+
+@pytest.fixture(scope="module")
+def fuzz_sweeps(tmp_path_factory):
+    """A 21-sweep capture of the conftest route scenario."""
+    root = tmp_path_factory.mktemp("fuzz")
+    scenario = root / "scenario.txt"
+    scenario.write_text(ROUTE_SCENARIO_TEXT, encoding="ascii")
+    result = CliRunner().invoke(main, ["simulate", str(scenario), "--out", str(root / "sim")])
+    assert result.exit_code == 0, result.output
+    return root / "sim" / "sweeps.csv"
+
+
+# a value is arbitrary text, arbitrary bytes, any float or int, or a value near the edges the readers check
+config_values = (
+    st.text(max_size=12)
+    | st.binary(max_size=12)
+    | st.floats().map(repr)
+    | st.integers(-5, 10**6).map(str)
+    | st.sampled_from(["0", "-1", "1e-300", "1e300", "nan", "", "1,2", "1,1e-300", "-1,-1,1,1", "sma", "no"])
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(entries=st.lists(st.tuples(st.sampled_from(sorted(CONFIG_FIELDS)), config_values), max_size=4))
+def test_fuzzed_config_exits_with_a_documented_code(fuzz_sweeps, tmp_path_factory, entries):
+    """Any config file gives exit 0, 2, 3 or 4 and never an uncaught exception."""
+    root = tmp_path_factory.mktemp("case")
+    config = root / "fuzz.cfg"
+    config.write_bytes(b"".join(
+        key.encode("ascii") + b" = " + (value if isinstance(value, bytes) else value.encode("utf-8")) + b"\n"
+        for key, value in entries
+    ))
+    result = CliRunner().invoke(main, ["run", str(fuzz_sweeps), "--config", str(config), "--out", str(root / "out")])
+    assert result.exit_code in (0, 2, 3, 4), (result.output, result.exception)
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exception

@@ -17,6 +17,7 @@ from sweepnav import (
     simulate_run,
     static_scenario,
 )
+from sweepnav.errors import ShapeError
 from sweepnav.placement import place_in_box
 from sweepnav.sweeps import SweepRecord, SweepWindow
 
@@ -290,6 +291,22 @@ class TestSegmentErrorReport:
     def test_nonpositive_truth_rejected(self):
         with pytest.raises(ValueError):
             segment_error_report([(0.0, 0.0)] * 3, [0, 2], [0.0])
+
+    @pytest.mark.parametrize(
+        "positions, indices, lengths",
+        [
+            ([(0.0, 0.0)] * 5, [2, 1], [100.0]),
+            ([(0.0, 0.0)] * 3, [0, 5], [100.0]),
+            ([(0.0, 0.0)] * 3, [-1, 2], [100.0]),
+            ([(0.0, 0.0)] * 3, [0, 2], [0.0]),
+            ([(0.0, 0.0)] * 3, [0, 1, 2], [100.0]),
+            ([0.0, 1.0], [0, 1], [100.0]),
+        ],
+        ids=["unordered", "beyond", "negative", "zero-length", "count", "not-pairs"],
+    )
+    def test_faults_are_shape_errors(self, positions, indices, lengths):
+        with pytest.raises(ShapeError):
+            segment_error_report(positions, indices, lengths)
 
     def test_index_count_mismatch_rejected(self):
         with pytest.raises(ValueError):

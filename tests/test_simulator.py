@@ -16,7 +16,7 @@ from sweepnav import (
     static_scenario,
     synth_route,
 )
-from sweepnav.errors import ConfigError
+from sweepnav.errors import ConfigError, ShapeError
 from sweepnav.pathloss import free_space_pl0, invert_distance, rss_at_distance
 from sweepnav.pipeline import Trajectory, TrajectoryStep
 from sweepnav.simulator import aligned_rmse, rolling_spread, spread
@@ -232,6 +232,15 @@ class TestScoring:
         trajectory = trajectory_from(run.truth.positions()[:-1], [s.timestamp for s in run.truth.samples[:-1]])
         with pytest.raises(ValueError):
             score_run(run.truth, trajectory)
+
+    def test_shape_faults_are_shape_errors(self):
+        run = simulate_run(simple_scenario())
+        trajectory = trajectory_from(run.truth.positions(), [s.timestamp for s in run.truth.samples])
+        short = trajectory_from(run.truth.positions()[:-1], [s.timestamp for s in run.truth.samples[:-1]])
+        with pytest.raises(ShapeError, match="rows, truth has"):
+            score_run(run.truth, short)
+        with pytest.raises(ShapeError, match="out of range"):
+            score_run(run.truth, trajectory, [0, len(run.truth.samples)])
 
     def test_aligned_rmse_ignores_rotation_and_reflection(self):
         rng = np.random.default_rng(5)

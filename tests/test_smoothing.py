@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from sweepnav import Smoother, SmootherConfig
 from sweepnav.errors import ConfigError
+from sweepnav.smoothing import MAX_WINDOW
 from test_acceptance import smoothed
 
 
@@ -144,6 +147,19 @@ class TestSmoother:
             window = pushed[-config.window:]
             assert smoother.push(point) == smoothed(window, weights=weights[-len(window):])
 
+    def test_filling_window_holds_linear_memory(self):
+        # a table of normalized weights per fill level held 64 MB at window 2,000
+        points = [(float(i), -float(i)) for i in range(30)]
+        tracemalloc.start()
+        try:
+            smoother = Smoother(SmootherConfig(window=2000))
+            for point in points:
+                smoother.push(point)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
 
 class TestConfigValidation:
     def test_unknown_kind(self):
@@ -154,6 +170,12 @@ class TestConfigValidation:
         # the smoother's window can never be empty
         with pytest.raises(ConfigError):
             SmootherConfig(window=0)
+
+    def test_window_beyond_bound(self):
+        # its weights would fill memory before the first fix
+        SmootherConfig(window=MAX_WINDOW)
+        with pytest.raises(ConfigError, match="1..1000000"):
+            SmootherConfig(window=MAX_WINDOW + 1)
 
     def test_weight_length_mismatch(self):
         with pytest.raises(ConfigError):
