@@ -24,23 +24,15 @@ def _fmt(value: float) -> str:
     return f"{value:.6f}"
 
 
+# one row: str() of the index, f"{v:.6f}" of each float (%-format gives the
+# same bytes) and the flags joined by ";"
+_TRAJECTORY_ROW = "%s" + ",%.6f" * 8 + ",%s\n"
+
+
 def write_trajectory_csv(trajectory: Trajectory, path) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as handle:
         handle.write(",".join(TRAJECTORY_HEADER) + "\n")
-        for step in trajectory.steps:
-            row = [
-                str(step.index),
-                _fmt(step.timestamp),
-                _fmt(step.x_raw),
-                _fmt(step.y_raw),
-                _fmt(step.x_wma),
-                _fmt(step.y_wma),
-                _fmt(step.x_ekf),
-                _fmt(step.y_ekf),
-                _fmt(step.residual_norm),
-                ";".join(step.flags),
-            ]
-            handle.write(",".join(row) + "\n")
+        handle.writelines(_TRAJECTORY_ROW % (*step[:9], ";".join(step.flags)) for step in trajectory.steps)
 
 
 def _read_rows(path, header: list[str], kind: str, parse) -> list:

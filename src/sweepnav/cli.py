@@ -66,6 +66,8 @@ def run(sweeps, config_path, seed, out_dir):
     # the records stream from the file into the pipeline; a late parse error
     # still exits 2 before any output exists
     trajectory = run_pipeline(parse_sweep_file(sweeps, config.plan), config)
+    if not trajectory.steps and not trajectory.skipped_sweeps:  # every sweep is a step or skipped
+        raise InputError(f"{sweeps}: no sweeps")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     artifacts.write_trajectory_csv(trajectory, out / "trajectory.csv")
@@ -109,16 +111,18 @@ def eval_cmd(truth, trajectory, waypoints_path, out_dir, config_path, sweeps_pat
     track = artifacts.read_trajectory_csv(trajectory)
     indices = artifacts.read_waypoints_csv(waypoints_path)
     truth_lengths, rows = segment_errors(truth_xy, track, indices)
+    grid_rows = None
+    if npl_list or txcount_list or window_list:
+        grid_rows = _eval_grid(truth_xy, indices, config_path, sweeps_path, npl_list, txcount_list, window_list)
+
+    # every input is read and every grid run done: only now is --out written
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    report_rows = []
-    for estimator, segments in rows.items():
-        for i, seg in enumerate(segments):
-            report_rows.append((estimator, i + 1, seg.estimated_m, seg.truth_m, seg.percent_diff))
     with open(out / "report.csv", "w", encoding="ascii", newline="\n") as handle:
         handle.write("estimator,segment,est_m,truth_m,percent_diff\n")
-        for estimator, seg_no, est, tru, pct in report_rows:
-            handle.write(f"{estimator},{seg_no},{est:.6f},{tru:.6f},{pct:.6f}\n")
+        for estimator, segments in rows.items():
+            for i, seg in enumerate(segments):
+                handle.write(f"{estimator},{i + 1},{seg.estimated_m:.6f},{seg.truth_m:.6f},{seg.percent_diff:.6f}\n")
 
     names = [f"S{i + 1}" for i in range(len(truth_lengths))]
     click.echo("estimator  " + "  ".join(f"{n:>12}" for n in names))
@@ -127,10 +131,12 @@ def eval_cmd(truth, trajectory, waypoints_path, out_dir, config_path, sweeps_pat
         cells = [f"{s.estimated_m:.0f}/{s.percent_diff:.2f}" for s in rows[estimator]]
         click.echo(f"{estimator:<9}  " + "  ".join(f"{c:>12}" for c in cells))
 
-    if npl_list or txcount_list or window_list:
-        _eval_grid(
-            truth_xy, indices, out, config_path, sweeps_path, npl_list, txcount_list, window_list
-        )
+    if grid_rows is not None:
+        with open(out / "grid_report.csv", "w", encoding="ascii", newline="\n") as handle:
+            handle.write("n_pl,window,tx_count,estimator,segment,est_m,percent_diff\n")
+            for npl, window, count, estimator, seg_no, est, pct in grid_rows:
+                handle.write(f"{npl},{window},{count},{estimator},{seg_no},{est:.6f},{pct:.6f}\n")
+        click.echo(f"grid: wrote {len(grid_rows)} rows")
 
 
 def _parse_list(text, cast, default):
@@ -142,40 +148,33 @@ def _parse_list(text, cast, default):
         raise ConfigError(f"bad list {text!r}") from None
 
 
-def _eval_grid(truth_xy, indices, out, config_path, sweeps_path,
-               npl_list, txcount_list, window_list):
+def _eval_grid(truth_xy, indices, config_path, sweeps_path, npl_list, txcount_list, window_list) -> list[tuple]:
+    """The grid report's rows: every config is built and the sweeps read
+    before the first run, so a bad grid argument fails before any output."""
     if sweeps_path is None:
         raise ConfigError("grid evaluation needs --sweeps")
     base = load_config(config_path)
     npls = _parse_list(npl_list, float, [base.pathloss.exponent])
     counts = _parse_list(txcount_list, int, [base.plan.selection_count])
     windows = _parse_list(window_list, int, [base.smoother.window])
+    configs = [
+        (npl, window, count, replace(
+            base,
+            pathloss=replace(base.pathloss, exponent=npl),
+            smoother=replace(base.smoother, window=window, weights=None),
+            plan=replace(base.plan, selection_count=count),
+        ))
+        for npl in npls for window in windows for count in counts
+    ]
     records = list(parse_sweep_file(sweeps_path, base.plan))
 
     grid_rows = []
-    for npl in npls:
-        for window in windows:
-            for count in counts:
-                config = replace(
-                    base,
-                    pathloss=replace(base.pathloss, exponent=npl),
-                    smoother=replace(base.smoother, window=window, weights=None),
-                    plan=replace(base.plan, selection_count=count),
-                )
-                _, segments = segment_errors(truth_xy, run_pipeline(records, config), indices)
-                for estimator in ("wma", "ekf"):
-                    for i, seg in enumerate(segments[estimator]):
-                        grid_rows.append(
-                            (npl, window, count, estimator, i + 1,
-                             seg.estimated_m, seg.percent_diff)
-                        )
-    with open(out / "grid_report.csv", "w", encoding="ascii", newline="\n") as handle:
-        handle.write("n_pl,window,tx_count,estimator,segment,est_m,percent_diff\n")
-        for npl, window, count, estimator, seg_no, est, pct in grid_rows:
-            handle.write(
-                f"{npl},{window},{count},{estimator},{seg_no},{est:.6f},{pct:.6f}\n"
-            )
-    click.echo(f"grid: wrote {len(grid_rows)} rows")
+    for npl, window, count, config in configs:
+        _, segments = segment_errors(truth_xy, run_pipeline(records, config), indices)
+        for estimator in ("wma", "ekf"):
+            for i, seg in enumerate(segments[estimator]):
+                grid_rows.append((npl, window, count, estimator, i + 1, seg.estimated_m, seg.percent_diff))
+    return grid_rows
 
 
 def _looks_like_kv_file(path: str) -> bool:

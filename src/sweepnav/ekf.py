@@ -66,9 +66,8 @@ class NoiseConfig:
         return self.r == other.r and np.array_equal(self.q, other.q)
 
 
-@dataclass(frozen=True)
-class TrackStep:
-    """One filter step: resulting state plus the innovation log."""
+class TrackStep(NamedTuple):
+    """One filter step: resulting state plus the innovation log (immutable)."""
 
     position: tuple[float, float]
     covariance_terms: tuple[float, float, float]
@@ -178,9 +177,4 @@ class EkfTracker:
 
         self._terms = terms
         x, y, p00, p01, p11 = terms
-        return TrackStep(
-            position=(float(x), float(y)),
-            covariance_terms=(p00, p01, p11),
-            innovations=tuple(innovations),
-            flags=tuple(flags),
-        )
+        return TrackStep((float(x), float(y)), (p00, p01, p11), tuple(innovations), tuple(flags))

@@ -21,7 +21,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -69,9 +69,8 @@ class PipelineConfig:
             raise ValueError("condition_cap must be at least 1")
 
 
-@dataclass(frozen=True)
-class TrajectoryStep:
-    """One output row of the pipeline."""
+class TrajectoryStep(NamedTuple):
+    """One output row of the pipeline (immutable)."""
 
     index: int
     timestamp: float
@@ -203,16 +202,8 @@ class TrackingPipeline:
         smoothed = self._smoother.push(raw_rel)
         ekf_pos, ekf_flags = self._ekf_step(sweep.timestamp, smoothed, distances)
         step = TrajectoryStep(
-            index=len(self._steps),
-            timestamp=sweep.timestamp,
-            x_raw=raw_rel[0],
-            y_raw=raw_rel[1],
-            x_wma=smoothed[0],
-            y_wma=smoothed[1],
-            x_ekf=ekf_pos[0],
-            y_ekf=ekf_pos[1],
-            residual_norm=residual,
-            flags=flags + ekf_flags,
+            len(self._steps), sweep.timestamp, raw_rel[0], raw_rel[1], smoothed[0], smoothed[1],
+            ekf_pos[0], ekf_pos[1], residual, flags + ekf_flags,
         )
         self._steps.append(step)
         return step
@@ -228,7 +219,8 @@ class TrackingPipeline:
 
     def _select_bands(self) -> bool:
         cfg = self._cfg
-        means = {bid: self._window.mean_dbm(bid) for bid in self._window.persistent_band_ids()}
+        persistent = self._window.persistent_band_ids()
+        means = dict(zip(persistent, self._window.means_dbm(persistent)))
         try:
             selected = select_transmit_bands(means, cfg.plan.selection_count)
         except InsufficientAnchorsError:
@@ -250,12 +242,12 @@ class TrackingPipeline:
 
     def _solve_fix(self):
         params = self._cfg.pathloss
-        tx, mean_dbm = params.tx_power_dbm, self._window.mean_dbm
+        tx = params.tx_power_dbm
         try:
             # the path loss is tx - mean; the window's means are finite
             distances = [
-                invert_distance(tx - mean_dbm(band_id), pl0, params)
-                for band_id, pl0 in zip(self._selected, self._pl0)
+                invert_distance(tx - mean, pl0, params)
+                for mean, pl0 in zip(self._window.means_dbm(self._selected), self._pl0)
             ]
             x, y, residual, _ = self._frame.solve(distances)
         except MissingBandError:

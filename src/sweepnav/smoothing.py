@@ -59,7 +59,11 @@ def _normalized(weights: Sequence[float]) -> tuple[float, ...]:
 
 
 def _weighted_mean(points: Iterable[Point], weights: Sequence[float]) -> Point:
-    """Weighted mean of (x, y) floats, clamped to their per-axis range."""
+    """Weighted mean of (x, y) floats, clamped to their per-axis range.
+
+    The comparisons keep the first extreme and clamp as min(max(mean, lo), hi)
+    would, without the calls.
+    """
     sx = sy = total = 0.0
     lo_x = lo_y = math.inf
     hi_x = hi_y = -math.inf
@@ -67,9 +71,18 @@ def _weighted_mean(points: Iterable[Point], weights: Sequence[float]) -> Point:
         sx += w * x
         sy += w * y
         total += w
-        lo_x, hi_x = min(lo_x, x), max(hi_x, x)
-        lo_y, hi_y = min(lo_y, y), max(hi_y, y)
-    return min(max(sx / total, lo_x), hi_x), min(max(sy / total, lo_y), hi_y)
+        if x < lo_x:
+            lo_x = x
+        if x > hi_x:
+            hi_x = x
+        if y < lo_y:
+            lo_y = y
+        if y > hi_y:
+            hi_y = y
+    mx, my = sx / total, sy / total
+    mx = lo_x if lo_x > mx else mx
+    my = lo_y if lo_y > my else my
+    return hi_x if hi_x < mx else mx, hi_y if hi_y < my else my
 
 
 class Smoother:

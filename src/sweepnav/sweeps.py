@@ -7,9 +7,10 @@ mean power and the transmitter band set are derived.
 
 A band plan is four numbers (low edge, high edge, band width and the number
 of bands to select); band edges are computed, never stored. Each row is
-split once, its timestamp parsed by strptime's grammar only when its text
-changes, and each bin placed by one arithmetic lookup on the plan. Window
-statistics built from checked records are not re-checked.
+split once, its timestamp parsed by strptime's grammar only when its raw
+text changes, and each bin placed by one arithmetic lookup on the plan.
+Window statistics built from checked records are not re-checked, and one
+window call gives the means of every selected band.
 """
 
 from __future__ import annotations
@@ -18,12 +19,13 @@ import math
 import re
 from collections import deque
 from dataclasses import dataclass, field
-from datetime import datetime, timedelta, timezone
+from datetime import date, datetime, timedelta, timezone
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ConfigError, InsufficientAnchorsError, MissingBandError, SweepParseError
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_EPOCH_DAY = _EPOCH.toordinal()
 
 # Row layout: date, time, hz_low, hz_high, hz_bin_width, num_samples, dB, dB, ...
 _MIN_FIELDS = 7
@@ -142,29 +144,38 @@ class BandPlan:
 
 
 # strptime's pattern for "%Y-%m-%d %H:%M:%S.%f" with the fraction optional; a
-# space in a strptime format matches any run of whitespace
+# space in a strptime format matches any run of whitespace. Seconds 60 and 61,
+# which strptime's grammar takes and datetime then rejects, do not match.
 _TIMESTAMP = re.compile(
     r"(\d\d\d\d)-(1[0-2]|0[1-9]|[1-9])-(3[0-1]|[1-2]\d|0[1-9]|[1-9]| [1-9])"
-    r"\s+(2[0-3]|[0-1]\d|\d):([0-5]\d|\d):(6[0-1]|[0-5]\d|\d)(?:\.([0-9]{1,6}))?"
+    r"\s+(2[0-3]|[0-1]\d|\d):([0-5]\d|\d):([0-5]\d|\d)(?:\.([0-9]{1,6}))?"
 )
 
 
-def parse_timestamp(date_text: str, time_text: str) -> float:
+def parse_timestamp(date_text: str, time_text: str, days: dict | None = None) -> float:
     """Epoch seconds (UTC) from the two leading CSV fields.
 
     Accepts what ``datetime.strptime`` accepts for ``%Y-%m-%d %H:%M:%S.%f``
-    or ``%Y-%m-%d %H:%M:%S``, and returns the same value.
+    or ``%Y-%m-%d %H:%M:%S``, and returns the same value: whole microseconds
+    since the epoch divided by 10**6, as ``timedelta.total_seconds`` divides
+    them. ``days``, kept by the caller for one file, memoizes the day number
+    of each valid date seen.
     """
     text = f"{date_text} {time_text}"
     match = _TIMESTAMP.match(text)
-    try:
-        if match is None or match.end() != len(text):
-            raise ValueError
-        *fields, fraction = match.groups("0")
-        stamp = datetime(*map(int, fields), int(fraction.ljust(6, "0")), timezone.utc)
-    except ValueError:
-        raise ValueError(f"unrecognised timestamp {text!r}") from None
-    return (stamp - _EPOCH).total_seconds()
+    if match is None or match.end() != len(text):
+        raise ValueError(f"unrecognised timestamp {text!r}")
+    fields = match.groups("0")
+    days = {} if days is None else days
+    day = days.get(fields[:3])
+    if day is None:
+        try:  # a date that does not exist, such as Feb 29 outside a leap year, fails
+            day = days[fields[:3]] = date(*map(int, fields[:3])).toordinal() - _EPOCH_DAY
+        except ValueError:
+            raise ValueError(f"unrecognised timestamp {text!r}") from None
+    hour, minute, second, fraction = fields[3:]
+    seconds = ((day * 24 + int(hour)) * 60 + int(minute)) * 60 + int(second)
+    return (seconds * 1_000_000 + int(fraction.ljust(6, "0"))) / 1_000_000
 
 
 def format_timestamp(timestamp: float) -> tuple[str, str]:
@@ -182,15 +193,18 @@ def parse_sweep_lines(lines: Iterable[str], plan: BandPlan) -> Iterator[SweepRec
     is not later than the previous sweep's. An empty input yields nothing.
     """
     band_at, limit = plan.band_at, MAX_ABS_DB
+    date_text = time_text = None  # the raw timestamp fields of the last row
     pending_key: tuple[str, str] | None = None
     pending_ts = 0.0
     pending_bins: dict[int, list[float]] = {}
+    days: dict = {}  # parse_timestamp's day memo, for this parse alone
 
     def finish() -> SweepRecord:
-        return SweepRecord(
-            pending_ts,
-            {band_id: _ordered_sum(values) / len(values) for band_id, values in sorted(pending_bins.items())},
-        )
+        # a single value averages to 0.0 + v, the bits _ordered_sum([v]) / 1 gives
+        return SweepRecord(pending_ts, {
+            band_id: 0.0 + values[0] if len(values) == 1 else _ordered_sum(values) / len(values)
+            for band_id, values in sorted(pending_bins.items())
+        })
 
     for line_no, raw_line in enumerate(lines, start=1):
         line = raw_line.strip()
@@ -215,25 +229,32 @@ def parse_sweep_lines(lines: Iterable[str], plan: BandPlan) -> Iterator[SweepRec
             if not -limit <= rss <= limit:  # NaN fails too
                 raise SweepParseError(line_no, f"dB value {rss!r} outside [-{limit:g}, {limit:g}]")
 
-        # rows of one sweep share the timestamp text, so it is parsed once per sweep
-        key = (parts[0].strip(), parts[1].strip())
-        if key != pending_key:
-            try:
-                timestamp = parse_timestamp(*key)
-            except ValueError as exc:
-                raise SweepParseError(line_no, str(exc)) from None
-            if pending_key is not None:
-                if timestamp <= pending_ts:
-                    raise SweepParseError(line_no, "timestamp decreased or repeated across sweeps")
-                yield finish()
-                pending_bins = {}
-            pending_key = key
-            pending_ts = timestamp
+        # rows of one sweep share the timestamp text, so it is stripped and
+        # parsed once per sweep
+        if parts[0] != date_text or parts[1] != time_text:
+            date_text, time_text = parts[0], parts[1]
+            key = (date_text.strip(), time_text.strip())
+            if key != pending_key:
+                try:
+                    timestamp = parse_timestamp(*key, days)
+                except ValueError as exc:
+                    raise SweepParseError(line_no, str(exc)) from None
+                if pending_key is not None:
+                    if timestamp <= pending_ts:
+                        raise SweepParseError(line_no, "timestamp decreased or repeated across sweeps")
+                    yield finish()
+                    pending_bins = {}
+                pending_key = key
+                pending_ts = timestamp
 
         for i, rss in enumerate(rss_values):
             band_id = band_at((hz_low + hz_width * i + hz_width / 2.0) / 1e6)
             if band_id is not None:
-                pending_bins.setdefault(band_id, []).append(rss)
+                values = pending_bins.get(band_id)
+                if values is None:
+                    pending_bins[band_id] = [rss]
+                else:
+                    values.append(rss)
 
     if pending_key is not None:
         yield finish()
@@ -295,42 +316,24 @@ def _ordered_sum(values: Iterable[float]) -> float:
     return total
 
 
-def _totals(values: Sequence[float]) -> tuple[float, int, float, float]:
-    """(sum, count, min, max) of values in one pass, summed as _ordered_sum does."""
-    total = 0.0
-    low = high = values[0]
-    for value in values:
-        total += value
-        if value < low:
-            low = value
-        elif value > high:
-            high = value
-    return total, len(values), low, high
-
-
-def _clamped_mean(total: float, count: int, low: float, high: float) -> float:
-    # summation rounding can spill the mean an ulp outside the sample range
-    mean = total / count
-    return low if mean < low else high if mean > high else mean
-
-
 def _missing_band(band_id: int, sweeps: int) -> MissingBandError:
     return MissingBandError(f"band {band_id} absent from all {sweeps} sweeps in window")
 
 
 def band_mean(window: Sequence[SweepRecord], band_id: int) -> float:
     """Arithmetic mean (dB domain) of one band's power over a sweep window,
-    clamped into the range of its samples.
+    summed left to right and clamped into the range of its samples.
 
-    The batch reference for :meth:`SweepWindow.mean_dbm`, which returns the
-    same float from incrementally kept state.
+    The batch reference for :meth:`SweepWindow.means_dbm`, which returns the
+    same floats from incrementally kept state.
     """
     if not window:
         raise ValueError("window must be non-empty")
     values = [record.rss_by_id[band_id] for record in window if band_id in record.rss_by_id]
     if not values:
         raise _missing_band(band_id, len(window))
-    return _clamped_mean(*_totals(values))
+    # summation rounding can spill the mean an ulp outside the sample range
+    return min(max(_ordered_sum(values) / len(values), min(values)), max(values))
 
 
 def select_transmit_bands(means: Mapping[int, float], count: int) -> list[int]:
@@ -352,9 +355,10 @@ class SweepWindow:
     band's values in arrival order (and its last ``length`` records, to
     evict), a growing one a running sum, count, minimum and maximum and no
     record at all. Per sweep, ``push`` costs O(K) in the sweep's band
-    count; ``mean_dbm`` costs O(1) for a growing window and O(length) for a
-    bounded one; ``persistent_band_ids`` costs O(B) in the bands seen in the
-    window. None of them depends on how many sweeps a growing window holds.
+    count; ``means_dbm`` costs O(1) per band for a growing window and
+    O(length) per band for a bounded one; ``persistent_band_ids`` costs O(B)
+    in the bands seen in the window. None of them depends on how many
+    sweeps a growing window holds.
     After :meth:`keep_only`, every query sees the kept bands alone.
     """
 
@@ -376,13 +380,11 @@ class SweepWindow:
         self._kept = frozenset(band_ids)
         self._bands = {band_id: v for band_id, v in self._bands.items() if band_id in self._kept}
 
-    def _held(self, rss_by_id: dict) -> Iterable[int]:
-        return rss_by_id.keys() if self._kept is None else rss_by_id.keys() & self._kept
-
     def push(self, record: SweepRecord) -> None:
-        bands, rss_by_id = self._bands, record.rss_by_id
+        bands, rss_by_id, kept = self._bands, record.rss_by_id, self._kept
+        held = rss_by_id.keys() if kept is None else rss_by_id.keys() & kept
         if self._length is None:
-            for band_id in self._held(rss_by_id):
+            for band_id in held:
                 rss = rss_by_id[band_id]
                 acc = bands.get(band_id)
                 if acc is None:
@@ -396,12 +398,13 @@ class SweepWindow:
             self._count += 1
         else:
             if len(self._records) == self._length:
-                for band_id in self._held(self._records.popleft().rss_by_id):
+                evicted = self._records.popleft().rss_by_id.keys()
+                for band_id in evicted if kept is None else evicted & kept:
                     values = bands[band_id]
                     values.popleft()
                     if not values:
                         del bands[band_id]
-            for band_id in self._held(rss_by_id):
+            for band_id in held:
                 rss = rss_by_id[band_id]
                 values = bands.get(band_id)
                 if values is None:
@@ -414,14 +417,35 @@ class SweepWindow:
     def __len__(self) -> int:
         return self._count
 
-    def mean_dbm(self, band_id: int) -> float:
-        """Equal to ``band_mean`` over the window's sweeps, without the rescan."""
+    def means_dbm(self, band_ids: Iterable[int]) -> list[float]:
+        """The mean of each of ``band_ids``, in one call: equal bit for bit
+        to ``band_mean`` over the window's sweeps, without rescanning them."""
         if not self._count:
             raise ValueError("window must be non-empty")
-        entry = self._bands.get(band_id)
-        if entry is None:
-            raise _missing_band(band_id, self._count)
-        return _clamped_mean(*(entry if self._length is None else _totals(entry)))
+        bands, growing, means = self._bands, self._length is None, []
+        for band_id in band_ids:
+            entry = bands.get(band_id)
+            if entry is None:
+                raise _missing_band(band_id, self._count)
+            if growing:
+                total, count, low, high = entry
+            else:  # summed left to right, as band_mean sums
+                total, count, low = 0.0, len(entry), entry[0]
+                high = low
+                for value in entry:
+                    total += value
+                    if value < low:
+                        low = value
+                    elif value > high:
+                        high = value
+            # summation rounding can spill the mean an ulp outside the sample range
+            mean = total / count
+            means.append(low if mean < low else high if mean > high else mean)
+        return means
+
+    def mean_dbm(self, band_id: int) -> float:
+        """``means_dbm`` of one band."""
+        return self.means_dbm((band_id,))[0]
 
     def persistent_band_ids(self) -> list[int]:
         """Bands present in every sweep of the window."""

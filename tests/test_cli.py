@@ -290,6 +290,17 @@ class TestRun:
         assert result.exit_code == 3
         assert "config error" in result.output
 
+    @pytest.mark.parametrize("text", ["", "# a capture header\n\n   \n# and no rows\n"], ids=["zero_bytes", "comments"])
+    def test_file_without_sweeps_is_exit_2_with_no_output(self, runner, tmp_path, text):
+        # as convergence: a sweep file with no sweep row is malformed input
+        empty = tmp_path / "empty.csv"
+        empty.write_text(text, encoding="ascii")
+        out = tmp_path / "o"
+        result = runner.invoke(main, ["run", str(empty), "--out", str(out)])
+        assert result.exit_code == 2, (result.output, result.exception)
+        assert f"input error: {empty}: no sweeps" in result.output
+        assert not out.exists()
+
     def test_malformed_sweeps_is_exit_2(self, runner, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("2023-01-01, 12:00:00.000000, 0, 1000000, 1000000, 1, abc\n", encoding="ascii")
@@ -428,6 +439,26 @@ class TestEval:
             ],
         )
         assert result.exit_code == 3
+
+    @pytest.mark.parametrize(
+        "grid",
+        [["--npl-list", "2.8"], ["--sweeps", "SWEEPS", "--window-list", "0"]],
+        ids=["no_sweeps", "window_0"],
+    )
+    def test_bad_grid_argument_writes_nothing(self, runner, artifacts, tmp_path, grid):
+        sim, run_dir = artifacts
+        out = tmp_path / "g"
+        result = runner.invoke(
+            main,
+            [
+                "eval", str(sim / "truth.csv"), str(run_dir / "trajectory.csv"),
+                "--waypoints", str(sim / "waypoints.csv"), "--out", str(out),
+                *(str(sim / "sweeps.csv") if arg == "SWEEPS" else arg for arg in grid),
+            ],
+        )
+        assert result.exit_code == 3, (result.output, result.exception)
+        assert "config error" in result.output
+        assert not out.exists()
 
     def test_grid_repeated_timestamp_is_exit_2(self, runner, artifacts, tmp_path):
         sim, run_dir = artifacts

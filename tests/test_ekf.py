@@ -177,6 +177,14 @@ class TestTracker:
         assert calls == ["predict", "update", "update", "update"]
         assert step.flags == ("skipped_landmark",)
 
+    @pytest.mark.parametrize("field", ["position", "covariance_terms", "innovations", "flags"])
+    def test_step_fields_cannot_be_assigned(self, field):
+        tracker = EkfTracker(x0=(0.0, 0.0), p0=np.eye(2), noise=NoiseConfig())
+        step = tracker.step(1.0, (1.0, 0.0), [(Landmark(10.0, 0.0, 0), 9.0)])
+        with pytest.raises(AttributeError):
+            setattr(step, field, getattr(step, field))
+        assert step.position == (step.position[0], step.position[1]) and step.innovations[0][0] == 0
+
     def test_skipped_landmark_flag(self):
         tracker = EkfTracker(x0=(0.0, 0.0), p0=np.eye(2), noise=NoiseConfig())
         lm = Landmark(0.0, 0.0, 0)  # coincides with the predicted state

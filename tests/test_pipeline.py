@@ -8,6 +8,7 @@ from sweepnav import (
     InsufficientAnchorsError,
     PlacementError,
     TrackingPipeline,
+    TrajectoryStep,
     assign_anchor_frame,
     derive_velocity,
     matched_config,
@@ -32,6 +33,24 @@ class TestDeriveVelocity:
     def test_nonincreasing_timestamps_rejected(self):
         with pytest.raises(ValueError):
             derive_velocity((1.0, (0.0, 0.0)), (1.0, (2.0, 0.0)))
+
+
+class TestTrajectoryStep:
+    STEP = TrajectoryStep(
+        index=3, timestamp=1.5, x_raw=1.0, y_raw=2.0, x_wma=3.0, y_wma=4.0, x_ekf=5.0, y_ekf=6.0,
+        residual_norm=0.25, flags=("held", "degenerate"),
+    )
+
+    def test_keywords_properties_and_default_flags(self):
+        step = self.STEP
+        assert (step.raw, step.wma, step.ekf) == ((1.0, 2.0), (3.0, 4.0), (5.0, 6.0))
+        assert step.index == 3 and step.flags == ("held", "degenerate")
+        assert TrajectoryStep(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, math.nan).flags == ()
+
+    @pytest.mark.parametrize("field", TrajectoryStep._fields)
+    def test_fields_cannot_be_assigned(self, field):
+        with pytest.raises(AttributeError):
+            setattr(self.STEP, field, getattr(self.STEP, field))
 
 
 class TestAnchorFrame:

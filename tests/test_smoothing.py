@@ -1,11 +1,14 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sweepnav import Smoother, SmootherConfig
 from sweepnav.errors import ConfigError
-from sweepnav.smoothing import MAX_WINDOW
+from sweepnav.smoothing import MAX_WINDOW, _weighted_mean
 from test_acceptance import smoothed
 
 
@@ -98,6 +101,33 @@ class TestProperties:
             scale = np.abs(points).max(axis=0)
             assert abs(got[0] - ref[0]) <= 1e-12 * scale[0]
             assert abs(got[1] - ref[1]) <= 1e-12 * scale[1]
+
+
+def min_max_weighted_mean(points, weights):
+    """The weighted mean as it was written with min() and max() calls."""
+    sx = sy = total = 0.0
+    lo_x = lo_y = math.inf
+    hi_x = hi_y = -math.inf
+    for (x, y), w in zip(points, weights):
+        sx += w * x
+        sy += w * y
+        total += w
+        lo_x, hi_x = min(lo_x, x), max(hi_x, x)
+        lo_y, hi_y = min(lo_y, y), max(hi_y, y)
+    return min(max(sx / total, lo_x), hi_x), min(max(sy / total, lo_y), hi_y)
+
+
+COORDS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from([0.0, -0.0, 99.262, 1e300, -1e300])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    points=st.lists(st.tuples(COORDS, COORDS), min_size=1, max_size=6),
+    weights=st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=6, max_size=6),
+)
+def test_comparisons_equal_min_max_calls(points, weights):
+    # repr compares floats bit for bit, the sign of zero and nan included
+    assert repr(_weighted_mean(points, weights)) == repr(min_max_weighted_mean(points, weights))
 
 
 class TestSmoother:

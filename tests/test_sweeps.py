@@ -425,6 +425,8 @@ class TestIncrementalWindow:
                     assert repr(window.mean_dbm(bid)) == repr(band_mean(records, bid))
             common = set.intersection(*(set(r.rss_by_id) for r in records))
             assert window.persistent_band_ids() == sorted(common)
+            held = [bid for bid in range(6) if any(bid in r.rss_by_id for r in records)]
+            assert repr(window.means_dbm(held[::-1])) == repr([band_mean(records, bid) for bid in held[::-1]])
 
     @pytest.mark.parametrize("length", [1, 3, 10, None])
     @settings(max_examples=80, deadline=None)
@@ -450,6 +452,18 @@ class TestIncrementalWindow:
                         window.mean_dbm(bid)
             common = set.intersection(*(set(r.rss_by_id) for r in records)) & kept
             assert window.persistent_band_ids() == sorted(common)
+            held = [bid for bid in sorted(kept) if any(bid in r.rss_by_id for r in records)]
+            assert repr(window.means_dbm(held)) == repr([band_mean(records, bid) for bid in held])
+
+    @pytest.mark.parametrize("length", [3, None])
+    def test_all_bands_call_raises_for_a_missing_band(self, length):
+        window = SweepWindow(length)
+        with pytest.raises(ValueError, match="non-empty"):
+            window.means_dbm([1])
+        window.push(record(0.0, {1: -50.0, 2: -60.0}))
+        assert window.means_dbm([]) == []
+        with pytest.raises(MissingBandError, match="band 3 absent from all 1 sweeps"):
+            window.means_dbm([2, 3, 1])
 
     def test_kept_band_returns_after_leaving(self):
         window = SweepWindow(3)
@@ -659,6 +673,66 @@ class TestStrptimeFreeTimestamp:
         except ValueError:
             actual = None
         assert actual == expected
+
+
+class TestTimestampsAcrossDays:
+    """The parser keeps a day-number memo for one parse; its stamps must still
+    equal strptime's, and a date it has not validated must not slip through."""
+
+    STAMPS = [
+        ("2023-01-31", "23:59:59.999999"),
+        ("2023-02-01", "00:00:00"),
+        ("2023-02-28", "23:59:59.5"),
+        ("2023-03-01", "00:00:00.000001"),
+        ("2023-3-1", "0:0:1"),
+        ("2023-12-31", "23:59:59"),
+        ("2024-01-01", "00:00:00"),
+        ("2024-02-28", "23:59:59.999999"),
+        ("2024-02-29", "00:00:00"),
+        ("2024-02-29", "23:59:59.123456"),
+        ("2024-03-01", "00:00:00"),
+    ]
+
+    def test_midnight_and_month_end_equal_strptime(self, small_plan):
+        lines = [f"{d}, {t}, 0, 1000000, 1000000, 1, -60.0" for d, t in self.STAMPS]
+        records = parse_all(lines, small_plan)
+        expected = [reference_parse_timestamp(d, t) for d, t in self.STAMPS]
+        assert [r.timestamp.hex() for r in records] == [v.hex() for v in expected]
+
+    def test_feb_29_outside_a_leap_year_rejected_after_feb_28(self, small_plan):
+        with pytest.raises(ValueError):
+            reference_parse_timestamp("2023-02-29", "00:00:00")
+        lines = ["2023-02-28, 23:59:59, 0, 1000000, 1000000, 1, -60.0",
+                 "2023-02-29, 00:00:00, 0, 1000000, 1000000, 1, -60.0"]
+        with pytest.raises(SweepParseError, match="line 2: unrecognised timestamp '2023-02-29 00:00:00'"):
+            parse_all(lines, small_plan)
+        days = {}
+        assert parse_timestamp("2023-02-28", "1:00:00", days) == reference_parse_timestamp("2023-02-28", "1:00:00")
+        with pytest.raises(ValueError, match="unrecognised timestamp"):
+            parse_timestamp("2023-02-29", "1:00:00", days)
+        assert parse_timestamp("2024-02-29", "1:00:00", days) == reference_parse_timestamp("2024-02-29", "1:00:00")
+
+    @settings(max_examples=200, deadline=None)
+    @given(texts=st.lists(
+        timestamp_texts() | st.tuples(
+            st.sampled_from(["2023-02-28", "2023-2-28", "2023-02-29", "2024-02-29", "2023-02- 1", "2023-04-31",
+                             "2023-12-31", "2024-01-01", "0000-01-01", "2023-01-01\t"]),
+            st.sampled_from(["00:00:00", "23:59:59.999999", "1:2:3.5", "12:00:60", " 7:00:00"]),
+        ),
+        min_size=1, max_size=8,
+    ))
+    def test_shared_memo_equals_strptime(self, texts):
+        days = {}
+        for date_text, time_text in texts:
+            try:
+                expected = reference_parse_timestamp(date_text, time_text).hex()
+            except ValueError:
+                expected = None
+            try:
+                actual = parse_timestamp(date_text, time_text, days).hex()
+            except ValueError:
+                actual = None
+            assert actual == expected
 
 
 DB_TEXT = st.floats(min_value=-200.0, max_value=50.0).map(repr) | st.sampled_from(
