@@ -8,7 +8,8 @@ mean power and the transmitter band set are derived.
 A band plan is four numbers (low edge, high edge, band width and the number
 of bands to select); band edges are computed, never stored. Each row is
 split once, its timestamp parsed by strptime's grammar only when its raw
-text changes, and each bin placed by one arithmetic lookup on the plan.
+text changes, and its slice checked and bins placed by arithmetic lookups
+once per distinct row layout per file (MAX_LAYOUT_RUNS bounds what is kept).
 Window statistics built from checked records are not re-checked, and one
 window call gives the means of every selected band.
 """
@@ -43,6 +44,9 @@ MAX_ABS_DB = 200.0
 # centre of 1e-300 MHz puts about -6,000 dB into pl0 and overflows every
 # range; any floor above about 1e-200 MHz keeps ranges finite.
 MIN_CENTER_MHZ = 1e-3
+# Most runs of bins one parse keeps for its row layouts before it clears them:
+# a hackrf_sweep pass over 6 GHz (~1,200 layouts of a few runs each) fits, in ~5 MB.
+MAX_LAYOUT_RUNS = 1 << 16
 
 
 class BandSample(NamedTuple):
@@ -198,6 +202,10 @@ def parse_sweep_lines(lines: Iterable[str], plan: BandPlan) -> Iterator[SweepRec
     pending_ts = 0.0
     pending_bins: dict[int, list[float]] = {}
     days: dict = {}  # parse_timestamp's day memo, for this parse alone
+    # row layout (hz_low, hz_high, hz_width, num_samples text, field count) -> runs
+    # (band_id, first_bin, end_bin) of its in-plan bins, stored once its row passed
+    layouts: dict[tuple, list[tuple[int, int, int]]] = {}
+    held = 0  # runs held in layouts, a layout counting at least one
 
     def finish() -> SweepRecord:
         # a single value averages to 0.0 + v, the bits _ordered_sum([v]) / 1 gives
@@ -213,21 +221,38 @@ def parse_sweep_lines(lines: Iterable[str], plan: BandPlan) -> Iterator[SweepRec
         parts = line.split(",")  # float() ignores the whitespace around a field
         if line[-1] == ",":
             parts.pop()
-        if len(parts) < _MIN_FIELDS:
-            raise SweepParseError(line_no, f"expected at least {_MIN_FIELDS} fields, got {len(parts)}")
+        fields = len(parts)
+        if fields < _MIN_FIELDS:
+            raise SweepParseError(line_no, f"expected at least {_MIN_FIELDS} fields, got {fields}")
+        layout = (parts[2], parts[3], parts[4], parts[5], fields)
+        runs = layouts.get(layout)
         try:
-            hz_low = float(parts[2])
-            hz_high = float(parts[3])
-            hz_width = float(parts[4])
-            float(parts[5])  # num_samples, unused
+            if runs is None:
+                hz_low = float(parts[2])
+                hz_high = float(parts[3])
+                hz_width = float(parts[4])
+                float(parts[5])  # num_samples, unused
             rss_values = list(map(float, parts[6:]))
         except ValueError:
             raise SweepParseError(line_no, f"bad numeric field in {line!r}") from None
-        if hz_width <= 0 or hz_high <= hz_low:
+        if runs is None and not (0.0 < hz_width < math.inf and -math.inf < hz_low < hz_high < math.inf):  # NaN fails
             raise SweepParseError(line_no, "invalid frequency slice bounds")
         for rss in rss_values:
             if not -limit <= rss <= limit:  # NaN fails too
                 raise SweepParseError(line_no, f"dB value {rss!r} outside [-{limit:g}, {limit:g}]")
+        if runs is None:
+            runs = []
+            for i in range(fields - 6):
+                band_id = band_at((hz_low + hz_width * i + hz_width / 2.0) / 1e6)
+                if runs and runs[-1][0] == band_id and runs[-1][2] == i:
+                    runs[-1] = (band_id, runs[-1][1], i + 1)
+                elif band_id is not None:
+                    runs.append((band_id, i, i + 1))
+            held += len(runs) + 1
+            if held > MAX_LAYOUT_RUNS:  # full: start again from this layout
+                layouts.clear()
+                held = len(runs) + 1
+            layouts[layout] = runs
 
         # rows of one sweep share the timestamp text, so it is stripped and
         # parsed once per sweep
@@ -247,14 +272,13 @@ def parse_sweep_lines(lines: Iterable[str], plan: BandPlan) -> Iterator[SweepRec
                 pending_key = key
                 pending_ts = timestamp
 
-        for i, rss in enumerate(rss_values):
-            band_id = band_at((hz_low + hz_width * i + hz_width / 2.0) / 1e6)
-            if band_id is not None:
-                values = pending_bins.get(band_id)
-                if values is None:
-                    pending_bins[band_id] = [rss]
-                else:
-                    values.append(rss)
+        # values append in row and bin order, so band means sum left to right
+        for band_id, first, end in runs:
+            values = pending_bins.get(band_id)
+            if values is None:
+                pending_bins[band_id] = rss_values[first:end]
+            else:
+                values.extend(rss_values[first:end])
 
     if pending_key is not None:
         yield finish()

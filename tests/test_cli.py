@@ -335,6 +335,19 @@ class TestRun:
         assert "line 73" in result.output and "outside [-200, 200]" in result.output
         assert not (tmp_path / "o" / "trajectory.csv").exists()
 
+    @pytest.mark.parametrize("hz", ["nan, nan, nan", "-inf, inf, 1000000", "0, 1e400, 1000000", "0, 1000000, inf"])
+    def test_non_finite_slice_is_exit_2(self, runner, sweeps_csv, tmp_path, hz):
+        # such a row once passed the slice check and was dropped without a word
+        lines = sweeps_csv.read_text(encoding="ascii").splitlines()
+        fields = lines[12 * 6].split(", ")
+        lines[12 * 6] = ", ".join(fields[:2] + [hz] + fields[5:])
+        hostile = tmp_path / "hostile.csv"
+        hostile.write_text("\n".join(lines) + "\n", encoding="ascii")
+        result = runner.invoke(main, ["run", str(hostile), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2, (result.output, result.exception)
+        assert "line 73: invalid frequency slice bounds" in result.output
+        assert not (tmp_path / "o").exists()
+
     def test_oversized_plan_is_exit_3(self, runner, sweeps_csv, tmp_path):
         config = tmp_path / "fine.cfg"
         config.write_text("band.width_mhz = 1e-6\n", encoding="ascii")
@@ -723,3 +736,51 @@ def test_fuzzed_config_exits_with_a_documented_code(fuzz_sweeps, tmp_path_factor
     result = CliRunner().invoke(main, ["run", str(fuzz_sweeps), "--config", str(config), "--out", str(root / "out")])
     assert result.exit_code in (0, 2, 3, 4), (result.output, result.exception)
     assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+
+
+# cells that damage a sweep row: not numbers, not finite, huge, out of range, not ASCII or not one field
+SWEEP_CELLS = [b"", b"abc", b"nan", b"inf", b"-inf", b"1e400", b"-1e300", b"1.7e308", b"-5000", b"0", b"-1",
+               b"2023-02-30", b"12:00:61", b"-6\xc3.0", b"\xff", b"1, 2", b"  "]
+
+
+@st.composite
+def fuzzed_captures(draw, lines):
+    """The capture's rows with a few edits: a damaged cell, a comment or blank
+    line, a trailing comma, a non-ASCII byte, a repeated or a dropped row."""
+    lines = list(lines)
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        row = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+        edit = draw(st.sampled_from(["cell", "comment", "comma", "byte", "repeat", "drop"]))
+        if edit == "cell":
+            fields = lines[row].split(b", ")
+            fields[draw(st.integers(min_value=0, max_value=len(fields) - 1))] = draw(
+                st.sampled_from(SWEEP_CELLS) | st.floats().map(lambda v: repr(v).encode()) | st.binary(max_size=6)
+            )
+            lines[row] = b", ".join(fields)
+        elif edit == "comment":
+            lines.insert(row, draw(st.sampled_from([b"", b"   ", b"# capture", b"  # caf\xe9"])))
+        elif edit == "comma":
+            lines[row] += b","
+        elif edit == "byte":
+            at = draw(st.integers(min_value=0, max_value=len(lines[row])))
+            lines[row] = lines[row][:at] + draw(st.binary(min_size=1, max_size=2)) + lines[row][at:]
+        elif edit == "repeat":
+            lines.insert(row, lines[row])
+        elif len(lines) > 1:
+            del lines[row]
+    return b"\n".join(lines) + b"\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_fuzzed_sweep_file_exits_with_a_documented_code(fuzz_sweeps, tmp_path_factory, data):
+    """Any edit of a capture gives exit 0, 2, 3 or 4, never an uncaught
+    exception, and no --out unless the run succeeds."""
+    capture = data.draw(fuzzed_captures(fuzz_sweeps.read_bytes().splitlines()))
+    root = tmp_path_factory.mktemp("case")
+    sweeps, out = root / "sweeps.csv", root / "out"
+    sweeps.write_bytes(capture)
+    result = CliRunner().invoke(main, ["run", str(sweeps), "--out", str(out)])
+    assert result.exit_code in (0, 2, 3, 4), (result.output, result.exception)
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code == 0 or not out.exists(), result.output

@@ -5,6 +5,7 @@ import weakref
 from bisect import bisect_right
 from dataclasses import replace
 from datetime import datetime, timezone
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,17 @@ from sweepnav import (
 from sweepnav.config import default_config
 from sweepnav.errors import ConfigError
 from sweepnav.pipeline import PipelineConfig
-from sweepnav.sweeps import MAX_ABS_DB, MAX_PLAN_BANDS, MIN_CENTER_MHZ, format_sweep_lines, parse_sweep_file, parse_sweep_lines, parse_timestamp
+from sweepnav.sweeps import (
+    MAX_ABS_DB,
+    MAX_LAYOUT_RUNS,
+    MAX_PLAN_BANDS,
+    MIN_CENTER_MHZ,
+    format_sweep_lines,
+    format_timestamp,
+    parse_sweep_file,
+    parse_sweep_lines,
+    parse_timestamp,
+)
 
 
 def parse_all(lines, plan):
@@ -496,9 +507,10 @@ class TestIncrementalWindow:
         assert len(window) == 1 and window.mean_dbm(2) == -60.0
 
 
-# The parser as it was before the strptime-free rewrite, kept as the reference
-# the rewrite must equal. Its band means sum left to right, as the parser
-# does, so the comparison holds on every interpreter.
+# The parser without the strptime-free timestamps and the layout memo, kept as
+# the reference they must equal: the same records, error lines and error
+# messages (its messages are the parser's). Its band means sum left to right,
+# as the parser does, so the comparison holds on every interpreter.
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
 
@@ -538,7 +550,7 @@ def reference_parse_sweep_lines(lines, plan):
         if parts and parts[-1] == "":
             parts.pop()
         if len(parts) < 7:
-            raise SweepParseError(line_no, "too few fields")
+            raise SweepParseError(line_no, f"expected at least 7 fields, got {len(parts)}")
         try:
             hz_low = float(parts[2])
             hz_high = float(parts[3])
@@ -546,11 +558,12 @@ def reference_parse_sweep_lines(lines, plan):
             float(parts[5])
             rss_values = [float(p) for p in parts[6:]]
         except ValueError:
-            raise SweepParseError(line_no, "bad numeric field") from None
-        if hz_width <= 0 or hz_high <= hz_low:
+            raise SweepParseError(line_no, f"bad numeric field in {line!r}") from None
+        if not (0 < hz_width < math.inf and -math.inf < hz_low < hz_high < math.inf):
             raise SweepParseError(line_no, "invalid frequency slice bounds")
-        if any(not -MAX_ABS_DB <= v <= MAX_ABS_DB for v in rss_values):
-            raise SweepParseError(line_no, "dB value out of range")
+        for v in rss_values:
+            if not -MAX_ABS_DB <= v <= MAX_ABS_DB:
+                raise SweepParseError(line_no, f"dB value {v!r} outside [-200, 200]")
         key = (parts[0], parts[1])
         if key != pending_key:
             try:
@@ -559,7 +572,7 @@ def reference_parse_sweep_lines(lines, plan):
                 raise SweepParseError(line_no, str(exc)) from None
             if pending_key is not None:
                 if timestamp <= pending_ts:
-                    raise SweepParseError(line_no, "timestamp decreased or repeated")
+                    raise SweepParseError(line_no, "timestamp decreased or repeated across sweeps")
                 yield finish()
                 pending_bins = {}
             pending_key = key
@@ -588,14 +601,14 @@ def reference_band_for(bands, freq_mhz):
 
 
 def outcome(parse, lines, plan):
-    """Records yielded and the line of the SweepParseError that ended the parse, if any."""
+    """Records yielded, and the line and message of the SweepParseError that ended the parse, if any."""
     records = []
     try:
         for record in parse(lines, plan):
             records.append(record)
     except SweepParseError as exc:
-        return repr(records), exc.line_no
-    return repr(records), None
+        return repr(records), exc.line_no, exc.message
+    return repr(records), None, None
 
 
 DIGITS = "0123456789"
@@ -769,12 +782,75 @@ def sweep_files(draw):
     return lines
 
 
+# hz fields of a layout the slice-bound check rejects: empty, reversed, zero or
+# negative width, or not finite
+INVALID_SLICES = [("low", "low", "width"), ("high", "low", "width"), ("low", "high", "0"), ("low", "high", "-width"),
+                  ("nan", "high", "width"), ("low", "inf", "width"), ("-inf", "high", "width"), ("low", "high", "inf"),
+                  ("low", "high", "nan"), ("-inf", "inf", "width"), ("low", "1e400", "width")]
+
+
+@st.composite
+def layout_files(draw):
+    """Sweeps whose rows come from a small pool of row layouts: a layout recurs
+    across sweeps with other bin counts and in other spellings of the same hz
+    values, its bins may be finer than a band or outside the plan, and a layout
+    may be invalid; then with some probability one cell of one row (often a
+    repeat of a layout) is replaced by a damaging token."""
+    # the same value in other whitespace and other number spellings
+    spelling = st.sampled_from(["{}", " {}", "{} ", "\t{}  ", "{}.0", "+{}", "{}e0"])
+    pool = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        low_hz = draw(st.integers(min_value=-4, max_value=48)) * 250_000
+        width_hz = draw(st.sampled_from([1, 100_000, 250_000, 1_000_000, 3_000_000]))
+        values = {"low": low_hz, "high": low_hz + width_hz * draw(st.integers(min_value=1, max_value=6)),
+                  "width": width_hz, "-width": -width_hz}
+        names = ("low", "high", "width")
+        if draw(st.integers(min_value=0, max_value=5)) == 0:
+            names = draw(st.sampled_from(INVALID_SLICES))
+        hz = [values.get(name, name) for name in names]
+        for _ in range(draw(st.integers(min_value=1, max_value=2))):  # one spelling, or two
+            pool.append([draw(spelling).format(v) for v in hz] + [draw(st.sampled_from(["1", " 20"]))])
+    lines = []
+    for k in range(draw(st.integers(min_value=1, max_value=5))):
+        for _ in range(draw(st.integers(min_value=1, max_value=5))):
+            cells = draw(st.lists(DB_TEXT, min_size=1, max_size=6))
+            fields = ["2023-01-01", f"12:00:{2 * k:02d}", *draw(st.sampled_from(pool)), *cells]
+            lines.append(",".join(fields) + draw(st.sampled_from(["", ",", " ,"])))
+    if draw(st.integers(min_value=0, max_value=2)) == 0:
+        row = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+        fields = lines[row].split(",")
+        fields[draw(st.integers(min_value=2, max_value=len(fields) - 1))] = draw(st.sampled_from(BAD_TOKENS))
+        lines[row] = ",".join(fields)
+    return lines
+
+
 class TestParserAgainstReference:
-    @settings(max_examples=300, deadline=None)
-    @given(rows=sweep_files(), plan=st.sampled_from(PLANS))
+    @settings(max_examples=400, deadline=None)
+    @given(rows=sweep_files() | layout_files(), plan=st.sampled_from(PLANS))
     def test_same_records_or_same_error_line(self, rows, plan):
+        # the parser checks a layout and places its bins once per parse; every later row of it must still agree
         expected = outcome(reference_parse_sweep_lines, rows, plan)
         assert outcome(parse_sweep_lines, rows, plan) == expected
+
+    def test_more_layouts_than_the_memo_holds(self):
+        """140 sweeps of ten rows in 1,400 distinct layouts (num_samples differs),
+        each of 100 one-band bins, would hold 141,400 runs, over twice the bound;
+        the memo clears when full, so the parse stays equal to the reference and
+        its peak (~5 MB) stays below the ~10.6 MB an unbounded memo reaches."""
+        plan = BandPlan.uniform(low_mhz=0.0, high_mhz=100.0, width_mhz=1.0, selection_count=4)
+        cells = ", ".join(f"-{50 + i}.5" for i in range(100))
+        lines = [f"{', '.join(format_timestamp(1_600_000_000.0 + k // 10))}, 0, 100000000, 1000000, {k}, {cells}"
+                 for k in range(1_400)]
+        assert len(lines) * 101 > 2 * MAX_LAYOUT_RUNS
+        expected = list(reference_parse_sweep_lines(lines, plan))
+        tracemalloc.start()
+        try:
+            for got, want in zip_longest(parse_sweep_lines(lines, plan), expected):
+                assert repr(got) == repr(want)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 1024 * 1024
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -839,6 +915,14 @@ class TestParserEdgeCases:
         )
         with pytest.raises(SweepParseError, match="line 3"):
             list(parse_sweep_file(path, small_plan))
+
+    @pytest.mark.parametrize("hz", ["nan, nan, nan", "-inf, inf, 1000000", "0, inf, 1000000", "0, 1000000, inf",
+                                    "-1e400, 1000000, 1000000", "0, 1000000, nan"])
+    def test_non_finite_slice_bounds_rejected(self, small_plan, hz):
+        # NaN and inf compare false, so they once passed the bound check and the row was silently dropped
+        lines = ["2023-01-01, 12:00:00, 0, 1000000, 1000000, 1, -60.0", f"2023-01-01, 12:00:00, {hz}, 1, -60"]
+        with pytest.raises(SweepParseError, match="line 2: invalid frequency slice bounds"):
+            parse_all(lines, small_plan)
 
     def test_parser_records_equal_checked_records(self, small_plan):
         line = "2023-01-01, 12:00:00, 0, 3000000, 1000000, 1, -60.0, -50.0, -40.0"
