@@ -10,6 +10,7 @@ level (DEBUG, INFO, WARNING, ...).
 from __future__ import annotations
 
 import logging
+import math
 import os
 import sys
 from dataclasses import replace
@@ -133,10 +134,11 @@ def eval_cmd(truth, trajectory, waypoints_path, out_dir, config_path, sweeps_pat
 
     if grid_rows is not None:
         with open(out / "grid_report.csv", "w", encoding="ascii", newline="\n") as handle:
-            handle.write("n_pl,window,tx_count,estimator,segment,est_m,percent_diff\n")
-            for npl, window, count, estimator, seg_no, est, pct in grid_rows:
-                handle.write(f"{npl},{window},{count},{estimator},{seg_no},{est:.6f},{pct:.6f}\n")
-        click.echo(f"grid: wrote {len(grid_rows)} rows")
+            handle.write("n_pl,window,tx_count,estimator,segment,est_m,percent_diff,note\n")
+            for npl, window, count, estimator, seg_no, est, pct, note in grid_rows:
+                handle.write(f"{npl},{window},{count},{estimator},{seg_no},{est:.6f},{pct:.6f},{note}\n")
+        unscored = sum(1 for row in grid_rows if row[-1]) // (2 * len(truth_lengths))  # 2 estimators per cell
+        click.echo(f"grid: wrote {len(grid_rows)} rows" + (f", {unscored} cells with no fix" if unscored else ""))
 
 
 def _parse_list(text, cast, default):
@@ -150,7 +152,8 @@ def _parse_list(text, cast, default):
 
 def _eval_grid(truth_xy, indices, config_path, sweeps_path, npl_list, txcount_list, window_list) -> list[tuple]:
     """The grid report's rows: every config is built and the sweeps read
-    before the first run, so a bad grid argument fails before any output."""
+    before the first run, so a bad grid argument fails before any output. A
+    cell with no fix is not an error: its rows hold nan and a note saying why."""
     if sweeps_path is None:
         raise ConfigError("grid evaluation needs --sweeps")
     base = load_config(config_path)
@@ -167,13 +170,26 @@ def _eval_grid(truth_xy, indices, config_path, sweeps_path, npl_list, txcount_li
         for npl in npls for window in windows for count in counts
     ]
     records = list(parse_sweep_file(sweeps_path, base.plan))
+    if not records:
+        raise InputError(f"{sweeps_path}: no sweeps")
 
     grid_rows = []
     for npl, window, count, config in configs:
-        _, segments = segment_errors(truth_xy, run_pipeline(records, config), indices)
+        trajectory = run_pipeline(records, config)
+        note = ""
+        if trajectory.steps:
+            _, segments = segment_errors(truth_xy, trajectory, indices)
+            scores = {e: [(s.estimated_m, s.percent_diff) for s in segments[e]] for e in ("wma", "ekf")}
+        else:  # no comma in a note: it stays one CSV field
+            if trajectory.selected_bands:
+                note = f"no fix: all {trajectory.skipped_sweeps} sweeps skipped"
+            else:
+                common = set.intersection(*(set(r.rss_by_id) for r in records))
+                note = f"no fix: {count} bands asked; {len(common)} in every sweep"
+            scores = dict.fromkeys(("wma", "ekf"), [(math.nan, math.nan)] * (len(indices) - 1))
         for estimator in ("wma", "ekf"):
-            for i, seg in enumerate(segments[estimator]):
-                grid_rows.append((npl, window, count, estimator, i + 1, seg.estimated_m, seg.percent_diff))
+            for i, (est, pct) in enumerate(scores[estimator]):
+                grid_rows.append((npl, window, count, estimator, i + 1, est, pct, note))
     return grid_rows
 
 

@@ -10,8 +10,13 @@ of bands to select); band edges are computed, never stored. Each row is
 split once, its timestamp parsed by strptime's grammar only when its raw
 text changes, and its slice checked and bins placed by arithmetic lookups
 once per distinct row layout per file (MAX_LAYOUT_RUNS bounds what is kept).
-Window statistics built from checked records are not re-checked, and one
-window call gives the means of every selected band.
+The parser builds its records through an unchecked constructor, since every
+value it stores has just been checked; any other SweepRecord is checked when
+built. Window statistics built from checked records are not re-checked, and
+one window call gives the means of every selected band. A bounded window sums
+each band's values on every call but rescans them for their extremes only
+when its oldest and newest values lie within CLAMP_FREE_SPREAD * count**2 of
+each other, the one case where rounding could put the mean outside them.
 """
 
 from __future__ import annotations
@@ -44,6 +49,16 @@ MAX_ABS_DB = 200.0
 # centre of 1e-300 MHz puts about -6,000 dB into pl0 and overflows every
 # range; any floor above about 1e-200 MHz keeps ranges finite.
 MIN_CENTER_MHZ = 1e-3
+# A bounded window's band mean needs no clamp into its samples' range when its
+# oldest and newest of n samples differ by more than CLAMP_FREE_SPREAD * n**2.
+# The spread d = |newest - oldest| is at most max - min, so the exact mean lies
+# at least d / n inside [min, max]. Summed left to right from 0.0, the n - 1
+# roundings err by at most gamma(n-1) * n * MAX_ABS_DB, gamma(k) = k u / (1 - k u)
+# (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 4.2), and
+# the division adds u * |mean|: with u = 2**-53 the computed mean is within
+# n u MAX_ABS_DB (1 + O(n u)) of the exact one, less than d / n by a factor of
+# about 8, so it lies strictly inside [min, max] and clamping leaves its bits.
+CLAMP_FREE_SPREAD = 8.0 * 2.0 ** -53 * MAX_ABS_DB
 # Most runs of bins one parse keeps for its row layouts before it clears them:
 # a hackrf_sweep pass over 6 GHz (~1,200 layouts of a few runs each) fits, in ~5 MB.
 MAX_LAYOUT_RUNS = 1 << 16
@@ -79,6 +94,20 @@ class SweepRecord:
     @property
     def bands(self) -> tuple[BandSample, ...]:
         return tuple(map(BandSample._make, self.rss_by_id.items()))
+
+
+def _parsed_record(timestamp: float, rss_by_id: dict[int, float]) -> SweepRecord:
+    """A SweepRecord built without ``__post_init__``, for the parser alone.
+
+    The parser has already made every invariant hold: ``parse_timestamp``
+    returns a finite stamp, the ids come from sorting a dict's keys, and each
+    value is a left-to-right mean of cells within +-MAX_ABS_DB. Rounding is
+    monotone, so each partial sum of k such cells lies within k * MAX_ABS_DB
+    (exact in a float) and the mean within MAX_ABS_DB.
+    """
+    record = object.__new__(SweepRecord)
+    record.__dict__.update(timestamp=timestamp, rss_by_id=rss_by_id)
+    return record
 
 
 @dataclass(frozen=True)
@@ -209,7 +238,7 @@ def parse_sweep_lines(lines: Iterable[str], plan: BandPlan) -> Iterator[SweepRec
 
     def finish() -> SweepRecord:
         # a single value averages to 0.0 + v, the bits _ordered_sum([v]) / 1 gives
-        return SweepRecord(pending_ts, {
+        return _parsed_record(pending_ts, {
             band_id: 0.0 + values[0] if len(values) == 1 else _ordered_sum(values) / len(values)
             for band_id, values in sorted(pending_bins.items())
         })
@@ -380,7 +409,9 @@ class SweepWindow:
     evict), a growing one a running sum, count, minimum and maximum and no
     record at all. Per sweep, ``push`` costs O(K) in the sweep's band
     count; ``means_dbm`` costs O(1) per band for a growing window and
-    O(length) per band for a bounded one; ``persistent_band_ids`` costs O(B)
+    O(length) per band for a bounded one, one summing pass, plus a pass for
+    the extremes only when a band's oldest and newest values nearly agree
+    (see ``CLAMP_FREE_SPREAD``); ``persistent_band_ids`` costs O(B)
     in the bands seen in the window. None of them depends on how many
     sweeps a growing window holds.
     After :meth:`keep_only`, every query sees the kept bands alone.
@@ -443,7 +474,13 @@ class SweepWindow:
 
     def means_dbm(self, band_ids: Iterable[int]) -> list[float]:
         """The mean of each of ``band_ids``, in one call: equal bit for bit
-        to ``band_mean`` over the window's sweeps, without rescanning them."""
+        to ``band_mean`` over the window's sweeps, without rescanning them.
+
+        A bounded window sums each band's values left to right and looks for
+        their minimum and maximum only when its oldest and newest values lie
+        within ``CLAMP_FREE_SPREAD * count**2`` of each other; otherwise the
+        mean is provably inside them and clamping would not change it.
+        """
         if not self._count:
             raise ValueError("window must be non-empty")
         bands, growing, means = self._bands, self._length is None, []
@@ -454,14 +491,14 @@ class SweepWindow:
             if growing:
                 total, count, low, high = entry
             else:  # summed left to right, as band_mean sums
-                total, count, low = 0.0, len(entry), entry[0]
-                high = low
+                total, count = 0.0, len(entry)
                 for value in entry:
                     total += value
-                    if value < low:
-                        low = value
-                    elif value > high:
-                        high = value
+                bound = count * count * CLAMP_FREE_SPREAD
+                if not -bound <= entry[-1] - entry[0] <= bound:  # the mean lies well inside: no clamp
+                    means.append(total / count)
+                    continue
+                low, high = min(entry), max(entry)
             # summation rounding can spill the mean an ulp outside the sample range
             mean = total / count
             means.append(low if mean < low else high if mean > high else mean)

@@ -1,6 +1,8 @@
 import csv
 import math
+import shlex
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -12,6 +14,8 @@ from sweepnav.cli import main
 from sweepnav.config import CONFIG_FIELDS, default_config
 from sweepnav.simulator import spread
 from conftest import ROUTE_SCENARIO_TEXT
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 @pytest.fixture
@@ -438,8 +442,85 @@ class TestEval:
         )
         assert result.exit_code == 0, result.output
         rows = read_rows(out / "grid_report.csv")
-        assert rows[0] == ["n_pl", "window", "tx_count", "estimator", "segment", "est_m", "percent_diff"]
+        assert rows[0] == ["n_pl", "window", "tx_count", "estimator", "segment", "est_m", "percent_diff", "note"]
         assert len(rows) == 1 + 2 * 2 * 1 * 2 * 2
+        assert all(row[7] == "" and math.isfinite(float(row[5])) for row in rows[1:])
+        assert result.output.endswith("grid: wrote 16 rows\n")
+
+    def test_grid_cell_without_fix_is_a_noted_nan_row(self, runner, artifacts, tmp_path):
+        # the scenario has six transmitters: a cell asking for nine never fixes
+        sim, run_dir = artifacts
+        out = tmp_path / "grid"
+        result = runner.invoke(
+            main,
+            [
+                "eval", str(sim / "truth.csv"), str(run_dir / "trajectory.csv"),
+                "--waypoints", str(sim / "waypoints.csv"), "--out", str(out),
+                "--sweeps", str(sim / "sweeps.csv"), "--txcount-list", "9,6",
+            ],
+        )
+        assert result.exit_code == 0, (result.output, result.exception)
+        assert result.output.endswith("grid: wrote 8 rows, 1 cells with no fix\n")
+        rows = read_rows(out / "grid_report.csv")[1:]
+        unscored = [row for row in rows if row[2] == "9"]
+        assert [row[3:5] for row in unscored] == [["wma", "1"], ["wma", "2"], ["ekf", "1"], ["ekf", "2"]]
+        assert all(row[5:] == ["nan", "nan", "no fix: 9 bands asked; 6 in every sweep"] for row in unscored)
+        assert all(row[7] == "" and math.isfinite(float(row[6])) for row in rows if row[2] == "6")
+
+    def test_grid_cell_skipping_every_sweep_is_noted(self, runner, artifacts, tmp_path):
+        # bands are selected, but no geometry passes a condition cap of 1, so no sweep fixes
+        sim, run_dir = artifacts
+        out, config = tmp_path / "grid", tmp_path / "cap.cfg"
+        config.write_text("lsq.condition_cap = 1\n", encoding="ascii")
+        result = runner.invoke(
+            main,
+            [
+                "eval", str(sim / "truth.csv"), str(run_dir / "trajectory.csv"),
+                "--waypoints", str(sim / "waypoints.csv"), "--out", str(out),
+                "--sweeps", str(sim / "sweeps.csv"), "--config", str(config), "--npl-list", "2.8",
+            ],
+        )
+        assert result.exit_code == 0, (result.output, result.exception)
+        rows = read_rows(out / "grid_report.csv")[1:]
+        sweeps = len(read_rows(sim / "truth.csv")) - 1
+        assert len(rows) == 4 and all(row[7] == f"no fix: all {sweeps} sweeps skipped" for row in rows)
+
+    def test_grid_over_empty_sweeps_is_exit_2(self, runner, artifacts, tmp_path):
+        sim, run_dir = artifacts
+        empty, out = tmp_path / "empty.csv", tmp_path / "g"
+        empty.write_text("# no rows\n", encoding="ascii")
+        result = runner.invoke(
+            main,
+            [
+                "eval", str(sim / "truth.csv"), str(run_dir / "trajectory.csv"),
+                "--waypoints", str(sim / "waypoints.csv"), "--out", str(out),
+                "--sweeps", str(empty), "--txcount-list", "6",
+            ],
+        )
+        assert result.exit_code == 2, result.output
+        assert "no sweeps" in result.output and not out.exists()
+
+    def test_readme_grid_example_exits_0(self, runner, tmp_path, monkeypatch):
+        """The README's scenario, config and grid command, run as written in
+        its own directory layout: the cells asking for more transmitters than
+        the scenario has carry a note."""
+        text = README.read_text(encoding="utf-8")
+        blocks = {heading: text.split(heading, 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
+                  for heading in ("Scenario file (`key = value`, `#` comments):", "Pipeline config keys")}
+        command = next(block for block in text.split("```bash\n")[1:] if "--npl-list" in block.split("```")[0])
+        args = shlex.split(command.split("```", 1)[0].replace("\\\n", " "))
+        assert args[:2] == ["sweepnav", "eval"]
+        monkeypatch.chdir(tmp_path)
+        Path("scenario.txt").write_text(blocks["Scenario file (`key = value`, `#` comments):"], encoding="ascii")
+        Path("pipeline.cfg").write_text(blocks["Pipeline config keys"], encoding="ascii")
+        assert runner.invoke(main, ["simulate", "scenario.txt", "--out", "sim"]).exit_code == 0
+        assert runner.invoke(main, ["run", "sim/sweeps.csv", "--config", "pipeline.cfg", "--out", "run"]).exit_code == 0
+        result = runner.invoke(main, args[1:])
+        assert result.exit_code == 0, (result.output, result.exception)
+        rows = read_rows(Path("eval/grid_report.csv"))[1:]
+        assert {row[2] for row in rows} == {"6", "9", "13"}
+        assert all((row[7] == "") == (row[2] == "6") for row in rows)
+        assert all(row[7] == f"no fix: {row[2]} bands asked; 6 in every sweep" for row in rows if row[2] != "6")
 
     def test_grid_without_sweeps_is_config_error(self, runner, artifacts, tmp_path):
         sim, run_dir = artifacts
@@ -781,6 +862,53 @@ def test_fuzzed_sweep_file_exits_with_a_documented_code(fuzz_sweeps, tmp_path_fa
     sweeps, out = root / "sweeps.csv", root / "out"
     sweeps.write_bytes(capture)
     result = CliRunner().invoke(main, ["run", str(sweeps), "--out", str(out)])
+    assert result.exit_code in (0, 2, 3, 4), (result.output, result.exception)
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code == 0 or not out.exists(), result.output
+
+
+@pytest.fixture(scope="module")
+def fuzz_run(fuzz_sweeps):
+    """The fuzz capture's simulation directory, with its trajectory in ``run``."""
+    sim = fuzz_sweeps.parent
+    result = CliRunner().invoke(main, ["run", str(fuzz_sweeps), "--out", str(sim / "run")])
+    assert result.exit_code == 0, result.output
+    return sim
+
+
+# a grid list item is arbitrary text, any float or int, or a value near the edges the grid checks:
+# exponents outside 1.5..6, windows outside 1..MAX_WINDOW, counts below 4 or above the scene's six bands
+grid_items = (
+    st.text(max_size=8)
+    | st.floats().map(repr)
+    | st.integers(-5, 10**6).map(str)
+    | st.sampled_from(["0", "-1", "3", "4", "6", "7", "1.49", "1.5", "2.8", "6.0", "6.01", "nan", "inf", "1e400",
+                       "", " 3 ", "1_0", "0x10", "9" * 5000])
+)
+# items each list takes, so that half the items are and most grids run
+GRID_VALID = {
+    "--npl-list": st.floats(min_value=1.5, max_value=6.0).map(repr),
+    "--window-list": st.integers(min_value=1, max_value=30).map(str),
+    "--txcount-list": st.integers(min_value=4, max_value=8).map(str),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_fuzzed_grid_lists_exit_with_a_documented_code(fuzz_run, tmp_path_factory, data):
+    """Any grid list gives exit 0, 2, 3 or 4, never an uncaught exception,
+    and nothing under --out unless the command succeeds."""
+    lists = {}
+    for option, valid in GRID_VALID.items():
+        if data.draw(st.booleans()):
+            items = st.booleans().flatmap(lambda ok, valid=valid: valid if ok else grid_items)
+            lists[option] = ",".join(data.draw(st.lists(items, min_size=1, max_size=3)))
+    out = tmp_path_factory.mktemp("case") / "out"
+    result = CliRunner().invoke(main, [
+        "eval", str(fuzz_run / "truth.csv"), str(fuzz_run / "run" / "trajectory.csv"),
+        "--waypoints", str(fuzz_run / "waypoints.csv"), "--out", str(out), "--sweeps", str(fuzz_run / "sweeps.csv"),
+        *(f"{option}={text}" for option, text in lists.items()),
+    ])
     assert result.exit_code in (0, 2, 3, 4), (result.output, result.exception)
     assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
     assert result.exit_code == 0 or not out.exists(), result.output

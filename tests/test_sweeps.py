@@ -26,6 +26,7 @@ from sweepnav.config import default_config
 from sweepnav.errors import ConfigError
 from sweepnav.pipeline import PipelineConfig
 from sweepnav.sweeps import (
+    CLAMP_FREE_SPREAD,
     MAX_ABS_DB,
     MAX_LAYOUT_RUNS,
     MAX_PLAN_BANDS,
@@ -35,6 +36,7 @@ from sweepnav.sweeps import (
     parse_sweep_file,
     parse_sweep_lines,
     parse_timestamp,
+    _ordered_sum,
 )
 
 
@@ -507,6 +509,55 @@ class TestIncrementalWindow:
         assert len(window) == 1 and window.mean_dbm(2) == -60.0
 
 
+def nudged(base, ulps):
+    """``base`` moved ``ulps`` ulps (negative: down) by math.nextafter."""
+    for _ in range(abs(ulps)):
+        base = math.nextafter(base, math.copysign(math.inf, ulps))
+    return base
+
+
+class TestBoundedMeanSkipsTheRescan:
+    """A bounded window rescans a band for its extremes only when the oldest
+    and newest samples nearly agree; every mean keeps band_mean's bits."""
+
+    @pytest.mark.parametrize("length", [2, 3, 10])
+    @settings(max_examples=150, deadline=None)
+    @given(
+        base=st.floats(min_value=-200.0, max_value=200.0),
+        steps=st.lists(st.tuples(st.integers(min_value=-3, max_value=3), st.sampled_from([0, 0, -1, 1])),
+                       min_size=1, max_size=25),
+        scale=st.floats(min_value=0.25, max_value=2.0),
+    )
+    def test_near_equal_values_match_band_mean(self, length, base, steps, scale):
+        # a base moved by 0-3 ulps, sometimes jumped by about the bound, so oldest
+        # and newest fall on both sides of it
+        jump = CLAMP_FREE_SPREAD * length**2 * scale
+        window, pushed = SweepWindow(length), []
+        for k, (ulps, sign) in enumerate(steps):
+            value = min(max(nudged(base, ulps) + sign * jump, -MAX_ABS_DB), MAX_ABS_DB)
+            pushed.append(record(float(k), {0: value, 1: -value}))
+            window.push(pushed[-1])
+            held = pushed[-length:]
+            assert repr(window.means_dbm([0, 1])) == repr([band_mean(held, 0), band_mean(held, 1)])
+
+    def test_clamp_binds_on_equal_samples(self):
+        # ten 0.1s sum left to right to 0.9999999999999999; the tenth of it is one ulp under 0.1
+        assert _ordered_sum([0.1] * 10) / 10 == 0.09999999999999999
+        window = SweepWindow(10)
+        for k in range(10):
+            window.push(record(float(k), {0: 0.1}))
+        assert repr(window.mean_dbm(0)) == repr(band_mean([record(0.0, {0: 0.1})] * 10, 0)) == "0.1"
+
+    def test_oldest_equal_to_newest_rescans_the_middle(self):
+        # the spread from oldest to newest is 0, yet the extremes lie in the middle
+        values = [0.1, 0.5, -0.3, 0.1]
+        window = SweepWindow(4)
+        pushed = [record(float(k), {0: v}) for k, v in enumerate(values)]
+        for sweep in pushed:
+            window.push(sweep)
+        assert repr(window.mean_dbm(0)) == repr(band_mean(pushed, 0)) == repr(_ordered_sum(values) / 4)
+
+
 # The parser without the strptime-free timestamps and the layout memo, kept as
 # the reference they must equal: the same records, error lines and error
 # messages (its messages are the parser's). Its band means sum left to right,
@@ -824,6 +875,22 @@ def layout_files(draw):
     return lines
 
 
+@st.composite
+def extreme_files(draw):
+    """Sweeps of rows whose bins are finer than any plan's band, so several
+    bins share a band, holding cells at and next to +-MAX_ABS_DB."""
+    cells = st.sampled_from(["200", "-200", "2e2", "-200.0", "199.99999999999997", "-199.99999999999997"]) | DB_TEXT
+    lines = []
+    for k in range(draw(st.integers(min_value=1, max_value=3))):
+        for _ in range(draw(st.integers(min_value=1, max_value=4))):
+            low_hz = draw(st.integers(min_value=0, max_value=9)) * 1_000_000
+            width_hz = draw(st.sampled_from([10_000, 100_000, 250_000]))
+            values = draw(st.lists(cells, min_size=1, max_size=12))
+            lines.append(f"2023-01-01, 12:00:{2 * k:02d}, {low_hz}, {low_hz + width_hz * len(values)}, {width_hz}, 1, "
+                         + ", ".join(values))
+    return lines
+
+
 class TestParserAgainstReference:
     @settings(max_examples=400, deadline=None)
     @given(rows=sweep_files() | layout_files(), plan=st.sampled_from(PLANS))
@@ -851,6 +918,18 @@ class TestParserAgainstReference:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 1024 * 1024
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=sweep_files() | layout_files() | extreme_files(), plan=st.sampled_from(PLANS))
+    def test_parser_records_pass_the_checked_constructor(self, rows, plan):
+        # the parser builds records without SweepRecord's checks: each must be one the checks accept
+        records = []
+        try:
+            records.extend(parse_sweep_lines(rows, plan))
+        except SweepParseError:
+            pass
+        for parsed in records:
+            assert repr(SweepRecord(parsed.timestamp, dict(parsed.rss_by_id))) == repr(parsed)
 
     @settings(max_examples=300, deadline=None)
     @given(
