@@ -69,6 +69,9 @@ def run(sweeps, config_path, seed, out_dir):
     trajectory = run_pipeline(parse_sweep_file(sweeps, config.plan), config)
     if not trajectory.steps and not trajectory.skipped_sweeps:  # every sweep is a step or skipped
         raise InputError(f"{sweeps}: no sweeps")
+    if not trajectory.steps:
+        selected = " ".join(map(str, trajectory.selected_bands)) or "none"
+        raise SweepNavError(f"no fix in {trajectory.skipped_sweeps} sweeps; selected bands: {selected}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     artifacts.write_trajectory_csv(trajectory, out / "trajectory.csv")

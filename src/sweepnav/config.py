@@ -13,7 +13,6 @@ once, in the constructor that owns it.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -24,9 +23,6 @@ from .pipeline import PipelineConfig
 from .simulator import Scenario, Transmitter, auto_transmitters
 from .smoothing import SmootherConfig
 from .sweeps import BandPlan
-
-_TRUE = {"true", "yes", "on", "1"}
-_FALSE = {"false", "no", "off", "0"}
 
 
 def parse_kv_file(path) -> dict[str, str]:
@@ -75,14 +71,6 @@ def _int(key: str, text: str) -> int:
         raise ConfigError(f"{key}: expected an integer, got {text!r}") from None
 
 
-def _bool(key: str, text: str) -> bool:
-    if text.lower() in _TRUE:
-        return True
-    if text.lower() in _FALSE:
-        return False
-    raise ConfigError(f"{key}: expected a boolean, got {text!r}")
-
-
 def _numbers(key: str, text: str, count: int | None) -> list[float]:
     values = [_float(key, part) for part in text.split(",")]
     if count is not None and len(values) != count:
@@ -114,11 +102,9 @@ CONFIG_FIELDS = {
     "n_pl": ("pathloss", "exponent", _float),
     "d0_m": ("pathloss", "ref_distance_m", _float),
     "tx_power_dbm": ("pathloss", "tx_power_dbm", _float),
-    "shadowing_sigma_db": ("pathloss", "shadowing_sigma_db", _float),
     "smoother.kind": ("smoother", "kind", lambda key, text: text),
     "smoother.window": ("smoother", "window", _int),
     "smoother.weights": ("smoother", "weights", _list()),
-    "ekf.enabled": ("pipeline", "ekf_enabled", _bool),
     "ekf.q_diag": ("noise", "q", _list(2, np.diag)),
     "ekf.r": ("noise", "r", _float),
     "ekf.p0": ("pipeline", "p0_var", _float),
@@ -178,10 +164,6 @@ def load_config(path=None) -> PipelineConfig:
     return config_from_values({} if path is None else parse_kv_file(path))
 
 
-def default_config() -> PipelineConfig:
-    return config_from_values({})
-
-
 def scenario_from_values(values: dict[str, str]) -> Scenario:
     try:
         groups = _keywords(values, SCENARIO_FIELDS, "scenario")
@@ -202,16 +184,8 @@ def scenario_from_values(values: dict[str, str]) -> Scenario:
 
 
 def load_scenario(path, seed: int | None = None) -> Scenario:
-    """The scenario of a file, re-seeded by ``seed`` unless it is None."""
-    scenario = scenario_from_values(parse_kv_file(path))
-    return scenario if seed is None else scenario_with_seed(scenario, seed)
-
-
-def scenario_with_seed(scenario: Scenario, seed: int) -> Scenario:
-    """Re-seed a scenario, re-placing auto-laid transmitters if any."""
-    scenario = replace(scenario, seed=seed)  # rejects a negative seed before placement
-    if scenario.tx_bbox is None:
-        return scenario
-    freqs = [t.freq_mhz for t in scenario.transmitters]
-    power = scenario.transmitters[0].power_dbm
-    return replace(scenario, transmitters=auto_transmitters(freqs, seed, scenario.tx_bbox, power))
+    """The scenario of a file; ``seed``, unless None, replaces the file's seed."""
+    values = parse_kv_file(path)
+    if seed is not None:
+        values["seed"] = str(seed)
+    return scenario_from_values(values)

@@ -52,8 +52,6 @@ class PipelineConfig:
     sweep_window: int | None = 10
     anchor_seed: int = 1
     anchor_bbox: Bbox = DEFAULT_ANCHOR_BBOX
-    anchor_override: tuple[Anchor, ...] | None = None
-    ekf_enabled: bool = True
     p0_var: float = 10.0
     condition_cap: float = DEFAULT_CONDITION_CAP
 
@@ -226,14 +224,7 @@ class TrackingPipeline:
         except InsufficientAnchorsError:
             return False
         self._selected = selected
-        if cfg.anchor_override is not None:
-            by_band = {a.band_id: a for a in cfg.anchor_override}
-            missing = [bid for bid in selected if bid not in by_band]
-            if missing:
-                raise ValueError(f"anchor_override lacks positions for bands {missing}")
-            anchors = [by_band[bid] for bid in selected]
-        else:
-            anchors = assign_anchor_frame(selected, cfg.anchor_seed, cfg.anchor_bbox)
+        anchors = assign_anchor_frame(selected, cfg.anchor_seed, cfg.anchor_bbox)
         self._frame = AnchorFrame(anchors, cfg.condition_cap)
         self._window.keep_only(selected)
         self._pl0 = [free_space_pl0(cfg.plan.center_mhz(b), cfg.pathloss.ref_distance_m) for b in selected]
@@ -270,8 +261,6 @@ class TrackingPipeline:
         sample never moves the track by more than the motion model does.
         """
         cfg = self._cfg
-        if not cfg.ekf_enabled:
-            return smoothed, ()
         previous, self._prev_smoothed = self._prev_smoothed, (timestamp, smoothed)
         if self._tracker is None:
             self._tracker = EkfTracker(x0=smoothed, p0=np.eye(2) * cfg.p0_var, noise=cfg.noise)

@@ -12,7 +12,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import PlacementError
+from .errors import ConfigError, PlacementError
 
 Bbox = tuple[float, float, float, float]  # xmin, ymin, xmax, ymax
 
@@ -29,33 +29,27 @@ def validate_bbox(bbox: Bbox) -> Bbox:
     return xmin, ymin, xmax, ymax
 
 
-def place_in_box(
-    keys: Iterable[int],
-    seed: int,
-    bbox: Bbox,
-    min_sep_frac: float = DEFAULT_MIN_SEP_FRAC,
-    max_draws: int = MAX_DRAWS,
-) -> dict[int, tuple[float, float]]:
+def place_in_box(keys: Iterable[int], seed: int, bbox: Bbox) -> dict[int, tuple[float, float]]:
     """Uniform seeded placement of one point per key inside the box.
 
-    Points closer than ``min_sep_frac`` of the box diagonal to an earlier
-    point are redrawn, up to ``max_draws`` attempts each.
+    Points closer than ``DEFAULT_MIN_SEP_FRAC`` of the box diagonal to an
+    earlier point are redrawn, up to ``MAX_DRAWS`` attempts each.
     """
+    if seed < 0:  # numpy's generator would reject it with a message of its own
+        raise ConfigError(f"seed {seed} is negative")
     xmin, ymin, xmax, ymax = validate_bbox(bbox)
     diagonal = math.hypot(xmax - xmin, ymax - ymin)
-    min_sep = min_sep_frac * diagonal
+    min_sep = DEFAULT_MIN_SEP_FRAC * diagonal
     rng = np.random.default_rng(seed)
 
     placed: dict[int, tuple[float, float]] = {}
     for key in sorted(keys):
-        for _ in range(max_draws):
+        for _ in range(MAX_DRAWS):
             x = float(rng.uniform(xmin, xmax))
             y = float(rng.uniform(ymin, ymax))
             if all(math.hypot(x - px, y - py) >= min_sep for px, py in placed.values()):
                 placed[key] = (x, y)
                 break
         else:
-            raise PlacementError(
-                f"no admissible position for key {key} after {max_draws} draws"
-            )
+            raise PlacementError(f"no admissible position for key {key} after {MAX_DRAWS} draws")
     return placed

@@ -19,7 +19,7 @@ from .errors import ConfigError, ShapeError
 from .pathloss import PathLossParams, rss_at_distance
 from .pipeline import PipelineConfig, Trajectory
 from .placement import Bbox, place_in_box
-from .sweeps import MAX_ABS_DB, BandPlan, SweepRecord
+from .sweeps import MAX_ABS_DB, BandPlan, SweepRecord, format_timestamp
 
 # Four-leg benchmark route: 270, 490, 260 and 840 m with right-angle turns.
 ROUTE_WAYPOINTS: tuple[tuple[float, float], ...] = (
@@ -40,6 +40,9 @@ HIGH_BAND_TX_FREQS_MHZ = (3600.5, 3700.5, 3800.5, 3900.5, 4000.5, 4100.5)
 # Route bounding box inflated by 150 m on each side.
 DEFAULT_TX_BBOX: Bbox = (-150.0, -500.0, 420.0, 640.0)
 STATIC_TX_BBOX: Bbox = (-400.0, -400.0, 400.0, 400.0)
+
+# Most sweeps one simulated run may hold: a day at one sweep per second.
+MAX_SCENARIO_SWEEPS = 86_400
 
 
 class Transmitter(NamedTuple):
@@ -153,9 +156,16 @@ def synth_route(scenario: Scenario) -> GroundTruth:
     travel_s = total_length / scenario.speed_mps
     duration = travel_s + scenario.hold_s
     if duration <= 0:
-        raise ValueError("route has zero length and no hold time")
+        raise ConfigError("route has zero length and no hold time")
+    steps = duration / scenario.cadence_s
+    if not steps <= MAX_SCENARIO_SWEEPS:  # NaN and inf fail too
+        raise ConfigError(f"scenario asks for {steps:.3g} sweeps, more than {MAX_SCENARIO_SWEEPS}")
+    try:  # the first and last stamps must be writable as sweep file dates
+        format_timestamp(scenario.start_time), format_timestamp(scenario.start_time + duration)
+    except OverflowError:
+        raise ConfigError("scenario sweep times fall outside the years a sweep file can hold") from None
 
-    n_grid = int(math.floor(duration / scenario.cadence_s + 1e-9))
+    n_grid = int(math.floor(steps + 1e-9))
     offsets = [k * scenario.cadence_s for k in range(n_grid + 1)]
     if offsets[-1] < duration - 1e-9:
         offsets.append(duration)

@@ -215,7 +215,8 @@ def format_timestamp(timestamp: float) -> tuple[str, str]:
     """Inverse of :func:`parse_timestamp` at microsecond granularity."""
     micros = round(timestamp * 1e6)
     stamp = _EPOCH + timedelta(microseconds=micros)
-    return stamp.strftime("%Y-%m-%d"), stamp.strftime("%H:%M:%S.%f")
+    # isoformat pads a year below 1000 to the four digits the parser reads; strftime's %Y does not
+    return stamp.date().isoformat(), stamp.strftime("%H:%M:%S.%f")
 
 
 def parse_sweep_lines(lines: Iterable[str], plan: BandPlan) -> Iterator[SweepRecord]:
@@ -503,10 +504,6 @@ class SweepWindow:
             mean = total / count
             means.append(low if mean < low else high if mean > high else mean)
         return means
-
-    def mean_dbm(self, band_id: int) -> float:
-        """``means_dbm`` of one band."""
-        return self.means_dbm((band_id,))[0]
 
     def persistent_band_ids(self) -> list[int]:
         """Bands present in every sweep of the window."""

@@ -9,9 +9,9 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sweepnav import SweepRecord, TrackingPipeline, cli, parse_sweep_file, run_pipeline
+from sweepnav import SweepRecord, TrackingPipeline, cli, parse_sweep_file, placement, run_pipeline
 from sweepnav.cli import main
-from sweepnav.config import CONFIG_FIELDS, default_config
+from sweepnav.config import CONFIG_FIELDS, SCENARIO_FIELDS, load_config
 from sweepnav.simulator import spread
 from conftest import ROUTE_SCENARIO_TEXT
 
@@ -114,6 +114,20 @@ class TestSimulate:
         assert "outside [-200, 200]" in result.output
         assert not out.exists()
 
+    def test_seed_override_draws_the_layout_once(self, runner, tmp_path, monkeypatch):
+        scenario = tmp_path / "bench.txt"
+        scenario.write_text(BENCHMARK_SCENARIO, encoding="ascii")
+        seeds = []
+
+        def place(keys, seed, bbox):
+            seeds.append(seed)
+            return placement.place_in_box(keys, seed, bbox)
+
+        monkeypatch.setattr("sweepnav.simulator.place_in_box", place)
+        result = runner.invoke(main, ["simulate", str(scenario), "--seed", "7", "--out", str(tmp_path / "out")])
+        assert result.exit_code == 0, result.output
+        assert seeds == [7]
+
     def test_seed_override_changes_nothing_for_explicit_layout(self, runner, route_scenario_file, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         r1 = runner.invoke(main, ["simulate", str(route_scenario_file), "--out", str(a), "--seed", "5"])
@@ -133,15 +147,19 @@ class TestSimulate:
 
 
 # each of these made `run` or `simulate` exit 1 with a traceback, or exit 0
-# with all-NaN EKF columns, an uncapped condition number or no lead-in
+# with all-NaN EKF columns, an uncapped condition number or no lead-in; the
+# last two config keys are gone (the EKF always runs; shadowing is a scenario
+# key), and the last four scenario lines ask for an infinite drive, ~2e11
+# sweeps, ~1e300 sweeps and a year past 9999
 BAD_CONFIG_LINES = [
     "ekf.r = 0", "ekf.q_diag = -1,0.1", "band.high_mhz = nan", "band.high_mhz = inf",
     "band.width_mhz = nan", "ekf.r = nan", "ekf.p0 = nan", "tx_power_dbm = nan",
-    "lsq.condition_cap = nan", "lsq.condition_cap = inf",
+    "lsq.condition_cap = nan", "lsq.condition_cap = inf", "ekf.enabled = true", "shadowing_sigma_db = 4",
 ]
 BAD_SCENARIO_LINES = [
     "speed_mps = nan", "cadence_s = nan", "hold_s = nan", "start_time = nan",
     "tx.power_dbm = nan", "lead_in_m = nan",
+    "speed_mps = 1e-320", "cadence_s = 1e-9", "hold_s = 1e300", "start_time = 1e12",
 ]
 
 
@@ -164,6 +182,7 @@ def test_bad_setting_is_exit_3(runner, tmp_path, command, line):
     result = runner.invoke(main, args + ["--out", str(tmp_path / "out")])
     assert result.exit_code == 3, (result.output, result.exception)
     assert "config error" in result.output
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["run", "simulate", "convergence"])
@@ -303,6 +322,19 @@ class TestRun:
         result = runner.invoke(main, ["run", str(empty), "--out", str(out)])
         assert result.exit_code == 2, (result.output, result.exception)
         assert f"input error: {empty}: no sweeps" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line, selected", [("band.count = 7", "none"), ("lsq.condition_cap = 1", "700 ")])
+    def test_run_without_a_fix_is_exit_3_with_no_output(self, runner, sweeps_csv, tmp_path, line, selected):
+        # seven bands never persist among six transmitters; a cap of 1 makes every geometry degenerate.
+        # Both used to exit 0 with a header-only trajectory.
+        config = tmp_path / "nofix.cfg"
+        config.write_text(line + "\n", encoding="ascii")
+        out = tmp_path / "run"
+        result = runner.invoke(main, ["run", str(sweeps_csv), "--config", str(config), "--out", str(out)])
+        assert result.exit_code == 3, (result.output, result.exception)
+        assert isinstance(result.exception, SystemExit)
+        assert f"run failed: no fix in 21 sweeps; selected bands: {selected}" in result.output
         assert not out.exists()
 
     def test_malformed_sweeps_is_exit_2(self, runner, tmp_path):
@@ -726,7 +758,7 @@ class TestConvergence:
         out = tmp_path / "conv"
         result = runner.invoke(main, ["convergence", str(benchmark_sweeps), "--out", str(out)])
         assert result.exit_code == 0, result.output
-        config = default_config()
+        config = load_config()
         records = list(parse_sweep_file(benchmark_sweeps, config.plan))
         bands = sorted(records[0].rss_by_id)  # ascending id is ascending frequency on a uniform plan
         expected = []
@@ -817,6 +849,56 @@ def test_fuzzed_config_exits_with_a_documented_code(fuzz_sweeps, tmp_path_factor
     result = CliRunner().invoke(main, ["run", str(fuzz_sweeps), "--config", str(config), "--out", str(root / "out")])
     assert result.exit_code in (0, 2, 3, 4), (result.output, result.exception)
     assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+
+
+# a small auto-placed drive: 50 m at 10 m/s, one sweep a second, four transmitters
+FUZZ_SCENARIO = {
+    "seed": "3",
+    "waypoints": "0,0; 50,0",
+    "tx.bbox": "-100,-100,150,100",
+    "tx.freqs_mhz": "700.5,800.5,900.5,1800.5",
+}
+# a scenario value is arbitrary text or a value near the edges: tiny, huge, negative and non-finite
+# speeds, cadences, holds and times among them
+scenario_edges = st.text(max_size=8) | st.sampled_from([
+    "0", "-1", "1e-320", "-1e-320", "1e-9", "1e300", "-1e300", "1e12", "-1e12", "nan", "inf", "-inf", "",
+    "1,2", "0,0; 0,0", "0,0; 1e308,0", "-1e308,0; 1e308,0",
+])
+# values each key takes; an accepted scenario stays under ~300 sweeps
+SCENARIO_VALID = {
+    "seed": st.integers(0, 2**64).map(str),
+    "n_pl": st.floats(min_value=1.5, max_value=6.0).map(repr),
+    "waypoints": st.sampled_from(["0,0; 30,0; 30,30", "5,5; 60,5"]),
+    "transmitters": st.just("300,0,43,700.5; 0,300,43,800.5; -300,0,43,900.5; 0,-300,43,1800.5"),
+    "tx.bbox": st.just("-50,-50,80,80"),
+    "tx.freqs_mhz": st.just("700.5,800.5,900.5,1800.5,2100.5"),
+}
+
+
+@st.composite
+def fuzzed_scenarios(draw):
+    """Up to three keys of FUZZ_SCENARIO replaced or added, each valid or not at even odds."""
+    entries = dict(FUZZ_SCENARIO)
+    for key in draw(st.lists(st.sampled_from(sorted(SCENARIO_FIELDS)), max_size=3, unique=True)):
+        valid = SCENARIO_VALID.get(key, st.floats(min_value=0.5, max_value=5.0).map(repr))
+        entries[key] = draw(st.booleans().flatmap(lambda ok, valid=valid: valid if ok else scenario_edges))
+    return entries
+
+
+@settings(max_examples=300, deadline=None)
+@given(entries=fuzzed_scenarios(), seed=st.none() | st.sampled_from([-1, 0, 7, 2**64]))
+def test_fuzzed_scenario_exits_with_a_documented_code(tmp_path_factory, entries, seed):
+    """Any scenario file gives `simulate` exit 0, 2 or 3, never an uncaught
+    exception, and no --out unless it succeeds."""
+    root = tmp_path_factory.mktemp("case")
+    scenario, out = root / "scenario.txt", root / "out"
+    scenario.write_text("".join(f"{key} = {value}\n" for key, value in entries.items()),
+                        encoding="utf-8", errors="surrogateescape")
+    result = CliRunner().invoke(main, ["simulate", str(scenario), "--out", str(out)]
+                                + ([] if seed is None else ["--seed", str(seed)]))
+    assert result.exit_code in (0, 2, 3), (result.output, result.exception)
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code == 0 or not out.exists(), result.output
 
 
 # cells that damage a sweep row: not numbers, not finite, huge, out of range, not ASCII or not one field

@@ -7,11 +7,9 @@ from sweepnav import ConfigError
 from sweepnav.config import (
     CONFIG_FIELDS,
     config_from_values,
-    default_config,
     load_config,
     load_scenario,
     parse_kv_file,
-    scenario_with_seed,
 )
 from sweepnav.pipeline import assign_anchor_frame
 
@@ -25,11 +23,9 @@ sweep.window = 5
 n_pl = 3.0
 d0_m = 1.0
 tx_power_dbm = 40
-shadowing_sigma_db = 2
 smoother.kind = wma
 smoother.window = 4
 smoother.weights = 1,2,3,4
-ekf.enabled = true
 ekf.q_diag = 0.2,0.2
 ekf.r = 0.5
 ekf.p0 = 5.0
@@ -55,10 +51,10 @@ class TestPipelineConfigFile:
     def test_readme_block_is_the_default_config(self, tmp_path):
         path = readme_config_file(tmp_path)
         assert set(parse_kv_file(path)) == set(CONFIG_FIELDS)
-        assert load_config(path) == default_config()
+        assert load_config(path) == load_config()
 
     def test_defaults(self):
-        config = default_config()
+        config = load_config()
         assert config.sweep_window == 10
         assert config.pathloss.exponent == 2.8
         assert config.pathloss.tx_power_dbm == 43.0
@@ -173,13 +169,13 @@ class TestScenarioFile:
         path = tmp_path / "auto.txt"
         path.write_text(text, encoding="ascii")
         scenario = load_scenario(path)
-        reseeded = scenario_with_seed(scenario, 14)
+        reseeded = load_scenario(path, 14)
         assert reseeded.seed == 14
         assert reseeded.transmitters != scenario.transmitters
 
     def test_reseeding_explicit_scenario_keeps_transmitters(self, static_scenario_file):
         scenario = load_scenario(static_scenario_file)
-        reseeded = scenario_with_seed(scenario, 99)
+        reseeded = load_scenario(static_scenario_file, 99)
         assert reseeded.seed == 99
         assert reseeded.transmitters == scenario.transmitters
 

@@ -86,9 +86,10 @@ class TestAnchorFrame:
         with pytest.raises(InsufficientAnchorsError):
             assign_anchor_frame([1, 2, 3], seed=0, bbox=self.BBOX)
 
-    def test_placement_gives_up_eventually(self):
+    def test_placement_gives_up_eventually(self, monkeypatch):
+        monkeypatch.setattr("sweepnav.placement.DEFAULT_MIN_SEP_FRAC", 2.0)  # wider than the box's diagonal
         with pytest.raises(PlacementError):
-            place_in_box([1, 2], seed=0, bbox=(0.0, 0.0, 1.0, 1.0), min_sep_frac=2.0)
+            place_in_box([1, 2], seed=0, bbox=(0.0, 0.0, 1.0, 1.0))
 
 
 class TestPipelineRuns:
@@ -144,12 +145,6 @@ class TestPipelineRuns:
         pipeline.process(run.sweeps[0])
         with pytest.raises(ValueError):
             pipeline.process(run.sweeps[0])
-
-    def test_ekf_disabled_mirrors_wma(self):
-        scenario = route_scenario(seed=5)
-        run = simulate_run(scenario)
-        trajectory = run_pipeline(run.sweeps, matched_config(scenario, ekf_enabled=False))
-        np.testing.assert_array_equal(trajectory.positions("ekf"), trajectory.positions("wma"))
 
     def test_position_fields_are_floats(self):
         scenario = route_scenario(seed=5)
@@ -249,7 +244,7 @@ class TestKeptBands:
 
 
 class TestFrameRelativity:
-    def test_rigid_anchor_transform_preserves_segment_lengths(self):
+    def test_rigid_anchor_transform_preserves_segment_lengths(self, monkeypatch):
         scenario = route_scenario(seed=0)
         run = simulate_run(scenario)
         config = matched_config(scenario)
@@ -261,10 +256,10 @@ class TestFrameRelativity:
         moved = tuple(
             Anchor(a.band_id, *(rot @ [a.x, a.y] + shift)) for a in base.anchors
         )
-        transformed = run_pipeline(
-            run.sweeps,
-            matched_config(scenario, anchor_override=moved),
-        )
+        by_band = {a.band_id: a for a in moved}
+        monkeypatch.setattr("sweepnav.pipeline.assign_anchor_frame", lambda bands, seed, bbox: [by_band[b] for b in bands])
+        transformed = run_pipeline(run.sweeps, config)
+        assert transformed.anchors == tuple(moved)
 
         indices = list(run.truth.waypoint_indices)
         for estimator in ("raw", "wma", "ekf"):

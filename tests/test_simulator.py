@@ -74,8 +74,17 @@ class TestSynthRoute:
         np.testing.assert_allclose(positions[0], [-200.0, 0.0], atol=1e-9)
 
     def test_zero_length_without_hold_rejected(self):
-        with pytest.raises(ValueError):
+        # a scenario fault like any other, so `simulate` exits 3 for it, not 2
+        with pytest.raises(ConfigError, match="zero length and no hold"):
             synth_route(simple_scenario(waypoints=((1.0, 1.0), (1.0, 1.0))))
+
+    def test_sweep_ceiling_holds_the_cadence_ratio(self, monkeypatch):
+        # 10 s of drive at a 1 s cadence: ten steps, eleven samples
+        monkeypatch.setattr("sweepnav.simulator.MAX_SCENARIO_SWEEPS", 10)
+        assert len(synth_route(simple_scenario()).samples) == 11
+        monkeypatch.setattr("sweepnav.simulator.MAX_SCENARIO_SWEEPS", 9)
+        with pytest.raises(ConfigError, match="asks for 10 sweeps, more than 9"):
+            synth_route(simple_scenario())
 
     def test_static_scene_via_hold(self):
         truth = synth_route(simple_scenario(waypoints=((2.0, 3.0), (2.0, 3.0)), hold_s=5.0))
