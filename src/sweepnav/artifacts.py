@@ -1,12 +1,13 @@
 """CSV artifacts exchanged between commands.
 
-All writers use six fractional digits and LF endings so identical runs
-produce byte-identical files.
+Every float is written with six fractional digits and every line ends in
+LF, so identical runs produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 
 import numpy as np
@@ -18,10 +19,6 @@ from .simulator import GroundTruth
 TRAJECTORY_HEADER = [
     "k", "timestamp", "x_raw", "y_raw", "x_wma", "y_wma", "x_ekf", "y_ekf", "residual", "flags",
 ]
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.6f}"
 
 
 # one row: str() of the index, f"{v:.6f}" of each float (%-format gives the
@@ -72,44 +69,38 @@ def read_trajectory_csv(path) -> Trajectory:
     return Trajectory(steps=tuple(_read_rows(path, TRAJECTORY_HEADER, "trajectory", _trajectory_step)))
 
 
-def write_truth_csv(truth: GroundTruth, path) -> None:
+def write_csv(path, header: list[str], rows) -> None:
+    """Floats (numpy's float64 too) get six fractional digits; text and ints go through str."""
     with open(path, "w", encoding="ascii", newline="\n") as handle:
-        handle.write("k,timestamp,x,y\n")
-        for k, sample in enumerate(truth.samples):
-            handle.write(
-                f"{k},{_fmt(sample.timestamp)},{_fmt(sample.x)},{_fmt(sample.y)}\n"
-            )
+        for row in itertools.chain([header], rows):
+            handle.write(",".join("%.6f" % v if isinstance(v, float) else str(v) for v in row) + "\n")
+
+
+def write_truth_csv(truth: GroundTruth, path) -> None:
+    write_csv(path, ["k", "timestamp", "x", "y"], ((k, *sample) for k, sample in enumerate(truth.samples)))
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
 
 
 def read_truth_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Returns (timestamps, positions) from a truth CSV."""
-    rows = _read_rows(path, ["k", "timestamp", "x", "y"], "truth", lambda row: [float(v) for v in row[1:]])
+    """Returns (timestamps, positions) from a truth CSV; every value is finite."""
+    rows = _read_rows(path, ["k", "timestamp", "x", "y"], "truth", lambda row: [_finite(v) for v in row[1:]])
     table = np.asarray(rows).reshape(len(rows), 3)
     return table[:, 0], table[:, 1:]
 
 
 def write_waypoints_csv(truth: GroundTruth, path) -> None:
     """Waypoint sample indices and true positions for later evaluation."""
-    positions = truth.positions()
-    with open(path, "w", encoding="ascii", newline="\n") as handle:
-        handle.write("k,x,y\n")
-        for index in truth.waypoint_indices:
-            handle.write(f"{index},{_fmt(positions[index, 0])},{_fmt(positions[index, 1])}\n")
+    write_csv(path, ["k", "x", "y"], ((k, truth.samples[k].x, truth.samples[k].y) for k in truth.waypoint_indices))
 
 
 def read_waypoints_csv(path) -> list[int]:
     return _read_rows(path, ["k", "x", "y"], "waypoints", lambda row: int(row[0]))
-
-
-def write_series_csv(path, header: list[str], rows) -> None:
-    """Generic numeric series writer (ints stay ints, floats get 6 digits)."""
-    with open(path, "w", encoding="ascii", newline="\n") as handle:
-        handle.write(",".join(header) + "\n")
-        for row in rows:
-            cells = [
-                str(v) if isinstance(v, (int, np.integer)) else _fmt(float(v)) for v in row
-            ]
-            handle.write(",".join(cells) + "\n")
 
 
 def summary_text(trajectory: Trajectory) -> str:

@@ -115,18 +115,17 @@ def eval_cmd(truth, trajectory, waypoints_path, out_dir, config_path, sweeps_pat
     track = artifacts.read_trajectory_csv(trajectory)
     indices = artifacts.read_waypoints_csv(waypoints_path)
     truth_lengths, rows = segment_errors(truth_xy, track, indices)
-    grid_rows = None
+    grid = None
     if npl_list or txcount_list or window_list:
-        grid_rows = _eval_grid(truth_xy, indices, config_path, sweeps_path, npl_list, txcount_list, window_list)
+        grid, unscored = _eval_grid(truth_xy, indices, config_path, sweeps_path, npl_list, txcount_list, window_list)
 
     # every input is read and every grid run done: only now is --out written
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "report.csv", "w", encoding="ascii", newline="\n") as handle:
-        handle.write("estimator,segment,est_m,truth_m,percent_diff\n")
-        for estimator, segments in rows.items():
-            for i, seg in enumerate(segments):
-                handle.write(f"{estimator},{i + 1},{seg.estimated_m:.6f},{seg.truth_m:.6f},{seg.percent_diff:.6f}\n")
+    artifacts.write_csv(out / "report.csv", ["estimator", "segment", "est_m", "truth_m", "percent_diff"], [
+        (estimator, i + 1, seg.estimated_m, seg.truth_m, seg.percent_diff)
+        for estimator, segments in rows.items() for i, seg in enumerate(segments)
+    ])
 
     names = [f"S{i + 1}" for i in range(len(truth_lengths))]
     click.echo("estimator  " + "  ".join(f"{n:>12}" for n in names))
@@ -135,13 +134,10 @@ def eval_cmd(truth, trajectory, waypoints_path, out_dir, config_path, sweeps_pat
         cells = [f"{s.estimated_m:.0f}/{s.percent_diff:.2f}" for s in rows[estimator]]
         click.echo(f"{estimator:<9}  " + "  ".join(f"{c:>12}" for c in cells))
 
-    if grid_rows is not None:
-        with open(out / "grid_report.csv", "w", encoding="ascii", newline="\n") as handle:
-            handle.write("n_pl,window,tx_count,estimator,segment,est_m,percent_diff,note\n")
-            for npl, window, count, estimator, seg_no, est, pct, note in grid_rows:
-                handle.write(f"{npl},{window},{count},{estimator},{seg_no},{est:.6f},{pct:.6f},{note}\n")
-        unscored = sum(1 for row in grid_rows if row[-1]) // (2 * len(truth_lengths))  # 2 estimators per cell
-        click.echo(f"grid: wrote {len(grid_rows)} rows" + (f", {unscored} cells with no fix" if unscored else ""))
+    if grid is not None:
+        header = ["n_pl", "window", "tx_count", "estimator", "segment", "est_m", "percent_diff", "note"]
+        artifacts.write_csv(out / "grid_report.csv", header, grid)
+        click.echo(f"grid: wrote {len(grid)} rows" + (f", {unscored} cells with no fix" if unscored else ""))
 
 
 def _parse_list(text, cast, default):
@@ -153,10 +149,10 @@ def _parse_list(text, cast, default):
         raise ConfigError(f"bad list {text!r}") from None
 
 
-def _eval_grid(truth_xy, indices, config_path, sweeps_path, npl_list, txcount_list, window_list) -> list[tuple]:
-    """The grid report's rows: every config is built and the sweeps read
-    before the first run, so a bad grid argument fails before any output. A
-    cell with no fix is not an error: its rows hold nan and a note saying why."""
+def _eval_grid(truth_xy, indices, config_path, sweeps_path, npl_list, txcount_list, window_list) -> tuple[list, int]:
+    """The grid report's rows and its count of cells with no fix. Every config
+    is built and the sweeps read before the first run, so a bad grid argument
+    fails before any output; a cell with no fix holds nan and a note saying why."""
     if sweeps_path is None:
         raise ConfigError("grid evaluation needs --sweeps")
     base = load_config(config_path)
@@ -176,7 +172,7 @@ def _eval_grid(truth_xy, indices, config_path, sweeps_path, npl_list, txcount_li
     if not records:
         raise InputError(f"{sweeps_path}: no sweeps")
 
-    grid_rows = []
+    grid_rows, unscored = [], 0
     for npl, window, count, config in configs:
         trajectory = run_pipeline(records, config)
         note = ""
@@ -190,10 +186,12 @@ def _eval_grid(truth_xy, indices, config_path, sweeps_path, npl_list, txcount_li
                 common = set.intersection(*(set(r.rss_by_id) for r in records))
                 note = f"no fix: {count} bands asked; {len(common)} in every sweep"
             scores = dict.fromkeys(("wma", "ekf"), [(math.nan, math.nan)] * (len(indices) - 1))
+            unscored += 1
         for estimator in ("wma", "ekf"):
             for i, (est, pct) in enumerate(scores[estimator]):
-                grid_rows.append((npl, window, count, estimator, i + 1, est, pct, note))
-    return grid_rows
+                # the exponent is written as given, not with six digits
+                grid_rows.append((str(npl), window, count, estimator, i + 1, est, pct, note))
+    return grid_rows, unscored
 
 
 def _looks_like_kv_file(path: str) -> bool:
@@ -233,7 +231,7 @@ def convergence(source, config_path, seed, out_dir):
     growing = replace(config, sweep_window=None)
     trajectory = run_pipeline(records, growing)
     series = rolling_spread(trajectory.positions("raw"), 10)
-    artifacts.write_series_csv(
+    artifacts.write_csv(
         out / "convergence_time.csv",
         ["k", "timestamp", "spread"],
         [
@@ -261,7 +259,7 @@ def convergence(source, config_path, seed, out_dir):
             continue
         tail = sub_trajectory.positions("raw")[-10:]
         spectrum_rows.append((config.plan.center_mhz(bands[m - 1]), m, spread(tail)))
-    artifacts.write_series_csv(
+    artifacts.write_csv(
         out / "convergence_spectrum.csv",
         ["cutoff_mhz", "band_count", "spread"],
         spectrum_rows,

@@ -122,7 +122,7 @@ SCENARIO_FIELDS = {
     "start_time": ("scenario", "start_time", _float),
     "n_pl": ("pathloss", "exponent", _float),
     "d0_m": ("pathloss", "ref_distance_m", _float),
-    "shadowing_sigma_db": ("pathloss", "shadowing_sigma_db", _float),
+    "shadowing_sigma_db": ("scenario", "shadowing_sigma_db", _float),
     "waypoints": ("scenario", "waypoints", _points(2)),
     "transmitters": ("scenario", "transmitters", _points(4, Transmitter._make)),
     "tx.bbox": ("tx", "bbox", _list(4)),

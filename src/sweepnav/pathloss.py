@@ -32,13 +32,11 @@ class PathLossParams:
     or 59.7%. Like a sweep cell, it lies within +-MAX_ABS_DB.
     ``ref_distance_m`` lies within 1 mm..10 km; a d0 such as 1e-250 m
     drives the reference loss thousands of dB negative, so ranges overflow.
-    ``shadowing_sigma_db`` is only used by the forward model.
     """
 
     exponent: float = 2.8
     ref_distance_m: float = 1.0
     tx_power_dbm: float = 43.0
-    shadowing_sigma_db: float = 4.0
 
     def __post_init__(self):
         lo, hi = _EXPONENT_RANGE
@@ -49,8 +47,6 @@ class PathLossParams:
             raise ConfigError(f"reference distance {self.ref_distance_m} m outside [{lo:g}, {hi:g}]")
         if not abs(self.tx_power_dbm) <= MAX_ABS_DB:
             raise ConfigError(f"tx_power_dbm {self.tx_power_dbm} outside [-{MAX_ABS_DB:g}, {MAX_ABS_DB:g}]")
-        if not 0 <= self.shadowing_sigma_db < math.inf:
-            raise ConfigError("shadowing sigma must be finite and non-negative")
 
 
 def free_space_pl0(fc_mhz: float, ref_distance_m: float = 1.0) -> float:

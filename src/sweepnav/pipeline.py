@@ -99,13 +99,19 @@ class Trajectory:
     """Relative trajectory plus run diagnostics."""
 
     steps: tuple[TrajectoryStep, ...]
-    selected_bands: tuple[int, ...] = ()
     anchors: tuple[Anchor, ...] = ()
     skipped_sweeps: int = 0
-    held_steps: int = 0
 
     def __len__(self) -> int:
         return len(self.steps)
+
+    @property
+    def held_steps(self) -> int:
+        return sum(1 for step in self.steps if "held" in step.flags)
+
+    @property
+    def selected_bands(self) -> tuple[int, ...]:
+        return tuple(anchor.band_id for anchor in self.anchors)
 
     def positions(self, estimator: str = "raw") -> np.ndarray:
         if estimator not in ("raw", "wma", "ekf"):
@@ -159,13 +165,11 @@ class TrackingPipeline:
         self._pl0: list[float] = []
         self._origin: tuple[float, float] | None = None
         self._smoother = Smoother(config.smoother)
-        self._prev_smoothed: tuple[float, tuple[float, float]] | None = None
         self._tracker: EkfTracker | None = None
         self._steps: list[TrajectoryStep] = []
         self._prev_raw_abs: tuple[float, float] | None = None
         self._prev_sweep_ts: float | None = None
         self._skipped = 0
-        self._held = 0
 
     def process(self, sweep: SweepRecord) -> TrajectoryStep | None:
         if self._prev_sweep_ts is not None and sweep.timestamp <= self._prev_sweep_ts:
@@ -186,7 +190,6 @@ class TrackingPipeline:
             raw_abs = self._prev_raw_abs
             residual = math.nan
             flags = ("held", fail_reason)
-            self._held += 1
         self._prev_raw_abs = raw_abs
 
         if self._origin is None:
@@ -209,10 +212,8 @@ class TrackingPipeline:
     def finish(self) -> Trajectory:
         return Trajectory(
             steps=tuple(self._steps),
-            selected_bands=tuple(self._selected or ()),
             anchors=self._frame.anchors if self._frame else (),
             skipped_sweeps=self._skipped,
-            held_steps=self._held,
         )
 
     def _select_bands(self) -> bool:
@@ -260,18 +261,17 @@ class TrackingPipeline:
         Held steps (no fresh ranges) run the prediction alone, so a flagged
         sample never moves the track by more than the motion model does.
         """
-        cfg = self._cfg
-        previous, self._prev_smoothed = self._prev_smoothed, (timestamp, smoothed)
-        if self._tracker is None:
-            self._tracker = EkfTracker(x0=smoothed, p0=np.eye(2) * cfg.p0_var, noise=cfg.noise)
+        if not self._steps:
+            self._tracker = EkfTracker(x0=smoothed, p0=np.eye(2) * self._cfg.p0_var, noise=self._cfg.noise)
             return smoothed, ()
 
-        u = derive_velocity(previous, self._prev_smoothed)
+        last = self._steps[-1]
+        u = derive_velocity((last.timestamp, last.wma), (timestamp, smoothed))
         if distances is None:
             measurements = []
         else:
             measurements = list(zip(self._landmarks, distances))
-        step = self._tracker.step(timestamp - previous[0], u, measurements)
+        step = self._tracker.step(timestamp - last.timestamp, u, measurements)
         return step.position, step.flags
 
 

@@ -10,7 +10,7 @@ metrics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -56,8 +56,6 @@ class TruthSample(NamedTuple):
     timestamp: float
     x: float
     y: float
-    vx: float
-    vy: float
 
 
 @dataclass(frozen=True)
@@ -82,6 +80,7 @@ class Scenario:
     lead_in_m: float = 0.0
     start_time: float = 0.0
     tx_bbox: Bbox | None = None  # placement box metadata, None for explicit layouts
+    shadowing_sigma_db: float = 4.0  # log-normal shadowing, drawn per sweep and transmitter
 
     def __post_init__(self):
         object.__setattr__(self, "transmitters", tuple(self.transmitters))
@@ -105,6 +104,8 @@ class Scenario:
             raise ConfigError("lead-in length must be finite and non-negative")
         if not math.isfinite(self.start_time):
             raise ConfigError("start time must be finite")
+        if not 0 <= self.shadowing_sigma_db < math.inf:
+            raise ConfigError("shadowing sigma must be finite and non-negative")
         if self.lead_in_m > 0:
             dx = self.waypoints[1][0] - self.waypoints[0][0]
             dy = self.waypoints[1][1] - self.waypoints[0][1]
@@ -126,8 +127,12 @@ class GroundTruth:
         return np.array([(s.x, s.y) for s in self.samples], dtype=float)
 
     def segment_lengths(self) -> np.ndarray:
-        pts = self.positions()[list(self.waypoint_indices)]
-        return np.hypot(*(np.diff(pts, axis=0).T))
+        return segment_lengths(self.positions(), self.waypoint_indices)
+
+
+def segment_lengths(points: np.ndarray, indices: Sequence[int]) -> np.ndarray:
+    """Straight-line lengths between consecutive indexed rows of an (n, 2) array."""
+    return np.hypot(*(np.diff(points[list(indices)], axis=0).T))
 
 
 @dataclass(frozen=True)
@@ -141,7 +146,8 @@ def synth_route(scenario: Scenario) -> GroundTruth:
 
     The final point (end of drive plus hold) is always included even when
     it falls off the cadence grid. ``waypoint_indices`` mark the scenario's
-    waypoints only, never the lead-in start.
+    waypoints only, never the lead-in start. Two samples on one microsecond
+    of the sweep file, or a leg within one sweep step, are a ConfigError.
     """
     waypoints = np.asarray(scenario.waypoints, dtype=float)
     if scenario.lead_in_m > 0:
@@ -160,23 +166,23 @@ def synth_route(scenario: Scenario) -> GroundTruth:
     steps = duration / scenario.cadence_s
     if not steps <= MAX_SCENARIO_SWEEPS:  # NaN and inf fail too
         raise ConfigError(f"scenario asks for {steps:.3g} sweeps, more than {MAX_SCENARIO_SWEEPS}")
-    try:  # the first and last stamps must be writable as sweep file dates
-        format_timestamp(scenario.start_time), format_timestamp(scenario.start_time + duration)
-    except OverflowError:
-        raise ConfigError("scenario sweep times fall outside the years a sweep file can hold") from None
 
     n_grid = int(math.floor(steps + 1e-9))
     offsets = [k * scenario.cadence_s for k in range(n_grid + 1)]
     if offsets[-1] < duration - 1e-9:
         offsets.append(duration)
+    try:  # every sweep time must be writable as a sweep file stamp; the parser merges sweeps of one stamp
+        stamps = {format_timestamp(scenario.start_time + offset) for offset in offsets}
+    except OverflowError:
+        raise ConfigError("scenario sweep times fall outside the years a sweep file can hold") from None
+    if len(stamps) < len(offsets):
+        raise ConfigError(f"{len(offsets)} sweeps fall on {len(stamps)} microseconds; a sweep file stamps no finer")
 
     samples = []
     for offset in offsets:
         distance = min(offset * scenario.speed_mps, total_length)
-        x, y, vx, vy = _point_on_polyline(waypoints, legs, leg_lengths, cumulative, distance)
-        if offset * scenario.speed_mps >= total_length and scenario.hold_s > 0:
-            vx = vy = 0.0
-        samples.append(TruthSample(scenario.start_time + offset, x, y, vx, vy))
+        x, y = _point_on_polyline(waypoints, legs, leg_lengths, cumulative, distance)
+        samples.append(TruthSample(float(scenario.start_time + offset), x, y))  # a float even from int times
 
     times = np.array(offsets)
     scored = cumulative[1:] if scenario.lead_in_m > 0 else cumulative
@@ -184,12 +190,15 @@ def synth_route(scenario: Scenario) -> GroundTruth:
     for leg_end in scored:
         arrival = leg_end / scenario.speed_mps
         waypoint_indices.append(int(np.argmin(np.abs(times - arrival))))
+    for leg in range(1, len(scored)):
+        if waypoint_indices[leg] == waypoint_indices[leg - 1] and scored[leg] > scored[leg - 1]:
+            raise ConfigError(f"leg {leg} is shorter than one sweep step: both ends on sweep {waypoint_indices[leg]}")
     return GroundTruth(samples=tuple(samples), waypoint_indices=tuple(waypoint_indices))
 
 
 def _point_on_polyline(waypoints, legs, leg_lengths, cumulative, distance):
     if cumulative[-1] == 0.0:
-        return float(waypoints[0, 0]), float(waypoints[0, 1]), 0.0, 0.0
+        return float(waypoints[0, 0]), float(waypoints[0, 1])
     idx = int(np.searchsorted(cumulative, distance, side="right")) - 1
     idx = min(max(idx, 0), len(legs) - 1)
     while leg_lengths[idx] == 0.0 and idx < len(legs) - 1:
@@ -198,7 +207,7 @@ def _point_on_polyline(waypoints, legs, leg_lengths, cumulative, distance):
     along = distance - cumulative[idx]
     x = waypoints[idx, 0] + direction[0] * along
     y = waypoints[idx, 1] + direction[1] * along
-    return float(x), float(y), float(direction[0]), float(direction[1])
+    return float(x), float(y)
 
 
 def synth_sweep(
@@ -213,7 +222,7 @@ def synth_sweep(
     received power beyond +-MAX_ABS_DB, which no sweep file may hold, is a
     ConfigError.
     """
-    params = scenario.pathloss
+    params, sigma = scenario.pathloss, scenario.shadowing_sigma_db
     rss_by_id = {}
     for tx in sorted(scenario.transmitters, key=lambda t: t.freq_mhz):
         band_id = plan.band_at(tx.freq_mhz)
@@ -222,7 +231,7 @@ def synth_sweep(
         if band_id in rss_by_id:
             raise ConfigError(f"two transmitters share band {band_id}")
         distance = max(math.hypot(sample.x - tx.x, sample.y - tx.y), params.ref_distance_m)
-        shadow = float(rng.normal(0.0, params.shadowing_sigma_db)) if params.shadowing_sigma_db > 0 else 0.0
+        shadow = float(rng.normal(0.0, sigma)) if sigma > 0 else 0.0
         rss = rss_at_distance(
             distance, tx.freq_mhz, params, tx_power_dbm=tx.power_dbm, shadow_db=shadow
         )
@@ -280,6 +289,8 @@ class SegmentError:
 
 def _checked_waypoints(waypoint_indices: Sequence[int], count: int) -> list[int]:
     indices = list(waypoint_indices)
+    if len(indices) < 2:
+        raise ShapeError(f"need at least two waypoints to bound a segment, have {len(indices)}")
     if indices != sorted(indices):
         raise ShapeError("waypoint indices must be ordered")
     if indices and (indices[0] < 0 or indices[-1] >= count):
@@ -299,7 +310,7 @@ def segment_errors(
     if len(trajectory.steps) != len(truth_xy):
         raise ShapeError(f"trajectory has {len(trajectory.steps)} rows, truth has {len(truth_xy)}")
     indices = _checked_waypoints(waypoint_indices, len(truth_xy))
-    truth_lengths = np.hypot(*(np.diff(truth_xy[indices], axis=0).T))
+    truth_lengths = segment_lengths(truth_xy, indices)
     return truth_lengths, {
         estimator: segment_error_report(trajectory.positions(estimator), indices, truth_lengths)
         for estimator in ("raw", "wma", "ekf")
@@ -329,10 +340,7 @@ def segment_error_report(
         raise ShapeError("truth lengths must be positive")
 
     report = []
-    for seg, truth in enumerate(truth_lengths_m):
-        a = pts[indices[seg]]
-        b = pts[indices[seg + 1]]
-        estimated = float(np.hypot(b[0] - a[0], b[1] - a[1]))
+    for estimated, truth in zip(segment_lengths(pts, indices).tolist(), truth_lengths_m):
         percent = abs(estimated - truth) / truth * 100.0
         report.append(SegmentError(estimated_m=estimated, truth_m=float(truth), percent_diff=percent))
     return report
@@ -401,11 +409,12 @@ def auto_transmitters(
 
 
 def route_scenario(
-    seed: int, *, tx_count: int = 6, lead_in_m: float = 200.0, high_band: bool = False, **pathloss
+    seed: int, *, tx_count: int = 6, lead_in_m: float = 200.0, high_band: bool = False,
+    shadowing_sigma_db: float = Scenario.shadowing_sigma_db, **pathloss
 ) -> Scenario:
     """Benchmark drive scenario over the four-leg route.
 
-    Further keywords (such as ``shadowing_sigma_db``) go to the scenario's
+    Further keywords (such as ``exponent``) go to the scenario's
     PathLossParams; the transmitters radiate its ``tx_power_dbm``.
     """
     pool = HIGH_BAND_TX_FREQS_MHZ if high_band else EXTENDED_TX_FREQS_MHZ
@@ -420,10 +429,14 @@ def route_scenario(
         seed=seed,
         lead_in_m=lead_in_m,
         tx_bbox=DEFAULT_TX_BBOX,
+        shadowing_sigma_db=shadowing_sigma_db,
     )
 
 
-def static_scenario(seed: int, *, duration_s: float = 60.0, tx_count: int = 6, **pathloss) -> Scenario:
+def static_scenario(
+    seed: int, *, duration_s: float = 60.0, tx_count: int = 6,
+    shadowing_sigma_db: float = Scenario.shadowing_sigma_db, **pathloss
+) -> Scenario:
     """Stationary receiver accumulating sweeps at the origin.
 
     Further keywords go to PathLossParams, as for :func:`route_scenario`.
@@ -441,6 +454,7 @@ def static_scenario(seed: int, *, duration_s: float = 60.0, tx_count: int = 6, *
         seed=seed,
         hold_s=duration_s,
         tx_bbox=STATIC_TX_BBOX,
+        shadowing_sigma_db=shadowing_sigma_db,
     )
 
 
@@ -455,7 +469,7 @@ def matched_config(scenario: Scenario, **overrides) -> PipelineConfig:
     if scenario.tx_bbox is None and "anchor_bbox" not in overrides:
         raise ConfigError("scenario has no placement box; pass anchor_bbox explicitly")
     defaults = dict(
-        pathloss=replace(scenario.pathloss),
+        pathloss=scenario.pathloss,
         anchor_seed=scenario.seed,
         anchor_bbox=scenario.tx_bbox,
     )

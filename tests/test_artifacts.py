@@ -1,10 +1,19 @@
 import math
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sweepnav.artifacts import TRAJECTORY_HEADER, read_trajectory_csv, write_trajectory_csv
+from sweepnav.artifacts import (
+    TRAJECTORY_HEADER,
+    read_trajectory_csv,
+    write_csv,
+    write_trajectory_csv,
+    write_truth_csv,
+    write_waypoints_csv,
+)
 from sweepnav.pipeline import Trajectory, TrajectoryStep
+from sweepnav.simulator import GroundTruth, TruthSample
 
 
 def reference_trajectory_bytes(trajectory):
@@ -54,3 +63,67 @@ class TestTrajectoryCsv:
         read = read_trajectory_csv(path)
         assert [s.flags for s in read.steps] == [s.flags for s in EDGE_STEPS]
         assert [s.index for s in read.steps] == [0, 1, 2, 12345]
+
+
+def old_series_cell(value):
+    """The cell the series writer wrote: ints through str, anything else as a float with six digits."""
+    return str(value) if isinstance(value, (int, np.integer)) else f"{float(value):.6f}"
+
+
+# each artifact's header and its row as the writer it had before write_csv formatted it
+OLD_WRITERS = {
+    "report": ("estimator,segment,est_m,truth_m,percent_diff",
+               lambda e, seg, est, tru, pct: f"{e},{seg},{est:.6f},{tru:.6f},{pct:.6f}"),
+    "grid_report": ("n_pl,window,tx_count,estimator,segment,est_m,percent_diff,note",
+                    lambda npl, w, c, e, seg, est, pct, note: f"{npl},{w},{c},{e},{seg},{est:.6f},{pct:.6f},{note}"),
+    "convergence_time": ("k,timestamp,spread", lambda *row: ",".join(map(old_series_cell, row))),
+    "convergence_spectrum": ("cutoff_mhz,band_count,spread", lambda *row: ",".join(map(old_series_cell, row))),
+}
+ESTIMATORS = st.sampled_from(["raw", "wma", "ekf"])
+NOTES = st.sampled_from(["", "no fix: 9 bands asked; 6 in every sweep", "no fix: all 21 sweeps skipped"])
+# the cells each artifact's rows hold, as the commands build them
+ARTIFACT_ROWS = {
+    "report": st.tuples(ESTIMATORS, st.integers(1, 9), FLOATS, FLOATS, FLOATS),
+    "grid_report": st.tuples(FLOATS, st.integers(1, 50), st.integers(4, 13), ESTIMATORS, st.integers(1, 9),
+                             FLOATS, FLOATS, NOTES),
+    "convergence_time": st.tuples(st.integers(0, 10**6), FLOATS, FLOATS.map(np.float64)),
+    "convergence_spectrum": st.tuples(FLOATS, st.integers(4, 13), FLOATS),
+}
+
+
+def expected_bytes(header, lines):
+    return ("\n".join([header, *lines]) + "\n").encode("ascii")
+
+
+class TestWriteCsv:
+    @settings(max_examples=60, deadline=None)
+    @given(samples=st.lists(st.tuples(FLOATS, FLOATS, FLOATS), min_size=1, max_size=6), data=st.data())
+    def test_truth_and_waypoints_match_their_old_writers(self, tmp_path_factory, samples, data):
+        indices = data.draw(st.lists(st.integers(0, len(samples) - 1), max_size=4).map(sorted))
+        truth = GroundTruth(samples=tuple(TruthSample(*s) for s in samples), waypoint_indices=tuple(indices))
+        root = tmp_path_factory.mktemp("csv")
+        write_truth_csv(truth, root / "truth.csv")
+        write_waypoints_csv(truth, root / "waypoints.csv")
+        assert (root / "truth.csv").read_bytes() == expected_bytes(
+            "k,timestamp,x,y", [f"{k},{t:.6f},{x:.6f},{y:.6f}" for k, (t, x, y) in enumerate(samples)])
+        assert (root / "waypoints.csv").read_bytes() == expected_bytes(
+            "k,x,y", [f"{k},{samples[k][1]:.6f},{samples[k][2]:.6f}" for k in indices])
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_command_artifacts_match_their_old_writers(self, tmp_path_factory, data):
+        name = data.draw(st.sampled_from(sorted(OLD_WRITERS)))
+        rows = data.draw(st.lists(ARTIFACT_ROWS[name], max_size=6))
+        header, old_row = OLD_WRITERS[name]
+        # the grid passes its exponent as text, written as given
+        written = [(str(row[0]), *row[1:]) for row in rows] if name == "grid_report" else rows
+        path = tmp_path_factory.mktemp("csv") / f"{name}.csv"
+        write_csv(path, header.split(","), written)
+        assert path.read_bytes() == expected_bytes(header, [old_row(*row) for row in rows])
+
+    def test_edge_floats(self, tmp_path):
+        path = tmp_path / "report.csv"
+        values = (math.nan, math.inf, -math.inf, -0.0, np.float64(2.5))
+        write_csv(path, ["estimator", "segment", "est_m"], [("wma", 1, v) for v in values])
+        assert path.read_bytes().splitlines()[1:] == [
+            b"wma,1,nan", b"wma,1,inf", b"wma,1,-inf", b"wma,1,-0.000000", b"wma,1,2.500000"]

@@ -135,6 +135,22 @@ class TestSimulate:
         assert r1.exit_code == 0 and r2.exit_code == 0
         assert (a / "sweeps.csv").read_bytes() == (b / "sweeps.csv").read_bytes()
 
+    @pytest.mark.parametrize("changes, message", [
+        # the drive ends 0.4 us after the grid sample at 10 s: the file would stamp both 10.000000
+        ("speed_mps = 1\nlead_in_m = 0\nwaypoints = 0,0; 10.0000004,0\n", "12 sweeps fall on 11 microseconds"),
+        ("speed_mps = 1e6\ncadence_s = 1e-7\n", "20601 sweeps fall on 2061 microseconds"),
+        # the whole 1,860 m drive would fall on sweep 0
+        ("speed_mps = 1e300\n", "leg 1 is shorter than one sweep step: both ends on sweep 0"),
+    ])
+    def test_sweep_file_that_cannot_match_the_truth_is_exit_3(self, runner, tmp_path, changes, message):
+        replaced = {line.partition(" =")[0] for line in changes.splitlines()}
+        kept = [line for line in BENCHMARK_SCENARIO.splitlines() if line.partition(" =")[0] not in replaced]
+        scenario, out = tmp_path / "scenario.txt", tmp_path / "out"
+        scenario.write_text("\n".join(kept) + "\n" + changes, encoding="ascii")
+        result = runner.invoke(main, ["simulate", str(scenario), "--out", str(out)])
+        assert result.exit_code == 3, (result.output, result.exception)
+        assert message in result.output and not out.exists()
+
     def test_benchmark_route_length_in_truth_csv(self, benchmark_sweeps):
         out = benchmark_sweeps.parent
         truth = read_rows(out / "truth.csv")[1:]
@@ -516,6 +532,34 @@ class TestEval:
         rows = read_rows(out / "grid_report.csv")[1:]
         sweeps = len(read_rows(sim / "truth.csv")) - 1
         assert len(rows) == 4 and all(row[7] == f"no fix: all {sweeps} sweeps skipped" for row in rows)
+
+    @pytest.mark.parametrize("grid", [[], ["--npl-list", "2.8"]])
+    def test_one_waypoint_is_exit_4(self, runner, artifacts, tmp_path, grid):
+        # one waypoint bounds no segment: a shape error before the reports or the grid are written
+        sim, run_dir = artifacts
+        waypoints, out = tmp_path / "one.csv", tmp_path / "eval"
+        waypoints.write_text("k,x,y\n0,0.000000,0.000000\n", encoding="ascii")
+        result = runner.invoke(main, [
+            "eval", str(sim / "truth.csv"), str(run_dir / "trajectory.csv"), "--waypoints", str(waypoints),
+            "--out", str(out), "--sweeps", str(sim / "sweeps.csv"), *grid,
+        ])
+        assert result.exit_code == 4, (result.output, result.exception)
+        assert "shape error: need at least two waypoints" in result.output and not out.exists()
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_truth_is_exit_2(self, runner, artifacts, tmp_path, cell):
+        sim, run_dir = artifacts
+        rows = (sim / "truth.csv").read_text(encoding="ascii").splitlines()
+        rows[4] = ",".join(rows[4].split(",")[:3] + [cell])
+        truth, out = tmp_path / "truth.csv", tmp_path / "eval"
+        truth.write_text("\n".join(rows) + "\n", encoding="ascii")
+        result = runner.invoke(main, [
+            "eval", str(truth), str(run_dir / "trajectory.csv"), "--waypoints", str(sim / "waypoints.csv"),
+            "--out", str(out),
+        ])
+        assert result.exit_code == 2, (result.output, result.exception)
+        assert f"input error: {truth}: line 5: '{cell}' is not a finite number" in result.output
+        assert not out.exists()
 
     def test_grid_over_empty_sweeps_is_exit_2(self, runner, artifacts, tmp_path):
         sim, run_dir = artifacts
@@ -990,6 +1034,56 @@ def test_fuzzed_grid_lists_exit_with_a_documented_code(fuzz_run, tmp_path_factor
         "eval", str(fuzz_run / "truth.csv"), str(fuzz_run / "run" / "trajectory.csv"),
         "--waypoints", str(fuzz_run / "waypoints.csv"), "--out", str(out), "--sweeps", str(fuzz_run / "sweeps.csv"),
         *(f"{option}={text}" for option, text in lists.items()),
+    ])
+    assert result.exit_code in (0, 2, 3, 4), (result.output, result.exception)
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code == 0 or not out.exists(), result.output
+
+
+# cells that damage an artifact row: not finite, negative, empty, huge or not ASCII
+ARTIFACT_CELLS = [b"nan", b"inf", b"-inf", b"-1", b"", b"1e400", b"1.7e308", b"-1.7e308", b"9" * 30, b"9" * 5000,
+                  b"caf\xc3\xa9", b"\xff"]
+
+
+@st.composite
+def fuzzed_artifact(draw, lines):
+    """An artifact's rows with a few edits: a cell replaced, a run of rows dropped or a row repeated."""
+    lines = list(lines)
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        if not lines:
+            break
+        row = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+        edit = draw(st.sampled_from(["cell", "drop", "repeat"]))
+        if edit == "cell":
+            fields = lines[row].split(b",")
+            fields[draw(st.integers(min_value=0, max_value=len(fields) - 1))] = draw(
+                st.sampled_from(ARTIFACT_CELLS) | st.floats().map(lambda v: repr(v).encode())
+            )
+            lines[row] = b",".join(fields)
+        elif edit == "drop":
+            del lines[row:row + draw(st.integers(min_value=1, max_value=3))]
+        else:
+            lines.insert(row, lines[row])
+    return b"".join(line + b"\n" for line in lines)
+
+
+@pytest.mark.parametrize("grid", [False, True])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_fuzzed_artifacts_exit_with_a_documented_code(fuzz_run, tmp_path_factory, grid, data):
+    """Any edit of the truth, waypoints or trajectory file gives `eval` exit
+    0, 2, 3 or 4, never an uncaught exception, and no --out unless it succeeds."""
+    root = tmp_path_factory.mktemp("case")
+    files = {"truth": fuzz_run / "truth.csv", "waypoints": fuzz_run / "waypoints.csv",
+             "trajectory": fuzz_run / "run" / "trajectory.csv"}
+    for name in data.draw(st.lists(st.sampled_from(sorted(files)), min_size=1, max_size=3, unique=True)):
+        damaged = root / f"{name}.csv"
+        damaged.write_bytes(data.draw(fuzzed_artifact(files[name].read_bytes().splitlines())))
+        files[name] = damaged
+    out = root / "out"
+    result = CliRunner().invoke(main, [
+        "eval", str(files["truth"]), str(files["trajectory"]), "--waypoints", str(files["waypoints"]),
+        "--out", str(out), *(["--sweeps", str(fuzz_run / "sweeps.csv"), "--npl-list", "2.8"] if grid else []),
     ])
     assert result.exit_code in (0, 2, 3, 4), (result.output, result.exception)
     assert result.exception is None or isinstance(result.exception, SystemExit), result.exception

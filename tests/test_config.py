@@ -114,7 +114,7 @@ class TestScenarioFile:
         assert len(scenario.transmitters) == 6
         assert scenario.transmitters[0].freq_mhz == 700.5
         assert scenario.hold_s == 29.0
-        assert scenario.pathloss.shadowing_sigma_db == 0.0
+        assert scenario.shadowing_sigma_db == 0.0
         assert scenario.tx_bbox is None
 
     def test_auto_placement_matches_pipeline_anchor_frame(self, tmp_path):

@@ -110,7 +110,7 @@ class TestRssToDistance:
 class TestRoundTrip:
     @pytest.mark.parametrize("exponent", [2.7, 2.8, 3.5])
     def test_forward_then_invert(self, exponent):
-        params = PathLossParams(exponent=exponent, tx_power_dbm=43.0, shadowing_sigma_db=0.0)
+        params = PathLossParams(exponent=exponent, tx_power_dbm=43.0)
         pl0 = free_space_pl0(900.5, params.ref_distance_m)
         for d in np.logspace(0.0, 5.0, 31):
             rss = rss_at_distance(float(d), 900.5, params)
@@ -128,10 +128,6 @@ class TestParams:
     def test_reference_distance_positive(self):
         with pytest.raises(ConfigError):
             PathLossParams(ref_distance_m=0.0)
-
-    def test_shadowing_non_negative(self):
-        with pytest.raises(ConfigError):
-            PathLossParams(shadowing_sigma_db=-1.0)
 
     @pytest.mark.parametrize("power", [1e5, -200.5, math.inf, math.nan])
     def test_transmit_power_within_the_db_bound(self, power):

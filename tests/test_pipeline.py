@@ -18,6 +18,7 @@ from sweepnav import (
     simulate_run,
     static_scenario,
 )
+from sweepnav.artifacts import read_trajectory_csv, summary_text, write_trajectory_csv
 from sweepnav.errors import ShapeError
 from sweepnav.placement import place_in_box
 from sweepnav.sweeps import SweepRecord, SweepWindow
@@ -204,6 +205,21 @@ class TestHeldFixes:
             assert step.flags[:2] == ("held", "range_overflow")
             assert step.raw == steps[11].raw and math.isnan(step.residual_norm)
         assert trajectory.held_steps == 10
+
+    def test_written_trajectory_reads_back_its_held_rows(self, tmp_path):
+        # the held count and the selected bands are derived from the rows and the anchors, not stored
+        scenario = route_scenario(seed=2, shadowing_sigma_db=0.0)
+        records = list(simulate_run(scenario).sweeps)
+        victim = min(records[0].rss_by_id)
+        for k in (30, 31, 32):
+            records[k] = strip_band(records[k], victim)
+        trajectory = run_pipeline(records, matched_config(scenario, sweep_window=2))
+        path = tmp_path / "trajectory.csv"
+        write_trajectory_csv(trajectory, path)
+        assert read_trajectory_csv(path).held_steps == trajectory.held_steps == 2
+        assert trajectory.selected_bands == tuple(anchor.band_id for anchor in trajectory.anchors)
+        assert sorted(trajectory.selected_bands) == sorted(records[0].rss_by_id)
+        assert f"selected_bands: {' '.join(map(str, trajectory.selected_bands))}\n" in summary_text(trajectory)
 
 
 class TestKeptBands:

@@ -20,6 +20,7 @@ from sweepnav.errors import ConfigError, ShapeError
 from sweepnav.pathloss import free_space_pl0, invert_distance, rss_at_distance
 from sweepnav.pipeline import Trajectory, TrajectoryStep
 from sweepnav.simulator import aligned_rmse, rolling_spread, spread
+from sweepnav.sweeps import format_timestamp
 
 FOUR_TX = (
     Transmitter(300.0, 0.0, 43.0, 700.5),
@@ -35,7 +36,7 @@ def simple_scenario(**kwargs):
         waypoints=((0.0, 0.0), (10.0, 0.0)),
         speed_mps=1.0,
         cadence_s=1.0,
-        pathloss=PathLossParams(shadowing_sigma_db=0.0),
+        shadowing_sigma_db=0.0,
         seed=0,
     )
     defaults.update(kwargs)
@@ -49,7 +50,6 @@ class TestSynthRoute:
         assert len(positions) == 11
         np.testing.assert_allclose(positions[:, 0], np.arange(11.0), atol=1e-12)
         np.testing.assert_allclose(positions[:, 1], 0.0, atol=1e-12)
-        assert truth.samples[3].vx == 1.0 and truth.samples[3].vy == 0.0
         assert truth.waypoint_indices == (0, 10)
 
     def test_cadence_longer_than_travel(self):
@@ -97,14 +97,40 @@ class TestSynthRoute:
         assert truth.samples[-1].timestamp == pytest.approx(10.5)
         assert truth.positions()[-1][0] == pytest.approx(10.5)
 
+    @pytest.mark.parametrize("changes", [
+        dict(waypoints=((0.0, 0.0), (10.0000004, 0.0))),  # the end lies 0.4 us after the last grid sample
+        dict(speed_mps=1e6, cadence_s=1e-7, waypoints=((0.0, 0.0), (1.0, 0.0))),  # ten sweeps per microsecond
+    ])
+    def test_two_samples_in_one_microsecond_rejected(self, changes):
+        # the sweep file stamps to the microsecond and its parser would merge the two sweeps
+        with pytest.raises(ConfigError, match="sweeps fall on .* microseconds; a sweep file stamps no finer"):
+            synth_route(simple_scenario(**changes))
+
+    def test_one_sample_per_stamp_at_a_one_microsecond_cadence(self):
+        truth = synth_route(simple_scenario(speed_mps=1e6, cadence_s=1e-6))
+        stamps = [format_timestamp(s.timestamp) for s in truth.samples]
+        assert len(stamps) == 11 and len(set(stamps)) == 11
+
+    @pytest.mark.parametrize("speed, leg", [(1e300, 1), (10.0, 2)])
+    def test_leg_shorter_than_one_sweep_step_rejected(self, speed, leg):
+        # at 1e300 m/s the whole drive falls on sweep 0; at 10 m/s the 0.5 m second leg lies within one step
+        waypoints = ((0.0, 0.0), (100.0, 0.0), (100.0, 0.5), (200.0, 0.5))
+        with pytest.raises(ConfigError, match=f"leg {leg} is shorter than one sweep step"):
+            synth_route(simple_scenario(waypoints=waypoints, speed_mps=speed))
+
+    def test_zero_length_leg_and_static_scene_stay_valid(self):
+        truth = synth_route(simple_scenario(waypoints=((0.0, 0.0), (10.0, 0.0), (10.0, 0.0), (10.0, 5.0))))
+        assert truth.waypoint_indices == (0, 10, 10, 15)
+        assert len(synth_route(simple_scenario(waypoints=((2.0, 3.0),) * 2, hold_s=0.5)).samples) == 2
+
 
 class TestSynthSweep:
     def test_forward_value_at_reference_distance(self):
-        params = PathLossParams(exponent=2.8, tx_power_dbm=43.0, shadowing_sigma_db=0.0)
+        params = PathLossParams(exponent=2.8, tx_power_dbm=43.0)
         assert rss_at_distance(1.0, 900.0, params) == pytest.approx(11.465, abs=5e-4)
 
     def test_rss_decreases_with_distance(self):
-        params = PathLossParams(shadowing_sigma_db=0.0)
+        params = PathLossParams()
         values = [rss_at_distance(d, 800.5, params) for d in (10.0, 100.0, 1000.0)]
         assert values[0] > values[1] > values[2]
 
@@ -150,7 +176,7 @@ class TestSynthSweep:
             simulate_run(simple_scenario(transmitters=clash))
 
     def test_seeded_determinism(self):
-        scenario = simple_scenario(pathloss=PathLossParams(shadowing_sigma_db=4.0))
+        scenario = simple_scenario(shadowing_sigma_db=4.0)
         run1 = simulate_run(scenario)
         run2 = simulate_run(scenario)
         assert run1.sweeps == run2.sweeps
@@ -180,8 +206,9 @@ class TestScenarioValidation:
             (PathLossParams, "ref_distance_m", math.inf),
             (PathLossParams, "ref_distance_m", 1e-250),
             (PathLossParams, "ref_distance_m", 2e4),
-            (PathLossParams, "shadowing_sigma_db", math.nan),
-            (PathLossParams, "shadowing_sigma_db", math.inf),
+            (simple_scenario, "shadowing_sigma_db", -1.0),
+            (simple_scenario, "shadowing_sigma_db", math.nan),
+            (simple_scenario, "shadowing_sigma_db", math.inf),
             (simple_scenario, "speed_mps", math.nan),
             (simple_scenario, "cadence_s", math.nan),
             (simple_scenario, "hold_s", math.nan),
@@ -250,6 +277,9 @@ class TestScoring:
             score_run(run.truth, short)
         with pytest.raises(ShapeError, match="out of range"):
             score_run(run.truth, trajectory, [0, len(run.truth.samples)])
+        for indices in ([], [3]):
+            with pytest.raises(ShapeError, match="at least two waypoints"):
+                score_run(run.truth, trajectory, indices)
 
     def test_aligned_rmse_ignores_rotation_and_reflection(self):
         rng = np.random.default_rng(5)
