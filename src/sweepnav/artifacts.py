@@ -12,13 +12,15 @@ import math
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, ShapeError
 from .pipeline import Trajectory, TrajectoryStep
-from .simulator import GroundTruth
+from .simulator import GroundTruth, TruthSample
 
 TRAJECTORY_HEADER = [
     "k", "timestamp", "x_raw", "y_raw", "x_wma", "y_wma", "x_ekf", "y_ekf", "residual", "flags",
 ]
+TRUTH_HEADER = ["k", "timestamp", "x", "y"]
+WAYPOINTS_HEADER = ["k", "x", "y"]
 
 
 # one row: str() of the index, f"{v:.6f}" of each float (%-format gives the
@@ -50,19 +52,16 @@ def _read_rows(path, header: list[str], kind: str, parse) -> list:
             raise InputError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
 def _trajectory_step(row: list[str]) -> TrajectoryStep:
-    return TrajectoryStep(
-        index=int(row[0]),
-        timestamp=float(row[1]),
-        x_raw=float(row[2]),
-        y_raw=float(row[3]),
-        x_wma=float(row[4]),
-        y_wma=float(row[5]),
-        x_ekf=float(row[6]),
-        y_ekf=float(row[7]),
-        residual_norm=float(row[8]),
-        flags=tuple(f for f in row[9].split(";") if f),
-    )
+    # the timestamp and positions are scored, so they must be finite; a held row's residual is nan
+    return TrajectoryStep(int(row[0]), *map(_finite, row[1:8]), float(row[8]), tuple(f for f in row[9].split(";") if f))
 
 
 def read_trajectory_csv(path) -> Trajectory:
@@ -77,30 +76,29 @@ def write_csv(path, header: list[str], rows) -> None:
 
 
 def write_truth_csv(truth: GroundTruth, path) -> None:
-    write_csv(path, ["k", "timestamp", "x", "y"], ((k, *sample) for k, sample in enumerate(truth.samples)))
-
-
-def _finite(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"{text!r} is not a finite number")
-    return value
-
-
-def read_truth_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Returns (timestamps, positions) from a truth CSV; every value is finite."""
-    rows = _read_rows(path, ["k", "timestamp", "x", "y"], "truth", lambda row: [_finite(v) for v in row[1:]])
-    table = np.asarray(rows).reshape(len(rows), 3)
-    return table[:, 0], table[:, 1:]
+    write_csv(path, TRUTH_HEADER, ((k, *sample) for k, sample in enumerate(truth.samples)))
 
 
 def write_waypoints_csv(truth: GroundTruth, path) -> None:
     """Waypoint sample indices and true positions for later evaluation."""
-    write_csv(path, ["k", "x", "y"], ((k, truth.samples[k].x, truth.samples[k].y) for k in truth.waypoint_indices))
+    write_csv(path, WAYPOINTS_HEADER, ((k, truth.samples[k].x, truth.samples[k].y) for k in truth.waypoint_indices))
 
 
-def read_waypoints_csv(path) -> list[int]:
-    return _read_rows(path, ["k", "x", "y"], "waypoints", lambda row: int(row[0]))
+def read_ground_truth(truth_path, waypoints_path) -> GroundTruth:
+    """The inverse of write_truth_csv and write_waypoints_csv.
+
+    Every truth value must be finite (an InputError otherwise), and a waypoint
+    whose position is not that of the truth sample it indexes is a ShapeError.
+    """
+    samples = _read_rows(truth_path, TRUTH_HEADER, "truth", lambda row: TruthSample(*map(_finite, row[1:])))
+    waypoints = _read_rows(
+        waypoints_path, WAYPOINTS_HEADER, "waypoints", lambda row: (int(row[0]), float(row[1]), float(row[2]))
+    )
+    for k, x, y in waypoints:  # an index out of range is left to the scorer's checks
+        if 0 <= k < len(samples) and (x, y) != samples[k][1:]:
+            raise ShapeError(f"{waypoints_path}: waypoint {k} is at ({x:.6f}, {y:.6f}),"
+                             f" truth sample {k} at ({samples[k].x:.6f}, {samples[k].y:.6f})")
+    return GroundTruth(samples=tuple(samples), waypoint_indices=tuple(k for k, _, _ in waypoints))
 
 
 def summary_text(trajectory: Trajectory) -> str:

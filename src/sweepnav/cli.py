@@ -21,9 +21,9 @@ import numpy as np
 
 from . import artifacts
 from .config import load_config, load_scenario
-from .errors import ConfigError, InputError, ShapeError, SweepNavError
+from .errors import ConfigError, ShapeError, SweepNavError
 from .pipeline import run_pipeline
-from .simulator import rolling_spread, segment_errors, simulate_run, spread
+from .simulator import rolling_spread, score_run, simulate_run, spread
 from .sweeps import BandPlan, SweepRecord, parse_sweep_file, write_sweep_csv
 
 # exception -> (message prefix, exit code); the first match wins. A sweep
@@ -64,11 +64,9 @@ def run(sweeps, config_path, seed, out_dir):
     config = load_config(config_path)
     if seed is not None:
         config = replace(config, anchor_seed=seed)
-    # the records stream from the file into the pipeline; a late parse error
-    # still exits 2 before any output exists
+    # the records stream from the file into the pipeline; a late parse error,
+    # or a file with no sweep, still exits 2 before any output exists
     trajectory = run_pipeline(parse_sweep_file(sweeps, config.plan), config)
-    if not trajectory.steps and not trajectory.skipped_sweeps:  # every sweep is a step or skipped
-        raise InputError(f"{sweeps}: no sweeps")
     if not trajectory.steps:
         selected = " ".join(map(str, trajectory.selected_bands)) or "none"
         raise SweepNavError(f"no fix in {trajectory.skipped_sweeps} sweeps; selected bands: {selected}")
@@ -111,27 +109,25 @@ def simulate(scenario, seed, out_dir):
 def eval_cmd(truth, trajectory, waypoints_path, out_dir, config_path, sweeps_path,
              npl_list, txcount_list, window_list):
     """Score a trajectory against ground truth at waypoints."""
-    _, truth_xy = artifacts.read_truth_csv(truth)
-    track = artifacts.read_trajectory_csv(trajectory)
-    indices = artifacts.read_waypoints_csv(waypoints_path)
-    truth_lengths, rows = segment_errors(truth_xy, track, indices)
+    ground_truth = artifacts.read_ground_truth(truth, waypoints_path)
+    scored = score_run(ground_truth, artifacts.read_trajectory_csv(trajectory)).segments
     grid = None
     if npl_list or txcount_list or window_list:
-        grid, unscored = _eval_grid(truth_xy, indices, config_path, sweeps_path, npl_list, txcount_list, window_list)
+        grid, unscored = _eval_grid(ground_truth, config_path, sweeps_path, npl_list, txcount_list, window_list)
 
     # every input is read and every grid run done: only now is --out written
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     artifacts.write_csv(out / "report.csv", ["estimator", "segment", "est_m", "truth_m", "percent_diff"], [
         (estimator, i + 1, seg.estimated_m, seg.truth_m, seg.percent_diff)
-        for estimator, segments in rows.items() for i, seg in enumerate(segments)
+        for estimator, segments in scored.items() for i, seg in enumerate(segments)
     ])
 
-    names = [f"S{i + 1}" for i in range(len(truth_lengths))]
+    names = [f"S{i + 1}" for i in range(len(scored["raw"]))]
     click.echo("estimator  " + "  ".join(f"{n:>12}" for n in names))
-    click.echo("truth      " + "  ".join(f"{t:>9.0f}/0.00" for t in truth_lengths))
+    click.echo("truth      " + "  ".join(f"{s.truth_m:>9.0f}/0.00" for s in scored["raw"]))
     for estimator in ("wma", "ekf", "raw"):
-        cells = [f"{s.estimated_m:.0f}/{s.percent_diff:.2f}" for s in rows[estimator]]
+        cells = [f"{s.estimated_m:.0f}/{s.percent_diff:.2f}" for s in scored[estimator]]
         click.echo(f"{estimator:<9}  " + "  ".join(f"{c:>12}" for c in cells))
 
     if grid is not None:
@@ -149,7 +145,7 @@ def _parse_list(text, cast, default):
         raise ConfigError(f"bad list {text!r}") from None
 
 
-def _eval_grid(truth_xy, indices, config_path, sweeps_path, npl_list, txcount_list, window_list) -> tuple[list, int]:
+def _eval_grid(truth, config_path, sweeps_path, npl_list, txcount_list, window_list) -> tuple[list, int]:
     """The grid report's rows and its count of cells with no fix. Every config
     is built and the sweeps read before the first run, so a bad grid argument
     fails before any output; a cell with no fix holds nan and a note saying why."""
@@ -169,15 +165,13 @@ def _eval_grid(truth_xy, indices, config_path, sweeps_path, npl_list, txcount_li
         for npl in npls for window in windows for count in counts
     ]
     records = list(parse_sweep_file(sweeps_path, base.plan))
-    if not records:
-        raise InputError(f"{sweeps_path}: no sweeps")
 
     grid_rows, unscored = [], 0
     for npl, window, count, config in configs:
         trajectory = run_pipeline(records, config)
         note = ""
         if trajectory.steps:
-            _, segments = segment_errors(truth_xy, trajectory, indices)
+            segments = score_run(truth, trajectory).segments
             scores = {e: [(s.estimated_m, s.percent_diff) for s in segments[e]] for e in ("wma", "ekf")}
         else:  # no comma in a note: it stays one CSV field
             if trajectory.selected_bands:
@@ -185,7 +179,7 @@ def _eval_grid(truth_xy, indices, config_path, sweeps_path, npl_list, txcount_li
             else:
                 common = set.intersection(*(set(r.rss_by_id) for r in records))
                 note = f"no fix: {count} bands asked; {len(common)} in every sweep"
-            scores = dict.fromkeys(("wma", "ekf"), [(math.nan, math.nan)] * (len(indices) - 1))
+            scores = dict.fromkeys(("wma", "ekf"), [(math.nan, math.nan)] * (len(truth.waypoint_indices) - 1))
             unscored += 1
         for estimator in ("wma", "ekf"):
             for i, (est, pct) in enumerate(scores[estimator]):
@@ -220,8 +214,6 @@ def convergence(source, config_path, seed, out_dir):
         records = list(simulate_run(load_scenario(source, seed), config.plan).sweeps)
     else:
         records = list(parse_sweep_file(source, config.plan))
-    if not records:
-        raise InputError(f"{source}: no sweeps")
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -262,16 +262,23 @@ class RunScore:
     rmse_m: dict[str, float]
 
 
-def score_run(
-    truth: GroundTruth,
-    trajectory: Trajectory,
-    waypoint_indices: Sequence[int] | None = None,
-) -> RunScore:
-    """Segment errors and aligned RMSE of each estimator."""
+def score_run(truth: GroundTruth, trajectory: Trajectory) -> RunScore:
+    """Segment errors, keyed "raw", "wma" and "ekf" in that order, and aligned RMSE of each estimator.
+
+    A trajectory without one row per truth sample, or with a row more than a
+    microsecond (the stamp both files hold) from its sample's time, is a
+    ShapeError, as are the index and length faults ``segment_error_report`` rejects.
+    """
     truth_xy = truth.positions()
-    _, segments = segment_errors(
-        truth_xy, trajectory, truth.waypoint_indices if waypoint_indices is None else waypoint_indices
-    )
+    if len(trajectory.steps) != len(truth_xy):
+        raise ShapeError(f"trajectory has {len(trajectory.steps)} rows, truth has {len(truth_xy)}")
+    for k, (step, sample) in enumerate(zip(trajectory.steps, truth.samples)):
+        # two stamps of one sweep may round a microsecond apart; two ulps cover the floats
+        if not abs(step.timestamp - sample.timestamp) <= 1e-6 + 2 * math.ulp(sample.timestamp):
+            raise ShapeError(f"trajectory row {k} is at {step.timestamp:.6f} s, truth at {sample.timestamp:.6f} s")
+    indices = _checked_waypoints(truth.waypoint_indices, len(truth_xy))
+    truth_lengths = segment_lengths(truth_xy, indices)
+    segments = {e: segment_error_report(trajectory.positions(e), indices, truth_lengths) for e in ("raw", "wma", "ekf")}
     return RunScore(
         segments=segments,
         rmse_m={e: aligned_rmse(trajectory.positions(e), truth_xy) for e in segments},
@@ -296,25 +303,6 @@ def _checked_waypoints(waypoint_indices: Sequence[int], count: int) -> list[int]
     if indices and (indices[0] < 0 or indices[-1] >= count):
         raise ShapeError("waypoint index out of range")
     return indices
-
-
-def segment_errors(
-    truth_xy: np.ndarray, trajectory: Trajectory, waypoint_indices: Sequence[int]
-) -> tuple[np.ndarray, dict[str, list[SegmentError]]]:
-    """True lengths of the segments between waypoints, and each estimator's errors.
-
-    The errors are keyed "raw", "wma" and "ekf", in that order. A trajectory
-    without one row per truth sample is a ShapeError, as are the index and
-    length faults ``segment_error_report`` rejects.
-    """
-    if len(trajectory.steps) != len(truth_xy):
-        raise ShapeError(f"trajectory has {len(trajectory.steps)} rows, truth has {len(truth_xy)}")
-    indices = _checked_waypoints(waypoint_indices, len(truth_xy))
-    truth_lengths = segment_lengths(truth_xy, indices)
-    return truth_lengths, {
-        estimator: segment_error_report(trajectory.positions(estimator), indices, truth_lengths)
-        for estimator in ("raw", "wma", "ekf")
-    }
 
 
 def segment_error_report(
@@ -358,7 +346,10 @@ def aligned_rmse(estimated: np.ndarray, truth: np.ndarray) -> float:
         raise ValueError("estimated and truth must have the same shape")
     est_c = est - est.mean(axis=0)
     tru_c = tru - tru.mean(axis=0)
-    u, _, vt = np.linalg.svd(est_c.T @ tru_c)
+    cross = est_c.T @ tru_c
+    if not np.isfinite(cross).all():  # positions near the float limit overflow the fit
+        return math.inf
+    u, _, vt = np.linalg.svd(cross)
     rotation = u @ vt
     aligned = est_c @ rotation
     return float(np.sqrt(np.mean(np.sum((aligned - tru_c) ** 2, axis=1))))
@@ -382,7 +373,7 @@ def auto_transmitters(
     freqs_mhz: Sequence[float],
     seed: int,
     bbox: Bbox,
-    power_dbm: float = 43.0,
+    power_dbm: float = PathLossParams.tx_power_dbm,
     plan: BandPlan | None = None,
 ) -> tuple[Transmitter, ...]:
     """Seeded random transmitter layout, one per carrier frequency.

@@ -26,9 +26,9 @@ import re
 from collections import deque
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Generator, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .errors import ConfigError, InsufficientAnchorsError, MissingBandError, SweepParseError
+from .errors import ConfigError, InputError, InsufficientAnchorsError, MissingBandError, SweepParseError
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _EPOCH_DAY = _EPOCH.toordinal()
@@ -219,12 +219,13 @@ def format_timestamp(timestamp: float) -> tuple[str, str]:
     return stamp.date().isoformat(), stamp.strftime("%H:%M:%S.%f")
 
 
-def parse_sweep_lines(lines: Iterable[str], plan: BandPlan) -> Iterator[SweepRecord]:
+def parse_sweep_lines(lines: Iterable[str], plan: BandPlan) -> Generator[SweepRecord, None, bool]:
     """Yield one SweepRecord per group of rows sharing a timestamp.
 
     Raises SweepParseError (with the offending line number) on malformed
     rows, on a dB value beyond +-MAX_ABS_DB, and on a sweep whose timestamp
-    is not later than the previous sweep's. An empty input yields nothing.
+    is not later than the previous sweep's. An empty input yields nothing;
+    the generator returns whether it yielded a sweep.
     """
     band_at, limit = plan.band_at, MAX_ABS_DB
     date_text = time_text = None  # the raw timestamp fields of the last row
@@ -312,16 +313,19 @@ def parse_sweep_lines(lines: Iterable[str], plan: BandPlan) -> Iterator[SweepRec
 
     if pending_key is not None:
         yield finish()
+    return pending_key is not None
 
 
 def parse_sweep_file(path, plan: BandPlan) -> Iterator[SweepRecord]:
-    """Stream SweepRecords from a sweep CSV file; a parse error names the file."""
+    """Stream SweepRecords from a sweep CSV file; a parse error, or a file with no sweep, names the file."""
     # a non-ASCII byte decodes to a lone surrogate, which no field accepts
     with open(path, "r", encoding="ascii", errors="surrogateescape") as handle:
         try:
-            yield from parse_sweep_lines(handle, plan)
+            swept = yield from parse_sweep_lines(handle, plan)
         except SweepParseError as exc:
             raise SweepParseError(exc.line_no, exc.message, path) from None
+    if not swept:
+        raise InputError(f"{path}: no sweeps")
 
 
 def format_sweep_lines(records: Iterable[SweepRecord], plan: BandPlan) -> Iterator[str]:

@@ -1,17 +1,20 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sweepnav.artifacts import (
     TRAJECTORY_HEADER,
+    read_ground_truth,
     read_trajectory_csv,
     write_csv,
     write_trajectory_csv,
     write_truth_csv,
     write_waypoints_csv,
 )
+from sweepnav.errors import InputError, ShapeError
 from sweepnav.pipeline import Trajectory, TrajectoryStep
 from sweepnav.simulator import GroundTruth, TruthSample
 
@@ -58,11 +61,30 @@ class TestTrajectoryCsv:
         assert path.read_bytes() == reference_trajectory_bytes(trajectory)
 
     def test_round_trip_keeps_flags(self, tmp_path):
+        # row 2's positions are +-inf, which a scored trajectory may not hold: the reader rejects them
         path = tmp_path / "trajectory.csv"
         write_trajectory_csv(Trajectory(steps=EDGE_STEPS), path)
+        with pytest.raises(InputError, match=f"{path}: line 4: 'inf' is not a finite number"):
+            read_trajectory_csv(path)
+        finite = EDGE_STEPS[:2] + EDGE_STEPS[3:]
+        write_trajectory_csv(Trajectory(steps=finite), path)
         read = read_trajectory_csv(path)
-        assert [s.flags for s in read.steps] == [s.flags for s in EDGE_STEPS]
-        assert [s.index for s in read.steps] == [0, 1, 2, 12345]
+        assert [s.flags for s in read.steps] == [s.flags for s in finite]
+        assert [s.index for s in read.steps] == [0, 1, 12345]
+        assert [math.isnan(s.residual_norm) for s in read.steps] == [True, True, False]
+
+    @pytest.mark.parametrize("column", range(1, 8))
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_time_or_position_is_rejected(self, tmp_path, column, cell):
+        path = tmp_path / "trajectory.csv"
+        write_trajectory_csv(Trajectory(steps=EDGE_STEPS[:2]), path)
+        lines = path.read_text(encoding="ascii").splitlines()
+        fields = lines[2].split(",")
+        fields[column] = cell
+        lines[2] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n", encoding="ascii")
+        with pytest.raises(InputError, match=f"line 3: '{cell}' is not a finite number"):
+            read_trajectory_csv(path)
 
 
 def old_series_cell(value):
@@ -127,3 +149,34 @@ class TestWriteCsv:
         write_csv(path, ["estimator", "segment", "est_m"], [("wma", 1, v) for v in values])
         assert path.read_bytes().splitlines()[1:] == [
             b"wma,1,nan", b"wma,1,inf", b"wma,1,-inf", b"wma,1,-0.000000", b"wma,1,2.500000"]
+
+
+# a value as truth.csv holds it: six fractional digits, so it reads back bit for bit
+WRITTEN = st.floats(min_value=-1e9, max_value=1e9).map(lambda v: float(f"{v:.6f}"))
+
+
+class TestGroundTruthCsv:
+    @settings(max_examples=60, deadline=None)
+    @given(samples=st.lists(st.tuples(WRITTEN, WRITTEN, WRITTEN), min_size=1, max_size=6), data=st.data())
+    def test_reads_back_what_the_writers_wrote(self, tmp_path_factory, samples, data):
+        indices = data.draw(st.lists(st.integers(0, len(samples) - 1), max_size=4).map(sorted))
+        truth = GroundTruth(samples=tuple(TruthSample(*s) for s in samples), waypoint_indices=tuple(indices))
+        root = tmp_path_factory.mktemp("csv")
+        write_truth_csv(truth, root / "truth.csv")
+        write_waypoints_csv(truth, root / "waypoints.csv")
+        assert read_ground_truth(root / "truth.csv", root / "waypoints.csv") == truth
+
+    @pytest.mark.parametrize("moved", ["1,0.000000,5.000000", "1,0.000001,0.000000", "1,nan,nan"])
+    def test_waypoint_off_its_truth_sample_is_a_shape_error(self, tmp_path, moved):
+        truth = GroundTruth(samples=(TruthSample(0.0, 0.0, 0.0), TruthSample(1.0, 0.0, 0.0)), waypoint_indices=(0, 1))
+        write_truth_csv(truth, tmp_path / "truth.csv")
+        (tmp_path / "waypoints.csv").write_text(f"k,x,y\n0,0.000000,0.000000\n{moved}\n", encoding="ascii")
+        with pytest.raises(ShapeError, match="waypoint 1 is at .*, truth sample 1 at \\(0.000000, 0.000000\\)"):
+            read_ground_truth(tmp_path / "truth.csv", tmp_path / "waypoints.csv")
+
+    def test_index_out_of_range_is_left_to_the_scorer(self, tmp_path):
+        truth = GroundTruth(samples=(TruthSample(0.0, 0.0, 0.0),), waypoint_indices=(0,))
+        write_truth_csv(truth, tmp_path / "truth.csv")
+        (tmp_path / "waypoints.csv").write_text("k,x,y\n-1,1.0,1.0\n0,0.0,0.0\n7,1.0,1.0\n", encoding="ascii")
+        read = read_ground_truth(tmp_path / "truth.csv", tmp_path / "waypoints.csv")
+        assert read.waypoint_indices == (-1, 0, 7)

@@ -546,6 +546,39 @@ class TestEval:
         assert result.exit_code == 4, (result.output, result.exception)
         assert "shape error: need at least two waypoints" in result.output and not out.exists()
 
+    @pytest.mark.parametrize("grid", [[], ["--npl-list", "2.8"]])
+    def test_truth_of_another_time_is_exit_4(self, runner, artifacts, tmp_path, grid):
+        # every truth time 5,000 s later: the trajectory is of another capture
+        sim, run_dir = artifacts
+        truth, out = tmp_path / "truth.csv", tmp_path / "eval"
+        header, *rows = (sim / "truth.csv").read_text(encoding="ascii").splitlines()
+        shifted = [f"{k},{float(t) + 5000:.6f},{x},{y}" for k, t, x, y in (row.split(",") for row in rows)]
+        truth.write_text("\n".join([header, *shifted]) + "\n", encoding="ascii")
+        result = runner.invoke(main, [
+            "eval", str(truth), str(run_dir / "trajectory.csv"), "--waypoints", str(sim / "waypoints.csv"),
+            "--out", str(out), "--sweeps", str(sim / "sweeps.csv"), *grid,
+        ])
+        assert result.exit_code == 4, (result.output, result.exception)
+        assert "shape error: trajectory row 0 is at 0.000000 s, truth at 5000.000000 s" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid", [[], ["--npl-list", "2.8"]])
+    def test_waypoints_off_the_truth_are_exit_4(self, runner, artifacts, tmp_path, grid):
+        # every waypoint position nan: the file names no truth sample
+        sim, run_dir = artifacts
+        waypoints, out = tmp_path / "waypoints.csv", tmp_path / "eval"
+        header, *rows = (sim / "waypoints.csv").read_text(encoding="ascii").splitlines()
+        waypoints.write_text("\n".join([header, *(row.split(",")[0] + ",nan,nan" for row in rows)]) + "\n",
+                             encoding="ascii")
+        result = runner.invoke(main, [
+            "eval", str(sim / "truth.csv"), str(run_dir / "trajectory.csv"), "--waypoints", str(waypoints),
+            "--out", str(out), "--sweeps", str(sim / "sweeps.csv"), *grid,
+        ])
+        assert result.exit_code == 4, (result.output, result.exception)
+        assert f"shape error: {waypoints}: waypoint 0 is at (nan, nan), truth sample 0 at (0.000000, 0.000000)" \
+            in result.output
+        assert not out.exists()
+
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
     def test_non_finite_truth_is_exit_2(self, runner, artifacts, tmp_path, cell):
         sim, run_dir = artifacts
@@ -688,14 +721,16 @@ class TestEval:
         assert "shape error" in result.output
 
     def test_zero_length_truth_segment_exit_4(self, runner, artifacts, tmp_path):
+        # truth samples 3 and 4 at one position; the waypoint rows carry that position
         sim, run_dir = artifacts
-        bad = tmp_path / "wp.csv"
-        bad.write_text("k,x,y\n3,0.0,0.0\n4,0.0,0.0\n", encoding="ascii")
         truth = tmp_path / "truth.csv"
         lines = (sim / "truth.csv").read_text().splitlines()
         k, t, _, _ = lines[5].split(",")
         lines[5] = ",".join([k, t] + lines[4].split(",")[2:])
         truth.write_text("\n".join(lines) + "\n", encoding="ascii")
+        bad = tmp_path / "wp.csv"
+        position = ",".join(lines[4].split(",")[2:])
+        bad.write_text(f"k,x,y\n3,{position}\n4,{position}\n", encoding="ascii")
         result = runner.invoke(
             main,
             [
@@ -766,20 +801,20 @@ class TestEval:
         assert result.exit_code == 2
 
     def test_perfect_trajectory_scores_all_zero(self, runner, artifacts, tmp_path):
-        from sweepnav.artifacts import read_truth_csv, write_trajectory_csv
+        from sweepnav.artifacts import read_ground_truth, write_trajectory_csv
         from sweepnav.pipeline import Trajectory, TrajectoryStep
 
         sim, _ = artifacts
-        timestamps, truth_xy = read_truth_csv(sim / "truth.csv")
+        truth = read_ground_truth(sim / "truth.csv", sim / "waypoints.csv")
         steps = tuple(
             TrajectoryStep(
-                index=i, timestamp=float(t),
-                x_raw=float(p[0]), y_raw=float(p[1]),
-                x_wma=float(p[0]), y_wma=float(p[1]),
-                x_ekf=float(p[0]), y_ekf=float(p[1]),
+                index=i, timestamp=t,
+                x_raw=x, y_raw=y,
+                x_wma=x, y_wma=y,
+                x_ekf=x, y_ekf=y,
                 residual_norm=0.0,
             )
-            for i, (t, p) in enumerate(zip(timestamps, truth_xy))
+            for i, (t, x, y) in enumerate(truth.samples)
         )
         perfect = tmp_path / "perfect.csv"
         write_trajectory_csv(Trajectory(steps=steps), perfect)
@@ -1045,15 +1080,25 @@ ARTIFACT_CELLS = [b"nan", b"inf", b"-inf", b"-1", b"", b"1e400", b"1.7e308", b"-
                   b"caf\xc3\xa9", b"\xff"]
 
 
+def shifted(line):
+    fields = line.split(b",")
+    try:
+        fields[1] = b"%.6f" % (float(fields[1]) + 5000)
+    except (IndexError, ValueError):  # a cell an earlier edit damaged stays as it is
+        pass
+    return b",".join(fields)
+
+
 @st.composite
 def fuzzed_artifact(draw, lines):
-    """An artifact's rows with a few edits: a cell replaced, a run of rows dropped or a row repeated."""
+    """An artifact's rows with a few edits: a cell replaced, a run of rows dropped, a row repeated,
+    every row's second cell moved by 5,000 or every row's last two cells made nan."""
     lines = list(lines)
     for _ in range(draw(st.integers(min_value=1, max_value=3))):
         if not lines:
             break
         row = draw(st.integers(min_value=0, max_value=len(lines) - 1))
-        edit = draw(st.sampled_from(["cell", "drop", "repeat"]))
+        edit = draw(st.sampled_from(["cell", "drop", "repeat", "shift", "nan"]))
         if edit == "cell":
             fields = lines[row].split(b",")
             fields[draw(st.integers(min_value=0, max_value=len(fields) - 1))] = draw(
@@ -1062,8 +1107,12 @@ def fuzzed_artifact(draw, lines):
             lines[row] = b",".join(fields)
         elif edit == "drop":
             del lines[row:row + draw(st.integers(min_value=1, max_value=3))]
-        else:
+        elif edit == "repeat":
             lines.insert(row, lines[row])
+        elif edit == "shift":  # every row's second cell 5,000 later: truth or trajectory times of another capture
+            lines[1:] = [shifted(line) for line in lines[1:]]
+        else:  # every row's last two cells nan: waypoint or truth positions that name no sample
+            lines[1:] = [b",".join(line.split(b",")[:-2] + [b"nan", b"nan"]) for line in lines[1:]]
     return b"".join(line + b"\n" for line in lines)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -19,7 +20,9 @@ from sweepnav import (
 from sweepnav.errors import ConfigError, ShapeError
 from sweepnav.pathloss import free_space_pl0, invert_distance, rss_at_distance
 from sweepnav.pipeline import Trajectory, TrajectoryStep
-from sweepnav.simulator import aligned_rmse, rolling_spread, spread
+from sweepnav.simulator import (
+    DEFAULT_TX_BBOX, DEFAULT_TX_FREQS_MHZ, aligned_rmse, auto_transmitters, rolling_spread, spread,
+)
 from sweepnav.sweeps import format_timestamp
 
 FOUR_TX = (
@@ -276,10 +279,31 @@ class TestScoring:
         with pytest.raises(ShapeError, match="rows, truth has"):
             score_run(run.truth, short)
         with pytest.raises(ShapeError, match="out of range"):
-            score_run(run.truth, trajectory, [0, len(run.truth.samples)])
-        for indices in ([], [3]):
+            score_run(dataclasses.replace(run.truth, waypoint_indices=(0, len(run.truth.samples))), trajectory)
+        for indices in ((), (3,)):
             with pytest.raises(ShapeError, match="at least two waypoints"):
-                score_run(run.truth, trajectory, indices)
+                score_run(dataclasses.replace(run.truth, waypoint_indices=indices), trajectory)
+
+    @pytest.mark.parametrize("shift", [5000.0, -2e-6, 1.5e-6])
+    def test_row_off_its_truth_time_is_a_shape_error(self, shift):
+        run = simulate_run(simple_scenario())
+        times = [s.timestamp for s in run.truth.samples]
+        times[4] += shift
+        trajectory = trajectory_from(run.truth.positions(), times)
+        with pytest.raises(ShapeError, match=f"trajectory row 4 is at {times[4]:.6f} s, truth at 4.000000 s"):
+            score_run(run.truth, trajectory)
+
+    @pytest.mark.parametrize("start", [0.0, 1.6725312e9, 2.5e11])
+    def test_rows_a_microsecond_off_as_written_still_score(self, start):
+        # %.6f and format_timestamp may round one time a microsecond apart; the decimals read
+        # back differ by a microsecond plus float spacing, which is not a shape error
+        run = simulate_run(simple_scenario())
+        truth = dataclasses.replace(run.truth, samples=tuple(
+            s._replace(timestamp=float(f"{start + k:.6f}")) for k, s in enumerate(run.truth.samples)))
+        for step in (1e-6, -1e-6):
+            times = [float(f"{s.timestamp + step:.6f}") for s in truth.samples]
+            result = score_run(truth, trajectory_from(truth.positions(), times))
+            assert all(seg.percent_diff == 0.0 for seg in result.segments["ekf"])
 
     def test_aligned_rmse_ignores_rotation_and_reflection(self):
         rng = np.random.default_rng(5)
@@ -289,6 +313,13 @@ class TestScoring:
         mirrored = points @ np.diag([1.0, -1.0])
         assert aligned_rmse(points @ rot.T + 7.5, points) == pytest.approx(0.0, abs=1e-9)
         assert aligned_rmse(mirrored, points) == pytest.approx(0.0, abs=1e-9)
+
+    def test_aligned_rmse_of_positions_near_the_float_limit_is_inf(self):
+        # the centred cross product overflows; the SVD would not converge on it
+        points = np.zeros((5, 2))
+        points[1:3, 0] = 1.7e308
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert aligned_rmse(points, np.arange(10.0).reshape(5, 2)) == math.inf
 
     def test_spread_of_constant_cloud_is_zero(self):
         assert spread(np.tile([3.0, -2.0], (10, 1))) == 0.0
@@ -351,3 +382,7 @@ class TestPresets:
     def test_too_many_transmitters_requested(self):
         with pytest.raises(ConfigError):
             route_scenario(seed=0, tx_count=99)
+
+    def test_auto_layout_radiates_the_pathloss_default_power(self):
+        layout = auto_transmitters(DEFAULT_TX_FREQS_MHZ, seed=3, bbox=DEFAULT_TX_BBOX)
+        assert {tx.power_dbm for tx in layout} == {PathLossParams().tx_power_dbm}

@@ -23,7 +23,7 @@ from sweepnav import (
     select_transmit_bands,
 )
 from sweepnav.config import load_config
-from sweepnav.errors import ConfigError
+from sweepnav.errors import ConfigError, InputError
 from sweepnav.pipeline import PipelineConfig
 from sweepnav.sweeps import (
     CLAMP_FREE_SPREAD,
@@ -102,6 +102,22 @@ class TestParsing:
     def test_empty_input_yields_nothing(self, small_plan):
         assert parse_all([], small_plan) == []
         assert parse_all(["", "# comment"], small_plan) == []
+
+    @pytest.mark.parametrize("lines, swept", [([], False), (["", "# comment"], False),
+                                              (["2023-01-01, 12:00:00, 0, 1000000, 1000000, 1, -60.0"], True)])
+    def test_generator_returns_whether_it_yielded(self, small_plan, lines, swept):
+        parser, records = parse_sweep_lines(lines, small_plan), []
+        with pytest.raises(StopIteration) as stop:
+            while True:
+                records.append(next(parser))
+        assert stop.value.value is swept and len(records) == swept
+
+    @pytest.mark.parametrize("text", ["", "# only a comment\n\n"])
+    def test_file_without_sweeps_raises(self, small_plan, tmp_path, text):
+        path = tmp_path / "empty.csv"
+        path.write_text(text, encoding="ascii")
+        with pytest.raises(InputError, match=f"{path}: no sweeps"):
+            list(parse_sweep_file(path, small_plan))
 
     def test_out_of_plan_bins_are_skipped(self, small_plan):
         # plan tops out at 10 MHz; a 15 MHz slice contributes nothing
