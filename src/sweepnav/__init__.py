@@ -12,6 +12,7 @@ from .ekf import EkfTracker, Landmark, NoiseConfig
 from .errors import (
     ConfigError,
     DegenerateGeometryError,
+    FilterDivergenceError,
     InputError,
     InsufficientAnchorsError,
     MissingBandError,
@@ -29,7 +30,6 @@ from .pipeline import (
     Trajectory,
     TrajectoryStep,
     assign_anchor_frame,
-    derive_velocity,
     run_pipeline,
 )
 from .simulator import (
@@ -52,7 +52,6 @@ from .sweeps import (
     BandSample,
     SweepRecord,
     SweepWindow,
-    band_mean,
     parse_sweep_file,
     parse_sweep_lines,
     select_transmit_bands,

@@ -110,7 +110,7 @@ def eval_cmd(truth, trajectory, waypoints_path, out_dir, config_path, sweeps_pat
              npl_list, txcount_list, window_list):
     """Score a trajectory against ground truth at waypoints."""
     ground_truth = artifacts.read_ground_truth(truth, waypoints_path)
-    scored = score_run(ground_truth, artifacts.read_trajectory_csv(trajectory)).segments
+    score = score_run(ground_truth, artifacts.read_trajectory_csv(trajectory))
     grid = None
     if npl_list or txcount_list or window_list:
         grid, unscored = _eval_grid(ground_truth, config_path, sweeps_path, npl_list, txcount_list, window_list)
@@ -120,14 +120,15 @@ def eval_cmd(truth, trajectory, waypoints_path, out_dir, config_path, sweeps_pat
     out.mkdir(parents=True, exist_ok=True)
     artifacts.write_csv(out / "report.csv", ["estimator", "segment", "est_m", "truth_m", "percent_diff"], [
         (estimator, i + 1, seg.estimated_m, seg.truth_m, seg.percent_diff)
-        for estimator, segments in scored.items() for i, seg in enumerate(segments)
+        for estimator, segments in score.segments.items() for i, seg in enumerate(segments)
     ])
 
-    names = [f"S{i + 1}" for i in range(len(scored["raw"]))]
-    click.echo("estimator  " + "  ".join(f"{n:>12}" for n in names))
-    click.echo("truth      " + "  ".join(f"{s.truth_m:>9.0f}/0.00" for s in scored["raw"]))
+    names = [f"S{i + 1}" for i in range(len(score.segments["raw"]))]
+    click.echo("estimator  " + "  ".join(f"{n:>12}" for n in names + ["rmse_m"]))
+    click.echo("truth      " + "  ".join(f"{s.truth_m:>9.0f}/0.00" for s in score.segments["raw"]))
     for estimator in ("wma", "ekf", "raw"):
-        cells = [f"{s.estimated_m:.0f}/{s.percent_diff:.2f}" for s in scored[estimator]]
+        cells = [f"{s.estimated_m:.0f}/{s.percent_diff:.2f}" for s in score.segments[estimator]]
+        cells.append(f"{score.rmse_m[estimator]:.1f}")
         click.echo(f"{estimator:<9}  " + "  ".join(f"{c:>12}" for c in cells))
 
     if grid is not None:

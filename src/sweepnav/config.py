@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .ekf import NoiseConfig
 from .errors import ConfigError
 from .pathloss import PathLossParams
@@ -105,7 +103,7 @@ CONFIG_FIELDS = {
     "smoother.kind": ("smoother", "kind", lambda key, text: text),
     "smoother.window": ("smoother", "window", _int),
     "smoother.weights": ("smoother", "weights", _list()),
-    "ekf.q_diag": ("noise", "q", _list(2, np.diag)),
+    "ekf.q_diag": ("noise", "q", _list(2, lambda d: ((d[0], 0.0), (0.0, d[1])))),
     "ekf.r": ("noise", "r", _float),
     "ekf.p0": ("pipeline", "p0_var", _float),
     "anchor.seed": ("pipeline", "anchor_seed", _int),

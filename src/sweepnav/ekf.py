@@ -15,10 +15,9 @@ DEFAULT_MIN_RANGE of the state is skipped.
 
 Both steps are closed-form float kernels, ``predict`` and ``update``, over
 the term tuple (x, y, p00, p01, p11): the position and the independent
-terms of the symmetric covariance, so P stays exactly symmetric. The
-covariance is checked for symmetry where it enters (tracker start) and for
-positive semi-definiteness once per step: at tracker start and in every
-prediction.
+terms of the symmetric covariance, so P stays exactly symmetric. Q and P0
+pass one check, ``_covariance_terms``; a prediction whose P is no longer
+positive semi-definite raises FilterDivergenceError.
 """
 
 from __future__ import annotations
@@ -27,9 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-import numpy as np
-
-from .errors import SingularGeometryError
+from .errors import FilterDivergenceError, SingularGeometryError
 
 SYMMETRY_TOL = 1e-9
 PSD_TOL = -1e-9
@@ -44,26 +41,16 @@ class Landmark(NamedTuple):
 
 @dataclass(frozen=True)
 class NoiseConfig:
-    """Process covariance Q (2x2) and scalar range variance R."""
+    """Process covariance Q (2x2, kept as float pairs) and scalar range variance R."""
 
-    q: np.ndarray = None
+    q: tuple[tuple[float, float], tuple[float, float]] = ((0.1, 0.0), (0.0, 0.1))
     r: float = 0.01
 
     def __post_init__(self):
-        q = np.eye(2) * 0.1 if self.q is None else np.asarray(self.q, dtype=float).reshape(2, 2)
-        object.__setattr__(self, "q", q)
-        if not np.allclose(q, q.T, atol=SYMMETRY_TOL):
-            raise ValueError("Q must be symmetric")
-        if _min_eig(*_upper(q)) < PSD_TOL:
-            raise ValueError("Q must be positive semi-definite")
+        q00, q01, q11 = _covariance_terms("Q", self.q)
+        object.__setattr__(self, "q", ((q00, q01), (q01, q11)))
         if not self.r > 0:
             raise ValueError("R must be positive")
-
-    def __eq__(self, other):
-        # Q is an array, whose elementwise == has no single truth value
-        if not isinstance(other, NoiseConfig):
-            return NotImplemented
-        return self.r == other.r and np.array_equal(self.q, other.q)
 
 
 class TrackStep(NamedTuple):
@@ -83,14 +70,18 @@ def _min_eig(a: float, b: float, c: float) -> float:
     return (a + c) / 2.0 - math.hypot((a - c) / 2.0, b)
 
 
-def _upper(matrix: np.ndarray) -> tuple[float, float, float]:
-    """(m00, m01, m11) of a 2x2 matrix, the off-diagonal averaged."""
-    return float(matrix[0, 0]), float(matrix[0, 1] + matrix[1, 0]) / 2.0, float(matrix[1, 1])
-
-
-def _require_psd(p00: float, p01: float, p11: float) -> None:
-    if _min_eig(p00, p01, p11) < PSD_TOL:
-        raise ValueError("covariance must be positive semi-definite")
+def _covariance_terms(name: str, matrix) -> tuple[float, float, float]:
+    """(m00, m01, m11) of a 2x2 matrix given as two rows, the off-diagonal averaged:
+    the one check of Q and P0, which must be finite, symmetric and PSD."""
+    try:
+        (m00, m01), (m10, m11) = ((float(a), float(b)) for a, b in matrix)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a 2x2 matrix of numbers") from None
+    terms = (m00, (m01 + m10) / 2.0, m11)
+    # a NaN or infinite entry fails one of the two comparisons
+    if not (abs(m01 - m10) <= SYMMETRY_TOL and _min_eig(*terms) >= PSD_TOL):
+        raise ValueError(f"{name} must be finite, symmetric and positive semi-definite")
+    return terms
 
 
 def predict(terms: Terms, dt: float, ux: float, uy: float, q: tuple[float, float, float]) -> Terms:
@@ -98,7 +89,8 @@ def predict(terms: Terms, dt: float, ux: float, uy: float, q: tuple[float, float
     if dt <= 0:
         raise ValueError("timestep must be positive")
     x, y, p00, p01, p11 = terms
-    _require_psd(p00, p01, p11)
+    if not _min_eig(p00, p01, p11) >= PSD_TOL:
+        raise FilterDivergenceError("filter diverged: its covariance is not positive semi-definite")
     return (x + dt * ux, y + dt * uy, p00 + q[0], p01 + q[1], p11 + q[2])
 
 
@@ -137,15 +129,10 @@ class EkfTracker:
     call, so a caller can observe every covariance change by wrapping them.
     """
 
-    def __init__(self, x0: Sequence[float], p0: np.ndarray, noise: NoiseConfig):
-        x, y = np.asarray(x0, dtype=float).reshape(2)
-        p0 = np.asarray(p0, dtype=float).reshape(2, 2)
-        if abs(p0[0, 1] - p0[1, 0]) > SYMMETRY_TOL:
-            raise ValueError("covariance must be symmetric")
-        covariance = _upper(p0)
-        _require_psd(*covariance)
-        self._terms: Terms = (float(x), float(y), *covariance)
-        self._q = _upper(noise.q)
+    def __init__(self, x0: Sequence[float], p0: Sequence[Sequence[float]], noise: NoiseConfig):
+        x, y = x0
+        self._terms: Terms = (float(x), float(y), *_covariance_terms("P0", p0))
+        self._q = _covariance_terms("Q", noise.q)
         self._r = float(noise.r)
 
     def step(

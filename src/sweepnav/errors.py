@@ -39,6 +39,10 @@ class SingularGeometryError(SweepNavError):
     """Receiver and landmark coincide, so the range direction is undefined."""
 
 
+class FilterDivergenceError(SweepNavError):
+    """The tracker's covariance stopped being positive semi-definite mid-run."""
+
+
 class PlacementError(SweepNavError):
     """Could not place points with the required minimum separation."""
 

@@ -61,8 +61,8 @@ class PipelineConfig:
             raise ConfigError(f"anchor seed {self.anchor_seed} is negative")
         if self.sweep_window is not None and self.sweep_window < 1:
             raise ValueError("sweep_window must be positive or None")
-        if not self.p0_var > 0:
-            raise ValueError("p0_var must be positive")
+        if not 0 < self.p0_var < math.inf:
+            raise ValueError("p0_var must be positive and finite")
         if not self.condition_cap >= 1:
             raise ValueError("condition_cap must be at least 1")
 
@@ -134,18 +134,6 @@ def assign_anchor_frame(band_ids: Sequence[int], seed: int, bbox: Bbox) -> list[
         raise ValueError("band ids must be unique")
     placed = place_in_box(band_ids, seed, bbox)
     return [Anchor(band_id=bid, x=placed[bid][0], y=placed[bid][1]) for bid in band_ids]
-
-
-def derive_velocity(
-    previous: tuple[float, tuple[float, float]],
-    current: tuple[float, tuple[float, float]],
-) -> tuple[float, float]:
-    """Finite-difference velocity between two (timestamp, fix) pairs."""
-    (t0, p0), (t1, p1) = previous, current
-    dt = t1 - t0
-    if dt <= 0:
-        raise ValueError("fix timestamps must strictly increase")
-    return ((p1[0] - p0[0]) / dt, (p1[1] - p0[1]) / dt)
 
 
 class TrackingPipeline:
@@ -256,22 +244,21 @@ class TrackingPipeline:
         smoothed: tuple[float, float],
         distances: list[float] | None,
     ) -> tuple[tuple[float, float], tuple[str, ...]]:
-        """One filter step: velocity prediction, then one range update per anchor.
+        """One filter step: finite-difference velocity prediction, then one range update per anchor.
 
         Held steps (no fresh ranges) run the prediction alone, so a flagged
         sample never moves the track by more than the motion model does.
         """
         if not self._steps:
-            self._tracker = EkfTracker(x0=smoothed, p0=np.eye(2) * self._cfg.p0_var, noise=self._cfg.noise)
+            p0 = self._cfg.p0_var
+            self._tracker = EkfTracker(x0=smoothed, p0=((p0, 0.0), (0.0, p0)), noise=self._cfg.noise)
             return smoothed, ()
 
         last = self._steps[-1]
-        u = derive_velocity((last.timestamp, last.wma), (timestamp, smoothed))
-        if distances is None:
-            measurements = []
-        else:
-            measurements = list(zip(self._landmarks, distances))
-        step = self._tracker.step(timestamp - last.timestamp, u, measurements)
+        dt = timestamp - last.timestamp  # positive: process() rejects stamps that do not increase
+        u = ((smoothed[0] - last.x_wma) / dt, (smoothed[1] - last.y_wma) / dt)
+        measurements = [] if distances is None else list(zip(self._landmarks, distances))
+        step = self._tracker.step(dt, u, measurements)
         return step.position, step.flags
 
 

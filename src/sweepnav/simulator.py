@@ -344,15 +344,17 @@ def aligned_rmse(estimated: np.ndarray, truth: np.ndarray) -> float:
     tru = np.asarray(truth, dtype=float)
     if est.shape != tru.shape:
         raise ValueError("estimated and truth must have the same shape")
-    est_c = est - est.mean(axis=0)
-    tru_c = tru - tru.mean(axis=0)
-    cross = est_c.T @ tru_c
-    if not np.isfinite(cross).all():  # positions near the float limit overflow the fit
-        return math.inf
-    u, _, vt = np.linalg.svd(cross)
-    rotation = u @ vt
-    aligned = est_c @ rotation
-    return float(np.sqrt(np.mean(np.sum((aligned - tru_c) ** 2, axis=1))))
+    # positions near the float limit overflow the fit: its RMSE is inf, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        est_c = est - est.mean(axis=0)
+        tru_c = tru - tru.mean(axis=0)
+        cross = est_c.T @ tru_c
+        if not np.isfinite(cross).all():  # the SVD would not converge on it
+            return math.inf
+        u, _, vt = np.linalg.svd(cross)
+        rotation = u @ vt
+        aligned = est_c @ rotation
+        return float(np.sqrt(np.mean(np.sum((aligned - tru_c) ** 2, axis=1))))
 
 
 def spread(points: np.ndarray) -> float:

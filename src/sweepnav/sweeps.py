@@ -26,7 +26,7 @@ import re
 from collections import deque
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
-from typing import Generator, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Generator, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import ConfigError, InputError, InsufficientAnchorsError, MissingBandError, SweepParseError
 
@@ -374,26 +374,6 @@ def _ordered_sum(values: Iterable[float]) -> float:
     return total
 
 
-def _missing_band(band_id: int, sweeps: int) -> MissingBandError:
-    return MissingBandError(f"band {band_id} absent from all {sweeps} sweeps in window")
-
-
-def band_mean(window: Sequence[SweepRecord], band_id: int) -> float:
-    """Arithmetic mean (dB domain) of one band's power over a sweep window,
-    summed left to right and clamped into the range of its samples.
-
-    The batch reference for :meth:`SweepWindow.means_dbm`, which returns the
-    same floats from incrementally kept state.
-    """
-    if not window:
-        raise ValueError("window must be non-empty")
-    values = [record.rss_by_id[band_id] for record in window if band_id in record.rss_by_id]
-    if not values:
-        raise _missing_band(band_id, len(window))
-    # summation rounding can spill the mean an ulp outside the sample range
-    return min(max(_ordered_sum(values) / len(values), min(values)), max(values))
-
-
 def select_transmit_bands(means: Mapping[int, float], count: int) -> list[int]:
     """Pick the ``count`` strongest bands of a band id -> mean power map.
 
@@ -478,8 +458,8 @@ class SweepWindow:
         return self._count
 
     def means_dbm(self, band_ids: Iterable[int]) -> list[float]:
-        """The mean of each of ``band_ids``, in one call: equal bit for bit
-        to ``band_mean`` over the window's sweeps, without rescanning them.
+        """The mean of each of ``band_ids`` over the window's sweeps, in one call and
+        without rescanning them: summed left to right and clamped into the samples' range.
 
         A bounded window sums each band's values left to right and looks for
         their minimum and maximum only when its oldest and newest values lie
@@ -492,10 +472,10 @@ class SweepWindow:
         for band_id in band_ids:
             entry = bands.get(band_id)
             if entry is None:
-                raise _missing_band(band_id, self._count)
+                raise MissingBandError(f"band {band_id} absent from all {self._count} sweeps in window")
             if growing:
                 total, count, low, high = entry
-            else:  # summed left to right, as band_mean sums
+            else:  # summed left to right, in arrival order
                 total, count = 0.0, len(entry)
                 for value in entry:
                     total += value

@@ -1,6 +1,7 @@
 import csv
 import math
 import shlex
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 from sweepnav import SweepRecord, TrackingPipeline, cli, parse_sweep_file, placement, run_pipeline
 from sweepnav.cli import main
 from sweepnav.config import CONFIG_FIELDS, SCENARIO_FIELDS, load_config
-from sweepnav.simulator import spread
+from sweepnav.artifacts import read_ground_truth, read_trajectory_csv
+from sweepnav.simulator import score_run, spread
 from conftest import ROUTE_SCENARIO_TEXT
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -441,6 +443,17 @@ class TestRun:
         assert "config error" in result.output and "above 0 MHz" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("line", ["ekf.q_diag = 1e16,1e16", "ekf.p0 = 1e200"])
+    def test_diverged_filter_is_a_failed_run(self, runner, benchmark_sweeps, tmp_path, line):
+        # a valid config whose filter loses positive semi-definiteness mid-run: it exited 2 as bad input
+        config = tmp_path / "diverge.cfg"
+        config.write_text(line + "\n", encoding="ascii")
+        out = tmp_path / "o"
+        result = runner.invoke(main, ["run", str(benchmark_sweeps), "--config", str(config), "--out", str(out)])
+        assert result.exit_code == 3, (result.output, result.exception)
+        assert "run failed: filter diverged" in result.stderr
+        assert not out.exists()
+
     def test_plan_below_zero_mhz_is_exit_3(self, runner, sweeps_csv, tmp_path):
         config = tmp_path / "negative.cfg"
         config.write_text("band.low_mhz = -100\n", encoding="ascii")
@@ -475,6 +488,47 @@ class TestEval:
         rows = read_rows(out / "report.csv")
         assert rows[0] == ["estimator", "segment", "est_m", "truth_m", "percent_diff"]
         assert len(rows) == 1 + 3 * 2  # three estimators, two segments
+
+    def test_table_prints_each_estimators_rmse(self, runner, artifacts, tmp_path):
+        sim, run_dir = artifacts
+        result = runner.invoke(
+            main,
+            [
+                "eval", str(sim / "truth.csv"), str(run_dir / "trajectory.csv"),
+                "--waypoints", str(sim / "waypoints.csv"), "--out", str(tmp_path / "eval"),
+            ],
+        )
+        assert result.exit_code == 0, result.output
+        rmse = score_run(
+            read_ground_truth(sim / "truth.csv", sim / "waypoints.csv"), read_trajectory_csv(run_dir / "trajectory.csv")
+        ).rmse_m
+        lines = result.stdout.splitlines()
+        assert lines[0].split()[-1] == "rmse_m"
+        for estimator in ("wma", "ekf", "raw"):
+            (row,) = [line.split() for line in lines if line.split()[0] == estimator]
+            assert row[-1] == f"{rmse[estimator]:.1f}"
+
+    def test_positions_near_the_float_limit_score_inf_without_a_warning(self, runner, artifacts, tmp_path):
+        # numpy printed overflow and invalid-value warnings on stderr before the table
+        sim, run_dir = artifacts
+        rows = read_rows(run_dir / "trajectory.csv")
+        for row in rows[1:3]:
+            row[2] = "1.7e308"  # x_raw
+        huge = tmp_path / "huge.csv"
+        huge.write_text("".join(",".join(row) + "\n" for row in rows), encoding="ascii")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = runner.invoke(
+                main,
+                [
+                    "eval", str(sim / "truth.csv"), str(huge),
+                    "--waypoints", str(sim / "waypoints.csv"), "--out", str(tmp_path / "eval"),
+                ],
+            )
+        assert result.exit_code == 0, (result.output, result.exception)
+        assert result.stderr == "" and caught == []
+        (raw,) = [line.split() for line in result.stdout.splitlines() if line.startswith("raw")]
+        assert raw[-1] == "inf"
 
     def test_grid_report(self, runner, artifacts, tmp_path):
         sim, run_dir = artifacts

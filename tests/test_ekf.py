@@ -7,6 +7,7 @@ import pytest
 
 from sweepnav import (
     EkfTracker,
+    FilterDivergenceError,
     Landmark,
     NoiseConfig,
     SingularGeometryError,
@@ -35,7 +36,7 @@ def terms(x, y, p):
 
 def q_terms(noise):
     q = noise.q
-    return (q[0, 0], q[0, 1], q[1, 1])
+    return (q[0][0], q[0][1], q[1][1])
 
 
 DEFAULT_Q = q_terms(NoiseConfig())
@@ -60,8 +61,11 @@ class TestPredict:
         np.testing.assert_allclose(out[:2], [1.0, 2.0], atol=1e-15)
 
     def test_rejects_non_psd_covariance(self):
-        with pytest.raises(ValueError):
-            ekf.predict((0.0, 0.0, 1.0, 0.0, -1.0), 1.0, 0.0, 0.0, DEFAULT_Q)
+        # a diverged filter is a run fault, not bad input: the CLI reports it as a failed run
+        for covariance in ((1.0, 0.0, -1.0), (math.nan, 0.0, 1.0)):
+            with pytest.raises(FilterDivergenceError, match="diverged") as caught:
+                ekf.predict((0.0, 0.0, *covariance), 1.0, 0.0, 0.0, DEFAULT_Q)
+            assert not isinstance(caught.value, ValueError)
 
     def test_rejects_nonpositive_timestep(self):
         with pytest.raises(ValueError):
@@ -216,6 +220,12 @@ class TestNoiseConfig:
         np.testing.assert_array_equal(noise.q, np.eye(2) * 0.1)
         assert noise.r == 0.01
 
+    def test_any_2x2_form_is_kept_as_float_pairs(self):
+        noise = NoiseConfig(q=np.eye(2) * 0.1)
+        assert noise == NoiseConfig() and noise.q == ((0.1, 0.0), (0.0, 0.1))
+        assert all(type(v) is float for row in noise.q for v in row)
+        assert hash(noise) == hash(NoiseConfig())
+
     def test_rejects_negative_r(self):
         with pytest.raises(ValueError):
             NoiseConfig(r=0.0)
@@ -227,6 +237,32 @@ class TestNoiseConfig:
     def test_rejects_indefinite_q(self):
         with pytest.raises(ValueError):
             NoiseConfig(q=np.array([[1.0, 0.0], [0.0, -0.5]]))
+
+
+# (matrix, accepted): the same verdict whether the matrix is Q or P0
+COVARIANCE_CASES = [
+    (np.eye(2) * 0.1, True),
+    (((4.0, 1.0), (1.000005, 4.0)), False),  # asymmetric beyond SYMMETRY_TOL
+    (((math.nan, 0.0), (0.0, 1.0)), False),
+    (((math.inf, 0.0), (0.0, 1.0)), False),
+    (np.eye(3), False),
+    (np.zeros(4), False),
+    (((1.0, 0.0), (0.0, -0.5)), False),  # indefinite
+]
+
+
+@pytest.mark.parametrize("matrix, accepted", COVARIANCE_CASES)
+def test_q_and_p0_get_one_verdict(matrix, accepted):
+    def verdict(make):
+        try:
+            make()
+        except ValueError:
+            return False
+        return True
+
+    as_q = verdict(lambda: NoiseConfig(q=matrix))
+    as_p0 = verdict(lambda: EkfTracker(x0=(0.0, 0.0), p0=matrix, noise=NoiseConfig()))
+    assert as_q == as_p0 == accepted
 
 
 # Reference: the matrix form of the filter equations, as numpy evaluates

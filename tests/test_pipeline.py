@@ -6,11 +6,11 @@ import pytest
 from sweepnav import (
     Anchor,
     InsufficientAnchorsError,
+    PipelineConfig,
     PlacementError,
     TrackingPipeline,
     TrajectoryStep,
     assign_anchor_frame,
-    derive_velocity,
     matched_config,
     route_scenario,
     run_pipeline,
@@ -24,16 +24,11 @@ from sweepnav.placement import place_in_box
 from sweepnav.sweeps import SweepRecord, SweepWindow
 
 
-class TestDeriveVelocity:
-    def test_finite_difference(self):
-        assert derive_velocity((0.0, (0.0, 0.0)), (1.0, (2.0, 0.0))) == (2.0, 0.0)
-
-    def test_identical_fixes(self):
-        assert derive_velocity((0.0, (3.0, 3.0)), (2.0, (3.0, 3.0))) == (0.0, 0.0)
-
-    def test_nonincreasing_timestamps_rejected(self):
-        with pytest.raises(ValueError):
-            derive_velocity((1.0, (0.0, 0.0)), (1.0, (2.0, 0.0)))
+@pytest.mark.parametrize("p0_var", [0.0, -1.0, math.inf, math.nan])
+def test_p0_var_must_be_positive_and_finite(p0_var):
+    # an infinite P0 was accepted, and every EKF row after the first read (nan, nan)
+    with pytest.raises(ValueError, match="p0_var must be positive and finite"):
+        PipelineConfig(p0_var=p0_var)
 
 
 class TestTrajectoryStep:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -318,7 +319,8 @@ class TestScoring:
         # the centred cross product overflows; the SVD would not converge on it
         points = np.zeros((5, 2))
         points[1:3, 0] = 1.7e308
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and numpy warns of no overflow on the way
             assert aligned_rmse(points, np.arange(10.0).reshape(5, 2)) == math.inf
 
     def test_spread_of_constant_cloud_is_zero(self):

@@ -19,7 +19,6 @@ from sweepnav import (
     SweepParseError,
     SweepRecord,
     SweepWindow,
-    band_mean,
     select_transmit_bands,
 )
 from sweepnav.config import load_config
@@ -336,6 +335,22 @@ class TestBandPlan:
 
 def record(ts, values):
     return SweepRecord(timestamp=ts, rss_by_id=dict(sorted(values.items())))
+
+
+def band_mean(window, band_id):
+    """Arithmetic mean (dB domain) of one band's power over a sweep window,
+    summed left to right and clamped into the range of its samples.
+
+    The batch reference for :meth:`SweepWindow.means_dbm`, which must return
+    the same floats from incrementally kept state.
+    """
+    if not window:
+        raise ValueError("window must be non-empty")
+    values = [record.rss_by_id[band_id] for record in window if band_id in record.rss_by_id]
+    if not values:
+        raise MissingBandError(f"band {band_id} absent from all {len(window)} sweeps in window")
+    # summation rounding can spill the mean an ulp outside the sample range
+    return min(max(_ordered_sum(values) / len(values), min(values)), max(values))
 
 
 class TestBandMean:
