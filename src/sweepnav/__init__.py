@@ -44,7 +44,6 @@ from .simulator import (
     simulate_run,
     static_scenario,
     synth_route,
-    synth_sweep,
 )
 from .smoothing import Smoother, SmootherConfig
 from .sweeps import (

@@ -17,7 +17,6 @@ from dataclasses import replace
 from pathlib import Path
 
 import click
-import numpy as np
 
 from . import artifacts
 from .config import load_config, load_scenario
@@ -92,7 +91,7 @@ def simulate(scenario, seed, out_dir):
     artifacts.write_waypoints_csv(result.truth, out / "waypoints.csv")
     click.echo(
         f"wrote {len(result.sweeps)} sweeps, route length "
-        f"{float(np.sum(result.truth.segment_lengths())):.1f} m"
+        f"{math.fsum(result.truth.segment_lengths()):.1f} m"
     )
 
 

@@ -1,16 +1,19 @@
 """Synthetic worlds: transmitters, a driven route, and forward-modeled sweeps.
 
-The simulator is the oracle for the pipeline: it knows true transmitter
-positions and the true vehicle track, generates RSS sweeps through the
-forward path-loss model with seeded log-normal shadowing, and scores a
-recovered trajectory against the truth with frame-insensitive segment
-metrics.
+The simulator is the oracle for the pipeline. It knows the true transmitter
+positions and walks the waypoint legs once, in floats, for the true track;
+it resolves each transmitter's band once per run and forward-models every
+sweep with seeded log-normal shadowing, one draw per transmitter in
+ascending frequency. It scores a recovered trajectory against the truth
+with frame-insensitive segment metrics.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -35,7 +38,6 @@ DEFAULT_TX_FREQS_MHZ = (700.5, 800.5, 900.5, 1800.5, 2100.5, 2600.5)
 EXTENDED_TX_FREQS_MHZ = DEFAULT_TX_FREQS_MHZ + (
     600.5, 750.5, 850.5, 950.5, 1500.5, 1900.5, 2300.5,
 )
-HIGH_BAND_TX_FREQS_MHZ = (3600.5, 3700.5, 3800.5, 3900.5, 4000.5, 4100.5)
 
 # Route bounding box inflated by 150 m on each side.
 DEFAULT_TX_BBOX: Bbox = (-150.0, -500.0, 420.0, 640.0)
@@ -106,11 +108,8 @@ class Scenario:
             raise ConfigError("start time must be finite")
         if not 0 <= self.shadowing_sigma_db < math.inf:
             raise ConfigError("shadowing sigma must be finite and non-negative")
-        if self.lead_in_m > 0:
-            dx = self.waypoints[1][0] - self.waypoints[0][0]
-            dy = self.waypoints[1][1] - self.waypoints[0][1]
-            if math.hypot(dx, dy) == 0:
-                raise ConfigError("lead-in needs a non-degenerate first leg")
+        if self.lead_in_m > 0 and self.waypoints[0] == self.waypoints[1]:
+            raise ConfigError("lead-in needs a non-degenerate first leg")
         freqs = [t.freq_mhz for t in self.transmitters]
         if len(set(freqs)) != len(freqs):
             raise ConfigError("transmitter frequencies must be distinct")
@@ -145,30 +144,30 @@ def synth_route(scenario: Scenario) -> GroundTruth:
     """Sample the waypoint polyline at constant speed every cadence.
 
     The final point (end of drive plus hold) is always included even when
-    it falls off the cadence grid. ``waypoint_indices`` mark the scenario's
-    waypoints only, never the lead-in start. Two samples on one microsecond
-    of the sweep file, or a leg within one sweep step, are a ConfigError.
+    it falls off the cadence grid; a sample on a zero-length leg is its end
+    point. ``waypoint_indices`` mark the scenario's waypoints only, never the
+    lead-in start: each is the sample nearest its arrival, the earlier of two
+    equally near. Two samples on one microsecond of the sweep file, or a leg
+    within one sweep step, are a ConfigError.
     """
-    waypoints = np.asarray(scenario.waypoints, dtype=float)
+    waypoints = list(scenario.waypoints)
     if scenario.lead_in_m > 0:
-        first_leg = waypoints[1] - waypoints[0]
-        direction = first_leg / np.hypot(first_leg[0], first_leg[1])
-        start = waypoints[0] - scenario.lead_in_m * direction
-        waypoints = np.vstack([start, waypoints])
-    legs = np.diff(waypoints, axis=0)
-    leg_lengths = np.hypot(legs[:, 0], legs[:, 1])
-    cumulative = np.concatenate([[0.0], np.cumsum(leg_lengths)])
-    total_length = float(cumulative[-1])
-    travel_s = total_length / scenario.speed_mps
-    duration = travel_s + scenario.hold_s
+        (x0, y0), (x1, y1) = waypoints[:2]
+        first_leg = math.hypot(x1 - x0, y1 - y0)
+        ux, uy = (x1 - x0) / first_leg, (y1 - y0) / first_leg
+        waypoints.insert(0, (x0 - scenario.lead_in_m * ux, y0 - scenario.lead_in_m * uy))
+    # a leg that overflows is inf long, which the sweep ceiling below rejects
+    lengths = [math.hypot(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(waypoints, waypoints[1:])]
+    cumulative = list(accumulate(lengths, initial=0.0))
+    total_length = cumulative[-1]
+    duration = total_length / scenario.speed_mps + scenario.hold_s
     if duration <= 0:
         raise ConfigError("route has zero length and no hold time")
     steps = duration / scenario.cadence_s
     if not steps <= MAX_SCENARIO_SWEEPS:  # NaN and inf fail too
         raise ConfigError(f"scenario asks for {steps:.3g} sweeps, more than {MAX_SCENARIO_SWEEPS}")
 
-    n_grid = int(math.floor(steps + 1e-9))
-    offsets = [k * scenario.cadence_s for k in range(n_grid + 1)]
+    offsets = [k * scenario.cadence_s for k in range(math.floor(steps + 1e-9) + 1)]
     if offsets[-1] < duration - 1e-9:
         offsets.append(duration)
     try:  # every sweep time must be writable as a sweep file stamp; the parser merges sweeps of one stamp
@@ -178,80 +177,65 @@ def synth_route(scenario: Scenario) -> GroundTruth:
     if len(stamps) < len(offsets):
         raise ConfigError(f"{len(offsets)} sweeps fall on {len(stamps)} microseconds; a sweep file stamps no finer")
 
-    samples = []
+    samples, leg = [], 0
     for offset in offsets:
         distance = min(offset * scenario.speed_mps, total_length)
-        x, y = _point_on_polyline(waypoints, legs, leg_lengths, cumulative, distance)
+        while leg < len(lengths) - 1 and cumulative[leg + 1] <= distance:
+            leg += 1
+        (x0, y0), (x, y) = waypoints[leg], waypoints[leg + 1]
+        if lengths[leg] > 0:  # else the sample is the zero-length leg's end point
+            along = distance - cumulative[leg]
+            x, y = x0 + (x - x0) / lengths[leg] * along, y0 + (y - y0) / lengths[leg] * along
         samples.append(TruthSample(float(scenario.start_time + offset), x, y))  # a float even from int times
 
-    times = np.array(offsets)
     scored = cumulative[1:] if scenario.lead_in_m > 0 else cumulative
     waypoint_indices = []
-    for leg_end in scored:
+    for leg, leg_end in enumerate(scored):
         arrival = leg_end / scenario.speed_mps
-        waypoint_indices.append(int(np.argmin(np.abs(times - arrival))))
-    for leg in range(1, len(scored)):
-        if waypoint_indices[leg] == waypoint_indices[leg - 1] and scored[leg] > scored[leg - 1]:
-            raise ConfigError(f"leg {leg} is shorter than one sweep step: both ends on sweep {waypoint_indices[leg]}")
+        k = bisect_right(offsets, arrival) - 1  # the last sample at or before the arrival, offsets[0] being 0
+        if k + 1 < len(offsets) and offsets[k + 1] - arrival < arrival - offsets[k]:
+            k += 1
+        if leg > 0 and k == waypoint_indices[-1] and leg_end > scored[leg - 1]:
+            raise ConfigError(f"leg {leg} is shorter than one sweep step: both ends on sweep {k}")
+        waypoint_indices.append(k)
     return GroundTruth(samples=tuple(samples), waypoint_indices=tuple(waypoint_indices))
 
 
-def _point_on_polyline(waypoints, legs, leg_lengths, cumulative, distance):
-    if cumulative[-1] == 0.0:
-        return float(waypoints[0, 0]), float(waypoints[0, 1])
-    idx = int(np.searchsorted(cumulative, distance, side="right")) - 1
-    idx = min(max(idx, 0), len(legs) - 1)
-    while leg_lengths[idx] == 0.0 and idx < len(legs) - 1:
-        idx += 1
-    direction = legs[idx] / leg_lengths[idx]
-    along = distance - cumulative[idx]
-    x = waypoints[idx, 0] + direction[0] * along
-    y = waypoints[idx, 1] + direction[1] * along
-    return float(x), float(y)
-
-
-def synth_sweep(
-    sample: TruthSample,
-    scenario: Scenario,
-    plan: BandPlan,
-    rng: np.random.Generator,
-) -> SweepRecord:
-    """Forward-model one sweep at the given truth sample.
+def simulate_run(scenario: Scenario, plan: BandPlan | None = None) -> SimulatedRun:
+    """Deterministic ground truth plus synthetic sweep stream.
 
     A receiver closer than d0 to a transmitter is taken to be at d0. A
-    received power beyond +-MAX_ABS_DB, which no sweep file may hold, is a
-    ConfigError.
+    transmitter outside the plan, two in one band, and a received power
+    beyond +-MAX_ABS_DB, which no sweep file may hold, are each a ConfigError.
     """
-    params, sigma = scenario.pathloss, scenario.shadowing_sigma_db
-    rss_by_id = {}
+    if plan is None:
+        plan = BandPlan.uniform()
+    truth = synth_route(scenario)
+    bands = {}  # band id to transmitter, ids rising with frequency
     for tx in sorted(scenario.transmitters, key=lambda t: t.freq_mhz):
         band_id = plan.band_at(tx.freq_mhz)
         if band_id is None:
             raise ConfigError(f"transmitter at {tx.freq_mhz} MHz is outside the band plan")
-        if band_id in rss_by_id:
+        if band_id in bands:
             raise ConfigError(f"two transmitters share band {band_id}")
-        distance = max(math.hypot(sample.x - tx.x, sample.y - tx.y), params.ref_distance_m)
-        shadow = float(rng.normal(0.0, sigma)) if sigma > 0 else 0.0
-        rss = rss_at_distance(
-            distance, tx.freq_mhz, params, tx_power_dbm=tx.power_dbm, shadow_db=shadow
-        )
-        if not -MAX_ABS_DB <= rss <= MAX_ABS_DB:
-            raise ConfigError(
-                f"transmitter at {tx.freq_mhz} MHz: received power {rss:.1f} dB at {distance:.0f} m"
-                f" is outside [-{MAX_ABS_DB:g}, {MAX_ABS_DB:g}]"
-            )
-        rss_by_id[band_id] = rss
-    return SweepRecord(sample.timestamp, dict(sorted(rss_by_id.items())))
-
-
-def simulate_run(scenario: Scenario, plan: BandPlan | None = None) -> SimulatedRun:
-    """Deterministic ground truth plus synthetic sweep stream."""
-    if plan is None:
-        plan = BandPlan.uniform()
-    truth = synth_route(scenario)
+        bands[band_id] = tx
+    params, sigma = scenario.pathloss, scenario.shadowing_sigma_db
     rng = np.random.default_rng(scenario.seed)
-    sweeps = tuple(synth_sweep(sample, scenario, plan, rng) for sample in truth.samples)
-    return SimulatedRun(truth=truth, sweeps=sweeps)
+    sweeps = []
+    for sample in truth.samples:
+        rss_by_id = {}
+        for band_id, tx in bands.items():
+            distance = max(math.hypot(sample.x - tx.x, sample.y - tx.y), params.ref_distance_m)
+            shadow = float(rng.normal(0.0, sigma)) if sigma > 0 else 0.0
+            rss = rss_at_distance(distance, tx.freq_mhz, params, tx_power_dbm=tx.power_dbm, shadow_db=shadow)
+            if not -MAX_ABS_DB <= rss <= MAX_ABS_DB:
+                raise ConfigError(
+                    f"transmitter at {tx.freq_mhz} MHz: received power {rss:.1f} dB at {distance:.0f} m"
+                    f" is outside [-{MAX_ABS_DB:g}, {MAX_ABS_DB:g}]"
+                )
+            rss_by_id[band_id] = rss
+        sweeps.append(SweepRecord(sample.timestamp, rss_by_id))
+    return SimulatedRun(truth=truth, sweeps=tuple(sweeps))
 
 
 @dataclass(frozen=True)
@@ -376,16 +360,14 @@ def auto_transmitters(
     seed: int,
     bbox: Bbox,
     power_dbm: float = PathLossParams.tx_power_dbm,
-    plan: BandPlan | None = None,
 ) -> tuple[Transmitter, ...]:
     """Seeded random transmitter layout, one per carrier frequency.
 
-    Placement is keyed by the plan band id of each carrier, the same
-    convention the pipeline uses for its anchor frame: equal seeds and
+    Placement is keyed by the default plan's band id of each carrier, the
+    same convention the pipeline uses for its anchor frame: equal seeds and
     boxes yield the identical constellation on both sides.
     """
-    if plan is None:
-        plan = BandPlan.uniform()
+    plan = BandPlan.uniform()
     by_band = {}
     for freq in freqs_mhz:
         band_id = plan.band_at(freq)
@@ -402,7 +384,7 @@ def auto_transmitters(
 
 
 def route_scenario(
-    seed: int, *, tx_count: int = 6, lead_in_m: float = 200.0, high_band: bool = False,
+    seed: int, *, tx_count: int = 6, lead_in_m: float = 200.0,
     shadowing_sigma_db: float = Scenario.shadowing_sigma_db, **pathloss
 ) -> Scenario:
     """Benchmark drive scenario over the four-leg route.
@@ -410,13 +392,11 @@ def route_scenario(
     Further keywords (such as ``exponent``) go to the scenario's
     PathLossParams; the transmitters radiate its ``tx_power_dbm``.
     """
-    pool = HIGH_BAND_TX_FREQS_MHZ if high_band else EXTENDED_TX_FREQS_MHZ
-    if tx_count > len(pool):
-        raise ConfigError(f"at most {len(pool)} transmitters available, asked for {tx_count}")
-    plan = BandPlan.uniform(high_mhz=4200.0) if high_band else None
+    if tx_count > len(EXTENDED_TX_FREQS_MHZ):
+        raise ConfigError(f"at most {len(EXTENDED_TX_FREQS_MHZ)} transmitters available, asked for {tx_count}")
     params = PathLossParams(**pathloss)
     return Scenario(
-        transmitters=auto_transmitters(pool[:tx_count], seed, DEFAULT_TX_BBOX, params.tx_power_dbm, plan),
+        transmitters=auto_transmitters(EXTENDED_TX_FREQS_MHZ[:tx_count], seed, DEFAULT_TX_BBOX, params.tx_power_dbm),
         waypoints=ROUTE_WAYPOINTS,
         pathloss=params,
         seed=seed,

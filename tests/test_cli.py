@@ -153,6 +153,37 @@ class TestSimulate:
         assert result.exit_code == 3, (result.output, result.exception)
         assert message in result.output and not out.exists()
 
+    def test_repeated_final_waypoint_simulates_and_its_segment_is_exit_4(self, runner, tmp_path):
+        # the zero-length last leg gave nan positions: exit 3, "received power nan dB at nan m"
+        text = ROUTE_SCENARIO_TEXT.replace("waypoints = 0,0; 100,0; 100,100", "waypoints = 0,0; 100,0; 100,0\nhold_s = 3")
+        scenario, sim, run_dir = tmp_path / "scenario.txt", tmp_path / "sim", tmp_path / "run"
+        scenario.write_text(text, encoding="ascii")
+        result = runner.invoke(main, ["simulate", str(scenario), "--out", str(sim)])
+        assert result.exit_code == 0, (result.output, result.exception)
+        truth = read_rows(sim / "truth.csv")[1:]
+        assert all(math.isfinite(float(cell)) for row in truth for cell in row[2:])
+        assert [float(cell) for cell in truth[-1][2:]] == [100.0, 0.0]
+        assert [row[0] for row in read_rows(sim / "waypoints.csv")[1:]] == ["0", "10", "10"]
+        assert runner.invoke(main, ["run", str(sim / "sweeps.csv"), "--out", str(run_dir)]).exit_code == 0
+        result = runner.invoke(main, [
+            "eval", str(sim / "truth.csv"), str(run_dir / "trajectory.csv"),
+            "--waypoints", str(sim / "waypoints.csv"), "--out", str(tmp_path / "eval"),
+        ])
+        assert result.exit_code == 4 and "truth lengths must be positive" in result.output
+
+    @pytest.mark.parametrize("lead_in, sweeps", [("0", "inf"), ("200", "nan")])
+    def test_overflowing_leg_is_exit_3_without_a_warning(self, runner, tmp_path, lead_in, sweeps):
+        # numpy printed "RuntimeWarning: overflow encountered in subtract" on stderr before the error
+        kept = [line for line in BENCHMARK_SCENARIO.splitlines() if not line.startswith(("waypoints", "lead_in_m"))]
+        scenario, out = tmp_path / "scenario.txt", tmp_path / "out"
+        scenario.write_text("\n".join(kept) + f"\nlead_in_m = {lead_in}\nwaypoints = -1e308,0; 1e308,0\n", encoding="ascii")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = runner.invoke(main, ["simulate", str(scenario), "--out", str(out)])
+        assert result.exit_code == 3, (result.output, result.exception)
+        assert f"config error: scenario asks for {sweeps} sweeps" in result.output and not out.exists()
+        assert "RuntimeWarning" not in result.stderr and caught == []
+
     def test_benchmark_route_length_in_truth_csv(self, benchmark_sweeps):
         out = benchmark_sweeps.parent
         truth = read_rows(out / "truth.csv")[1:]

@@ -21,6 +21,7 @@ from sweepnav import (
 from sweepnav.errors import ConfigError, ShapeError
 from sweepnav.pathloss import free_space_pl0, invert_distance, rss_at_distance
 from sweepnav.pipeline import Trajectory, TrajectoryStep
+from sweepnav.placement import place_in_box
 from sweepnav.simulator import (
     DEFAULT_TX_BBOX, DEFAULT_TX_FREQS_MHZ, aligned_rmse, auto_transmitters, rolling_spread, spread,
 )
@@ -127,8 +128,22 @@ class TestSynthRoute:
         assert truth.waypoint_indices == (0, 10, 10, 15)
         assert len(synth_route(simple_scenario(waypoints=((2.0, 3.0),) * 2, hold_s=0.5)).samples) == 2
 
+    def test_repeated_final_waypoint_ends_on_it(self):
+        # the zero-length last leg was divided by its length: every sample from 270 m on was nan
+        waypoints = ((0.0, 0.0), (270.0, 0.0), (270.0, 0.0))
+        truth = synth_route(simple_scenario(waypoints=waypoints, speed_mps=10.0, hold_s=3.0))
+        assert np.isfinite(truth.positions()).all()
+        assert [s[1:] for s in truth.samples[27:]] == [(270.0, 0.0)] * 4
+        assert truth.waypoint_indices == (0, 27, 27)
 
-class TestSynthSweep:
+    @pytest.mark.parametrize("x, index", [(2.5, 2), (2.5000001, 3)])
+    def test_waypoint_takes_the_nearest_sample_the_earlier_on_a_tie(self, x, index):
+        # at 1 m/s and a 1 s cadence the middle waypoint is reached at x seconds
+        truth = synth_route(simple_scenario(waypoints=((0.0, 0.0), (x, 0.0), (5.0, 0.0))))
+        assert truth.waypoint_indices == (0, index, 5)
+
+
+class TestForwardSweeps:
     def test_forward_value_at_reference_distance(self):
         params = PathLossParams(exponent=2.8, tx_power_dbm=43.0)
         assert rss_at_distance(1.0, 900.0, params) == pytest.approx(11.465, abs=5e-4)
@@ -202,7 +217,7 @@ class TestScenarioValidation:
             simple_scenario(cadence_s=0.0)
 
     # NaN fails every comparison, so each check must be one that NaN fails; a NaN sigma would
-    # silently disable shadowing in synth_sweep
+    # silently disable shadowing in simulate_run
     @pytest.mark.parametrize(
         "build, name, value",
         [
@@ -362,9 +377,15 @@ class TestStatisticalBehavior:
         print(f"median segment error by transmitter count: {outcomes}")
         assert all(math.isfinite(v) for v in outcomes.values())
 
-    def test_high_band_preset_runs(self):
-        scenario = route_scenario(seed=1, high_band=True)
+    def test_carriers_above_the_default_plan_run_under_their_own(self):
+        # six carriers above 3,500 MHz, placed as the route scenario's anchors are
         plan = BandPlan.uniform(high_mhz=4200.0)
+        freqs = (3600.5, 3700.5, 3800.5, 3900.5, 4000.5, 4100.5)
+        placed = place_in_box([plan.band_at(f) for f in freqs], 1, DEFAULT_TX_BBOX)
+        transmitters = tuple(Transmitter(*placed[plan.band_at(f)], PathLossParams().tx_power_dbm, f) for f in freqs)
+        scenario = dataclasses.replace(route_scenario(seed=1), transmitters=transmitters)
+        with pytest.raises(ConfigError, match="transmitter at 3600.5 MHz is outside the band plan"):
+            simulate_run(scenario)
         run = simulate_run(scenario, plan)
         trajectory = run_pipeline(run.sweeps, matched_config(scenario, plan=plan))
         assert len(trajectory) == len(run.sweeps)
