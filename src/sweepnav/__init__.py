@@ -40,7 +40,6 @@ from .simulator import (
     matched_config,
     route_scenario,
     score_run,
-    segment_error_report,
     simulate_run,
     static_scenario,
     synth_route,

@@ -9,8 +9,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-
-import numpy as np
+from statistics import fmean
 
 from .errors import InputError, ShapeError
 from .pipeline import Trajectory, TrajectoryStep
@@ -111,10 +110,6 @@ def summary_text(trajectory: Trajectory) -> str:
         f"skipped_sweeps: {trajectory.skipped_sweeps}",
         f"selected_bands: {' '.join(str(b) for b in trajectory.selected_bands)}",
     ]
-    if residuals:
-        lines.append(f"residual_mean: {np.mean(residuals):.6f}")
-        lines.append(f"residual_max: {np.max(residuals):.6f}")
-    else:
-        lines.append("residual_mean: nan")
-        lines.append("residual_max: nan")
+    mean, peak = (fmean(residuals), max(residuals)) if residuals else (math.nan, math.nan)
+    lines += [f"residual_mean: {mean:.6f}", f"residual_max: {peak:.6f}"]
     return "\n".join(lines) + "\n"

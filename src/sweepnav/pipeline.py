@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
-import numpy as np
-
 from .ekf import EkfTracker, Landmark, NoiseConfig
 from .errors import ConfigError, DegenerateGeometryError, InsufficientAnchorsError, MissingBandError
 from .multilateration import DEFAULT_CONDITION_CAP, Anchor, AnchorFrame
@@ -113,12 +111,10 @@ class Trajectory:
     def selected_bands(self) -> tuple[int, ...]:
         return tuple(anchor.band_id for anchor in self.anchors)
 
-    def positions(self, estimator: str = "raw") -> np.ndarray:
+    def positions(self, estimator: str = "raw") -> list[tuple[float, float]]:
         if estimator not in ("raw", "wma", "ekf"):
             raise ValueError(f"unknown estimator {estimator!r}")
-        return np.array(
-            [getattr(s, estimator) for s in self.steps], dtype=float
-        ).reshape(len(self.steps), 2)
+        return [getattr(s, estimator) for s in self.steps]
 
 
 def assign_anchor_frame(band_ids: Sequence[int], seed: int, bbox: Bbox) -> list[Anchor]:

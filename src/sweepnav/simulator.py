@@ -11,9 +11,11 @@ with frame-insensitive segment metrics.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
+from statistics import fmean
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -122,16 +124,16 @@ class GroundTruth:
     samples: tuple[TruthSample, ...]
     waypoint_indices: tuple[int, ...]
 
-    def positions(self) -> np.ndarray:
-        return np.array([(s.x, s.y) for s in self.samples], dtype=float)
+    def positions(self) -> list[tuple[float, float]]:
+        return [(s.x, s.y) for s in self.samples]
 
-    def segment_lengths(self) -> np.ndarray:
+    def segment_lengths(self) -> list[float]:
         return segment_lengths(self.positions(), self.waypoint_indices)
 
 
-def segment_lengths(points: np.ndarray, indices: Sequence[int]) -> np.ndarray:
-    """Straight-line lengths between consecutive indexed rows of an (n, 2) array."""
-    return np.hypot(*(np.diff(points[list(indices)], axis=0).T))
+def segment_lengths(points: Sequence[tuple[float, float]], indices: Sequence[int]) -> list[float]:
+    """Straight-line lengths between consecutive indexed points."""
+    return [math.dist(points[i], points[j]) for i, j in zip(indices, indices[1:])]
 
 
 @dataclass(frozen=True)
@@ -211,14 +213,8 @@ def simulate_run(scenario: Scenario, plan: BandPlan | None = None) -> SimulatedR
     if plan is None:
         plan = BandPlan.uniform()
     truth = synth_route(scenario)
-    bands = {}  # band id to transmitter, ids rising with frequency
-    for tx in sorted(scenario.transmitters, key=lambda t: t.freq_mhz):
-        band_id = plan.band_at(tx.freq_mhz)
-        if band_id is None:
-            raise ConfigError(f"transmitter at {tx.freq_mhz} MHz is outside the band plan")
-        if band_id in bands:
-            raise ConfigError(f"two transmitters share band {band_id}")
-        bands[band_id] = tx
+    transmitters = sorted(scenario.transmitters, key=lambda t: t.freq_mhz)
+    bands = dict(zip(_band_ids([t.freq_mhz for t in transmitters], plan), transmitters))  # ids rise with frequency
     params, sigma = scenario.pathloss, scenario.shadowing_sigma_db
     rng = np.random.default_rng(scenario.seed)
     sweeps = []
@@ -238,6 +234,19 @@ def simulate_run(scenario: Scenario, plan: BandPlan | None = None) -> SimulatedR
     return SimulatedRun(truth=truth, sweeps=tuple(sweeps))
 
 
+def _band_ids(freqs_mhz: Sequence[float], plan: BandPlan) -> list[int]:
+    """The plan's band id of each frequency, in order; one outside the plan, or two in one band, is a ConfigError."""
+    band_ids = []
+    for freq in freqs_mhz:
+        band_id = plan.band_at(freq)
+        if band_id is None:
+            raise ConfigError(f"transmitter at {freq} MHz is outside the band plan")
+        if band_id in band_ids:
+            raise ConfigError(f"two transmitters share band {band_id}")
+        band_ids.append(band_id)
+    return band_ids
+
+
 @dataclass(frozen=True)
 class RunScore:
     """Frame-insensitive quality metrics of one recovered trajectory."""
@@ -249,24 +258,38 @@ class RunScore:
 def score_run(truth: GroundTruth, trajectory: Trajectory) -> RunScore:
     """Segment errors, keyed "raw", "wma" and "ekf" in that order, and aligned RMSE of each estimator.
 
-    A trajectory without one row per truth sample, or with a row more than a
-    microsecond (the stamp both files hold) from its sample's time, is a
-    ShapeError, as are the index and length faults ``segment_error_report`` rejects.
+    The one home of a score's shape rules, each checked once before any
+    arithmetic: one row per truth sample, each within a microsecond (the
+    stamp both files hold) of its sample's time; at least two waypoints,
+    ordered and in range; and every true segment positive. Each fault is a
+    ShapeError. A segment's percent difference is |est - truth| / truth * 100.
     """
-    truth_xy = truth.positions()
-    if len(trajectory.steps) != len(truth_xy):
-        raise ShapeError(f"trajectory has {len(trajectory.steps)} rows, truth has {len(truth_xy)}")
-    for k, (step, sample) in enumerate(zip(trajectory.steps, truth.samples)):
+    samples, indices = truth.samples, truth.waypoint_indices
+    if len(trajectory.steps) != len(samples):
+        raise ShapeError(f"trajectory has {len(trajectory.steps)} rows, truth has {len(samples)}")
+    for k, (step, sample) in enumerate(zip(trajectory.steps, samples)):
         # two stamps of one sweep may round a microsecond apart; two ulps cover the floats
         if not abs(step.timestamp - sample.timestamp) <= 1e-6 + 2 * math.ulp(sample.timestamp):
             raise ShapeError(f"trajectory row {k} is at {step.timestamp:.6f} s, truth at {sample.timestamp:.6f} s")
-    indices = _checked_waypoints(truth.waypoint_indices, len(truth_xy))
+    if len(indices) < 2:
+        raise ShapeError(f"need at least two waypoints to bound a segment, have {len(indices)}")
+    if list(indices) != sorted(indices):
+        raise ShapeError("waypoint indices must be ordered")
+    if indices[0] < 0 or indices[-1] >= len(samples):
+        raise ShapeError("waypoint index out of range")
+    truth_xy = truth.positions()
     truth_lengths = segment_lengths(truth_xy, indices)
-    segments = {e: segment_error_report(trajectory.positions(e), indices, truth_lengths) for e in ("raw", "wma", "ekf")}
-    return RunScore(
-        segments=segments,
-        rmse_m={e: aligned_rmse(trajectory.positions(e), truth_xy) for e in segments},
-    )
+    if any(t <= 0 for t in truth_lengths):
+        raise ShapeError("truth lengths must be positive")
+    segments, rmse_m = {}, {}
+    for estimator in ("raw", "wma", "ekf"):
+        xy = trajectory.positions(estimator)
+        segments[estimator] = [
+            SegmentError(estimated_m=est, truth_m=t, percent_diff=abs(est - t) / t * 100.0)
+            for est, t in zip(segment_lengths(xy, indices), truth_lengths)
+        ]
+        rmse_m[estimator] = aligned_rmse(xy, truth_xy)
+    return RunScore(segments=segments, rmse_m=rmse_m)
 
 
 @dataclass(frozen=True)
@@ -278,81 +301,51 @@ class SegmentError:
     percent_diff: float
 
 
-def _checked_waypoints(waypoint_indices: Sequence[int], count: int) -> list[int]:
-    indices = list(waypoint_indices)
-    if len(indices) < 2:
-        raise ShapeError(f"need at least two waypoints to bound a segment, have {len(indices)}")
-    if indices != sorted(indices):
-        raise ShapeError("waypoint indices must be ordered")
-    if indices and (indices[0] < 0 or indices[-1] >= count):
-        raise ShapeError("waypoint index out of range")
-    return indices
+def _centred(column: Sequence[float]) -> list[float]:
+    mean = fmean(column)
+    return [v - mean for v in column]
 
 
-def segment_error_report(
-    positions: Sequence[tuple[float, float]] | np.ndarray,
-    waypoint_indices: Sequence[int],
-    truth_lengths_m: Sequence[float],
-) -> list[SegmentError]:
-    """Per-segment length error against known true lengths.
-
-    ``waypoint_indices`` mark the trajectory samples at which the receiver
-    passed each waypoint; consecutive pairs bound one segment. The percent
-    difference is |est - truth| / truth * 100. Indices out of order or out
-    of range, a count other than one more than the lengths, and a true
-    length that is not positive are each a ShapeError.
-    """
-    pts = np.asarray(positions, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ShapeError("positions must be (x, y) pairs")
-    indices = _checked_waypoints(waypoint_indices, len(pts))
-    if len(indices) != len(truth_lengths_m) + 1:
-        raise ShapeError("need one more waypoint index than truth lengths")
-    if any(t <= 0 for t in truth_lengths_m):
-        raise ShapeError("truth lengths must be positive")
-
-    report = []
-    for estimated, truth in zip(segment_lengths(pts, indices).tolist(), truth_lengths_m):
-        percent = abs(estimated - truth) / truth * 100.0
-        report.append(SegmentError(estimated_m=estimated, truth_m=float(truth), percent_diff=percent))
-    return report
-
-
-def aligned_rmse(estimated: np.ndarray, truth: np.ndarray) -> float:
+def aligned_rmse(estimated: Sequence[tuple[float, float]], truth: Sequence[tuple[float, float]]) -> float:
     """RMSE after the best orthogonal alignment (rotation or reflection).
 
     The relative frame carries no absolute orientation or handedness, so
-    both are factored out before comparing.
+    both are factored out before comparing, by the plane's closed-form
+    orthogonal Procrustes fit (Schoenemann, Psychometrika 31(1), 1966).
+    Positions near the float limit overflow the fit; their RMSE is inf.
     """
-    est = np.asarray(estimated, dtype=float)
-    tru = np.asarray(truth, dtype=float)
-    if est.shape != tru.shape:
-        raise ValueError("estimated and truth must have the same shape")
-    # positions near the float limit overflow the fit: its RMSE is inf, without a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        est_c = est - est.mean(axis=0)
-        tru_c = tru - tru.mean(axis=0)
-        cross = est_c.T @ tru_c
-        if not np.isfinite(cross).all():  # the SVD would not converge on it
+    n = len(truth)
+    if len(estimated) != n or n == 0:
+        raise ValueError("estimated and truth must hold equally many positions, at least one")
+    (ex, ey), (tx, ty) = zip(*estimated), zip(*truth)
+    try:  # fsum and ** raise on an overflow, and fsum on inf - inf
+        ex, ey, tx, ty = map(_centred, (ex, ey, tx, ty))
+        # the centred cross sums; a rotation reaches the first hypot, a reflection the second
+        a, b, c, d = (math.fsum(map(operator.mul, e, t)) for e in (ex, ey) for t in (tx, ty))
+        rotation, reflection = math.hypot(a + d, b - c), math.hypot(a - d, b + c)
+        sign, h = (1.0, rotation) if rotation >= reflection else (-1.0, reflection)
+        if not math.isfinite(h):
             return math.inf
-        u, _, vt = np.linalg.svd(cross)
-        rotation = u @ vt
-        aligned = est_c @ rotation
-        return float(np.sqrt(np.mean(np.sum((aligned - tru_c) ** 2, axis=1))))
+        cos, sin = ((a + sign * d) / h, (b - sign * c) / h) if h > 0 else (1.0, 0.0)
+        # the residuals of the aligned points themselves: sum|e|^2 + sum|t|^2 - 2h would cancel
+        squares = math.fsum(
+            (cos * x - sign * sin * y - u) ** 2 + (sin * x + sign * cos * y - v) ** 2
+            for x, y, u, v in zip(ex, ey, tx, ty)
+        )
+    except (OverflowError, ValueError):
+        return math.inf
+    return math.sqrt(squares / n)
 
 
-def spread(points: np.ndarray) -> float:
+def spread(points: Sequence[tuple[float, float]]) -> float:
     """Scalar scatter of a point cloud: sqrt(var_x + var_y)."""
-    pts = np.asarray(points, dtype=float)
-    return float(np.sqrt(pts[:, 0].var() + pts[:, 1].var()))
+    var_x, var_y = (fmean([v * v for v in _centred(column)]) for column in zip(*points))
+    return math.sqrt(var_x + var_y)
 
 
-def rolling_spread(points: np.ndarray, window: int = 10) -> np.ndarray:
+def rolling_spread(points: Sequence[tuple[float, float]], window: int = 10) -> list[float]:
     """Trailing-window spread at every sample."""
-    pts = np.asarray(points, dtype=float)
-    return np.array(
-        [spread(pts[max(0, k - window + 1): k + 1]) for k in range(len(pts))]
-    )
+    return [spread(points[max(0, k - window + 1): k + 1]) for k in range(len(points))]
 
 
 def auto_transmitters(
@@ -367,16 +360,8 @@ def auto_transmitters(
     same convention the pipeline uses for its anchor frame: equal seeds and
     boxes yield the identical constellation on both sides.
     """
-    plan = BandPlan.uniform()
-    by_band = {}
-    for freq in freqs_mhz:
-        band_id = plan.band_at(freq)
-        if band_id is None:
-            raise ConfigError(f"carrier {freq} MHz is outside the band plan")
-        if band_id in by_band:
-            raise ConfigError(f"two carriers share band {band_id}")
-        by_band[band_id] = freq
-    placed = place_in_box(by_band.keys(), seed, bbox)
+    by_band = dict(zip(_band_ids(freqs_mhz, BandPlan.uniform()), freqs_mhz))
+    placed = place_in_box(by_band, seed, bbox)
     return tuple(
         Transmitter(x=placed[bid][0], y=placed[bid][1], power_dbm=power_dbm, freq_mhz=freq)
         for bid, freq in sorted(by_band.items())

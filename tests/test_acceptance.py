@@ -13,16 +13,18 @@ from sweepnav import (
     Anchor,
     AnchorFrame,
     EkfTracker,
+    GroundTruth,
     NoiseConfig,
     Smoother,
     SmootherConfig,
     TrackingPipeline,
+    Trajectory,
+    TrajectoryStep,
     ekf,
     matched_config,
     route_scenario,
     run_pipeline,
     score_run,
-    segment_error_report,
     simulate_run,
     static_scenario,
 )
@@ -30,7 +32,7 @@ from sweepnav.artifacts import write_trajectory_csv
 from sweepnav.ekf import Landmark
 from sweepnav.pathloss import PathLossParams, free_space_pl0, invert_distance, rss_at_distance
 from sweepnav.pipeline import DEFAULT_ANCHOR_BBOX, assign_anchor_frame
-from sweepnav.simulator import spread
+from sweepnav.simulator import TruthSample, spread
 from sweepnav.sweeps import write_sweep_csv
 
 # benchmark configuration: six transmitter bands, exponent 2.8, smoother
@@ -181,9 +183,12 @@ def test_criterion_3_error_metric_fidelity():
             (263.0, 270.0, 2.59),
         ]
         for estimated, truth, expected in reference_pairs:
-            positions = [(0.0, 0.0), (estimated, 0.0)]
-            report = segment_error_report(positions, [0, 1], [truth])
-            assert round(report[0].percent_diff, 2) == expected, (estimated, truth)
+            # one segment along the x axis, scored as `eval` scores a run
+            ground_truth = GroundTruth(samples=(TruthSample(0.0, 0.0, 0.0), TruthSample(1.0, truth, 0.0)),
+                                       waypoint_indices=(0, 1))
+            steps = tuple(TrajectoryStep(k, float(k), x, 0.0, x, 0.0, x, 0.0, 0.0) for k, x in enumerate((0.0, estimated)))
+            (segment,) = score_run(ground_truth, Trajectory(steps=steps)).segments["raw"]
+            assert round(segment.percent_diff, 2) == expected, (estimated, truth)
 
 
 class CovarianceAudit:

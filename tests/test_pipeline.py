@@ -14,13 +14,13 @@ from sweepnav import (
     matched_config,
     route_scenario,
     run_pipeline,
-    segment_error_report,
+    score_run,
     simulate_run,
     static_scenario,
 )
 from sweepnav.artifacts import read_trajectory_csv, summary_text, write_trajectory_csv
-from sweepnav.errors import ShapeError
 from sweepnav.placement import place_in_box
+from sweepnav.simulator import segment_lengths
 from sweepnav.sweeps import SweepRecord, SweepWindow
 
 
@@ -94,19 +94,15 @@ class TestPipelineRuns:
         run = simulate_run(scenario)
         trajectory = run_pipeline(run.sweeps, matched_config(scenario))
         assert len(trajectory) == len(run.sweeps)
-        raw = trajectory.positions("raw")
         assert trajectory.steps[0].raw == (0.0, 0.0)
-        assert np.max(np.hypot(raw[:, 0], raw[:, 1])) < 1e-6
+        assert max(math.hypot(x, y) for x, y in trajectory.positions("raw")) < 1e-6
 
     def test_noiseless_route_segments_within_one_percent(self):
         scenario = route_scenario(seed=3, shadowing_sigma_db=0.0)
         run = simulate_run(scenario)
         trajectory = run_pipeline(run.sweeps, matched_config(scenario, sweep_window=1))
-        truth_xy = run.truth.positions()
-        indices = list(run.truth.waypoint_indices)
-        lengths = np.hypot(*(np.diff(truth_xy[indices], axis=0).T))
-        report = segment_error_report(trajectory.positions("raw"), indices, lengths)
-        assert all(seg.percent_diff < 1.0 for seg in report)
+        report = score_run(run.truth, trajectory).segments["raw"]
+        assert len(report) == 4 and all(seg.percent_diff < 1.0 for seg in report)
 
     def test_online_equals_batch(self):
         scenario = static_scenario(seed=6, duration_s=24.0)
@@ -272,12 +268,10 @@ class TestFrameRelativity:
         transformed = run_pipeline(run.sweeps, config)
         assert transformed.anchors == tuple(moved)
 
-        indices = list(run.truth.waypoint_indices)
+        indices = run.truth.waypoint_indices
         for estimator in ("raw", "wma", "ekf"):
-            p1 = base.positions(estimator)[indices]
-            p2 = transformed.positions(estimator)[indices]
-            l1 = np.hypot(*(np.diff(p1, axis=0).T))
-            l2 = np.hypot(*(np.diff(p2, axis=0).T))
+            l1 = segment_lengths(base.positions(estimator), indices)
+            l2 = segment_lengths(transformed.positions(estimator), indices)
             np.testing.assert_allclose(l2, l1, rtol=1e-6)
 
     def test_independent_anchor_seed_recorded_not_asserted(self):
@@ -287,52 +281,9 @@ class TestFrameRelativity:
         run = simulate_run(scenario)
         base = run_pipeline(run.sweeps, matched_config(scenario))
         other = run_pipeline(run.sweeps, matched_config(scenario, anchor_seed=scenario.seed + 1))
-        indices = list(run.truth.waypoint_indices)
-        l1 = np.hypot(*(np.diff(base.positions("raw")[indices], axis=0).T))
-        l2 = np.hypot(*(np.diff(other.positions("raw")[indices], axis=0).T))
+        indices = run.truth.waypoint_indices
+        l1 = np.array(segment_lengths(base.positions("raw"), indices))
+        l2 = np.array(segment_lengths(other.positions("raw"), indices))
         print(f"independent-anchor segment length change: {np.abs(l2 - l1) / l1 * 100}")
         assert np.all(np.isfinite(l2))
 
-
-class TestSegmentErrorReport:
-    def test_reference_cells(self):
-        positions = [(0.0, 0.0), (248.0, 0.0), (815.0, 0.0), (1094.0, 0.0), (1881.0, 0.0)]
-        report = segment_error_report(positions, [0, 1, 2, 3, 4], [270.0, 490.0, 260.0, 840.0])
-        assert [round(s.percent_diff, 2) for s in report] == [8.15, 15.71, 7.31, 6.31]
-        assert [s.estimated_m for s in report] == [248.0, 567.0, 279.0, 787.0]
-
-    def test_exact_match_is_zero(self):
-        report = segment_error_report([(0.0, 0.0), (100.0, 0.0)], [0, 1], [100.0])
-        assert report[0].percent_diff == 0.0
-
-    def test_unordered_indices_rejected(self):
-        with pytest.raises(ValueError):
-            segment_error_report([(0.0, 0.0)] * 5, [2, 1], [100.0])
-
-    def test_out_of_range_index_rejected(self):
-        with pytest.raises(ValueError):
-            segment_error_report([(0.0, 0.0)] * 3, [0, 5], [100.0])
-
-    def test_nonpositive_truth_rejected(self):
-        with pytest.raises(ValueError):
-            segment_error_report([(0.0, 0.0)] * 3, [0, 2], [0.0])
-
-    @pytest.mark.parametrize(
-        "positions, indices, lengths",
-        [
-            ([(0.0, 0.0)] * 5, [2, 1], [100.0]),
-            ([(0.0, 0.0)] * 3, [0, 5], [100.0]),
-            ([(0.0, 0.0)] * 3, [-1, 2], [100.0]),
-            ([(0.0, 0.0)] * 3, [0, 2], [0.0]),
-            ([(0.0, 0.0)] * 3, [0, 1, 2], [100.0]),
-            ([0.0, 1.0], [0, 1], [100.0]),
-        ],
-        ids=["unordered", "beyond", "negative", "zero-length", "count", "not-pairs"],
-    )
-    def test_faults_are_shape_errors(self, positions, indices, lengths):
-        with pytest.raises(ShapeError):
-            segment_error_report(positions, indices, lengths)
-
-    def test_index_count_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            segment_error_report([(0.0, 0.0)] * 3, [0, 1, 2], [100.0])

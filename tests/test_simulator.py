@@ -23,7 +23,8 @@ from sweepnav.pathloss import free_space_pl0, invert_distance, rss_at_distance
 from sweepnav.pipeline import Trajectory, TrajectoryStep
 from sweepnav.placement import place_in_box
 from sweepnav.simulator import (
-    DEFAULT_TX_BBOX, DEFAULT_TX_FREQS_MHZ, aligned_rmse, auto_transmitters, rolling_spread, spread,
+    DEFAULT_TX_BBOX, DEFAULT_TX_FREQS_MHZ, GroundTruth, TruthSample, aligned_rmse, auto_transmitters, rolling_spread,
+    spread,
 )
 from sweepnav.sweeps import format_timestamp
 
@@ -53,8 +54,7 @@ class TestSynthRoute:
         truth = synth_route(simple_scenario())
         positions = truth.positions()
         assert len(positions) == 11
-        np.testing.assert_allclose(positions[:, 0], np.arange(11.0), atol=1e-12)
-        np.testing.assert_allclose(positions[:, 1], 0.0, atol=1e-12)
+        np.testing.assert_allclose(positions, [(k, 0.0) for k in range(11)], atol=1e-12)
         assert truth.waypoint_indices == (0, 10)
 
     def test_cadence_longer_than_travel(self):
@@ -94,8 +94,7 @@ class TestSynthRoute:
     def test_static_scene_via_hold(self):
         truth = synth_route(simple_scenario(waypoints=((2.0, 3.0), (2.0, 3.0)), hold_s=5.0))
         positions = truth.positions()
-        assert len(positions) == 6
-        assert np.all(positions == [2.0, 3.0])
+        assert positions == [(2.0, 3.0)] * 6
 
     def test_fractional_end_included(self):
         truth = synth_route(simple_scenario(waypoints=((0.0, 0.0), (10.5, 0.0))))
@@ -271,6 +270,19 @@ def trajectory_from(positions, timestamps):
     return Trajectory(steps=steps)
 
 
+def straight_truth(xs):
+    """Ground truth along the x axis, one sample a second, a waypoint at every sample."""
+    samples = tuple(TruthSample(float(k), x, 0.0) for k, x in enumerate(xs))
+    return GroundTruth(samples=samples, waypoint_indices=tuple(range(len(xs))))
+
+
+def svd_aligned_rmse(estimated, truth):
+    """The reference fit: the orthogonal Procrustes rotation or reflection from an SVD."""
+    est_c, tru_c = estimated - estimated.mean(axis=0), truth - truth.mean(axis=0)
+    u, _, vt = np.linalg.svd(est_c.T @ tru_c)
+    return float(np.sqrt(np.mean(np.sum((est_c @ u @ vt - tru_c) ** 2, axis=1))))
+
+
 class TestScoring:
     def test_perfect_trajectory_scores_zero(self):
         scenario = simple_scenario()
@@ -288,17 +300,36 @@ class TestScoring:
         with pytest.raises(ValueError):
             score_run(run.truth, trajectory)
 
-    def test_shape_faults_are_shape_errors(self):
-        run = simulate_run(simple_scenario())
-        trajectory = trajectory_from(run.truth.positions(), [s.timestamp for s in run.truth.samples])
-        short = trajectory_from(run.truth.positions()[:-1], [s.timestamp for s in run.truth.samples[:-1]])
-        with pytest.raises(ShapeError, match="rows, truth has"):
-            score_run(run.truth, short)
-        with pytest.raises(ShapeError, match="out of range"):
-            score_run(dataclasses.replace(run.truth, waypoint_indices=(0, len(run.truth.samples))), trajectory)
-        for indices in ((), (3,)):
-            with pytest.raises(ShapeError, match="at least two waypoints"):
-                score_run(dataclasses.replace(run.truth, waypoint_indices=indices), trajectory)
+    @pytest.mark.parametrize(
+        "drop, indices, match",
+        [
+            (1, (0, 10), "10 rows, truth has 11"),
+            (0, (0, 11), "out of range"),
+            (0, (-1, 10), "out of range"),
+            (0, (), "at least two waypoints"),
+            (0, (3,), "at least two waypoints"),
+            (0, (5, 2), "must be ordered"),
+            (0, (0, 12, 5), "must be ordered"),
+            (0, (0, 5, 5, 10), "truth lengths must be positive"),
+        ],
+        ids=["short", "beyond", "negative", "none", "one", "unordered", "unordered-beyond", "zero-length"],
+    )
+    def test_shape_faults_are_shape_errors(self, drop, indices, match):
+        run = simulate_run(simple_scenario())  # eleven samples along the x axis
+        truth = dataclasses.replace(run.truth, waypoint_indices=indices)
+        kept = len(run.truth.samples) - drop
+        trajectory = trajectory_from(run.truth.positions()[:kept], [s.timestamp for s in run.truth.samples[:kept]])
+        with pytest.raises(ShapeError, match=match):
+            score_run(truth, trajectory)
+
+    def test_reference_cells(self):
+        # a straight drive of 270, 490, 260 and 840 m, estimated 248, 567, 279 and 787 m long
+        truth = straight_truth([0.0, 270.0, 760.0, 1020.0, 1860.0])
+        trajectory = trajectory_from([(x, 0.0) for x in (0.0, 248.0, 815.0, 1094.0, 1881.0)], range(5))
+        report = score_run(truth, trajectory).segments["raw"]
+        assert [round(s.percent_diff, 2) for s in report] == [8.15, 15.71, 7.31, 6.31]
+        assert [s.estimated_m for s in report] == [248.0, 567.0, 279.0, 787.0]
+        assert [s.truth_m for s in report] == [270.0, 490.0, 260.0, 840.0]
 
     @pytest.mark.parametrize("shift", [5000.0, -2e-6, 1.5e-6])
     def test_row_off_its_truth_time_is_a_shape_error(self, shift):
@@ -330,6 +361,23 @@ class TestScoring:
         assert aligned_rmse(points @ rot.T + 7.5, points) == pytest.approx(0.0, abs=1e-9)
         assert aligned_rmse(mirrored, points) == pytest.approx(0.0, abs=1e-9)
 
+    @pytest.mark.parametrize("reflect", [False, True], ids=["rotated", "reflected"])
+    @pytest.mark.parametrize("sigma", [0.0, 1e-3, 1.0, 100.0])
+    def test_aligned_rmse_matches_an_svd_fit(self, sigma, reflect):
+        rng = np.random.default_rng(int(sigma * 1000) + reflect)
+        for n in range(1, 301):
+            truth = rng.uniform(-500, 500, (n, 2))
+            theta = rng.uniform(0.0, 2 * math.pi)
+            turn = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+            if reflect:
+                turn = turn @ np.diag([1.0, -1.0])
+            estimated = truth @ turn.T + rng.uniform(-1e3, 1e3, 2) + rng.normal(0.0, sigma, (n, 2))
+            expected = svd_aligned_rmse(estimated, truth)
+            rmse = aligned_rmse(estimated.tolist(), truth.tolist())
+            if n == 1:
+                assert rmse == 0.0
+            assert abs(rmse - expected) <= 1e-9 * max(expected, 1.0), (n, rmse, expected)
+
     def test_aligned_rmse_of_positions_near_the_float_limit_is_inf(self):
         # the centred cross product overflows; the SVD would not converge on it
         points = np.zeros((5, 2))
@@ -342,9 +390,11 @@ class TestScoring:
         assert spread(np.tile([3.0, -2.0], (10, 1))) == 0.0
 
     def test_rolling_spread_shape(self):
-        series = rolling_spread(np.random.default_rng(0).normal(size=(25, 2)), window=10)
-        assert series.shape == (25,)
+        points = np.random.default_rng(0).normal(size=(25, 2)).tolist()
+        series = rolling_spread(points, window=10)
+        assert len(series) == 25
         assert series[0] == 0.0
+        assert series[-1] == spread(points[-10:])
 
 
 class TestStatisticalBehavior:
