@@ -30,7 +30,7 @@ _TRAJECTORY_ROW = "%s" + ",%.6f" * 8 + ",%s\n"
 def write_trajectory_csv(trajectory: Trajectory, path) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as handle:
         handle.write(",".join(TRAJECTORY_HEADER) + "\n")
-        handle.writelines(_TRAJECTORY_ROW % (*step[:9], ";".join(step.flags)) for step in trajectory.steps)
+        handle.write("".join([_TRAJECTORY_ROW % (*step[:9], ";".join(step.flags)) for step in trajectory.steps]))
 
 
 def _read_rows(path, header: list[str], kind: str, parse) -> list:

@@ -21,7 +21,7 @@ import click
 from . import artifacts
 from .config import load_config, load_scenario
 from .errors import ConfigError, ShapeError, SweepNavError
-from .pipeline import run_pipeline
+from .pipeline import Trajectory, run_pipeline
 from .simulator import rolling_spread, score_run, simulate_run, spread
 from .sweeps import BandPlan, SweepRecord, parse_sweep_file, write_sweep_csv
 
@@ -53,6 +53,14 @@ def main():
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
 
 
+def _require_fix(trajectory: Trajectory) -> Trajectory:
+    """The trajectory of a run in which some sweep fixed; with no fix the run failed."""
+    if not trajectory.steps:
+        selected = " ".join(map(str, trajectory.selected_bands)) or "none"
+        raise SweepNavError(f"no fix in {trajectory.skipped_sweeps} sweeps; selected bands: {selected}")
+    return trajectory
+
+
 @main.command()
 @click.argument("sweeps", type=click.Path(exists=True, dir_okay=False))
 @click.option("--config", "config_path", type=click.Path(), default=None, help="Pipeline config file.")
@@ -65,10 +73,7 @@ def run(sweeps, config_path, seed, out_dir):
         config = replace(config, anchor_seed=seed)
     # the records stream from the file into the pipeline; a late parse error,
     # or a file with no sweep, still exits 2 before any output exists
-    trajectory = run_pipeline(parse_sweep_file(sweeps, config.plan), config)
-    if not trajectory.steps:
-        selected = " ".join(map(str, trajectory.selected_bands)) or "none"
-        raise SweepNavError(f"no fix in {trajectory.skipped_sweeps} sweeps; selected bands: {selected}")
+    trajectory = _require_fix(run_pipeline(parse_sweep_file(sweeps, config.plan), config))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     artifacts.write_trajectory_csv(trajectory, out / "trajectory.csv")
@@ -215,22 +220,11 @@ def convergence(source, config_path, seed, out_dir):
     else:
         records = list(parse_sweep_file(source, config.plan))
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     # Spread over elapsed sweeps, with an unbounded mean window so the
     # estimate keeps absorbing data as time passes.
-    growing = replace(config, sweep_window=None)
-    trajectory = run_pipeline(records, growing)
+    trajectory = _require_fix(run_pipeline(records, replace(config, sweep_window=None)))
     series = rolling_spread(trajectory.positions("raw"), 10)
-    artifacts.write_csv(
-        out / "convergence_time.csv",
-        ["k", "timestamp", "spread"],
-        [
-            (step.index, step.timestamp, series[i])
-            for i, step in enumerate(trajectory.steps)
-        ],
-    )
+    time_rows = [(step.index, step.timestamp, series[i]) for i, step in enumerate(trajectory.steps)]
 
     # Spread over cumulative low-to-high frequency subsets of the bands
     # seen in the first sweep.
@@ -251,11 +245,12 @@ def convergence(source, config_path, seed, out_dir):
             continue
         tail = sub_trajectory.positions("raw")[-10:]
         spectrum_rows.append((config.plan.center_mhz(bands[m - 1]), m, spread(tail)))
-    artifacts.write_csv(
-        out / "convergence_spectrum.csv",
-        ["cutoff_mhz", "band_count", "spread"],
-        spectrum_rows,
-    )
+
+    # both series are computed: only now is --out written
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    artifacts.write_csv(out / "convergence_time.csv", ["k", "timestamp", "spread"], time_rows)
+    artifacts.write_csv(out / "convergence_spectrum.csv", ["cutoff_mhz", "band_count", "spread"], spectrum_rows)
     click.echo(
         f"wrote convergence series ({len(trajectory.steps)} sweeps, "
         f"{len(spectrum_rows)} spectrum points)"

@@ -105,10 +105,8 @@ CONFIG_FIELDS = {
     "smoother.weights": ("smoother", "weights", _list()),
     "ekf.q_diag": ("noise", "q", _list(2, lambda d: ((d[0], 0.0), (0.0, d[1])))),
     "ekf.r": ("noise", "r", _float),
-    "ekf.p0": ("pipeline", "p0_var", _float),
     "anchor.seed": ("pipeline", "anchor_seed", _int),
     "anchor.bbox": ("pipeline", "anchor_bbox", _list(4)),
-    "lsq.condition_cap": ("pipeline", "condition_cap", _float),
 }
 
 SCENARIO_FIELDS = {
@@ -117,7 +115,6 @@ SCENARIO_FIELDS = {
     "cadence_s": ("scenario", "cadence_s", _float),
     "hold_s": ("scenario", "hold_s", _float),
     "lead_in_m": ("scenario", "lead_in_m", _float),
-    "start_time": ("scenario", "start_time", _float),
     "n_pl": ("pathloss", "exponent", _float),
     "d0_m": ("pathloss", "ref_distance_m", _float),
     "shadowing_sigma_db": ("scenario", "shadowing_sigma_db", _float),

@@ -31,7 +31,7 @@ from typing import Sequence
 from .errors import DegenerateGeometryError, InsufficientAnchorsError
 
 MIN_ANCHORS = 4
-DEFAULT_CONDITION_CAP = 1e8
+CONDITION_CAP = 1e8  # a larger condition estimate makes the geometry degenerate
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,7 @@ class _GivensQR:
     folds into the 2x2 triangular R by at most two Givens rotations, kept
     as (c, s), or None where the entry is already 0. ``solve`` applies them."""
 
-    def __init__(self, rows: Sequence[tuple[float, float]], condition_cap: float):
+    def __init__(self, rows: Sequence[tuple[float, float]]):
         r00 = r01 = r11 = 0.0
         self.rows, self._rotations = tuple(rows), []
         for a0, a1 in self.rows:
@@ -89,8 +89,8 @@ class _GivensQR:
         self._degenerate = "anchor geometry is rank deficient" if sigma_min <= 0.0 else None
         if self._degenerate is None:
             self._condition = sigma_max / sigma_min
-            if self._condition > condition_cap:
-                self._degenerate = f"condition estimate {self._condition:.3g} exceeds cap {condition_cap:.3g}"
+            if self._condition > CONDITION_CAP:
+                self._degenerate = f"condition estimate {self._condition:.3g} exceeds cap {CONDITION_CAP:.3g}"
 
     def solve(self, b: Sequence[float]) -> tuple[float, float, float, float]:
         """(x, y, residual_norm, condition_estimate) for one right-hand side."""
@@ -119,7 +119,7 @@ class AnchorFrame:
     the anchor part of b, c_j = x1^2 - xj^2 + y1^2 - yj^2, kept: per set of
     distances, b_j = c_j + dj^2 - d1^2 (the same bits, left to right)."""
 
-    def __init__(self, anchors: Sequence[Anchor], condition_cap: float = DEFAULT_CONDITION_CAP):
+    def __init__(self, anchors: Sequence[Anchor]):
         n = len(anchors)
         if n < MIN_ANCHORS:
             raise InsufficientAnchorsError(f"need at least {MIN_ANCHORS} anchors, have {n}")
@@ -132,7 +132,7 @@ class AnchorFrame:
             xj, yj = float(anchor.x), float(anchor.y)
             rows.append((2.0 * (x1 - xj), 2.0 * (y1 - yj)))
             self._c.append(x1 * x1 - xj * xj + y1 * y1 - yj * yj)
-        self.qr = _GivensQR(rows, condition_cap)
+        self.qr = _GivensQR(rows)
 
     def rhs(self, distances: Sequence[float]) -> list[float]:
         """b for one set of distances, after checking them."""

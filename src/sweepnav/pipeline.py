@@ -25,7 +25,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .ekf import EkfTracker, Landmark, NoiseConfig
 from .errors import ConfigError, DegenerateGeometryError, InsufficientAnchorsError, MissingBandError
-from .multilateration import DEFAULT_CONDITION_CAP, Anchor, AnchorFrame
+from .multilateration import Anchor, AnchorFrame
 from .pathloss import PathLossParams, free_space_pl0, invert_distance
 from .placement import Bbox, place_in_box, validate_bbox
 from .smoothing import Smoother, SmootherConfig
@@ -34,6 +34,8 @@ from .sweeps import BandPlan, SweepRecord, SweepWindow, select_transmit_bands
 log = logging.getLogger(__name__)
 
 DEFAULT_ANCHOR_BBOX: Bbox = (-500.0, -500.0, 500.0, 500.0)
+# the EKF's initial covariance: 10 m^2 per axis around the first smoothed fix
+P0 = ((10.0, 0.0), (0.0, 10.0))
 
 
 @dataclass(frozen=True)
@@ -50,8 +52,6 @@ class PipelineConfig:
     sweep_window: int | None = 10
     anchor_seed: int = 1
     anchor_bbox: Bbox = DEFAULT_ANCHOR_BBOX
-    p0_var: float = 10.0
-    condition_cap: float = DEFAULT_CONDITION_CAP
 
     def __post_init__(self):
         validate_bbox(self.anchor_bbox)
@@ -59,10 +59,6 @@ class PipelineConfig:
             raise ConfigError(f"anchor seed {self.anchor_seed} is negative")
         if self.sweep_window is not None and self.sweep_window < 1:
             raise ValueError("sweep_window must be positive or None")
-        if not 0 < self.p0_var < math.inf:
-            raise ValueError("p0_var must be positive and finite")
-        if not self.condition_cap >= 1:
-            raise ValueError("condition_cap must be at least 1")
 
 
 class TrajectoryStep(NamedTuple):
@@ -210,7 +206,7 @@ class TrackingPipeline:
             return False
         self._selected = selected
         anchors = assign_anchor_frame(selected, cfg.anchor_seed, cfg.anchor_bbox)
-        self._frame = AnchorFrame(anchors, cfg.condition_cap)
+        self._frame = AnchorFrame(anchors)
         self._window.keep_only(selected)
         self._pl0 = [free_space_pl0(cfg.plan.center_mhz(b), cfg.pathloss.ref_distance_m) for b in selected]
         log.debug("selected bands %s with anchors %s", selected, anchors)
@@ -246,8 +242,7 @@ class TrackingPipeline:
         sample never moves the track by more than the motion model does.
         """
         if not self._steps:
-            p0 = self._cfg.p0_var
-            self._tracker = EkfTracker(x0=smoothed, p0=((p0, 0.0), (0.0, p0)), noise=self._cfg.noise)
+            self._tracker = EkfTracker(x0=smoothed, p0=P0, noise=self._cfg.noise)
             return smoothed, ()
 
         last = self._steps[-1]

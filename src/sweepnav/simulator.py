@@ -82,7 +82,6 @@ class Scenario:
     seed: int = 0
     hold_s: float = 0.0
     lead_in_m: float = 0.0
-    start_time: float = 0.0
     tx_bbox: Bbox | None = None  # placement box metadata, None for explicit layouts
     shadowing_sigma_db: float = 4.0  # log-normal shadowing, drawn per sweep and transmitter
 
@@ -106,8 +105,6 @@ class Scenario:
             raise ConfigError("hold time must be finite and non-negative")
         if not 0 <= self.lead_in_m < math.inf:
             raise ConfigError("lead-in length must be finite and non-negative")
-        if not math.isfinite(self.start_time):
-            raise ConfigError("start time must be finite")
         if not 0 <= self.shadowing_sigma_db < math.inf:
             raise ConfigError("shadowing sigma must be finite and non-negative")
         if self.lead_in_m > 0 and self.waypoints[0] == self.waypoints[1]:
@@ -143,7 +140,8 @@ class SimulatedRun:
 
 
 def synth_route(scenario: Scenario) -> GroundTruth:
-    """Sample the waypoint polyline at constant speed every cadence.
+    """Sample the waypoint polyline at constant speed every cadence, from
+    time 0, the sweep file's epoch.
 
     The final point (end of drive plus hold) is always included even when
     it falls off the cadence grid; a sample on a zero-length leg is its end
@@ -173,7 +171,7 @@ def synth_route(scenario: Scenario) -> GroundTruth:
     if offsets[-1] < duration - 1e-9:
         offsets.append(duration)
     try:  # every sweep time must be writable as a sweep file stamp; the parser merges sweeps of one stamp
-        stamps = {format_timestamp(scenario.start_time + offset) for offset in offsets}
+        stamps = {format_timestamp(offset) for offset in offsets}
     except OverflowError:
         raise ConfigError("scenario sweep times fall outside the years a sweep file can hold") from None
     if len(stamps) < len(offsets):
@@ -188,7 +186,7 @@ def synth_route(scenario: Scenario) -> GroundTruth:
         if lengths[leg] > 0:  # else the sample is the zero-length leg's end point
             along = distance - cumulative[leg]
             x, y = x0 + (x - x0) / lengths[leg] * along, y0 + (y - y0) / lengths[leg] * along
-        samples.append(TruthSample(float(scenario.start_time + offset), x, y))  # a float even from int times
+        samples.append(TruthSample(float(offset), x, y))  # a float even from int times
 
     scored = cumulative[1:] if scenario.lead_in_m > 0 else cumulative
     waypoint_indices = []

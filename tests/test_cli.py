@@ -53,6 +53,11 @@ tx.freqs_mhz = 700.5,800.5,900.5,1800.5,2100.5,2600.5
 tx.power_dbm = 43
 """
 
+# anchors in a box 1e6 m by 1e-6 m: every geometry's condition estimate exceeds the cap
+THIN_BOX = "anchor.bbox = 0,0,1e6,1e-6"
+# a process noise under which the filter loses positive semi-definiteness mid-run
+DIVERGING_Q = "ekf.q_diag = 1e16,1e16"
+
 
 # four transmitters 10 km out, seen with path-loss exponent 6
 FAR_SCENARIO = """\
@@ -197,19 +202,22 @@ class TestSimulate:
 
 # each of these made `run` or `simulate` exit 1 with a traceback, or exit 0
 # with all-NaN EKF columns, an uncapped condition number or no lead-in; the
-# last two config keys are gone (the EKF always runs; shadowing is a scenario
-# key), and the last four scenario lines ask for an infinite drive, ~2e11
-# sweeps, ~1e300 sweeps and a year past 9999
+# last five config keys are gone (the EKF always runs, shadowing is a scenario
+# key, P0 and the condition cap are constants), so is `start_time` (sweeps start
+# at the epoch), and the last three scenario lines ask for an infinite drive,
+# ~2e11 sweeps and ~1e300 sweeps
 BAD_CONFIG_LINES = [
     "ekf.r = 0", "ekf.q_diag = -1,0.1", "band.high_mhz = nan", "band.high_mhz = inf",
-    "band.width_mhz = nan", "ekf.r = nan", "ekf.p0 = nan", "tx_power_dbm = nan",
+    "band.width_mhz = nan", "ekf.r = nan", "tx_power_dbm = nan", "ekf.p0 = nan",
     "lsq.condition_cap = nan", "lsq.condition_cap = inf", "ekf.enabled = true", "shadowing_sigma_db = 4",
 ]
 BAD_SCENARIO_LINES = [
-    "speed_mps = nan", "cadence_s = nan", "hold_s = nan", "start_time = nan",
+    "speed_mps = nan", "cadence_s = nan", "hold_s = nan", "start_time = nan", "start_time = 1e12",
     "tx.power_dbm = nan", "lead_in_m = nan",
-    "speed_mps = 1e-320", "cadence_s = 1e-9", "hold_s = 1e300", "start_time = 1e12",
+    "speed_mps = 1e-320", "cadence_s = 1e-9", "hold_s = 1e300",
 ]
+# keys removed with their fields, each set to its old default
+REMOVED_KEYS = [("run", "ekf.p0 = 10.0"), ("run", "lsq.condition_cap = 1e8"), ("simulate", "start_time = 0")]
 
 
 @pytest.mark.parametrize(
@@ -217,6 +225,24 @@ BAD_SCENARIO_LINES = [
     [("run", line) for line in BAD_CONFIG_LINES] + [("simulate", line) for line in BAD_SCENARIO_LINES],
 )
 def test_bad_setting_is_exit_3(runner, tmp_path, command, line):
+    result, out = invoke_with_setting(runner, tmp_path, command, line)
+    assert result.exit_code == 3, (result.output, result.exception)
+    assert "config error" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, line", REMOVED_KEYS)
+def test_removed_key_is_exit_3(runner, tmp_path, command, line):
+    result, out = invoke_with_setting(runner, tmp_path, command, line)
+    assert result.exit_code == 3, (result.output, result.exception)
+    kind = "config" if command == "run" else "scenario"
+    assert f"config error: unknown {kind} keys: {line.split(' ')[0]}" in result.output
+    assert not out.exists()
+
+
+def invoke_with_setting(runner, tmp_path, command, line):
+    """``run`` with ``line`` as its config, or ``simulate`` of the README scenario with ``line``
+    in place of its key; the result and the --out path."""
     settings = tmp_path / "settings.txt"
     if command == "run":
         settings.write_text(line + "\n", encoding="ascii")
@@ -228,10 +254,8 @@ def test_bad_setting_is_exit_3(runner, tmp_path, command, line):
         kept = [row for row in BENCHMARK_SCENARIO.splitlines() if row.split(" ")[0] != key]
         settings.write_text("\n".join(kept + [line]) + "\n", encoding="ascii")
         args = ["simulate", str(settings)]
-    result = runner.invoke(main, args + ["--out", str(tmp_path / "out")])
-    assert result.exit_code == 3, (result.output, result.exception)
-    assert "config error" in result.output
-    assert not (tmp_path / "out").exists()
+    out = tmp_path / "out"
+    return runner.invoke(main, args + ["--out", str(out)]), out
 
 
 @pytest.mark.parametrize("command", ["run", "simulate", "convergence"])
@@ -373,10 +397,10 @@ class TestRun:
         assert f"input error: {empty}: no sweeps" in result.output
         assert not out.exists()
 
-    @pytest.mark.parametrize("line, selected", [("band.count = 7", "none"), ("lsq.condition_cap = 1", "700 ")])
+    @pytest.mark.parametrize("line, selected", [("band.count = 7", "none"), (THIN_BOX, "700 ")])
     def test_run_without_a_fix_is_exit_3_with_no_output(self, runner, sweeps_csv, tmp_path, line, selected):
-        # seven bands never persist among six transmitters; a cap of 1 makes every geometry degenerate.
-        # Both used to exit 0 with a header-only trajectory.
+        # seven bands never persist among six transmitters; anchors in a thin box make every geometry
+        # degenerate. Both used to exit 0 with a header-only trajectory.
         config = tmp_path / "nofix.cfg"
         config.write_text(line + "\n", encoding="ascii")
         out = tmp_path / "run"
@@ -474,7 +498,7 @@ class TestRun:
         assert "config error" in result.output and "above 0 MHz" in result.output
         assert not out.exists()
 
-    @pytest.mark.parametrize("line", ["ekf.q_diag = 1e16,1e16", "ekf.p0 = 1e200"])
+    @pytest.mark.parametrize("line", [DIVERGING_Q])
     def test_diverged_filter_is_a_failed_run(self, runner, benchmark_sweeps, tmp_path, line):
         # a valid config whose filter loses positive semi-definiteness mid-run: it exited 2 as bad input
         config = tmp_path / "diverge.cfg"
@@ -601,10 +625,10 @@ class TestEval:
         assert all(row[7] == "" and math.isfinite(float(row[6])) for row in rows if row[2] == "6")
 
     def test_grid_cell_skipping_every_sweep_is_noted(self, runner, artifacts, tmp_path):
-        # bands are selected, but no geometry passes a condition cap of 1, so no sweep fixes
+        # bands are selected, but anchors in a thin box make every geometry degenerate, so no sweep fixes
         sim, run_dir = artifacts
-        out, config = tmp_path / "grid", tmp_path / "cap.cfg"
-        config.write_text("lsq.condition_cap = 1\n", encoding="ascii")
+        out, config = tmp_path / "grid", tmp_path / "thin.cfg"
+        config.write_text(THIN_BOX + "\n", encoding="ascii")
         result = runner.invoke(
             main,
             [
@@ -955,6 +979,28 @@ class TestConvergence:
         result = runner.invoke(main, ["convergence", str(sim / "sweeps.csv"), "--out", str(out)])
         assert result.exit_code == 0, result.output
         assert (out / "convergence_time.csv").exists()
+
+    def test_run_without_a_fix_is_exit_3_with_no_output(self, runner, benchmark_sweeps, tmp_path):
+        # five transmitters never give six bands: it exited 0 with a header-only convergence_time.csv
+        sweeps = tmp_path / "no700.csv"
+        rows = benchmark_sweeps.read_text(encoding="ascii").splitlines(keepends=True)
+        sweeps.write_text("".join(row for row in rows if ", 700000000, " not in row), encoding="ascii")
+        out = tmp_path / "conv"
+        result = runner.invoke(main, ["convergence", str(sweeps), "--out", str(out)])
+        assert result.exit_code == 3, (result.output, result.exception)
+        assert "run failed: no fix in 207 sweeps; selected bands: none" in result.output
+        assert not out.exists()
+
+    def test_diverged_filter_is_exit_3_with_no_output(self, runner, tmp_path):
+        # --out was created before the runs, so the failed run left an empty directory
+        scenario, config = tmp_path / "scenario.txt", tmp_path / "diverge.cfg"
+        scenario.write_text(BENCHMARK_SCENARIO, encoding="ascii")
+        config.write_text(DIVERGING_Q + "\n", encoding="ascii")
+        out = tmp_path / "conv"
+        result = runner.invoke(main, ["convergence", str(scenario), "--config", str(config), "--out", str(out)])
+        assert result.exit_code == 3, (result.output, result.exception)
+        assert "run failed: filter diverged" in result.output
+        assert not out.exists()
 
     def test_repeated_timestamp_is_exit_2(self, runner, tmp_path):
         bad = tmp_path / "repeated.csv"

@@ -28,10 +28,8 @@ smoother.window = 4
 smoother.weights = 1,2,3,4
 ekf.q_diag = 0.2,0.2
 ekf.r = 0.5
-ekf.p0 = 5.0
 anchor.seed = 9
 anchor.bbox = -100,-100,100,100
-lsq.condition_cap = 1e7
 """
 
 
@@ -62,7 +60,6 @@ class TestPipelineConfigFile:
         assert config.noise.r == 0.01
         np.testing.assert_array_equal(config.noise.q, np.eye(2) * 0.1)
         assert config.plan.selection_count == 6
-        assert config.p0_var == 10.0
 
     def test_full_file(self, tmp_path):
         path = tmp_path / "config.txt"
@@ -74,7 +71,6 @@ class TestPipelineConfigFile:
         assert config.noise.r == 0.5
         assert config.anchor_seed == 9
         assert config.anchor_bbox == (-100.0, -100.0, 100.0, 100.0)
-        assert config.condition_cap == 1e7
 
     def test_window_zero_means_unbounded(self):
         assert config_from_values({"sweep.window": "0"}).sweep_window is None

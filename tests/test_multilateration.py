@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sweepnav import Anchor, AnchorFrame, DegenerateGeometryError, InsufficientAnchorsError
-from sweepnav.multilateration import DEFAULT_CONDITION_CAP, _triangular_singular_values
+from sweepnav.multilateration import CONDITION_CAP, _triangular_singular_values
 
 
 def svd_reference(a, b):
@@ -35,7 +35,7 @@ def reference_linear_rows(anchors, distances):
     return rows
 
 
-def reference_solve_rows(rows, condition_cap):
+def reference_solve_rows(rows):
     r00 = r01 = r11 = qb0 = qb1 = 0.0
     for a0, a1, b in rows:
         if a0 != 0.0:
@@ -51,9 +51,9 @@ def reference_solve_rows(rows, condition_cap):
     if sigma_min <= 0.0:
         raise DegenerateGeometryError("anchor geometry is rank deficient")
     condition = sigma_max / sigma_min
-    if condition > condition_cap:
+    if condition > CONDITION_CAP:
         raise DegenerateGeometryError(
-            f"condition estimate {condition:.3g} exceeds cap {condition_cap:.3g}"
+            f"condition estimate {condition:.3g} exceeds cap {CONDITION_CAP:.3g}"
         )
     y = qb1 / r11
     x = (qb0 - r01 * y) / r00
@@ -85,12 +85,12 @@ def ranges_from(anchors, point):
     return [math.hypot(a.x - point[0], a.y - point[1]) for a in anchors]
 
 
-def frame_of_rows(a, condition_cap=DEFAULT_CONDITION_CAP):
+def frame_of_rows(a):
     """The AnchorFrame whose linearised rows are exactly ``a``: the first
     anchor at the origin, anchor j + 1 at -a_j / 2. Its ``qr`` then solves
     A x = b for any b."""
     anchors = [Anchor(0, 0.0, 0.0)] + [Anchor(j, -a0 / 2, -a1 / 2) for j, (a0, a1) in enumerate(a, 1)]
-    return AnchorFrame(anchors, condition_cap)
+    return AnchorFrame(anchors)
 
 
 class TestBuildLinearSystem:
@@ -153,9 +153,16 @@ class TestSolveLsq:
             AnchorFrame(anchors).solve([5.0, 6.0, 7.0, 8.0])
 
     def test_condition_cap(self):
-        frame = frame_of_rows([[1.0, 0.0], [0.0, 1e-9], [1.0, 1e-9]], condition_cap=1e6)
+        frame = frame_of_rows([[1.0, 0.0], [0.0, 1e-9], [1.0, 1e-9]])
         with pytest.raises(DegenerateGeometryError):
             frame.qr.solve([0.0] * 3)
+
+    def test_condition_under_the_cap_solves(self):
+        # a condition estimate near 1e6 once failed a test-only cap of 1e6; the fixed cap is 1e8
+        frame = frame_of_rows([[1.0, 0.0], [0.0, 1e-6], [1.0, 1e-6]])
+        x, y, _, condition = frame.qr.solve([2.0, 3e-6, 2.0 + 3e-6])
+        assert 1e6 < condition < CONDITION_CAP
+        np.testing.assert_allclose([x, y], [2.0, 3.0], rtol=1e-6)
 
     def test_normal_equations_residual_contract(self):
         rng = np.random.default_rng(8)
@@ -356,19 +363,18 @@ class TestAnchorFrameReference:
         distances = (rng.uniform(0, 800, size=m) * 10 ** rng.uniform(-3, 1)).tolist()
         if i % 7 == 0:
             distances[int(rng.integers(0, m))] = 0.0
-        cap = float(10 ** rng.uniform(1, 9))
-        return anchors, distances, cap
+        return anchors, distances
 
     def test_solve_equals_reference_bit_for_bit(self):
         rng = np.random.default_rng(71)
         seen = {"solved": 0, "rank deficient": 0, "exceeds cap": 0, "zero row": 0}
         for i in range(800):
-            anchors, distances, cap = self.random_case(rng, i)
-            expected = outcome(lambda: reference_solve_rows(reference_linear_rows(anchors, distances), cap))
-            frame = AnchorFrame(anchors, cap)
+            anchors, distances = self.random_case(rng, i)
+            expected = outcome(lambda: reference_solve_rows(reference_linear_rows(anchors, distances)))
+            frame = AnchorFrame(anchors)
             got = outcome(lambda: frame.solve(distances))
             # repr compares floats bit for bit, and exception types and messages
-            assert repr(got) == repr(expected), (i, anchors, distances, cap)
+            assert repr(got) == repr(expected), (i, anchors, distances)
             assert repr(outcome(lambda: frame.solve(distances))) == repr(expected)  # stateless
             if isinstance(expected[0], type):
                 seen["rank deficient" if "rank" in expected[1] else "exceeds cap"] += 1

@@ -6,7 +6,6 @@ import pytest
 from sweepnav import (
     Anchor,
     InsufficientAnchorsError,
-    PipelineConfig,
     PlacementError,
     TrackingPipeline,
     TrajectoryStep,
@@ -22,13 +21,6 @@ from sweepnav.artifacts import read_trajectory_csv, summary_text, write_trajecto
 from sweepnav.placement import place_in_box
 from sweepnav.simulator import segment_lengths
 from sweepnav.sweeps import SweepRecord, SweepWindow
-
-
-@pytest.mark.parametrize("p0_var", [0.0, -1.0, math.inf, math.nan])
-def test_p0_var_must_be_positive_and_finite(p0_var):
-    # an infinite P0 was accepted, and every EKF row after the first read (nan, nan)
-    with pytest.raises(ValueError, match="p0_var must be positive and finite"):
-        PipelineConfig(p0_var=p0_var)
 
 
 class TestTrajectoryStep:

@@ -110,6 +110,11 @@ class TestSynthRoute:
         with pytest.raises(ConfigError, match="sweeps fall on .* microseconds; a sweep file stamps no finer"):
             synth_route(simple_scenario(**changes))
 
+    def test_sweep_times_past_the_year_9999_rejected(self):
+        # 1e4 sweeps, the last 1e12 s (about 31,700 years) after the epoch: no sweep file stamp holds it
+        with pytest.raises(ConfigError, match="outside the years a sweep file can hold"):
+            synth_route(simple_scenario(hold_s=1e12, cadence_s=1e8))
+
     def test_one_sample_per_stamp_at_a_one_microsecond_cadence(self):
         truth = synth_route(simple_scenario(speed_mps=1e6, cadence_s=1e-6))
         stamps = [format_timestamp(s.timestamp) for s in truth.samples]
@@ -231,7 +236,6 @@ class TestScenarioValidation:
             (simple_scenario, "cadence_s", math.nan),
             (simple_scenario, "hold_s", math.nan),
             (simple_scenario, "lead_in_m", math.nan),
-            (simple_scenario, "start_time", math.nan),
         ],
     )
     def test_non_finite_or_unphysical_value_rejected(self, build, name, value):
