@@ -148,20 +148,20 @@ class EkfTracker:
         keeps the prediction.
         """
         ux, uy = u
-        terms = predict(self._terms, float(dt), float(ux), float(uy), self._q)
+        terms = predict(self._terms, dt, ux, uy, self._q)
 
         innovations: list[tuple[int, float]] = []
         flags: list[str] = []
-        for landmark, z in measurements:
+        r = self._r
+        for (lx, ly, source_index), z in measurements:
             try:
-                terms, innovation = update(terms, z, landmark.x, landmark.y, self._r)
+                terms, innovation = update(terms, z, lx, ly, r)
             except SingularGeometryError:
                 flags.append("skipped_landmark")
                 continue
-            innovations.append((landmark.source_index, innovation))
+            innovations.append((source_index, innovation))
         if measurements and not innovations:
             flags.append("no_update")
 
         self._terms = terms
-        x, y, p00, p01, p11 = terms
-        return TrackStep((float(x), float(y)), (p00, p01, p11), tuple(innovations), tuple(flags))
+        return TrackStep(terms[:2], terms[2:], tuple(innovations), tuple(flags))

@@ -138,12 +138,11 @@ class AnchorFrame:
         """b for one set of distances, after checking them."""
         if len(distances) != len(self.anchors):
             raise ValueError(f"{len(self.anchors)} anchors but {len(distances)} distances")
-        d = [float(v) for v in distances]
-        for v in d:
-            if v < 0:
-                raise ValueError("distances must be non-negative")
-        d1 = d[0] * d[0]
-        return [c + dj * dj - d1 for c, dj in zip(self._c, d[1:])]
+        for v in distances:
+            if not 0.0 <= v < math.inf:  # NaN fails too
+                raise ValueError("distances must be finite and non-negative")
+        d1 = distances[0] * distances[0]
+        return [c + dj * dj - d1 for c, dj in zip(self._c, distances[1:])]
 
     def solve(self, distances: Sequence[float]) -> tuple[float, float, float, float]:
         """(x, y, residual_norm, condition_estimate) for one set of distances."""

@@ -8,15 +8,18 @@ mean power and the transmitter band set are derived.
 A band plan is four numbers (low edge, high edge, band width and the number
 of bands to select); band edges are computed, never stored. Each row is
 split once, its timestamp parsed by strptime's grammar only when its raw
-text changes, and its slice checked and bins placed by arithmetic lookups
-once per distinct row layout per file (MAX_LAYOUT_RUNS bounds what is kept).
-The parser builds its records through an unchecked constructor, since every
+text changes (the date validated and the minute's microseconds worked out
+once per minute), and its slice checked and bins placed by arithmetic
+lookups once per distinct row layout per file (MAX_LAYOUT_RUNS bounds what
+is kept). A sweep whose bands arrive in ascending order is not sorted. The
+parser builds its records through an unchecked constructor, since every
 value it stores has just been checked; any other SweepRecord is checked when
 built. Window statistics built from checked records are not re-checked, and
-one window call gives the means of every selected band. A bounded window sums
-each band's values on every call but rescans them for their extremes only
-when its oldest and newest values lie within CLAMP_FREE_SPREAD * count**2 of
-each other, the one case where rounding could put the mean outside them.
+one window call gives the means of every selected band. A bounded window
+keeps each held sweep's band ids, not the sweep, and sums each band's values
+on every call but rescans them for their extremes only when its oldest and
+newest values lie within CLAMP_FREE_SPREAD * count**2 of each other, the one
+case where rounding could put the mean outside them.
 """
 
 from __future__ import annotations
@@ -62,6 +65,9 @@ CLAMP_FREE_SPREAD = 8.0 * 2.0 ** -53 * MAX_ABS_DB
 # Most runs of bins one parse keeps for its row layouts before it clears them:
 # a hackrf_sweep pass over 6 GHz (~1,200 layouts of a few runs each) fits, in ~5 MB.
 MAX_LAYOUT_RUNS = 1 << 16
+# Most minutes one parse keeps in its timestamp memo before it clears it: about
+# three days of a file written in one spelling.
+MAX_MEMO_MINUTES = 1 << 12
 
 
 class BandSample(NamedTuple):
@@ -185,30 +191,34 @@ _TIMESTAMP = re.compile(
 )
 
 
-def parse_timestamp(date_text: str, time_text: str, days: dict | None = None) -> float:
+def parse_timestamp(date_text: str, time_text: str, minutes: dict | None = None) -> float:
     """Epoch seconds (UTC) from the two leading CSV fields.
 
     Accepts what ``datetime.strptime`` accepts for ``%Y-%m-%d %H:%M:%S.%f``
     or ``%Y-%m-%d %H:%M:%S``, and returns the same value: whole microseconds
     since the epoch divided by 10**6, as ``timedelta.total_seconds`` divides
-    them. ``days``, kept by the caller for one file, memoizes the day number
-    of each valid date seen.
+    them. ``minutes``, kept by the caller for one file, memoizes the epoch
+    microseconds at the start of each minute seen, keyed by the text up to
+    the minute and stored only once its date is valid; it holds at most
+    MAX_MEMO_MINUTES of them.
     """
     text = f"{date_text} {time_text}"
     match = _TIMESTAMP.match(text)
     if match is None or match.end() != len(text):
         raise ValueError(f"unrecognised timestamp {text!r}")
-    fields = match.groups("0")
-    days = {} if days is None else days
-    day = days.get(fields[:3])
-    if day is None:
+    minutes = {} if minutes is None else minutes
+    key = text[:match.end(5)]  # the groups up to the minute follow from this text alone
+    minute_us = minutes.get(key)
+    if minute_us is None:
+        year, month, day, hour, minute = map(int, match.group(1, 2, 3, 4, 5))
         try:  # a date that does not exist, such as Feb 29 outside a leap year, fails
-            day = days[fields[:3]] = date(*map(int, fields[:3])).toordinal() - _EPOCH_DAY
+            day = date(year, month, day).toordinal() - _EPOCH_DAY
         except ValueError:
             raise ValueError(f"unrecognised timestamp {text!r}") from None
-    hour, minute, second, fraction = fields[3:]
-    seconds = ((day * 24 + int(hour)) * 60 + int(minute)) * 60 + int(second)
-    return (seconds * 1_000_000 + int(fraction.ljust(6, "0"))) / 1_000_000
+        if len(minutes) >= MAX_MEMO_MINUTES:
+            minutes.clear()
+        minute_us = minutes[key] = ((day * 24 + hour) * 60 + minute) * 60_000_000
+    return (minute_us + int(match[6] + (match[7] or "").ljust(6, "0"))) / 1_000_000
 
 
 def format_timestamp(timestamp: float) -> tuple[str, str]:
@@ -232,7 +242,8 @@ def parse_sweep_lines(lines: Iterable[str], plan: BandPlan) -> Generator[SweepRe
     pending_key: tuple[str, str] | None = None
     pending_ts = 0.0
     pending_bins: dict[int, list[float]] = {}
-    days: dict = {}  # parse_timestamp's day memo, for this parse alone
+    ordered, last_id = True, -1  # whether pending_bins' ids arrived ascending; the last one added
+    minutes: dict = {}  # parse_timestamp's minute memo, for this parse alone
     # row layout (hz_low, hz_high, hz_width, num_samples text, field count) -> runs
     # (band_id, first_bin, end_bin) of its in-plan bins, stored once its row passed
     layouts: dict[tuple, list[tuple[int, int, int]]] = {}
@@ -242,7 +253,7 @@ def parse_sweep_lines(lines: Iterable[str], plan: BandPlan) -> Generator[SweepRe
         # a single value averages to 0.0 + v, the bits _ordered_sum([v]) / 1 gives
         return _parsed_record(pending_ts, {
             band_id: 0.0 + values[0] if len(values) == 1 else _ordered_sum(values) / len(values)
-            for band_id, values in sorted(pending_bins.items())
+            for band_id, values in (pending_bins.items() if ordered else sorted(pending_bins.items()))
         })
 
     for line_no, raw_line in enumerate(lines, start=1):
@@ -263,7 +274,7 @@ def parse_sweep_lines(lines: Iterable[str], plan: BandPlan) -> Generator[SweepRe
                 hz_high = float(parts[3])
                 hz_width = float(parts[4])
                 float(parts[5])  # num_samples, unused
-            rss_values = list(map(float, parts[6:]))
+            rss_values = [float(parts[6])] if fields == _MIN_FIELDS else list(map(float, parts[6:]))
         except ValueError:
             raise SweepParseError(line_no, f"bad numeric field in {line!r}") from None
         if runs is None and not (0.0 < hz_width < math.inf and -math.inf < hz_low < hz_high < math.inf):  # NaN fails
@@ -292,22 +303,26 @@ def parse_sweep_lines(lines: Iterable[str], plan: BandPlan) -> Generator[SweepRe
             key = (date_text.strip(), time_text.strip())
             if key != pending_key:
                 try:
-                    timestamp = parse_timestamp(*key, days)
+                    timestamp = parse_timestamp(*key, minutes)
                 except ValueError as exc:
                     raise SweepParseError(line_no, str(exc)) from None
                 if pending_key is not None:
                     if timestamp <= pending_ts:
                         raise SweepParseError(line_no, "timestamp decreased or repeated across sweeps")
                     yield finish()
-                    pending_bins = {}
+                    pending_bins, ordered, last_id = {}, True, -1
                 pending_key = key
                 pending_ts = timestamp
 
-        # values append in row and bin order, so band means sum left to right
+        # values append in row and bin order, so band means sum left to right;
+        # a run over the whole row takes the row's own list, which no other band holds
         for band_id, first, end in runs:
             values = pending_bins.get(band_id)
             if values is None:
-                pending_bins[band_id] = rss_values[first:end]
+                pending_bins[band_id] = rss_values if end - first == fields - 6 else rss_values[first:end]
+                if band_id < last_id:
+                    ordered = False
+                last_id = band_id
             else:
                 values.extend(rss_values[first:end])
 
@@ -390,10 +405,10 @@ class SweepWindow:
 
     ``length`` of None keeps every sweep (growing window). Per-band state is
     updated as sweeps are pushed and evicted: a bounded window keeps each
-    band's values in arrival order (and its last ``length`` records, to
-    evict), a growing one a running sum, count, minimum and maximum and no
-    record at all. Per sweep, ``push`` costs O(K) in the sweep's band
-    count; ``means_dbm`` costs O(1) per band for a growing window and
+    band's values in arrival order (and the band ids of its last ``length``
+    sweeps, to evict), a growing one a running sum, count, minimum and
+    maximum; neither holds a record. Per sweep, ``push`` costs O(K) in the
+    sweep's band count; ``means_dbm`` costs O(1) per band for a growing window and
     O(length) per band for a bounded one, one summing pass, plus a pass for
     the extremes only when a band's oldest and newest values nearly agree
     (see ``CLAMP_FREE_SPREAD``); ``persistent_band_ids`` costs O(B)
@@ -407,7 +422,8 @@ class SweepWindow:
             raise ValueError("window length must be positive or None")
         self._length = length
         self._count = 0  # sweeps in the window
-        self._records: deque[SweepRecord] = deque()  # bounded only: the held sweeps
+        # bounded only: each held sweep's band ids (after keep_only, its kept ones), to evict
+        self._held: deque[Iterable[int]] = deque()
         # band id -> deque of values (bounded) or [sum, count, min, max] (growing);
         # either way a band's sample count is the number of sweeps holding it
         self._bands: dict[int, deque[float] | list] = {}
@@ -415,10 +431,12 @@ class SweepWindow:
 
     def keep_only(self, band_ids: Iterable[int]) -> None:
         """Keep state for ``band_ids`` alone from now on (called once): the
-        others' is dropped and ``push`` skips them, so it costs O(len(band_ids)).
-        A kept band that leaves a bounded window is tracked again on return."""
-        self._kept = frozenset(band_ids)
-        self._bands = {band_id: v for band_id, v in self._bands.items() if band_id in self._kept}
+        others' is dropped, each held sweep's band ids are cut to the kept
+        ones once, here, and ``push`` skips the others. A kept band that
+        leaves a bounded window is tracked again on return."""
+        kept = self._kept = frozenset(band_ids)
+        self._bands = {band_id: v for band_id, v in self._bands.items() if band_id in kept}
+        self._held = deque(ids & kept for ids in self._held)
 
     def push(self, record: SweepRecord) -> None:
         bands, rss_by_id, kept = self._bands, record.rss_by_id, self._kept
@@ -437,9 +455,8 @@ class SweepWindow:
                     acc[3] = rss
             self._count += 1
         else:
-            if len(self._records) == self._length:
-                evicted = self._records.popleft().rss_by_id.keys()
-                for band_id in evicted if kept is None else evicted & kept:
+            if len(self._held) == self._length:
+                for band_id in self._held.popleft():
                     values = bands[band_id]
                     values.popleft()
                     if not values:
@@ -451,8 +468,8 @@ class SweepWindow:
                     bands[band_id] = deque((rss,))
                 else:
                     values.append(rss)
-            self._records.append(record)
-            self._count = len(self._records)
+            self._held.append(held)
+            self._count = len(self._held)
 
     def __len__(self) -> int:
         return self._count

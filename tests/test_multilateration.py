@@ -22,8 +22,8 @@ def reference_linear_rows(anchors, distances):
     if len(distances) != n:
         raise ValueError(f"{n} anchors but {len(distances)} distances")
     d = [float(v) for v in distances]
-    if any(v < 0 for v in d):
-        raise ValueError("distances must be non-negative")
+    if not all(0.0 <= v < math.inf for v in d):
+        raise ValueError("distances must be finite and non-negative")
     if len({a.band_id for a in anchors}) != n:
         raise ValueError("anchor ids must be unique")
     x1, y1, d1 = float(anchors[0].x), float(anchors[0].y), d[0]
@@ -127,6 +127,17 @@ class TestBuildLinearSystem:
     def test_negative_distance_rejected(self):
         with pytest.raises(ValueError):
             AnchorFrame(square_anchors()).solve([1.0, 2.0, 3.0, -0.5])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("position", [0, 3])
+    def test_non_finite_distance_rejected(self, bad, position):
+        # min([nan, 60.0]) is nan but min([60.0, nan]) is 60.0: every value is checked on its own
+        distances = [50.0, 60.0, 70.0, 80.0]
+        distances[position] = bad
+        corners = [(0.0, 0.0), (100.0, 0.0), (0.0, 100.0), (100.0, 100.0)]
+        frame = AnchorFrame([Anchor(i, x, y) for i, (x, y) in enumerate(corners, 1)])
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            frame.solve(distances)
 
     def test_duplicate_ids_rejected(self):
         anchors = square_anchors()
@@ -385,7 +396,8 @@ class TestAnchorFrameReference:
 
     def test_distance_checks_match_reference(self):
         frame = AnchorFrame(square_anchors())
-        for distances in ([1.0, 2.0, 3.0], [1.0, 2.0, 3.0, -0.5], [1.0] * 5):
+        for distances in ([1.0, 2.0, 3.0], [1.0, 2.0, 3.0, -0.5], [math.nan, 2.0, 3.0, 4.0],
+                          [1.0, 2.0, 3.0, math.inf], [1.0] * 5):
             expected = outcome(lambda: reference_linear_rows(square_anchors(), distances))
             assert repr(outcome(lambda: frame.solve(distances))) == repr(expected)
 

@@ -8,7 +8,7 @@ from datetime import datetime, timezone
 from itertools import zip_longest
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sweepnav import (
@@ -28,6 +28,7 @@ from sweepnav.sweeps import (
     CLAMP_FREE_SPREAD,
     MAX_ABS_DB,
     MAX_LAYOUT_RUNS,
+    MAX_MEMO_MINUTES,
     MAX_PLAN_BANDS,
     MIN_CENTER_MHZ,
     format_sweep_lines,
@@ -529,8 +530,10 @@ class TestIncrementalWindow:
         with pytest.raises(ValueError):
             window.means_dbm((0,))[0]
 
-    def test_growing_window_holds_no_record(self):
-        window = SweepWindow(None)
+    @pytest.mark.parametrize("length", [None, 3])
+    def test_window_holds_no_record(self, length):
+        # a bounded window keeps each held sweep's band ids to evict, not the sweep
+        window = SweepWindow(length)
         pushed = record(0.0, {1: -50.0, 2: -60.0})
         held = weakref.ref(pushed)
         window.push(pushed)
@@ -778,8 +781,8 @@ class TestStrptimeFreeTimestamp:
 
 
 class TestTimestampsAcrossDays:
-    """The parser keeps a day-number memo for one parse; its stamps must still
-    equal strptime's, and a date it has not validated must not slip through."""
+    """The parser keeps a minute memo for one parse; its stamps must still
+    equal strptime's, and a date or second it has not validated must not slip through."""
 
     STAMPS = [
         ("2023-01-31", "23:59:59.999999"),
@@ -808,30 +811,55 @@ class TestTimestampsAcrossDays:
                  "2023-02-29, 00:00:00, 0, 1000000, 1000000, 1, -60.0"]
         with pytest.raises(SweepParseError, match="line 2: unrecognised timestamp '2023-02-29 00:00:00'"):
             parse_all(lines, small_plan)
-        days = {}
-        assert parse_timestamp("2023-02-28", "1:00:00", days) == reference_parse_timestamp("2023-02-28", "1:00:00")
+        minutes = {}
+        assert parse_timestamp("2023-02-28", "1:00:00", minutes) == reference_parse_timestamp("2023-02-28", "1:00:00")
         with pytest.raises(ValueError, match="unrecognised timestamp"):
-            parse_timestamp("2023-02-29", "1:00:00", days)
-        assert parse_timestamp("2024-02-29", "1:00:00", days) == reference_parse_timestamp("2024-02-29", "1:00:00")
+            parse_timestamp("2023-02-29", "1:00:00", minutes)
+        assert parse_timestamp("2024-02-29", "1:00:00", minutes) == reference_parse_timestamp("2024-02-29", "1:00:00")
+
+    def test_memo_of_a_minute_does_not_admit_its_second_60(self):
+        # strptime's grammar takes second 60, which datetime rejects; 23:59:59 puts the minute 23:59 in the memo
+        with pytest.raises(ValueError):
+            reference_parse_timestamp("2016-12-31", "23:59:60")
+        minutes = {}
+        assert parse_timestamp("2016-12-31", "23:59:59", minutes) == reference_parse_timestamp("2016-12-31", "23:59:59")
+        assert minutes
+        for time_text in ("23:59:60", "23:59:60.5", "23:59:61"):
+            with pytest.raises(ValueError, match="unrecognised timestamp"):
+                parse_timestamp("2016-12-31", time_text, minutes)
+
+    def test_memo_starts_afresh_when_full(self):
+        minutes = {}
+        for k in range(MAX_MEMO_MINUTES + 5):
+            date_text, time_text = format_timestamp(1_600_000_000.5 + 60.0 * k)
+            assert parse_timestamp(date_text, time_text, minutes) == reference_parse_timestamp(date_text, time_text)
+            assert len(minutes) <= MAX_MEMO_MINUTES
+        assert len(minutes) == 5
 
     @settings(max_examples=200, deadline=None)
     @given(texts=st.lists(
         timestamp_texts() | st.tuples(
             st.sampled_from(["2023-02-28", "2023-2-28", "2023-02-29", "2024-02-29", "2023-02- 1", "2023-04-31",
-                             "2023-12-31", "2024-01-01", "0000-01-01", "2023-01-01\t"]),
-            st.sampled_from(["00:00:00", "23:59:59.999999", "1:2:3.5", "12:00:60", " 7:00:00"]),
+                             "2023-12-31", "2024-01-01", "0000-01-01", "2023-01-01\t", "2023-3-1", "2023-03-01"]),
+            # one minute in other spellings, second and minute rollovers, fractions of 1-6 digits
+            st.sampled_from(["00:00:00", "23:59:59.999999", "1:2:3.5", "12:00:60", " 7:00:00", "0:0:1", "00:00:02",
+                             "0:00:59.25", "00:01:00.125", "0:1:0.1234", "00:59:59.12345", "1:00:00.123456",
+                             "23:59:59", "23:59:60", "0:0:59.9"]),
         ),
         min_size=1, max_size=8,
     ))
+    @example(texts=[("2023-3-1", "0:0:1"), ("2023-03-01", "00:00:02"), ("2023-3-1", "0:0:59.9"),
+                    ("2023-03-01", "00:01:00.12"), ("2023-3-1", "0:59:59.123"), ("2023-03-01", "01:00:00.1234"),
+                    ("2023-02-28", "23:59:59.12345"), ("2023-3-1", "0:0:1.123456")])
     def test_shared_memo_equals_strptime(self, texts):
-        days = {}
+        minutes = {}
         for date_text, time_text in texts:
             try:
                 expected = reference_parse_timestamp(date_text, time_text).hex()
             except ValueError:
                 expected = None
             try:
-                actual = parse_timestamp(date_text, time_text, days).hex()
+                actual = parse_timestamp(date_text, time_text, minutes).hex()
             except ValueError:
                 actual = None
             assert actual == expected
@@ -1047,6 +1075,31 @@ class TestParserEdgeCases:
         checked = SweepRecord(timestamp=record.timestamp, rss_by_id=dict(record.bands))
         assert record == checked and repr(record) == repr(checked)
         assert list(record.rss_by_id) == [0, 1, 2]
+
+    def test_rows_descending_in_frequency_are_sorted(self, small_plan):
+        # a sweep whose bands arrive ascending skips the sort; the first sweep here needs it
+        lines = [f"2023-01-01, 12:00:00, {k * 1_000_000}, {(k + 1) * 1_000_000}, 1000000, 1, -{60 + k}.5"
+                 for k in (5, 3, 4, 0)]
+        lines += ["2023-01-01, 12:00:01, 0, 1000000, 1000000, 1, -60.0",
+                  "2023-01-01, 12:00:01, 7000000, 8000000, 1000000, 1, -67.0"]
+        assert outcome(parse_sweep_lines, lines, small_plan) == outcome(reference_parse_sweep_lines, lines, small_plan)
+        first, second = parse_all(lines, small_plan)
+        assert list(first.rss_by_id) == [0, 3, 4, 5] and list(second.rss_by_id) == [0, 7]
+
+    def test_whole_row_run_extended_by_the_next_row_stays_in_its_sweep(self, small_plan):
+        # four 250 kHz bins in band 2 form one run over the whole row, which keeps the row's own list;
+        # the next row extends that band, and the same layouts in later sweeps start lists of their own
+        lines = [
+            "2023-01-01, 12:00:00, 2000000, 3000000, 250000, 1, -60.0, -61.0, -62.0, -63.0",
+            "2023-01-01, 12:00:00, 2000000, 3000000, 1000000, 1, -70.0",
+            "2023-01-01, 12:00:01, 2000000, 3000000, 250000, 1, -50.0, -51.0, -52.0, -53.0",
+            "2023-01-01, 12:00:02, 2000000, 3000000, 1000000, 1, -40.0",
+            "2023-01-01, 12:00:02, 2000000, 3000000, 250000, 1, -41.0, -42.0, -43.0, -44.0",
+        ]
+        assert outcome(parse_sweep_lines, lines, small_plan) == outcome(reference_parse_sweep_lines, lines, small_plan)
+        assert [r.rss_by_id for r in parse_all(lines, small_plan)] == [
+            {2: _ordered_sum([-60.0, -61.0, -62.0, -63.0, -70.0]) / 5}, {2: -51.5}, {2: -42.0},
+        ]
 
     @pytest.mark.parametrize("low", [-100.0, -0.5, -1e-300])
     def test_plan_below_zero_mhz_rejected(self, low):
