@@ -21,8 +21,9 @@ import click
 from . import artifacts
 from .config import load_config, load_scenario
 from .errors import ConfigError, ShapeError, SweepNavError
+from .multilateration import MIN_ANCHORS
 from .pipeline import Trajectory, run_pipeline
-from .simulator import rolling_spread, score_run, simulate_run, spread
+from .simulator import SPREAD_WINDOW, rolling_spread, score_run, simulate_run, spread
 from .sweeps import BandPlan, SweepRecord, parse_sweep_file, write_sweep_csv
 
 # exception -> (message prefix, exit code); the first match wins. A sweep
@@ -223,14 +224,14 @@ def convergence(source, config_path, seed, out_dir):
     # Spread over elapsed sweeps, with an unbounded mean window so the
     # estimate keeps absorbing data as time passes.
     trajectory = _require_fix(run_pipeline(records, replace(config, sweep_window=None)))
-    series = rolling_spread(trajectory.positions("raw"), 10)
+    series = rolling_spread(trajectory.positions("raw"))
     time_rows = [(step.index, step.timestamp, series[i]) for i, step in enumerate(trajectory.steps)]
 
     # Spread over cumulative low-to-high frequency subsets of the bands
     # seen in the first sweep.
     bands = sorted(records[0].rss_by_id, key=config.plan.center_mhz)
     spectrum_rows = []
-    for m in range(4, len(bands) + 1):
+    for m in range(MIN_ANCHORS, len(bands) + 1):
         subset = set(bands[:m])
         sub_config = replace(
             config,
@@ -243,7 +244,7 @@ def convergence(source, config_path, seed, out_dir):
         sub_trajectory = run_pipeline(sub_records, sub_config)
         if len(sub_trajectory.steps) == 0:
             continue
-        tail = sub_trajectory.positions("raw")[-10:]
+        tail = sub_trajectory.positions("raw")[-SPREAD_WINDOW:]
         spectrum_rows.append((config.plan.center_mhz(bands[m - 1]), m, spread(tail)))
 
     # both series are computed: only now is --out written

@@ -100,7 +100,6 @@ CONFIG_FIELDS = {
     "n_pl": ("pathloss", "exponent", _float),
     "d0_m": ("pathloss", "ref_distance_m", _float),
     "tx_power_dbm": ("pathloss", "tx_power_dbm", _float),
-    "smoother.kind": ("smoother", "kind", lambda key, text: text),
     "smoother.window": ("smoother", "window", _int),
     "smoother.weights": ("smoother", "weights", _list()),
     "ekf.q_diag": ("noise", "q", _list(2, lambda d: ((d[0], 0.0), (0.0, d[1])))),

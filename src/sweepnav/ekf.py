@@ -132,7 +132,7 @@ class EkfTracker:
     def __init__(self, x0: Sequence[float], p0: Sequence[Sequence[float]], noise: NoiseConfig):
         x, y = x0
         self._terms: Terms = (float(x), float(y), *_covariance_terms("P0", p0))
-        self._q = _covariance_terms("Q", noise.q)
+        self._q = (*noise.q[0], noise.q[1][1])  # NoiseConfig has checked Q and made it symmetric
         self._r = float(noise.r)
 
     def step(

@@ -1,19 +1,21 @@
 """Online pipeline: sweeps to a relative trajectory.
 
-Per sweep: update the rolling window, compute per-band mean power, convert
-to ranges, solve the multilateration least squares, smooth with a moving
-average, then refine with the EKF. The filter predicts with the velocity
-derived from the smoothed fixes and corrects against the same per-band
-range estimates the least squares consumed, treating the assigned anchors
-as its landmarks. The first accepted fix defines the origin of the
-relative frame; every output position is reported relative to it.
+Per sweep, in one pass of ``TrackingPipeline.process``: update the rolling
+window, compute per-band mean power, convert to ranges, solve the
+multilateration least squares, smooth with a weighted moving average, then
+refine with the EKF. The filter predicts with the velocity derived from the
+smoothed fixes and corrects against the same per-band range estimates the
+least squares consumed, treating the assigned anchors as its landmarks.
 
 Transmitter bands are selected once, at the first sweep where enough
 persistent bands exist, and the anchor frame stays fixed for the whole run
 so the relative frame is consistent; what depends on the selection alone
 (kept bands, reference losses, the factored anchor frame) is built there.
-A fix that cannot be taken holds the previous one, flagged ``held`` and
-``missing_band``, ``degenerate`` or ``range_overflow``.
+The first accepted fix defines the origin of the relative frame, shifts the
+landmarks into it and starts the filter; every output position is reported
+relative to it. Sweeps before the first fix give no row and count as
+skipped. A fix that cannot be taken after that holds the previous one,
+flagged ``held`` and ``missing_band``, ``degenerate`` or ``range_overflow``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .ekf import EkfTracker, Landmark, NoiseConfig
 from .errors import ConfigError, DegenerateGeometryError, InsufficientAnchorsError, MissingBandError
-from .multilateration import Anchor, AnchorFrame
+from .multilateration import MIN_ANCHORS, Anchor, AnchorFrame
 from .pathloss import PathLossParams, free_space_pl0, invert_distance
 from .placement import Bbox, place_in_box, validate_bbox
 from .smoothing import Smoother, SmootherConfig
@@ -120,8 +122,8 @@ def assign_anchor_frame(band_ids: Sequence[int], seed: int, bbox: Bbox) -> list[
     constellation depends only on (seed, bbox, band set), not on the power
     ordering of ``band_ids``. The returned list preserves the input order.
     """
-    if len(band_ids) < 4:
-        raise InsufficientAnchorsError(f"need at least 4 bands, have {len(band_ids)}")
+    if len(band_ids) < MIN_ANCHORS:
+        raise InsufficientAnchorsError(f"need at least {MIN_ANCHORS} bands, have {len(band_ids)}")
     if len(set(band_ids)) != len(band_ids):
         raise ValueError("band ids must be unique")
     placed = place_in_box(band_ids, seed, bbox)
@@ -147,7 +149,7 @@ class TrackingPipeline:
         self._smoother = Smoother(config.smoother)
         self._tracker: EkfTracker | None = None
         self._steps: list[TrajectoryStep] = []
-        self._prev_raw_abs: tuple[float, float] | None = None
+        self._raw_abs: tuple[float, float] | None = None  # the last fix
         self._prev_sweep_ts: float | None = None
         self._skipped = 0
 
@@ -161,30 +163,50 @@ class TrackingPipeline:
             self._skipped += 1
             return None
 
-        raw_abs, residual, distances, fail_reason = self._solve_fix()
-        flags: tuple[str, ...] = ()
-        if raw_abs is None:
-            if self._prev_raw_abs is None:
+        params = self._cfg.pathloss
+        held, residual = (), math.nan
+        try:
+            # the path loss is tx - mean; the window's means are finite
+            distances = [
+                invert_distance(params.tx_power_dbm - mean, pl0, params)
+                for mean, pl0 in zip(self._window.means_dbm(self._selected), self._pl0)
+            ]
+            x, y, residual, _ = self._frame.solve(distances)
+            self._raw_abs = (x, y)
+        except MissingBandError:
+            held = ("held", "missing_band")
+        except OverflowError:
+            held = ("held", "range_overflow")
+        except DegenerateGeometryError:
+            held = ("held", "degenerate")
+
+        if self._tracker is None:
+            if held:  # no fix yet to hold
                 self._skipped += 1
                 return None
-            raw_abs = self._prev_raw_abs
-            residual = math.nan
-            flags = ("held", fail_reason)
-        self._prev_raw_abs = raw_abs
+            # The first fix is the origin of the relative frame: the landmarks
+            # shift into that frame and the filter starts at the first smoothed fix.
+            ox, oy = self._origin = self._raw_abs
+            self._landmarks = [Landmark(a.x - ox, a.y - oy, i) for i, a in enumerate(self._frame.anchors)]
+            raw_rel = (x - ox, y - oy)
+            smoothed = self._smoother.push(raw_rel)
+            self._tracker = EkfTracker(x0=smoothed, p0=P0, noise=self._cfg.noise)
+            ekf_pos, ekf_flags = smoothed, ()
+        else:
+            raw_rel = (self._raw_abs[0] - self._origin[0], self._raw_abs[1] - self._origin[1])
+            smoothed = self._smoother.push(raw_rel)
+            # Predict with the finite-difference velocity of the smoothed fixes,
+            # then update once per anchor range. A held step has no fresh ranges,
+            # so a flagged sample never moves the track more than the motion model does.
+            last = self._steps[-1]
+            dt = sweep.timestamp - last.timestamp  # positive: the stamps strictly increase
+            u = ((smoothed[0] - last.x_wma) / dt, (smoothed[1] - last.y_wma) / dt)
+            track = self._tracker.step(dt, u, [] if held else list(zip(self._landmarks, distances)))
+            ekf_pos, ekf_flags = track.position, track.flags
 
-        if self._origin is None:
-            self._origin = raw_abs
-            self._landmarks = [
-                Landmark(a.x - self._origin[0], a.y - self._origin[1], i)
-                for i, a in enumerate(self._frame.anchors)
-            ]
-        raw_rel = (raw_abs[0] - self._origin[0], raw_abs[1] - self._origin[1])
-
-        smoothed = self._smoother.push(raw_rel)
-        ekf_pos, ekf_flags = self._ekf_step(sweep.timestamp, smoothed, distances)
         step = TrajectoryStep(
             len(self._steps), sweep.timestamp, raw_rel[0], raw_rel[1], smoothed[0], smoothed[1],
-            ekf_pos[0], ekf_pos[1], residual, flags + ekf_flags,
+            ekf_pos[0], ekf_pos[1], residual, held + ekf_flags,
         )
         self._steps.append(step)
         return step
@@ -211,46 +233,6 @@ class TrackingPipeline:
         self._pl0 = [free_space_pl0(cfg.plan.center_mhz(b), cfg.pathloss.ref_distance_m) for b in selected]
         log.debug("selected bands %s with anchors %s", selected, anchors)
         return True
-
-    def _solve_fix(self):
-        params = self._cfg.pathloss
-        tx = params.tx_power_dbm
-        try:
-            # the path loss is tx - mean; the window's means are finite
-            distances = [
-                invert_distance(tx - mean, pl0, params)
-                for mean, pl0 in zip(self._window.means_dbm(self._selected), self._pl0)
-            ]
-            x, y, residual, _ = self._frame.solve(distances)
-        except MissingBandError:
-            return None, math.nan, None, "missing_band"
-        except OverflowError:
-            return None, math.nan, None, "range_overflow"
-        except DegenerateGeometryError:
-            return None, math.nan, None, "degenerate"
-        return (x, y), residual, distances, ""
-
-    def _ekf_step(
-        self,
-        timestamp: float,
-        smoothed: tuple[float, float],
-        distances: list[float] | None,
-    ) -> tuple[tuple[float, float], tuple[str, ...]]:
-        """One filter step: finite-difference velocity prediction, then one range update per anchor.
-
-        Held steps (no fresh ranges) run the prediction alone, so a flagged
-        sample never moves the track by more than the motion model does.
-        """
-        if not self._steps:
-            self._tracker = EkfTracker(x0=smoothed, p0=P0, noise=self._cfg.noise)
-            return smoothed, ()
-
-        last = self._steps[-1]
-        dt = timestamp - last.timestamp  # positive: process() rejects stamps that do not increase
-        u = ((smoothed[0] - last.x_wma) / dt, (smoothed[1] - last.y_wma) / dt)
-        measurements = [] if distances is None else list(zip(self._landmarks, distances))
-        step = self._tracker.step(dt, u, measurements)
-        return step.position, step.flags
 
 
 def run_pipeline(sweeps: Iterable[SweepRecord], config: PipelineConfig) -> Trajectory:

@@ -21,6 +21,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConfigError, ShapeError
+from .multilateration import MIN_ANCHORS
 from .pathloss import PathLossParams, rss_at_distance
 from .pipeline import PipelineConfig, Trajectory
 from .placement import Bbox, place_in_box
@@ -47,6 +48,9 @@ STATIC_TX_BBOX: Bbox = (-400.0, -400.0, 400.0, 400.0)
 
 # Most sweeps one simulated run may hold: a day at one sweep per second.
 MAX_SCENARIO_SWEEPS = 86_400
+
+# Fixes per spread: rolling_spread's trailing window and each convergence subset's tail.
+SPREAD_WINDOW = 10
 
 
 class Transmitter(NamedTuple):
@@ -90,8 +94,8 @@ class Scenario:
         object.__setattr__(
             self, "waypoints", tuple((float(x), float(y)) for x, y in self.waypoints)
         )
-        if len(self.transmitters) < 4:
-            raise ConfigError("need at least 4 transmitters")
+        if len(self.transmitters) < MIN_ANCHORS:
+            raise ConfigError(f"need at least {MIN_ANCHORS} transmitters")
         if len(self.waypoints) < 2:
             raise ConfigError("need at least 2 waypoints")
         if self.seed < 0:
@@ -341,7 +345,7 @@ def spread(points: Sequence[tuple[float, float]]) -> float:
     return math.sqrt(var_x + var_y)
 
 
-def rolling_spread(points: Sequence[tuple[float, float]], window: int = 10) -> list[float]:
+def rolling_spread(points: Sequence[tuple[float, float]], window: int = SPREAD_WINDOW) -> list[float]:
     """Trailing-window spread at every sample."""
     return [spread(points[max(0, k - window + 1): k + 1]) for k in range(len(points))]
 

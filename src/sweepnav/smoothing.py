@@ -21,18 +21,16 @@ MAX_WINDOW = 1_000_000
 
 @dataclass(frozen=True)
 class SmootherConfig:
-    """Window, weights, and kind ("wma" or "sma") for the fix smoother.
+    """Window and weights of the fix smoother.
 
-    Default weights ramp 1..window so the newest fix weighs most.
+    Default weights ramp 1..window so the newest fix weighs most; equal
+    weights give the simple moving average.
     """
 
-    kind: str = "wma"
     window: int = 3
     weights: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.kind not in ("wma", "sma"):
-            raise ConfigError(f"unknown smoother kind {self.kind!r}")
         if not 1 <= self.window <= MAX_WINDOW:
             raise ConfigError(f"smoother window must be 1..{MAX_WINDOW}, got {self.window}")
         if self.weights is not None:
@@ -41,20 +39,14 @@ class SmootherConfig:
                 raise ConfigError("weights length must equal the window")
             if not all(w > 0 and math.isfinite(w) for w in self.weights):
                 raise ConfigError("weights must be positive and finite")
-            if self.kind == "sma" and len(set(self.weights)) > 1:
-                raise ConfigError("sma requires equal weights")
 
     def effective_weights(self) -> tuple[float, ...]:
-        if self.kind == "sma":
-            return (1.0,) * self.window
-        if self.weights is not None:
-            return self.weights
-        return tuple(float(i) for i in range(1, self.window + 1))
+        return self.weights or tuple(float(i) for i in range(1, self.window + 1))
 
 
 def _normalized(weights: Sequence[float]) -> tuple[float, ...]:
-    # Dividing by the first weight sends any equal weights down the exact
-    # float path of an sma window.
+    # Dividing by the first weight sends any equal weights down one exact
+    # float path, whatever their scale.
     return tuple(w / weights[0] for w in weights)
 
 

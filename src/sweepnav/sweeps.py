@@ -32,6 +32,7 @@ from datetime import date, datetime, timedelta, timezone
 from typing import Generator, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import ConfigError, InputError, InsufficientAnchorsError, MissingBandError, SweepParseError
+from .multilateration import MIN_ANCHORS
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _EPOCH_DAY = _EPOCH.toordinal()
@@ -140,8 +141,8 @@ class BandPlan:
         count = int(round(min((self.high_mhz - low) / width, MAX_PLAN_BANDS + 1)))  # min keeps round() off inf
         if count > MAX_PLAN_BANDS:
             raise ConfigError(f"uniform plan asks for more than {MAX_PLAN_BANDS} bands")
-        if self.selection_count < 4:
-            raise ConfigError("selection_count must be at least 4")
+        if self.selection_count < MIN_ANCHORS:
+            raise ConfigError(f"selection_count must be at least {MIN_ANCHORS}")
         if count < self.selection_count:
             raise ConfigError(f"plan has {count} bands, fewer than selection_count {self.selection_count}")
         # A computed edge is within one ulp of the top edge of its exact value: at

@@ -126,9 +126,9 @@ def random_walk_tracks(make_tracker=EkfTracker):
             tracker.step(1.0, walk[k] - walk[k - 1], ranges)
 
 
-def smoothed(points, kind="wma", weights=None):
+def smoothed(points, weights=None):
     """The last output of a Smoother whose window holds exactly ``points``."""
-    smoother = Smoother(SmootherConfig(kind=kind, window=len(points), weights=weights))
+    smoother = Smoother(SmootherConfig(window=len(points), weights=weights))
     for point in points:
         out = smoother.push(point)
     return out
@@ -286,10 +286,10 @@ def test_criterion_6_moving_average_contracts():
             n = int(rng.integers(1, 13))
             points = [tuple(p) for p in rng.uniform(-1e3, 1e3, (n, 2))]
             scale = float(rng.uniform(0.1, 10.0))
-            assert smoothed(points, "wma", [scale] * n) == smoothed(points, "sma")
+            assert smoothed(points, [scale] * n) == smoothed(points, [1.0] * n)
 
             weights = rng.uniform(0.05, 5.0, n)
-            x, y = smoothed(points, "wma", weights)
+            x, y = smoothed(points, weights)
             xs = [p[0] for p in points]
             ys = [p[1] for p in points]
             assert min(xs) <= x <= max(xs)

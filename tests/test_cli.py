@@ -217,7 +217,12 @@ BAD_SCENARIO_LINES = [
     "speed_mps = 1e-320", "cadence_s = 1e-9", "hold_s = 1e300",
 ]
 # keys removed with their fields, each set to its old default
-REMOVED_KEYS = [("run", "ekf.p0 = 10.0"), ("run", "lsq.condition_cap = 1e8"), ("simulate", "start_time = 0")]
+REMOVED_KEYS = [
+    ("run", "ekf.p0 = 10.0"),
+    ("run", "lsq.condition_cap = 1e8"),
+    ("run", "smoother.kind = wma"),
+    ("simulate", "start_time = 0"),
+]
 
 
 @pytest.mark.parametrize(

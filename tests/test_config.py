@@ -23,7 +23,6 @@ sweep.window = 5
 n_pl = 3.0
 d0_m = 1.0
 tx_power_dbm = 40
-smoother.kind = wma
 smoother.window = 4
 smoother.weights = 1,2,3,4
 ekf.q_diag = 0.2,0.2

@@ -189,6 +189,24 @@ class TestHeldFixes:
             assert step.raw == steps[11].raw and math.isnan(step.residual_norm)
         assert trajectory.held_steps == 10
 
+    def test_sweeps_before_the_first_fix_are_skipped(self):
+        # a -1e300 dB sample in sweep 0 overflows its band's range while it
+        # stays in the 2-sweep window: the bands are selected, but there is
+        # no fix to hold until sweep 2
+        scenario = route_scenario(seed=2, shadowing_sigma_db=0.0)
+        records = list(simulate_run(scenario).sweeps)
+        victim = min(records[0].rss_by_id)
+        forged = object.__new__(SweepRecord)
+        forged.__dict__.update(timestamp=records[0].timestamp, rss_by_id={**records[0].rss_by_id, victim: -1e300})
+        records[0] = forged
+        trajectory = run_pipeline(records, matched_config(scenario, sweep_window=2))
+        assert victim in trajectory.selected_bands
+        assert trajectory.skipped_sweeps == 2 and len(trajectory) == len(records) - 2
+        first = trajectory.steps[0]
+        assert first.index == 0 and first.timestamp == records[2].timestamp
+        assert first.flags == () and trajectory.held_steps == 0
+        assert first.raw == (0.0, 0.0) and first.ekf == first.wma
+
     def test_written_trajectory_reads_back_its_held_rows(self, tmp_path):
         # the held count and the selected bands are derived from the rows and the anchors, not stored
         scenario = route_scenario(seed=2, shadowing_sigma_db=0.0)

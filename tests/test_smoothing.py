@@ -35,7 +35,7 @@ class TestWma:
 
     def test_equal_weights_match_sma(self):
         points = [(0.0, 0.0), (3.0, 0.0), (6.0, 0.0)]
-        assert smoothed(points, weights=[1.0, 1.0, 1.0]) == smoothed(points, "sma") == (3.0, 0.0)
+        assert smoothed(points, weights=[1.0] * 3) == (3.0, 0.0)
 
     def test_empty_window_rejected(self):
         with pytest.raises(ConfigError):
@@ -52,10 +52,10 @@ class TestWma:
 
 class TestSma:
     def test_midpoint(self):
-        assert smoothed([(0.0, 0.0), (6.0, 0.0)], "sma") == (3.0, 0.0)
+        assert smoothed([(0.0, 0.0), (6.0, 0.0)], weights=[1.0] * 2) == (3.0, 0.0)
 
     def test_single_fix_identity(self):
-        assert smoothed([(4.25, -3.5)], "sma") == (4.25, -3.5)
+        assert smoothed([(4.25, -3.5)], weights=[1.0]) == (4.25, -3.5)
 
 
 class TestProperties:
@@ -65,7 +65,7 @@ class TestProperties:
             n = int(rng.integers(1, 13))
             points = [tuple(p) for p in rng.uniform(-1e3, 1e3, (n, 2))]
             c = float(rng.uniform(0.1, 10.0))
-            assert smoothed(points, weights=[c] * n) == smoothed(points, "sma")
+            assert smoothed(points, weights=[c] * n) == smoothed(points, weights=[1.0] * n)
 
     def test_output_inside_per_axis_range(self):
         rng = np.random.default_rng(42)
@@ -132,26 +132,26 @@ def test_comparisons_equal_min_max_calls(points, weights):
 
 class TestSmoother:
     def test_warmup_uses_trailing_weights(self):
-        smoother = Smoother(SmootherConfig(kind="wma", window=3))
+        smoother = Smoother(SmootherConfig(window=3))
         p1, p2, p3 = (0.0, 0.0), (3.0, 0.0), (6.0, 0.0)
         assert smoother.push(p1) == smoothed([p1], weights=[3.0])
         assert smoother.push(p2) == smoothed([p1, p2], weights=[2.0, 3.0])
         assert smoother.push(p3) == smoothed([p1, p2, p3], weights=[1.0, 2.0, 3.0])
 
     def test_window_slides(self):
-        smoother = Smoother(SmootherConfig(kind="wma", window=2))
+        smoother = Smoother(SmootherConfig(window=2))
         smoother.push((0.0, 0.0))
         smoother.push((1.0, 0.0))
         assert smoother.push((2.0, 0.0)) == smoothed([(1.0, 0.0), (2.0, 0.0)], weights=[1.0, 2.0])
 
-    def test_sma_kind(self):
-        smoother = Smoother(SmootherConfig(kind="sma", window=3))
+    def test_sma_weights(self):
+        smoother = Smoother(SmootherConfig(window=3, weights=[1.0] * 3))
         smoother.push((0.0, 0.0))
         smoother.push((6.0, 0.0))
         assert smoother.push((3.0, 0.0)) == (3.0, 0.0)
 
     def test_custom_weight_override(self):
-        config = SmootherConfig(kind="wma", window=2, weights=(1.0, 9.0))
+        config = SmootherConfig(window=2, weights=(1.0, 9.0))
         smoother = Smoother(config)
         smoother.push((0.0, 0.0))
         assert smoother.push((10.0, 0.0)) == (9.0, 0.0)
@@ -161,8 +161,8 @@ class TestSmoother:
         "config",
         [
             SmootherConfig(),
-            SmootherConfig(kind="wma", window=4, weights=(0.3, 1.7, 2.2, 5.0)),
-            SmootherConfig(kind="sma", window=4),
+            SmootherConfig(window=4, weights=(0.3, 1.7, 2.2, 5.0)),
+            SmootherConfig(window=4, weights=[1.0] * 4),
         ],
     )
     def test_push_equals_wma_at_every_fill_level(self, config):
@@ -192,10 +192,6 @@ class TestSmoother:
 
 
 class TestConfigValidation:
-    def test_unknown_kind(self):
-        with pytest.raises(ConfigError):
-            SmootherConfig(kind="median")
-
     def test_zero_window(self):
         # the smoother's window can never be empty
         with pytest.raises(ConfigError):
@@ -210,10 +206,6 @@ class TestConfigValidation:
     def test_weight_length_mismatch(self):
         with pytest.raises(ConfigError):
             SmootherConfig(window=3, weights=(1.0, 2.0))
-
-    def test_sma_requires_equal_weights(self):
-        with pytest.raises(ConfigError):
-            SmootherConfig(kind="sma", window=2, weights=(1.0, 2.0))
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_weights(self, bad):
