@@ -98,7 +98,6 @@ CONFIG_FIELDS = {
     "band.count": ("plan", "selection_count", _int),
     "sweep.window": ("pipeline", "sweep_window", lambda key, text: _int(key, text) or None),
     "n_pl": ("pathloss", "exponent", _float),
-    "d0_m": ("pathloss", "ref_distance_m", _float),
     "tx_power_dbm": ("pathloss", "tx_power_dbm", _float),
     "smoother.window": ("smoother", "window", _int),
     "smoother.weights": ("smoother", "weights", _list()),
@@ -115,7 +114,6 @@ SCENARIO_FIELDS = {
     "hold_s": ("scenario", "hold_s", _float),
     "lead_in_m": ("scenario", "lead_in_m", _float),
     "n_pl": ("pathloss", "exponent", _float),
-    "d0_m": ("pathloss", "ref_distance_m", _float),
     "shadowing_sigma_db": ("scenario", "shadowing_sigma_db", _float),
     "waypoints": ("scenario", "waypoints", _points(2)),
     "transmitters": ("scenario", "transmitters", _points(4, Transmitter._make)),

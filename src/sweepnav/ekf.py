@@ -67,7 +67,7 @@ Terms = tuple[float, float, float, float, float]
 
 
 def _min_eig(a: float, b: float, c: float) -> float:
-    return (a + c) / 2.0 - math.hypot((a - c) / 2.0, b)
+    return a / 2.0 + c / 2.0 - math.hypot((a - c) / 2.0, b)  # halved first: a + c may overflow
 
 
 def _covariance_terms(name: str, matrix) -> tuple[float, float, float]:

@@ -230,7 +230,7 @@ class TrackingPipeline:
         anchors = assign_anchor_frame(selected, cfg.anchor_seed, cfg.anchor_bbox)
         self._frame = AnchorFrame(anchors)
         self._window.keep_only(selected)
-        self._pl0 = [free_space_pl0(cfg.plan.center_mhz(b), cfg.pathloss.ref_distance_m) for b in selected]
+        self._pl0 = [free_space_pl0(cfg.plan.center_mhz(b)) for b in selected]
         log.debug("selected bands %s with anchors %s", selected, anchors)
         return True
 

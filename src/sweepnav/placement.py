@@ -26,6 +26,8 @@ def validate_bbox(bbox: Bbox) -> Bbox:
         raise ValueError("bounding box must be finite")
     if xmax <= xmin or ymax <= ymin:
         raise ValueError("bounding box must have positive area")
+    if not math.isfinite(math.hypot(xmax - xmin, ymax - ymin)):  # a finite diagonal bounds width and height
+        raise ValueError("bounding box is too large: its diagonal overflows")
     return xmin, ymin, xmax, ymax
 
 

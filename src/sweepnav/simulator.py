@@ -208,7 +208,7 @@ def synth_route(scenario: Scenario) -> GroundTruth:
 def simulate_run(scenario: Scenario, plan: BandPlan | None = None) -> SimulatedRun:
     """Deterministic ground truth plus synthetic sweep stream.
 
-    A receiver closer than d0 to a transmitter is taken to be at d0. A
+    A receiver within 1 m of a transmitter is taken to be at 1 m. A
     transmitter outside the plan, two in one band, and a received power
     beyond +-MAX_ABS_DB, which no sweep file may hold, are each a ConfigError.
     """
@@ -223,7 +223,7 @@ def simulate_run(scenario: Scenario, plan: BandPlan | None = None) -> SimulatedR
     for sample in truth.samples:
         rss_by_id = {}
         for band_id, tx in bands.items():
-            distance = max(math.hypot(sample.x - tx.x, sample.y - tx.y), params.ref_distance_m)
+            distance = max(math.hypot(sample.x - tx.x, sample.y - tx.y), 1.0)
             shadow = float(rng.normal(0.0, sigma)) if sigma > 0 else 0.0
             rss = rss_at_distance(distance, tx.freq_mhz, params, tx_power_dbm=tx.power_dbm, shadow_db=shadow)
             if not -MAX_ABS_DB <= rss <= MAX_ABS_DB:

@@ -47,11 +47,12 @@ MAX_PLAN_BANDS = 1_000_000
 # mean finite.
 MAX_ABS_DB = 200.0
 # Lowest centre a plan's first band may have: 1 kHz, below every receiver's
-# tuning range. A range is d0 * 10**((pl - pl0) / (10 n)) with
-# pl0 = 20 log10(d0) + 20 log10(fc) - 27.55; for pl <= 2 * MAX_ABS_DB,
-# d0 >= 1 mm, n >= 1.5 and fc >= 1e-3 MHz it stays below about 3e33 m. A
-# centre of 1e-300 MHz puts about -6,000 dB into pl0 and overflows every
-# range; any floor above about 1e-200 MHz keeps ranges finite.
+# tuning range. A range is 10**((pl - pl0) / (10 n)) m with
+# pl0 = 20 log10(fc) - 27.55. With tx power and RSS within +-MAX_ABS_DB
+# (so pl = tx - rss <= 400 dB), n >= 1.5 and fc >= 1e-3 MHz, every range
+# stays below about 3e32 m. A centre of 1e-300 MHz puts about -6,000 dB
+# into pl0 and overflows every range; any floor above about 1e-200 MHz
+# keeps ranges finite.
 MIN_CENTER_MHZ = 1e-3
 # A bounded window's band mean needs no clamp into its samples' range when its
 # oldest and newest of n samples differ by more than CLAMP_FREE_SPREAD * n**2.

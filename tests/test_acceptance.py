@@ -162,7 +162,7 @@ def test_criterion_2_pathloss_round_trip():
     with criterion("2 path-loss round trip"):
         for exponent in (2.7, 2.8, 3.5):
             params = PathLossParams(exponent=exponent, tx_power_dbm=43.0)
-            pl0 = free_space_pl0(900.5, params.ref_distance_m)
+            pl0 = free_space_pl0(900.5)
             for d in np.logspace(0.0, 5.0, 41):
                 rss = rss_at_distance(float(d), 900.5, params)
                 recovered = invert_distance(params.tx_power_dbm - rss, pl0, params)

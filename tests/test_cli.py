@@ -210,17 +210,20 @@ BAD_CONFIG_LINES = [
     "ekf.r = 0", "ekf.q_diag = -1,0.1", "band.high_mhz = nan", "band.high_mhz = inf",
     "band.width_mhz = nan", "ekf.r = nan", "tx_power_dbm = nan", "ekf.p0 = nan",
     "lsq.condition_cap = nan", "lsq.condition_cap = inf", "ekf.enabled = true", "shadowing_sigma_db = 4",
+    "anchor.bbox = -1e308,-1e308,1e308,1e308",
 ]
 BAD_SCENARIO_LINES = [
     "speed_mps = nan", "cadence_s = nan", "hold_s = nan", "start_time = nan", "start_time = 1e12",
     "tx.power_dbm = nan", "lead_in_m = nan",
-    "speed_mps = 1e-320", "cadence_s = 1e-9", "hold_s = 1e300",
+    "speed_mps = 1e-320", "cadence_s = 1e-9", "hold_s = 1e300", "tx.bbox = -1e308,-1e308,1e308,1e308",
 ]
 # keys removed with their fields, each set to its old default
 REMOVED_KEYS = [
     ("run", "ekf.p0 = 10.0"),
     ("run", "lsq.condition_cap = 1e8"),
     ("run", "smoother.kind = wma"),
+    ("run", "d0_m = 1.0"),
+    ("simulate", "d0_m = 1.0"),
     ("simulate", "start_time = 0"),
 ]
 
@@ -479,16 +482,6 @@ class TestRun:
         result = runner.invoke(main, ["run", str(benchmark_sweeps), "--config", str(config), "--out", str(out)])
         assert result.exit_code == 3, (result.output, result.exception)
         assert "config error" in result.output and "outside [-200, 200]" in result.output
-        assert not out.exists()
-
-    def test_reference_distance_outside_its_range_is_exit_3(self, runner, benchmark_sweeps, tmp_path):
-        # every range of every sweep overflowed a float: exit 0 with a header-only trajectory before
-        config = tmp_path / "tiny_d0.cfg"
-        config.write_text("d0_m = 1e-250\nn_pl = 1.5\n", encoding="ascii")
-        out = tmp_path / "o"
-        result = runner.invoke(main, ["run", str(benchmark_sweeps), "--config", str(config), "--out", str(out)])
-        assert result.exit_code == 3, (result.output, result.exception)
-        assert "config error" in result.output and "reference distance" in result.output
         assert not out.exists()
 
     def test_band_centre_below_the_floor_is_exit_3(self, runner, benchmark_sweeps, tmp_path):

@@ -21,7 +21,6 @@ band.width_mhz = 1.0
 band.count = 6
 sweep.window = 5
 n_pl = 3.0
-d0_m = 1.0
 tx_power_dbm = 40
 smoother.window = 4
 smoother.weights = 1,2,3,4

@@ -248,6 +248,8 @@ COVARIANCE_CASES = [
     (np.eye(3), False),
     (np.zeros(4), False),
     (((1.0, 0.0), (0.0, -0.5)), False),  # indefinite
+    (((1.7e308, 0.85e308), (0.85e308, 0.2e308)), False),  # indefinite; its trace overflows
+    (((1.7e308, 0.0), (0.0, 1.7e308)), True),
 ]
 
 

@@ -27,7 +27,7 @@ class TestFreeSpaceReference:
 
 def distance_at_loss(loss_db, fc_mhz, params):
     """Where the log-distance model's loss is ``loss_db``."""
-    return params.ref_distance_m * 10 ** ((loss_db - free_space_pl0(fc_mhz)) / (10 * params.exponent))
+    return 10 ** ((loss_db - free_space_pl0(fc_mhz)) / (10 * params.exponent))
 
 
 class TestPathLoss:
@@ -77,7 +77,7 @@ class TestInvertDistance:
 
 
 class TestRssToDistance:
-    """The pipeline's ranging: invert_distance(tx - rss, free_space_pl0(fc, d0), params)."""
+    """The pipeline's ranging: invert_distance(tx - rss, free_space_pl0(fc), params)."""
 
     def test_reference_rss_maps_to_one_meter(self):
         params = PathLossParams(exponent=2.8, tx_power_dbm=43.0)
@@ -111,11 +111,24 @@ class TestRoundTrip:
     @pytest.mark.parametrize("exponent", [2.7, 2.8, 3.5])
     def test_forward_then_invert(self, exponent):
         params = PathLossParams(exponent=exponent, tx_power_dbm=43.0)
-        pl0 = free_space_pl0(900.5, params.ref_distance_m)
+        pl0 = free_space_pl0(900.5)
         for d in np.logspace(0.0, 5.0, 31):
             rss = rss_at_distance(float(d), 900.5, params)
             back = invert_distance(params.tx_power_dbm - rss, pl0, params)
             assert abs(back - d) / d < 1e-9
+
+
+@pytest.mark.parametrize("d0", [1e-3, 0.25, 10.0, 1e4])
+def test_reference_distance_is_a_transmit_power_offset(d0):
+    # a log-distance model referenced at d0 instead of 1 m differs only by a
+    # constant (20 - 10n)*log10(d0) dB, which tx_power_dbm absorbs
+    n = 3.1
+    params = PathLossParams(exponent=n, tx_power_dbm=43.0 - (20.0 - 10.0 * n) * math.log10(d0))
+    for fc in (95.1, 900.5, 2412.0):
+        pl0_at_d0 = 20.0 * math.log10(d0) + 20.0 * math.log10(fc) - 27.55
+        for d in (0.5, 1.0, 37.0, 4200.0):
+            referenced = 43.0 - (pl0_at_d0 + 10.0 * n * math.log10(d / d0))
+            assert rss_at_distance(d, fc, params) == pytest.approx(referenced, abs=1e-9)
 
 
 class TestParams:
@@ -124,10 +137,6 @@ class TestParams:
             PathLossParams(exponent=1.2)
         with pytest.raises(ConfigError):
             PathLossParams(exponent=6.5)
-
-    def test_reference_distance_positive(self):
-        with pytest.raises(ConfigError):
-            PathLossParams(ref_distance_m=0.0)
 
     @pytest.mark.parametrize("power", [1e5, -200.5, math.inf, math.nan])
     def test_transmit_power_within_the_db_bound(self, power):

@@ -18,7 +18,7 @@ from sweepnav import (
     static_scenario,
 )
 from sweepnav.artifacts import read_trajectory_csv, summary_text, write_trajectory_csv
-from sweepnav.placement import place_in_box
+from sweepnav.placement import place_in_box, validate_bbox
 from sweepnav.simulator import segment_lengths
 from sweepnav.sweeps import SweepRecord, SweepWindow
 
@@ -78,6 +78,17 @@ class TestAnchorFrame:
         monkeypatch.setattr("sweepnav.placement.DEFAULT_MIN_SEP_FRAC", 2.0)  # wider than the box's diagonal
         with pytest.raises(PlacementError):
             place_in_box([1, 2], seed=0, bbox=(0.0, 0.0, 1.0, 1.0))
+
+    @pytest.mark.parametrize("bbox", [(-1e308, -1e308, 1e308, 1e308), (0.0, -1e308, 1.0, 1e308)])
+    def test_box_whose_diagonal_overflows_rejected(self, bbox):
+        with pytest.raises(ValueError, match="diagonal overflows"):
+            validate_bbox(bbox)
+
+    def test_largest_boxes_still_place_inside(self):
+        bbox = (-0.5e308, -0.5e308, 0.5e308, 0.5e308)  # diagonal about 1.41e308
+        assert validate_bbox(bbox) == bbox
+        for x, y in place_in_box([1, 2, 3, 4], seed=0, bbox=bbox).values():
+            assert -0.5e308 <= x <= 0.5e308 and -0.5e308 <= y <= 0.5e308
 
 
 class TestPipelineRuns:

@@ -174,7 +174,7 @@ class TestForwardSweeps:
             for band, tx in zip(record.bands, FOUR_TX):
                 true_d = math.hypot(pos[0] - tx.x, pos[1] - tx.y)
                 params = scenario.pathloss
-                pl0 = free_space_pl0(BandPlan.uniform().center_mhz(band.band_id), params.ref_distance_m)
+                pl0 = free_space_pl0(BandPlan.uniform().center_mhz(band.band_id))
                 est = invert_distance(params.tx_power_dbm - band.rss_dbm, pl0, params)
                 assert abs(est - true_d) / true_d < 1e-9
 
@@ -184,9 +184,9 @@ class TestForwardSweeps:
             transmitters=close, waypoints=((0.0, 0.0), (0.0, 0.0)), hold_s=4.0
         )
         run = simulate_run(scenario)
-        # the receiver 0.3 m from the first transmitter is taken to be at d0
-        at_d0 = rss_at_distance(scenario.pathloss.ref_distance_m, 700.5, scenario.pathloss, tx_power_dbm=43.0)
-        assert [r.rss_by_id[700] for r in run.sweeps] == [at_d0] * len(run.sweeps)
+        # the receiver 0.3 m from the first transmitter is taken to be at 1 m
+        at_1m = rss_at_distance(1.0, 700.5, scenario.pathloss, tx_power_dbm=43.0)
+        assert [r.rss_by_id[700] for r in run.sweeps] == [at_1m] * len(run.sweeps)
 
     def test_transmitter_outside_plan_rejected(self):
         bad = FOUR_TX[:3] + (Transmitter(0.0, 0.0, 43.0, 9999.5),)
@@ -225,10 +225,6 @@ class TestScenarioValidation:
     @pytest.mark.parametrize(
         "build, name, value",
         [
-            (PathLossParams, "ref_distance_m", math.nan),
-            (PathLossParams, "ref_distance_m", math.inf),
-            (PathLossParams, "ref_distance_m", 1e-250),
-            (PathLossParams, "ref_distance_m", 2e4),
             (simple_scenario, "shadowing_sigma_db", -1.0),
             (simple_scenario, "shadowing_sigma_db", math.nan),
             (simple_scenario, "shadowing_sigma_db", math.inf),
@@ -241,10 +237,6 @@ class TestScenarioValidation:
     def test_non_finite_or_unphysical_value_rejected(self, build, name, value):
         with pytest.raises(ConfigError):
             build(**{name: value})
-
-    def test_reference_distance_bounds_are_inclusive(self):
-        for d0 in (1e-3, 1.0, 1e4):
-            assert PathLossParams(ref_distance_m=d0).ref_distance_m == d0
 
     def test_duplicate_frequencies_rejected(self):
         dupe = FOUR_TX[:3] + (Transmitter(9.0, 9.0, 43.0, 700.5),)
