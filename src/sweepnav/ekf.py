@@ -16,8 +16,9 @@ DEFAULT_MIN_RANGE of the state is skipped.
 Both steps are closed-form float kernels, ``predict`` and ``update``, over
 the term tuple (x, y, p00, p01, p11): the position and the independent
 terms of the symmetric covariance, so P stays exactly symmetric. Q and P0
-pass one check, ``_covariance_terms``; a prediction whose P is no longer
-positive semi-definite raises FilterDivergenceError.
+pass one check, ``_covariance_terms``; each kernel rejects a non-finite
+timestep, velocity or range; a prediction whose P is no longer positive
+semi-definite raises FilterDivergenceError.
 """
 
 from __future__ import annotations
@@ -86,8 +87,10 @@ def _covariance_terms(name: str, matrix) -> tuple[float, float, float]:
 
 def predict(terms: Terms, dt: float, ux: float, uy: float, q: tuple[float, float, float]) -> Terms:
     """Move the position by ``dt`` times the velocity (ux, uy) and add Q's terms to P's."""
-    if dt <= 0:
-        raise ValueError("timestep must be positive")
+    if not 0.0 < dt < math.inf:  # NaN fails too
+        raise ValueError("timestep must be positive and finite")
+    if not ux * 0.0 == 0.0 == uy * 0.0:  # inf * 0 and NaN * 0 are NaN
+        raise ValueError("velocity must be finite")
     x, y, p00, p01, p11 = terms
     if not _min_eig(p00, p01, p11) >= PSD_TOL:
         raise FilterDivergenceError("filter diverged: its covariance is not positive semi-definite")
@@ -100,9 +103,9 @@ def update(terms: Terms, z: float, lx: float, ly: float, r: float) -> tuple[Term
 
     Raises SingularGeometryError within DEFAULT_MIN_RANGE of the landmark.
     """
+    if not 0.0 <= z < math.inf:  # NaN fails too
+        raise ValueError("range measurement must be finite and non-negative")
     x, y, p00, p01, p11 = terms
-    if z < 0:
-        raise ValueError("range measurement must be non-negative")
     dx = x - lx
     dy = y - ly
     distance = math.hypot(dx, dy)
@@ -145,23 +148,25 @@ class EkfTracker:
 
         A landmark coincident with the state is skipped; a step where no
         measurement could be applied (but some were offered) is flagged and
-        keeps the prediction.
+        keeps the prediction. An ill-formed ``dt``, velocity or range raises
+        ValueError and commits nothing. Flags grow only on a skipped landmark;
+        the result is built as one tuple, not passed field by field.
         """
         ux, uy = u
         terms = predict(self._terms, dt, ux, uy, self._q)
 
         innovations: list[tuple[int, float]] = []
-        flags: list[str] = []
+        flags: tuple[str, ...] = ()
         r = self._r
         for (lx, ly, source_index), z in measurements:
             try:
                 terms, innovation = update(terms, z, lx, ly, r)
             except SingularGeometryError:
-                flags.append("skipped_landmark")
+                flags += ("skipped_landmark",)
                 continue
             innovations.append((source_index, innovation))
         if measurements and not innovations:
-            flags.append("no_update")
+            flags += ("no_update",)
 
         self._terms = terms
-        return TrackStep(terms[:2], terms[2:], tuple(innovations), tuple(flags))
+        return tuple.__new__(TrackStep, (terms[:2], terms[2:], tuple(innovations), flags))

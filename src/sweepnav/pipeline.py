@@ -150,13 +150,14 @@ class TrackingPipeline:
         self._tracker: EkfTracker | None = None
         self._steps: list[TrajectoryStep] = []
         self._raw_abs: tuple[float, float] | None = None  # the last fix
-        self._prev_sweep_ts: float | None = None
+        self._prev_sweep_ts = -math.inf
         self._skipped = 0
 
     def process(self, sweep: SweepRecord) -> TrajectoryStep | None:
-        if self._prev_sweep_ts is not None and sweep.timestamp <= self._prev_sweep_ts:
+        timestamp = sweep.timestamp
+        if timestamp <= self._prev_sweep_ts:
             raise ValueError("sweep timestamps must strictly increase")
-        self._prev_sweep_ts = sweep.timestamp
+        self._prev_sweep_ts = timestamp
         self._window.push(sweep)
 
         if self._selected is None and not self._select_bands():
@@ -164,11 +165,12 @@ class TrackingPipeline:
             return None
 
         params = self._cfg.pathloss
+        tx_power_dbm = params.tx_power_dbm
         held, residual = (), math.nan
         try:
             # the path loss is tx - mean; the window's means are finite
             distances = [
-                invert_distance(params.tx_power_dbm - mean, pl0, params)
+                invert_distance(tx_power_dbm - mean, pl0, params)
                 for mean, pl0 in zip(self._window.means_dbm(self._selected), self._pl0)
             ]
             x, y, residual, _ = self._frame.solve(distances)
@@ -188,26 +190,26 @@ class TrackingPipeline:
             # shift into that frame and the filter starts at the first smoothed fix.
             ox, oy = self._origin = self._raw_abs
             self._landmarks = [Landmark(a.x - ox, a.y - oy, i) for i, a in enumerate(self._frame.anchors)]
-            raw_rel = (x - ox, y - oy)
-            smoothed = self._smoother.push(raw_rel)
+            raw_x, raw_y = x - ox, y - oy
+            wma_x, wma_y = smoothed = self._smoother.push((raw_x, raw_y))
             self._tracker = EkfTracker(x0=smoothed, p0=P0, noise=self._cfg.noise)
-            ekf_pos, ekf_flags = smoothed, ()
+            ekf_x, ekf_y, ekf_flags = wma_x, wma_y, ()
         else:
-            raw_rel = (self._raw_abs[0] - self._origin[0], self._raw_abs[1] - self._origin[1])
-            smoothed = self._smoother.push(raw_rel)
+            (x, y), (ox, oy) = self._raw_abs, self._origin
+            raw_x, raw_y = x - ox, y - oy
+            wma_x, wma_y = self._smoother.push((raw_x, raw_y))
             # Predict with the finite-difference velocity of the smoothed fixes,
             # then update once per anchor range. A held step has no fresh ranges,
             # so a flagged sample never moves the track more than the motion model does.
             last = self._steps[-1]
-            dt = sweep.timestamp - last.timestamp  # positive: the stamps strictly increase
-            u = ((smoothed[0] - last.x_wma) / dt, (smoothed[1] - last.y_wma) / dt)
-            track = self._tracker.step(dt, u, [] if held else list(zip(self._landmarks, distances)))
-            ekf_pos, ekf_flags = track.position, track.flags
+            dt = timestamp - last.timestamp  # positive: the stamps strictly increase
+            u = ((wma_x - last.x_wma) / dt, (wma_y - last.y_wma) / dt)
+            measurements = [] if held else list(zip(self._landmarks, distances))
+            (ekf_x, ekf_y), _, _, ekf_flags = self._tracker.step(dt, u, measurements)
 
-        step = TrajectoryStep(
-            len(self._steps), sweep.timestamp, raw_rel[0], raw_rel[1], smoothed[0], smoothed[1],
-            ekf_pos[0], ekf_pos[1], residual, held + ekf_flags,
-        )
+        # the fields as one tuple: TrajectoryStep(...) would pass them by name
+        step = tuple.__new__(TrajectoryStep, (len(self._steps), timestamp, raw_x, raw_y, wma_x, wma_y,
+                                              ekf_x, ekf_y, residual, held + ekf_flags))
         self._steps.append(step)
         return step
 

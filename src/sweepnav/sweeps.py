@@ -202,15 +202,19 @@ def parse_timestamp(date_text: str, time_text: str, minutes: dict | None = None)
     them. ``minutes``, kept by the caller for one file, memoizes the epoch
     microseconds at the start of each minute seen, keyed by the text up to
     the minute and stored only once its date is valid; it holds at most
-    MAX_MEMO_MINUTES of them.
+    MAX_MEMO_MINUTES of them. A stamp of a memoized minute whose second is
+    spelled "SS.ffffff" is read without the pattern match.
     """
     text = f"{date_text} {time_text}"
+    minutes = {} if minutes is None else minutes
+    head, _, second = text.rpartition(":")  # of a valid stamp, the text up to the minute
+    minute_us = minutes.get(head)  # the groups up to the minute follow from this text alone
+    if minute_us is not None and len(second) == 9 and second[2] == "." and second[0] <= "5" and (
+            digits := second[:2] + second[3:]).isascii() and digits.isdigit():  # the match below would agree
+        return (minute_us + int(digits)) / 1_000_000
     match = _TIMESTAMP.match(text)
     if match is None or match.end() != len(text):
         raise ValueError(f"unrecognised timestamp {text!r}")
-    minutes = {} if minutes is None else minutes
-    key = text[:match.end(5)]  # the groups up to the minute follow from this text alone
-    minute_us = minutes.get(key)
     if minute_us is None:
         year, month, day, hour, minute = map(int, match.group(1, 2, 3, 4, 5))
         try:  # a date that does not exist, such as Feb 29 outside a leap year, fails
@@ -219,7 +223,7 @@ def parse_timestamp(date_text: str, time_text: str, minutes: dict | None = None)
             raise ValueError(f"unrecognised timestamp {text!r}") from None
         if len(minutes) >= MAX_MEMO_MINUTES:
             minutes.clear()
-        minute_us = minutes[key] = ((day * 24 + hour) * 60 + minute) * 60_000_000
+        minute_us = minutes[head] = ((day * 24 + hour) * 60 + minute) * 60_000_000
     return (minute_us + int(match[6] + (match[7] or "").ljust(6, "0"))) / 1_000_000
 
 
@@ -271,20 +275,17 @@ def parse_sweep_lines(lines: Iterable[str], plan: BandPlan) -> Generator[SweepRe
         layout = (parts[2], parts[3], parts[4], parts[5], fields)
         runs = layouts.get(layout)
         try:
+            rss_values = [float(parts[6])] if fields == _MIN_FIELDS else list(map(float, parts[6:]))
             if runs is None:
                 hz_low = float(parts[2])
                 hz_high = float(parts[3])
                 hz_width = float(parts[4])
                 float(parts[5])  # num_samples, unused
-            rss_values = [float(parts[6])] if fields == _MIN_FIELDS else list(map(float, parts[6:]))
         except ValueError:
             raise SweepParseError(line_no, f"bad numeric field in {line!r}") from None
-        if runs is None and not (0.0 < hz_width < math.inf and -math.inf < hz_low < hz_high < math.inf):  # NaN fails
-            raise SweepParseError(line_no, "invalid frequency slice bounds")
-        for rss in rss_values:
-            if not -limit <= rss <= limit:  # NaN fails too
-                raise SweepParseError(line_no, f"dB value {rss!r} outside [-{limit:g}, {limit:g}]")
-        if runs is None:
+        if runs is None:  # a new layout: its slice checked and its bins placed once per parse
+            if not (0.0 < hz_width < math.inf and -math.inf < hz_low < hz_high < math.inf):  # NaN fails
+                raise SweepParseError(line_no, "invalid frequency slice bounds")
             runs = []
             for i in range(fields - 6):
                 band_id = band_at((hz_low + hz_width * i + hz_width / 2.0) / 1e6)
@@ -297,6 +298,9 @@ def parse_sweep_lines(lines: Iterable[str], plan: BandPlan) -> Generator[SweepRe
                 layouts.clear()
                 held = len(runs) + 1
             layouts[layout] = runs
+        for rss in rss_values:
+            if not -limit <= rss <= limit:  # NaN fails too
+                raise SweepParseError(line_no, f"dB value {rss!r} outside [-{limit:g}, {limit:g}]")
 
         # rows of one sweep share the timestamp text, so it is stripped and
         # parsed once per sweep
@@ -408,14 +412,15 @@ class SweepWindow:
     ``length`` of None keeps every sweep (growing window). Per-band state is
     updated as sweeps are pushed and evicted: a bounded window keeps each
     band's values in arrival order (and the band ids of its last ``length``
-    sweeps, to evict), a growing one a running sum, count, minimum and
-    maximum; neither holds a record. Per sweep, ``push`` costs O(K) in the
-    sweep's band count; ``means_dbm`` costs O(1) per band for a growing window and
-    O(length) per band for a bounded one, one summing pass, plus a pass for
-    the extremes only when a band's oldest and newest values nearly agree
-    (see ``CLAMP_FREE_SPREAD``); ``persistent_band_ids`` costs O(B)
-    in the bands seen in the window. None of them depends on how many
-    sweeps a growing window holds.
+    sweeps, to evict: after :meth:`keep_only`, the one kept set for every
+    sweep that holds all kept bands, so such a push builds no set), a growing
+    one a running sum, count, minimum and maximum; neither holds a record.
+    Per sweep, ``push`` costs O(K) in the sweep's band count; ``means_dbm``
+    costs O(1) per band for a growing window and O(length) per band for a
+    bounded one, one summing pass, plus a pass for the extremes only when a
+    band's oldest and newest values nearly agree (see ``CLAMP_FREE_SPREAD``);
+    ``persistent_band_ids`` costs O(B) in the bands seen in the window. None
+    of them depends on how many sweeps a growing window holds.
     After :meth:`keep_only`, every query sees the kept bands alone.
     """
 
@@ -424,7 +429,7 @@ class SweepWindow:
             raise ValueError("window length must be positive or None")
         self._length = length
         self._count = 0  # sweeps in the window
-        # bounded only: each held sweep's band ids (after keep_only, its kept ones), to evict
+        # bounded only: each held sweep's band ids (after keep_only, its kept ones, shared), to evict
         self._held: deque[Iterable[int]] = deque()
         # band id -> deque of values (bounded) or [sum, count, min, max] (growing);
         # either way a band's sample count is the number of sweeps holding it
@@ -442,7 +447,8 @@ class SweepWindow:
 
     def push(self, record: SweepRecord) -> None:
         bands, rss_by_id, kept = self._bands, record.rss_by_id, self._kept
-        held = rss_by_id.keys() if kept is None else rss_by_id.keys() & kept
+        ids = rss_by_id.keys()
+        held = ids if kept is None else kept if kept <= ids else ids & kept  # kept itself when the sweep has it all
         if self._length is None:
             for band_id in held:
                 rss = rss_by_id[band_id]
@@ -457,21 +463,20 @@ class SweepWindow:
                     acc[3] = rss
             self._count += 1
         else:
-            if len(self._held) == self._length:
-                for band_id in self._held.popleft():
+            held_ids = self._held
+            if len(held_ids) == self._length:
+                for band_id in held_ids.popleft():
                     values = bands[band_id]
                     values.popleft()
                     if not values:
                         del bands[band_id]
             for band_id in held:
-                rss = rss_by_id[band_id]
-                values = bands.get(band_id)
-                if values is None:
-                    bands[band_id] = deque((rss,))
-                else:
-                    values.append(rss)
-            self._held.append(held)
-            self._count = len(self._held)
+                try:
+                    bands[band_id].append(rss_by_id[band_id])
+                except KeyError:  # the band is new to the window
+                    bands[band_id] = deque((rss_by_id[band_id],))
+            held_ids.append(held)
+            self._count = len(held_ids)
 
     def __len__(self) -> int:
         return self._count

@@ -71,6 +71,16 @@ class TestPredict:
         with pytest.raises(ValueError):
             ekf.predict(terms(0.0, 0.0, 1.0), 0.0, 0.0, 0.0, DEFAULT_Q)
 
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_timestep(self, dt):
+        with pytest.raises(ValueError, match="timestep"):
+            ekf.predict(terms(0.0, 0.0, 1.0), dt, 0.0, 0.0, DEFAULT_Q)
+
+    @pytest.mark.parametrize("u", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0), (math.inf, math.nan)])
+    def test_rejects_non_finite_velocity(self, u):
+        with pytest.raises(ValueError, match="velocity"):
+            ekf.predict(terms(0.0, 0.0, 1.0), 1.0, *u, DEFAULT_Q)
+
 
 class TestRangeModel:
     def test_three_four_five(self):
@@ -135,6 +145,11 @@ class TestUpdate:
     def test_negative_range_rejected(self):
         with pytest.raises(ValueError):
             ekf.update(terms(0.0, 0.0, 1.0), -1.0, 5.0, 0.0, 0.01)
+
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+    def test_non_finite_range_rejected(self, z):
+        with pytest.raises(ValueError, match="finite"):
+            ekf.update(terms(0.0, 0.0, 1.0), z, 5.0, 0.0, 0.01)
 
     def test_rejects_non_psd_covariance(self):
         # update trusts its covariance; a non-PSD one is stopped where it enters the filter
@@ -422,6 +437,31 @@ class TestKernelAgainstReference:
         tracker = EkfTracker(x0=(0.0, 0.0), p0=np.eye(2), noise=NoiseConfig())
         with pytest.raises(ValueError):
             tracker.step(1.0, (0.0, 0.0), [(Landmark(5.0, 0.0, 0), -1.0)])
+        # the failed step committed nothing, not even its prediction
+        step = tracker.step(1.0, (0.0, 0.0), [])
+        assert step.position == (0.0, 0.0)
+        assert step.covariance_terms == pytest.approx((1.1, 0.0, 1.1), abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "dt, u, z",
+        [
+            (1.0, (0.0, 0.0), math.nan),
+            (1.0, (0.0, 0.0), math.inf),
+            (1.0, (0.0, 0.0), -math.inf),
+            (math.nan, (0.0, 0.0), 5.0),
+            (math.inf, (0.0, 0.0), 5.0),
+            (-math.inf, (0.0, 0.0), 5.0),
+            (1.0, (math.nan, 0.0), 5.0),
+            (1.0, (0.0, math.inf), 5.0),
+            (1.0, (-math.inf, 0.0), 5.0),
+        ],
+    )
+    def test_non_finite_input_rejected_in_step(self, dt, u, z):
+        # before these checks a NaN range gave a NaN position with no flag, and
+        # every later step stayed NaN while P stayed finite, so no divergence fired
+        tracker = EkfTracker(x0=(0.0, 0.0), p0=np.eye(2), noise=NoiseConfig())
+        with pytest.raises(ValueError):
+            tracker.step(dt, u, [(Landmark(10.0, 0.0, 0), z)])
         # the failed step committed nothing, not even its prediction
         step = tracker.step(1.0, (0.0, 0.0), [])
         assert step.position == (0.0, 0.0)

@@ -87,17 +87,54 @@ def ranges_from(anchors, point):
 
 def frame_of_rows(a):
     """The AnchorFrame whose linearised rows are exactly ``a``: the first
-    anchor at the origin, anchor j + 1 at -a_j / 2. Its ``qr`` then solves
-    A x = b for any b."""
+    anchor at the origin, anchor j + 1 at -a_j / 2."""
     anchors = [Anchor(0, 0.0, 0.0)] + [Anchor(j, -a0 / 2, -a1 / 2) for j, (a0, a1) in enumerate(a, 1)]
     return AnchorFrame(anchors)
+
+
+def solve_rows(a, b):
+    """Solve A x = b, A = ``a``, through ``frame_of_rows(a).solve``.
+
+    Row j's anchor part is c_j = -|a_j|^2 / 4, so distances d_1 = sqrt(s)
+    and d_j+1 = sqrt(b_j - c_j + s), with s the least shift that keeps every
+    square non-negative, give b up to rounding. Returns the solve and the b
+    it saw, taken by the reference's own arithmetic (which the solver
+    matches bit for bit).
+    """
+    frame = frame_of_rows(a)
+    c = [-(a0 * a0 + a1 * a1) / 4 for a0, a1 in a]
+    shift = max(0.0, *(cj - bj for cj, bj in zip(c, b)))
+    distances = [math.sqrt(shift)] + [math.sqrt(bj - cj + shift) for cj, bj in zip(c, b)]
+    seen = [row[2] for row in reference_linear_rows(frame.anchors, distances)]
+    return frame.solve(distances), np.array(seen)
+
+
+def pythagorean_anchors(rng, m):
+    """The origin and ``m - 1`` anchors at integer distances from it, so
+    that exact ranges from the first anchor make b exactly 0."""
+    triples = [(3, 4, 5), (5, 12, 13), (8, 15, 17), (7, 24, 25), (20, 21, 29)]
+    anchors, distances = [Anchor(0, 0.0, 0.0)], [0.0]
+    for j in range(1, m):
+        x, y, d = triples[int(rng.integers(len(triples)))]
+        if rng.random() < 0.5:
+            x, y = y, x
+        scale = 2.0 ** int(rng.integers(-4, 8))
+        anchors.append(Anchor(j, x * scale * rng.choice([-1, 1]), y * scale * rng.choice([-1, 1])))
+        distances.append(d * scale)
+    return anchors, distances
 
 
 class TestBuildLinearSystem:
     def test_hand_expanded_square(self):
         frame = AnchorFrame(square_anchors())
-        assert frame.qr.rows == ((-20.0, 0.0), (0.0, -20.0), (-20.0, -20.0))
-        np.testing.assert_allclose(frame.rhs([math.sqrt(50)] * 4), [-100.0, -100.0, -200.0], atol=1e-12)
+        assert frame.rows == ((-20.0, 0.0), (0.0, -20.0), (-20.0, -20.0))
+        # off the solution, the residual is that of the hand-expanded b
+        distances = [math.sqrt(50), math.sqrt(52), math.sqrt(50), math.sqrt(50)]
+        x, y, residual, _ = frame.solve(distances)
+        b = np.array([-100.0 + 2.0, -100.0, -200.0])
+        a = np.array(frame.rows)
+        assert residual == pytest.approx(np.linalg.norm(a @ [x, y] - b), rel=1e-12)
+        np.testing.assert_allclose(np.linalg.lstsq(a, b, rcond=None)[0], [x, y], atol=1e-12)
 
     def test_translation_moves_solution_consistently(self):
         anchors = square_anchors()
@@ -107,14 +144,14 @@ class TestBuildLinearSystem:
         distances = ranges_from(anchors, point)
 
         frame, moved_frame = AnchorFrame(anchors), AnchorFrame(moved)
-        assert frame.qr.rows == moved_frame.qr.rows
+        assert frame.rows == moved_frame.rows
         x1, y1, _, _ = frame.solve(distances)
         x2, y2, _, _ = moved_frame.solve(distances)
         np.testing.assert_allclose([x2, y2], [x1 + shift[0], y1 + shift[1]], atol=1e-9)
 
     def test_coincident_anchor_gives_zero_row(self):
         anchors = [Anchor(1, 5.0, 5.0), Anchor(2, 5.0, 5.0), Anchor(3, 0.0, 10.0), Anchor(4, 10.0, 0.0)]
-        assert AnchorFrame(anchors).qr.rows[0] == (0.0, 0.0)
+        assert AnchorFrame(anchors).rows[0] == (0.0, 0.0)
 
     def test_too_few_anchors(self):
         with pytest.raises(InsufficientAnchorsError):
@@ -154,7 +191,9 @@ class TestSolveLsq:
         assert condition >= 1.0
 
     def test_zero_rhs(self):
-        x, y, residual, _ = frame_of_rows([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]).qr.solve([0.0] * 3)
+        # ranges 5, 13 and 17 from the first anchor: b is exactly 0
+        anchors = [Anchor(0, 0.0, 0.0), Anchor(1, 3.0, 4.0), Anchor(2, -5.0, 12.0), Anchor(3, 8.0, -15.0)]
+        x, y, residual, _ = AnchorFrame(anchors).solve([0.0, 5.0, 13.0, 17.0])
         assert [x, y] == [0.0, 0.0]
         assert residual == 0.0
 
@@ -166,12 +205,11 @@ class TestSolveLsq:
     def test_condition_cap(self):
         frame = frame_of_rows([[1.0, 0.0], [0.0, 1e-9], [1.0, 1e-9]])
         with pytest.raises(DegenerateGeometryError):
-            frame.qr.solve([0.0] * 3)
+            frame.solve([0.0] * 4)
 
     def test_condition_under_the_cap_solves(self):
         # a condition estimate near 1e6 once failed a test-only cap of 1e6; the fixed cap is 1e8
-        frame = frame_of_rows([[1.0, 0.0], [0.0, 1e-6], [1.0, 1e-6]])
-        x, y, _, condition = frame.qr.solve([2.0, 3e-6, 2.0 + 3e-6])
+        (x, y, _, condition), _ = solve_rows([[1.0, 0.0], [0.0, 1e-6], [1.0, 1e-6]], [2.0, 3e-6, 2.0 + 3e-6])
         assert 1e6 < condition < CONDITION_CAP
         np.testing.assert_allclose([x, y], [2.0, 3.0], rtol=1e-6)
 
@@ -181,7 +219,7 @@ class TestSolveLsq:
             a = rng.normal(size=(rng.integers(3, 8), 2)) * 100
             b = rng.normal(size=a.shape[0]) * 100
             try:
-                x, y, _, _ = frame_of_rows(a.tolist()).qr.solve(b.tolist())
+                (x, y, _, _), b = solve_rows(a.tolist(), b.tolist())
             except DegenerateGeometryError:
                 continue
             lhs = np.linalg.norm(a.T @ (a @ [x, y] - b))
@@ -196,7 +234,7 @@ class TestFixPosition:
             anchors = [Anchor(i, *rng.uniform(-500, 500, 2)) for i in range(1, 6)]
             point = rng.uniform(-500, 500, 2)
             frame = AnchorFrame(anchors)
-            if np.linalg.cond(np.array(frame.qr.rows)) > 1e6:
+            if np.linalg.cond(np.array(frame.rows)) > 1e6:
                 continue
             x, y, _, _ = frame.solve(ranges_from(anchors, point))
             assert math.hypot(x - point[0], y - point[1]) < 1e-6
@@ -243,7 +281,7 @@ class TestProperties:
         point = np.array([40.0, -25.0])
         distances = [d * f for d, f in zip(ranges_from(anchors, point), rng.uniform(0.9, 1.1, 6))]
         frame = AnchorFrame(anchors)
-        a, b = np.array(frame.qr.rows), np.array(frame.rhs(distances))
+        a, b = np.array(frame.rows), np.array([row[2] for row in reference_linear_rows(anchors, distances)])
         x, y, _, _ = frame.solve(distances)
         solution = np.array([x, y])
         base = np.sum((a @ solution - b) ** 2)
@@ -280,10 +318,10 @@ class TestGivensKernel:
             if i % 2:
                 a[:, 1] = a[:, 0] * rng.normal() + a[:, 1] * 10 ** rng.uniform(-6, -2)
             b = rng.normal(size=m) * 100
-            ref_position, ref_condition = svd_reference(a, b)
-            if ref_condition > 1e6:
+            if svd_reference(a, b)[1] > 1e6:
                 continue
-            x, y, residual, condition = frame_of_rows(a.tolist()).qr.solve(b.tolist())
+            (x, y, residual, condition), b = solve_rows(a.tolist(), b.tolist())
+            ref_position, ref_condition = svd_reference(a, b)
             assert abs(condition - ref_condition) <= 1e-9 * ref_condition
             error = np.linalg.norm([x, y] - ref_position)
             assert error <= 1e-12 * ref_condition * np.linalg.norm(ref_position)
@@ -338,15 +376,22 @@ class TestGivensKernel:
         a = np.arange(1.0, 9.0).reshape(4, 2)
         a[:, column] = 0.0
         with pytest.raises(DegenerateGeometryError):
-            frame_of_rows(a.tolist()).qr.solve([1.0] * 4)
+            frame_of_rows(a.tolist()).solve([1.0] * 5)
 
     def test_zero_rhs_gives_exact_zeros(self):
         rng = np.random.default_rng(52)
+        solved = 0
         for _ in range(50):
-            a = rng.normal(size=(int(rng.integers(3, 9)), 2)) * 100
-            x, y, residual, _ = frame_of_rows(a.tolist()).qr.solve([0.0] * len(a))
+            anchors, distances = pythagorean_anchors(rng, int(rng.integers(4, 10)))
+            assert not any(row[2] for row in reference_linear_rows(anchors, distances))
+            try:
+                x, y, residual, _ = AnchorFrame(anchors).solve(distances)
+            except DegenerateGeometryError:
+                continue
             assert [x, y] == [0.0, 0.0]
             assert residual == 0.0
+            solved += 1
+        assert solved >= 40
 
     def test_non_finite_matrix_rejected(self):
         # A is built from anchor coordinates, which are checked where they enter

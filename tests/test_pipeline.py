@@ -1,10 +1,13 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from sweepnav import (
     Anchor,
+    AnchorFrame,
+    EkfTracker,
     InsufficientAnchorsError,
     PlacementError,
     TrackingPipeline,
@@ -18,8 +21,10 @@ from sweepnav import (
     static_scenario,
 )
 from sweepnav.artifacts import read_trajectory_csv, summary_text, write_trajectory_csv
+from sweepnav import ekf, pipeline as pipeline_module
 from sweepnav.placement import place_in_box, validate_bbox
 from sweepnav.simulator import segment_lengths
+from sweepnav.smoothing import Smoother
 from sweepnav.sweeps import SweepRecord, SweepWindow
 
 
@@ -147,6 +152,40 @@ class TestPipelineRuns:
         trajectory = run_pipeline(run.sweeps, matched_config(scenario))
         fields = ("x_raw", "y_raw", "x_wma", "y_wma", "x_ekf", "y_ekf")
         assert {type(getattr(s, f)) for s in trajectory.steps for f in fields} == {float}
+
+
+class TestStageEntryPoints:
+    # Each stage of a sweep stays one call to an entry point that a tracer can
+    # wrap by attribute replacement: inlining one would hide its time.
+    STAGES = [
+        (SweepWindow, "push"), (SweepWindow, "means_dbm"), (pipeline_module, "invert_distance"),
+        (AnchorFrame, "solve"), (Smoother, "push"), (EkfTracker, "step"), (ekf, "predict"), (ekf, "update"),
+    ]
+
+    def test_one_sweep_calls_every_stage(self, monkeypatch):
+        scenario = route_scenario(seed=5)
+        run = simulate_run(scenario)
+        config = matched_config(scenario)
+        tracking = TrackingPipeline(config)
+        for sweep in run.sweeps[:5]:
+            tracking.process(sweep)
+        calls = Counter()
+        for owner, name in self.STAGES:
+            key = f"{owner.__name__.rsplit('.', 1)[-1]}.{name}"
+
+            def counted(*args, key=key, original=getattr(owner, name)):
+                calls[key] += 1
+                return original(*args)
+
+            monkeypatch.setattr(owner, name, counted)
+        step = tracking.process(run.sweeps[5])
+        bands = config.plan.selection_count
+        assert step.index == 5 and step.flags == ()
+        assert calls == {
+            "SweepWindow.push": 1, "SweepWindow.means_dbm": 1, "pipeline.invert_distance": bands,
+            "AnchorFrame.solve": 1, "Smoother.push": 1, "EkfTracker.step": 1,
+            "ekf.predict": 1, "ekf.update": bands,
+        }
 
 
 def strip_band(record, band_id):

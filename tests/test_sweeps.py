@@ -828,6 +828,28 @@ class TestTimestampsAcrossDays:
             with pytest.raises(ValueError, match="unrecognised timestamp"):
                 parse_timestamp("2016-12-31", time_text, minutes)
 
+    @pytest.mark.parametrize("second", ["00.000000", "59.999999", "07.123456", "60.000000", "61.000000", "5a.000000",
+                                        "0١.000000", "٠١.000000", "01.1234567", "01.12345", "01,000000",
+                                        "01.00000١", "+1.000000", " 1.000000"])
+    def test_plain_second_of_a_memoized_minute_equals_the_match(self, second):
+        # a memoized minute with a second spelled "SS.ffffff" skips the pattern match: same value, same rejections
+        minutes = {}
+        parse_timestamp("2024-02-29", "23:59:30", minutes)
+
+        def read(memo):
+            try:
+                return parse_timestamp("2024-02-29", f"23:59:{second}", memo).hex()
+            except ValueError:
+                return None
+
+        assert read(minutes) == read(None)
+        if second.isascii() and second[:2].isdigit():
+            try:
+                expected = reference_parse_timestamp("2024-02-29", f"23:59:{second}").hex()
+            except ValueError:
+                expected = None
+            assert read(minutes) == expected
+
     def test_memo_starts_afresh_when_full(self):
         minutes = {}
         for k in range(MAX_MEMO_MINUTES + 5):
