@@ -17,8 +17,8 @@ Both steps are closed-form float kernels, ``predict`` and ``update``, over
 the term tuple (x, y, p00, p01, p11): the position and the independent
 terms of the symmetric covariance, so P stays exactly symmetric. Q and P0
 pass one check, ``_covariance_terms``; each kernel rejects a non-finite
-timestep, velocity or range; a prediction whose P is no longer positive
-semi-definite raises FilterDivergenceError.
+timestep, velocity, predicted position or range; a prediction whose P is no
+longer positive semi-definite raises FilterDivergenceError.
 """
 
 from __future__ import annotations
@@ -94,7 +94,10 @@ def predict(terms: Terms, dt: float, ux: float, uy: float, q: tuple[float, float
     x, y, p00, p01, p11 = terms
     if not _min_eig(p00, p01, p11) >= PSD_TOL:
         raise FilterDivergenceError("filter diverged: its covariance is not positive semi-definite")
-    return (x + dt * ux, y + dt * uy, p00 + q[0], p01 + q[1], p11 + q[2])
+    x, y = x + dt * ux, y + dt * uy
+    if not x * 0.0 == 0.0 == y * 0.0:  # a finite dt times a finite velocity can overflow
+        raise ValueError("predicted position must be finite")
+    return (x, y, p00 + q[0], p01 + q[1], p11 + q[2])
 
 
 def update(terms: Terms, z: float, lx: float, ly: float, r: float) -> tuple[Terms, float]:

@@ -74,7 +74,9 @@ class AnchorFrame:
     y1^2 - yj^2, the anchor part of b_j, and the cosine and sine of each of
     the row's Givens rotations, at most two (None where the entry is already
     0). ``solve`` then forms each b_j = c_j + dj^2 - d1^2 (left to right)
-    and rotates it in the same pass.
+    and rotates it in the same pass. A row or c_j that overflows a float, a
+    rank-deficient A and a condition estimate above CONDITION_CAP are found
+    here, once; ``solve`` then raises DegenerateGeometryError.
     """
 
     def __init__(self, anchors: Sequence[Anchor]):
@@ -86,10 +88,11 @@ class AnchorFrame:
         self.anchors = tuple(anchors)
         x1, y1 = float(anchors[0].x), float(anchors[0].y)
         r00 = r01 = r11 = 0.0
-        rows, self._factored = [], []
+        rows, self._factored, finite = [], [], True
         for anchor in anchors[1:]:
             xj, yj = float(anchor.x), float(anchor.y)
-            a0, a1 = 2.0 * (x1 - xj), 2.0 * (y1 - yj)
+            a0, a1, cj = 2.0 * (x1 - xj), 2.0 * (y1 - yj), x1 * x1 - xj * xj + y1 * y1 - yj * yj
+            finite = finite and math.isfinite(a0) and math.isfinite(a1) and math.isfinite(cj)
             rows.append((a0, a1))
             c0 = s0 = c1 = s1 = None
             if a0 != 0.0:
@@ -99,13 +102,17 @@ class AnchorFrame:
             if a1 != 0.0:
                 r = math.hypot(r11, a1)
                 r11, c1, s1 = r, r11 / r, a1 / r
-            self._factored.append((x1 * x1 - xj * xj + y1 * y1 - yj * yj, c0, s0, c1, s1))
+            self._factored.append((cj, c0, s0, c1, s1))
         self.rows, self._r = tuple(rows), (r00, r01, r11)
         sigma_max, sigma_min = _triangular_singular_values(r00, r01, r11)
-        self._degenerate = "anchor geometry is rank deficient" if sigma_min <= 0.0 else None
-        if self._degenerate is None:
+        self._degenerate = None
+        if not finite:  # finite anchors far apart overflow a difference or a square, which solves to NaN
+            self._degenerate = "anchor coordinates overflow the linear system"
+        elif not sigma_min > 0.0:  # NaN fails too
+            self._degenerate = "anchor geometry is rank deficient"
+        else:
             self._condition = sigma_max / sigma_min
-            if self._condition > CONDITION_CAP:
+            if not self._condition <= CONDITION_CAP:
                 self._degenerate = f"condition estimate {self._condition:.3g} exceeds cap {CONDITION_CAP:.3g}"
 
     def solve(self, distances: Sequence[float]) -> tuple[float, float, float, float]:

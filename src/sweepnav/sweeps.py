@@ -5,6 +5,12 @@ slice, rows sharing a timestamp form one sweep), bins the slices onto a
 band plan, and maintains a rolling window of sweeps from which per-band
 mean power and the transmitter band set are derived.
 
+A file is read READ_BLOCK bytes at a time, each block decoded and split into
+rows at once (a row cut by the block's end carried into the next), so the
+reader holds one block and its rows whatever the file's size, and a pipe is
+read as its data arrives. The rows feed the one parse loop,
+``parse_sweep_lines``.
+
 A band plan is four numbers (low edge, high edge, band width and the number
 of bands to select); band edges are computed, never stored. Each row is
 split once, its timestamp parsed by strptime's grammar only when its raw
@@ -24,12 +30,15 @@ case where rounding could put the mean outside them.
 
 from __future__ import annotations
 
+import codecs
+import io
 import math
 import re
 from collections import deque
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
-from typing import Generator, Iterable, Iterator, Mapping, NamedTuple
+from itertools import chain
+from typing import BinaryIO, Generator, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import ConfigError, InputError, InsufficientAnchorsError, MissingBandError, SweepParseError
 from .multilateration import MIN_ANCHORS
@@ -67,6 +76,10 @@ CLAMP_FREE_SPREAD = 8.0 * 2.0 ** -53 * MAX_ABS_DB
 # Most runs of bins one parse keeps for its row layouts before it clears them:
 # a hackrf_sweep pass over 6 GHz (~1,200 layouts of a few runs each) fits, in ~5 MB.
 MAX_LAYOUT_RUNS = 1 << 16
+# Most bytes one read of a sweep file asks for: a route file (~100 kB, six
+# ~85 B rows per sweep) takes two reads, so a read's cost lands on about one
+# sweep in 128. A pipe's read returns what it holds, not waiting for a block.
+READ_BLOCK = 1 << 16
 # Most minutes one parse keeps in its timestamp memo before it clears it: about
 # three days of a file written in one spelling.
 MAX_MEMO_MINUTES = 1 << 12
@@ -337,12 +350,41 @@ def parse_sweep_lines(lines: Iterable[str], plan: BandPlan) -> Generator[SweepRe
     return pending_key is not None
 
 
+def _row_blocks(handle: BinaryIO) -> Iterator[list[str]]:
+    r"""The rows of a binary file, one list per read of at most READ_BLOCK bytes.
+
+    Decoded as ``open(path, "r", encoding="ascii", errors="surrogateescape")``
+    decodes (universal newlines: ``\r`` and ``\r\n`` read as ``\n``, even
+    when a ``\r\n`` is split between two reads); a row cut by the end of a
+    read is carried into the next one, and no row keeps its newline.
+    """
+    decoder = codecs.getincrementaldecoder("ascii")("surrogateescape")
+    decode = io.IncrementalNewlineDecoder(decoder, translate=True).decode
+    read, cut = handle.read1, []  # the pieces of the row cut by the end of the last read
+    while block := read(READ_BLOCK):
+        rows = decode(block).split("\n")
+        cut.append(rows[0])
+        if len(rows) > 1:  # joined once, so a row over many blocks costs linear time
+            rows[0] = "".join(cut)
+            cut = [rows.pop()]
+            yield rows
+    last = "".join(cut) + decode(b"", True)  # a final "\r", held back by the decoder, comes out as "\n"
+    if last:
+        yield [last.removesuffix("\n")]
+
+
 def parse_sweep_file(path, plan: BandPlan) -> Iterator[SweepRecord]:
-    """Stream SweepRecords from a sweep CSV file; a parse error, or a file with no sweep, names the file."""
+    """Stream SweepRecords from a sweep CSV file; a parse error, or a file with no sweep, names the file.
+
+    The file is read one block of at most READ_BLOCK bytes at a time and its
+    rows split a block at a time, so the reader holds one block and its rows,
+    whatever the file's size. A pipe is read as its data arrives: a sweep is
+    yielded once the first row of the next one (or the end) has come.
+    """
     # a non-ASCII byte decodes to a lone surrogate, which no field accepts
-    with open(path, "r", encoding="ascii", errors="surrogateescape") as handle:
+    with open(path, "rb") as handle:
         try:
-            swept = yield from parse_sweep_lines(handle, plan)
+            swept = yield from parse_sweep_lines(chain.from_iterable(_row_blocks(handle)), plan)
         except SweepParseError as exc:
             raise SweepParseError(exc.line_no, exc.message, path) from None
     if not swept:

@@ -454,6 +454,9 @@ class TestKernelAgainstReference:
             (1.0, (math.nan, 0.0), 5.0),
             (1.0, (0.0, math.inf), 5.0),
             (1.0, (-math.inf, 0.0), 5.0),
+            # finite, but dt * u overflows: the position once went to inf, then NaN, with no flag
+            (1e300, (1e300, 0.0), 5.0),
+            (1e300, (0.0, -1e300), 5.0),
         ],
     )
     def test_non_finite_input_rejected_in_step(self, dt, u, z):

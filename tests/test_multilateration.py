@@ -202,6 +202,18 @@ class TestSolveLsq:
         with pytest.raises(DegenerateGeometryError):
             AnchorFrame(anchors).solve([5.0, 6.0, 7.0, 8.0])
 
+    @pytest.mark.parametrize("anchors", [
+        # the rows' differences overflow: rows (inf, 0), (inf, -inf), (inf, inf) and a NaN condition estimate
+        [(1e308, 0.0), (-1e308, 0.0), (0.0, 1e308), (0.0, -1e308)],
+        # finite rows and condition estimate, but each c_j = x1^2 - xj^2 + y1^2 - yj^2 is inf - inf
+        [(1e160, 0.0), (-1e160, 0.0), (0.0, 1e160), (0.0, -1e160)],
+    ])
+    def test_anchors_that_overflow_the_system_are_degenerate(self, anchors):
+        # both once solved to (nan, nan, nan, nan) with no error
+        frame = AnchorFrame([Anchor(i, x, y) for i, (x, y) in enumerate(anchors)])
+        with pytest.raises(DegenerateGeometryError, match="overflow"):
+            frame.solve([1.0] * 4)
+
     def test_condition_cap(self):
         frame = frame_of_rows([[1.0, 0.0], [0.0, 1e-9], [1.0, 1e-9]])
         with pytest.raises(DegenerateGeometryError):

@@ -1,5 +1,7 @@
 import gc
 import math
+import os
+import threading
 import tracemalloc
 import weakref
 from bisect import bisect_right
@@ -24,6 +26,7 @@ from sweepnav import (
 from sweepnav.config import load_config
 from sweepnav.errors import ConfigError, InputError
 from sweepnav.pipeline import PipelineConfig
+from sweepnav import sweeps
 from sweepnav.sweeps import (
     CLAMP_FREE_SPREAD,
     MAX_ABS_DB,
@@ -31,6 +34,7 @@ from sweepnav.sweeps import (
     MAX_MEMO_MINUTES,
     MAX_PLAN_BANDS,
     MIN_CENTER_MHZ,
+    READ_BLOCK,
     format_sweep_lines,
     format_timestamp,
     parse_sweep_file,
@@ -1129,3 +1133,134 @@ class TestParserEdgeCases:
             BandPlan(low, low + 4.0, 1.0, 4)
         with pytest.raises(ConfigError, match="above 0 MHz"):
             BandPlan.uniform(low_mhz=-100.0, high_mhz=100.0, width_mhz=1.0)
+
+
+def capture_rows(count, start=0, newline="\n"):
+    """``count`` one-row sweeps 0.1 s apart, each row ending in ``newline``."""
+    rows = []
+    for k in range(start, start + count):
+        date_text, time_text = format_timestamp(1_700_000_000 + k / 10)
+        rows.append(f"{date_text}, {time_text}, {k % 9 * 1_000_000}, {k % 9 * 1_000_000 + 500_000}, "
+                    f"250000, 1, -{60 + k % 7}.5, -{61 + k % 5}.25{newline}")
+    return "".join(rows).encode("ascii")
+
+
+def placed(body, position, at):
+    """A comment line, then ``body``, so that byte ``position`` of the body is byte ``at`` of the file."""
+    assert at - position >= 2
+    return b"#" + b"-" * (at - position - 2) + b"\n" + body
+
+
+def text_mode_outcome(path, plan):
+    """What the parser gives on the file read as text, line by line, with universal newlines."""
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as handle:
+        return outcome(parse_sweep_lines, handle, plan)
+
+
+def file_outcome(path, plan):
+    try:
+        return outcome(lambda _, plan: parse_sweep_file(path, plan), None, plan)
+    except InputError as exc:  # a file with no sweep
+        return str(exc)
+
+
+class TestBlockReader:
+    """``parse_sweep_file`` reads READ_BLOCK bytes at a time; it must give what a
+    text-mode reading of the same bytes gives, wherever the blocks end."""
+
+    def check(self, tmp_path, data, plan):
+        path = tmp_path / "sweeps.csv"
+        path.write_bytes(data)
+        assert len(data) > 2 * READ_BLOCK
+        expected = text_mode_outcome(path, plan)
+        assert file_outcome(path, plan) == expected
+        return expected
+
+    def test_row_straddling_a_block(self, small_plan, tmp_path):
+        body = capture_rows(3_000)
+        data = placed(body, body.index(b"\n", 40_000) - 30, READ_BLOCK)  # a row cut 30 bytes before its end
+        records, line_no, _ = self.check(tmp_path, data, small_plan)
+        assert line_no is None and records.count("SweepRecord(") == 3_000
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_carriage_returns_split_by_a_block(self, small_plan, tmp_path, newline):
+        body = capture_rows(3_000, newline=newline)
+        # the "\r" of a row ends one block; the next block opens with its "\n", or with the next row
+        data = placed(body, body.index(b"\r", 40_000), READ_BLOCK - 1)
+        records, line_no, _ = self.check(tmp_path, data, small_plan)
+        assert line_no is None and records.count("SweepRecord(") == 3_000
+
+    def test_final_carriage_return_and_no_trailing_newline(self, small_plan, tmp_path):
+        for tail in (b"\r", b""):
+            records, line_no, _ = self.check(tmp_path, capture_rows(3_000).rstrip(b"\n") + tail, small_plan)
+            assert line_no is None and records.count("SweepRecord(") == 3_000
+
+    @pytest.mark.parametrize("damage", [(b"-6", b"-6\xc3"), (b", 1, ", b", 1, x")])
+    def test_bad_row_in_a_later_block_names_its_line(self, small_plan, tmp_path, damage):
+        body = bytearray(capture_rows(4_000))
+        start = body.index(b"\n", 100_000) + 1  # a row that crosses into the third block
+        end = body.index(b"\n", start)
+        body[start:end] = body[start:end].replace(*damage)
+        data = placed(bytes(body), start + 20, 2 * READ_BLOCK)
+        _, line_no, message = self.check(tmp_path, data, small_plan)
+        assert line_no == data[:2 * READ_BLOCK].count(b"\n") + 1
+        assert message.startswith("bad numeric field")
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=sweep_files(), newline=st.sampled_from(["\n", "\r\n", "\r"]), block=st.integers(1, 9))
+    def test_any_block_size_reads_as_text_mode(self, tmp_path_factory, rows, newline, block):
+        # blocks of a few bytes end at every place a row can be cut
+        path = tmp_path_factory.mktemp("blocks") / "sweeps.csv"
+        path.write_bytes(newline.join(rows).encode("ascii", "surrogateescape"))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sweeps, "READ_BLOCK", block)
+            assert file_outcome(path, PLANS[0]) == text_mode_outcome(path, PLANS[0])
+
+    def test_memory_stays_near_one_block(self, small_plan, tmp_path):
+        # a reader that takes the whole file, or all its rows, at once would hold megabytes
+        path = tmp_path / "sweeps.csv"
+        with open(path, "wb") as handle:
+            for start in range(0, 40_000, 1_000):
+                handle.write(capture_rows(1_000, start))
+        assert path.stat().st_size > 40 * READ_BLOCK
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in parse_sweep_file(path, small_plan))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == 40_000
+        assert peak < 8 * READ_BLOCK, peak  # about 6: a block, its text and rows, and the last block and rows
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a named pipe")
+    def test_pipe_yields_a_sweep_before_a_block_fills(self, small_plan, tmp_path):
+        # the writer sends one sweep and the first row of the next, then waits: the first sweep
+        # must come out while the pipe holds far less than a block
+        fifo = tmp_path / "sweeps.fifo"
+        os.mkfifo(fifo)
+        rows = capture_rows(3)
+        first_two = rows[:rows.index(b"\n", rows.index(b"\n") + 1) + 1]
+        release = threading.Event()
+        got = []
+
+        def write():
+            with open(fifo, "wb", buffering=0) as pipe:
+                pipe.write(first_two)
+                release.wait(30)
+                pipe.write(rows[len(first_two):])
+
+        records = parse_sweep_file(fifo, small_plan)
+        writer = threading.Thread(target=write, daemon=True)
+        reader = threading.Thread(target=lambda: got.append(next(records)), daemon=True)
+        writer.start()
+        reader.start()
+        try:
+            reader.join(10)
+            assert not reader.is_alive(), "the first sweep waited for more input"
+        finally:
+            release.set()  # on a failure this lets the reader finish instead of hanging
+            reader.join(10)
+            writer.join(10)
+        assert not writer.is_alive()
+        got.extend(records)
+        assert got == list(parse_sweep_lines(rows.decode("ascii").splitlines(), small_plan))
