@@ -1,17 +1,16 @@
 """Command-line interface: run, simulate, eval, convergence.
 
-Exit codes: 0 success, 2 unreadable or malformed input, 3 configuration
-error or failed run, 4 mismatched data shapes. The commands only raise;
-``ERRORS`` maps each exception to its message prefix and exit code, in one
-place around every command. The RPS_LOG environment variable sets the log
-level (DEBUG, INFO, WARNING, ...).
+``simulate`` reads a scenario file; ``run``, ``convergence`` and the
+``eval`` grid read a sweep CSV through ``parse_sweep_file``. Exit codes: 0
+success, 2 unreadable or malformed input, 3 configuration error or failed
+run, 4 mismatched data shapes. The commands only raise; ``ERRORS`` maps each
+exception to its message prefix and exit code, in one place around every
+command.
 """
 
 from __future__ import annotations
 
-import logging
 import math
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -50,8 +49,6 @@ class _Cli(click.Group):
 @click.group(cls=_Cli)
 def main():
     """Relative positioning from RF spectrum sweeps."""
-    level = os.environ.get("RPS_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
 
 
 def _require_fix(trajectory: Trajectory) -> Trajectory:
@@ -194,32 +191,14 @@ def _eval_grid(truth, config_path, sweeps_path, npl_list, txcount_list, window_l
     return grid_rows, unscored
 
 
-def _looks_like_kv_file(path: str) -> bool:
-    # Sweep CSV rows never contain '='; scenario files are key = value.
-    with open(path, "r", encoding="utf-8", errors="replace") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            return "=" in line
-    return False
-
-
 @main.command()
-@click.argument("source", type=click.Path(exists=True, dir_okay=False))
+@click.argument("sweeps", type=click.Path(exists=True, dir_okay=False))
 @click.option("--config", "config_path", type=click.Path(), default=None)
-@click.option("--seed", type=int, default=None, help="Scenario seed override.")
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), required=True)
-def convergence(source, config_path, seed, out_dir):
-    """Coordinate-spread series over elapsed sweeps and over spectrum share.
-
-    SOURCE is a scenario file (simulated on the fly) or a sweep CSV.
-    """
+def convergence(sweeps, config_path, out_dir):
+    """Coordinate-spread series of a sweep CSV over elapsed sweeps and over spectrum share."""
     config = load_config(config_path)
-    if _looks_like_kv_file(source):
-        records = list(simulate_run(load_scenario(source, seed), config.plan).sweeps)
-    else:
-        records = list(parse_sweep_file(source, config.plan))
+    records = list(parse_sweep_file(sweeps, config.plan))
 
     # Spread over elapsed sweeps, with an unbounded mean window so the
     # estimate keeps absorbing data as time passes.

@@ -116,7 +116,8 @@ class AnchorFrame:
                 self._degenerate = f"condition estimate {self._condition:.3g} exceeds cap {CONDITION_CAP:.3g}"
 
     def solve(self, distances: Sequence[float]) -> tuple[float, float, float, float]:
-        """(x, y, residual_norm, condition_estimate) for one set of distances."""
+        """(x, y, residual_norm, condition_estimate) for one set of distances; ValueError
+        for a negative or non-finite distance, or for distances that overflow the solution."""
         if len(distances) != len(self.anchors):
             raise ValueError(f"{len(self.anchors)} anchors but {len(distances)} distances")
         d1 = distances[0]
@@ -138,6 +139,8 @@ class AnchorFrame:
         r00, r01, r11 = self._r
         y = qb1 / r11
         x = (qb0 - r01 * y) / r00
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError("distances overflow the solution")
         squares = 0.0
         for (a0, a1), bj in zip(self.rows, b):
             e = a0 * x + a1 * y - bj

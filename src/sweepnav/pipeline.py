@@ -14,13 +14,13 @@ so the relative frame is consistent; what depends on the selection alone
 The first accepted fix defines the origin of the relative frame, shifts the
 landmarks into it and starts the filter; every output position is reported
 relative to it. Sweeps before the first fix give no row and count as
-skipped. A fix that cannot be taken after that holds the previous one,
-flagged ``held`` and ``missing_band``, ``degenerate`` or ``range_overflow``.
+skipped. After that, a sweep whose window lacks a selected band holds the
+previous fix, flagged ``held`` and ``missing_band``. The frame is fixed at the
+selection, so a degenerate frame fails every sweep and the run has no row.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
@@ -32,8 +32,6 @@ from .pathloss import PathLossParams, free_space_pl0, invert_distance
 from .placement import Bbox, place_in_box, validate_bbox
 from .smoothing import Smoother, SmootherConfig
 from .sweeps import BandPlan, SweepRecord, SweepWindow, select_transmit_bands
-
-log = logging.getLogger(__name__)
 
 DEFAULT_ANCHOR_BBOX: Bbox = (-500.0, -500.0, 500.0, 500.0)
 # the EKF's initial covariance: 10 m^2 per axis around the first smoothed fix
@@ -177,8 +175,6 @@ class TrackingPipeline:
             self._raw_abs = (x, y)
         except MissingBandError:
             held = ("held", "missing_band")
-        except OverflowError:
-            held = ("held", "range_overflow")
         except DegenerateGeometryError:
             held = ("held", "degenerate")
 
@@ -233,7 +229,6 @@ class TrackingPipeline:
         self._frame = AnchorFrame(anchors)
         self._window.keep_only(selected)
         self._pl0 = [free_space_pl0(cfg.plan.center_mhz(b)) for b in selected]
-        log.debug("selected bands %s with anchors %s", selected, anchors)
         return True
 
 

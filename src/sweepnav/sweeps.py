@@ -368,6 +368,7 @@ def _row_blocks(handle: BinaryIO) -> Iterator[list[str]]:
             rows[0] = "".join(cut)
             cut = [rows.pop()]
             yield rows
+        block = rows = None  # neither is held while the next block is read
     last = "".join(cut) + decode(b"", True)  # a final "\r", held back by the decoder, comes out as "\n"
     if last:
         yield [last.removesuffix("\n")]

@@ -109,13 +109,12 @@ class TestSimulate:
         assert result.exit_code == 3
         assert "config error" in result.output
 
-    @pytest.mark.parametrize("command", ["simulate", "convergence"])
-    def test_power_beyond_the_db_bound_is_exit_3(self, runner, tmp_path, command):
+    def test_power_beyond_the_db_bound_is_exit_3(self, runner, tmp_path):
         # exponent 6 at 10 km forward-models about -226 dB, which no sweep file may hold
         scenario = tmp_path / "far.txt"
         scenario.write_text(FAR_SCENARIO, encoding="ascii")
         out = tmp_path / "out"
-        result = runner.invoke(main, [command, str(scenario), "--out", str(out)])
+        result = runner.invoke(main, ["simulate", str(scenario), "--out", str(out)])
         assert result.exit_code == 3, (result.output, result.exception)
         assert "config error: transmitter at 700.5 MHz" in result.output
         assert "outside [-200, 200]" in result.output
@@ -270,14 +269,14 @@ def invoke_with_setting(runner, tmp_path, command, line):
 def test_settings_byte_not_utf8_is_exit_3(runner, tmp_path, command):
     # one byte that is not UTF-8, even in a comment, used to end in a UnicodeDecodeError traceback
     settings_file = tmp_path / "settings.txt"
-    if command == "run":
+    if command == "simulate":
+        settings_file.write_bytes(b"# caf\xe9\n" + BENCHMARK_SCENARIO.encode("ascii"))
+        args = ["simulate", str(settings_file)]
+    else:
         settings_file.write_bytes(b"# caf\xe9\nn_pl = 2.8\n")
         sweeps = tmp_path / "sweeps.csv"
         sweeps.write_text("", encoding="ascii")
-        args = ["run", str(sweeps), "--config", str(settings_file)]
-    else:
-        settings_file.write_bytes(b"# caf\xe9\n" + BENCHMARK_SCENARIO.encode("ascii"))
-        args = [command, str(settings_file)]
+        args = [command, str(sweeps), "--config", str(settings_file)]
     result = runner.invoke(main, args + ["--out", str(tmp_path / "out")])
     assert result.exit_code == 3, (result.output, result.exception)
     assert isinstance(result.exception, SystemExit)
@@ -285,9 +284,7 @@ def test_settings_byte_not_utf8_is_exit_3(runner, tmp_path, command):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize(
-    "case", ["config anchor.seed", "run --seed", "simulate --seed", "scenario seed", "convergence --seed"]
-)
+@pytest.mark.parametrize("case", ["config anchor.seed", "run --seed", "simulate --seed", "scenario seed"])
 def test_negative_seed_is_exit_3(runner, tmp_path, case):
     # numpy's default_rng rejects a negative seed; it used to surface as a traceback or as exit 2
     sweeps = tmp_path / "sweeps.csv"
@@ -302,12 +299,9 @@ def test_negative_seed_is_exit_3(runner, tmp_path, case):
     elif case == "simulate --seed":
         settings_file.write_text(BENCHMARK_SCENARIO, encoding="ascii")
         args = ["simulate", str(settings_file), "--seed", "-3"]
-    elif case == "scenario seed":
+    else:
         settings_file.write_text("\n".join(["seed = -1"] + explicit) + "\n", encoding="ascii")
         args = ["simulate", str(settings_file)]
-    else:
-        settings_file.write_text("\n".join(explicit) + "\n", encoding="ascii")
-        args = ["convergence", str(settings_file), "--seed", "-1"]
     result = runner.invoke(main, args + ["--out", str(tmp_path / "out")])
     assert result.exit_code == 3, (result.output, result.exception)
     assert isinstance(result.exception, SystemExit)
@@ -959,8 +953,10 @@ class TestConvergence:
         assert all(float(row[2]) > 0.0 for row in expected)
 
     def test_static_zero_noise_spread_is_zero(self, runner, static_scenario_file, tmp_path):
+        sim = tmp_path / "sim"
+        assert runner.invoke(main, ["simulate", str(static_scenario_file), "--out", str(sim)]).exit_code == 0
         out = tmp_path / "conv"
-        result = runner.invoke(main, ["convergence", str(static_scenario_file), "--out", str(out)])
+        result = runner.invoke(main, ["convergence", str(sim / "sweeps.csv"), "--out", str(out)])
         assert result.exit_code == 0, result.output
         time_rows = read_rows(out / "convergence_time.csv")
         assert time_rows[0] == ["k", "timestamp", "spread"]
@@ -989,13 +985,12 @@ class TestConvergence:
         assert "run failed: no fix in 207 sweeps; selected bands: none" in result.output
         assert not out.exists()
 
-    def test_diverged_filter_is_exit_3_with_no_output(self, runner, tmp_path):
+    def test_diverged_filter_is_exit_3_with_no_output(self, runner, benchmark_sweeps, tmp_path):
         # --out was created before the runs, so the failed run left an empty directory
-        scenario, config = tmp_path / "scenario.txt", tmp_path / "diverge.cfg"
-        scenario.write_text(BENCHMARK_SCENARIO, encoding="ascii")
+        config = tmp_path / "diverge.cfg"
         config.write_text(DIVERGING_Q + "\n", encoding="ascii")
         out = tmp_path / "conv"
-        result = runner.invoke(main, ["convergence", str(scenario), "--config", str(config), "--out", str(out)])
+        result = runner.invoke(main, ["convergence", str(benchmark_sweeps), "--config", str(config), "--out", str(out)])
         assert result.exit_code == 3, (result.output, result.exception)
         assert "run failed: filter diverged" in result.output
         assert not out.exists()
@@ -1014,13 +1009,13 @@ class TestConvergence:
         assert result.exit_code == 2, result.output
         assert "line 2" in result.output
 
-    def test_debug_logging_env(self, runner, static_scenario_file, tmp_path):
-        result = runner.invoke(
-            main,
-            ["convergence", str(static_scenario_file), "--out", str(tmp_path / "o")],
-            env={"RPS_LOG": "DEBUG"},
-        )
-        assert result.exit_code == 0
+    def test_scenario_file_is_malformed_sweeps(self, runner, static_scenario_file, tmp_path):
+        # convergence reads a sweep CSV only: a scenario's first data line is no sweep row
+        out = tmp_path / "conv"
+        result = runner.invoke(main, ["convergence", str(static_scenario_file), "--out", str(out)])
+        assert result.exit_code == 2, (result.output, result.exception)
+        assert f"input error: {static_scenario_file}: line 2: expected at least 7 fields" in result.output
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")

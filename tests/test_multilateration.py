@@ -176,6 +176,16 @@ class TestBuildLinearSystem:
         with pytest.raises(ValueError, match="finite and non-negative"):
             frame.solve(distances)
 
+    @pytest.mark.parametrize("distances", [[1e200] * 4, [1e160, 1e160, 1e160, 1e155]])
+    def test_distances_that_overflow_the_solution_rejected(self, distances):
+        # each distance is finite, but its square overflows b: it solved to (nan, nan) with no error
+        with pytest.raises(ValueError, match="overflow the solution"):
+            AnchorFrame(square_anchors()).solve(distances)
+
+    def test_large_finite_distances_still_solve(self):
+        x, y, residual, _ = AnchorFrame(square_anchors()).solve([1e150] * 4)
+        assert (x, y, residual) == (0.0, 0.0, 0.0)
+
     def test_duplicate_ids_rejected(self):
         anchors = square_anchors()
         anchors[3] = Anchor(1, 10.0, 10.0)
