@@ -175,8 +175,9 @@ class TrackingPipeline:
             self._raw_abs = (x, y)
         except MissingBandError:
             held = ("held", "missing_band")
-        except DegenerateGeometryError:
-            held = ("held", "degenerate")
+        except DegenerateGeometryError:  # the frame fails every solve, so no sweep of the run fixes
+            self._skipped += 1
+            return None
 
         if self._tracker is None:
             if held:  # no fix yet to hold

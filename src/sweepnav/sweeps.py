@@ -17,15 +17,18 @@ split once, its timestamp parsed by strptime's grammar only when its raw
 text changes (the date validated and the minute's microseconds worked out
 once per minute), and its slice checked and bins placed by arithmetic
 lookups once per distinct row layout per file (MAX_LAYOUT_RUNS bounds what
-is kept). A sweep whose bands arrive in ascending order is not sorted. The
-parser builds its records through an unchecked constructor, since every
-value it stores has just been checked; any other SweepRecord is checked when
-built. Window statistics built from checked records are not re-checked, and
-one window call gives the means of every selected band. A bounded window
-keeps each held sweep's band ids, not the sweep, and sums each band's values
-on every call but rescans them for their extremes only when its oldest and
-newest values lie within CLAMP_FREE_SPREAD * count**2 of each other, the one
-case where rounding could put the mean outside them.
+is kept): a one-cell layout stores its band id, a wider one its runs of
+bins. A band's mean is the running left-to-right sum of its values in the
+sweep, divided by their count once, when the sweep ends; a sweep whose bands
+arrive in ascending order is not sorted. The parser builds its records
+without SweepRecord's checks, since every value it stores has just been
+checked; any other SweepRecord is checked when built. Window statistics
+built from checked records are not re-checked, and one window call gives
+the means of every selected band. A bounded window keeps each held sweep's
+band ids, not the sweep, and sums each band's values on every call but
+rescans them for their extremes only when its oldest and newest values lie
+within CLAMP_FREE_SPREAD * count**2 of each other, the one case where
+rounding could put the mean outside them.
 """
 
 from __future__ import annotations
@@ -115,20 +118,6 @@ class SweepRecord:
     @property
     def bands(self) -> tuple[BandSample, ...]:
         return tuple(map(BandSample._make, self.rss_by_id.items()))
-
-
-def _parsed_record(timestamp: float, rss_by_id: dict[int, float]) -> SweepRecord:
-    """A SweepRecord built without ``__post_init__``, for the parser alone.
-
-    The parser has already made every invariant hold: ``parse_timestamp``
-    returns a finite stamp, the ids come from sorting a dict's keys, and each
-    value is a left-to-right mean of cells within +-MAX_ABS_DB. Rounding is
-    monotone, so each partial sum of k such cells lies within k * MAX_ABS_DB
-    (exact in a float) and the mean within MAX_ABS_DB.
-    """
-    record = object.__new__(SweepRecord)
-    record.__dict__.update(timestamp=timestamp, rss_by_id=rss_by_id)
-    return record
 
 
 @dataclass(frozen=True)
@@ -260,20 +249,24 @@ def parse_sweep_lines(lines: Iterable[str], plan: BandPlan) -> Generator[SweepRe
     date_text = time_text = None  # the raw timestamp fields of the last row
     pending_key: tuple[str, str] | None = None
     pending_ts = 0.0
-    pending_bins: dict[int, list[float]] = {}
-    ordered, last_id = True, -1  # whether pending_bins' ids arrived ascending; the last one added
+    sums: dict[int, float] = {}  # band id -> the left-to-right sum of its values in the pending sweep, from 0.0
+    counts: dict[int, int] = {}  # band id -> how many values it has, for a band with more than one
+    ordered, last_id = True, -1  # whether sums' ids arrived ascending; the last one added
     minutes: dict = {}  # parse_timestamp's minute memo, for this parse alone
-    # row layout (hz_low, hz_high, hz_width, num_samples text, field count) -> runs
-    # (band_id, first_bin, end_bin) of its in-plan bins, stored once its row passed
-    layouts: dict[tuple, list[tuple[int, int, int]]] = {}
+    # row layout (hz_low, hz_high, hz_width, num_samples text, field count) -> a one-cell row's band id (or
+    # None), else the runs (band_id, first_bin, end_bin) of its in-plan bins; stored once its row passed
+    layouts: dict[tuple, int | None | list[tuple[int, int, int]]] = {}
     held = 0  # runs held in layouts, a layout counting at least one
 
     def finish() -> SweepRecord:
-        # a single value averages to 0.0 + v, the bits _ordered_sum([v]) / 1 gives
-        return _parsed_record(pending_ts, {
-            band_id: 0.0 + values[0] if len(values) == 1 else _ordered_sum(values) / len(values)
-            for band_id, values in (pending_bins.items() if ordered else sorted(pending_bins.items()))
-        })
+        for band_id, count in counts.items():  # a single value's mean is its sum, 0.0 + v
+            sums[band_id] /= count
+        # built without __post_init__, whose checks hold already: the stamp is finite, the ids ascend,
+        # and rounding is monotone, so a partial sum of k cells within +-MAX_ABS_DB lies within
+        # k * MAX_ABS_DB (exact in a float) and their mean within MAX_ABS_DB
+        record = object.__new__(SweepRecord)
+        record.__dict__.update(timestamp=pending_ts, rss_by_id=sums if ordered else dict(sorted(sums.items())))
+        return record
 
     for line_no, raw_line in enumerate(lines, start=1):
         line = raw_line.strip()
@@ -286,17 +279,18 @@ def parse_sweep_lines(lines: Iterable[str], plan: BandPlan) -> Generator[SweepRe
         if fields < _MIN_FIELDS:
             raise SweepParseError(line_no, f"expected at least {_MIN_FIELDS} fields, got {fields}")
         layout = (parts[2], parts[3], parts[4], parts[5], fields)
-        runs = layouts.get(layout)
+        bins = layouts.get(layout, layouts)  # layouts itself: a layout not seen yet
+        one_cell = fields == _MIN_FIELDS
         try:
-            rss_values = [float(parts[6])] if fields == _MIN_FIELDS else list(map(float, parts[6:]))
-            if runs is None:
-                hz_low = float(parts[2])
-                hz_high = float(parts[3])
-                hz_width = float(parts[4])
-                float(parts[5])  # num_samples, unused
+            if one_cell:
+                rss = float(parts[6])
+            else:
+                rss_values = list(map(float, parts[6:]))
+            if bins is layouts:
+                hz_low, hz_high, hz_width, _ = map(float, parts[2:6])  # num_samples, unused
         except ValueError:
             raise SweepParseError(line_no, f"bad numeric field in {line!r}") from None
-        if runs is None:  # a new layout: its slice checked and its bins placed once per parse
+        if bins is layouts:  # a new layout: its slice checked and its bins placed once per parse
             if not (0.0 < hz_width < math.inf and -math.inf < hz_low < hz_high < math.inf):  # NaN fails
                 raise SweepParseError(line_no, "invalid frequency slice bounds")
             runs = []
@@ -310,10 +304,13 @@ def parse_sweep_lines(lines: Iterable[str], plan: BandPlan) -> Generator[SweepRe
             if held > MAX_LAYOUT_RUNS:  # full: start again from this layout
                 layouts.clear()
                 held = len(runs) + 1
-            layouts[layout] = runs
-        for rss in rss_values:
-            if not -limit <= rss <= limit:  # NaN fails too
-                raise SweepParseError(line_no, f"dB value {rss!r} outside [-{limit:g}, {limit:g}]")
+            bins = layouts[layout] = band_id if one_cell else runs
+        if not one_cell:
+            for rss in rss_values:  # stops at the first value out of bounds, else checks the last twice
+                if not -limit <= rss <= limit:
+                    break
+        if not -limit <= rss <= limit:  # NaN fails too
+            raise SweepParseError(line_no, f"dB value {rss!r} outside [-{limit:g}, {limit:g}]")
 
         # rows of one sweep share the timestamp text, so it is stripped and
         # parsed once per sweep
@@ -329,21 +326,33 @@ def parse_sweep_lines(lines: Iterable[str], plan: BandPlan) -> Generator[SweepRe
                     if timestamp <= pending_ts:
                         raise SweepParseError(line_no, "timestamp decreased or repeated across sweeps")
                     yield finish()
-                    pending_bins, ordered, last_id = {}, True, -1
+                    sums, counts, ordered, last_id = {}, {}, True, -1
                 pending_key = key
                 pending_ts = timestamp
 
-        # values append in row and bin order, so band means sum left to right;
-        # a run over the whole row takes the row's own list, which no other band holds
-        for band_id, first, end in runs:
-            values = pending_bins.get(band_id)
-            if values is None:
-                pending_bins[band_id] = rss_values if end - first == fields - 6 else rss_values[first:end]
-                if band_id < last_id:
+        # values add in row and bin order, so each band's sum runs left to right
+        if not one_cell:
+            for band_id, first, end in bins:
+                total = sums.get(band_id)
+                if total is None:
+                    if band_id < last_id:
+                        ordered = False
+                    total, count, last_id = 0.0, end - first, band_id
+                else:
+                    count = counts.get(band_id, 1) + end - first
+                for rss in rss_values[first:end]:
+                    total += rss
+                sums[band_id] = total
+                if count > 1:
+                    counts[band_id] = count
+        elif bins is not None:  # bins: the row's band id
+            total = sums.get(bins)
+            if total is None:
+                if bins < last_id:
                     ordered = False
-                last_id = band_id
+                sums[bins], last_id = 0.0 + rss, bins
             else:
-                values.extend(rss_values[first:end])
+                sums[bins], counts[bins] = total + rss, counts.get(bins, 1) + 1
 
     if pending_key is not None:
         yield finish()
@@ -423,19 +432,6 @@ def _hz(mhz: float) -> str:
     if hz == int(hz):
         return str(int(hz))
     return repr(hz)
-
-
-def _ordered_sum(values: Iterable[float]) -> float:
-    """Left-to-right float sum.
-
-    ``sum()`` switched to compensated summation in Python 3.12; a running
-    total (``SweepWindow`` over a growing window) adds one value per push,
-    so batch and running means agree exactly only with this plain order.
-    """
-    total = 0.0
-    for value in values:
-        total += value
-    return total
 
 
 def select_transmit_bands(means: Mapping[int, float], count: int) -> list[int]:

@@ -31,13 +31,13 @@ from sweepnav.sweeps import SweepRecord, SweepWindow
 class TestTrajectoryStep:
     STEP = TrajectoryStep(
         index=3, timestamp=1.5, x_raw=1.0, y_raw=2.0, x_wma=3.0, y_wma=4.0, x_ekf=5.0, y_ekf=6.0,
-        residual_norm=0.25, flags=("held", "degenerate"),
+        residual_norm=0.25, flags=("held", "missing_band"),
     )
 
     def test_keywords_properties_and_default_flags(self):
         step = self.STEP
         assert (step.raw, step.wma, step.ekf) == ((1.0, 2.0), (3.0, 4.0), (5.0, 6.0))
-        assert step.index == 3 and step.flags == ("held", "degenerate")
+        assert step.index == 3 and step.flags == ("held", "missing_band")
         assert TrajectoryStep(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, math.nan).flags == ()
 
     @pytest.mark.parametrize("field", TrajectoryStep._fields)

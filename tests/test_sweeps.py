@@ -40,12 +40,19 @@ from sweepnav.sweeps import (
     parse_sweep_file,
     parse_sweep_lines,
     parse_timestamp,
-    _ordered_sum,
 )
 
 
 def parse_all(lines, plan):
     return list(parse_sweep_lines(lines, plan))
+
+
+def ordered_sum(values):
+    """Left-to-right float sum: ``sum()`` compensates from Python 3.12 on, and the parser and window do not."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 class TestParsing:
@@ -355,7 +362,7 @@ def band_mean(window, band_id):
     if not values:
         raise MissingBandError(f"band {band_id} absent from all {len(window)} sweeps in window")
     # summation rounding can spill the mean an ulp outside the sample range
-    return min(max(_ordered_sum(values) / len(values), min(values)), max(values))
+    return min(max(ordered_sum(values) / len(values), min(values)), max(values))
 
 
 class TestBandMean:
@@ -580,7 +587,7 @@ class TestBoundedMeanSkipsTheRescan:
 
     def test_clamp_binds_on_equal_samples(self):
         # ten 0.1s sum left to right to 0.9999999999999999; the tenth of it is one ulp under 0.1
-        assert _ordered_sum([0.1] * 10) / 10 == 0.09999999999999999
+        assert ordered_sum([0.1] * 10) / 10 == 0.09999999999999999
         window = SweepWindow(10)
         for k in range(10):
             window.push(record(float(k), {0: 0.1}))
@@ -593,7 +600,7 @@ class TestBoundedMeanSkipsTheRescan:
         pushed = [record(float(k), {0: v}) for k, v in enumerate(values)]
         for sweep in pushed:
             window.push(sweep)
-        assert repr(window.means_dbm((0,))[0]) == repr(band_mean(pushed, 0)) == repr(_ordered_sum(values) / 4)
+        assert repr(window.means_dbm((0,))[0]) == repr(band_mean(pushed, 0)) == repr(ordered_sum(values) / 4)
 
 
 # The parser without the strptime-free timestamps and the layout memo, kept as
@@ -1124,7 +1131,7 @@ class TestParserEdgeCases:
         ]
         assert outcome(parse_sweep_lines, lines, small_plan) == outcome(reference_parse_sweep_lines, lines, small_plan)
         assert [r.rss_by_id for r in parse_all(lines, small_plan)] == [
-            {2: _ordered_sum([-60.0, -61.0, -62.0, -63.0, -70.0]) / 5}, {2: -51.5}, {2: -42.0},
+            {2: ordered_sum([-60.0, -61.0, -62.0, -63.0, -70.0]) / 5}, {2: -51.5}, {2: -42.0},
         ]
 
     @pytest.mark.parametrize("low", [-100.0, -0.5, -1e-300])
@@ -1133,6 +1140,78 @@ class TestParserEdgeCases:
             BandPlan(low, low + 4.0, 1.0, 4)
         with pytest.raises(ConfigError, match="above 0 MHz"):
             BandPlan.uniform(low_mhz=-100.0, high_mhz=100.0, width_mhz=1.0)
+
+
+def stamped(second, *rows):
+    """Rows of one sweep at 12:00:``second``, each given as its text after the timestamp."""
+    return [f"2023-01-01, 12:00:{second:02d}, {row}" for row in rows]
+
+
+class TestRunningBandSums:
+    """A sweep's bands are summed as their rows are read: a one-cell row adds its
+    value to its band's sum, and a band with several values is divided once."""
+
+    def assert_as_reference(self, lines, plan, expected):
+        assert outcome(parse_sweep_lines, lines, plan) == outcome(reference_parse_sweep_lines, lines, plan)
+        assert [record.rss_by_id for record in parse_all(lines, plan)] == expected
+
+    def test_one_cell_rows_in_one_band_average(self, small_plan):
+        # the same layout twice and another layout of the same band, then a sweep of one value
+        lines = stamped(0, "2000000, 3000000, 1000000, 1, -60.5", "3000000, 4000000, 1000000, 1, -70.0",
+                        "2000000, 3000000, 1000000, 1, -61.25", "2250000, 2750000, 500000, 1, -62.1")
+        lines += stamped(1, "2000000, 3000000, 1000000, 1, -50.0")
+        self.assert_as_reference(lines, small_plan, [{2: ordered_sum([-60.5, -61.25, -62.1]) / 3, 3: -70.0},
+                                                     {2: -50.0}])
+
+    def test_one_cell_row_outside_the_plan_adds_nothing(self, small_plan):
+        # 50 MHz lies above the 0-10 MHz plan; the second sweep reads its layout from the memo
+        outside = "50000000, 51000000, 1000000, 1, -10.0"
+        lines = stamped(0, "0, 1000000, 1000000, 1, -60.0", outside, "1000000, 2000000, 1000000, 1, -61.0")
+        lines += stamped(1, outside, "1000000, 2000000, 1000000, 1, -62.0")
+        self.assert_as_reference(lines, small_plan, [{0: -60.0, 1: -61.0}, {1: -62.0}])
+        # its cell is still checked, in the row's turn
+        bad = lines[:4] + stamped(1, "50000000, 51000000, 1000000, 1, 250")
+        assert outcome(parse_sweep_lines, bad, small_plan)[1:] == (5, "dB value 250.0 outside [-200, 200]")
+        assert outcome(parse_sweep_lines, bad, small_plan) == outcome(reference_parse_sweep_lines, bad, small_plan)
+
+    def test_multi_bin_runs_over_two_bands_extended_by_one_cell_rows(self, small_plan):
+        # four 500 kHz bins from 1 MHz: two in band 1, two in band 2; one-cell rows before and after
+        split = "1000000, 3000000, 500000, 1, -60.0, -61.0, -62.0, -63.0"
+        lines = stamped(0, "1000000, 2000000, 1000000, 1, -59.0", split, "2000000, 3000000, 1000000, 1, -70.0")
+        lines += stamped(1, split)
+        self.assert_as_reference(lines, small_plan, [
+            {1: ordered_sum([-59.0, -60.0, -61.0]) / 3, 2: ordered_sum([-62.0, -63.0, -70.0]) / 3},
+            {1: -60.5, 2: -62.5},
+        ])
+
+    def test_negative_zero_cells_average_to_zero(self, small_plan):
+        # the reference sums from 0.0, and 0.0 + -0.0 is 0.0: no band mean is -0.0
+        lines = stamped(0, "0, 1000000, 1000000, 1, -0.0", "1000000, 2000000, 1000000, 1, -0.0",
+                        "1000000, 2000000, 1000000, 1, -0.0", "2000000, 3000000, 500000, 1, -0.0, -0.0",
+                        "3000000, 5000000, 1000000, 1, -0.0, -0.0")
+        self.assert_as_reference(lines, small_plan, [{0: 0.0, 1: 0.0, 2: 0.0, 3: 0.0, 4: 0.0}])
+        (record,) = parse_all(lines, small_plan)
+        assert repr(record.rss_by_id) == "{0: 0.0, 1: 0.0, 2: 0.0, 3: 0.0, 4: 0.0}"
+
+    def test_one_cell_rows_in_descending_bands_are_sorted(self, small_plan):
+        lines = stamped(0, *(f"{k}000000, {k + 1}000000, 1000000, 1, -{60 + k}.5" for k in (5, 4, 5, 2, 0)))
+        lines += stamped(1, *(f"{k}000000, {k + 1}000000, 1000000, 1, -{50 + k}.0" for k in (2, 4)))
+        self.assert_as_reference(lines, small_plan, [{0: -60.5, 2: -62.5, 4: -64.5, 5: -65.5}, {2: -52.0, 4: -54.0}])
+        first, second = parse_all(lines, small_plan)
+        assert list(first.rss_by_id) == [0, 2, 4, 5] and list(second.rss_by_id) == [2, 4]
+
+    def test_a_yielded_record_is_not_changed_by_the_next_sweep(self, small_plan):
+        # every sweep reuses the layouts and bands of the one before, in and out of order
+        sweeps = [("2000000, 3000000, 1000000, 1, -6{}.0", "1000000, 3000000, 500000, 1, -5{}.0, -4{}.0, -3{}.0, -2{}.0",
+                   "0, 1000000, 1000000, 1, -7{}.5"), ("0, 1000000, 1000000, 1, -7{}.5", "2000000, 3000000, 1000000, 1, -6{}.0")]
+        lines = [line for k in range(6) for line in stamped(k, *(row.replace("{}", str(k)) for row in sweeps[k % 2]))]
+        held, texts = [], []
+        for record in parse_sweep_lines(lines, small_plan):
+            assert [repr(earlier) for earlier in held] == texts  # reading this sweep changed none before it
+            held.append(record)
+            texts.append(repr(record))
+        assert texts == [repr(record) for record in parse_sweep_lines(lines, small_plan)]
+        assert len({id(record.rss_by_id) for record in held}) == len(held) == 6
 
 
 def capture_rows(count, start=0, newline="\n"):
