@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import FilterDivergenceError, SingularGeometryError
 
@@ -145,15 +145,16 @@ class EkfTracker:
         self,
         dt: float,
         u: Sequence[float],
-        measurements: Sequence[tuple[Landmark, float]],
+        measurements: Iterable[tuple[Landmark, float]],
     ) -> TrackStep:
         """Predict with velocity ``u`` over ``dt``, then apply each range.
 
-        A landmark coincident with the state is skipped; a step where no
-        measurement could be applied (but some were offered) is flagged and
-        keeps the prediction. An ill-formed ``dt``, velocity or range raises
-        ValueError and commits nothing. Flags grow only on a skipped landmark;
-        the result is built as one tuple, not passed field by field.
+        A landmark coincident with the state is skipped; a step where some
+        measurements were offered and every one was skipped is flagged and
+        keeps the prediction (an empty iterable is not flagged). An
+        ill-formed ``dt``, velocity or range raises ValueError and commits
+        nothing. Flags grow only on a skipped landmark; the result is built
+        as one tuple, not passed field by field.
         """
         ux, uy = u
         terms = predict(self._terms, dt, ux, uy, self._q)
@@ -168,7 +169,7 @@ class EkfTracker:
                 flags += ("skipped_landmark",)
                 continue
             innovations.append((source_index, innovation))
-        if measurements and not innovations:
+        if flags and not innovations:  # flags holds one entry per skipped landmark
             flags += ("no_update",)
 
         self._terms = terms

@@ -12,23 +12,29 @@ read as its data arrives. The rows feed the one parse loop,
 ``parse_sweep_lines``.
 
 A band plan is four numbers (low edge, high edge, band width and the number
-of bands to select); band edges are computed, never stored. Each row is
-split once, its timestamp parsed by strptime's grammar only when its raw
-text changes (the date validated and the minute's microseconds worked out
-once per minute), and its slice checked and bins placed by arithmetic
-lookups once per distinct row layout per file (MAX_LAYOUT_RUNS bounds what
-is kept): a one-cell layout stores its band id, a wider one its runs of
-bins. A band's mean is the running left-to-right sum of its values in the
-sweep, divided by their count once, when the sweep ends; a sweep whose bands
-arrive in ascending order is not sorted. The parser builds its records
-without SweepRecord's checks, since every value it stores has just been
-checked; any other SweepRecord is checked when built. Window statistics
-built from checked records are not re-checked, and one window call gives
-the means of every selected band. A bounded window keeps each held sweep's
-band ids, not the sweep, and sums each band's values on every call but
-rescans them for their extremes only when its oldest and newest values lie
-within CLAMP_FREE_SPREAD * count**2 of each other, the one case where
-rounding could put the mean outside them.
+of bands to select); band edges are computed, never stored. A row's
+timestamp is parsed by strptime's grammar only when its raw text changes
+(the date validated and the minute's microseconds worked out once per
+minute), and its slice checked and bins placed by arithmetic lookups once
+per distinct row layout per file (MAX_LAYOUT_RUNS bounds what is kept): a
+one-cell layout stores its band id under its hz text, a wider one its runs
+of bins. A later one-cell row of a known layout with its dB value in bounds
+takes a lane: split into the two stamp fields, the hz text and the cell, it
+costs a lookup, one number conversion, the bounds check, the stamp compare
+and one addition. Every other row (a layout's first, a wider row, a trailing
+comma, an empty or unreadable cell, too few fields, a value out of bounds)
+is split into all its fields on the general path, the one place that orders
+the checks and words the errors. A band's mean is the running left-to-right
+sum of its values in the sweep, divided by their count once, when the sweep
+ends; a sweep whose bands arrive in ascending order is not sorted. The
+parser builds its records without SweepRecord's checks, since every value it
+stores has just been checked; any other SweepRecord is checked when built.
+Window statistics built from checked records are not re-checked, and one
+window call gives the means of every selected band. A bounded window keeps
+each held sweep's band ids, not the sweep, and sums each band's values on
+every call but rescans them for their extremes only when its oldest and
+newest values lie within CLAMP_FREE_SPREAD * count**2 of each other, the one
+case where rounding could put the mean outside them.
 """
 
 from __future__ import annotations
@@ -211,8 +217,8 @@ def parse_timestamp(date_text: str, time_text: str, minutes: dict | None = None)
     minutes = {} if minutes is None else minutes
     head, _, second = text.rpartition(":")  # of a valid stamp, the text up to the minute
     minute_us = minutes.get(head)  # the groups up to the minute follow from this text alone
-    if minute_us is not None and len(second) == 9 and second[2] == "." and second[0] <= "5" and (
-            digits := second[:2] + second[3:]).isascii() and digits.isdigit():  # the match below would agree
+    if minute_us is not None and len(second) == 9 and second[2] == "." and second[0] <= "5" and second.isascii() and (
+            digits := second.replace(".", "", 1)).isdigit():  # the match below would agree
         return (minute_us + int(digits)) / 1_000_000
     match = _TIMESTAMP.match(text)
     if match is None or match.end() != len(text):
@@ -237,6 +243,22 @@ def format_timestamp(timestamp: float) -> tuple[str, str]:
     return stamp.date().isoformat(), stamp.strftime("%H:%M:%S.%f")
 
 
+def _record(timestamp: float, sums: dict[int, float], counts: dict[int, int], ordered: bool) -> SweepRecord:
+    """The record of a parsed sweep, from the running sums of its bands."""
+    if counts:  # emptied for the next sweep
+        for band_id, count in counts.items():  # a single value's mean is its sum, 0.0 + v
+            sums[band_id] /= count
+        counts.clear()
+    # built without __post_init__, whose checks hold already: the stamp is finite, the ids ascend,
+    # and rounding is monotone, so a partial sum of k cells within +-MAX_ABS_DB lies within
+    # k * MAX_ABS_DB (exact in a float) and their mean within MAX_ABS_DB
+    record = object.__new__(SweepRecord)
+    fields = record.__dict__
+    fields["timestamp"] = timestamp
+    fields["rss_by_id"] = sums if ordered else dict(sorted(sums.items()))
+    return record
+
+
 def parse_sweep_lines(lines: Iterable[str], plan: BandPlan) -> Generator[SweepRecord, None, bool]:
     """Yield one SweepRecord per group of rows sharing a timestamp.
 
@@ -247,97 +269,116 @@ def parse_sweep_lines(lines: Iterable[str], plan: BandPlan) -> Generator[SweepRe
     """
     band_at, limit = plan.band_at, MAX_ABS_DB
     date_text = time_text = None  # the raw timestamp fields of the last row
-    pending_key: tuple[str, str] | None = None
+    pending_date = pending_time = None  # the stripped timestamp fields of the pending sweep
     pending_ts = 0.0
     sums: dict[int, float] = {}  # band id -> the left-to-right sum of its values in the pending sweep, from 0.0
     counts: dict[int, int] = {}  # band id -> how many values it has, for a band with more than one
-    ordered, last_id = True, -1  # whether sums' ids arrived ascending; the last one added
+    ordered, top = True, -1  # whether sums' ids arrived ascending; the highest of them
     minutes: dict = {}  # parse_timestamp's minute memo, for this parse alone
-    # row layout (hz_low, hz_high, hz_width, num_samples text, field count) -> a one-cell row's band id (or
-    # None), else the runs (band_id, first_bin, end_bin) of its in-plan bins; stored once its row passed
-    layouts: dict[tuple, int | None | list[tuple[int, int, int]]] = {}
-    held = 0  # runs held in layouts, a layout counting at least one
-
-    def finish() -> SweepRecord:
-        for band_id, count in counts.items():  # a single value's mean is its sum, 0.0 + v
-            sums[band_id] /= count
-        # built without __post_init__, whose checks hold already: the stamp is finite, the ids ascend,
-        # and rounding is monotone, so a partial sum of k cells within +-MAX_ABS_DB lies within
-        # k * MAX_ABS_DB (exact in a float) and their mean within MAX_ABS_DB
-        record = object.__new__(SweepRecord)
-        record.__dict__.update(timestamp=pending_ts, rss_by_id=sums if ordered else dict(sorted(sums.items())))
-        return record
+    # the row layouts seen, each stored once its row passed: a one-cell row's hz text (its hz fields as
+    # written, "hz_low,hz_high,hz_width,num_samples") -> its band id (or None) in lane; a wider row's
+    # (hz_low, hz_high, hz_width, num_samples text, field count) -> the runs (band_id, first_bin, end_bin)
+    # of its in-plan bins in layouts
+    lane: dict[str, int | None] = {}
+    layouts: dict[tuple, list[tuple[int, int, int]]] = {}
+    held = 0  # runs held in lane and layouts, a layout counting at least one
 
     for line_no, raw_line in enumerate(lines, start=1):
         line = raw_line.strip()
         if not line or line[0] == "#":
             continue
-        parts = line.split(",")  # float() ignores the whitespace around a field
-        if line[-1] == ",":
-            parts.pop()
-        fields = len(parts)
-        if fields < _MIN_FIELDS:
-            raise SweepParseError(line_no, f"expected at least {_MIN_FIELDS} fields, got {fields}")
-        layout = (parts[2], parts[3], parts[4], parts[5], fields)
-        bins = layouts.get(layout, layouts)  # layouts itself: a layout not seen yet
-        one_cell = fields == _MIN_FIELDS
-        try:
-            if one_cell:
-                rss = float(parts[6])
-            else:
-                rss_values = list(map(float, parts[6:]))
-            if bins is layouts:
-                hz_low, hz_high, hz_width, _ = map(float, parts[2:6])  # num_samples, unused
-        except ValueError:
-            raise SweepParseError(line_no, f"bad numeric field in {line!r}") from None
-        if bins is layouts:  # a new layout: its slice checked and its bins placed once per parse
-            if not (0.0 < hz_width < math.inf and -math.inf < hz_low < hz_high < math.inf):  # NaN fails
-                raise SweepParseError(line_no, "invalid frequency slice bounds")
-            runs = []
-            for i in range(fields - 6):
-                band_id = band_at((hz_low + hz_width * i + hz_width / 2.0) / 1e6)
-                if runs and runs[-1][0] == band_id and runs[-1][2] == i:
-                    runs[-1] = (band_id, runs[-1][1], i + 1)
-                elif band_id is not None:
-                    runs.append((band_id, i, i + 1))
-            held += len(runs) + 1
-            if held > MAX_LAYOUT_RUNS:  # full: start again from this layout
-                layouts.clear()
-                held = len(runs) + 1
-            bins = layouts[layout] = band_id if one_cell else runs
+        # the lane: a row "date,time,<hz text of a known one-cell layout>,dB" with a dB value in bounds
+        # costs two splits, a lookup and one number conversion; any other row, and any error, takes the
+        # general path below, which orders the checks and words the messages. A parse that knows no
+        # one-cell layout does not try it.
+        one_cell = False  # here: whether the row took the lane
+        if lane:
+            try:
+                row_date, row_time, rest = line.split(",", 2)
+            except ValueError:  # fewer than three fields
+                rest = ""
+            hz_text, _, cell = rest.rpartition(",")
+            bins = lane.get(hz_text, lane)  # lane itself: not a known one-cell layout
+            if bins is not lane:
+                try:
+                    rss = float(cell)  # float() ignores the whitespace around a field
+                except ValueError:
+                    pass
+                else:
+                    one_cell = -limit <= rss <= limit  # NaN fails too
         if not one_cell:
-            for rss in rss_values:  # stops at the first value out of bounds, else checks the last twice
-                if not -limit <= rss <= limit:
-                    break
-        if not -limit <= rss <= limit:  # NaN fails too
-            raise SweepParseError(line_no, f"dB value {rss!r} outside [-{limit:g}, {limit:g}]")
+            parts = line.split(",")
+            if line[-1] == ",":
+                parts.pop()
+            fields = len(parts)
+            if fields < _MIN_FIELDS:
+                raise SweepParseError(line_no, f"expected at least {_MIN_FIELDS} fields, got {fields}")
+            one_cell = fields == _MIN_FIELDS
+            if one_cell:
+                memo, layout = lane, ",".join(parts[2:6])
+            else:
+                memo, layout = layouts, (parts[2], parts[3], parts[4], parts[5], fields)
+            bins = memo.get(layout, memo)  # memo itself: a layout not seen yet
+            try:
+                if one_cell:
+                    rss = float(parts[6])
+                else:
+                    rss_values = list(map(float, parts[6:]))
+                if bins is memo:
+                    hz_low, hz_high, hz_width, _ = map(float, parts[2:6])  # num_samples, unused
+            except ValueError:
+                raise SweepParseError(line_no, f"bad numeric field in {line!r}") from None
+            if bins is memo:  # a new layout: its slice checked and its bins placed once per parse
+                if not (0.0 < hz_width < math.inf and -math.inf < hz_low < hz_high < math.inf):  # NaN fails
+                    raise SweepParseError(line_no, "invalid frequency slice bounds")
+                runs = []
+                for i in range(fields - 6):
+                    band_id = band_at((hz_low + hz_width * i + hz_width / 2.0) / 1e6)
+                    if runs and runs[-1][0] == band_id and runs[-1][2] == i:
+                        runs[-1] = (band_id, runs[-1][1], i + 1)
+                    elif band_id is not None:
+                        runs.append((band_id, i, i + 1))
+                held += len(runs) + 1
+                if held > MAX_LAYOUT_RUNS:  # full: start again from this layout
+                    lane.clear()
+                    layouts.clear()
+                    held = len(runs) + 1
+                bins = memo[layout] = band_id if one_cell else runs
+            if not one_cell:
+                for rss in rss_values:  # stops at the first value out of bounds, else checks the last twice
+                    if not -limit <= rss <= limit:
+                        break
+            if not -limit <= rss <= limit:  # NaN fails too
+                raise SweepParseError(line_no, f"dB value {rss!r} outside [-{limit:g}, {limit:g}]")
+            row_date, row_time = parts[0], parts[1]
 
         # rows of one sweep share the timestamp text, so it is stripped and
         # parsed once per sweep
-        if parts[0] != date_text or parts[1] != time_text:
-            date_text, time_text = parts[0], parts[1]
-            key = (date_text.strip(), time_text.strip())
-            if key != pending_key:
+        if row_time != time_text or row_date != date_text:
+            date_text, time_text = row_date, row_time
+            stamp_date, stamp_time = row_date.strip(), row_time.strip()
+            if stamp_time != pending_time or stamp_date != pending_date:
                 try:
-                    timestamp = parse_timestamp(*key, minutes)
+                    timestamp = parse_timestamp(stamp_date, stamp_time, minutes)
                 except ValueError as exc:
                     raise SweepParseError(line_no, str(exc)) from None
-                if pending_key is not None:
+                if pending_date is not None:
                     if timestamp <= pending_ts:
                         raise SweepParseError(line_no, "timestamp decreased or repeated across sweeps")
-                    yield finish()
-                    sums, counts, ordered, last_id = {}, {}, True, -1
-                pending_key = key
-                pending_ts = timestamp
+                    yield _record(pending_ts, sums, counts, ordered)
+                    sums, ordered, top = {}, True, -1
+                pending_date, pending_time, pending_ts = stamp_date, stamp_time, timestamp
 
         # values add in row and bin order, so each band's sum runs left to right
         if not one_cell:
             for band_id, first, end in bins:
                 total = sums.get(band_id)
                 if total is None:
-                    if band_id < last_id:
+                    if band_id > top:
+                        top = band_id
+                    else:
                         ordered = False
-                    total, count, last_id = 0.0, end - first, band_id
+                    total, count = 0.0, end - first
                 else:
                     count = counts.get(band_id, 1) + end - first
                 for rss in rss_values[first:end]:
@@ -346,17 +387,16 @@ def parse_sweep_lines(lines: Iterable[str], plan: BandPlan) -> Generator[SweepRe
                 if count > 1:
                     counts[band_id] = count
         elif bins is not None:  # bins: the row's band id
-            total = sums.get(bins)
-            if total is None:
-                if bins < last_id:
-                    ordered = False
-                sums[bins], last_id = 0.0 + rss, bins
+            if bins > top:  # above every band of the sweep so far: new to it, and in order
+                sums[bins], top = 0.0 + rss, bins
+            elif (total := sums.get(bins)) is None:
+                sums[bins], ordered = 0.0 + rss, False
             else:
                 sums[bins], counts[bins] = total + rss, counts.get(bins, 1) + 1
 
-    if pending_key is not None:
-        yield finish()
-    return pending_key is not None
+    if pending_date is not None:
+        yield _record(pending_ts, sums, counts, ordered)
+    return pending_date is not None
 
 
 def _row_blocks(handle: BinaryIO) -> Iterator[list[str]]:

@@ -212,6 +212,23 @@ class TestTracker:
         assert "no_update" in step.flags
         assert step.innovations == ()
 
+    @pytest.mark.parametrize("empty", [lambda: [], lambda: iter([]), lambda: zip([], []), lambda: ()],
+                             ids=["list", "iter", "zip", "tuple"])
+    def test_no_measurement_offered_is_not_flagged(self, empty):
+        # an empty iterator is truthy: the flag follows what the loop was offered, not the argument's truth
+        tracker = EkfTracker(x0=(0.0, 0.0), p0=np.eye(2), noise=NoiseConfig())
+        step = tracker.step(1.0, (1.0, 0.0), empty())
+        assert step.flags == () and step.innovations == ()
+        assert step.position == (1.0, 0.0)
+
+    @pytest.mark.parametrize("wrap", [list, iter])
+    def test_every_landmark_skipped_is_flagged(self, wrap):
+        tracker = EkfTracker(x0=(0.0, 0.0), p0=np.eye(2), noise=NoiseConfig())
+        coincident = Landmark(1.0, 0.0, 0)  # where the prediction lands
+        step = tracker.step(1.0, (1.0, 0.0), wrap([(coincident, 0.0), (coincident._replace(source_index=1), 0.0)]))
+        assert step.flags == ("skipped_landmark", "skipped_landmark", "no_update")
+        assert step.innovations == () and step.position == (1.0, 0.0)
+
 
 class TestTrack:
     def test_constant_scene_convergence(self):

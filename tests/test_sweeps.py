@@ -998,25 +998,32 @@ class TestParserAgainstReference:
         expected = outcome(reference_parse_sweep_lines, rows, plan)
         assert outcome(parse_sweep_lines, rows, plan) == expected
 
-    def test_more_layouts_than_the_memo_holds(self):
-        """140 sweeps of ten rows in 1,400 distinct layouts (num_samples differs),
-        each of 100 one-band bins, would hold 141,400 runs, over twice the bound;
-        the memo clears when full, so the parse stays equal to the reference and
-        its peak (~5 MB) stays below the ~10.6 MB an unbounded memo reaches."""
+    @pytest.mark.parametrize("bins, rows, bound_mb", [(100, 1_400, 8.0), (1, 70_000, 5.5)], ids=["wide", "one_cell"])
+    def test_more_layouts_than_the_memo_holds(self, bins, rows, bound_mb):
+        """Sweeps of ten rows, each row a layout of its own (num_samples differs)
+        of ``bins`` one-band bins, hold over twice the runs the memo keeps:
+        1,400 rows of 100 bins would hold 141,400, and 70,000 one-cell rows
+        140,000 (a run and the layout each). The memo clears when full, so the
+        parse stays equal to the reference and its peak stays below what an
+        unbounded memo reaches: ~5 MB against ~10.6 MB for the wide rows, and
+        ~3.6 MB against ~7.4 MB for the one-cell rows."""
         plan = BandPlan.uniform(low_mhz=0.0, high_mhz=100.0, width_mhz=1.0, selection_count=4)
-        cells = ", ".join(f"-{50 + i}.5" for i in range(100))
-        lines = [f"{', '.join(format_timestamp(1_600_000_000.0 + k // 10))}, 0, 100000000, 1000000, {k}, {cells}"
-                 for k in range(1_400)]
-        assert len(lines) * 101 > 2 * MAX_LAYOUT_RUNS
-        expected = list(reference_parse_sweep_lines(lines, plan))
+        cells = ", ".join(f"-{50 + i}.5" for i in range(bins))
+        lines = []
+        for k in range(rows):
+            low_hz = k % (101 - bins) * 1_000_000  # the row's bins lie in the 100-band plan
+            lines.append(f"{', '.join(format_timestamp(1_600_000_000.0 + k // 10))}, {low_hz}, "
+                         f"{low_hz + bins * 1_000_000}, 1000000, {k}, {cells}")
+        assert len(lines) * (bins + 1) > 2 * MAX_LAYOUT_RUNS
+        expected = [repr(record) for record in reference_parse_sweep_lines(lines, plan)]
         tracemalloc.start()
         try:
             for got, want in zip_longest(parse_sweep_lines(lines, plan), expected):
-                assert repr(got) == repr(want)
+                assert repr(got) == want
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 1024 * 1024
+        assert peak < bound_mb * 1024 * 1024
 
     @settings(max_examples=300, deadline=None)
     @given(rows=sweep_files() | layout_files() | extreme_files(), plan=st.sampled_from(PLANS))
@@ -1212,6 +1219,78 @@ class TestRunningBandSums:
             texts.append(repr(record))
         assert texts == [repr(record) for record in parse_sweep_lines(lines, small_plan)]
         assert len({id(record.rss_by_id) for record in held}) == len(held) == 6
+
+
+# a one-cell layout, known to the parse once its first row is read: later rows of it take the lane
+KNOWN = "2000000, 3000000, 1000000, 1"
+
+
+class TestOneCellLane:
+    """Rows that share a known one-cell layout's hz text but are not plain
+    one-cell rows of it in bounds: each must leave the lane for the general
+    path and give what the reference gives. Each case names the lane mutants
+    it kills."""
+
+    def assert_as_reference(self, lines, plan, error=None):
+        got = outcome(parse_sweep_lines, lines, plan)
+        assert got == outcome(reference_parse_sweep_lines, lines, plan)
+        assert got[1:] == (error or (None, None))
+
+    def test_six_fields_ending_in_a_comma(self, small_plan):
+        # kills: a lane that reads the empty text after the last comma as a value, and one that words its
+        # own error for a cell it cannot read (it would say "bad numeric field")
+        lines = stamped(0, f"{KNOWN}, -60.5", f"{KNOWN},")
+        self.assert_as_reference(lines, small_plan, (2, "expected at least 7 fields, got 6"))
+
+    def test_one_cell_row_with_a_trailing_comma(self, small_plan):
+        # kills: a lane or general path that reads the trailing comma as an eighth, empty cell (a bad numeric
+        # field); the row is valid and adds to band 2
+        lines = stamped(0, f"{KNOWN}, -60.5", f"{KNOWN}, -61.5,", f"{KNOWN}, -62.5 ,")
+        lines += stamped(1, f"{KNOWN}, -50.0,", f"{KNOWN}, -51.0")
+        self.assert_as_reference(lines, small_plan)
+        assert [r.rss_by_id for r in parse_all(lines, small_plan)] == [{2: -61.5}, {2: -50.5}]
+
+    @pytest.mark.parametrize("cell, error", [("abc", None), (" , ", None), ("-6\udcc3.0", None), ("0x10", None),
+                                             ("nan", "dB value nan outside [-200, 200]")])
+    def test_empty_or_non_numeric_last_cell(self, small_plan, cell, error):
+        # kills: a lane that skips a cell it cannot read (the row dropped, no error) or words its own error,
+        # and one whose bounds check lets NaN through
+        lines = stamped(0, f"{KNOWN}, -60.5", f"{KNOWN}, {cell}")
+        self.assert_as_reference(lines, small_plan, (2, error or f"bad numeric field in {lines[1].strip()!r}"))
+
+    def test_multi_bin_row_with_the_same_hz_fields(self, small_plan):
+        # kills: a lane keyed on the first four hz fields alone, which reads the first cell of a wider row
+        # as its one cell and drops the second; the bins lie in bands 2 and 3
+        lines = stamped(0, f"{KNOWN}, -60.5", f"{KNOWN}, -60.0, -61.0", f"{KNOWN}, -62.0")
+        self.assert_as_reference(lines, small_plan)
+        assert [r.rss_by_id for r in parse_all(lines, small_plan)] == [
+            {2: ordered_sum([-60.5, -60.0, -62.0]) / 3, 3: -61.0}]
+
+    @pytest.mark.parametrize("cell, shown", [("250", "250.0"), ("-200.00000000000003", "-200.00000000000003"),
+                                             ("1e400", "inf"), ("-1e400", "-inf")])
+    def test_lane_row_beyond_the_db_bound(self, small_plan, cell, shown):
+        # kills: a lane that skips the bounds check, or checks one side of it
+        lines = stamped(0, f"{KNOWN}, -60.5", f"{KNOWN}, 200", f"{KNOWN}, {cell}")
+        self.assert_as_reference(lines, small_plan, (3, f"dB value {shown} outside [-200, 200]"))
+
+    def test_stamp_fields_in_other_whitespace_within_one_sweep(self, small_plan):
+        # kills: a lane that starts a sweep whenever the raw stamp text changes (a repeated-timestamp error),
+        # or that compares the time field alone (the next day's 12:00:01 merged into this day's)
+        lines = [f"2023-01-01, 12:00:00, {KNOWN}, -60.5", f"2023-01-01,12:00:00, {KNOWN}, -61.5",
+                 f" 2023-01-01 ,\t12:00:00 , {KNOWN}, -62.5", f"2023-01-01, 12:00:00, {KNOWN}, -63.5",
+                 f"2023-01-01, 12:00:01, {KNOWN}, -50.0", f"2023-01-01 , 12:00:01, {KNOWN}, -51.0",
+                 f"2023-01-02 , 12:00:01, {KNOWN}, -40.0"]
+        self.assert_as_reference(lines, small_plan)
+        assert [r.rss_by_id for r in parse_all(lines, small_plan)] == [
+            {2: ordered_sum([-60.5, -61.5, -62.5, -63.5]) / 4}, {2: -50.5}, {2: -40.0}]
+
+    @pytest.mark.parametrize("first, second", [("12:00:00", "12:00:00.000000"), ("12:00:01.5", "12:0:01.500000"),
+                                               ("12:00:02", "12:00:2")])
+    def test_second_spelling_of_the_same_time_on_the_next_row(self, small_plan, first, second):
+        # kills: a lane that compares stamps by their value, not their text, and so merges a second
+        # spelling of the pending sweep's time into that sweep
+        lines = [f"2023-01-01, {first}, {KNOWN}, -60.5", f"2023-01-01, {second}, {KNOWN}, -61.5"]
+        self.assert_as_reference(lines, small_plan, (2, "timestamp decreased or repeated across sweeps"))
 
 
 def capture_rows(count, start=0, newline="\n"):
