@@ -18,7 +18,7 @@ from .ekf import NoiseConfig
 from .errors import ConfigError
 from .pathloss import PathLossParams
 from .pipeline import PipelineConfig
-from .simulator import Scenario, Transmitter, auto_transmitters
+from .simulator import Scenario, Transmitter, auto_scenario
 from .smoothing import SmootherConfig
 from .sweeps import BandPlan
 
@@ -162,15 +162,15 @@ def scenario_from_values(values: dict[str, str]) -> Scenario:
         fields, tx = groups["scenario"], groups["tx"]
         if "waypoints" not in fields:
             raise ConfigError("scenario needs a 'waypoints' entry")
-        if "transmitters" not in fields:
-            if "freqs_mhz" not in tx:
-                raise ConfigError("scenario needs 'transmitters' or 'tx.freqs_mhz'")
-            if "bbox" not in tx:
-                raise ConfigError("tx.bbox: expected xmin,ymin,xmax,ymax")
-            # Scenario.seed is the dataclass's own default
-            fields["transmitters"] = auto_transmitters(seed=fields.get("seed", Scenario.seed), **tx)
-            fields["tx_bbox"] = tx["bbox"]
-        return Scenario(pathloss=PathLossParams(**groups["pathloss"]), **fields)
+        fields["pathloss"] = PathLossParams(**groups["pathloss"])
+        if "transmitters" in fields:
+            return Scenario(**fields)
+        if "freqs_mhz" not in tx:
+            raise ConfigError("scenario needs 'transmitters' or 'tx.freqs_mhz'")
+        if "bbox" not in tx:
+            raise ConfigError("tx.bbox: expected xmin,ymin,xmax,ymax")
+        # Scenario.seed is the dataclass's own default
+        return auto_scenario(seed=fields.pop("seed", Scenario.seed), **tx, **fields)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -50,8 +50,8 @@ class NoiseConfig:
     def __post_init__(self):
         q00, q01, q11 = _covariance_terms("Q", self.q)
         object.__setattr__(self, "q", ((q00, q01), (q01, q11)))
-        if not self.r > 0:
-            raise ValueError("R must be positive")
+        if not 0 < self.r < math.inf:  # NaN fails too
+            raise ValueError("R must be positive and finite")
 
 
 class TrackStep(NamedTuple):

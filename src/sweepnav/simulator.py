@@ -5,7 +5,8 @@ positions and walks the waypoint legs once, in floats, for the true track;
 it resolves each transmitter's band once per run and forward-models every
 sweep with seeded log-normal shadowing, one draw per transmitter in
 ascending frequency. It scores a recovered trajectory against the truth
-with frame-insensitive segment metrics.
+with frame-insensitive segment metrics. Every auto-placed scene (both
+presets and a scenario file's ``tx.*`` recipe) comes from ``auto_scenario``.
 """
 
 from __future__ import annotations
@@ -350,24 +351,33 @@ def rolling_spread(points: Sequence[tuple[float, float]], window: int = SPREAD_W
     return [spread(points[max(0, k - window + 1): k + 1]) for k in range(len(points))]
 
 
-def auto_transmitters(
-    freqs_mhz: Sequence[float],
-    seed: int,
-    bbox: Bbox,
-    power_dbm: float = PathLossParams.tx_power_dbm,
-) -> tuple[Transmitter, ...]:
-    """Seeded random transmitter layout, one per carrier frequency.
+def auto_scenario(
+    freqs_mhz: Sequence[float], seed: int, bbox: Bbox, *,
+    power_dbm: float = PathLossParams.tx_power_dbm, **scenario_fields
+) -> Scenario:
+    """Scenario with a seeded random transmitter layout, one per carrier frequency.
 
     Placement is keyed by the default plan's band id of each carrier, the
     same convention the pipeline uses for its anchor frame: equal seeds and
-    boxes yield the identical constellation on both sides.
+    boxes yield the identical constellation on both sides. The scenario
+    keeps ``seed`` and takes ``bbox`` as its ``tx_bbox``; further keywords go
+    to Scenario.
     """
     by_band = dict(zip(_band_ids(freqs_mhz, BandPlan.uniform()), freqs_mhz))
     placed = place_in_box(by_band, seed, bbox)
-    return tuple(
+    transmitters = tuple(
         Transmitter(x=placed[bid][0], y=placed[bid][1], power_dbm=power_dbm, freq_mhz=freq)
         for bid, freq in sorted(by_band.items())
     )
+    return Scenario(transmitters, seed=seed, tx_bbox=bbox, **scenario_fields)
+
+
+def _preset(seed: int, tx_count: int, bbox: Bbox, pathloss: dict, **scenario_fields) -> Scenario:
+    """A preset's scene: the first ``tx_count`` extended carriers, radiating the path-loss power."""
+    if not MIN_ANCHORS <= tx_count <= len(EXTENDED_TX_FREQS_MHZ):
+        raise ConfigError(f"tx_count must be {MIN_ANCHORS} to {len(EXTENDED_TX_FREQS_MHZ)}, got {tx_count}")
+    params, freqs = PathLossParams(**pathloss), EXTENDED_TX_FREQS_MHZ[:tx_count]
+    return auto_scenario(freqs, seed, bbox, power_dbm=params.tx_power_dbm, pathloss=params, **scenario_fields)
 
 
 def route_scenario(
@@ -379,18 +389,8 @@ def route_scenario(
     Further keywords (such as ``exponent``) go to the scenario's
     PathLossParams; the transmitters radiate its ``tx_power_dbm``.
     """
-    if tx_count > len(EXTENDED_TX_FREQS_MHZ):
-        raise ConfigError(f"at most {len(EXTENDED_TX_FREQS_MHZ)} transmitters available, asked for {tx_count}")
-    params = PathLossParams(**pathloss)
-    return Scenario(
-        transmitters=auto_transmitters(EXTENDED_TX_FREQS_MHZ[:tx_count], seed, DEFAULT_TX_BBOX, params.tx_power_dbm),
-        waypoints=ROUTE_WAYPOINTS,
-        pathloss=params,
-        seed=seed,
-        lead_in_m=lead_in_m,
-        tx_bbox=DEFAULT_TX_BBOX,
-        shadowing_sigma_db=shadowing_sigma_db,
-    )
+    return _preset(seed, tx_count, DEFAULT_TX_BBOX, pathloss, waypoints=ROUTE_WAYPOINTS, lead_in_m=lead_in_m,
+                   shadowing_sigma_db=shadowing_sigma_db)
 
 
 def static_scenario(
@@ -403,19 +403,8 @@ def static_scenario(
     """
     if duration_s <= 0:
         raise ConfigError("duration must be positive")
-    params = PathLossParams(**pathloss)
-    return Scenario(
-        transmitters=auto_transmitters(
-            EXTENDED_TX_FREQS_MHZ[:tx_count], seed, STATIC_TX_BBOX, params.tx_power_dbm
-        ),
-        waypoints=((0.0, 0.0), (0.0, 0.0)),
-        speed_mps=1.0,
-        pathloss=params,
-        seed=seed,
-        hold_s=duration_s,
-        tx_bbox=STATIC_TX_BBOX,
-        shadowing_sigma_db=shadowing_sigma_db,
-    )
+    return _preset(seed, tx_count, STATIC_TX_BBOX, pathloss, waypoints=((0.0, 0.0), (0.0, 0.0)), speed_mps=1.0,
+                   hold_s=duration_s, shadowing_sigma_db=shadowing_sigma_db)
 
 
 def matched_config(scenario: Scenario, **overrides) -> PipelineConfig:
@@ -424,7 +413,7 @@ def matched_config(scenario: Scenario, **overrides) -> PipelineConfig:
     With the anchor seed and box equal to the transmitter placement's, the
     assigned anchors are congruent with the true constellation, which is
     the calibration convention for desk-scale benchmark runs. Requires a
-    scenario built by one of the auto-placement helpers (tx_bbox set).
+    scenario built by :func:`auto_scenario` (tx_bbox set).
     """
     if scenario.tx_bbox is None and "anchor_bbox" not in overrides:
         raise ConfigError("scenario has no placement box; pass anchor_bbox explicitly")

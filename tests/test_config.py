@@ -12,6 +12,7 @@ from sweepnav.config import (
     parse_kv_file,
 )
 from sweepnav.pipeline import assign_anchor_frame
+from sweepnav.simulator import DEFAULT_TX_BBOX, DEFAULT_TX_FREQS_MHZ, route_scenario
 
 FULL_CONFIG = """\
 # pipeline configuration
@@ -128,6 +129,19 @@ class TestScenarioFile:
         placed = {a.band_id: (a.x, a.y) for a in anchors}
         for tx in scenario.transmitters:
             assert placed[int(tx.freq_mhz)] == (tx.x, tx.y)
+
+    def test_tx_recipe_builds_the_route_presets_layout(self, tmp_path):
+        # the recipe and the presets share one builder: the route preset's carriers, box and seed at the
+        # default power place the same transmitters
+        path = tmp_path / "auto.txt"
+        path.write_text(
+            f"seed = 13\nwaypoints = 0,0; 100,0\ntx.bbox = {','.join(map(repr, DEFAULT_TX_BBOX))}\n"
+            f"tx.freqs_mhz = {','.join(map(repr, DEFAULT_TX_FREQS_MHZ))}\n",
+            encoding="ascii",
+        )
+        scenario = load_scenario(path)
+        assert scenario.transmitters == route_scenario(13).transmitters
+        assert (scenario.seed, scenario.tx_bbox) == (13, DEFAULT_TX_BBOX)
 
     def test_missing_waypoints(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -258,9 +258,11 @@ class TestNoiseConfig:
         assert all(type(v) is float for row in noise.q for v in row)
         assert hash(noise) == hash(NoiseConfig())
 
-    def test_rejects_negative_r(self):
-        with pytest.raises(ValueError):
-            NoiseConfig(r=0.0)
+    @pytest.mark.parametrize("r", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_negative_r(self, r):
+        # an infinite R makes every gain 0: the filter would ignore every range
+        with pytest.raises(ValueError, match="R must be positive and finite"):
+            NoiseConfig(r=r)
 
     def test_rejects_asymmetric_q(self):
         with pytest.raises(ValueError):

@@ -23,8 +23,8 @@ from sweepnav.pathloss import free_space_pl0, invert_distance, rss_at_distance
 from sweepnav.pipeline import Trajectory, TrajectoryStep
 from sweepnav.placement import place_in_box
 from sweepnav.simulator import (
-    DEFAULT_TX_BBOX, DEFAULT_TX_FREQS_MHZ, GroundTruth, TruthSample, aligned_rmse, auto_transmitters, rolling_spread,
-    spread,
+    DEFAULT_TX_BBOX, DEFAULT_TX_FREQS_MHZ, EXTENDED_TX_FREQS_MHZ, ROUTE_WAYPOINTS, GroundTruth, TruthSample,
+    aligned_rmse, auto_scenario, rolling_spread, spread,
 )
 from sweepnav.sweeps import format_timestamp
 
@@ -448,10 +448,19 @@ class TestPresets:
         truth = synth_route(scenario)
         assert truth.samples[-1].timestamp == pytest.approx(42.0)
 
-    def test_too_many_transmitters_requested(self):
-        with pytest.raises(ConfigError):
-            route_scenario(seed=0, tx_count=99)
+    @pytest.mark.parametrize("preset", [route_scenario, static_scenario])
+    @pytest.mark.parametrize("tx_count", [-1, 0, 3, 14, 99])
+    def test_too_many_transmitters_requested(self, preset, tx_count):
+        # both presets share one check: no count outside 4..13 is sliced from the end or cut down to 13
+        with pytest.raises(ConfigError, match=f"tx_count must be 4 to 13, got {tx_count}"):
+            preset(seed=0, tx_count=tx_count)
+
+    @pytest.mark.parametrize("preset", [route_scenario, static_scenario])
+    @pytest.mark.parametrize("tx_count", [4, 13])
+    def test_builds_as_many_transmitters_as_asked(self, preset, tx_count):
+        scenario = preset(seed=0, tx_count=tx_count)
+        assert [tx.freq_mhz for tx in scenario.transmitters] == sorted(EXTENDED_TX_FREQS_MHZ[:tx_count])
 
     def test_auto_layout_radiates_the_pathloss_default_power(self):
-        layout = auto_transmitters(DEFAULT_TX_FREQS_MHZ, seed=3, bbox=DEFAULT_TX_BBOX)
+        layout = auto_scenario(DEFAULT_TX_FREQS_MHZ, 3, DEFAULT_TX_BBOX, waypoints=ROUTE_WAYPOINTS).transmitters
         assert {tx.power_dbm for tx in layout} == {PathLossParams().tx_power_dbm}
