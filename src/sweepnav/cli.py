@@ -19,7 +19,7 @@ import click
 
 from . import artifacts
 from .config import load_config, load_scenario
-from .errors import ConfigError, ShapeError, SweepNavError
+from .errors import ConfigError, DegenerateGeometryError, ShapeError, SweepNavError
 from .multilateration import MIN_ANCHORS
 from .pipeline import Trajectory, run_pipeline
 from .simulator import SPREAD_WINDOW, rolling_spread, score_run, simulate_run, spread
@@ -51,11 +51,12 @@ def main():
     """Relative positioning from RF spectrum sweeps."""
 
 
-def _require_fix(trajectory: Trajectory) -> Trajectory:
-    """The trajectory of a run in which some sweep fixed; with no fix the run failed."""
+def _require_fix(trajectory: Trajectory, band_count: int) -> Trajectory:
+    """The trajectory of a run in which some sweep fixed. The sweep that selects
+    the bands fixes, so with no fix no sweep selected them and the run failed."""
     if not trajectory.steps:
-        selected = " ".join(map(str, trajectory.selected_bands)) or "none"
-        raise SweepNavError(f"no fix in {trajectory.skipped_sweeps} sweeps; selected bands: {selected}")
+        raise SweepNavError(f"no fix in {trajectory.skipped_sweeps} sweeps: fewer than {band_count} bands "
+                            f"(band.count) were present in every sweep of a window")
     return trajectory
 
 
@@ -71,7 +72,7 @@ def run(sweeps, config_path, seed, out_dir):
         config = replace(config, anchor_seed=seed)
     # the records stream from the file into the pipeline; a late parse error,
     # or a file with no sweep, still exits 2 before any output exists
-    trajectory = _require_fix(run_pipeline(parse_sweep_file(sweeps, config.plan), config))
+    trajectory = _require_fix(run_pipeline(parse_sweep_file(sweeps, config.plan), config), config.band_count)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     artifacts.write_trajectory_csv(trajectory, out / "trajectory.csv")
@@ -156,14 +157,14 @@ def _eval_grid(truth, config_path, sweeps_path, npl_list, txcount_list, window_l
         raise ConfigError("grid evaluation needs --sweeps")
     base = load_config(config_path)
     npls = _parse_list(npl_list, float, [base.pathloss.exponent])
-    counts = _parse_list(txcount_list, int, [base.plan.selection_count])
+    counts = _parse_list(txcount_list, int, [base.band_count])
     windows = _parse_list(window_list, int, [base.smoother.window])
     configs = [
         (npl, window, count, replace(
             base,
             pathloss=replace(base.pathloss, exponent=npl),
             smoother=replace(base.smoother, window=window, weights=None),
-            plan=replace(base.plan, selection_count=count),
+            band_count=count,
         ))
         for npl in npls for window in windows for count in counts
     ]
@@ -171,19 +172,19 @@ def _eval_grid(truth, config_path, sweeps_path, npl_list, txcount_list, window_l
 
     grid_rows, unscored = [], 0
     for npl, window, count, config in configs:
-        trajectory = run_pipeline(records, config)
-        note = ""
-        if trajectory.steps:
-            segments = score_run(truth, trajectory).segments
-            scores = {e: [(s.estimated_m, s.percent_diff) for s in segments[e]] for e in ("wma", "ekf")}
-        else:  # no comma in a note: it stays one CSV field
-            if trajectory.selected_bands:
-                note = f"no fix: all {trajectory.skipped_sweeps} sweeps skipped"
-            else:
+        try:  # no comma in a note: it stays one CSV field
+            trajectory, note = run_pipeline(records, config), ""
+            if not trajectory.steps:  # no sweep selected the bands
                 common = set.intersection(*(set(r.rss_by_id) for r in records))
                 note = f"no fix: {count} bands asked; {len(common)} in every sweep"
+        except DegenerateGeometryError as exc:
+            note = f"no fix: {exc}"
+        if note:
             scores = dict.fromkeys(("wma", "ekf"), [(math.nan, math.nan)] * (len(truth.waypoint_indices) - 1))
             unscored += 1
+        else:
+            segments = score_run(truth, trajectory).segments
+            scores = {e: [(s.estimated_m, s.percent_diff) for s in segments[e]] for e in ("wma", "ekf")}
         for estimator in ("wma", "ekf"):
             for i, (est, pct) in enumerate(scores[estimator]):
                 # the exponent is written as given, not with six digits
@@ -202,26 +203,24 @@ def convergence(sweeps, config_path, out_dir):
 
     # Spread over elapsed sweeps, with an unbounded mean window so the
     # estimate keeps absorbing data as time passes.
-    trajectory = _require_fix(run_pipeline(records, replace(config, sweep_window=None)))
+    trajectory = _require_fix(run_pipeline(records, replace(config, sweep_window=None)), config.band_count)
     series = rolling_spread(trajectory.positions("raw"))
     time_rows = [(step.index, step.timestamp, series[i]) for i, step in enumerate(trajectory.steps)]
 
-    # Spread over cumulative low-to-high frequency subsets of the bands
-    # seen in the first sweep.
-    bands = sorted(records[0].rss_by_id, key=config.plan.center_mhz)
+    # Spread over cumulative low-to-high frequency subsets of the bands seen
+    # in the first sweep: a record's ids ascend, and so do a uniform plan's
+    # centres. The growing window holds every subset band at the first sweep,
+    # which selects and fixes, so only a degenerate frame leaves a subset out.
+    bands = list(records[0].rss_by_id)
     spectrum_rows = []
     for m in range(MIN_ANCHORS, len(bands) + 1):
         subset = set(bands[:m])
-        sub_config = replace(
-            config,
-            sweep_window=None,
-            plan=replace(config.plan, selection_count=m),
-        )
         sub_records = [
             SweepRecord(r.timestamp, {b: rss for b, rss in r.rss_by_id.items() if b in subset}) for r in records
         ]
-        sub_trajectory = run_pipeline(sub_records, sub_config)
-        if len(sub_trajectory.steps) == 0:
+        try:
+            sub_trajectory = run_pipeline(sub_records, replace(config, sweep_window=None, band_count=m))
+        except DegenerateGeometryError:
             continue
         tail = sub_trajectory.positions("raw")[-SPREAD_WINDOW:]
         spectrum_rows.append((config.plan.center_mhz(bands[m - 1]), m, spread(tail)))

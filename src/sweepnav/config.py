@@ -95,7 +95,7 @@ CONFIG_FIELDS = {
     "band.low_mhz": ("plan", "low_mhz", _float),
     "band.high_mhz": ("plan", "high_mhz", _float),
     "band.width_mhz": ("plan", "width_mhz", _float),
-    "band.count": ("plan", "selection_count", _int),
+    "band.count": ("pipeline", "band_count", _int),
     "sweep.window": ("pipeline", "sweep_window", lambda key, text: _int(key, text) or None),
     "n_pl": ("pathloss", "exponent", _float),
     "tx_power_dbm": ("pathloss", "tx_power_dbm", _float),
@@ -164,6 +164,9 @@ def scenario_from_values(values: dict[str, str]) -> Scenario:
             raise ConfigError("scenario needs a 'waypoints' entry")
         fields["pathloss"] = PathLossParams(**groups["pathloss"])
         if "transmitters" in fields:
+            recipe = sorted(key for key in values if key.startswith("tx."))
+            if recipe:  # one layout per file: neither silently wins
+                raise ConfigError(f"scenario sets both 'transmitters' and {', '.join(recipe)}; keep one layout")
             return Scenario(**fields)
         if "freqs_mhz" not in tx:
             raise ConfigError("scenario needs 'transmitters' or 'tx.freqs_mhz'")

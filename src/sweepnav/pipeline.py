@@ -11,12 +11,13 @@ Transmitter bands are selected once, at the first sweep where enough
 persistent bands exist, and the anchor frame stays fixed for the whole run
 so the relative frame is consistent; what depends on the selection alone
 (kept bands, reference losses, the factored anchor frame) is built there.
-The first accepted fix defines the origin of the relative frame, shifts the
-landmarks into it and starts the filter; every output position is reported
-relative to it. Sweeps before the first fix give no row and count as
-skipped. After that, a sweep whose window lacks a selected band holds the
-previous fix, flagged ``held`` and ``missing_band``. The frame is fixed at the
-selection, so a degenerate frame fails every sweep and the run has no row.
+The frame is checked once, when it is built: a degenerate frame raises
+DegenerateGeometryError and ends the run. The selecting sweep has every
+selected band in every sweep of its window, so it fixes: its fix defines the
+origin of the relative frame, shifts the landmarks into it and starts the
+filter, and every output position is reported relative to it. Sweeps before
+it give no row and count as skipped. After that, a sweep whose window lacks
+a selected band holds the previous fix, flagged ``held`` and ``missing_band``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
 from .ekf import EkfTracker, Landmark, NoiseConfig
-from .errors import ConfigError, DegenerateGeometryError, InsufficientAnchorsError, MissingBandError
+from .errors import ConfigError, InsufficientAnchorsError, MissingBandError
 from .multilateration import MIN_ANCHORS, Anchor, AnchorFrame
 from .pathloss import PathLossParams, free_space_pl0, invert_distance
 from .placement import Bbox, place_in_box, validate_bbox
@@ -42,10 +43,13 @@ P0 = ((10.0, 0.0), (0.0, 10.0))
 class PipelineConfig:
     """Everything a run needs; immutable once the pipeline starts.
 
-    ``sweep_window`` of None (or 0 in config files) keeps a growing window.
+    ``band_count`` is the number of transmitter bands selected as anchors,
+    from MIN_ANCHORS to the plan's band count. ``sweep_window`` of None (or 0
+    in config files) keeps a growing window.
     """
 
     plan: BandPlan = field(default_factory=BandPlan.uniform)
+    band_count: int = 6
     pathloss: PathLossParams = field(default_factory=PathLossParams)
     smoother: SmootherConfig = field(default_factory=SmootherConfig)
     noise: NoiseConfig = field(default_factory=NoiseConfig)
@@ -54,6 +58,9 @@ class PipelineConfig:
     anchor_bbox: Bbox = DEFAULT_ANCHOR_BBOX
 
     def __post_init__(self):
+        if not MIN_ANCHORS <= self.band_count <= self.plan.count:
+            raise ConfigError(f"band_count must be {MIN_ANCHORS} to {self.plan.count} (the plan's bands), "
+                              f"got {self.band_count}")
         validate_bbox(self.anchor_bbox)
         if self.anchor_seed < 0:
             raise ConfigError(f"anchor seed {self.anchor_seed} is negative")
@@ -175,15 +182,9 @@ class TrackingPipeline:
             self._raw_abs = (x, y)
         except MissingBandError:
             held = ("held", "missing_band")
-        except DegenerateGeometryError:  # the frame fails every solve, so no sweep of the run fixes
-            self._skipped += 1
-            return None
 
         if self._tracker is None:
-            if held:  # no fix yet to hold
-                self._skipped += 1
-                return None
-            # The first fix is the origin of the relative frame: the landmarks
+            # The first fix, at the selecting sweep, is the origin of the relative frame: the landmarks
             # shift into that frame and the filter starts at the first smoothed fix.
             ox, oy = self._origin = self._raw_abs
             self._landmarks = [Landmark(a.x - ox, a.y - oy, i) for i, a in enumerate(self._frame.anchors)]
@@ -222,12 +223,12 @@ class TrackingPipeline:
         persistent = self._window.persistent_band_ids()
         means = dict(zip(persistent, self._window.means_dbm(persistent)))
         try:
-            selected = select_transmit_bands(means, cfg.plan.selection_count)
+            selected = select_transmit_bands(means, cfg.band_count)
         except InsufficientAnchorsError:
             return False
+        # built before any state is kept: a degenerate frame raises here and ends the run
+        self._frame = AnchorFrame(assign_anchor_frame(selected, cfg.anchor_seed, cfg.anchor_bbox))
         self._selected = selected
-        anchors = assign_anchor_frame(selected, cfg.anchor_seed, cfg.anchor_bbox)
-        self._frame = AnchorFrame(anchors)
         self._window.keep_only(selected)
         self._pl0 = [free_space_pl0(cfg.plan.center_mhz(b)) for b in selected]
         return True

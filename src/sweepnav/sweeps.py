@@ -11,8 +11,8 @@ reader holds one block and its rows whatever the file's size, and a pipe is
 read as its data arrives. The rows feed the one parse loop,
 ``parse_sweep_lines``.
 
-A band plan is four numbers (low edge, high edge, band width and the number
-of bands to select); band edges are computed, never stored. A row's
+A band plan is three numbers (low edge, high edge and band width); band
+edges are computed, never stored. A row's
 timestamp is parsed by strptime's grammar only when its raw text changes
 (the date validated and the minute's microseconds worked out once per
 minute), and its slice checked and bins placed by arithmetic lookups once
@@ -50,7 +50,6 @@ from itertools import chain
 from typing import BinaryIO, Generator, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import ConfigError, InputError, InsufficientAnchorsError, MissingBandError, SweepParseError
-from .multilateration import MIN_ANCHORS
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _EPOCH_DAY = _EPOCH.toordinal()
@@ -128,19 +127,16 @@ class SweepRecord:
 
 @dataclass(frozen=True)
 class BandPlan:
-    """Equal-width bands over the swept spectrum, as four numbers.
+    """Equal-width bands over the swept spectrum, as three numbers.
 
     Band ``i`` of ``count = round((high_mhz - low_mhz) / width_mhz)`` spans
     ``[low_mhz + i * width_mhz, low_mhz + (i + 1) * width_mhz)``; edges are
-    computed when asked for, so a plan holds no band. ``selection_count`` is
-    the number of transmitter bands picked for multilateration; at least
-    four are required.
+    computed when asked for, so a plan holds no band.
     """
 
     low_mhz: float
     high_mhz: float
     width_mhz: float
-    selection_count: int
     count: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -150,10 +146,6 @@ class BandPlan:
         count = int(round(min((self.high_mhz - low) / width, MAX_PLAN_BANDS + 1)))  # min keeps round() off inf
         if count > MAX_PLAN_BANDS:
             raise ConfigError(f"uniform plan asks for more than {MAX_PLAN_BANDS} bands")
-        if self.selection_count < MIN_ANCHORS:
-            raise ConfigError(f"selection_count must be at least {MIN_ANCHORS}")
-        if count < self.selection_count:
-            raise ConfigError(f"plan has {count} bands, fewer than selection_count {self.selection_count}")
         # A computed edge is within one ulp of the top edge of its exact value: at
         # four ulps no band is empty and band_at's estimate is at most one band off.
         top = low + count * width
@@ -164,10 +156,9 @@ class BandPlan:
         object.__setattr__(self, "count", count)
 
     @classmethod
-    def uniform(cls, low_mhz: float = 0.0, high_mhz: float = 3500.0, width_mhz: float = 1.0,
-                selection_count: int = 6) -> "BandPlan":
-        """The plan from its four numbers; the defaults are 3,500 1-MHz bands from 0 MHz."""
-        return cls(float(low_mhz), float(high_mhz), float(width_mhz), selection_count)
+    def uniform(cls, low_mhz: float = 0.0, high_mhz: float = 3500.0, width_mhz: float = 1.0) -> "BandPlan":
+        """The plan from its three numbers; the defaults are 3,500 1-MHz bands from 0 MHz."""
+        return cls(float(low_mhz), float(high_mhz), float(width_mhz))
 
     def band_at(self, freq_mhz: float) -> int | None:
         """Id of the band holding ``freq_mhz``, or None outside the plan."""

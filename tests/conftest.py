@@ -5,7 +5,7 @@ from sweepnav import BandPlan
 
 @pytest.fixture
 def small_plan():
-    return BandPlan.uniform(low_mhz=0.0, high_mhz=10.0, width_mhz=1.0, selection_count=4)
+    return BandPlan.uniform(low_mhz=0.0, high_mhz=10.0, width_mhz=1.0)
 
 
 STATIC_SCENARIO_TEXT = """\

@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 import shlex
 import warnings
 from dataclasses import replace
@@ -10,7 +11,9 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sweepnav import SweepRecord, TrackingPipeline, cli, parse_sweep_file, placement, run_pipeline
+from sweepnav import (
+    Anchor, SweepRecord, TrackingPipeline, assign_anchor_frame, cli, parse_sweep_file, placement, run_pipeline,
+)
 from sweepnav.cli import main
 from sweepnav.config import CONFIG_FIELDS, SCENARIO_FIELDS, load_config
 from sweepnav.artifacts import read_ground_truth, read_trajectory_csv
@@ -203,18 +206,21 @@ class TestSimulate:
 # with all-NaN EKF columns, an uncapped condition number or no lead-in; the
 # last five config keys are gone (the EKF always runs, shadowing is a scenario
 # key, P0 and the condition cap are constants), so is `start_time` (sweeps start
-# at the epoch), and the last three scenario lines ask for an infinite drive,
-# ~2e11 sweeps and ~1e300 sweeps
+# at the epoch), and the speed_mps, cadence_s and hold_s lines after lead_in_m
+# ask for an infinite drive, ~2e11 sweeps and ~1e300 sweeps. A negative window and a band count
+# outside 4..3500 are out of range, and explicit transmitters beside the
+# scenario's tx.* recipe are two layouts, of which the recipe was dropped
 BAD_CONFIG_LINES = [
     "ekf.r = 0", "ekf.q_diag = -1,0.1", "band.high_mhz = nan", "band.high_mhz = inf",
     "band.width_mhz = nan", "ekf.r = nan", "tx_power_dbm = nan", "ekf.p0 = nan",
     "lsq.condition_cap = nan", "lsq.condition_cap = inf", "ekf.enabled = true", "shadowing_sigma_db = 4",
-    "anchor.bbox = -1e308,-1e308,1e308,1e308",
+    "anchor.bbox = -1e308,-1e308,1e308,1e308", "sweep.window = -3", "band.count = 3", "band.count = 3501",
 ]
 BAD_SCENARIO_LINES = [
     "speed_mps = nan", "cadence_s = nan", "hold_s = nan", "start_time = nan", "start_time = 1e12",
     "tx.power_dbm = nan", "lead_in_m = nan",
     "speed_mps = 1e-320", "cadence_s = 1e-9", "hold_s = 1e300", "tx.bbox = -1e308,-1e308,1e308,1e308",
+    "transmitters = 300,0,43,700.5; 0,300,43,800.5; -300,0,43,900.5; 0,-300,43,1800.5",
 ]
 # keys removed with their fields, each set to its old default
 REMOVED_KEYS = [
@@ -399,17 +405,21 @@ class TestRun:
         assert f"input error: {empty}: no sweeps" in result.output
         assert not out.exists()
 
-    @pytest.mark.parametrize("line, selected", [("band.count = 7", "none"), (THIN_BOX, "700 ")])
-    def test_run_without_a_fix_is_exit_3_with_no_output(self, runner, sweeps_csv, tmp_path, line, selected):
-        # seven bands never persist among six transmitters; anchors in a thin box make every geometry
-        # degenerate. Both used to exit 0 with a header-only trajectory.
+    @pytest.mark.parametrize("line, message", [
+        ("band.count = 7", "no fix in 21 sweeps: fewer than 7 bands (band.count) were present in every sweep of a window"),
+        (THIN_BOX, "anchor frame of bands 700 800 900 1800 2100 2600 is degenerate: condition estimate "),
+    ])
+    def test_run_without_a_fix_is_exit_3_with_no_output(self, runner, sweeps_csv, tmp_path, line, message):
+        # seven bands never persist among six transmitters; anchors in a thin box make the frame
+        # degenerate, which ends the run when the frame is built. Both used to exit 0 with a
+        # header-only trajectory.
         config = tmp_path / "nofix.cfg"
         config.write_text(line + "\n", encoding="ascii")
         out = tmp_path / "run"
         result = runner.invoke(main, ["run", str(sweeps_csv), "--config", str(config), "--out", str(out)])
         assert result.exit_code == 3, (result.output, result.exception)
         assert isinstance(result.exception, SystemExit)
-        assert f"run failed: no fix in 21 sweeps; selected bands: {selected}" in result.output
+        assert result.output.startswith(f"run failed: {message}")
         assert not out.exists()
 
     def test_malformed_sweeps_is_exit_2(self, runner, tmp_path):
@@ -616,8 +626,8 @@ class TestEval:
         assert all(row[5:] == ["nan", "nan", "no fix: 9 bands asked; 6 in every sweep"] for row in unscored)
         assert all(row[7] == "" and math.isfinite(float(row[6])) for row in rows if row[2] == "6")
 
-    def test_grid_cell_skipping_every_sweep_is_noted(self, runner, artifacts, tmp_path):
-        # bands are selected, but anchors in a thin box make every geometry degenerate, so no sweep fixes
+    def test_grid_cell_with_a_degenerate_frame_is_noted(self, runner, artifacts, tmp_path):
+        # bands are selected, but anchors in a thin box make the frame degenerate, so no sweep fixes
         sim, run_dir = artifacts
         out, config = tmp_path / "grid", tmp_path / "thin.cfg"
         config.write_text(THIN_BOX + "\n", encoding="ascii")
@@ -631,8 +641,10 @@ class TestEval:
         )
         assert result.exit_code == 0, (result.output, result.exception)
         rows = read_rows(out / "grid_report.csv")[1:]
-        sweeps = len(read_rows(sim / "truth.csv")) - 1
-        assert len(rows) == 4 and all(row[7] == f"no fix: all {sweeps} sweeps skipped" for row in rows)
+        assert len(rows) == 4 and all(row[5:7] == ["nan", "nan"] for row in rows)
+        assert all(re.fullmatch("no fix: anchor frame of bands [0-9 ]+ is degenerate: condition estimate .+", row[7])
+                   for row in rows), rows
+        assert result.output.endswith("grid: wrote 4 rows, 1 cells with no fix\n")
 
     @pytest.mark.parametrize("grid", [[], ["--npl-list", "2.8"]])
     def test_one_waypoint_is_exit_4(self, runner, artifacts, tmp_path, grid):
@@ -944,13 +956,26 @@ class TestConvergence:
         expected = []
         for m in range(4, len(bands) + 1):
             cut = [SweepRecord(r.timestamp, {b: r.rss_by_id[b] for b in bands[:m]}) for r in records]
-            sub_config = replace(config, sweep_window=None, plan=replace(config.plan, selection_count=m))
-            raw = run_pipeline(cut, sub_config).positions("raw")
+            raw = run_pipeline(cut, replace(config, sweep_window=None, band_count=m)).positions("raw")
             expected.append([f"{config.plan.center_mhz(bands[m - 1]):.6f}", str(m), f"{spread(raw[-10:]):.6f}"])
         rows = read_rows(out / "convergence_spectrum.csv")
         assert rows[1:] == expected and len(expected) == 3
         # shadowed sweeps scatter the fixes, so the comparison is not of zeros
         assert all(float(row[2]) > 0.0 for row in expected)
+
+    def test_spectrum_skips_a_subset_whose_frame_is_degenerate(self, runner, benchmark_sweeps, tmp_path, monkeypatch):
+        # the four lowest bands' anchors put on a line: that subset's frame is degenerate and gives no
+        # point, as the five- and six-band subsets and the six-band time series still do
+        def collinear_four(band_ids, seed, bbox):
+            anchors = assign_anchor_frame(band_ids, seed, bbox)
+            return [Anchor(a.band_id, float(i), 0.0) for i, a in enumerate(anchors)] if len(anchors) == 4 else anchors
+
+        monkeypatch.setattr("sweepnav.pipeline.assign_anchor_frame", collinear_four)
+        out = tmp_path / "conv"
+        result = runner.invoke(main, ["convergence", str(benchmark_sweeps), "--out", str(out)])
+        assert result.exit_code == 0, (result.output, result.exception)
+        assert [row[1] for row in read_rows(out / "convergence_spectrum.csv")[1:]] == ["5", "6"]
+        assert result.output.endswith("2 spectrum points)\n")
 
     def test_static_zero_noise_spread_is_zero(self, runner, static_scenario_file, tmp_path):
         sim = tmp_path / "sim"
@@ -982,7 +1007,7 @@ class TestConvergence:
         out = tmp_path / "conv"
         result = runner.invoke(main, ["convergence", str(sweeps), "--out", str(out)])
         assert result.exit_code == 3, (result.output, result.exception)
-        assert "run failed: no fix in 207 sweeps; selected bands: none" in result.output
+        assert "run failed: no fix in 207 sweeps: fewer than 6 bands (band.count) were present" in result.output
         assert not out.exists()
 
     def test_diverged_filter_is_exit_3_with_no_output(self, runner, benchmark_sweeps, tmp_path):

@@ -19,7 +19,7 @@ FULL_CONFIG = """\
 band.low_mhz = 0
 band.high_mhz = 3500
 band.width_mhz = 1.0
-band.count = 6
+band.count = 5
 sweep.window = 5
 n_pl = 3.0
 tx_power_dbm = 40
@@ -58,13 +58,13 @@ class TestPipelineConfigFile:
         assert config.smoother.window == 3
         assert config.noise.r == 0.01
         np.testing.assert_array_equal(config.noise.q, np.eye(2) * 0.1)
-        assert config.plan.selection_count == 6
+        assert config.band_count == 6
 
     def test_full_file(self, tmp_path):
         path = tmp_path / "config.txt"
         path.write_text(FULL_CONFIG, encoding="ascii")
         config = load_config(path)
-        assert config.sweep_window == 5
+        assert config.band_count == 5 and config.sweep_window == 5
         assert config.pathloss.exponent == 3.0
         assert config.smoother.weights == (1.0, 2.0, 3.0, 4.0)
         assert config.noise.r == 0.5
@@ -142,6 +142,17 @@ class TestScenarioFile:
         scenario = load_scenario(path)
         assert scenario.transmitters == route_scenario(13).transmitters
         assert (scenario.seed, scenario.tx_bbox) == (13, DEFAULT_TX_BBOX)
+
+    @pytest.mark.parametrize("recipe", [
+        "tx.freqs_mhz = 700.5,800.5,900.5\ntx.bbox = -200,-200,200,200\n", "tx.power_dbm = 40\n",
+    ])
+    def test_transmitters_and_a_tx_recipe_conflict(self, static_scenario_file, tmp_path, recipe):
+        # the explicit layout used to win silently, dropping the recipe with no message
+        path = tmp_path / "both.txt"
+        path.write_text(static_scenario_file.read_text(encoding="ascii") + recipe, encoding="ascii")
+        with pytest.raises(ConfigError, match=r"both 'transmitters' and tx\.") as raised:
+            load_scenario(path)
+        assert all(line.split(" = ")[0] in str(raised.value) for line in recipe.splitlines())
 
     def test_missing_waypoints(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -14,19 +14,27 @@ def svd_reference(a, b):
 
 
 # The solver before the anchor frame was factored once, kept as the
-# reference AnchorFrame.solve must equal bit for bit.
+# reference AnchorFrame must equal bit for bit. Its checks run in the frame's
+# order: the anchors (count, unique ids, then the degeneracy of A, whose
+# rotations do not depend on b), when the frame is built, before the distances.
 def reference_linear_rows(anchors, distances):
     n = len(anchors)
     if n < 4:
         raise InsufficientAnchorsError(f"need at least 4 anchors, have {n}")
+    if len({a.band_id for a in anchors}) != n:
+        raise ValueError("anchor ids must be unique")
+    x1, y1 = float(anchors[0].x), float(anchors[0].y)
+    try:
+        reference_solve_rows([(2.0 * (x1 - a.x), 2.0 * (y1 - a.y), 0.0) for a in anchors[1:]])
+    except DegenerateGeometryError as exc:
+        bands = " ".join(str(a.band_id) for a in anchors)
+        raise DegenerateGeometryError(f"anchor frame of bands {bands} is degenerate: {exc}") from None
     if len(distances) != n:
         raise ValueError(f"{n} anchors but {len(distances)} distances")
     d = [float(v) for v in distances]
     if not all(0.0 <= v < math.inf for v in d):
         raise ValueError("distances must be finite and non-negative")
-    if len({a.band_id for a in anchors}) != n:
-        raise ValueError("anchor ids must be unique")
-    x1, y1, d1 = float(anchors[0].x), float(anchors[0].y), d[0]
+    d1 = d[0]
     rows = []
     for j in range(1, n):
         xj, yj, dj = float(anchors[j].x), float(anchors[j].y), d[j]
@@ -49,7 +57,7 @@ def reference_solve_rows(rows):
             r11, qb1 = r, c * qb1 + s * b
     sigma_max, sigma_min = _triangular_singular_values(r00, r01, r11)
     if sigma_min <= 0.0:
-        raise DegenerateGeometryError("anchor geometry is rank deficient")
+        raise DegenerateGeometryError("geometry is rank deficient")
     condition = sigma_max / sigma_min
     if condition > CONDITION_CAP:
         raise DegenerateGeometryError(
@@ -150,7 +158,7 @@ class TestBuildLinearSystem:
         np.testing.assert_allclose([x2, y2], [x1 + shift[0], y1 + shift[1]], atol=1e-9)
 
     def test_coincident_anchor_gives_zero_row(self):
-        anchors = [Anchor(1, 5.0, 5.0), Anchor(2, 5.0, 5.0), Anchor(3, 0.0, 10.0), Anchor(4, 10.0, 0.0)]
+        anchors = [Anchor(1, 5.0, 5.0), Anchor(2, 5.0, 5.0), Anchor(3, 0.0, 10.0), Anchor(4, 10.0, 10.0)]
         assert AnchorFrame(anchors).rows[0] == (0.0, 0.0)
 
     def test_too_few_anchors(self):
@@ -207,10 +215,12 @@ class TestSolveLsq:
         assert [x, y] == [0.0, 0.0]
         assert residual == 0.0
 
-    def test_collinear_anchors_raise(self):
+    def test_collinear_anchors_raise_when_the_frame_is_built(self):
         anchors = [Anchor(i, float(i * 10), 0.0) for i in range(1, 5)]
-        with pytest.raises(DegenerateGeometryError):
-            AnchorFrame(anchors).solve([5.0, 6.0, 7.0, 8.0])
+        # one line naming the bands and the reason, with no comma: it is also an eval grid note
+        with pytest.raises(DegenerateGeometryError,
+                           match=r"^anchor frame of bands 1 2 3 4 is degenerate: geometry is rank deficient$"):
+            AnchorFrame(anchors)
 
     @pytest.mark.parametrize("anchors", [
         # the rows' differences overflow: rows (inf, 0), (inf, -inf), (inf, inf) and a NaN condition estimate
@@ -220,14 +230,12 @@ class TestSolveLsq:
     ])
     def test_anchors_that_overflow_the_system_are_degenerate(self, anchors):
         # both once solved to (nan, nan, nan, nan) with no error
-        frame = AnchorFrame([Anchor(i, x, y) for i, (x, y) in enumerate(anchors)])
-        with pytest.raises(DegenerateGeometryError, match="overflow"):
-            frame.solve([1.0] * 4)
+        with pytest.raises(DegenerateGeometryError, match="^anchor frame of bands 0 1 2 3 is degenerate: .*overflow"):
+            AnchorFrame([Anchor(i, x, y) for i, (x, y) in enumerate(anchors)])
 
     def test_condition_cap(self):
-        frame = frame_of_rows([[1.0, 0.0], [0.0, 1e-9], [1.0, 1e-9]])
-        with pytest.raises(DegenerateGeometryError):
-            frame.solve([0.0] * 4)
+        with pytest.raises(DegenerateGeometryError, match=r"is degenerate: condition estimate \S+ exceeds cap 1e\+08$"):
+            frame_of_rows([[1.0, 0.0], [0.0, 1e-9], [1.0, 1e-9]])
 
     def test_condition_under_the_cap_solves(self):
         # a condition estimate near 1e6 once failed a test-only cap of 1e6; the fixed cap is 1e8
@@ -391,25 +399,26 @@ class TestGivensKernel:
     def test_degenerate_anchors_raise(self, points):
         anchors = [Anchor(i, x, y) for i, (x, y) in enumerate(points, 1)]
         with pytest.raises(DegenerateGeometryError):
-            AnchorFrame(anchors).solve([5.0] * len(anchors))
+            AnchorFrame(anchors)
 
     @pytest.mark.parametrize("column", [0, 1])
     def test_zero_column_raises(self, column):
         a = np.arange(1.0, 9.0).reshape(4, 2)
         a[:, column] = 0.0
         with pytest.raises(DegenerateGeometryError):
-            frame_of_rows(a.tolist()).solve([1.0] * 5)
+            frame_of_rows(a.tolist())
 
     def test_zero_rhs_gives_exact_zeros(self):
         rng = np.random.default_rng(52)
         solved = 0
         for _ in range(50):
             anchors, distances = pythagorean_anchors(rng, int(rng.integers(4, 10)))
-            assert not any(row[2] for row in reference_linear_rows(anchors, distances))
             try:
-                x, y, residual, _ = AnchorFrame(anchors).solve(distances)
+                frame = AnchorFrame(anchors)
             except DegenerateGeometryError:
                 continue
+            assert not any(row[2] for row in reference_linear_rows(anchors, distances))
+            x, y, residual, _ = frame.solve(distances)
             assert [x, y] == [0.0, 0.0]
             assert residual == 0.0
             solved += 1
@@ -449,11 +458,15 @@ class TestAnchorFrameReference:
         for i in range(800):
             anchors, distances = self.random_case(rng, i)
             expected = outcome(lambda: reference_solve_rows(reference_linear_rows(anchors, distances)))
-            frame = AnchorFrame(anchors)
-            got = outcome(lambda: frame.solve(distances))
+            try:
+                frame = AnchorFrame(anchors)
+            except DegenerateGeometryError as exc:  # a degenerate frame is never built
+                got = type(exc), str(exc)
+            else:
+                got = outcome(lambda: frame.solve(distances))
+                assert repr(outcome(lambda: frame.solve(distances))) == repr(got)  # stateless
             # repr compares floats bit for bit, and exception types and messages
             assert repr(got) == repr(expected), (i, anchors, distances)
-            assert repr(outcome(lambda: frame.solve(distances))) == repr(expected)  # stateless
             if isinstance(expected[0], type):
                 seen["rank deficient" if "rank" in expected[1] else "exceeds cap"] += 1
             else:
@@ -461,12 +474,14 @@ class TestAnchorFrameReference:
             seen["zero row"] += any(a.x == anchors[0].x and a.y == anchors[0].y for a in anchors[1:])
         assert seen["solved"] >= 300 and min(seen.values()) >= 40, seen
 
-    def test_distance_checks_match_reference(self):
-        frame = AnchorFrame(square_anchors())
+    @pytest.mark.parametrize("anchors", [square_anchors(), [Anchor(i, i * 10.0, 0.0) for i in range(1, 5)]],
+                             ids=["square", "collinear"])
+    def test_distance_checks_match_reference(self, anchors):
+        # a degenerate frame is reported when it is built, before any distance is checked
         for distances in ([1.0, 2.0, 3.0], [1.0, 2.0, 3.0, -0.5], [math.nan, 2.0, 3.0, 4.0],
                           [1.0, 2.0, 3.0, math.inf], [1.0] * 5):
-            expected = outcome(lambda: reference_linear_rows(square_anchors(), distances))
-            assert repr(outcome(lambda: frame.solve(distances))) == repr(expected)
+            expected = outcome(lambda: reference_linear_rows(anchors, distances))
+            assert repr(outcome(lambda: AnchorFrame(anchors).solve(distances))) == repr(expected)
 
     def test_anchor_checks_at_construction(self):
         with pytest.raises(InsufficientAnchorsError):

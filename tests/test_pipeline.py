@@ -1,14 +1,22 @@
 import math
 from collections import Counter
+from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sweepnav import (
     Anchor,
     AnchorFrame,
+    BandPlan,
+    ConfigError,
+    DegenerateGeometryError,
     EkfTracker,
     InsufficientAnchorsError,
+    PipelineConfig,
     PlacementError,
     TrackingPipeline,
     TrajectoryStep,
@@ -179,7 +187,7 @@ class TestStageEntryPoints:
 
             monkeypatch.setattr(owner, name, counted)
         step = tracking.process(run.sweeps[5])
-        bands = config.plan.selection_count
+        bands = config.band_count
         assert step.index == 5 and step.flags == ()
         assert calls == {
             "SweepWindow.push": 1, "SweepWindow.means_dbm": 1, "pipeline.invert_distance": bands,
@@ -251,6 +259,66 @@ class TestHeldFixes:
         assert trajectory.selected_bands == tuple(anchor.band_id for anchor in trajectory.anchors)
         assert sorted(trajectory.selected_bands) == sorted(records[0].rss_by_id)
         assert f"selected_bands: {' '.join(map(str, trajectory.selected_bands))}\n" in summary_text(trajectory)
+
+
+@lru_cache(maxsize=1)
+def thirteen_transmitter_drive():
+    """The first 60 sweeps of a 13-transmitter route, and its scenario."""
+    scenario = route_scenario(seed=4, tx_count=13)
+    return scenario, simulate_run(scenario).sweeps[:60]
+
+
+def first_sweep_with_enough_bands(records, window, count):
+    """Index of the first sweep whose window (its last ``window`` sweeps, or
+    every sweep so far) holds ``count`` bands in each of its sweeps, or None."""
+    for k in range(len(records)):
+        held = records[0 if window is None else max(0, k - window + 1):k + 1]
+        if len(set.intersection(*(set(r.rss_by_id) for r in held))) >= count:
+            return k
+    return None
+
+
+class TestSelection:
+    """Selection owns its decisions: the count is checked with the config, a
+    degenerate frame ends the run where it is built, and the selecting sweep fixes."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(rates=st.lists(st.floats(0.0, 0.5), min_size=13, max_size=13), window=st.sampled_from([1, 3, 10, None]),
+           count=st.integers(4, 13), seed=st.integers(0, 2**32 - 1))
+    def test_the_selecting_sweep_is_the_first_row(self, rates, window, count, seed):
+        # each band is dropped from each sweep at its own rate; the larger counts select late, or never
+        scenario, sweeps = thirteen_transmitter_drive()
+        rng = np.random.default_rng(seed)
+        records = [SweepRecord(r.timestamp, {b: rss for (b, rss), rate in zip(r.rss_by_id.items(), rates)
+                                             if rng.random() >= rate}) for r in sweeps]
+        trajectory = run_pipeline(records, matched_config(scenario, sweep_window=window, band_count=count))
+        k = first_sweep_with_enough_bands(records, window, count)
+        if k is None:
+            assert not trajectory.steps and trajectory.skipped_sweeps == len(records)
+            return
+        first = trajectory.steps[0]
+        assert first.index == 0 and first.timestamp == records[k].timestamp and first.flags == ()
+        assert trajectory.skipped_sweeps == k
+        assert set(trajectory.selected_bands) <= set(records[k].rss_by_id)
+
+    def test_degenerate_frame_ends_the_run_at_selection(self):
+        # anchors in a thin box: the frame fails when it is built, at the first sweep, and nothing is kept
+        scenario = route_scenario(seed=2)
+        records = simulate_run(scenario).sweeps
+        pipeline = TrackingPipeline(matched_config(scenario, anchor_bbox=(0.0, 0.0, 1e6, 1e-6)))
+        with pytest.raises(DegenerateGeometryError, match="^anchor frame of bands [0-9 ]+ is degenerate: [^,]+$"):
+            pipeline.process(records[0])
+        trajectory = pipeline.finish()
+        assert trajectory.steps == () and trajectory.anchors == () and trajectory.skipped_sweeps == 0
+
+    @pytest.mark.parametrize("count, plan", [(3, BandPlan.uniform()), (3501, BandPlan.uniform()),
+                                             (6, BandPlan.uniform(0.0, 5.0))])
+    def test_band_count_from_four_to_the_plans_bands(self, count, plan):
+        with pytest.raises(ConfigError, match=f"band_count must be 4 to {plan.count} .* got {count}$"):
+            PipelineConfig(plan=plan, band_count=count)
+        with pytest.raises(ConfigError):
+            replace(PipelineConfig(plan=plan, band_count=4), band_count=count)
+        assert PipelineConfig(plan=plan, band_count=plan.count).band_count == plan.count
 
 
 class TestKeptBands:

@@ -145,7 +145,7 @@ class TestParsing:
         assert repr(records[0].rss_by_id) == repr({0: -60.0, 1: -50.0, 2: -40.0})
 
 
-ROUND_TRIP_PLAN = BandPlan.uniform(low_mhz=0.0, high_mhz=10.0, width_mhz=1.0, selection_count=4)
+ROUND_TRIP_PLAN = BandPlan.uniform(low_mhz=0.0, high_mhz=10.0, width_mhz=1.0)
 
 
 class TestRoundTrip:
@@ -206,18 +206,18 @@ class TestRecordInvariants:
 
 
 PLANS = [
-    BandPlan.uniform(low_mhz=0.0, high_mhz=10.0, width_mhz=1.0, selection_count=4),
-    BandPlan.uniform(low_mhz=0.0, high_mhz=30.0, width_mhz=3.0, selection_count=4),
-    BandPlan.uniform(low_mhz=0.1, high_mhz=10.0, width_mhz=0.3, selection_count=4),
+    BandPlan.uniform(low_mhz=0.0, high_mhz=10.0, width_mhz=1.0),
+    BandPlan.uniform(low_mhz=0.0, high_mhz=30.0, width_mhz=3.0),
+    BandPlan.uniform(low_mhz=0.1, high_mhz=10.0, width_mhz=0.3),
     # edges that are not sums of exact binary fractions
-    BandPlan.uniform(low_mhz=0.7, high_mhz=9.99, width_mhz=0.01, selection_count=4),
-    BandPlan.uniform(low_mhz=2400.1, high_mhz=2500.0, width_mhz=0.3, selection_count=4),
+    BandPlan.uniform(low_mhz=0.7, high_mhz=9.99, width_mhz=0.01),
+    BandPlan.uniform(low_mhz=2400.1, high_mhz=2500.0, width_mhz=0.3),
 ]
 # also plans whose bands are only a few ulps of their edges wide
 LOOKUP_PLANS = PLANS + [
-    BandPlan.uniform(low_mhz=1e6, high_mhz=1e6 + 2e-8, width_mhz=5e-10, selection_count=4),
-    BandPlan.uniform(low_mhz=2.0**40, high_mhz=2.0**40 + 2.0**-8, width_mhz=2.0**-10, selection_count=4),
-    BandPlan.uniform(low_mhz=5000.0, high_mhz=5006.0, width_mhz=0.006, selection_count=4),
+    BandPlan.uniform(low_mhz=1e6, high_mhz=1e6 + 2e-8, width_mhz=5e-10),
+    BandPlan.uniform(low_mhz=2.0**40, high_mhz=2.0**40 + 2.0**-8, width_mhz=2.0**-10),
+    BandPlan.uniform(low_mhz=5000.0, high_mhz=5006.0, width_mhz=0.006),
 ]
 
 
@@ -226,10 +226,6 @@ def plan_edges(plan):
 
 
 class TestBandPlan:
-    def test_selection_count_minimum(self):
-        with pytest.raises(ConfigError):
-            BandPlan.uniform(selection_count=3)
-
     @pytest.mark.parametrize(
         "bounds",
         [
@@ -261,19 +257,18 @@ class TestBandPlan:
 
     def test_equal_arguments_give_equal_plans(self):
         plan = BandPlan.uniform()
-        assert BandPlan.uniform(0.0, 3500.0, 1.0, 6) == plan == BandPlan.uniform(0, 3500)
+        assert BandPlan.uniform(0.0, 3500.0, 1.0) == plan == BandPlan.uniform(0, 3500)
         assert load_config().plan == plan == PipelineConfig().plan
-        assert plan == BandPlan(0.0, 3500.0, 1.0, 6) and plan.count == 3500
+        assert plan == BandPlan(0.0, 3500.0, 1.0) and plan.count == 3500
 
     def test_other_arguments_give_other_plans(self):
         plan = BandPlan.uniform()
-        other_count, other_width = BandPlan.uniform(selection_count=7), BandPlan.uniform(width_mhz=2.0)
-        assert other_count != plan and other_count.selection_count == 7
-        assert plan_edges(other_count) == plan_edges(plan)
+        other_low, other_width = BandPlan.uniform(low_mhz=100.0), BandPlan.uniform(width_mhz=2.0)
+        assert other_low != plan and other_low.count == 3400
         assert other_width != plan and other_width.count == 1750
 
     @pytest.mark.parametrize(
-        "arguments", [dict(selection_count=3), dict(low_mhz=-100.0), dict(width_mhz=0.0), dict(low_mhz=math.nan)]
+        "arguments", [dict(high_mhz=0.0), dict(low_mhz=-100.0), dict(width_mhz=0.0), dict(low_mhz=math.nan)]
     )
     def test_invalid_arguments_raise_on_every_call(self, arguments):
         for _ in range(2):
@@ -282,13 +277,14 @@ class TestBandPlan:
 
     @pytest.mark.parametrize("plan", PLANS)
     def test_replace_gives_an_independent_plan(self, plan):
-        for m in (4, 5):
-            subset = replace(plan, selection_count=m)
-            assert subset.selection_count == m and plan_edges(subset) == plan_edges(plan)
-            assert [subset.band_at(f) for f, _ in plan_edges(plan)] == list(range(plan.count))
-        assert plan.selection_count == 4
+        # the count is computed again from the new numbers; the shared bands keep their edges
+        count = plan.count
+        wider = replace(plan, high_mhz=plan.high_mhz + 2 * plan.width_mhz)
+        assert wider.count == count + 2 and plan_edges(wider)[:count] == plan_edges(plan)
+        assert [wider.band_at(f) for f, _ in plan_edges(wider)] == list(range(count + 2))
+        assert plan.count == count
         with pytest.raises(ConfigError):
-            replace(plan, selection_count=plan.count + 1)
+            replace(plan, width_mhz=0.0)
 
     def test_band_lookup_edges(self, small_plan):
         assert small_plan.band_at(0.0) == 0
@@ -319,7 +315,7 @@ class TestBandPlan:
     def test_lookup_equals_reference_near_the_float_resolution(self, low, ulps, count, data):
         width = ulps * math.ulp(max(low, 1.0))
         try:
-            plan = BandPlan.uniform(low, low + count * width, width, 4)
+            plan = BandPlan.uniform(low, low + count * width, width)
         except ConfigError:
             return
         bands = reference_bands(plan)
@@ -335,14 +331,14 @@ class TestBandPlan:
         low = 2.0**40
         assert low + 2.0**-14 == low
         with pytest.raises(ConfigError, match="empty band"):
-            BandPlan.uniform(low, low + 2.0**-12, 2.0**-14, 4)
+            BandPlan.uniform(low, low + 2.0**-12, 2.0**-14)
 
     @pytest.mark.parametrize("bounds", [(0.0, 4e-300, 1e-300), (0.0, 0.0016, 0.0004), (1e-4, 1e-3, 2e-4)])
     def test_first_band_centre_below_the_floor_rejected(self, bounds):
         # such a centre drives the reference loss thousands of dB negative, so ranges overflow
         with pytest.raises(ConfigError, match="above 0 MHz"):
-            BandPlan.uniform(*bounds, 4)
-        assert BandPlan.uniform(0.0, 4 * 2 * MIN_CENTER_MHZ, 2 * MIN_CENTER_MHZ, 4).center_mhz(0) == MIN_CENTER_MHZ
+            BandPlan.uniform(*bounds)
+        assert BandPlan.uniform(0.0, 4 * 2 * MIN_CENTER_MHZ, 2 * MIN_CENTER_MHZ).center_mhz(0) == MIN_CENTER_MHZ
 
 
 def record(ts, values):
@@ -1007,7 +1003,7 @@ class TestParserAgainstReference:
         parse stays equal to the reference and its peak stays below what an
         unbounded memo reaches: ~5 MB against ~10.6 MB for the wide rows, and
         ~3.6 MB against ~7.4 MB for the one-cell rows."""
-        plan = BandPlan.uniform(low_mhz=0.0, high_mhz=100.0, width_mhz=1.0, selection_count=4)
+        plan = BandPlan.uniform(low_mhz=0.0, high_mhz=100.0, width_mhz=1.0)
         cells = ", ".join(f"-{50 + i}.5" for i in range(bins))
         lines = []
         for k in range(rows):
@@ -1075,7 +1071,7 @@ class TestParserAgainstReference:
 class TestParserEdgeCases:
     def test_band_mean_sums_left_to_right(self):
         # a compensated sum (sum() from Python 3.12 on) would give math.fsum's 0.6 / 3
-        plan = BandPlan.uniform(low_mhz=0.0, high_mhz=30.0, width_mhz=3.0, selection_count=4)
+        plan = BandPlan.uniform(low_mhz=0.0, high_mhz=30.0, width_mhz=3.0)
         line = "2023-01-01, 12:00:00, 0, 3000000, 1000000, 1, 0.1, 0.2, 0.3"
         (record,) = parse_all([line], plan)
         assert (0.1 + 0.2 + 0.3) / 3 != math.fsum([0.1, 0.2, 0.3]) / 3
@@ -1144,7 +1140,7 @@ class TestParserEdgeCases:
     @pytest.mark.parametrize("low", [-100.0, -0.5, -1e-300])
     def test_plan_below_zero_mhz_rejected(self, low):
         with pytest.raises(ConfigError, match="above 0 MHz"):
-            BandPlan(low, low + 4.0, 1.0, 4)
+            BandPlan(low, low + 4.0, 1.0)
         with pytest.raises(ConfigError, match="above 0 MHz"):
             BandPlan.uniform(low_mhz=-100.0, high_mhz=100.0, width_mhz=1.0)
 
