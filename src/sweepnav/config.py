@@ -7,7 +7,8 @@ propagation parameters).
 
 Each key names one constructor keyword (CONFIG_FIELDS, SCENARIO_FIELDS) and
 only the keys present in a file are passed on, so every default is written
-once, in the constructor that owns it.
+once, in the constructor that owns it, and every value is checked there:
+configuration objects raise ConfigError, per-call inputs ValueError.
 """
 
 from __future__ import annotations
@@ -138,17 +139,14 @@ def _keywords(values: dict[str, str], table: dict, kind: str) -> dict[str, dict]
 
 
 def config_from_values(values: dict[str, str]) -> PipelineConfig:
-    try:
-        groups = _keywords(values, CONFIG_FIELDS, "config")
-        return PipelineConfig(
-            plan=BandPlan.uniform(**groups["plan"]),
-            pathloss=PathLossParams(**groups["pathloss"]),
-            smoother=SmootherConfig(**groups["smoother"]),
-            noise=NoiseConfig(**groups["noise"]),
-            **groups["pipeline"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    groups = _keywords(values, CONFIG_FIELDS, "config")
+    return PipelineConfig(
+        plan=BandPlan.uniform(**groups["plan"]),
+        pathloss=PathLossParams(**groups["pathloss"]),
+        smoother=SmootherConfig(**groups["smoother"]),
+        noise=NoiseConfig(**groups["noise"]),
+        **groups["pipeline"],
+    )
 
 
 def load_config(path=None) -> PipelineConfig:
@@ -157,25 +155,22 @@ def load_config(path=None) -> PipelineConfig:
 
 
 def scenario_from_values(values: dict[str, str]) -> Scenario:
-    try:
-        groups = _keywords(values, SCENARIO_FIELDS, "scenario")
-        fields, tx = groups["scenario"], groups["tx"]
-        if "waypoints" not in fields:
-            raise ConfigError("scenario needs a 'waypoints' entry")
-        fields["pathloss"] = PathLossParams(**groups["pathloss"])
-        if "transmitters" in fields:
-            recipe = sorted(key for key in values if key.startswith("tx."))
-            if recipe:  # one layout per file: neither silently wins
-                raise ConfigError(f"scenario sets both 'transmitters' and {', '.join(recipe)}; keep one layout")
-            return Scenario(**fields)
-        if "freqs_mhz" not in tx:
-            raise ConfigError("scenario needs 'transmitters' or 'tx.freqs_mhz'")
-        if "bbox" not in tx:
-            raise ConfigError("tx.bbox: expected xmin,ymin,xmax,ymax")
-        # Scenario.seed is the dataclass's own default
-        return auto_scenario(seed=fields.pop("seed", Scenario.seed), **tx, **fields)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    groups = _keywords(values, SCENARIO_FIELDS, "scenario")
+    fields, tx = groups["scenario"], groups["tx"]
+    if "waypoints" not in fields:
+        raise ConfigError("scenario needs a 'waypoints' entry")
+    fields["pathloss"] = PathLossParams(**groups["pathloss"])
+    if "transmitters" in fields:
+        recipe = sorted(key for key in values if key.startswith("tx."))
+        if recipe:  # one layout per file: neither silently wins
+            raise ConfigError(f"scenario sets both 'transmitters' and {', '.join(recipe)}; keep one layout")
+        return Scenario(**fields)
+    if "freqs_mhz" not in tx:
+        raise ConfigError("scenario needs 'transmitters' or 'tx.freqs_mhz'")
+    if "bbox" not in tx:
+        raise ConfigError("tx.bbox: expected xmin,ymin,xmax,ymax")
+    # Scenario.seed is the dataclass's own default
+    return auto_scenario(seed=fields.pop("seed", Scenario.seed), **tx, **fields)
 
 
 def load_scenario(path, seed: int | None = None) -> Scenario:

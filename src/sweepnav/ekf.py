@@ -16,9 +16,9 @@ DEFAULT_MIN_RANGE of the state is skipped.
 Both steps are closed-form float kernels, ``predict`` and ``update``, over
 the term tuple (x, y, p00, p01, p11): the position and the independent
 terms of the symmetric covariance, so P stays exactly symmetric. Q and P0
-pass one check, ``_covariance_terms``; each kernel rejects a non-finite
-timestep, velocity, predicted position or range; a prediction whose P is no
-longer positive semi-definite raises FilterDivergenceError.
+pass one check, ``_covariance_terms`` (ConfigError); each kernel rejects a
+non-finite timestep, velocity, predicted position or range (ValueError); a
+prediction whose P is no longer PSD raises FilterDivergenceError.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import FilterDivergenceError, SingularGeometryError
+from .errors import ConfigError, FilterDivergenceError, SingularGeometryError
 
 SYMMETRY_TOL = 1e-9
 PSD_TOL = -1e-9
@@ -51,7 +51,7 @@ class NoiseConfig:
         q00, q01, q11 = _covariance_terms("Q", self.q)
         object.__setattr__(self, "q", ((q00, q01), (q01, q11)))
         if not 0 < self.r < math.inf:  # NaN fails too
-            raise ValueError("R must be positive and finite")
+            raise ConfigError("R must be positive and finite")
 
 
 class TrackStep(NamedTuple):
@@ -77,11 +77,11 @@ def _covariance_terms(name: str, matrix) -> tuple[float, float, float]:
     try:
         (m00, m01), (m10, m11) = ((float(a), float(b)) for a, b in matrix)
     except (TypeError, ValueError):
-        raise ValueError(f"{name} must be a 2x2 matrix of numbers") from None
+        raise ConfigError(f"{name} must be a 2x2 matrix of numbers") from None
     terms = (m00, (m01 + m10) / 2.0, m11)
     # a NaN or infinite entry fails one of the two comparisons
     if not (abs(m01 - m10) <= SYMMETRY_TOL and _min_eig(*terms) >= PSD_TOL):
-        raise ValueError(f"{name} must be finite, symmetric and positive semi-definite")
+        raise ConfigError(f"{name} must be finite, symmetric and positive semi-definite")
     return terms
 
 

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check of a setting."""
+
+from numbers import Integral
 
 
 class SweepNavError(Exception):
@@ -49,3 +51,10 @@ class PlacementError(SweepNavError):
 
 class ConfigError(SweepNavError):
     """Invalid configuration value or configuration file."""
+
+
+def config_int(name: str, value):
+    """``value``, an integer (numpy's too), else ConfigError: a configured count or seed takes no fraction."""
+    if not isinstance(value, Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value

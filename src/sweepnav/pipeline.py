@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
 from .ekf import EkfTracker, Landmark, NoiseConfig
-from .errors import ConfigError, InsufficientAnchorsError, MissingBandError
+from .errors import ConfigError, InsufficientAnchorsError, MissingBandError, config_int
 from .multilateration import MIN_ANCHORS, Anchor, AnchorFrame
 from .pathloss import PathLossParams, free_space_pl0, invert_distance
 from .placement import Bbox, place_in_box, validate_bbox
@@ -58,14 +58,14 @@ class PipelineConfig:
     anchor_bbox: Bbox = DEFAULT_ANCHOR_BBOX
 
     def __post_init__(self):
-        if not MIN_ANCHORS <= self.band_count <= self.plan.count:
+        if not MIN_ANCHORS <= config_int("band_count", self.band_count) <= self.plan.count:
             raise ConfigError(f"band_count must be {MIN_ANCHORS} to {self.plan.count} (the plan's bands), "
                               f"got {self.band_count}")
         validate_bbox(self.anchor_bbox)
-        if self.anchor_seed < 0:
+        if config_int("anchor_seed", self.anchor_seed) < 0:
             raise ConfigError(f"anchor seed {self.anchor_seed} is negative")
-        if self.sweep_window is not None and self.sweep_window < 1:
-            raise ValueError("sweep_window must be positive or None")
+        if self.sweep_window is not None and config_int("sweep_window", self.sweep_window) < 1:
+            raise ConfigError("sweep_window must be positive or None")
 
 
 class TrajectoryStep(NamedTuple):

@@ -12,7 +12,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ConfigError, PlacementError
+from .errors import ConfigError, PlacementError, config_int
 
 Bbox = tuple[float, float, float, float]  # xmin, ymin, xmax, ymax
 
@@ -23,11 +23,11 @@ MAX_DRAWS = 1000
 def validate_bbox(bbox: Bbox) -> Bbox:
     xmin, ymin, xmax, ymax = (float(v) for v in bbox)
     if not all(math.isfinite(v) for v in (xmin, ymin, xmax, ymax)):
-        raise ValueError("bounding box must be finite")
+        raise ConfigError("bounding box must be finite")
     if xmax <= xmin or ymax <= ymin:
-        raise ValueError("bounding box must have positive area")
+        raise ConfigError("bounding box must have positive area")
     if not math.isfinite(math.hypot(xmax - xmin, ymax - ymin)):  # a finite diagonal bounds width and height
-        raise ValueError("bounding box is too large: its diagonal overflows")
+        raise ConfigError("bounding box is too large: its diagonal overflows")
     return xmin, ymin, xmax, ymax
 
 
@@ -37,7 +37,7 @@ def place_in_box(keys: Iterable[int], seed: int, bbox: Bbox) -> dict[int, tuple[
     Points closer than ``DEFAULT_MIN_SEP_FRAC`` of the box diagonal to an
     earlier point are redrawn, up to ``MAX_DRAWS`` attempts each.
     """
-    if seed < 0:  # numpy's generator would reject it with a message of its own
+    if config_int("seed", seed) < 0:  # numpy's generator would reject it with a message of its own
         raise ConfigError(f"seed {seed} is negative")
     xmin, ymin, xmax, ymax = validate_bbox(bbox)
     diagonal = math.hypot(xmax - xmin, ymax - ymin)

@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, config_int
 from .multilateration import MIN_ANCHORS
 from .pathloss import PathLossParams, rss_at_distance
 from .pipeline import PipelineConfig, Trajectory
@@ -99,7 +99,7 @@ class Scenario:
             raise ConfigError(f"need at least {MIN_ANCHORS} transmitters")
         if len(self.waypoints) < 2:
             raise ConfigError("need at least 2 waypoints")
-        if self.seed < 0:
+        if config_int("seed", self.seed) < 0:
             raise ConfigError(f"seed {self.seed} is negative")
         # written so that NaN fails each check
         if not 0 < self.speed_mps < math.inf:
@@ -374,7 +374,7 @@ def auto_scenario(
 
 def _preset(seed: int, tx_count: int, bbox: Bbox, pathloss: dict, **scenario_fields) -> Scenario:
     """A preset's scene: the first ``tx_count`` extended carriers, radiating the path-loss power."""
-    if not MIN_ANCHORS <= tx_count <= len(EXTENDED_TX_FREQS_MHZ):
+    if not MIN_ANCHORS <= config_int("tx_count", tx_count) <= len(EXTENDED_TX_FREQS_MHZ):
         raise ConfigError(f"tx_count must be {MIN_ANCHORS} to {len(EXTENDED_TX_FREQS_MHZ)}, got {tx_count}")
     params, freqs = PathLossParams(**pathloss), EXTENDED_TX_FREQS_MHZ[:tx_count]
     return auto_scenario(freqs, seed, bbox, power_dbm=params.tx_power_dbm, pathloss=params, **scenario_fields)

@@ -11,7 +11,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import ConfigError
+from .errors import ConfigError, config_int
 
 Point = tuple[float, float]
 
@@ -31,7 +31,7 @@ class SmootherConfig:
     weights: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if not 1 <= self.window <= MAX_WINDOW:
+        if not 1 <= config_int("smoother window", self.window) <= MAX_WINDOW:
             raise ConfigError(f"smoother window must be 1..{MAX_WINDOW}, got {self.window}")
         if self.weights is not None:
             object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))

@@ -47,6 +47,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
 from itertools import chain
+from numbers import Integral
 from typing import BinaryIO, Generator, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import ConfigError, InputError, InsufficientAnchorsError, MissingBandError, SweepParseError
@@ -495,8 +496,8 @@ class SweepWindow:
     """
 
     def __init__(self, length: int | None):
-        if length is not None and length < 1:
-            raise ValueError("window length must be positive or None")
+        if length is not None and not (isinstance(length, Integral) and length >= 1):
+            raise ValueError("window length must be a positive integer or None")
         self._length = length
         self._count = 0  # sweeps in the window
         # bounded only: each held sweep's band ids (after keep_only, its kept ones, shared), to evict

@@ -3,7 +3,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sweepnav import ConfigError
+from sweepnav import (
+    BandPlan,
+    ConfigError,
+    EkfTracker,
+    NoiseConfig,
+    PathLossParams,
+    PipelineConfig,
+    Scenario,
+    SmootherConfig,
+    Transmitter,
+)
 from sweepnav.config import (
     CONFIG_FIELDS,
     config_from_values,
@@ -12,7 +22,7 @@ from sweepnav.config import (
     parse_kv_file,
 )
 from sweepnav.pipeline import assign_anchor_frame
-from sweepnav.simulator import DEFAULT_TX_BBOX, DEFAULT_TX_FREQS_MHZ, route_scenario
+from sweepnav.simulator import DEFAULT_TX_BBOX, DEFAULT_TX_FREQS_MHZ, auto_scenario, route_scenario
 
 FULL_CONFIG = """\
 # pipeline configuration
@@ -207,3 +217,54 @@ class TestScenarioFile:
         path = tmp_path / "lead.txt"
         path.write_text(text, encoding="ascii")
         assert load_scenario(path).lead_in_m == 50.0
+
+
+FOUR_TRANSMITTERS = [Transmitter(100.0 * k, 50.0 * k * k, 43.0, 700.5 + 100.0 * k) for k in range(4)]
+WAYPOINTS = ((0.0, 0.0), (100.0, 0.0))
+
+# one bad value per configuration object: (what builds it, a fragment of the message)
+BAD_SETTINGS = {
+    "plan width": (lambda: BandPlan(0.0, 3500.0, 0.0), "invalid uniform plan bounds"),
+    "path-loss exponent": (lambda: PathLossParams(exponent=1.0), "path-loss exponent"),
+    "smoother window": (lambda: SmootherConfig(window=0), "smoother window must be 1..1000000"),
+    "smoother window fraction": (lambda: SmootherConfig(window=2.5), "smoother window must be an integer, got 2.5"),
+    "noise r": (lambda: NoiseConfig(r=0.0), "R must be positive and finite"),
+    "noise q": (lambda: NoiseConfig(q=((1.0, 0.0), (0.0, -0.5))), "Q must be finite, symmetric"),
+    "tracker p0": (lambda: EkfTracker((0, 0), ((1, 2), (3, 4)), NoiseConfig()), "P0 must be finite, symmetric"),
+    "sweep window": (lambda: PipelineConfig(sweep_window=-3), "sweep_window must be positive or None"),
+    "sweep window fraction": (lambda: PipelineConfig(sweep_window=2.5), "sweep_window must be an integer, got 2.5"),
+    "anchor bbox": (lambda: PipelineConfig(anchor_bbox=(0, 0, 0, 0)), "bounding box must have positive area"),
+    "band count": (lambda: PipelineConfig(band_count=3), "band_count must be 4 to 3500"),
+    "band count fraction": (lambda: PipelineConfig(band_count=6.5), "band_count must be an integer, got 6.5"),
+    "anchor seed": (lambda: PipelineConfig(anchor_seed=-1), "anchor seed -1 is negative"),
+    "anchor seed fraction": (lambda: PipelineConfig(anchor_seed=1.5), "anchor_seed must be an integer, got 1.5"),
+    "scenario speed": (lambda: Scenario(FOUR_TRANSMITTERS, WAYPOINTS, speed_mps=0.0), "speed must be positive"),
+    "scenario seed fraction": (lambda: Scenario(FOUR_TRANSMITTERS, WAYPOINTS, seed=0.5), "seed must be an integer"),
+    "auto_scenario box": (
+        lambda: auto_scenario(DEFAULT_TX_FREQS_MHZ, 0, (0.0, 0.0, 1.0, float("inf")), waypoints=WAYPOINTS),
+        "bounding box must be finite",
+    ),
+    "preset tx_count fraction": (lambda: route_scenario(0, tx_count=4.5), "tx_count must be an integer, got 4.5"),
+    "auto_scenario seed fraction": (
+        lambda: auto_scenario(DEFAULT_TX_FREQS_MHZ, 0.5, DEFAULT_TX_BBOX, waypoints=WAYPOINTS),
+        "seed must be an integer, got 0.5",
+    ),
+}
+
+
+class TestConfigurationErrors:
+    """A configuration object raises ConfigError for its own bad values, where it checks them;
+    per-call inputs (ranges, timesteps, a direct SweepWindow length) raise ValueError."""
+
+    @pytest.mark.parametrize("make, message", BAD_SETTINGS.values(), ids=BAD_SETTINGS.keys())
+    def test_bad_setting_is_a_config_error(self, make, message):
+        with pytest.raises(ConfigError) as raised:
+            make()
+        assert message in str(raised.value)
+        assert not isinstance(raised.value, ValueError)
+
+    def test_numpy_integers_are_integers(self):
+        config = PipelineConfig(band_count=np.int64(5), sweep_window=np.int32(3), anchor_seed=np.int64(2),
+                                smoother=SmootherConfig(window=np.int64(4)))
+        assert config == PipelineConfig(band_count=5, sweep_window=3, anchor_seed=2, smoother=SmootherConfig(window=4))
+        assert Scenario(FOUR_TRANSMITTERS, WAYPOINTS, seed=np.int64(3)).seed == 3

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sweepnav import (
+    ConfigError,
     EkfTracker,
     FilterDivergenceError,
     Landmark,
@@ -153,7 +154,7 @@ class TestUpdate:
 
     def test_rejects_non_psd_covariance(self):
         # update trusts its covariance; a non-PSD one is stopped where it enters the filter
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             EkfTracker(x0=(0.0, 0.0), p0=np.array([[1.0, 0.0], [0.0, -1.0]]), noise=NoiseConfig())
 
     def test_covariance_stays_symmetric_psd(self):
@@ -261,15 +262,15 @@ class TestNoiseConfig:
     @pytest.mark.parametrize("r", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_negative_r(self, r):
         # an infinite R makes every gain 0: the filter would ignore every range
-        with pytest.raises(ValueError, match="R must be positive and finite"):
+        with pytest.raises(ConfigError, match="R must be positive and finite"):
             NoiseConfig(r=r)
 
     def test_rejects_asymmetric_q(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             NoiseConfig(q=np.array([[0.1, 0.2], [0.0, 0.1]]))
 
     def test_rejects_indefinite_q(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             NoiseConfig(q=np.array([[1.0, 0.0], [0.0, -0.5]]))
 
 
@@ -292,7 +293,7 @@ def test_q_and_p0_get_one_verdict(matrix, accepted):
     def verdict(make):
         try:
             make()
-        except ValueError:
+        except ConfigError:
             return False
         return True
 

@@ -94,7 +94,7 @@ class TestAnchorFrame:
 
     @pytest.mark.parametrize("bbox", [(-1e308, -1e308, 1e308, 1e308), (0.0, -1e308, 1.0, 1e308)])
     def test_box_whose_diagonal_overflows_rejected(self, bbox):
-        with pytest.raises(ValueError, match="diagonal overflows"):
+        with pytest.raises(ConfigError, match="diagonal overflows"):
             validate_bbox(bbox)
 
     def test_largest_boxes_still_place_inside(self):

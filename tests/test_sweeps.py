@@ -438,6 +438,12 @@ class TestSweepWindow:
         window.push(record(1.0, {1: -51.0}))
         assert window.persistent_band_ids() == [1]
 
+    @pytest.mark.parametrize("length", [0, -3, 2.5])
+    def test_length_must_be_a_positive_integer(self, length):
+        # a fractional length never equals the held count, so its window would never evict
+        with pytest.raises(ValueError, match="window length must be a positive integer or None"):
+            SweepWindow(length)
+
 
 WINDOW_SWEEPS = st.lists(
     st.dictionaries(
