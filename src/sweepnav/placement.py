@@ -21,7 +21,10 @@ MAX_DRAWS = 1000
 
 
 def validate_bbox(bbox: Bbox) -> Bbox:
-    xmin, ymin, xmax, ymax = (float(v) for v in bbox)
+    try:
+        xmin, ymin, xmax, ymax = (float(v) for v in bbox)
+    except (TypeError, ValueError):
+        raise ConfigError("bounding box must be four numbers") from None
     if not all(math.isfinite(v) for v in (xmin, ymin, xmax, ymax)):
         raise ConfigError("bounding box must be finite")
     if xmax <= xmin or ymax <= ymin:

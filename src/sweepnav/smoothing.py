@@ -34,7 +34,10 @@ class SmootherConfig:
         if not 1 <= config_int("smoother window", self.window) <= MAX_WINDOW:
             raise ConfigError(f"smoother window must be 1..{MAX_WINDOW}, got {self.window}")
         if self.weights is not None:
-            object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+            try:
+                object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+            except (TypeError, ValueError):
+                raise ConfigError("weights must be a sequence of numbers") from None
             if len(self.weights) != self.window:
                 raise ConfigError("weights length must equal the window")
             if not all(w > 0 and math.isfinite(w) for w in self.weights):

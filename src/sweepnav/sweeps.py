@@ -16,19 +16,21 @@ edges are computed, never stored. A row's
 timestamp is parsed by strptime's grammar only when its raw text changes
 (the date validated and the minute's microseconds worked out once per
 minute), and its slice checked and bins placed by arithmetic lookups once
-per distinct row layout per file (MAX_LAYOUT_RUNS bounds what is kept): a
-one-cell layout stores its band id under its hz text, a wider one its runs
-of bins. A later one-cell row of a known layout with its dB value in bounds
-takes a lane: split into the two stamp fields, the hz text and the cell, it
-costs a lookup, one number conversion, the bounds check, the stamp compare
-and one addition. Every other row (a layout's first, a wider row, a trailing
-comma, an empty or unreadable cell, too few fields, a value out of bounds)
-is split into all its fields on the general path, the one place that orders
-the checks and words the errors. A band's mean is the running left-to-right
-sum of its values in the sweep, divided by their count once, when the sweep
-ends; a sweep whose bands arrive in ascending order is not sorted. The
-parser builds its records without SweepRecord's checks, since every value it
-stores has just been checked; any other SweepRecord is checked when built.
+per distinct row layout per file (MAX_LAYOUT_RUNS bounds what is kept). A
+layout is a row's hz text as written and its cell count; the memo keeps a
+one-cell layout's band id and a wider one's runs of bins. Any later row of a
+known layout takes one hit path: the stamp fields split off the front, as
+many cells off the back as the last row had (so what is left is the hz text
+only if the row has that many), a lookup, and the cells converted and
+checked. Every other row (a layout's first, a cell count other than the
+last row's, a trailing comma, an empty or unreadable cell, too few fields, a
+value out of bounds) goes unchanged to the one checker, which splits every
+field, places a new layout, orders the checks and words the errors. A band's
+mean is the running left-to-right sum of its values in the sweep, divided by
+their count once, when the sweep ends; a sweep whose bands arrive in
+ascending order is not sorted. The parser builds its records without
+SweepRecord's checks, since every value it stores has just been checked;
+any other SweepRecord is checked when built.
 Window statistics built from checked records are not re-checked, and one
 window call gives the means of every selected band. A bounded window keeps
 each held sweep's band ids, not the sweep, and sums each band's values on
@@ -55,8 +57,6 @@ from .errors import ConfigError, InputError, InsufficientAnchorsError, MissingBa
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _EPOCH_DAY = _EPOCH.toordinal()
 
-# Row layout: date, time, hz_low, hz_high, hz_bin_width, num_samples, dB, dB, ...
-_MIN_FIELDS = 7
 # Largest uniform plan: hackrf_sweep's finest bins over 6 GHz come to ~2.5e6
 MAX_PLAN_BANDS = 1_000_000
 # Largest |dB| a sweep cell or a SweepRecord band may hold. Received power
@@ -259,7 +259,7 @@ def parse_sweep_lines(lines: Iterable[str], plan: BandPlan) -> Generator[SweepRe
     is not later than the previous sweep's. An empty input yields nothing;
     the generator returns whether it yielded a sweep.
     """
-    band_at, limit = plan.band_at, MAX_ABS_DB
+    band_at, limit, nan = plan.band_at, MAX_ABS_DB, math.nan
     date_text = time_text = None  # the raw timestamp fields of the last row
     pending_date = pending_time = None  # the stripped timestamp fields of the pending sweep
     pending_ts = 0.0
@@ -267,64 +267,61 @@ def parse_sweep_lines(lines: Iterable[str], plan: BandPlan) -> Generator[SweepRe
     counts: dict[int, int] = {}  # band id -> how many values it has, for a band with more than one
     ordered, top = True, -1  # whether sums' ids arrived ascending; the highest of them
     minutes: dict = {}  # parse_timestamp's minute memo, for this parse alone
-    # the row layouts seen, each stored once its row passed: a one-cell row's hz text (its hz fields as
-    # written, "hz_low,hz_high,hz_width,num_samples") -> its band id (or None) in lane; a wider row's
-    # (hz_low, hz_high, hz_width, num_samples text, field count) -> the runs (band_id, first_bin, end_bin)
-    # of its in-plan bins in layouts
-    lane: dict[str, int | None] = {}
-    layouts: dict[tuple, list[tuple[int, int, int]]] = {}
-    held = 0  # runs held in lane and layouts, a layout counting at least one
+    # the row layouts seen, each stored once its row passed, under its hz text (its hz fields as written,
+    # "hz_low,hz_high,hz_width,num_samples"): a one-cell layout's -> its band id (or None); a layout of
+    # n > 1 cells' (hz text, n) -> the runs (band_id, first_bin, end_bin) of its in-plan bins
+    layouts: dict[str | tuple[str, int], int | None | list[tuple[int, int, int]]] = {}
+    held = 0  # runs held in layouts, a layout counting at least one
+    n = 1  # the last row's cell count
 
     for line_no, raw_line in enumerate(lines, start=1):
         line = raw_line.strip()
         if not line or line[0] == "#":
             continue
-        # the lane: a row "date,time,<hz text of a known one-cell layout>,dB" with a dB value in bounds
-        # costs two splits, a lookup and one number conversion; any other row, and any error, takes the
-        # general path below, which orders the checks and words the messages. A parse that knows no
-        # one-cell layout does not try it.
-        one_cell = False  # here: whether the row took the lane
-        if lane:
+        # the hit path: a row of a known layout of n cells, each a number in bounds, costs two splits (the
+        # stamp fields off the front, n cells off the back; its hz text is what is left only if the row
+        # has n cells), one lookup and the cells' conversion. Any other row, and any error, goes to the
+        # checker below, which places a new layout, orders the checks and words the messages.
+        try:
+            row_date, row_time, rest = line.split(",", 2)
+        except ValueError:  # fewer than three fields
+            rest = ""
+        cells = rest.rpartition(",") if n == 1 else rest.rsplit(",", n)  # rpartition: the faster split of one
+        bins = layouts.get(cells[0] if n == 1 else (cells[0], n), layouts)  # layouts itself: not known
+        rss = nan  # stays NaN unless the hit path reads the row
+        if bins is not layouts:
             try:
-                row_date, row_time, rest = line.split(",", 2)
-            except ValueError:  # fewer than three fields
-                rest = ""
-            hz_text, _, cell = rest.rpartition(",")
-            bins = lane.get(hz_text, lane)  # lane itself: not a known one-cell layout
-            if bins is not lane:
-                try:
-                    rss = float(cell)  # float() ignores the whitespace around a field
-                except ValueError:
-                    pass
+                if n == 1:
+                    rss = float(cells[2])  # float() ignores the whitespace around a field
                 else:
-                    one_cell = -limit <= rss <= limit  # NaN fails too
-        if not one_cell:
+                    del cells[0]
+                    rss_values = list(map(float, cells))
+                    for rss in rss_values:  # stops at the first value out of bounds, else checks the last twice
+                        if not -limit <= rss <= limit:
+                            break
+            except ValueError:
+                pass
+        if not -limit <= rss <= limit:  # NaN fails too: the checker
             parts = line.split(",")
             if line[-1] == ",":
                 parts.pop()
-            fields = len(parts)
-            if fields < _MIN_FIELDS:
-                raise SweepParseError(line_no, f"expected at least {_MIN_FIELDS} fields, got {fields}")
-            one_cell = fields == _MIN_FIELDS
-            if one_cell:
-                memo, layout = lane, ",".join(parts[2:6])
-            else:
-                memo, layout = layouts, (parts[2], parts[3], parts[4], parts[5], fields)
-            bins = memo.get(layout, memo)  # memo itself: a layout not seen yet
+            n = len(parts) - 6  # date, time, hz_low, hz_high, hz_bin_width, num_samples, then n dB cells
+            if n < 1:
+                raise SweepParseError(line_no, f"expected at least 7 fields, got {len(parts)}")
+            hz_text = ",".join(parts[2:6])
+            layout = hz_text if n == 1 else (hz_text, n)
+            bins = layouts.get(layout, layouts)
             try:
-                if one_cell:
-                    rss = float(parts[6])
-                else:
-                    rss_values = list(map(float, parts[6:]))
-                if bins is memo:
+                rss_values = list(map(float, parts[6:]))
+                if bins is layouts:
                     hz_low, hz_high, hz_width, _ = map(float, parts[2:6])  # num_samples, unused
             except ValueError:
                 raise SweepParseError(line_no, f"bad numeric field in {line!r}") from None
-            if bins is memo:  # a new layout: its slice checked and its bins placed once per parse
+            if bins is layouts:  # a new layout: its slice checked and its bins placed once per parse
                 if not (0.0 < hz_width < math.inf and -math.inf < hz_low < hz_high < math.inf):  # NaN fails
                     raise SweepParseError(line_no, "invalid frequency slice bounds")
                 runs = []
-                for i in range(fields - 6):
+                for i in range(n):
                     band_id = band_at((hz_low + hz_width * i + hz_width / 2.0) / 1e6)
                     if runs and runs[-1][0] == band_id and runs[-1][2] == i:
                         runs[-1] = (band_id, runs[-1][1], i + 1)
@@ -332,16 +329,12 @@ def parse_sweep_lines(lines: Iterable[str], plan: BandPlan) -> Generator[SweepRe
                         runs.append((band_id, i, i + 1))
                 held += len(runs) + 1
                 if held > MAX_LAYOUT_RUNS:  # full: start again from this layout
-                    lane.clear()
                     layouts.clear()
                     held = len(runs) + 1
-                bins = memo[layout] = band_id if one_cell else runs
-            if not one_cell:
-                for rss in rss_values:  # stops at the first value out of bounds, else checks the last twice
-                    if not -limit <= rss <= limit:
-                        break
-            if not -limit <= rss <= limit:  # NaN fails too
-                raise SweepParseError(line_no, f"dB value {rss!r} outside [-{limit:g}, {limit:g}]")
+                bins = layouts[layout] = band_id if n == 1 else runs
+            for rss in rss_values:
+                if not -limit <= rss <= limit:  # NaN fails too
+                    raise SweepParseError(line_no, f"dB value {rss!r} outside [-{limit:g}, {limit:g}]")
             row_date, row_time = parts[0], parts[1]
 
         # rows of one sweep share the timestamp text, so it is stripped and
@@ -362,7 +355,7 @@ def parse_sweep_lines(lines: Iterable[str], plan: BandPlan) -> Generator[SweepRe
                 pending_date, pending_time, pending_ts = stamp_date, stamp_time, timestamp
 
         # values add in row and bin order, so each band's sum runs left to right
-        if not one_cell:
+        if n > 1:
             for band_id, first, end in bins:
                 total = sums.get(band_id)
                 if total is None:

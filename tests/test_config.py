@@ -234,6 +234,12 @@ BAD_SETTINGS = {
     "sweep window": (lambda: PipelineConfig(sweep_window=-3), "sweep_window must be positive or None"),
     "sweep window fraction": (lambda: PipelineConfig(sweep_window=2.5), "sweep_window must be an integer, got 2.5"),
     "anchor bbox": (lambda: PipelineConfig(anchor_bbox=(0, 0, 0, 0)), "bounding box must have positive area"),
+    "anchor bbox of three numbers": (lambda: PipelineConfig(anchor_bbox=(0, 0, 1)), "bounding box must be four numbers"),
+    "anchor bbox None": (lambda: PipelineConfig(anchor_bbox=None), "bounding box must be four numbers"),
+    "smoother weights not numbers": (lambda: SmootherConfig(window=2, weights=("a", "b")),
+                                     "weights must be a sequence of numbers"),
+    "smoother weights not a sequence": (lambda: SmootherConfig(window=2, weights=3),
+                                        "weights must be a sequence of numbers"),
     "band count": (lambda: PipelineConfig(band_count=3), "band_count must be 4 to 3500"),
     "band count fraction": (lambda: PipelineConfig(band_count=6.5), "band_count must be an integer, got 6.5"),
     "anchor seed": (lambda: PipelineConfig(anchor_seed=-1), "anchor seed -1 is negative"),

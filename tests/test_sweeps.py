@@ -1223,14 +1223,36 @@ class TestRunningBandSums:
         assert len({id(record.rss_by_id) for record in held}) == len(held) == 6
 
 
-# a one-cell layout, known to the parse once its first row is read: later rows of it take the lane
+# known layouts, each read by the checker on its first row: later rows of one take the hit path. KNOWN is
+# one cell in band 2 of the 0-10 MHz plan, WIDE five 1 MHz bins in bands 2 to 6.
 KNOWN = "2000000, 3000000, 1000000, 1"
+WIDE = "2000000, 7000000, 1000000, 1"
+LAYOUTS = {"one_cell": (KNOWN, ("-60.5",)), "five_bin": (WIDE, ("-60.5", "-70.25", "-80.0", "-90.5", "-100.0"))}
 
 
-class TestOneCellLane:
-    """Rows that share a known one-cell layout's hz text but are not plain
-    one-cell rows of it in bounds: each must leave the lane for the general
-    path and give what the reference gives. Each case names the lane mutants
+def layout_row(hz, cells, *, last=None, delta=0.0):
+    """A row's text after its timestamp: ``hz`` and ``cells``, each moved by ``delta`` dB, the last one
+    replaced by ``last`` when given."""
+    cells = [repr(float(cell) + delta) for cell in cells]
+    if last is not None:
+        cells[-1] = last
+    return f"{hz}, {', '.join(cells)}"
+
+
+def sweep_means(*rows):
+    """Band id -> mean of a sweep of rows of cells, the i-th cell of a row in band 2 + i."""
+    values = {}
+    for cells in rows:
+        for i, cell in enumerate(cells):
+            values.setdefault(2 + i, []).append(float(cell))
+    return {band_id: ordered_sum(band) / len(band) for band_id, band in sorted(values.items())}
+
+
+@pytest.mark.parametrize("hz, cells", LAYOUTS.values(), ids=LAYOUTS.keys())
+class TestOneHitPath:
+    """Rows that share a known layout's hz text but that the hit path cannot
+    read: each must go to the checker and give what the reference gives, for a
+    one-cell and a five-bin layout alike. Each case names the hit-path mutants
     it kills."""
 
     def assert_as_reference(self, lines, plan, error=None):
@@ -1238,61 +1260,98 @@ class TestOneCellLane:
         assert got == outcome(reference_parse_sweep_lines, lines, plan)
         assert got[1:] == (error or (None, None))
 
-    def test_six_fields_ending_in_a_comma(self, small_plan):
-        # kills: a lane that reads the empty text after the last comma as a value, and one that words its
-        # own error for a cell it cannot read (it would say "bad numeric field")
-        lines = stamped(0, f"{KNOWN}, -60.5", f"{KNOWN},")
+    def test_six_fields_ending_in_a_comma(self, small_plan, hz, cells):
+        # kills: a hit path that reads the empty text after the last comma as a value, and one that words
+        # its own error for a cell it cannot read (it would say "bad numeric field")
+        lines = stamped(0, layout_row(hz, cells), f"{hz},")
         self.assert_as_reference(lines, small_plan, (2, "expected at least 7 fields, got 6"))
 
-    def test_one_cell_row_with_a_trailing_comma(self, small_plan):
-        # kills: a lane or general path that reads the trailing comma as an eighth, empty cell (a bad numeric
-        # field); the row is valid and adds to band 2
-        lines = stamped(0, f"{KNOWN}, -60.5", f"{KNOWN}, -61.5,", f"{KNOWN}, -62.5 ,")
-        lines += stamped(1, f"{KNOWN}, -50.0,", f"{KNOWN}, -51.0")
+    def test_row_with_a_trailing_comma(self, small_plan, hz, cells):
+        # kills: a hit path or checker that reads the trailing comma as one more, empty cell (a bad numeric
+        # field); the rows are valid and add to their bands
+        first, second, third = (layout_row(hz, cells, delta=d) for d in (0.0, -1.0, -2.0))
+        lines = stamped(0, first, f"{second},", f"{third} ,")
+        lines += stamped(1, f"{layout_row(hz, cells, delta=10.5)},", layout_row(hz, cells, delta=9.5))
         self.assert_as_reference(lines, small_plan)
-        assert [r.rss_by_id for r in parse_all(lines, small_plan)] == [{2: -61.5}, {2: -50.5}]
+        moved = [[float(cell) + d for cell in cells] for d in (0.0, -1.0, -2.0, 10.5, 9.5)]
+        assert [r.rss_by_id for r in parse_all(lines, small_plan)] == [sweep_means(*moved[:3]),
+                                                                       sweep_means(*moved[3:])]
 
     @pytest.mark.parametrize("cell, error", [("abc", None), (" , ", None), ("-6\udcc3.0", None), ("0x10", None),
                                              ("nan", "dB value nan outside [-200, 200]")])
-    def test_empty_or_non_numeric_last_cell(self, small_plan, cell, error):
-        # kills: a lane that skips a cell it cannot read (the row dropped, no error) or words its own error,
-        # and one whose bounds check lets NaN through
-        lines = stamped(0, f"{KNOWN}, -60.5", f"{KNOWN}, {cell}")
+    def test_empty_or_non_numeric_last_cell(self, small_plan, hz, cells, cell, error):
+        # kills: a hit path that skips a cell it cannot read (the row dropped, no error) or words its own
+        # error, and one whose bounds check lets NaN through
+        lines = stamped(0, layout_row(hz, cells), layout_row(hz, cells, last=cell))
         self.assert_as_reference(lines, small_plan, (2, error or f"bad numeric field in {lines[1].strip()!r}"))
 
-    def test_multi_bin_row_with_the_same_hz_fields(self, small_plan):
-        # kills: a lane keyed on the first four hz fields alone, which reads the first cell of a wider row
-        # as its one cell and drops the second; the bins lie in bands 2 and 3
-        lines = stamped(0, f"{KNOWN}, -60.5", f"{KNOWN}, -60.0, -61.0", f"{KNOWN}, -62.0")
-        self.assert_as_reference(lines, small_plan)
-        assert [r.rss_by_id for r in parse_all(lines, small_plan)] == [
-            {2: ordered_sum([-60.5, -60.0, -62.0]) / 3, 3: -61.0}]
+    def test_same_hz_text_with_another_cell_count(self, small_plan, hz, cells):
+        # kills: a memo keyed on the hz text alone, which reads a row of another cell count with the known
+        # layout's band id or runs: it drops cells, or reads cells as hz fields
+        n = len(cells)
+        for other in sorted({1, 2, n - 1, n + 1} - {0, n}):
+            wider = [f"-{40 + i}.0" for i in range(other)]
+            lines = stamped(0, layout_row(hz, cells), f"{hz}, {', '.join(wider)}", layout_row(hz, cells, delta=-1.5))
+            self.assert_as_reference(lines, small_plan)
+            assert [r.rss_by_id for r in parse_all(lines, small_plan)] == [
+                sweep_means(cells, wider, [float(cell) - 1.5 for cell in cells])]
 
     @pytest.mark.parametrize("cell, shown", [("250", "250.0"), ("-200.00000000000003", "-200.00000000000003"),
                                              ("1e400", "inf"), ("-1e400", "-inf")])
-    def test_lane_row_beyond_the_db_bound(self, small_plan, cell, shown):
-        # kills: a lane that skips the bounds check, or checks one side of it
-        lines = stamped(0, f"{KNOWN}, -60.5", f"{KNOWN}, 200", f"{KNOWN}, {cell}")
+    def test_row_beyond_the_db_bound(self, small_plan, hz, cells, cell, shown):
+        # kills: a hit path that skips the bounds check, checks one side of it, or checks one cell of a row
+        lines = stamped(0, layout_row(hz, cells), layout_row(hz, cells, last="200"), layout_row(hz, cells, last=cell))
         self.assert_as_reference(lines, small_plan, (3, f"dB value {shown} outside [-200, 200]"))
+        first_cell = stamped(0, layout_row(hz, cells), f"{hz}, {', '.join((cell, *cells[1:]))}")
+        self.assert_as_reference(first_cell, small_plan, (2, f"dB value {shown} outside [-200, 200]"))
 
-    def test_stamp_fields_in_other_whitespace_within_one_sweep(self, small_plan):
-        # kills: a lane that starts a sweep whenever the raw stamp text changes (a repeated-timestamp error),
-        # or that compares the time field alone (the next day's 12:00:01 merged into this day's)
-        lines = [f"2023-01-01, 12:00:00, {KNOWN}, -60.5", f"2023-01-01,12:00:00, {KNOWN}, -61.5",
-                 f" 2023-01-01 ,\t12:00:00 , {KNOWN}, -62.5", f"2023-01-01, 12:00:00, {KNOWN}, -63.5",
-                 f"2023-01-01, 12:00:01, {KNOWN}, -50.0", f"2023-01-01 , 12:00:01, {KNOWN}, -51.0",
-                 f"2023-01-02 , 12:00:01, {KNOWN}, -40.0"]
+    def test_stamp_fields_in_other_whitespace_within_one_sweep(self, small_plan, hz, cells):
+        # kills: a hit path that starts a sweep whenever the raw stamp text changes (a repeated-timestamp
+        # error), or that compares the time field alone (the next day's 12:00:01 merged into this day's)
+        rows = [layout_row(hz, cells, delta=-d) for d in range(7)]
+        lines = [f"2023-01-01, 12:00:00, {rows[0]}", f"2023-01-01,12:00:00, {rows[1]}",
+                 f" 2023-01-01 ,\t12:00:00 , {rows[2]}", f"2023-01-01, 12:00:00, {rows[3]}",
+                 f"2023-01-01, 12:00:01, {rows[4]}", f"2023-01-01 , 12:00:01, {rows[5]}",
+                 f"2023-01-02 , 12:00:01, {rows[6]}"]
         self.assert_as_reference(lines, small_plan)
+        moved = [[float(cell) - d for cell in cells] for d in range(7)]
         assert [r.rss_by_id for r in parse_all(lines, small_plan)] == [
-            {2: ordered_sum([-60.5, -61.5, -62.5, -63.5]) / 4}, {2: -50.5}, {2: -40.0}]
+            sweep_means(*moved[:4]), sweep_means(*moved[4:6]), sweep_means(moved[6])]
 
     @pytest.mark.parametrize("first, second", [("12:00:00", "12:00:00.000000"), ("12:00:01.5", "12:0:01.500000"),
                                                ("12:00:02", "12:00:2")])
-    def test_second_spelling_of_the_same_time_on_the_next_row(self, small_plan, first, second):
-        # kills: a lane that compares stamps by their value, not their text, and so merges a second
+    def test_second_spelling_of_the_same_time_on_the_next_row(self, small_plan, hz, cells, first, second):
+        # kills: a hit path that compares stamps by their value, not their text, and so merges a second
         # spelling of the pending sweep's time into that sweep
-        lines = [f"2023-01-01, {first}, {KNOWN}, -60.5", f"2023-01-01, {second}, {KNOWN}, -61.5"]
+        lines = [f"2023-01-01, {first}, {layout_row(hz, cells)}", f"2023-01-01, {second}, {layout_row(hz, cells)}"]
         self.assert_as_reference(lines, small_plan, (2, "timestamp decreased or repeated across sweeps"))
+
+
+# four sweeps of five rows that alternate KNOWN's one cell and WIDE's five bins, row by row over the file
+ALTERNATING = [f"2023-01-01, 12:00:{k // 5:02d}, {layout_row(*LAYOUTS['five_bin' if k % 2 else 'one_cell'], delta=-k)}"
+               for k in range(20)]
+
+
+class TestAlternatingLayouts:
+    """Every row of ALTERNATING has another cell count than the row before
+    it, so the hit path takes none of them and the checker reads each as the
+    reference does."""
+
+    def test_records_equal_the_reference(self, small_plan):
+        expected = outcome(reference_parse_sweep_lines, ALTERNATING, small_plan)
+        assert expected[1:] == (None, None) and expected[0].count("SweepRecord(") == 4
+        assert outcome(parse_sweep_lines, ALTERNATING, small_plan) == expected
+
+    @pytest.mark.parametrize("token", ["", "abc", "nan", "250", "1e400", "-0.0", "12:00:61"])
+    def test_each_damaged_row_fails_on_the_reference_line(self, small_plan, token):
+        # every row's last cell and, in turn, its time field
+        for row in range(len(ALTERNATING)):
+            for field in (-1, 1):
+                fields = ALTERNATING[row].split(",")
+                fields[field] = token
+                lines = ALTERNATING[:row] + [",".join(fields)] + ALTERNATING[row + 1:]
+                expected = outcome(reference_parse_sweep_lines, lines, small_plan)
+                assert outcome(parse_sweep_lines, lines, small_plan) == expected, (row, field)
 
 
 def capture_rows(count, start=0, newline="\n"):
