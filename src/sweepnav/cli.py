@@ -1,11 +1,11 @@
-"""Command-line interface: run, simulate, eval, convergence.
+"""Command-line interface: run, simulate, eval, study, convergence.
 
-``simulate`` reads a scenario file; ``run``, ``convergence`` and the
-``eval`` grid read a sweep CSV through ``parse_sweep_file``. Exit codes: 0
-success, 2 unreadable or malformed input, 3 configuration error or failed
-run, 4 mismatched data shapes. The commands only raise; ``ERRORS`` maps each
-exception to its message prefix and exit code, in one place around every
-command.
+``simulate`` and ``study`` read a scenario file, which ``study`` simulates
+in memory; ``run`` and ``convergence`` read a sweep CSV through
+``parse_sweep_file``. Exit codes: 0 success, 2 unreadable or malformed
+input, 3 configuration error or failed run, 4 mismatched data shapes. The
+commands only raise; ``ERRORS`` maps each exception to its message prefix
+and exit code, in one place around every command.
 """
 
 from __future__ import annotations
@@ -104,21 +104,11 @@ def simulate(scenario, seed, out_dir):
 @click.argument("trajectory", type=click.Path(exists=True, dir_okay=False))
 @click.option("--waypoints", "waypoints_path", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), required=True)
-@click.option("--config", "config_path", type=click.Path(), default=None, help="Config for grid re-runs.")
-@click.option("--sweeps", "sweeps_path", type=click.Path(), default=None, help="Sweep CSV for grid re-runs.")
-@click.option("--npl-list", default=None, help="Comma-separated path-loss exponents for the grid.")
-@click.option("--txcount-list", default=None, help="Comma-separated transmitter counts for the grid.")
-@click.option("--window-list", default=None, help="Comma-separated smoother windows for the grid.")
-def eval_cmd(truth, trajectory, waypoints_path, out_dir, config_path, sweeps_path,
-             npl_list, txcount_list, window_list):
+def eval_cmd(truth, trajectory, waypoints_path, out_dir):
     """Score a trajectory against ground truth at waypoints."""
-    ground_truth = artifacts.read_ground_truth(truth, waypoints_path)
-    score = score_run(ground_truth, artifacts.read_trajectory_csv(trajectory))
-    grid = None
-    if npl_list or txcount_list or window_list:
-        grid, unscored = _eval_grid(ground_truth, config_path, sweeps_path, npl_list, txcount_list, window_list)
+    score = score_run(artifacts.read_ground_truth(truth, waypoints_path), artifacts.read_trajectory_csv(trajectory))
 
-    # every input is read and every grid run done: only now is --out written
+    # every input is read and scored: only now is --out written
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     artifacts.write_csv(out / "report.csv", ["estimator", "segment", "est_m", "truth_m", "percent_diff"], [
@@ -134,11 +124,6 @@ def eval_cmd(truth, trajectory, waypoints_path, out_dir, config_path, sweeps_pat
         cells.append(f"{score.rmse_m[estimator]:.1f}")
         click.echo(f"{estimator:<9}  " + "  ".join(f"{c:>12}" for c in cells))
 
-    if grid is not None:
-        header = ["n_pl", "window", "tx_count", "estimator", "segment", "est_m", "percent_diff", "note"]
-        artifacts.write_csv(out / "grid_report.csv", header, grid)
-        click.echo(f"grid: wrote {len(grid)} rows" + (f", {unscored} cells with no fix" if unscored else ""))
-
 
 def _parse_list(text, cast, default):
     if not text:
@@ -149,12 +134,17 @@ def _parse_list(text, cast, default):
         raise ConfigError(f"bad list {text!r}") from None
 
 
-def _eval_grid(truth, config_path, sweeps_path, npl_list, txcount_list, window_list) -> tuple[list, int]:
-    """The grid report's rows and its count of cells with no fix. Every config
-    is built and the sweeps read before the first run, so a bad grid argument
-    fails before any output; a cell with no fix holds nan and a note saying why."""
-    if sweeps_path is None:
-        raise ConfigError("grid evaluation needs --sweeps")
+@main.command()
+@click.argument("scenario", type=click.Path(exists=True, dir_okay=False))
+@click.option("--config", "config_path", type=click.Path(), default=None, help="Base pipeline config of every cell.")
+@click.option("--npl-list", default=None, help="Comma-separated path-loss exponents.")
+@click.option("--txcount-list", default=None, help="Comma-separated transmitter counts.")
+@click.option("--window-list", default=None, help="Comma-separated smoother windows.")
+@click.option("--out", "out_dir", type=click.Path(file_okay=False), required=True)
+def study(scenario, config_path, npl_list, txcount_list, window_list, out_dir):
+    """Score the pipeline on a simulated scenario over a grid of parameter values."""
+    # every cell's config is built and the scene simulated before the first run, so a bad list or
+    # scenario fails before any output; a cell with no fix holds nan and a note saying why
     base = load_config(config_path)
     npls = _parse_list(npl_list, float, [base.pathloss.exponent])
     counts = _parse_list(txcount_list, int, [base.band_count])
@@ -168,28 +158,34 @@ def _eval_grid(truth, config_path, sweeps_path, npl_list, txcount_list, window_l
         ))
         for npl in npls for window in windows for count in counts
     ]
-    records = list(parse_sweep_file(sweeps_path, base.plan))
+    world = simulate_run(load_scenario(scenario), base.plan)
 
     grid_rows, unscored = [], 0
     for npl, window, count, config in configs:
         try:  # no comma in a note: it stays one CSV field
-            trajectory, note = run_pipeline(records, config), ""
+            trajectory, note = run_pipeline(world.sweeps, config), ""
             if not trajectory.steps:  # no sweep selected the bands
-                common = set.intersection(*(set(r.rss_by_id) for r in records))
+                common = set.intersection(*(set(r.rss_by_id) for r in world.sweeps))
                 note = f"no fix: {count} bands asked; {len(common)} in every sweep"
         except DegenerateGeometryError as exc:
             note = f"no fix: {exc}"
         if note:
-            scores = dict.fromkeys(("wma", "ekf"), [(math.nan, math.nan)] * (len(truth.waypoint_indices) - 1))
+            scores = dict.fromkeys(("wma", "ekf"), [(math.nan, math.nan)] * (len(world.truth.waypoint_indices) - 1))
             unscored += 1
         else:
-            segments = score_run(truth, trajectory).segments
+            segments = score_run(world.truth, trajectory).segments
             scores = {e: [(s.estimated_m, s.percent_diff) for s in segments[e]] for e in ("wma", "ekf")}
         for estimator in ("wma", "ekf"):
             for i, (est, pct) in enumerate(scores[estimator]):
                 # the exponent is written as given, not with six digits
                 grid_rows.append((str(npl), window, count, estimator, i + 1, est, pct, note))
-    return grid_rows, unscored
+
+    # every cell is run and scored: only now is --out written
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    header = ["n_pl", "window", "tx_count", "estimator", "segment", "est_m", "percent_diff", "note"]
+    artifacts.write_csv(out / "grid_report.csv", header, grid_rows)
+    click.echo(f"grid: wrote {len(grid_rows)} rows" + (f", {unscored} cells with no fix" if unscored else ""))
 
 
 @main.command()

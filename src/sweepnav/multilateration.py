@@ -115,7 +115,7 @@ class AnchorFrame:
             self._condition = sigma_max / sigma_min
             if not self._condition <= CONDITION_CAP:
                 reason = f"condition estimate {self._condition:.3g} exceeds cap {CONDITION_CAP:.3g}"
-        if reason is not None:  # no comma: the message stays one CSV field in eval's grid notes
+        if reason is not None:  # no comma: the message stays one CSV field in study's grid notes
             bands = " ".join(str(a.band_id) for a in anchors)
             raise DegenerateGeometryError(f"anchor frame of bands {bands} is degenerate: {reason}")
 

@@ -61,7 +61,7 @@ class PipelineConfig:
         if not MIN_ANCHORS <= config_int("band_count", self.band_count) <= self.plan.count:
             raise ConfigError(f"band_count must be {MIN_ANCHORS} to {self.plan.count} (the plan's bands), "
                               f"got {self.band_count}")
-        validate_bbox(self.anchor_bbox)
+        object.__setattr__(self, "anchor_bbox", validate_bbox(self.anchor_bbox))
         if config_int("anchor_seed", self.anchor_seed) < 0:
             raise ConfigError(f"anchor seed {self.anchor_seed} is negative")
         if self.sweep_window is not None and config_int("sweep_window", self.sweep_window) < 1:

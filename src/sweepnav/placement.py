@@ -21,6 +21,8 @@ MAX_DRAWS = 1000
 
 
 def validate_bbox(bbox: Bbox) -> Bbox:
+    if isinstance(bbox, (str, bytes)):  # each character would pass as a number
+        raise ConfigError("bounding box must be four numbers")
     try:
         xmin, ymin, xmax, ymax = (float(v) for v in bbox)
     except (TypeError, ValueError):

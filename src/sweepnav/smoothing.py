@@ -34,6 +34,8 @@ class SmootherConfig:
         if not 1 <= config_int("smoother window", self.window) <= MAX_WINDOW:
             raise ConfigError(f"smoother window must be 1..{MAX_WINDOW}, got {self.window}")
         if self.weights is not None:
+            if isinstance(self.weights, (str, bytes)):  # each character would pass as a number
+                raise ConfigError("weights must be a sequence of numbers")
             try:
                 object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
             except (TypeError, ValueError):

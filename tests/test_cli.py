@@ -16,11 +16,20 @@ from sweepnav import (
 )
 from sweepnav.cli import main
 from sweepnav.config import CONFIG_FIELDS, SCENARIO_FIELDS, load_config
-from sweepnav.artifacts import read_ground_truth, read_trajectory_csv
+from sweepnav.artifacts import read_ground_truth, read_trajectory_csv, write_trajectory_csv, write_truth_csv
 from sweepnav.simulator import score_run, spread
 from conftest import ROUTE_SCENARIO_TEXT
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def write_readme_files(directory):
+    """The README's scenario and pipeline-config blocks, as written, in scenario.txt and pipeline.cfg."""
+    text = README.read_text(encoding="utf-8")
+    for heading, name in (("Scenario file (`key = value`, `#` comments):", "scenario.txt"),
+                          ("Pipeline config keys", "pipeline.cfg")):
+        block = text.split(heading, 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
+        (directory / name).write_text(block, encoding="ascii")
 
 
 @pytest.fixture
@@ -587,80 +596,19 @@ class TestEval:
         (raw,) = [line.split() for line in result.stdout.splitlines() if line.startswith("raw")]
         assert raw[-1] == "inf"
 
-    def test_grid_report(self, runner, artifacts, tmp_path):
-        sim, run_dir = artifacts
-        out = tmp_path / "grid"
-        result = runner.invoke(
-            main,
-            [
-                "eval", str(sim / "truth.csv"), str(run_dir / "trajectory.csv"),
-                "--waypoints", str(sim / "waypoints.csv"), "--out", str(out),
-                "--sweeps", str(sim / "sweeps.csv"),
-                "--npl-list", "2.8,2.9", "--txcount-list", "4,6", "--window-list", "3",
-            ],
-        )
-        assert result.exit_code == 0, result.output
-        rows = read_rows(out / "grid_report.csv")
-        assert rows[0] == ["n_pl", "window", "tx_count", "estimator", "segment", "est_m", "percent_diff", "note"]
-        assert len(rows) == 1 + 2 * 2 * 1 * 2 * 2
-        assert all(row[7] == "" and math.isfinite(float(row[5])) for row in rows[1:])
-        assert result.output.endswith("grid: wrote 16 rows\n")
-
-    def test_grid_cell_without_fix_is_a_noted_nan_row(self, runner, artifacts, tmp_path):
-        # the scenario has six transmitters: a cell asking for nine never fixes
-        sim, run_dir = artifacts
-        out = tmp_path / "grid"
-        result = runner.invoke(
-            main,
-            [
-                "eval", str(sim / "truth.csv"), str(run_dir / "trajectory.csv"),
-                "--waypoints", str(sim / "waypoints.csv"), "--out", str(out),
-                "--sweeps", str(sim / "sweeps.csv"), "--txcount-list", "9,6",
-            ],
-        )
-        assert result.exit_code == 0, (result.output, result.exception)
-        assert result.output.endswith("grid: wrote 8 rows, 1 cells with no fix\n")
-        rows = read_rows(out / "grid_report.csv")[1:]
-        unscored = [row for row in rows if row[2] == "9"]
-        assert [row[3:5] for row in unscored] == [["wma", "1"], ["wma", "2"], ["ekf", "1"], ["ekf", "2"]]
-        assert all(row[5:] == ["nan", "nan", "no fix: 9 bands asked; 6 in every sweep"] for row in unscored)
-        assert all(row[7] == "" and math.isfinite(float(row[6])) for row in rows if row[2] == "6")
-
-    def test_grid_cell_with_a_degenerate_frame_is_noted(self, runner, artifacts, tmp_path):
-        # bands are selected, but anchors in a thin box make the frame degenerate, so no sweep fixes
-        sim, run_dir = artifacts
-        out, config = tmp_path / "grid", tmp_path / "thin.cfg"
-        config.write_text(THIN_BOX + "\n", encoding="ascii")
-        result = runner.invoke(
-            main,
-            [
-                "eval", str(sim / "truth.csv"), str(run_dir / "trajectory.csv"),
-                "--waypoints", str(sim / "waypoints.csv"), "--out", str(out),
-                "--sweeps", str(sim / "sweeps.csv"), "--config", str(config), "--npl-list", "2.8",
-            ],
-        )
-        assert result.exit_code == 0, (result.output, result.exception)
-        rows = read_rows(out / "grid_report.csv")[1:]
-        assert len(rows) == 4 and all(row[5:7] == ["nan", "nan"] for row in rows)
-        assert all(re.fullmatch("no fix: anchor frame of bands [0-9 ]+ is degenerate: condition estimate .+", row[7])
-                   for row in rows), rows
-        assert result.output.endswith("grid: wrote 4 rows, 1 cells with no fix\n")
-
-    @pytest.mark.parametrize("grid", [[], ["--npl-list", "2.8"]])
-    def test_one_waypoint_is_exit_4(self, runner, artifacts, tmp_path, grid):
-        # one waypoint bounds no segment: a shape error before the reports or the grid are written
+    def test_one_waypoint_is_exit_4(self, runner, artifacts, tmp_path):
+        # one waypoint bounds no segment: a shape error before the report is written
         sim, run_dir = artifacts
         waypoints, out = tmp_path / "one.csv", tmp_path / "eval"
         waypoints.write_text("k,x,y\n0,0.000000,0.000000\n", encoding="ascii")
         result = runner.invoke(main, [
             "eval", str(sim / "truth.csv"), str(run_dir / "trajectory.csv"), "--waypoints", str(waypoints),
-            "--out", str(out), "--sweeps", str(sim / "sweeps.csv"), *grid,
+            "--out", str(out),
         ])
         assert result.exit_code == 4, (result.output, result.exception)
         assert "shape error: need at least two waypoints" in result.output and not out.exists()
 
-    @pytest.mark.parametrize("grid", [[], ["--npl-list", "2.8"]])
-    def test_truth_of_another_time_is_exit_4(self, runner, artifacts, tmp_path, grid):
+    def test_truth_of_another_time_is_exit_4(self, runner, artifacts, tmp_path):
         # every truth time 5,000 s later: the trajectory is of another capture
         sim, run_dir = artifacts
         truth, out = tmp_path / "truth.csv", tmp_path / "eval"
@@ -669,14 +617,13 @@ class TestEval:
         truth.write_text("\n".join([header, *shifted]) + "\n", encoding="ascii")
         result = runner.invoke(main, [
             "eval", str(truth), str(run_dir / "trajectory.csv"), "--waypoints", str(sim / "waypoints.csv"),
-            "--out", str(out), "--sweeps", str(sim / "sweeps.csv"), *grid,
+            "--out", str(out),
         ])
         assert result.exit_code == 4, (result.output, result.exception)
         assert "shape error: trajectory row 0 is at 0.000000 s, truth at 5000.000000 s" in result.output
         assert not out.exists()
 
-    @pytest.mark.parametrize("grid", [[], ["--npl-list", "2.8"]])
-    def test_waypoints_off_the_truth_are_exit_4(self, runner, artifacts, tmp_path, grid):
+    def test_waypoints_off_the_truth_are_exit_4(self, runner, artifacts, tmp_path):
         # every waypoint position nan: the file names no truth sample
         sim, run_dir = artifacts
         waypoints, out = tmp_path / "waypoints.csv", tmp_path / "eval"
@@ -685,7 +632,7 @@ class TestEval:
                              encoding="ascii")
         result = runner.invoke(main, [
             "eval", str(sim / "truth.csv"), str(run_dir / "trajectory.csv"), "--waypoints", str(waypoints),
-            "--out", str(out), "--sweeps", str(sim / "sweeps.csv"), *grid,
+            "--out", str(out),
         ])
         assert result.exit_code == 4, (result.output, result.exception)
         assert f"shape error: {waypoints}: waypoint 0 is at (nan, nan), truth sample 0 at (0.000000, 0.000000)" \
@@ -706,90 +653,6 @@ class TestEval:
         assert result.exit_code == 2, (result.output, result.exception)
         assert f"input error: {truth}: line 5: '{cell}' is not a finite number" in result.output
         assert not out.exists()
-
-    def test_grid_over_empty_sweeps_is_exit_2(self, runner, artifacts, tmp_path):
-        sim, run_dir = artifacts
-        empty, out = tmp_path / "empty.csv", tmp_path / "g"
-        empty.write_text("# no rows\n", encoding="ascii")
-        result = runner.invoke(
-            main,
-            [
-                "eval", str(sim / "truth.csv"), str(run_dir / "trajectory.csv"),
-                "--waypoints", str(sim / "waypoints.csv"), "--out", str(out),
-                "--sweeps", str(empty), "--txcount-list", "6",
-            ],
-        )
-        assert result.exit_code == 2, result.output
-        assert "no sweeps" in result.output and not out.exists()
-
-    def test_readme_grid_example_exits_0(self, runner, tmp_path, monkeypatch):
-        """The README's scenario, config and grid command, run as written in
-        its own directory layout: the cells asking for more transmitters than
-        the scenario has carry a note."""
-        text = README.read_text(encoding="utf-8")
-        blocks = {heading: text.split(heading, 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
-                  for heading in ("Scenario file (`key = value`, `#` comments):", "Pipeline config keys")}
-        command = next(block for block in text.split("```bash\n")[1:] if "--npl-list" in block.split("```")[0])
-        args = shlex.split(command.split("```", 1)[0].replace("\\\n", " "))
-        assert args[:2] == ["sweepnav", "eval"]
-        monkeypatch.chdir(tmp_path)
-        Path("scenario.txt").write_text(blocks["Scenario file (`key = value`, `#` comments):"], encoding="ascii")
-        Path("pipeline.cfg").write_text(blocks["Pipeline config keys"], encoding="ascii")
-        assert runner.invoke(main, ["simulate", "scenario.txt", "--out", "sim"]).exit_code == 0
-        assert runner.invoke(main, ["run", "sim/sweeps.csv", "--config", "pipeline.cfg", "--out", "run"]).exit_code == 0
-        result = runner.invoke(main, args[1:])
-        assert result.exit_code == 0, (result.output, result.exception)
-        rows = read_rows(Path("eval/grid_report.csv"))[1:]
-        assert {row[2] for row in rows} == {"6", "9", "13"}
-        assert all((row[7] == "") == (row[2] == "6") for row in rows)
-        assert all(row[7] == f"no fix: {row[2]} bands asked; 6 in every sweep" for row in rows if row[2] != "6")
-
-    def test_grid_without_sweeps_is_config_error(self, runner, artifacts, tmp_path):
-        sim, run_dir = artifacts
-        result = runner.invoke(
-            main,
-            [
-                "eval", str(sim / "truth.csv"), str(run_dir / "trajectory.csv"),
-                "--waypoints", str(sim / "waypoints.csv"), "--out", str(tmp_path / "g"),
-                "--npl-list", "2.8",
-            ],
-        )
-        assert result.exit_code == 3
-
-    @pytest.mark.parametrize(
-        "grid",
-        [["--npl-list", "2.8"], ["--sweeps", "SWEEPS", "--window-list", "0"]],
-        ids=["no_sweeps", "window_0"],
-    )
-    def test_bad_grid_argument_writes_nothing(self, runner, artifacts, tmp_path, grid):
-        sim, run_dir = artifacts
-        out = tmp_path / "g"
-        result = runner.invoke(
-            main,
-            [
-                "eval", str(sim / "truth.csv"), str(run_dir / "trajectory.csv"),
-                "--waypoints", str(sim / "waypoints.csv"), "--out", str(out),
-                *(str(sim / "sweeps.csv") if arg == "SWEEPS" else arg for arg in grid),
-            ],
-        )
-        assert result.exit_code == 3, (result.output, result.exception)
-        assert "config error" in result.output
-        assert not out.exists()
-
-    def test_grid_repeated_timestamp_is_exit_2(self, runner, artifacts, tmp_path):
-        sim, run_dir = artifacts
-        bad = tmp_path / "repeated.csv"
-        bad.write_text(REPEATED_TIMESTAMP_SWEEPS, encoding="ascii")
-        result = runner.invoke(
-            main,
-            [
-                "eval", str(sim / "truth.csv"), str(run_dir / "trajectory.csv"),
-                "--waypoints", str(sim / "waypoints.csv"), "--out", str(tmp_path / "g"),
-                "--sweeps", str(bad), "--npl-list", "2.8,2.9",
-            ],
-        )
-        assert result.exit_code == 2
-        assert "line 7" in result.output
 
     def test_misaligned_lengths_exit_4(self, runner, artifacts, tmp_path):
         sim, run_dir = artifacts
@@ -943,6 +806,133 @@ class TestEval:
         assert result.exit_code == 0, result.output
         rows = read_rows(out / "report.csv")[1:]
         assert all(float(row[4]) == 0.0 for row in rows)
+
+
+class TestStudy:
+    def test_grid_report(self, runner, route_scenario_file, tmp_path):
+        out = tmp_path / "study"
+        result = runner.invoke(main, [
+            "study", str(route_scenario_file), "--out", str(out),
+            "--npl-list", "2.8,2.9", "--txcount-list", "4,6", "--window-list", "3",
+        ])
+        assert result.exit_code == 0, (result.output, result.exception)
+        rows = read_rows(out / "grid_report.csv")
+        assert rows[0] == ["n_pl", "window", "tx_count", "estimator", "segment", "est_m", "percent_diff", "note"]
+        assert len(rows) == 1 + 2 * 2 * 1 * 2 * 2
+        assert all(row[7] == "" and math.isfinite(float(row[5])) for row in rows[1:])
+        assert result.output.endswith("grid: wrote 16 rows\n")
+
+    def test_cell_without_fix_is_a_noted_nan_row(self, runner, route_scenario_file, tmp_path):
+        # the scenario has six transmitters: a cell asking for nine never fixes
+        out = tmp_path / "study"
+        result = runner.invoke(main, ["study", str(route_scenario_file), "--out", str(out), "--txcount-list", "9,6"])
+        assert result.exit_code == 0, (result.output, result.exception)
+        assert result.output.endswith("grid: wrote 8 rows, 1 cells with no fix\n")
+        rows = read_rows(out / "grid_report.csv")[1:]
+        unscored = [row for row in rows if row[2] == "9"]
+        assert [row[3:5] for row in unscored] == [["wma", "1"], ["wma", "2"], ["ekf", "1"], ["ekf", "2"]]
+        assert all(row[5:] == ["nan", "nan", "no fix: 9 bands asked; 6 in every sweep"] for row in unscored)
+        assert all(row[7] == "" and math.isfinite(float(row[6])) for row in rows if row[2] == "6")
+
+    def test_cell_with_a_degenerate_frame_is_noted(self, runner, route_scenario_file, tmp_path):
+        # bands are selected, but anchors in a thin box make the frame degenerate, so no sweep fixes
+        out, config = tmp_path / "study", tmp_path / "thin.cfg"
+        config.write_text(THIN_BOX + "\n", encoding="ascii")
+        result = runner.invoke(main, [
+            "study", str(route_scenario_file), "--out", str(out), "--config", str(config), "--npl-list", "2.8",
+        ])
+        assert result.exit_code == 0, (result.output, result.exception)
+        rows = read_rows(out / "grid_report.csv")[1:]
+        assert len(rows) == 4 and all(row[5:7] == ["nan", "nan"] for row in rows)
+        assert all(re.fullmatch("no fix: anchor frame of bands [0-9 ]+ is degenerate: condition estimate .+", row[7])
+                   for row in rows), rows
+        assert result.output.endswith("grid: wrote 4 rows, 1 cells with no fix\n")
+
+    def test_readme_example_exits_0(self, runner, tmp_path, monkeypatch):
+        """The README's scenario, config and study command, run as written in
+        its own directory layout: the cells asking for more transmitters than
+        the scenario has carry a note."""
+        text = README.read_text(encoding="utf-8")
+        command = next(block for block in text.split("```bash\n")[1:] if "--npl-list" in block.split("```")[0])
+        args = shlex.split(command.split("```", 1)[0].replace("\\\n", " "))
+        assert args[:2] == ["sweepnav", "study"]
+        monkeypatch.chdir(tmp_path)
+        write_readme_files(Path("."))
+        result = runner.invoke(main, args[1:])
+        assert result.exit_code == 0, (result.output, result.exception)
+        # 3 exponents x 2 windows x 3 counts, 2 estimators x 4 segments each; 9 and 13 bands never fix
+        assert result.output == "grid: wrote 144 rows, 12 cells with no fix\n"
+        rows = read_rows(Path("study/grid_report.csv"))[1:]
+        assert {row[2] for row in rows} == {"6", "9", "13"}
+        assert all((row[7] == "") == (row[2] == "6") for row in rows)
+        assert all(row[7] == f"no fix: {row[2]} bands asked; 6 in every sweep" for row in rows if row[2] != "6")
+
+    def test_base_cell_scores_as_eval_does(self, runner, tmp_path, monkeypatch):
+        """The study's in-memory scene and the file path (simulate, run --config,
+        eval) agree on the README scenario, whose one-second cadence stamps
+        every sweep on a whole microsecond: the truth and trajectory the study
+        scores, written out, are the files simulate and run write, byte for
+        byte, and its scores are eval's up to the six-decimal rounding of the
+        positions in those files."""
+        write_readme_files(tmp_path)
+        scenario, config = str(tmp_path / "scenario.txt"), str(tmp_path / "pipeline.cfg")
+        sim, run_dir, out = tmp_path / "sim", tmp_path / "run", tmp_path / "study"
+        for args in (["simulate", scenario, "--out", str(sim)],
+                     ["run", str(sim / "sweeps.csv"), "--config", config, "--out", str(run_dir)],
+                     ["eval", str(sim / "truth.csv"), str(run_dir / "trajectory.csv"),
+                      "--waypoints", str(sim / "waypoints.csv"), "--out", str(tmp_path / "eval")]):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 0, (args, result.output, result.exception)
+        scored = []
+
+        def recording_score_run(truth, trajectory):
+            scored.append((truth, trajectory))
+            return score_run(truth, trajectory)
+
+        monkeypatch.setattr(cli, "score_run", recording_score_run)
+        result = runner.invoke(main, ["study", scenario, "--config", config, "--out", str(out)])
+        assert result.exit_code == 0, (result.output, result.exception)
+
+        ((truth, trajectory),) = scored
+        write_truth_csv(truth, tmp_path / "truth.csv")
+        write_trajectory_csv(trajectory, tmp_path / "trajectory.csv")
+        assert (tmp_path / "truth.csv").read_bytes() == (sim / "truth.csv").read_bytes()
+        assert (tmp_path / "trajectory.csv").read_bytes() == (run_dir / "trajectory.csv").read_bytes()
+        report = [row for row in read_rows(tmp_path / "eval" / "report.csv")[1:] if row[0] != "raw"]
+        rows = read_rows(out / "grid_report.csv")[1:]
+        assert all(row[:3] == ["2.8", "3", "6"] and row[7] == "" for row in rows)
+        assert [row[3:5] for row in rows] == [row[:2] for row in report]
+        for row, (_, _, est, truth_m, pct) in zip(rows, report):
+            # a position moves at most 5e-7 m per axis when written, and each printed value 5e-7 more
+            assert abs(float(row[5]) - float(est)) <= 3e-6, (row, est)
+            assert abs(float(row[6]) - float(pct)) <= 3e-6 * (1 + 100 / float(truth_m)), (row, pct)
+
+    @pytest.mark.parametrize("lists", [["--npl-list", "2.8,x"], ["--txcount-list", "6.5"], ["--window-list", "0"]],
+                             ids=["bad_float", "bad_int", "window_0"])
+    def test_bad_list_writes_nothing(self, runner, route_scenario_file, tmp_path, lists):
+        out = tmp_path / "study"
+        result = runner.invoke(main, ["study", str(route_scenario_file), "--out", str(out), *lists])
+        assert result.exit_code == 3, (result.output, result.exception)
+        assert "config error" in result.output
+        assert not out.exists()
+
+    def test_bad_scenario_writes_nothing(self, runner, tmp_path):
+        scenario, out = tmp_path / "slow.txt", tmp_path / "study"
+        scenario.write_text(BENCHMARK_SCENARIO.replace("speed_mps = 10", "speed_mps = 1e-320"), encoding="ascii")
+        result = runner.invoke(main, ["study", str(scenario), "--out", str(out)])
+        assert result.exit_code == 3, (result.output, result.exception)
+        assert "config error" in result.output
+        assert not out.exists()
+
+    def test_zero_length_segment_is_exit_4(self, runner, tmp_path):
+        # a repeated waypoint simulates, but the segment it bounds cannot be scored
+        scenario, out = tmp_path / "repeated.txt", tmp_path / "study"
+        scenario.write_text(BENCHMARK_SCENARIO.replace("270,490; 10,490", "270,490; 270,490; 10,490"),
+                            encoding="ascii")
+        result = runner.invoke(main, ["study", str(scenario), "--out", str(out)])
+        assert result.exit_code == 4, (result.output, result.exception)
+        assert "shape error: truth lengths must be positive" in result.output
+        assert not out.exists()
 
 
 class TestConvergence:
@@ -1186,7 +1176,7 @@ def fuzz_run(fuzz_sweeps):
     return sim
 
 
-# a grid list item is arbitrary text, any float or int, or a value near the edges the grid checks:
+# a study list item is arbitrary text, any float or int, or a value near the edges the cells check:
 # exponents outside 1.5..6, windows outside 1..MAX_WINDOW, counts below 4 or above the scene's six bands
 grid_items = (
     st.text(max_size=8)
@@ -1205,9 +1195,9 @@ GRID_VALID = {
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
-def test_fuzzed_grid_lists_exit_with_a_documented_code(fuzz_run, tmp_path_factory, data):
-    """Any grid list gives exit 0, 2, 3 or 4, never an uncaught exception,
-    and nothing under --out unless the command succeeds."""
+def test_fuzzed_grid_lists_exit_with_a_documented_code(fuzz_sweeps, tmp_path_factory, data):
+    """Any study list gives exit 0, 2, 3 or 4, never an uncaught exception
+    or a usage error, and nothing under --out unless the command succeeds."""
     lists = {}
     for option, valid in GRID_VALID.items():
         if data.draw(st.booleans()):
@@ -1215,12 +1205,12 @@ def test_fuzzed_grid_lists_exit_with_a_documented_code(fuzz_run, tmp_path_factor
             lists[option] = ",".join(data.draw(st.lists(items, min_size=1, max_size=3)))
     out = tmp_path_factory.mktemp("case") / "out"
     result = CliRunner().invoke(main, [
-        "eval", str(fuzz_run / "truth.csv"), str(fuzz_run / "run" / "trajectory.csv"),
-        "--waypoints", str(fuzz_run / "waypoints.csv"), "--out", str(out), "--sweeps", str(fuzz_run / "sweeps.csv"),
+        "study", str(fuzz_sweeps.parent.parent / "scenario.txt"), "--out", str(out),
         *(f"{option}={text}" for option, text in lists.items()),
     ])
     assert result.exit_code in (0, 2, 3, 4), (result.output, result.exception)
     assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+    assert "Usage:" not in result.output, result.output  # click's exit 2 for an option it does not know
     assert result.exit_code == 0 or not out.exists(), result.output
 
 
@@ -1265,12 +1255,12 @@ def fuzzed_artifact(draw, lines):
     return b"".join(line + b"\n" for line in lines)
 
 
-@pytest.mark.parametrize("grid", [False, True])
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
-def test_fuzzed_artifacts_exit_with_a_documented_code(fuzz_run, tmp_path_factory, grid, data):
+def test_fuzzed_artifacts_exit_with_a_documented_code(fuzz_run, tmp_path_factory, data):
     """Any edit of the truth, waypoints or trajectory file gives `eval` exit
-    0, 2, 3 or 4, never an uncaught exception, and no --out unless it succeeds."""
+    0, 2, 3 or 4, never an uncaught exception or a usage error, and no --out
+    unless it succeeds."""
     root = tmp_path_factory.mktemp("case")
     files = {"truth": fuzz_run / "truth.csv", "waypoints": fuzz_run / "waypoints.csv",
              "trajectory": fuzz_run / "run" / "trajectory.csv"}
@@ -1281,8 +1271,9 @@ def test_fuzzed_artifacts_exit_with_a_documented_code(fuzz_run, tmp_path_factory
     out = root / "out"
     result = CliRunner().invoke(main, [
         "eval", str(files["truth"]), str(files["trajectory"]), "--waypoints", str(files["waypoints"]),
-        "--out", str(out), *(["--sweeps", str(fuzz_run / "sweeps.csv"), "--npl-list", "2.8"] if grid else []),
+        "--out", str(out),
     ])
     assert result.exit_code in (0, 2, 3, 4), (result.output, result.exception)
     assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+    assert "Usage:" not in result.output, result.output  # click's exit 2 for an option it does not know
     assert result.exit_code == 0 or not out.exists(), result.output

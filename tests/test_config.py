@@ -236,6 +236,10 @@ BAD_SETTINGS = {
     "anchor bbox": (lambda: PipelineConfig(anchor_bbox=(0, 0, 0, 0)), "bounding box must have positive area"),
     "anchor bbox of three numbers": (lambda: PipelineConfig(anchor_bbox=(0, 0, 1)), "bounding box must be four numbers"),
     "anchor bbox None": (lambda: PipelineConfig(anchor_bbox=None), "bounding box must be four numbers"),
+    # text would pass as a sequence of one-character numbers: "0011" as the box (0, 0, 1, 1)
+    "anchor bbox text": (lambda: PipelineConfig(anchor_bbox="0011"), "bounding box must be four numbers"),
+    "anchor bbox bytes": (lambda: PipelineConfig(anchor_bbox=b"0011"), "bounding box must be four numbers"),
+    "smoother weights text": (lambda: SmootherConfig(window=2, weights="12"), "weights must be a sequence of numbers"),
     "smoother weights not numbers": (lambda: SmootherConfig(window=2, weights=("a", "b")),
                                      "weights must be a sequence of numbers"),
     "smoother weights not a sequence": (lambda: SmootherConfig(window=2, weights=3),
@@ -268,6 +272,14 @@ class TestConfigurationErrors:
             make()
         assert message in str(raised.value)
         assert not isinstance(raised.value, ValueError)
+
+    @pytest.mark.parametrize("bbox", [[0, 0, 1, 1], np.array([0, 0, 1, 1]), (0, 0, 1, 1)], ids=["list", "array", "ints"])
+    def test_anchor_bbox_is_stored_as_the_checked_tuple(self, bbox):
+        config = PipelineConfig(anchor_bbox=bbox)
+        assert config.anchor_bbox == (0.0, 0.0, 1.0, 1.0) and type(config.anchor_bbox) is tuple
+        assert all(type(v) is float for v in config.anchor_bbox)
+        assert config == PipelineConfig(anchor_bbox=(0.0, 0.0, 1.0, 1.0))
+        assert hash(config) == hash(PipelineConfig(anchor_bbox=(0.0, 0.0, 1.0, 1.0)))
 
     def test_numpy_integers_are_integers(self):
         config = PipelineConfig(band_count=np.int64(5), sweep_window=np.int32(3), anchor_seed=np.int64(2),

@@ -217,7 +217,7 @@ class TestSolveLsq:
 
     def test_collinear_anchors_raise_when_the_frame_is_built(self):
         anchors = [Anchor(i, float(i * 10), 0.0) for i in range(1, 5)]
-        # one line naming the bands and the reason, with no comma: it is also an eval grid note
+        # one line naming the bands and the reason, with no comma: it is also a study grid note
         with pytest.raises(DegenerateGeometryError,
                            match=r"^anchor frame of bands 1 2 3 4 is degenerate: geometry is rank deficient$"):
             AnchorFrame(anchors)
